@@ -4,6 +4,12 @@ Regular functions are stored as finite sums of matrix-coefficient blocks
 indexed by tuples of dominant weights; products are computed by tensoring
 blocks and decomposing back with exact Clebsch-Gordan intertwiners.
 
+Irreps are built recursively: V(lam) is generated inside
+V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
+weight-lam space is the highest weight line.  Tensor products act through
+sparse columns (one nonzero dict per basis vector), both there and when
+V(lam) (x) V(mu) is split by word transport.
+
 Conventions (pinned by the test suite):
   * dual action (x.xi)(v) = -xi(x.v),
   * x^L acts on the dual slot, x^R acts on the vector slot via v -> -x.v,
@@ -22,6 +28,7 @@ from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, nullspace
 from .liebialg import LieAlgebra, LieTensor, StandardR, Weight, mix_tensor
 
 Key = Tuple[Weight, ...]
+SparseVec = Dict[int, Fraction]
 
 
 class DimensionBoundError(ValueError):
@@ -92,30 +99,39 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def tensor_rep(a: Rep, b: Rep) -> Rep:
-    dim = a.dim * b.dim
+def _sparse_tensor(a: Rep, b: Rep) -> Tuple[List[Weight], List[List[SparseVec]]]:
+    """Weights and sparse action of a (x) b on the basis e_i (x) f_t, at
+    index i * b.dim + t: cols[x][j] holds the nonzeros of column j of x."""
+    db = b.dim
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
     ]
-    act = []
+    cols = []
     for ma, mb in zip(a.act, b.act):
-        out = mat_zero(dim, dim)
+        ca, cb = _columns(ma), _columns(mb)
+        mat = []
         for i in range(a.dim):
-            for j in range(a.dim):
-                if ma[i][j] != 0:
-                    for t in range(b.dim):
-                        out[i * b.dim + t][j * b.dim + t] += ma[i][j]
-        for t in range(b.dim):
-            for u in range(b.dim):
-                if mb[t][u] != 0:
-                    for i in range(a.dim):
-                        out[i * b.dim + t][i * b.dim + u] += mb[t][u]
-        act.append(out)
-    return Rep(a.alg, act, weights)
+            for t in range(db):
+                col = {r * db + t: c for r, c in ca[i].items()}
+                for s, c in cb[t].items():
+                    col[i * db + s] = col.get(i * db + s, 0) + c
+                mat.append({r: c for r, c in col.items() if c != 0})
+        cols.append(mat)
+    return weights, cols
 
 
-def trivial_rep(alg: LieAlgebra) -> Rep:
-    return Rep(alg, [mat_zero(1, 1) for _ in range(alg.dim)], [(0,) * alg.rank])
+def _columns(mat: Matrix) -> List[SparseVec]:
+    return [{r: row[j] for r, row in enumerate(mat) if row[j] != 0}
+            for j in range(len(mat[0]))]
+
+
+def _apply(cols: List[SparseVec], v: SparseVec) -> SparseVec:
+    """Matrix (given by its sparse columns) times sparse vector."""
+    out: SparseVec = {}
+    for j, x in v.items():
+        for r, c in cols[j].items():
+            out[r] = out.get(r, 0) + c * x
+    return {r: c for r, c in out.items() if c != 0}
 
 
 class Irrep(Rep):
@@ -184,111 +200,64 @@ class PWContext:
         return self._irreps[lam]
 
     def _build_irrep(self, lam: Weight) -> Irrep:
+        """V(lam) inside V(lam - w_a) (x) V(w_a), a the last index with
+        lam_a > 0; its weight-lam space is the highest weight line."""
         alg = self.alg
-        k = alg.rank
-        if len(lam) != k or any(c < 0 for c in lam):
+        if len(lam) != alg.rank or any(c < 0 for c in lam):
             raise ValueError("weight must be dominant integral")
-        model = trivial_rep(alg)
-        for a in range(k):
-            for _ in range(lam[a]):
-                model = tensor_rep(model, self.fundamental(a))
-        hw = self._highest_weight_vector(model, lam)
-        return self._generate(model, hw, lam)
+        if not any(lam):
+            return self._generate([lam], [[{}] for _ in range(alg.dim)], lam)
+        a = max(i for i, c in enumerate(lam) if c)
+        try:
+            sub = self.irrep(lam[:a] + (lam[a] - 1,) + lam[a + 1:])
+        except DimensionBoundError:
+            # dim V(lam) >= dim V(lam - w_a): name the weight asked for
+            raise self._too_big(lam) from None
+        return self._generate(*_sparse_tensor(sub, self.fundamental(a)), lam)
 
-    def _highest_weight_vector(self, model: Rep, lam: Weight):
-        alg = self.alg
-        idxs = [i for i, w in enumerate(model.weights) if w == tuple(lam)]
-        if not idxs:
-            raise ValueError("no vectors of weight %s in model" % (lam,))
-        rows: Matrix = []
-        for i in range(alg.rank):
-            e = model.act[alg.raise_index(i)]
-            for r in range(model.dim):
-                row = [e[r][c] for c in idxs]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-        if rows:
-            kern = nullspace(rows)
-        else:
-            kern = [
-                [Fraction(1) if j == i else Fraction(0) for j in range(len(idxs))]
-                for i in range(len(idxs))
-            ]
-        if len(kern) != 1:
-            raise ValueError(
-                "highest weight space of %s has dimension %d" % (lam, len(kern))
-            )
-        vec = [Fraction(0)] * model.dim
-        for pos, i in enumerate(idxs):
-            vec[i] = kern[0][pos]
-        # normalize leading coefficient to 1
-        lead = next(c for c in vec if c != 0)
-        return [c / lead for c in vec]
+    def _too_big(self, lam: Weight) -> DimensionBoundError:
+        return DimensionBoundError(
+            "irrep %s exceeds dimension bound %d" % (lam, self.dim_bound))
 
-    def _generate(self, model: Rep, hw_vec, lam: Weight) -> Irrep:
+    def _generate(self, weights: List[Weight], cols: List[List[SparseVec]],
+                  lam: Weight) -> Irrep:
+        """Close the highest weight vector of the model (weights, cols)
+        under the lowering operators, recording the lowering words."""
         alg = self.alg
         span = EchelonSpan(track=True)
-        basis = []
-        words: List[Optional[Tuple[int, int]]] = []
-
-        def sparse(v):
-            return {i: c for i, c in enumerate(v) if c != 0}
-
-        gen_map: Dict[int, int] = {}  # span generator index -> basis position
-        ngens = 0
-
-        def span_add(sv) -> bool:
-            nonlocal ngens
-            grew = span.add(sv)
-            if grew:
-                gen_map[ngens] = len(basis)
-            ngens += 1
-            return grew
-
-        span_add(sparse(hw_vec))
-        basis.append(hw_vec)
-        words.append(None)
-        queue = [0]
-        while queue:
-            p = queue.pop(0)
+        hw = {weights.index(lam): Fraction(1)}
+        span.add(hw)
+        basis = [hw]
+        words: List[Optional[Tuple[int, int]]] = [None]
+        gen_map: Dict[int, int] = {0: 0}  # span generator index -> basis position
+        ngens = 1
+        p = 0
+        while p < len(basis):
             for i in range(alg.rank):
-                fmat = model.act[alg.lower_index(i)]
-                img = [
-                    sum(fmat[r][c] * basis[p][c] for c in range(model.dim))
-                    for r in range(model.dim)
-                ]
-                sv = sparse(img)
-                if not sv:
+                img = _apply(cols[alg.lower_index(i)], basis[p])
+                if not img:
                     continue
-                if span_add(sv):
+                if span.add(img):
                     if len(basis) >= self.dim_bound:
-                        raise DimensionBoundError(
-                            "irrep %s exceeds dimension bound %d" % (lam, self.dim_bound)
-                        )
+                        raise self._too_big(lam)
+                    gen_map[ngens] = len(basis)
                     basis.append(img)
                     words.append((p, i))
-                    queue.append(len(basis) - 1)
+                ngens += 1
+            p += 1
         dim = len(basis)
-        weights = []
-        for v in basis:
-            lead = next(i for i, c in enumerate(v) if c != 0)
-            weights.append(model.weights[lead])
         act = []
         for idx in range(alg.dim):
             mat = mat_zero(dim, dim)
-            amat = model.act[idx]
             for col in range(dim):
-                img = [
-                    sum(amat[r][c] * basis[col][c] for c in range(model.dim))
-                    for r in range(model.dim)
-                ]
-                coeffs = span.coefficients({i: c for i, c in enumerate(img) if c != 0})
+                coeffs = span.coefficients(_apply(cols[idx], basis[col]))
                 if coeffs is None:
                     raise ValueError("module not closed under the action")
                 for gidx, c in coeffs.items():
                     mat[gen_map[gidx]][col] = c
             act.append(mat)
-        return Irrep(self.alg, act, weights, tuple(lam), words)
+        weights = [weights[min(v)] for v in basis]
+        return Irrep(self.alg, act, weights, lam, words)
 
     # -- Clebsch-Gordan -------------------------------------------------
 
@@ -300,60 +269,54 @@ class PWContext:
 
     def _decompose(self, lam: Weight, mu: Weight) -> CGEntry:
         alg = self.alg
-        va, vb = self.irrep(lam), self.irrep(mu)
-        t = tensor_rep(va, vb)
+        weights, cols = _sparse_tensor(self.irrep(lam), self.irrep(mu))
+        dim = len(weights)
+        zero = Fraction(0)
         # highest weight vectors, grouped by weight
         by_weight: Dict[Weight, List[int]] = {}
-        for i, w in enumerate(t.weights):
+        for i, w in enumerate(weights):
             by_weight.setdefault(w, []).append(i)
-        hw_list: List[Tuple[Weight, List[Fraction]]] = []
+        hw_list: List[Tuple[Weight, SparseVec]] = []
         for w in sorted(by_weight, reverse=True):
             if any(c < 0 for c in w):
                 continue
             idxs = by_weight[w]
             rows = []
             for i in range(alg.rank):
-                e = t.act[alg.raise_index(i)]
+                e = cols[alg.raise_index(i)]
                 target = tuple(a + b for a, b in zip(w, alg.simple_root(i)))
-                tgt_rows = by_weight.get(target, [])
-                for r in tgt_rows:
-                    rows.append([e[r][c] for c in idxs])
+                block = {r: [zero] * len(idxs) for r in by_weight.get(target, [])}
+                for pos, c in enumerate(idxs):
+                    for r, x in e[c].items():
+                        block[r][pos] = x
+                rows.extend(block.values())
             kern = nullspace(rows) if rows else [
-                [Fraction(1) if j == i else Fraction(0) for j in range(len(idxs))]
+                [Fraction(1) if j == i else zero for j in range(len(idxs))]
                 for i in range(len(idxs))
             ]
             for kv in kern:
-                vec = [Fraction(0)] * t.dim
-                for pos, i in enumerate(idxs):
-                    vec[i] = kv[pos]
-                lead = next(c for c in vec if c != 0)
-                hw_list.append((w, [c / lead for c in vec]))
+                lead = next(c for c in kv if c != 0)
+                hw_list.append(
+                    (w, {i: c / lead for i, c in zip(idxs, kv) if c != 0}))
         # build injections by word transport
-        inj_cols: List[List[Fraction]] = []
+        inj_cols: List[SparseVec] = []
         summand_data = []
         for w, vec in hw_list:
             ref = self.irrep(w)
-            cols = [vec]
+            vecs = [vec]
             for j in range(1, ref.dim):
                 parent, i = ref.words[j]
-                fmat = t.act[alg.lower_index(i)]
-                cols.append(
-                    [
-                        sum(fmat[r][c] * cols[parent][c] for c in range(t.dim))
-                        for r in range(t.dim)
-                    ]
-                )
-            summand_data.append((w, cols))
-            inj_cols.extend(cols)
-        if len(inj_cols) != t.dim:
+                vecs.append(_apply(cols[alg.lower_index(i)], vecs[parent]))
+            summand_data.append((w, vecs))
+            inj_cols.extend(vecs)
+        if len(inj_cols) != dim:
             raise ValueError("incomplete decomposition of %s (x) %s" % (lam, mu))
-        big = [[inj_cols[c][r] for c in range(t.dim)] for r in range(t.dim)]
-        big_inv = mat_inv(big)
+        big_inv = mat_inv([[v.get(r, zero) for v in inj_cols] for r in range(dim)])
         summands = []
         offset = 0
-        for w, cols in summand_data:
-            d = len(cols)
-            inj = [[cols[c][r] for c in range(d)] for r in range(t.dim)]
+        for w, vecs in summand_data:
+            d = len(vecs)
+            inj = [[v.get(r, zero) for v in vecs] for r in range(dim)]
             proj = [big_inv[offset + s] for s in range(d)]
             summands.append((w, inj, proj))
             offset += d

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qaffine.cgx import (
-    BracketSpec, DimensionBoundError, PWContext, _act_factor,
-    classical_bracket, hw_coefficient, invariant_action, matrix_coefficient,
-    pw_evaluate, pw_multiply, pw_one, pw_tensor,
+    BracketSpec, CGEntry, DimensionBoundError, Irrep, PWContext, Rep,
+    _act_factor, classical_bracket, hw_coefficient, invariant_action,
+    matrix_coefficient, pw_evaluate, pw_multiply, pw_one, pw_tensor,
 )
+from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
 from qaffine.liebialg import basis_tensor, build_sl
 
 F = Fraction
@@ -33,9 +34,10 @@ def test_sl2_irrep_dimensions(ctx):
 
 
 def test_sl3_irrep_dimensions(ctx3):
-    for lam, d in [((0, 0), 1), ((1, 0), 3), ((0, 1), 3), ((1, 1), 8),
-                   ((2, 0), 6), ((0, 2), 6)]:
-        assert ctx3.irrep(lam).dim == d
+    """Weyl's formula: dim V(a, b) = (a + 1)(b + 1)(a + b + 2) / 2."""
+    for a in range(5):
+        for b in range(5 - a):
+            assert ctx3.irrep((a, b)).dim == (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
 def test_sl2_clebsch_gordan_rule(ctx):
@@ -55,7 +57,7 @@ def test_sl3_clebsch_gordan_examples(ctx3):
 
 def test_dimension_bound_is_enforced():
     small = PWContext(build_sl(2), dim_bound=4)
-    with pytest.raises(DimensionBoundError):
+    with pytest.raises(DimensionBoundError, match=r"\(5,\)"):
         small.irrep((5,))
 
 
@@ -235,3 +237,147 @@ def test_sl3_bracket_smoke(ctx3):
     assert (br + classical_bracket(psi, phi, spec1)).is_zero()
     for key in br.weight_keys():
         assert key == ((1, 1),)
+
+
+# -- slow references: dense tensor products and the tensor-power model ------
+
+
+def _dense_tensor(a: Rep, b: Rep) -> Rep:
+    dim = a.dim * b.dim
+    weights = [
+        tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
+    ]
+    act = []
+    for ma, mb in zip(a.act, b.act):
+        out = mat_zero(dim, dim)
+        for i in range(a.dim):
+            for j in range(a.dim):
+                for t in range(b.dim):
+                    out[i * b.dim + t][j * b.dim + t] += ma[i][j]
+        for t in range(b.dim):
+            for u in range(b.dim):
+                for i in range(a.dim):
+                    out[i * b.dim + t][i * b.dim + u] += mb[t][u]
+        act.append(out)
+    return Rep(a.alg, act, weights)
+
+
+def _mat_vec(mat, v):
+    nz = [(c, x) for c, x in enumerate(v) if x != 0]
+    return [sum((row[c] * x for c, x in nz), F(0)) for row in mat]
+
+
+def _unit_kernel(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+class DenseContext(PWContext):
+    """V(lam) (x) V(mu) split with dense actions on the tensor product."""
+
+    def _decompose(self, lam, mu):
+        alg = self.alg
+        t = _dense_tensor(self.irrep(lam), self.irrep(mu))
+        by_weight = {}
+        for i, w in enumerate(t.weights):
+            by_weight.setdefault(w, []).append(i)
+        summand_data, inj_cols = [], []
+        for w in sorted(by_weight, reverse=True):
+            if any(c < 0 for c in w):
+                continue
+            idxs = by_weight[w]
+            rows = []
+            for i in range(alg.rank):
+                target = tuple(a + b for a, b in zip(w, alg.simple_root(i)))
+                rows += [[t.act[alg.raise_index(i)][r][c] for c in idxs]
+                         for r in by_weight.get(target, [])]
+            for kv in nullspace(rows) if rows else _unit_kernel(len(idxs)):
+                vec = [F(0)] * t.dim
+                for pos, i in enumerate(idxs):
+                    vec[i] = kv[pos]
+                lead = next(c for c in vec if c != 0)
+                cols = [[c / lead for c in vec]]
+                ref = self.irrep(w)
+                for j in range(1, ref.dim):
+                    parent, i = ref.words[j]
+                    cols.append(_mat_vec(t.act[alg.lower_index(i)], cols[parent]))
+                summand_data.append((w, cols))
+                inj_cols.extend(cols)
+        big_inv = mat_inv([[col[r] for col in inj_cols] for r in range(t.dim)])
+        summands, offset = [], 0
+        for w, cols in summand_data:
+            inj = [[col[r] for col in cols] for r in range(t.dim)]
+            summands.append((w, inj, big_inv[offset:offset + len(cols)]))
+            offset += len(cols)
+        return CGEntry(lam, mu, summands)
+
+
+class TensorPowerContext(DenseContext):
+    """V(lam) generated from the highest weight vector inside the tensor
+    product of lam_a copies of each fundamental, with dense mat-vecs."""
+
+    def _build_irrep(self, lam):
+        alg = self.alg
+        model = Rep(alg, [mat_zero(1, 1) for _ in range(alg.dim)],
+                    [(0,) * alg.rank])
+        for a in range(alg.rank):
+            for _ in range(lam[a]):
+                model = _dense_tensor(model, self.fundamental(a))
+        idxs = [i for i, w in enumerate(model.weights) if w == lam]
+        rows = [[model.act[alg.raise_index(i)][r][c] for c in idxs]
+                for i in range(alg.rank) for r in range(model.dim)]
+        (kern,) = nullspace(rows)
+        hw = [F(0)] * model.dim
+        for pos, i in enumerate(idxs):
+            hw[i] = kern[pos]
+        span = EchelonSpan(track=True)
+        span.add({i: c for i, c in enumerate(hw) if c != 0})
+        basis, words, gen_map, ngens = [hw], [None], {0: 0}, 1
+        p = 0
+        while p < len(basis):
+            for i in range(alg.rank):
+                img = _mat_vec(model.act[alg.lower_index(i)], basis[p])
+                sv = {r: c for r, c in enumerate(img) if c != 0}
+                if not sv:
+                    continue
+                if span.add(sv):
+                    gen_map[ngens] = len(basis)
+                    basis.append(img)
+                    words.append((p, i))
+                ngens += 1
+            p += 1
+        act = []
+        for amat in model.act:
+            mat = mat_zero(len(basis), len(basis))
+            for col, v in enumerate(basis):
+                img = _mat_vec(amat, v)
+                coeffs = span.coefficients(
+                    {r: c for r, c in enumerate(img) if c != 0})
+                for gidx, c in coeffs.items():
+                    mat[gen_map[gidx]][col] = c
+            act.append(mat)
+        weights = [model.weights[next(i for i, c in enumerate(v) if c != 0)]
+                   for v in basis]
+        return Irrep(alg, act, weights, lam, words)
+
+
+def _same_irrep(got, want):
+    assert (got.act, got.weights, got.words) == (want.act, want.weights, want.words)
+
+
+def test_sparse_builders_match_dense_references(ctx, ctx3):
+    ref2, ref3 = TensorPowerContext(build_sl(2)), TensorPowerContext(build_sl(3))
+    for n in range(8):
+        _same_irrep(ctx.irrep((n,)), ref2.irrep((n,)))
+    for a in range(4):
+        for b in range(4 - a):
+            _same_irrep(ctx3.irrep((a, b)), ref3.irrep((a, b)))
+    # the split of V(lam) (x) V(mu) against dense transport over the same
+    # irreps, which the tensor-power model only reaches slowly (V(8), V(2,2))
+    ref2, ref3 = DenseContext(build_sl(2)), DenseContext(build_sl(3))
+    for a in range(5):
+        for b in range(5):
+            assert ctx.cg((a,), (b,)).summands == ref2.cg((a,), (b,)).summands
+    small = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+    for lam in small:
+        for mu in small:
+            assert ctx3.cg(lam, mu).summands == ref3.cg(lam, mu).summands

@@ -2,6 +2,10 @@
 compute subcommands of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,18 @@ def test_compute_cobracket(capsys):
     assert main(["compute", "cobracket", "sl2", "e"]) == 0
     js = json.loads(capsys.readouterr().out)
     assert js["cobracket"]["terms"] == [[[0, 1], "1/2"], [[1, 0], "-1/2"]]
+
+
+def test_python_m_qaffine_from_checkout(capsys):
+    """`python -m qaffine` runs the same driver from a plain source tree."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaffine", "compute", "cobracket", "sl2", "e"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["compute", "cobracket", "sl2", "e"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_compute_mix(capsys):

@@ -162,12 +162,16 @@ def qctx(ctx):
 
 
 def test_quantum_irreps_reduce_to_classical(qctx):
+    """At hbar=0 the closed form E w_k = [k][n-k+1] w_{k-1}, F w_k = w_{k+1}
+    of QIrrep is the classical irrep in its lowering-word basis."""
     alg = qctx.alg
     pw = qctx.pw
-    for n in (1, 2, 3):
+    for n in range(9):
         qv = qctx.qirrep(n)
         cv = pw.irrep((n,))
         assert qv.dim == cv.dim
+        for k in range(1, n + 1):
+            assert cv.act[alg.raise_index(0)][k - 1][k] == k * (n - k + 1)
         for name, idx in (("matH", 0), ("matE", alg.raise_index(0)),
                           ("matF", alg.lower_index(0))):
             qm = getattr(qv, name)
