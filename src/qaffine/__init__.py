@@ -10,21 +10,20 @@ from .liebialg import (
     verify_twisting_element, wedge,
 )
 from .cgx import (
-    BracketSpec, PWContext, PWFunction, classical_bracket, hw_coefficient,
-    invariant_action, matrix_coefficient, pw_evaluate, pw_multiply, pw_one,
-    pw_tensor,
+    BlockFunction, BracketSpec, PWContext, act_factor, classical_bracket,
+    hw_coefficient, invariant_action, matrix_coefficient, pw_evaluate,
+    pw_multiply, pw_one, pw_tensor,
 )
 from .que import (
-    QAffineContext, QFunction, QIrrep, TwistedHopf, UqContext, UqElement,
-    UqTensor, antipode, coproduct, counit, q_hw_coefficient,
-    q_matrix_coefficient, q_multiply, q_one, q_tensor,
-    quantum_affine_multiply, r_matrix_m, r_matrix_sl2, semiclassical_bracket,
-    semiclassical_r, twi_m, twist_hopf, uq_gen, uq_normalize, uq_one,
+    QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
+    antipode, coproduct, counit, q_multiply, quantum_affine_multiply,
+    r_matrix_m, r_matrix_sl2, semiclassical_bracket, semiclassical_r, twi_m,
+    twist_hopf, uq_gen, uq_normalize, uq_one,
 )
 from .coiso import (
     Character, CharacterMonoid, CoisoReport, HopfSubalgebra,
     borel_subalgebra, classical_shadow, counit_character, ideal_commutator,
-    prequantum_check, q_evaluate, q_right_action, quantum_section_check,
+    prequantum_check, q_evaluate, quantum_section_check,
     r_membership_hopf, semi_invariants, strong_coiso_hopf,
     strong_coiso_twisted, weight_character,
 )

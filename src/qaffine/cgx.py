@@ -1,8 +1,14 @@
-"""Classical function algebras on G^m in the Peter-Weyl model.
+"""Function algebras on G^m in the Peter-Weyl model.
 
-Regular functions are stored as finite sums of matrix-coefficient blocks
-indexed by tuples of dominant weights; products are computed by tensoring
-blocks and decomposing back with exact Clebsch-Gordan intertwiners.
+Regular functions are block functions: finite sums of matrix-coefficient
+blocks c_{xi,v} indexed by tuples of dominant weights.  One type,
+BlockFunction, serves C[G^m] (rational coefficients, PWContext) and its
+deformation C_hbar[SL2^m] (coefficients in Q[[hbar]]/(hbar^K),
+que.QAffineContext).  Both contexts answer irrep(lam) and cg(lam, mu), and
+every product goes through one Clebsch-Gordan contraction, cg_contract:
+blocks are tensored factor by factor and decomposed back with exact
+intertwiners.  This module holds the classical contexts, the Poisson
+brackets, and the oracles the bracket checks are compared against.
 
 Irreps are built recursively: V(lam) is generated inside
 V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
@@ -11,7 +17,7 @@ sparse columns (one nonzero dict per basis vector), both there and when
 V(lam) (x) V(mu) is split by word transport.
 
 Conventions (pinned by the test suite):
-  * dual action (x.xi)(v) = -xi(x.v),
+  * dual action (x.xi)(v) = -xi(x.v), i.e. xi(S(x)v) with S(x) = -x,
   * x^L acts on the dual slot, x^R acts on the vector slot via v -> -x.v,
     so that x^R(f) = -<weight, x> f on a semi-invariant block,
   * irrep bases are generated from the highest weight vector by recorded
@@ -21,6 +27,7 @@ Conventions (pinned by the test suite):
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,7 +115,7 @@ def _sparse_tensor(a: Rep, b: Rep) -> Tuple[List[Weight], List[List[SparseVec]]]
     ]
     cols = []
     for ma, mb in zip(a.act, b.act):
-        ca, cb = _columns(ma), _columns(mb)
+        ca, cb = sparse_columns(ma), sparse_columns(mb)
         mat = []
         for i in range(a.dim):
             for t in range(db):
@@ -120,8 +127,9 @@ def _sparse_tensor(a: Rep, b: Rep) -> Tuple[List[Weight], List[List[SparseVec]]]
     return weights, cols
 
 
-def _columns(mat: Matrix) -> List[SparseVec]:
-    return [{r: row[j] for r, row in enumerate(mat) if row[j] != 0}
+def sparse_columns(mat) -> List[Dict]:
+    """Nonzeros of every column of a matrix over Q or Q[[hbar]]/(hbar^K)."""
+    return [{r: row[j] for r, row in enumerate(mat) if row[j]}
             for j in range(len(mat[0]))]
 
 
@@ -155,7 +163,8 @@ class Irrep(Rep):
 
 
 class CGEntry:
-    """Decomposition of V(lam)(x)V(mu) with exact intertwiners."""
+    """Decomposition of V(lam)(x)V(mu) with exact intertwiners, with
+    rational entries or, for que.QAffineContext, truncated series."""
 
     def __init__(self, lam: Weight, mu: Weight,
                  summands: List[Tuple[Weight, Matrix, Matrix]]):
@@ -179,7 +188,10 @@ class CGEntry:
 
 
 class PWContext:
-    """Memo cache of irreps and Clebsch-Gordan tables for one algebra."""
+    """Memo cache of irreps and Clebsch-Gordan tables for one algebra; the
+    context of block functions with rational coefficients."""
+
+    ring = "Q"
 
     def __init__(self, alg: LieAlgebra, dim_bound: int = 64):
         self.alg = alg
@@ -187,6 +199,27 @@ class PWContext:
         self._irreps: Dict[Weight, Irrep] = {}
         self._cg: Dict[Tuple[Weight, Weight], CGEntry] = {}
         self._fund: Dict[int, Rep] = {}
+        self._slot: Dict[Tuple[Weight, int, str], List[SparseVec]] = {}
+
+    def coerce(self, c) -> Fraction:
+        return Fraction(c)
+
+    def coeff_json(self, c: Fraction) -> str:
+        return str(c)
+
+    def json_fields(self) -> Dict:
+        return {}
+
+    def slot_action(self, lam: Weight, x: int, side: str) -> List[SparseVec]:
+        """rho(S(x)) = -A_x on V(lam) for basis element x, as the sparse
+        columns of its transpose (side "left", acting on the dual slot)
+        or of itself (side "right", the vector slot); see act_factor."""
+        key = (lam, x, side)
+        if key not in self._slot:
+            a = self.irrep(lam).act[x]
+            rows = a if side == "right" else zip(*a)
+            self._slot[key] = sparse_columns([[-c for c in r] for r in rows])
+        return self._slot[key]
 
     def fundamental(self, a: int) -> Rep:
         if a not in self._fund:
@@ -323,39 +356,54 @@ class PWContext:
         return CGEntry(tuple(lam), tuple(mu), summands)
 
 
-# -- Peter-Weyl functions -------------------------------------------------
+# -- block functions --------------------------------------------------------
 
 
-class PWFunction:
-    """Finite sum of matrix-coefficient blocks on G^m.
+class BlockFunction:
+    """Finite sum of matrix-coefficient blocks c_{xi,v} on G^m.
 
-    blocks[key] is a sparse dict from index tuples of length 2m
-    (dual index and vector index per factor, interleaved) to Fraction.
+    blocks[key] is a sparse dict from index tuples of length 2m (dual
+    index and vector index per factor, interleaved) to a coefficient in
+    the ring of the context: Fraction for a PWContext (C[G^m]),
+    TruncatedSeries for a QAffineContext (C_hbar[SL2^m]).  The rings
+    differ only in ctx.coerce, the zero test `not c`, and the JSON of a
+    coefficient (ctx.coeff_json, with ctx.json_fields at the top level).
     """
 
-    def __init__(self, ctx: PWContext, m: int, blocks: Optional[Dict] = None):
+    def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
         self.ctx = ctx
         self.m = m
-        self.blocks: Dict[Key, Dict[Tuple[int, ...], Fraction]] = {}
+        self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = {}
         if blocks:
             for key, blk in blocks.items():
                 for idx, c in blk.items():
-                    self._bump(tuple(tuple(w) for w in key), tuple(idx), Fraction(c))
+                    self._bump(tuple(tuple(w) for w in key), tuple(idx),
+                               ctx.coerce(c))
 
-    def _bump(self, key: Key, idx: Tuple[int, ...], c: Fraction):
-        if c == 0:
+    def _bump(self, key: Key, idx: Tuple[int, ...], c):
+        if not c:
             return
         blk = self.blocks.setdefault(key, {})
-        nv = blk.get(idx, Fraction(0)) + c
-        if nv == 0:
+        cur = blk.get(idx)
+        nv = c if cur is None else cur + c
+        if not nv:
             del blk[idx]
             if not blk:
                 del self.blocks[key]
         else:
             blk[idx] = nv
 
-    def copy(self) -> "PWFunction":
-        out = PWFunction(self.ctx, self.m)
+    def check_compatible(self, other: "BlockFunction"):
+        """Sums and products need equal arities and coefficient rings."""
+        if self.m != other.m:
+            raise ValueError("arity mismatch: m=%d and m=%d"
+                             % (self.m, other.m))
+        if self.ctx.ring != other.ctx.ring:
+            raise ValueError("ring mismatch: %s and %s"
+                             % (self.ctx.ring, other.ctx.ring))
+
+    def copy(self) -> "BlockFunction":
+        out = BlockFunction(self.ctx, self.m)
         out.blocks = {k: dict(b) for k, b in self.blocks.items()}
         return out
 
@@ -364,29 +412,37 @@ class PWFunction:
 
     def __eq__(self, other):
         return (
-            isinstance(other, PWFunction)
+            isinstance(other, BlockFunction)
             and self.m == other.m
+            and self.ctx.ring == other.ctx.ring
             and self.blocks == other.blocks
         )
 
-    def __add__(self, other: "PWFunction") -> "PWFunction":
-        assert self.m == other.m
+    def __add__(self, other: "BlockFunction") -> "BlockFunction":
+        self.check_compatible(other)
         out = self.copy()
         for key, blk in other.blocks.items():
             for idx, c in blk.items():
                 out._bump(key, idx, c)
         return out
 
-    def __sub__(self, other: "PWFunction") -> "PWFunction":
-        return self + other.scale(Fraction(-1))
+    def __sub__(self, other: "BlockFunction") -> "BlockFunction":
+        self.check_compatible(other)
+        out = self.copy()
+        for key, blk in other.blocks.items():
+            for idx, c in blk.items():
+                out._bump(key, idx, -c)
+        return out
 
-    def scale(self, c) -> "PWFunction":
-        c = Fraction(c)
-        out = PWFunction(self.ctx, self.m)
-        if c != 0:
-            out.blocks = {
-                k: {i: c * v for i, v in b.items()} for k, b in self.blocks.items()
-            }
+    def scale(self, c) -> "BlockFunction":
+        c = self.ctx.coerce(c)
+        out = BlockFunction(self.ctx, self.m)
+        if c:
+            for key, blk in self.blocks.items():
+                # a product of nonzero series can vanish mod hbar^K
+                nb = {i: p for i, v in blk.items() if (p := c * v)}
+                if nb:
+                    out.blocks[key] = nb
         return out
 
     def weight_keys(self) -> List[Key]:
@@ -400,131 +456,149 @@ class PWFunction:
                     return False
         return True
 
+    def hbar_coefficient(self, i: int) -> "BlockFunction":
+        """Coefficient of hbar^i of a series-valued function, as a function
+        over the companion classical context ctx.pw."""
+        out = BlockFunction(self.ctx.pw, self.m)
+        for key, blk in self.blocks.items():
+            for idx, s in blk.items():
+                out._bump(key, idx, s[i])
+        return out
+
+    def mod_hbar(self) -> "BlockFunction":
+        return self.hbar_coefficient(0)
+
     def to_json(self):
+        ctx = self.ctx
         out = {}
         for key in sorted(self.blocks):
             name = ";".join(",".join(str(c) for c in w) for w in key)
             out[name] = sorted(
-                [list(idx) + [str(c)] for idx, c in self.blocks[key].items()]
+                [list(idx) + [ctx.coeff_json(c)]
+                 for idx, c in self.blocks[key].items()]
             )
-        return {"m": self.m, "blocks": out}
+        return dict(ctx.json_fields(), m=self.m, blocks=out)
 
     def __repr__(self):
-        return "PWFunction(m=%d, keys=%s)" % (self.m, self.weight_keys())
+        return "BlockFunction(m=%d, ring=%s, keys=%s)" % (
+            self.m, self.ctx.ring, self.weight_keys())
 
 
-def pw_one(ctx: PWContext, m: int) -> PWFunction:
+def pw_one(ctx, m: int) -> BlockFunction:
+    """The unit of the function algebra on G^m over either context."""
     key = tuple((0,) * ctx.alg.rank for _ in range(m))
-    return PWFunction(ctx, m, {key: {(0,) * (2 * m): Fraction(1)}})
+    return BlockFunction(ctx, m, {key: {(0,) * (2 * m): 1}})
 
 
-def matrix_coefficient(ctx: PWContext, lam: Weight, xi: Dict[int, Fraction],
-                       v: Dict[int, Fraction]) -> PWFunction:
-    """Single-block function c_{xi, v} on G (m = 1)."""
-    out = PWFunction(ctx, 1)
+def matrix_coefficient(ctx, lam: Weight, xi: Dict[int, object],
+                       v: Dict[int, object]) -> BlockFunction:
+    """Single-block function c_{xi, v} on V(lam) (m = 1)."""
+    out = BlockFunction(ctx, 1)
     key = (tuple(lam),)
     for a, ca in xi.items():
         for b, cb in v.items():
-            out._bump(key, (a, b), Fraction(ca) * Fraction(cb))
+            out._bump(key, (a, b), ctx.coerce(ca) * ctx.coerce(cb))
     return out
 
 
-def hw_coefficient(ctx: PWContext, lam: Weight, xi: Dict[int, Fraction]) -> PWFunction:
+def hw_coefficient(ctx, lam: Weight, xi: Dict[int, object]) -> BlockFunction:
     """Phi_lam(xi): the semi-invariant coefficient with v = highest weight
     vector of V(lam)."""
-    return matrix_coefficient(ctx, lam, xi, {0: Fraction(1)})
+    return matrix_coefficient(ctx, lam, xi, {0: 1})
 
 
-def pw_tensor(fs: Sequence[PWFunction]) -> PWFunction:
-    """Place single-factor functions side by side on G^m."""
+def pw_tensor(fs: Sequence[BlockFunction]) -> BlockFunction:
+    """Place functions side by side on G^(m_1 + m_2 + ...)."""
     ctx = fs[0].ctx
-    m = sum(f.m for f in fs)
-    out = PWFunction(ctx, m)
+    if any(f.ctx.ring != ctx.ring for f in fs):
+        raise ValueError("ring mismatch in a tensor product")
+    out = BlockFunction(ctx, sum(f.m for f in fs))
     for combo in itertools.product(*[f.blocks.items() for f in fs]):
         key = tuple(w for (k, _) in combo for w in k)
         for idxs in itertools.product(*[blk.items() for (_, blk) in combo]):
             idx = tuple(i for (ii, _) in idxs for i in ii)
-            c = Fraction(1)
-            for _, cc in idxs:
-                c *= cc
-            out._bump(key, idx, c)
+            out._bump(key, idx, math.prod(c for _, c in idxs))
     return out
 
 
-def pw_multiply(f: PWFunction, g: PWFunction) -> PWFunction:
-    """Product in C[G^m]: blockwise tensor, then CG-decompose per factor."""
-    assert f.m == g.m
-    ctx = f.ctx
-    m = f.m
-    out = PWFunction(ctx, m)
+def cg_contract(ctx, m: int, groups) -> BlockFunction:
+    """The Clebsch-Gordan contraction behind every product of block
+    functions.  groups yields (lkey, rkey, terms), terms listing
+    (lidx, ridx, coeff): coeff times the entry lidx of an m-factor block
+    lkey times the entry ridx of an m-factor block rkey, multiplied factor
+    by factor, factor j split through the CG table of
+    V(lkey[j]) (x) V(rkey[j])."""
+    out = BlockFunction(ctx, m)
+    for lkey, rkey, terms in groups:
+        tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
+        dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
+        for lidx, ridx, coeff in terms:
+            if not coeff:
+                continue
+            parts = []
+            for j in range(m):
+                d = dims[j]
+                dual_flat = lidx[2 * j] * d + ridx[2 * j]
+                vec_flat = lidx[2 * j + 1] * d + ridx[2 * j + 1]
+                opts = []
+                for nu, inj, proj in tables[j].summands:
+                    dnu = len(inj[0])
+                    for s in range(dnu):
+                        ic = inj[dual_flat][s]
+                        if not ic:
+                            continue
+                        for t in range(dnu):
+                            pc = proj[t][vec_flat]
+                            if pc:
+                                opts.append((nu, s, t, ic * pc))
+                parts.append(opts)
+            for combo in itertools.product(*parts):
+                key = tuple(ch[0] for ch in combo)
+                idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
+                c = coeff
+                for ch in combo:
+                    c = c * ch[3]
+                out._bump(key, idx, c)
+    return out
+
+
+def block_pairs(f: BlockFunction, g: BlockFunction):
+    """The cg_contract groups of the product of f (left) by g (right):
+    every block of f against every block of g."""
     for fkey, fblk in f.blocks.items():
         for gkey, gblk in g.blocks.items():
-            tables = [ctx.cg(fkey[j], gkey[j]) for j in range(m)]
-            dims_g = [ctx.irrep(gkey[j]).dim for j in range(m)]
-            for fidx, fc in fblk.items():
-                for gidx, gc in gblk.items():
-                    coeff = fc * gc
-                    parts = [[] for _ in range(m)]
-                    for j in range(m):
-                        a, b = fidx[2 * j], fidx[2 * j + 1]
-                        cidx, d = gidx[2 * j], gidx[2 * j + 1]
-                        dg = dims_g[j]
-                        dual_flat = a * dg + cidx
-                        vec_flat = b * dg + d
-                        opts = []
-                        for nu, inj, proj in tables[j].summands:
-                            dnu = len(inj[0])
-                            for s in range(dnu):
-                                ic = inj[dual_flat][s]
-                                if ic == 0:
-                                    continue
-                                for t_ in range(dnu):
-                                    pc = proj[t_][vec_flat]
-                                    if pc != 0:
-                                        opts.append((nu, s, t_, ic * pc))
-                        parts[j] = opts
-                    for combo in itertools.product(*parts):
-                        key = tuple(ch[0] for ch in combo)
-                        idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
-                        c = coeff
-                        for ch in combo:
-                            c *= ch[3]
-                        out._bump(key, idx, c)
-    return out
+            yield fkey, gkey, [(fi, gi, fc * gc) for fi, fc in fblk.items()
+                               for gi, gc in gblk.items()]
+
+
+def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
+    """Product in C[G^m]: blockwise tensor, then CG-decompose per factor."""
+    f.check_compatible(g)
+    return cg_contract(f.ctx, f.m, block_pairs(f, g))
 
 
 # -- invariant vector fields ------------------------------------------------
 
 
-def _act_factor(f: PWFunction, j: int, basis_idx: int, side: str) -> PWFunction:
-    """Action of one algebra basis element on factor j (0-based)."""
+def act_factor(f: BlockFunction, j: int, x, side: str) -> BlockFunction:
+    """Action of an algebra element x on factor j (0-based) through
+    rho(S(x)) (S(x) = -x for x in g): on the dual slot for side "left",
+    x^L c_{xi,v} = c_{x.xi, v} with (x.xi)(v) = xi(S(x)v), and on the vector
+    slot for side "right", x^R c_{xi,v} = c_{xi, S(x)v}.  x is a basis
+    index for a PWContext and a UqElement for a QAffineContext."""
     ctx = f.ctx
-    out = PWFunction(ctx, f.m)
+    slot = 2 * j + (side == "right")
+    out = BlockFunction(ctx, f.m)
     for key, blk in f.blocks.items():
-        rep = ctx.irrep(key[j])
-        mat = rep.act[basis_idx]
+        lines = ctx.slot_action(key[j], x, side)
         for idx, c in blk.items():
-            if side == "left":
-                a = idx[2 * j]
-                # x^L c_{xi,v} = c_{x.xi, v}, (x.xi)_s = -sum_t A[t][s] xi_t
-                for s in range(rep.dim):
-                    m_ = mat[a][s]
-                    if m_ != 0:
-                        nidx = idx[: 2 * j] + (s,) + idx[2 * j + 1 :]
-                        out._bump(key, nidx, -c * m_)
-            else:
-                b = idx[2 * j + 1]
-                # x^R c_{xi,v} = c_{xi, -x.v}
-                for s in range(rep.dim):
-                    m_ = mat[s][b]
-                    if m_ != 0:
-                        nidx = idx[: 2 * j + 1] + (s,) + idx[2 * j + 2 :]
-                        out._bump(key, nidx, -c * m_)
+            for s, a in lines[idx[slot]].items():
+                out._bump(key, idx[:slot] + (s,) + idx[slot + 1:], c * a)
     return out
 
 
-def invariant_action(x: LieTensor, f: PWFunction, side: str,
-                     base_dim: Optional[int] = None) -> PWFunction:
+def invariant_action(x: LieTensor, f: BlockFunction, side: str,
+                     base_dim: Optional[int] = None) -> BlockFunction:
     """x^L or x^R for x an arity-1 tensor over g or g^m.
 
     base_dim is dim(g) when x lives over g^m; component j of the product
@@ -533,14 +607,14 @@ def invariant_action(x: LieTensor, f: PWFunction, side: str,
     assert x.arity == 1
     ctx = f.ctx
     d = base_dim or ctx.alg.dim
-    out = PWFunction(ctx, f.m)
+    out = BlockFunction(ctx, f.m)
     for (i,), c in x.data.items():
         j, bi = divmod(i, d)
-        out = out + _act_factor(f, j, bi, side).scale(c)
+        out = out + act_factor(f, j, bi, side).scale(c)
     return out
 
 
-def pw_evaluate(f: PWFunction, words: Sequence[Sequence[int]]) -> Fraction:
+def pw_evaluate(f: BlockFunction, words: Sequence[Sequence[int]]) -> Fraction:
     """Evaluate f against a PBW monomial per factor: the pairing
     <(word_m ... applied to xi), v> per factor, multiplied over factors.
 
@@ -641,7 +715,7 @@ class BracketSpec:
         return terms
 
 
-def _rho_apply(spec: BracketSpec, i: int, f: PWFunction) -> PWFunction:
+def _rho_apply(spec: BracketSpec, i: int, f: BlockFunction) -> BlockFunction:
     """Apply one flattened bivector leg as a derivation."""
     alg = spec.ctx.alg
     d, k = alg.dim, alg.rank
@@ -650,29 +724,126 @@ def _rho_apply(spec: BracketSpec, i: int, f: PWFunction) -> PWFunction:
     dt = d + k
     j, bi = divmod(i, dt)
     if bi < d:
-        return _act_factor(f, j, bi, "left")
-    return _act_factor(f, j, bi - d, "right").scale(Fraction(-1))
+        return act_factor(f, j, bi, "left")
+    return act_factor(f, j, bi - d, "right").scale(Fraction(-1))
 
 
-def classical_bracket(f: PWFunction, g: PWFunction, spec: BracketSpec) -> PWFunction:
+def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     ctx = spec.ctx
-    out = PWFunction(ctx, spec.m)
+    out = BlockFunction(ctx, spec.m)
     if spec.kind == "product":
         d = ctx.alg.dim
         for (u, w), c in spec.bivector.data.items():
             ju, bu = divmod(u, d)
             jw, bw = divmod(w, d)
-            lf = _act_factor(f, ju, bu, "left")
-            lg = _act_factor(g, jw, bw, "left")
+            lf = act_factor(f, ju, bu, "left")
+            lg = act_factor(g, jw, bw, "left")
             out = out + pw_multiply(lf, lg).scale(c)
-            rf = _act_factor(f, ju, bu, "right")
-            rg = _act_factor(g, jw, bw, "right")
+            rf = act_factor(f, ju, bu, "right")
+            rg = act_factor(g, jw, bw, "right")
             out = out - pw_multiply(rf, rg).scale(c)
         return out
     if not (f.is_semi_invariant() and g.is_semi_invariant()):
         raise ValueError("mixed bracket requires semi-invariant inputs")
     for (u, w), c in spec.bivector.items():
         out = out + pw_multiply(_rho_apply(spec, u, f), _rho_apply(spec, w, g)).scale(c)
+    return out
+
+
+# -- oracles for the bracket checks -----------------------------------------
+
+
+def _diag_act(f: BlockFunction, idx: int) -> BlockFunction:
+    """Diagonal left-invariant action of one basis element on every factor."""
+    out = act_factor(f, 0, idx, "left")
+    for j in range(1, f.m):
+        out = out + act_factor(f, j, idx, "left")
+    return out
+
+
+def _rho_tensor(t: LieTensor, f: BlockFunction, g: BlockFunction):
+    """rho(t)(f (x) g) = sum over terms a(x)b of (rho(a)f)(rho(b)g) for the
+    diagonal action rho."""
+    out = None
+    for (a, b), c in t.data.items():
+        piece = pw_multiply(_diag_act(f, a), _diag_act(g, b)).scale(c)
+        out = piece if out is None else out + piece
+    return out
+
+
+def poisson_action_residual(spec: BracketSpec, f: BlockFunction,
+                            g: BlockFunction) -> Optional[BlockFunction]:
+    """First nonzero residual (or None) of the Poisson-action identity for
+    the diagonal left action: rho(delta(x))(f (x) g) = rho(x){f,g} -
+    {rho(x)f, g} - {f, rho(x)g} over all basis elements x."""
+    from .liebialg import basis_tensor, cobracket
+
+    alg = spec.ctx.alg
+    for x_idx in range(alg.dim):
+        lhs = _rho_tensor(cobracket(spec.st.r, basis_tensor(alg, x_idx)), f, g)
+        rhs = (_diag_act(classical_bracket(f, g, spec), x_idx)
+               - classical_bracket(_diag_act(f, x_idx), g, spec)
+               - classical_bracket(f, _diag_act(g, x_idx), spec))
+        diff = rhs.scale(-1) if lhs is None else lhs - rhs
+        if not diff.is_zero():
+            return diff
+    return None
+
+
+def _dual_act_vec(rep: Irrep, basis_idx: int,
+                  xi: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """Action on the dual slot of a matrix coefficient: (x.xi)_s =
+    -sum_a A[a][s] xi_a."""
+    mat = rep.act[basis_idx]
+    out: Dict[int, Fraction] = {}
+    for a, c in xi.items():
+        row = mat[a]
+        for s in range(rep.dim):
+            if row[s] != 0:
+                nv = out.get(s, Fraction(0)) - c * row[s]
+                if nv == 0:
+                    out.pop(s, None)
+                else:
+                    out[s] = nv
+    return out
+
+
+def hw_bracket_oracle(ctx: PWContext, st: StandardR, w: int, l: int,
+                      xi: Dict[int, Fraction],
+                      mu: Dict[int, Fraction]) -> BlockFunction:
+    """Independent value of the bracket of two highest-weight coefficients:
+    apply the standard bivector to xi (x) mu inside V(w) (x) V(l), project
+    onto the top Clebsch-Gordan summand V(w+l), and read the result off as
+    a single highest-weight coefficient."""
+    rw, rl = ctx.irrep((w,)), ctx.irrep((l,))
+    flat: Dict[int, Fraction] = {}
+    for (a, b), c in st.lam.data.items():
+        axi = _dual_act_vec(rw, a, xi)
+        bmu = _dual_act_vec(rl, b, mu)
+        for i, ci in axi.items():
+            for j, cj in bmu.items():
+                k = i * rl.dim + j
+                nv = flat.get(k, Fraction(0)) + c * ci * cj
+                if nv == 0:
+                    flat.pop(k, None)
+                else:
+                    flat[k] = nv
+    cg = ctx.cg((w,), (l,))
+    inj = cg.cartan_injection()
+    proj = cg.cartan_projection()
+    dnu = len(inj[0])
+    out = BlockFunction(ctx, 1)
+    key = ((w + l,),)
+    for s in range(dnu):
+        ic = Fraction(0)
+        for fl, c in flat.items():
+            ic += inj[fl][s] * c
+        if ic == 0:
+            continue
+        for t in range(dnu):
+            pc = proj[t][0]  # image of the pair of highest vectors
+            if pc != 0:
+                out._bump(key, (s, t), ic * pc)
     return out

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-SCHEMA = "qaffine-report/1"
+SCHEMA = "qaffine-report/2"
 
 _ENV_PREFIX = "QAFFINE_"
 _SUITES = ("classical", "quantum", "coiso")
@@ -31,19 +31,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_order_and_bound(hbar_order: int, degree_bound: int):
+    if not 2 <= hbar_order <= 6:
+        raise ConfigError("hbar-order must be in 2..6")
+    if degree_bound < 1:
+        raise ConfigError("bounds must be positive")
+
+
 class RunConfig:
     """Validated run configuration.  A fixed configuration (including
     the seed) produces a byte-identical report."""
 
-    def __init__(self, algebra: str = "sl2", m: int = 2, hbar_order: int = 3,
-                 degree_bound: int = 4, weight_bound: int = 2, seed: int = 0,
-                 scale: str = "1", suites: Optional[Sequence[str]] = None,
+    def __init__(self, algebra: str = "sl2", hbar_order: int = 3,
+                 degree_bound: int = 4, seed: int = 0, scale: str = "1",
+                 suites: Optional[Sequence[str]] = None,
                  timings: bool = False):
         self.algebra = algebra
-        self.m = m
         self.hbar_order = hbar_order
         self.degree_bound = degree_bound
-        self.weight_bound = weight_bound
         self.seed = seed
         self.scale = str(scale)
         if suites is None:
@@ -56,12 +61,7 @@ class RunConfig:
         if self.algebra not in ("sl2", "sl3"):
             raise ConfigError(
                 "unknown algebra %r (expected sl2 or sl3)" % (self.algebra,))
-        if not 1 <= self.m <= 3:
-            raise ConfigError("m must be in 1..3")
-        if not 2 <= self.hbar_order <= 6:
-            raise ConfigError("hbar-order must be in 2..6")
-        if self.degree_bound < 1 or self.weight_bound < 1:
-            raise ConfigError("bounds must be positive")
+        _check_order_and_bound(self.hbar_order, self.degree_bound)
         try:
             if Fraction(self.scale) <= 0:
                 raise ConfigError("form scaling must be positive")
@@ -77,10 +77,8 @@ class RunConfig:
     def to_json(self) -> Dict:
         return {
             "algebra": self.algebra,
-            "m": self.m,
             "hbar_order": self.hbar_order,
             "degree_bound": self.degree_bound,
-            "weight_bound": self.weight_bound,
             "seed": self.seed,
             "scale": self.scale,
             "suites": list(self.suites),
@@ -159,127 +157,16 @@ def _run_check(report: Report, check_id: str, description: str,
 # -- classical suite ----------------------------------------------------------
 
 
-def _ad2(alg, x_idx: int, t):
-    """Diagonal adjoint action of basis element x_idx on an arity-2 tensor."""
-    from .liebialg import LieTensor
-
-    out = LieTensor(alg, 2)
-    for (a, b), c in t.data.items():
-        for k, cc in alg.bracket_basis(x_idx, a).items():
-            out.add_term((k, b), c * cc)
-        for k, cc in alg.bracket_basis(x_idx, b).items():
-            out.add_term((a, k), c * cc)
-    return out
-
-
-def _diag_act(f, idx: int):
-    """Diagonal left-invariant action of one basis element on every factor."""
-    from .cgx import _act_factor
-
-    out = _act_factor(f, 0, idx, "left")
-    for j in range(1, f.m):
-        out = out + _act_factor(f, j, idx, "left")
-    return out
-
-
-def _rho_tensor(t, f, g):
-    """rho(t)(f (x) g) = sum over terms a(x)b of (rho(a)f)(rho(b)g) for the
-    diagonal action rho."""
-    from .cgx import pw_multiply
-
-    out = None
-    for (a, b), c in t.data.items():
-        piece = pw_multiply(_diag_act(f, a), _diag_act(g, b)).scale(c)
-        out = piece if out is None else out + piece
-    return out
-
-
-def poisson_action_residual(spec, f, g):
-    """First nonzero residual (or None) of the Poisson-action identity for
-    the diagonal left action: rho(delta(x))(f (x) g) = rho(x){f,g} -
-    {rho(x)f, g} - {f, rho(x)g} over all basis elements x."""
-    from .cgx import classical_bracket
-    from .liebialg import basis_tensor, cobracket
-
-    alg = spec.ctx.alg
-    for x_idx in range(alg.dim):
-        lhs = _rho_tensor(cobracket(spec.st.r, basis_tensor(alg, x_idx)), f, g)
-        rhs = (_diag_act(classical_bracket(f, g, spec), x_idx)
-               - classical_bracket(_diag_act(f, x_idx), g, spec)
-               - classical_bracket(f, _diag_act(g, x_idx), spec))
-        diff = rhs.scale(-1) if lhs is None else lhs - rhs
-        if not diff.is_zero():
-            return diff
-    return None
-
-
-def _dual_act_vec(rep, basis_idx: int,
-                  xi: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """Action on the dual slot of a matrix coefficient: (x.xi)_s =
-    -sum_a A[a][s] xi_a."""
-    mat = rep.act[basis_idx]
-    out: Dict[int, Fraction] = {}
-    for a, c in xi.items():
-        row = mat[a]
-        for s in range(rep.dim):
-            if row[s] != 0:
-                nv = out.get(s, Fraction(0)) - c * row[s]
-                if nv == 0:
-                    out.pop(s, None)
-                else:
-                    out[s] = nv
-    return out
-
-
-def hw_bracket_oracle(ctx, st, w: int, l: int, xi: Dict[int, Fraction],
-                      mu: Dict[int, Fraction]):
-    """Independent value of the bracket of two highest-weight coefficients:
-    apply the standard bivector to xi (x) mu inside V(w) (x) V(l), project
-    onto the top Clebsch-Gordan summand V(w+l), and read the result off as
-    a single highest-weight coefficient."""
-    from .cgx import PWFunction
-
-    rw, rl = ctx.irrep((w,)), ctx.irrep((l,))
-    flat: Dict[int, Fraction] = {}
-    for (a, b), c in st.lam.data.items():
-        axi = _dual_act_vec(rw, a, xi)
-        bmu = _dual_act_vec(rl, b, mu)
-        for i, ci in axi.items():
-            for j, cj in bmu.items():
-                k = i * rl.dim + j
-                nv = flat.get(k, Fraction(0)) + c * ci * cj
-                if nv == 0:
-                    flat.pop(k, None)
-                else:
-                    flat[k] = nv
-    cg = ctx.cg((w,), (l,))
-    inj = cg.cartan_injection()
-    proj = cg.cartan_projection()
-    dnu = len(inj[0])
-    out = PWFunction(ctx, 1)
-    key = ((w + l,),)
-    for s in range(dnu):
-        ic = Fraction(0)
-        for fl, c in flat.items():
-            ic += inj[fl][s] * c
-        if ic == 0:
-            continue
-        for t in range(dnu):
-            pc = proj[t][0]  # image of the pair of highest vectors
-            if pc != 0:
-                out._bump(key, (s, t), ic * pc)
-    return out
-
-
 def _suite_classical(cfg: RunConfig, report: Report):
     from .liebialg import (
-        LieTensor, Subspace, basis_tensor, build_sl, cobracket, cybe_residual,
-        diagonal_r, mix_tensor, r_membership_lie, standard_r,
+        LieTensor, Subspace, _ad2, basis_tensor, build_sl, cobracket,
+        cybe_residual, diagonal_r, mix_tensor, r_membership_lie, standard_r,
         strongly_coisotropic_lie, twisted_r, verify_twisting_element,
     )
     from .cgx import (
-        BracketSpec, PWContext, classical_bracket, hw_coefficient,
-        matrix_coefficient, pw_multiply, pw_tensor,
+        BracketSpec, PWContext, classical_bracket, hw_bracket_oracle,
+        hw_coefficient, matrix_coefficient, poisson_action_residual,
+        pw_multiply, pw_tensor,
     )
 
     n = 2 if cfg.algebra == "sl2" else 3
@@ -493,9 +380,9 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     from .que import (
         QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
         almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
-        delta_leg, hexagon_residuals, q_hw_coefficient, q_tensor,
-        quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
-        r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_one,
+        delta_leg, hexagon_residuals, quantum_affine_multiply,
+        quantum_affine_multiply_pairwise, r_matrix_m, r_matrix_sl2,
+        semiclassical_bracket, semiclassical_r, tensor_one,
         twi_m, twi_m_inductive, twist_condition_residuals, uq_gen,
     )
 
@@ -598,7 +485,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
         pw = qctx.pw
         spec1 = BracketSpec(pw, 1, "product")
         spec2 = BracketSpec(pw, 2, "mixed")
-        qg = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
+        qg = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
         cg = [hw_coefficient(pw, (1,), {a: Fraction(1)}) for a in range(2)]
         for qa, ca in zip(qg, cg):
             for qb, cb in zip(qg, cg):
@@ -607,7 +494,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                     return False, "bracket m=1", None
         for i in range(2):
             for j in range(2):
-                qF, qG = q_tensor([qg[i], qg[j]]), q_tensor([qg[j], qg[i]])
+                qF, qG = pw_tensor([qg[i], qg[j]]), pw_tensor([qg[j], qg[i]])
                 cF, cG = pw_tensor([cg[i], cg[j]]), pw_tensor([cg[j], cg[i]])
                 got = semiclassical_bracket(qF, qG, quantum_affine_multiply)
                 if got != classical_bracket(cF, cG, spec2):
@@ -621,9 +508,9 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     def factorization():
         qctx = QAffineContext(ctx)
         rng = random.Random(cfg.seed)
-        gens = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
-        gens += [q_hw_coefficient(qctx, 2, {a: 1}) for a in range(3)]
-        pool = [q_tensor([rng.choice(gens), rng.choice(gens)])
+        gens = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
+        gens += [hw_coefficient(qctx, (2,), {a: 1}) for a in range(3)]
+        pool = [pw_tensor([rng.choice(gens), rng.choice(gens)])
                 for _ in range(12)]
         for _ in range(20):
             f, g, h = (rng.choice(pool) for _ in range(3))
@@ -631,11 +518,11 @@ def _suite_quantum(cfg: RunConfig, report: Report):
             rhs = quantum_affine_multiply(f, quantum_affine_multiply(g, h))
             if lhs != rhs:
                 return False, "associativity", None
-        one1 = q_hw_coefficient(qctx, 0, {0: 1})
-        fa = q_tensor([gens[0], one1])
-        ga = q_tensor([gens[1], one1])
-        fb = q_tensor([one1, gens[0]])
-        gb = q_tensor([one1, gens[1]])
+        one1 = hw_coefficient(qctx, (0,), {0: 1})
+        fa = pw_tensor([gens[0], one1])
+        ga = pw_tensor([gens[1], one1])
+        fb = pw_tensor([one1, gens[0]])
+        gb = pw_tensor([one1, gens[1]])
         for x, y in ((fa, gb), (gb, fa), (fb, ga), (ga, fb), (fa, ga),
                      (fb, gb)):
             if quantum_affine_multiply(x, y) != \
@@ -652,8 +539,8 @@ def _suite_quantum(cfg: RunConfig, report: Report):
 
 
 def _suite_coiso(cfg: RunConfig, report: Report):
-    from .que import (QAffineContext, UqContext, q_hw_coefficient, q_tensor,
-                      r_matrix_sl2, uq_gen)
+    from .cgx import hw_coefficient, pw_tensor
+    from .que import QAffineContext, UqContext, r_matrix_sl2, uq_gen
     from .coiso import (
         CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span,
         borel_subalgebra, classical_shadow, counit_character,
@@ -725,8 +612,8 @@ def _suite_coiso(cfg: RunConfig, report: Report):
         graded.add((z1, z1), got)
         if not graded.validate():
             return False, "eigenproperty", None
-        expect = [q_tensor([q_hw_coefficient(qctx, 1, {a: 1}),
-                            q_hw_coefficient(qctx, 1, {b: 1})])
+        expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
+                             hw_coefficient(qctx, (1,), {b: 1})])
                   for a in range(2) for b in range(2)]
         if not _fn_span(got).equals(_fn_span(expect)):
             return False, "block mismatch", "%d generators" % len(got)
@@ -739,7 +626,7 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     def sections():
         qctx = QAffineContext(ctx)
         mon = CharacterMonoid(U, precheck=False)
-        d = q_hw_coefficient(qctx, 1, {0: 1})
+        d = hw_coefficient(qctx, (1,), {0: 1})
         rep = quantum_section_check(d, U, n_max=3, monoid=mon)
         if rep.prequantum.status != "true" or rep.graded.status != "true":
             return False, \
@@ -870,8 +757,9 @@ def _compute(args) -> Dict:
         return {"bracket": classical_bracket(f, g, spec).to_json()}
 
     if args.expr == "qmultiply":
-        from .que import (QAffineContext, UqContext, q_hw_coefficient,
-                          q_multiply, q_tensor, quantum_affine_multiply)
+        from .cgx import hw_coefficient, pw_tensor
+        from .que import (QAffineContext, UqContext, q_multiply,
+                          quantum_affine_multiply)
 
         if len(args.args) != 2:
             raise ConfigError("usage: compute qmultiply <f-spec> <g-spec>")
@@ -880,8 +768,8 @@ def _compute(args) -> Dict:
         if len(fs) != len(gs):
             raise ConfigError("factor counts differ")
         qctx = QAffineContext(UqContext(args.hbar_order))
-        f = q_tensor([q_hw_coefficient(qctx, n, {a: 1}) for n, a in fs])
-        g = q_tensor([q_hw_coefficient(qctx, n, {a: 1}) for n, a in gs])
+        f = pw_tensor([hw_coefficient(qctx, (n,), {a: 1}) for n, a in fs])
+        g = pw_tensor([hw_coefficient(qctx, (n,), {a: 1}) for n, a in gs])
         prod = q_multiply if len(fs) == 1 else quantum_affine_multiply
         return {"qmultiply": prod(f, g).to_json()}
 
@@ -941,10 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run verification suites")
     run.add_argument("--algebra", default=None)
-    run.add_argument("--m", type=int, default=None)
     run.add_argument("--hbar-order", type=int, default=None)
     run.add_argument("--degree-bound", type=int, default=None)
-    run.add_argument("--weight-bound", type=int, default=None)
     run.add_argument("--scale", default=None,
                      help="invariant-form scaling (a positive rational)")
     run.add_argument("--seed", type=int, default=None)
@@ -977,10 +863,8 @@ def _config_from_args(args) -> RunConfig:
             suites = tuple(s.strip() for s in env_suites.split(","))
     return RunConfig(
         algebra=pick(args.algebra, "algebra", str, "sl2"),
-        m=pick(args.m, "m", int, 2),
         hbar_order=pick(args.hbar_order, "hbar-order", int, 3),
         degree_bound=pick(args.degree_bound, "degree-bound", int, 4),
-        weight_bound=pick(args.weight_bound, "weight-bound", int, 2),
         seed=pick(args.seed, "seed", int, 0),
         scale=pick(args.scale, "scale", str, "1"),
         suites=suites,
@@ -1010,8 +894,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.hbar_order = _env_default("hbar-order", int, 3)
         if args.degree_bound is None:
             args.degree_bound = _env_default("degree-bound", int, 4)
-        if not 2 <= args.hbar_order <= 6:
-            raise ConfigError("hbar-order must be in 2..6")
+        _check_order_and_bound(args.hbar_order, args.degree_bound)
         result = _compute(args)
         sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
         return 0

@@ -25,11 +25,11 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
 from .linalg import EchelonSpan, nullspace
 from .que import (
     QAffineContext,
-    QFunction,
     UqContext,
     UqElement,
     UqTensor,
@@ -38,7 +38,6 @@ from .que import (
     coproduct,
     counit,
     q_multiply,
-    q_one,
     tensor_of,
     twi_m,
     uq_gen,
@@ -71,7 +70,7 @@ def tensor_vec(t: UqTensor) -> Dict:
     return out
 
 
-def qfun_vec(f: QFunction) -> Dict:
+def qfun_vec(f: BlockFunction) -> Dict:
     out = {}
     for key, blk in f.blocks.items():
         for idx, s in blk.items():
@@ -169,12 +168,6 @@ class HopfSubalgebra:
 
     def contains(self, x: UqElement) -> bool:
         return self.span.contains(uq_vec(x))
-
-    def element(self, word: Word) -> UqElement:
-        out = uq_one(self.ctx)
-        for gi in word:
-            out = out * self.generators[gi]
-        return out
 
     @property
     def closure_defects(self) -> List[Tuple[int, int]]:
@@ -670,19 +663,19 @@ class CharacterMonoid:
 # -- graded semi-invariants of the quantized function algebras ---------------
 
 
-def q_evaluate(f: QFunction, *us: UqElement) -> TruncatedSeries:
+def q_evaluate(f: BlockFunction, *us: UqElement) -> TruncatedSeries:
     """Evaluate a matrix-coefficient function on a tensor of quantum
     group elements (one per factor): c_{xi,v}(u) = <u.xi, v> with the
     antipode-twisted dual action, the pairing under which the product of
     the function algebra is the convolution."""
-    qctx = f.qctx
+    qctx = f.ctx
     assert len(us) == f.m
     out = qctx.uq.zero_series()
     mats = {}
     for key, blk in f.blocks.items():
         for j in range(f.m):
             if (key[j][0], j) not in mats:
-                rep = qctx.qirrep(key[j][0])
+                rep = qctx.irrep(key[j])
                 mats[(key[j][0], j)] = rep.act(antipode(us[j]))
         for idx, c in blk.items():
             s = c
@@ -695,33 +688,17 @@ def q_evaluate(f: QFunction, *us: UqElement) -> TruncatedSeries:
     return out
 
 
-def q_right_action(f: QFunction, j: int, y: UqElement) -> QFunction:
-    """Right action on factor j: c_{xi,v} . y = c_{xi, S(y)v}."""
-    qctx = f.qctx
-    out = QFunction(qctx, f.m)
-    sy = antipode(y)
-    for key, blk in f.blocks.items():
-        rep = qctx.qirrep(key[j][0])
-        mat = rep.act(sy)
-        for idx, c in blk.items():
-            b = idx[2 * j + 1]
-            for s_ in range(rep.dim):
-                if mat[s_][b].is_zero():
-                    continue
-                nidx = idx[: 2 * j + 1] + (s_,) + idx[2 * j + 2:]
-                out._bump(key, nidx, c * mat[s_][b])
-    return out
-
-
-def q_right_action_word(f: QFunction, j: int, U: HopfSubalgebra,
-                        word: Word) -> QFunction:
+def q_right_action_word(f: BlockFunction, j: int, U: HopfSubalgebra,
+                        word: Word) -> BlockFunction:
+    """Right action c_{xi,v} . y = c_{xi, S(y)v} of a word of generators
+    of U on factor j."""
     out = f
     for gi in word:
-        out = q_right_action(out, j, U.generators[gi])
+        out = act_factor(out, j, U.generators[gi], "right")
     return out
 
 
-def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[QFunction]:
+def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[BlockFunction]:
     out = []
     for ns in itertools.product(range(weight_bound + 1), repeat=m):
         key = tuple((n,) for n in ns)
@@ -730,13 +707,13 @@ def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[QF
             ranges.append(range(n + 1))
             ranges.append(range(n + 1))
         for idx in itertools.product(*ranges):
-            out.append(QFunction(qctx, m, {key: {idx: 1}}))
+            out.append(BlockFunction(qctx, m, {key: {idx: 1}}))
     return out
 
 
 def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                     chi: Union[Character, Sequence[Character]],
-                    weight_bound: int, m: int = 1) -> List[QFunction]:
+                    weight_bound: int, m: int = 1) -> List[BlockFunction]:
     """Basis of {f in the weight window : f.u = chi(u) f factorwise} by
     an exact linear solve.  The eigencondition is enforced on the
     generators of U, which suffices: the right action is multiplicative
@@ -754,7 +731,7 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
         col: Dict = {}
         for j in range(m):
             for gi, g in enumerate(U.generators):
-                res = (q_right_action(basis[bi], j, g)
+                res = (act_factor(basis[bi], j, g, "right")
                        - basis[bi].scale(chis[j].values[gi]))
                 for key, c in qfun_vec(res.scale(_hbar(ctx, k))).items():
                     col[(j, gi, key)] = c
@@ -769,7 +746,7 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
         matrix = [[Fraction(0)] * len(unknowns)]
     out = []
     for sol in nullspace(matrix):
-        f = QFunction(qctx, m)
+        f = BlockFunction(qctx, m)
         for (bi, k), x in zip(unknowns, sol):
             if x != 0:
                 f = f + basis[bi].scale(_hbar(ctx, k) * x)
@@ -784,10 +761,10 @@ class GradedSemiInvariants:
     def __init__(self, U: HopfSubalgebra, m: int = 1):
         self.U = U
         self.m = m
-        self.entries: List[Tuple[Tuple[Character, ...], List[QFunction]]] = []
+        self.entries: List[Tuple[Tuple[Character, ...], List[BlockFunction]]] = []
 
     def add(self, chis: Union[Character, Sequence[Character]],
-            fns: List[QFunction]):
+            fns: List[BlockFunction]):
         chis = (chis,) * self.m if isinstance(chis, Character) else tuple(chis)
         self.entries.append((chis, fns))
 
@@ -804,14 +781,14 @@ class GradedSemiInvariants:
         return True
 
 
-def _fn_span(fns: List[QFunction]) -> EchelonSpan:
+def _fn_span(fns: List[BlockFunction]) -> EchelonSpan:
     span = EchelonSpan()
     if not fns:
         return span
-    order = fns[0].qctx.uq.order
+    order = fns[0].ctx.uq.order
     for f in fns:
         for k in range(order):
-            span.add(qfun_vec(f.scale(_hbar(fns[0].qctx.uq, k))))
+            span.add(qfun_vec(f.scale(_hbar(fns[0].ctx.uq, k))))
     return span
 
 
@@ -841,7 +818,7 @@ def semi_invariant_product_check(monoid: CharacterMonoid,
 # -- quantum sections ---------------------------------------------------------
 
 
-def restriction_character(d: QFunction, U: HopfSubalgebra) -> Character:
+def restriction_character(d: BlockFunction, U: HopfSubalgebra) -> Character:
     """p(d): the restriction of the evaluation functional of d to U,
     recorded by its values on the generators.  A character precisely
     when d is a prequantum section."""
@@ -849,7 +826,7 @@ def restriction_character(d: QFunction, U: HopfSubalgebra) -> Character:
     return Character(U, [q_evaluate(d, g) for g in U.generators])
 
 
-def prequantum_check(d: QFunction, U: HopfSubalgebra) -> CoisoReport:
+def prequantum_check(d: BlockFunction, U: HopfSubalgebra) -> CoisoReport:
     """Windowed test of Delta(d) in d(x)d + ker(p)(x)A, where p restricts
     matrix coefficients to U.  With ker(p) realized as the annihilator
     of the U-window under the evaluation pairing, the condition is
@@ -898,7 +875,7 @@ class QuantumSectionReport:
         }
 
 
-def quantum_section_check(d: QFunction, U: HopfSubalgebra, n_max: int = 3,
+def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
                           weight_bound: Optional[int] = None,
                           monoid: Optional[CharacterMonoid] = None) -> QuantumSectionReport:
     """Prequantum test for d, then the graded structure: for each
@@ -906,7 +883,7 @@ def quantum_section_check(d: QFunction, U: HopfSubalgebra, n_max: int = 3,
     condition (equivalently, the p(d^n)-eigenspace of the right action)
     must coincide with the semi-invariants of the monoid power p(d)^n,
     and products of sections must land in the correct degree."""
-    qctx = d.qctx
+    qctx = d.ctx
     assert d.m == 1
     details: Dict = {}
     left = strong_coiso_hopf(U, side="left")
@@ -929,8 +906,8 @@ def quantum_section_check(d: QFunction, U: HopfSubalgebra, n_max: int = 3,
                              {"reason": "p(d) is not a character"}),
             left, details)
 
-    spaces: List[List[QFunction]] = []
-    dn = q_one(qctx, 1)
+    spaces: List[List[BlockFunction]] = []
+    dn = pw_one(qctx, 1)
     chin = monoid.unit
     for n in range(n_max + 1):
         if n:

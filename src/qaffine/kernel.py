@@ -78,6 +78,11 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self) -> bool:
+        """True iff nonzero, so `not s` is the zero test shared with
+        Fraction coefficients."""
+        return any(self.coeffs)
+
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
 
@@ -198,18 +203,6 @@ class TruncatedSeries:
             fact *= n
             result = result + power * Fraction(1, fact)
         return result
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inv()
-
-
-def exp_series(a: TruncatedSeries) -> TruncatedSeries:
-    return a.exp()
 
 
 def q_exponent(d: Rat, order: int) -> TruncatedSeries:

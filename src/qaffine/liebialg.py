@@ -72,9 +72,6 @@ class LieAlgebra:
             self._validate()
 
     # index layout helpers
-    def cartan_index(self, i: int) -> int:
-        return i
-
     def raise_index(self, b: int) -> int:
         return self.rank + b
 
@@ -124,37 +121,10 @@ class LieAlgebra:
                     total += ma * self._gram_t_inv[a][b] * lb
         return total / 2
 
-    def weight_form(self, mu: Sequence, lam: Sequence) -> Fraction:
-        """Form on weights induced by the invariant form (twice r0_pairing)."""
-        return 2 * self.r0_pairing(mu, lam)
-
-    def symmetrizers(self) -> List[Fraction]:
-        """d_i = <alpha_i, alpha_i> for the simple roots."""
-        out = []
-        for i in range(self.rank):
-            alpha = self.simple_root(i)
-            out.append(self.weight_form(alpha, alpha))
-        return out
-
     def simple_root(self, i: int) -> Weight:
         """alpha_i in fundamental coordinates (a column of the Cartan matrix)."""
         assert self.cartan_matrix is not None
         return tuple(self.cartan_matrix[j][i] for j in range(self.rank))
-
-    def minus_w0(self, weight: Weight) -> Weight:
-        """The dual-weight involution -w0 on dominant weights (sl(n): reversal)."""
-        return tuple(reversed(weight))
-
-    def basis_weight(self, idx: int) -> Weight:
-        """ad-weight of basis element idx: [h_i, x] = weight_i * x."""
-        k = self.rank
-        if idx < k:
-            return (0,) * k
-        b = idx - k
-        if b < self.n_pos:
-            return self.positive_roots[b]
-        beta = self.positive_roots[b - self.n_pos]
-        return tuple(-c for c in beta)
 
     # -- validation ----------------------------------------------------
 
@@ -482,6 +452,17 @@ def cobracket(r: LieTensor, x: LieTensor) -> LieTensor:
                 out.add_term((l, v), coeff * cl)
             for l, cl in alg.bracket_basis(a, v).items():
                 out.add_term((u, l), coeff * cl)
+    return out
+
+
+def _ad2(alg: LieAlgebra, x_idx: int, t: LieTensor) -> LieTensor:
+    """Diagonal adjoint action of basis element x_idx on an arity-2 tensor."""
+    out = LieTensor(alg, 2)
+    for (a, b), c in t.data.items():
+        for k, cc in alg.bracket_basis(x_idx, a).items():
+            out.add_term((k, b), c * cc)
+        for k, cc in alg.bracket_basis(x_idx, b).items():
+            out.add_term((a, k), c * cc)
     return out
 
 

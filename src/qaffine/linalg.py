@@ -159,22 +159,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: List[Fraction]) -> List[Fraction]:
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix, scale: Fraction = Fraction(1)) -> Matrix:
-    return [[x + scale * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_inv(a: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan; raises ValueError if singular."""
     n = len(a)

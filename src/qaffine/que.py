@@ -17,6 +17,13 @@ satisfies Delta^op = R Delta R^-1 while its hbar^1 coefficient equals the
 classical r-matrix (1/4)h(x)h + f(x)e.  The division in [E,F] is done on
 closed-form coefficient series, never on truncated data, so no precision
 is lost at the top order.
+
+The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
+the block functions of cgx over a QAffineContext, whose irreps are the
+V_hbar(n) and whose Clebsch-Gordan entries lift the classical ones order
+by order in hbar.  q_multiply (the convolution product) and
+quantum_affine_multiply (twisted by Twi^m(R~)) both end in the one
+contraction cgx.cg_contract.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .cgx import (
+    BlockFunction, CGEntry, PWContext, block_pairs, cg_contract, pw_tensor,
+    sparse_columns,
+)
 from .kernel import TruncatedSeries
+from .liebialg import LieTensor, build_sl
+from .linalg import solve
 
 Mono = Tuple[int, int, int]  # exponents (a, b, c) of F^a H^b E^c
 
@@ -149,9 +162,6 @@ class UqElement:
                     out.add_term(m, c * s)
         return out
 
-    def pbw_degree(self) -> int:
-        return max((sum(m) for m in self.data), default=0)
-
     def mod_hbar(self) -> Dict[Mono, Fraction]:
         out = {}
         for m, s in self.data.items():
@@ -168,10 +178,6 @@ class UqElement:
             ) or "1"
             parts.append("(%s)*%s" % (self.data[m], name))
         return " + ".join(parts) if parts else "0"
-
-
-def uq_zero(ctx: UqContext) -> UqElement:
-    return UqElement(ctx)
 
 
 def uq_one(ctx: UqContext) -> UqElement:
@@ -511,15 +517,6 @@ def delta_leg(t: UqTensor, j: int) -> UqTensor:
     return out
 
 
-def delta_m(x: UqElement, m: int) -> UqTensor:
-    """m-fold coproduct Delta^(m): U -> U^(x)m."""
-    ctx = x.ctx
-    t = UqTensor(ctx, 1, {(k,): s for k, s in x.data.items()})
-    while t.legs < m:
-        t = delta_leg(t, 0)
-    return t
-
-
 def counit_leg(t: UqTensor, j: int) -> UqTensor:
     ctx = t.ctx
     out = UqTensor(ctx, t.legs - 1)
@@ -764,8 +761,6 @@ def semiclassical_r(t: UqTensor, m: int):
     """Extract the hbar^1 coefficient of a 2m-leg R-matrix as a LieTensor
     over sl2^m.  Raises if the coefficient is not quadratic in the
     generators."""
-    from .liebialg import LieTensor, build_sl
-
     alg = build_sl(2)
     alg_m = alg.power(m)
     gen_index = {(1, 0, 0): alg.lower_index(0), (0, 1, 0): 0,
@@ -907,39 +902,23 @@ class QIrrep:
                         out[i][j] = out[i][j] + mat[i][j] * s
         return out
 
-    def dual_act(self, x: UqElement):
-        """Action on the dual: (y . xi)(w) = xi(S(y) w), i.e. rho(S(y))^T."""
-        mat = self.act(antipode(x))
-        return [[mat[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
 
 # -- quantized function algebras ---------------------------------------------
-
-
-class QCGEntry:
-    """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners.
-    Reduces mod hbar to the classical Clebsch-Gordan entry it lifts."""
-
-    def __init__(self, n: int, m: int, summands):
-        self.n = n
-        self.m = m
-        self.summands = summands  # (nu:int, inj, proj) series matrices
 
 
 class QAffineContext:
     """Caches for C_hbar[SL2] and C_hbar[(N\\SL2)^m]: quantized irreps,
     quantum Clebsch-Gordan tables, the R-matrix, and the companion
-    classical context used for canonical mod-hbar forms."""
+    classical context used for canonical mod-hbar forms; the context of
+    block functions with coefficients in Q[[hbar]]/(hbar^K)."""
 
     def __init__(self, uq: UqContext, dim_bound: int = 64):
-        from .cgx import PWContext
-        from .liebialg import build_sl
-
         self.uq = uq
+        self.ring = "Q[[hbar]]/(hbar^%d)" % uq.order
         self.alg = build_sl(2)
         self.pw = PWContext(self.alg, dim_bound)
         self._qirreps: Dict[int, QIrrep] = {}
-        self._qcg: Dict[Tuple[int, int], QCGEntry] = {}
+        self._qcg: Dict[Tuple[int, int], CGEntry] = {}
         self._R: Optional[UqTensor] = None
 
     @property
@@ -948,15 +927,35 @@ class QAffineContext:
             self._R = r_matrix_sl2(self.uq)
         return self._R
 
-    def qirrep(self, n: int) -> QIrrep:
+    def irrep(self, lam: Tuple[int]) -> QIrrep:
+        (n,) = lam
         if n not in self._qirreps:
             self._qirreps[n] = QIrrep(self.uq, n)
         return self._qirreps[n]
 
-    def qcg(self, n: int, m: int) -> QCGEntry:
-        if (n, m) not in self._qcg:
-            self._qcg[(n, m)] = self._build_qcg(n, m)
-        return self._qcg[(n, m)]
+    def cg(self, lam: Tuple[int], mu: Tuple[int]) -> CGEntry:
+        key = (lam[0], mu[0])
+        if key not in self._qcg:
+            self._qcg[key] = self._build_qcg(*key)
+        return self._qcg[key]
+
+    def coerce(self, c) -> TruncatedSeries:
+        if isinstance(c, TruncatedSeries):
+            return c
+        return TruncatedSeries.const(c, self.uq.order)
+
+    def coeff_json(self, s: TruncatedSeries) -> List[str]:
+        return [str(c) for c in s.coeffs]
+
+    def json_fields(self) -> Dict:
+        return {"order": self.uq.order}
+
+    def slot_action(self, lam: Tuple[int], y: UqElement, side: str):
+        """rho(S(y)) on V_hbar(lam) as the sparse columns of its transpose
+        (side "left", the dual slot) or of itself (side "right", the
+        vector slot); see cgx.act_factor."""
+        mat = self.irrep(lam).act(antipode(y))
+        return sparse_columns(mat if side == "right" else list(zip(*mat)))
 
     def _tensor_generator_mats(self, va: QIrrep, vb: QIrrep):
         """Matrices of E, F on V_hbar(n)(x)V_hbar(m) via the coproduct."""
@@ -984,12 +983,12 @@ class QAffineContext:
         matF = madd(kron(va.matF, km_b), kron(kp_a, vb.matF))
         return matE, matF
 
-    def _build_qcg(self, n: int, m: int) -> QCGEntry:
-        from .linalg import solve
-
+    def _build_qcg(self, n: int, m: int) -> CGEntry:
+        """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners,
+        lifting the classical Clebsch-Gordan entry order by order."""
         ctx = self.uq
         K = ctx.order
-        va, vb = self.qirrep(n), self.qirrep(m)
+        va, vb = self.irrep((n,)), self.irrep((m,))
         dT = va.dim * vb.dim
         matE, matF = self._tensor_generator_mats(va, vb)
         wT = [wa + wb for wa in va.weights for wb in vb.weights]
@@ -1040,224 +1039,20 @@ class QAffineContext:
             d = len(cols)
             inj = [[cols[c][r] for c in range(d)] for r in range(dT)]
             proj = [big_inv[offset + s] for s in range(d)]
-            out.append((nu, inj, proj))
+            out.append(((nu,), inj, proj))
             offset += d
-        return QCGEntry(n, m, out)
+        return CGEntry((n,), (m,), out)
 
 
-class QFunction:
-    """Element of C_hbar[SL2^m] (or its principal-affine subalgebra):
-    blocks indexed by tuples of dominant sl2 weights, entries are
-    truncated series."""
-
-    def __init__(self, qctx: QAffineContext, m: int, blocks: Optional[Dict] = None):
-        self.qctx = qctx
-        self.m = m
-        self.blocks: Dict[Tuple[Tuple[int, ...], ...], Dict[Tuple[int, ...], TruncatedSeries]] = {}
-        if blocks:
-            for key, blk in blocks.items():
-                for idx, s in blk.items():
-                    if not isinstance(s, TruncatedSeries):
-                        s = TruncatedSeries.const(s, qctx.uq.order)
-                    self._bump(tuple(tuple(w) for w in key), tuple(idx), s)
-
-    def _bump(self, key, idx, s: TruncatedSeries):
-        if s.is_zero():
-            return
-        blk = self.blocks.setdefault(key, {})
-        cur = blk.get(idx)
-        ns = s if cur is None else cur + s
-        if ns.is_zero():
-            del blk[idx]
-            if not blk:
-                del self.blocks[key]
-        else:
-            blk[idx] = ns
-
-    def copy(self) -> "QFunction":
-        out = QFunction(self.qctx, self.m)
-        out.blocks = {k: dict(b) for k, b in self.blocks.items()}
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QFunction)
-            and self.m == other.m
-            and self.blocks == other.blocks
-        )
-
-    def __add__(self, other: "QFunction") -> "QFunction":
-        out = self.copy()
-        for key, blk in other.blocks.items():
-            for idx, s in blk.items():
-                out._bump(key, idx, s)
-        return out
-
-    def __sub__(self, other: "QFunction") -> "QFunction":
-        out = self.copy()
-        for key, blk in other.blocks.items():
-            for idx, s in blk.items():
-                out._bump(key, idx, -s)
-        return out
-
-    def scale(self, s) -> "QFunction":
-        if not isinstance(s, TruncatedSeries):
-            s = TruncatedSeries.const(s, self.qctx.uq.order)
-        out = QFunction(self.qctx, self.m)
-        for key, blk in self.blocks.items():
-            for idx, c in blk.items():
-                out._bump(key, idx, c * s)
-        return out
-
-    def weight_keys(self):
-        return sorted(self.blocks)
-
-    def is_semi_invariant(self) -> bool:
-        for blk in self.blocks.values():
-            for idx in blk:
-                if any(idx[2 * j + 1] != 0 for j in range(self.m)):
-                    return False
-        return True
-
-    def hbar_coefficient(self, i: int):
-        """Coefficient of hbar^i as a classical PWFunction."""
-        from .cgx import PWFunction
-
-        out = PWFunction(self.qctx.pw, self.m)
-        for key, blk in self.blocks.items():
-            for idx, s in blk.items():
-                if s[i] != 0:
-                    out._bump(key, idx, s[i])
-        return out
-
-    def mod_hbar(self):
-        return self.hbar_coefficient(0)
-
-    def to_json(self):
-        out = {}
-        for key in sorted(self.blocks):
-            name = ";".join(",".join(str(c) for c in w) for w in key)
-            out[name] = sorted(
-                [list(idx) + [[str(c) for c in s.coeffs]]
-                 for idx, s in self.blocks[key].items()]
-            )
-        return {"m": self.m, "order": self.qctx.uq.order, "blocks": out}
-
-    def __repr__(self):
-        return "QFunction(m=%d, keys=%s)" % (self.m, self.weight_keys())
-
-
-def q_one(qctx: QAffineContext, m: int) -> QFunction:
-    key = tuple((0,) for _ in range(m))
-    return QFunction(qctx, m, {key: {(0,) * (2 * m): 1}})
-
-
-def q_matrix_coefficient(qctx: QAffineContext, n: int, xi: Dict[int, object],
-                         v: Dict[int, object]) -> QFunction:
-    """c_{xi,v} on V_hbar(n), m = 1."""
-    out = QFunction(qctx, 1)
-    order = qctx.uq.order
-    key = ((n,),)
-    for a, ca in xi.items():
-        if not isinstance(ca, TruncatedSeries):
-            ca = TruncatedSeries.const(ca, order)
-        for b, cb in v.items():
-            if not isinstance(cb, TruncatedSeries):
-                cb = TruncatedSeries.const(cb, order)
-            out._bump(key, (a, b), ca * cb)
-    return out
-
-
-def q_hw_coefficient(qctx: QAffineContext, n: int, xi: Dict[int, object]) -> QFunction:
-    return q_matrix_coefficient(qctx, n, xi, {0: 1})
-
-
-def q_tensor(fs: Sequence[QFunction]) -> QFunction:
-    qctx = fs[0].qctx
-    m = sum(f.m for f in fs)
-    out = QFunction(qctx, m)
-    for combo in itertools.product(*[f.blocks.items() for f in fs]):
-        key = tuple(w for (k, _) in combo for w in k)
-        for idxs in itertools.product(*[blk.items() for (_, blk) in combo]):
-            idx = tuple(i for (ii, _) in idxs for i in ii)
-            s = qctx.uq.one_series()
-            for _, cc in idxs:
-                s = s * cc
-            out._bump(key, idx, s)
-    return out
-
-
-def q_multiply(f: QFunction, g: QFunction) -> QFunction:
+def q_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     """Product in C_hbar[SL2^m]: the convolution product of functionals,
     (fg)(x) = sum f(x_(1)) g(x_(2)), realized per factor by a quantum
     Clebsch-Gordan decomposition (associative, not commutative).  In terms
     of matrix coefficients, c_{xi,v} c_{eta,w} is the coefficient of
-    eta(x)xi and w(x)v on the tensor module, which is why the roles of f
-    and g are exchanged below."""
-    assert f.m == g.m
-    f, g = g, f
-    qctx = f.qctx
-    m = f.m
-    out = QFunction(qctx, m)
-    for fkey, fblk in f.blocks.items():
-        for gkey, gblk in g.blocks.items():
-            tables = [qctx.qcg(fkey[j][0], gkey[j][0]) for j in range(m)]
-            dims_g = [gkey[j][0] + 1 for j in range(m)]
-            for fidx, fs in fblk.items():
-                for gidx, gs in gblk.items():
-                    coeff = fs * gs
-                    if coeff.is_zero():
-                        continue
-                    parts = []
-                    for j in range(m):
-                        a, b = fidx[2 * j], fidx[2 * j + 1]
-                        cidx, d = gidx[2 * j], gidx[2 * j + 1]
-                        dg = dims_g[j]
-                        dual_flat = a * dg + cidx
-                        vec_flat = b * dg + d
-                        opts = []
-                        for nu, inj, proj in tables[j].summands:
-                            dnu = nu + 1
-                            for s_ in range(dnu):
-                                ic = inj[dual_flat][s_]
-                                if ic.is_zero():
-                                    continue
-                                for t_ in range(dnu):
-                                    pc = proj[t_][vec_flat]
-                                    if not pc.is_zero():
-                                        opts.append((nu, s_, t_, ic * pc))
-                        parts.append(opts)
-                    for combo in itertools.product(*parts):
-                        key = tuple((ch[0],) for ch in combo)
-                        idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
-                        cs = coeff
-                        for ch in combo:
-                            cs = cs * ch[3]
-                            if cs.is_zero():
-                                break
-                        if not cs.is_zero():
-                            out._bump(key, idx, cs)
-    return out
-
-
-def q_dual_action(f: QFunction, j: int, y: UqElement) -> QFunction:
-    """Left action of y on factor j: c_{xi,v} -> c_{y.xi, v}."""
-    qctx = f.qctx
-    out = QFunction(qctx, f.m)
-    for key, blk in f.blocks.items():
-        rep = qctx.qirrep(key[j][0])
-        mat = rep.dual_act(y)
-        for idx, c in blk.items():
-            a = idx[2 * j]
-            for s_ in range(rep.dim):
-                if mat[s_][a].is_zero():
-                    continue
-                nidx = idx[: 2 * j] + (s_,) + idx[2 * j + 1 :]
-                out._bump(key, nidx, c * mat[s_][a])
-    return out
+    eta(x)xi and w(x)v on the tensor module, which is why g is the left
+    and f the right side of the contraction."""
+    f.check_compatible(g)
+    return cg_contract(f.ctx, f.m, block_pairs(g, f))
 
 
 def _r0_inverse_scalar(qctx: QAffineContext, n1: int, n2: int) -> TruncatedSeries:
@@ -1267,34 +1062,25 @@ def _r0_inverse_scalar(qctx: QAffineContext, n1: int, n2: int) -> TruncatedSerie
     return (TruncatedSeries.hbar(order) * Fraction(-n1 * n2, 4)).exp()
 
 
-def _apply_rtilde(qctx: QAffineContext, P: QFunction, fa: int, fb: int) -> QFunction:
+def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
+                  fb: int) -> BlockFunction:
     """Apply R~ = tau_23(R (x) R_0^{-1}) with the U-legs acting on the dual
     slots of factors fa and fb, and the Cartan legs acting by the weight
     characters of those factors."""
     uq = qctx.uq
-    out = QFunction(qctx, P.m)
+    out = BlockFunction(qctx, P.m)
     # organize blockwise so the scalar part is computed once per block
     for key, blk in P.blocks.items():
-        n1, n2 = key[fa][0], key[fb][0]
-        scalar = _r0_inverse_scalar(qctx, n1, n2)
-        rep1 = qctx.qirrep(n1)
-        rep2 = qctx.qirrep(n2)
+        scalar = _r0_inverse_scalar(qctx, key[fa][0], key[fb][0])
         for (m1, m2), s in qctx.R.data.items():
-            mat1 = rep1.dual_act(UqElement(uq, {m1: 1}))
-            mat2 = rep2.dual_act(UqElement(uq, {m2: 1}))
+            lines1 = qctx.slot_action(key[fa], UqElement(uq, {m1: 1}), "left")
+            lines2 = qctx.slot_action(key[fb], UqElement(uq, {m2: 1}), "left")
             for idx, c in blk.items():
                 base = c * s * scalar
-                if base.is_zero():
+                if not base:
                     continue
-                a1, a2 = idx[2 * fa], idx[2 * fb]
-                for s1 in range(rep1.dim):
-                    c1 = mat1[s1][a1]
-                    if c1.is_zero():
-                        continue
-                    for s2 in range(rep2.dim):
-                        c2 = mat2[s2][a2]
-                        if c2.is_zero():
-                            continue
+                for s1, c1 in lines1[idx[2 * fa]].items():
+                    for s2, c2 in lines2[idx[2 * fb]].items():
                         nidx = list(idx)
                         nidx[2 * fa] = s1
                         nidx[2 * fb] = s2
@@ -1302,58 +1088,27 @@ def _apply_rtilde(qctx: QAffineContext, P: QFunction, fa: int, fb: int) -> QFunc
     return out
 
 
-def _contract_pairs(P: QFunction, m: int) -> QFunction:
+def _contract_pairs(P: BlockFunction, m: int) -> BlockFunction:
     """Multiply factor i with factor m+i for each i, turning a 2m-factor
-    function into an m-factor one (the factorwise multiplication map)."""
-    qctx = P.qctx
-    out = QFunction(qctx, m)
-    for key, blk in P.blocks.items():
-        # convolution order: factor j of the product is (factor j) * (factor
-        # m+j), contracted through the CG tables of V(n_{m+j}) (x) V(n_j)
-        tables = [qctx.qcg(key[m + j][0], key[j][0]) for j in range(m)]
-        dims_f = [key[j][0] + 1 for j in range(m)]
-        for idx, c in blk.items():
-            parts = []
-            for j in range(m):
-                a, b = idx[2 * j], idx[2 * j + 1]
-                cidx, d = idx[2 * (m + j)], idx[2 * (m + j) + 1]
-                df = dims_f[j]
-                dual_flat = cidx * df + a
-                vec_flat = d * df + b
-                opts = []
-                for nu, inj, proj in tables[j].summands:
-                    for s_ in range(nu + 1):
-                        ic = inj[dual_flat][s_]
-                        if ic.is_zero():
-                            continue
-                        for t_ in range(nu + 1):
-                            pc = proj[t_][vec_flat]
-                            if not pc.is_zero():
-                                opts.append((nu, s_, t_, ic * pc))
-                parts.append(opts)
-            for combo in itertools.product(*parts):
-                nkey = tuple((ch[0],) for ch in combo)
-                nidx = tuple(x for ch in combo for x in (ch[1], ch[2]))
-                cs = c
-                for ch in combo:
-                    cs = cs * ch[3]
-                    if cs.is_zero():
-                        break
-                if not cs.is_zero():
-                    out._bump(nkey, nidx, cs)
-    return out
+    function into an m-factor one (the factorwise multiplication map).
+    Convolution order: factor j of the product is (factor j) * (factor
+    m+j), contracted through the CG tables of V(n_{m+j}) (x) V(n_j)."""
+    return cg_contract(P.ctx, m, (
+        (key[m:], key[:m], [(idx[2 * m:], idx[:2 * m], c)
+                            for idx, c in blk.items()])
+        for key, blk in P.blocks.items()))
 
 
-def quantum_affine_multiply(f: QFunction, g: QFunction) -> QFunction:
+def quantum_affine_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     """Multiplication in C_hbar[(N\\SL2)^m] = (C_hbar[N\\SL2]^(x)m) twisted
     by Twi^m(R~): mu(Twi^m(R~) . (f (x) g)) with the factorwise module
     structure.  Requires semi-invariant inputs."""
-    assert f.m == g.m
+    f.check_compatible(g)
     m = f.m
     if not (f.is_semi_invariant() and g.is_semi_invariant()):
         raise ValueError("inputs must be graded (semi-invariant) functions")
-    qctx = f.qctx
-    P = q_tensor([f, g])
+    qctx = f.ctx
+    P = pw_tensor([f, g])
     # Twi^m(R~) = prod_{k=2}^m prod_{l=k-1}^1 R~_{k, m+l}; leftmost factor
     # acts last
     pairs = []
@@ -1365,17 +1120,17 @@ def quantum_affine_multiply(f: QFunction, g: QFunction) -> QFunction:
     return _contract_pairs(P, m)
 
 
-def quantum_affine_multiply_pairwise(f: QFunction, g: QFunction) -> QFunction:
+def quantum_affine_multiply_pairwise(f: BlockFunction,
+                                     g: BlockFunction) -> BlockFunction:
     """Same multiplication via the per-factor case split: factors of f
     supported at position i and of g at position j multiply plainly when
     i <= j and through R~_{ij} applied to the swapped product when i > j.
     Only defined when f and g are each supported in a single factor
     (all other factors trivial); used as a cross-check."""
-    assert f.m == g.m
+    f.check_compatible(g)
     m = f.m
-    qctx = f.qctx
 
-    def support(h: QFunction) -> int:
+    def support(h: BlockFunction) -> int:
         zero = (0,)
         pos = set()
         for key in h.blocks:
@@ -1388,19 +1143,19 @@ def quantum_affine_multiply_pairwise(f: QFunction, g: QFunction) -> QFunction:
 
     i, j = support(f), support(g)
     if i <= j:
-        P = q_tensor([f, g])
+        P = pw_tensor([f, g])
     else:
-        P = q_tensor([g, f])
+        P = pw_tensor([g, f])
         # R~_{ij} with the first leg on (the f part of) factor i and the
         # second on factor j; after the swap f occupies the second group
-        P = _apply_rtilde(qctx, P, m + i, j)
+        P = _apply_rtilde(f.ctx, P, m + i, j)
     return _contract_pairs(P, m)
 
 
-def semiclassical_bracket(f: QFunction, g: QFunction, product=None):
-    """(1/hbar)(fg - gf) mod hbar as a classical PWFunction.  The product
-    defaults to q_multiply; pass quantum_affine_multiply for the twisted
-    algebras."""
+def semiclassical_bracket(f: BlockFunction, g: BlockFunction, product=None):
+    """(1/hbar)(fg - gf) mod hbar as a classical block function.  The
+    product defaults to q_multiply; pass quantum_affine_multiply for the
+    twisted algebras."""
     if product is None:
         product = q_multiply
     d = product(f, g) - product(g, f)

@@ -8,24 +8,23 @@ from fractions import Fraction
 
 import pytest
 
-from qaffine.cli import (
-    RunConfig, _ad2, hw_bracket_oracle, poisson_action_residual, run_suite,
-)
+from qaffine.cli import RunConfig, run_suite
 from qaffine.liebialg import (
-    LieTensor, Subspace, basis_tensor, build_sl, cobracket, cybe_residual,
-    diagonal_r, mix_tensor, r_membership_lie, standard_r,
+    LieTensor, Subspace, _ad2, basis_tensor, build_sl, cobracket,
+    cybe_residual, diagonal_r, mix_tensor, r_membership_lie, standard_r,
     strongly_coisotropic_lie, twisted_r, verify_twisting_element,
 )
 from qaffine.cgx import (
-    BracketSpec, PWContext, classical_bracket, hw_coefficient,
-    matrix_coefficient, pw_multiply, pw_tensor,
+    BracketSpec, PWContext, classical_bracket, hw_bracket_oracle,
+    hw_coefficient, matrix_coefficient, poisson_action_residual, pw_multiply,
+    pw_tensor,
 )
 from qaffine.que import (
     QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
     almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
-    delta_leg, hexagon_residuals, q_hw_coefficient, q_tensor,
-    quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
-    r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_one,
+    delta_leg, hexagon_residuals, quantum_affine_multiply,
+    quantum_affine_multiply_pairwise, r_matrix_m, r_matrix_sl2,
+    semiclassical_bracket, semiclassical_r, tensor_one,
     twi_m, twi_m_inductive, twist_condition_residuals, uq_gen,
 )
 from qaffine.coiso import (
@@ -284,7 +283,7 @@ def test_criterion_11_semiclassical(uq3, qctx, sl2, pwctx):
         assert semiclassical_r(r_matrix_m(R, 2), 2) == twisted_r(st.r, 2)
         spec1 = BracketSpec(pwctx, 1, "product")
         spec2 = BracketSpec(pwctx, 2, "mixed")
-        qg = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
+        qg = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
         cg = [hw_coefficient(pwctx, (1,), {a: F(1)}) for a in range(2)]
         for qa, ca in zip(qg, cg):
             for qb, cb in zip(qg, cg):
@@ -292,7 +291,7 @@ def test_criterion_11_semiclassical(uq3, qctx, sl2, pwctx):
                     classical_bracket(ca, cb, spec1)
         for i in range(2):
             for j in range(2):
-                qF, qG = q_tensor([qg[i], qg[j]]), q_tensor([qg[j], qg[i]])
+                qF, qG = pw_tensor([qg[i], qg[j]]), pw_tensor([qg[j], qg[i]])
                 cF, cG = pw_tensor([cg[i], cg[j]]), pw_tensor([cg[j], cg[i]])
                 got = semiclassical_bracket(qF, qG, quantum_affine_multiply)
                 assert got == classical_bracket(cF, cG, spec2)
@@ -302,18 +301,18 @@ def test_criterion_11_semiclassical(uq3, qctx, sl2, pwctx):
 def test_criterion_12_factorization(qctx):
     def body():
         rng = random.Random(0)
-        gens = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
-        gens += [q_hw_coefficient(qctx, 2, {a: 1}) for a in range(3)]
-        pool = [q_tensor([rng.choice(gens), rng.choice(gens)])
+        gens = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
+        gens += [hw_coefficient(qctx, (2,), {a: 1}) for a in range(3)]
+        pool = [pw_tensor([rng.choice(gens), rng.choice(gens)])
                 for _ in range(12)]
         for _ in range(20):
             f, g, h = (rng.choice(pool) for _ in range(3))
             lhs = quantum_affine_multiply(quantum_affine_multiply(f, g), h)
             rhs = quantum_affine_multiply(f, quantum_affine_multiply(g, h))
             assert lhs == rhs
-        one1 = q_hw_coefficient(qctx, 0, {0: 1})
-        fa, ga = q_tensor([gens[0], one1]), q_tensor([gens[1], one1])
-        fb, gb = q_tensor([one1, gens[0]]), q_tensor([one1, gens[1]])
+        one1 = hw_coefficient(qctx, (0,), {0: 1})
+        fa, ga = pw_tensor([gens[0], one1]), pw_tensor([gens[1], one1])
+        fb, gb = pw_tensor([one1, gens[0]]), pw_tensor([one1, gens[1]])
         for x, y in ((fa, gb), (gb, fa), (fb, ga), (ga, fb), (fa, ga),
                      (fb, gb)):
             assert quantum_affine_multiply(x, y) == \
@@ -334,11 +333,11 @@ def test_criterion_13_hopf_coisotropy(uq3, qctx):
             for l in (1, 2):
                 assert mon.product(z[n], z[l]) == z[n + l]
         got = semi_invariants(qctx, U, (z[1], z[1]), 1, m=2)
-        expect = [q_tensor([q_hw_coefficient(qctx, 1, {a: 1}),
-                            q_hw_coefficient(qctx, 1, {b: 1})])
+        expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
+                             hw_coefficient(qctx, (1,), {b: 1})])
                   for a in range(2) for b in range(2)]
         assert _fn_span(got).equals(_fn_span(expect))
-        d = q_hw_coefficient(qctx, 1, {0: 1})
+        d = hw_coefficient(qctx, (1,), {0: 1})
         rep = quantum_section_check(d, U, n_max=3, monoid=mon)
         assert rep.prequantum.status == "true"
         assert rep.graded.status == "true"

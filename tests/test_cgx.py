@@ -7,7 +7,7 @@ import pytest
 
 from qaffine.cgx import (
     BracketSpec, CGEntry, DimensionBoundError, Irrep, PWContext, Rep,
-    _act_factor, classical_bracket, hw_coefficient, invariant_action,
+    act_factor, classical_bracket, hw_coefficient, invariant_action,
     matrix_coefficient, pw_evaluate, pw_multiply, pw_one, pw_tensor,
 )
 from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
@@ -148,8 +148,8 @@ def test_bracket_of_semi_invariants_is_top_projection(ctx):
             psi = hw_coefficient(ctx, (l,), {b: F(1)})
             oracle = None
             for (x, y), c in lam.data.items():
-                piece = pw_multiply(_act_factor(phi, 0, x, "left"),
-                                    _act_factor(psi, 0, y, "left")).scale(c)
+                piece = pw_multiply(act_factor(phi, 0, x, "left"),
+                                    act_factor(psi, 0, y, "left")).scale(c)
                 oracle = piece if oracle is None else oracle + piece
             got = classical_bracket(phi, psi, spec1)
             assert got == oracle
@@ -207,8 +207,8 @@ def test_cross_factor_bracket_formula(ctx):
                 jx, bx = divmod(x, d)
                 jy, by = divmod(y, d)
                 piece = pw_multiply(
-                    _act_factor(fl, jx, bx, "left"),
-                    _act_factor(gt, jy, by, "left")).scale(-c)
+                    act_factor(fl, jx, bx, "left"),
+                    act_factor(gt, jy, by, "left")).scale(-c)
                 oracle = oracle + piece
             assert classical_bracket(fl, gt, spec2m) == oracle
 

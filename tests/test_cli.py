@@ -1,6 +1,7 @@
 """Configuration validation, report determinism, exit codes, and the
 compute subcommands of the command-line driver."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,8 +24,7 @@ def test_config_defaults():
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         RunConfig(algebra="so5")
-    with pytest.raises(ConfigError):
-        RunConfig(m=4)
+    assert main(["run", "--m", "2"]) == 2
     with pytest.raises(ConfigError):
         RunConfig(hbar_order=1)
     with pytest.raises(ConfigError):
@@ -139,12 +139,66 @@ def test_compute_bracket_and_qmultiply(capsys):
     assert list(js["qmultiply"]["blocks"]) == ["2"]
 
 
+# sha256 of the exact stdout of `qaffine compute <args>`, exit code 0
+PINNED_COMPUTE_OUTPUT = [
+    (["bracket", "sl2", "product", "2:1", "3:2"],
+     "19317a68fdc1a3c08d6ad207c334e6f92a36efc99097133a7cd082d8671d0e05"),
+    (["bracket", "sl2", "mixed", "2:1,3:0", "3:2,1:1"],
+     "54e0e76cdf1786868d10d14517a13879a555c72d4eb9b7801496c02ac8128a97"),
+    (["bracket", "sl2", "mixed", "1:1,2:0,2:1", "2:0,1:1,3:2"],
+     "ce2641ee1946082301e40378f4c06ff04c4b0194752471c0853de81b4b8dea14"),
+    (["qmultiply", "2:1", "3:2", "--hbar-order", "2"],
+     "7b8d15d7f525ac9059f519acb41a331298cc802215c52368b6572861c3a47072"),
+    (["qmultiply", "2:1,1:0", "1:1,3:2", "--hbar-order", "2"],
+     "8304ffd79ec06550e6a98e29a8b2514bb3307707320a9cca4f0599aad446a175"),
+    (["qmultiply", "1:0,2:1,2:2", "2:1,1:1,1:0", "--hbar-order", "2"],
+     "ef144cd22cf0bb06553305c6c5847a9daa213827bd61ccb6c70aa2ead3cd8e68"),
+    (["qmultiply", "2:1", "3:2", "--hbar-order", "3"],
+     "1f209f8ddd5329385ebde638bd59c3e0ec3af112a4090e3f389a2490cd3c0c81"),
+    (["qmultiply", "2:1,1:0", "1:1,3:2", "--hbar-order", "3"],
+     "4b6e82a3cb9199cee2dc67519d9f0c766643b0a297aadf1dfa59a3584aa64cab"),
+    (["qmultiply", "1:0,2:1,2:2", "2:1,1:1,1:0", "--hbar-order", "3"],
+     "ac26a5488b24ff7896df0c3b835570c5716704738d63eda967237ed187105688"),
+    (["qmultiply", "2:1", "3:2", "--hbar-order", "4"],
+     "a01f241b3338c536f7bd9f592d0c829fd146fd06ba01e10351091af1ef14e6bb"),
+    (["qmultiply", "2:1,1:0", "1:1,3:2", "--hbar-order", "4"],
+     "bf73dee20ed7e99c4ae58b3bb845d00bb40d9ca7a48620b1ce56d821549e868e"),
+    (["qmultiply", "1:0,2:1,2:2", "2:1,1:1,1:0", "--hbar-order", "4"],
+     "5c64d7fcbfa0dc6bdf93eb4accb83adee9d9b1c10076251de8f8700671e166d6"),
+]
+
+
+def test_compute_output_is_pinned(capsys):
+    """Bracket (product m=1, mixed m=2, 3) and qmultiply (m=1..3 at hbar
+    orders 2..4) print exactly the pinned bytes."""
+    assert main(["compute", "bracket", "sl2", "product", "2:1", "3:2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "bracket": {"blocks": {"5": [[3, 0, "-3/2"]]}, "m": 1}}
+    for args, digest in PINNED_COMPUTE_OUTPUT:
+        assert main(["compute"] + args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 def test_compute_coiso_check(capsys):
     assert main(["compute", "coiso-check", "HE", "--hbar-order", "2",
                  "--degree-bound", "3"]) == 0
     js = json.loads(capsys.readouterr().out)
     assert js["strong_coiso"]["status"] == "true"
     assert js["r_membership"]["status"] == "true"
+
+
+def test_degree_bound_must_be_positive(capsys, monkeypatch):
+    for bound in ("0", "-1"):
+        assert main(["compute", "coiso-check", "HE",
+                     "--degree-bound", bound]) == 2
+        assert "bounds must be positive" in capsys.readouterr().err
+        assert main(["run", "--suite", "coiso",
+                     "--degree-bound", bound]) == 2
+        assert "bounds must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("QAFFINE_DEGREE_BOUND", "0")
+    assert main(["compute", "coiso-check", "HE"]) == 2
+    assert "bounds must be positive" in capsys.readouterr().err
 
 
 def test_compute_bad_usage(capsys):

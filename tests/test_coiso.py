@@ -12,9 +12,9 @@ from qaffine.coiso import (
     semi_invariant_product_check, semi_invariants, strong_coiso_hopf,
     strong_coiso_twisted, weight_character,
 )
+from qaffine.cgx import hw_coefficient, matrix_coefficient, pw_one, pw_tensor
 from qaffine.que import (
-    QAffineContext, UqContext, q_hw_coefficient, q_matrix_coefficient,
-    q_one, q_tensor, quantum_affine_multiply, r_matrix_sl2, uq_gen,
+    QAffineContext, UqContext, quantum_affine_multiply, r_matrix_sl2, uq_gen,
 )
 from qaffine.liebialg import standard_r, strongly_coisotropic_lie
 
@@ -126,13 +126,13 @@ def test_invariants_window(qctx, U):
     inv = semi_invariants(qctx, U, eps, 2)
     # constants and their hbar shifts only
     assert len(inv) == qctx.uq.order
-    assert _fn_span(inv).contains(qfun_vec(q_one(qctx, 1)))
+    assert _fn_span(inv).contains(qfun_vec(pw_one(qctx, 1)))
 
 
 def test_weight_one_semi_invariants(qctx, U):
     z1 = weight_character(U, 1)
     got = semi_invariants(qctx, U, z1, 2)
-    expect = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
+    expect = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
     assert _fn_span(got).equals(_fn_span(expect))
     graded = GradedSemiInvariants(U, 1)
     graded.add(counit_character(U), semi_invariants(
@@ -149,8 +149,8 @@ def test_semi_invariant_products_close(qctx, U, mon):
 def test_m2_semi_invariants_are_affine_blocks(qctx, U, mon):
     z1 = weight_character(U, 1)
     got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
-    expect = [q_tensor([q_hw_coefficient(qctx, 1, {a: 1}),
-                        q_hw_coefficient(qctx, 1, {b: 1})])
+    expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
+                         hw_coefficient(qctx, (1,), {b: 1})])
               for a in range(2) for b in range(2)]
     assert _fn_span(got).equals(_fn_span(expect))
     eps = counit_character(U)
@@ -160,7 +160,7 @@ def test_m2_semi_invariants_are_affine_blocks(qctx, U, mon):
 
 
 def test_evaluation_pairing(qctx, U, ctx):
-    phi = q_hw_coefficient(qctx, 1, {1: 1})
+    phi = hw_coefficient(qctx, (1,), {1: 1})
     # pairing against F hits the lowered vector
     val = q_evaluate(phi, uq_gen(ctx, "F"))
     assert not val.is_zero()
@@ -168,16 +168,16 @@ def test_evaluation_pairing(qctx, U, ctx):
 
 
 def test_quantum_sections(qctx, U, mon):
-    d = q_hw_coefficient(qctx, 1, {0: 1})
+    d = hw_coefficient(qctx, (1,), {0: 1})
     rep = quantum_section_check(d, U, n_max=3, monoid=mon)
     assert rep.prequantum.status == "true"
     assert rep.graded.status == "true"
-    rep1 = quantum_section_check(q_one(qctx, 1), U, n_max=2, monoid=mon)
+    rep1 = quantum_section_check(pw_one(qctx, 1), U, n_max=2, monoid=mon)
     assert rep1.prequantum.status == "true"
     assert rep1.graded.status == "true"
 
 
 def test_quantum_section_negative(qctx, U, mon):
-    dbad = q_matrix_coefficient(qctx, 2, {0: 1}, {1: 1})
+    dbad = matrix_coefficient(qctx, (2,), {0: 1}, {1: 1})
     rep = quantum_section_check(dbad, U, n_max=2, monoid=mon)
     assert rep.prequantum.status == "false"

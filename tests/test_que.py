@@ -10,8 +10,7 @@ from qaffine.kernel import TruncatedSeries, q_int
 from qaffine.que import (
     QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
     almost_cocommutativity_residuals, antipode, coproduct, counit,
-    counit_leg, delta_leg, hexagon_residuals, q_hw_coefficient, q_integer,
-    q_matrix_coefficient, q_multiply, q_one, q_tensor,
+    counit_leg, delta_leg, hexagon_residuals, q_integer, q_multiply,
     quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
     r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
     tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
@@ -20,7 +19,7 @@ from qaffine.que import (
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
     BracketSpec, classical_bracket, hw_coefficient, matrix_coefficient,
-    pw_multiply, pw_tensor,
+    pw_multiply, pw_one, pw_tensor,
 )
 
 F = Fraction
@@ -167,7 +166,7 @@ def test_quantum_irreps_reduce_to_classical(qctx):
     alg = qctx.alg
     pw = qctx.pw
     for n in range(9):
-        qv = qctx.qirrep(n)
+        qv = qctx.irrep((n,))
         cv = pw.irrep((n,))
         assert qv.dim == cv.dim
         for k in range(1, n + 1):
@@ -182,27 +181,27 @@ def test_quantum_irreps_reduce_to_classical(qctx):
 
 def test_q_multiply_ring_and_classical_limit(qctx):
     pw = qctx.pw
-    f = q_matrix_coefficient(qctx, 1, {0: 1}, {1: 1})
-    g = q_matrix_coefficient(qctx, 2, {1: F(1, 2)}, {0: 1})
-    h = q_matrix_coefficient(qctx, 1, {1: 3}, {0: 1})
+    f = matrix_coefficient(qctx, (1,), {0: 1}, {1: 1})
+    g = matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1})
+    h = matrix_coefficient(qctx, (1,), {1: 3}, {0: 1})
     fc = matrix_coefficient(pw, (1,), {0: F(1)}, {1: F(1)})
     gc = matrix_coefficient(pw, (2,), {1: F(1, 2)}, {0: F(1)})
     assert q_multiply(f, g).mod_hbar() == pw_multiply(fc, gc)
     assert q_multiply(q_multiply(f, g), h) == q_multiply(f, q_multiply(g, h))
     assert q_multiply(f, g) != q_multiply(g, f)  # noncommutative at order 1
-    assert q_multiply(q_one(qctx, 1), f) == f
-    assert q_multiply(f, q_one(qctx, 1)) == f
+    assert q_multiply(pw_one(qctx, 1), f) == f
+    assert q_multiply(f, pw_one(qctx, 1)) == f
 
 
 def test_semiclassical_bracket_m1(qctx):
     pw = qctx.pw
     spec1 = BracketSpec(pw, 1, "product")
     cases = [
-        (q_matrix_coefficient(qctx, 1, {0: 1}, {1: 1}),
+        (matrix_coefficient(qctx, (1,), {0: 1}, {1: 1}),
          matrix_coefficient(pw, (1,), {0: F(1)}, {1: F(1)})),
-        (q_matrix_coefficient(qctx, 2, {1: F(1, 2)}, {0: 1}),
+        (matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1}),
          matrix_coefficient(pw, (2,), {1: F(1, 2)}, {0: F(1)})),
-        (q_hw_coefficient(qctx, 1, {1: 1}),
+        (hw_coefficient(qctx, (1,), {1: 1}),
          hw_coefficient(pw, (1,), {1: F(1)})),
     ]
     for qa, ca in cases:
@@ -212,19 +211,19 @@ def test_semiclassical_bracket_m1(qctx):
 
 
 def test_quantum_affine_product(qctx):
-    phi = q_hw_coefficient(qctx, 1, {0: 1})
-    psi = q_hw_coefficient(qctx, 1, {1: 1})
+    phi = hw_coefficient(qctx, (1,), {0: 1})
+    psi = hw_coefficient(qctx, (1,), {1: 1})
     # m = 1 reduces to the convolution product
     assert quantum_affine_multiply(phi, psi) == q_multiply(phi, psi)
-    F2, G2 = q_tensor([phi, psi]), q_tensor([psi, phi])
-    H2 = q_tensor([phi, phi])
+    F2, G2 = pw_tensor([phi, psi]), pw_tensor([psi, phi])
+    H2 = pw_tensor([phi, phi])
     prod = quantum_affine_multiply
     assert prod(prod(F2, G2), H2) == prod(F2, prod(G2, H2))
     assert prod(F2, G2).is_semi_invariant()
     # per-factor case split
-    one1 = q_hw_coefficient(qctx, 0, {0: 1})
-    fa, ga = q_tensor([phi, one1]), q_tensor([psi, one1])
-    fb, gb = q_tensor([one1, phi]), q_tensor([one1, psi])
+    one1 = hw_coefficient(qctx, (0,), {0: 1})
+    fa, ga = pw_tensor([phi, one1]), pw_tensor([psi, one1])
+    fb, gb = pw_tensor([one1, phi]), pw_tensor([one1, psi])
     for x, y in ((fa, gb), (gb, fa), (fb, ga), (ga, fb), (fa, ga), (fb, gb)):
         assert prod(x, y) == quantum_affine_multiply_pairwise(x, y)
 
@@ -232,19 +231,44 @@ def test_quantum_affine_product(qctx):
 def test_semiclassical_bracket_m2(qctx):
     pw = qctx.pw
     spec2m = BracketSpec(pw, 2, "mixed")
-    qg = [q_hw_coefficient(qctx, 1, {a: 1}) for a in range(2)]
+    qg = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
     cg = [hw_coefficient(pw, (1,), {a: F(1)}) for a in range(2)]
     for i in range(2):
         for j in range(2):
-            qF, qG = q_tensor([qg[i], qg[j]]), q_tensor([qg[j], qg[i]])
+            qF, qG = pw_tensor([qg[i], qg[j]]), pw_tensor([qg[j], qg[i]])
             cF, cG = pw_tensor([cg[i], cg[j]]), pw_tensor([cg[j], cg[i]])
             got = semiclassical_bracket(qF, qG, quantum_affine_multiply)
             assert got == classical_bracket(cF, cG, spec2m)
 
 
 def test_qfunction_serialization(qctx):
-    f = q_hw_coefficient(qctx, 2, {0: 1, 1: F(1, 3)})
+    f = hw_coefficient(qctx, (2,), {0: 1, 1: F(1, 3)})
     js = f.to_json()
     assert js["m"] == 1
     assert js["order"] == qctx.uq.order
     assert set(js["blocks"]) == {"2"}
+
+
+def test_mixed_arities_and_rings_are_rejected(qctx):
+    pw = qctx.pw
+    other = QAffineContext(UqContext(3))
+    q1, q2 = pw_one(qctx, 1), pw_one(qctx, 2)
+    c1 = pw_one(pw, 1)
+    for f, g in ((q1, q2), (q1, c1), (c1, q1), (q1, pw_one(other, 1))):
+        with pytest.raises(ValueError):
+            f + g
+        with pytest.raises(ValueError):
+            f - g
+        with pytest.raises(ValueError):
+            q_multiply(f, g)
+        with pytest.raises(ValueError):
+            pw_multiply(f, g)
+        with pytest.raises(ValueError):
+            quantum_affine_multiply(f, g)
+    with pytest.raises(ValueError):
+        quantum_affine_multiply_pairwise(q1, q2)
+    with pytest.raises(ValueError):
+        pw_tensor([q1, c1])
+    # same ring and arity from another context of the same order combine
+    assert q1 + pw_one(QAffineContext(qctx.uq), 1) == q1.scale(2)
+    assert c1 != pw_one(qctx, 1)
