@@ -7,7 +7,9 @@ included when explicitly requested, since they would break that
 guarantee).
 
 Exit codes: 0 = all checks pass (inconclusive results do not fail a
-run), 1 = at least one check failed, 2 = configuration error.
+run), 1 = at least one check failed, 2 = configuration error, 3 = at
+least one check raised an unexpected exception (recorded with status
+"error"; the report is still written).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-SCHEMA = "qaffine-report/2"
+SCHEMA = "qaffine-report/3"
+STATUSES = ("pass", "fail", "inconclusive", "error")
 
 _ENV_PREFIX = "QAFFINE_"
 _SUITES = ("classical", "quantum", "coiso")
@@ -95,7 +98,8 @@ class Report:
 
     def record(self, check_id: str, description: str, status: str,
                residual: str, witness=None, wall: float = 0.0):
-        assert status in ("pass", "fail", "inconclusive")
+        if status not in STATUSES:
+            raise ValueError("unknown check status %r" % (status,))
         self.checks.append({
             "id": check_id,
             "description": description,
@@ -109,6 +113,10 @@ class Report:
     def failed(self) -> bool:
         return any(c["status"] == "fail" for c in self.checks)
 
+    @property
+    def errored(self) -> bool:
+        return any(c["status"] == "error" for c in self.checks)
+
     def status_of(self, check_id: str) -> Optional[str]:
         for c in self.checks:
             if c["id"] == check_id:
@@ -121,13 +129,10 @@ class Report:
             "schema": SCHEMA,
             "config": self.config.to_json(),
             "checks": checks,
-            "summary": {
-                "total": len(checks),
-                "pass": sum(c["status"] == "pass" for c in checks),
-                "fail": sum(c["status"] == "fail" for c in checks),
-                "inconclusive": sum(
-                    c["status"] == "inconclusive" for c in checks),
-            },
+            "summary": dict(
+                total=len(checks),
+                **{st: sum(c["status"] == st for c in checks)
+                   for st in STATUSES}),
         }
         if self.config.timings:
             out["timings_ms"] = {
@@ -150,6 +155,9 @@ def _run_check(report: Report, check_id: str, description: str,
         status = "pass" if ok else "fail"
     except DimensionBoundError as e:  # resource bound, not a refutation
         status, residual, witness = "inconclusive", "bound exceeded", str(e)
+    except Exception as e:  # a fault of the engine, not of the identity
+        status, residual = "error", "exception raised"
+        witness = "%s: %s" % (type(e).__name__, e)
     report.record(check_id, description, status, residual, witness,
                   time.monotonic() - t0)
 
@@ -889,7 +897,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-            return 1 if report.failed else 0
+            return 3 if report.errored else 1 if report.failed else 0
         if args.hbar_order is None:
             args.hbar_order = _env_default("hbar-order", int, 3)
         if args.degree_bound is None:

@@ -5,12 +5,18 @@ fixed truncation order K.  No floating point anywhere.  Rationals are
 stdlib ``fractions.Fraction``; this module adds the truncated-series ring
 and the q-combinatorics (q-integers, q-factorials, q-binomials) built on
 q = exp(hbar*d/2).
+
+A series is stored as K Python-int numerators over one positive common
+denominator in lowest terms, in the manner of FLINT's fmpq_poly, so ring
+operations are integer arithmetic plus one gcd; the Fraction coefficients
+are made only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, List, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -28,13 +34,16 @@ def _fr(x: Rat) -> Fraction:
 
 
 class TruncatedSeries:
-    """Element of Q[[hbar]]/(hbar^K), stored as K exact coefficients.
+    """Element of Q[[hbar]]/(hbar^K): K integer numerators ``num`` over one
+    positive common denominator ``den``, in lowest terms (the zero series
+    is all zeros over 1), so equal series have equal fields.
 
     Immutable.  All arithmetic demands equal K on both operands; mixing
-    orders raises :class:`SeriesOrderError`.
+    orders raises :class:`SeriesOrderError`.  The rational coefficients
+    (``coeffs``, ``s[i]``, ``constant_term``) are computed on read.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Rat] = ()):
         if order < 1:
@@ -42,9 +51,13 @@ class TruncatedSeries:
         cs = [_fr(c) for c in coeffs]
         if len(cs) > order:
             raise ValueError("too many coefficients for order %d" % order)
-        cs.extend([Fraction(0)] * (order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # lcm of reduced denominators: the numerators share no factor with it
+        den = lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num.extend([0] * (order - len(cs)))
+        _set_order(self, order)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
@@ -67,41 +80,52 @@ class TruncatedSeries:
     def hbar(order: int, power: int = 1) -> "TruncatedSeries":
         if power >= order:
             return TruncatedSeries(order)
-        cs = [Fraction(0)] * power + [Fraction(1)]
-        return TruncatedSeries(order, cs)
+        return TruncatedSeries(order, [0] * power + [1])
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
+        return Fraction(self.num[i], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         """True iff nonzero, so `not s` is the zero test shared with
         Fraction coefficients."""
-        return any(self.coeffs)
+        return any(self.num)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient, or ``order`` if zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, n in enumerate(self.num):
+            if n:
                 return i
         return self.order
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.const(other, self.order)
+            # both sides in lowest terms with a positive denominator
+            num = self.num
+            return (num[0] == other.numerator and self.den == other.denominator
+                    and not any(num[1:]))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        num = self.num
+        if not any(num[1:]):  # a constant hashes as the rational it equals
+            return hash(num[0]) if self.den == 1 else hash(self.constant_term())
+        return hash((self.order, num, self.den))
 
     def __repr__(self):
         terms = []
@@ -117,6 +141,8 @@ class TruncatedSeries:
         return " + ".join(terms) if terms else "0"
 
     # -- ring operations ----------------------------------------------
+    # + and * test for a series first: isinstance against Fraction goes
+    # through the numbers ABCs and costs about as much as the operation.
 
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -125,17 +151,21 @@ class TruncatedSeries:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             other = TruncatedSeries.const(other, self.order)
         self._check(other)
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da == db:
+            return _reduced(self.order, [x + y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _reduced(self.order, [x * sa + y * sb for x, y in zip(a, b)],
+                        da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
+        return _new(self.order, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -146,37 +176,42 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _fr(other)
-            return TruncatedSeries(self.order, [a * c for a in self.coeffs])
-        self._check(other)
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
+            return _reduced(self.order, [a * other.numerator for a in self.num],
+                            self.den * other.denominator)
         K = self.order
-        out = [Fraction(0)] * K
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(K - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(K, out)
+        if other.order != K:
+            self._check(other)
+        b = other.num
+        out = [0] * K
+        for i, a in enumerate(self.num):
+            if a:
+                for j, y in enumerate(b[: K - i], i):
+                    out[j] += a * y
+        return _reduced(K, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        n = self.num
+        n0 = n[0]
+        if n0 == 0:
             raise SeriesDomainError("cannot invert a series with zero constant term")
         K = self.order
-        out = [Fraction(0)] * K
-        out[0] = Fraction(1) / c0
-        for n in range(1, K):
-            s = Fraction(0)
-            for i in range(1, n + 1):
-                s += self.coeffs[i] * out[n - i]
-            out[n] = -s / c0
-        return TruncatedSeries(K, out)
+        # (n/den)^-1 = den * sum_k m_k hbar^k / n0^(k+1), where m_0 = 1 and
+        # m_k = -sum_{i=1..k} n_i m_{k-i} n0^(i-1)
+        pw = [1] * K
+        for i in range(1, K):
+            pw[i] = pw[i - 1] * n0
+        m = [1] * K
+        for k in range(1, K):
+            m[k] = -sum(n[i] * m[k - i] * pw[i - 1] for i in range(1, k + 1))
+        den = pw[K - 1] * n0
+        num = [self.den * m[k] * pw[K - 1 - k] for k in range(K)]
+        if den < 0:
+            num, den = [-x for x in num], -den
+        return _reduced(K, num, den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,11 +223,13 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift power must be nonnegative")
         K = self.order
-        return TruncatedSeries(K, [Fraction(0)] * min(k, K) + list(self.coeffs[: K - k]))
+        if k >= K:
+            return TruncatedSeries(K)
+        return _reduced(K, [0] * k + list(self.num[: K - k]), self.den)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
+        if self.num[0]:
             raise SeriesDomainError("exp requires zero constant term")
         K = self.order
         result = TruncatedSeries.one(K)
@@ -203,6 +240,32 @@ class TruncatedSeries:
             fact *= n
             result = result + power * Fraction(1, fact)
         return result
+
+
+# Trusted construction: ring operations already hold integer numerators and
+# a positive denominator, so they set the slots directly and skip __init__.
+_set_order = TruncatedSeries.order.__set__
+_set_num = TruncatedSeries.num.__set__
+_set_den = TruncatedSeries.den.__set__
+
+
+def _new(order: int, num: Tuple[int, ...], den: int) -> TruncatedSeries:
+    """A series from numerators already in lowest terms over den > 0."""
+    s = object.__new__(TruncatedSeries)
+    _set_order(s, order)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _reduced(order: int, num: List[int], den: int) -> TruncatedSeries:
+    """A series from integer numerators over den > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _new(order, tuple(num), den)
 
 
 def q_exponent(d: Rat, order: int) -> TruncatedSeries:

@@ -41,6 +41,7 @@ from .liebialg import LieTensor, build_sl
 from .linalg import solve
 
 Mono = Tuple[int, int, int]  # exponents (a, b, c) of F^a H^b E^c
+UNIT: Mono = (0, 0, 0)
 
 
 class UqContext:
@@ -181,7 +182,7 @@ class UqElement:
 
 
 def uq_one(ctx: UqContext) -> UqElement:
-    return UqElement(ctx, {(0, 0, 0): 1})
+    return UqElement(ctx, {UNIT: 1})
 
 
 def uq_gen(ctx: UqContext, name: str) -> UqElement:
@@ -284,7 +285,7 @@ def uq_normalize(ctx: UqContext, word: Sequence, coeff=1) -> UqElement:
 
 
 def counit(x: UqElement) -> TruncatedSeries:
-    return x.data.get((0, 0, 0), x.ctx.zero_series())
+    return x.data.get(UNIT, x.ctx.zero_series())
 
 
 def antipode(x: UqElement) -> UqElement:
@@ -353,16 +354,28 @@ class UqTensor:
         else:
             self.data[key] = ns
 
+    def check_legs(self, other: "UqTensor"):
+        if self.legs != other.legs:
+            raise ValueError("cannot combine tensors with %d and %d legs"
+                             % (self.legs, other.legs))
+
     def __add__(self, other: "UqTensor") -> "UqTensor":
+        self.check_legs(other)
         out = self.copy()
         for k, s in other.data.items():
             out.add_term(k, s)
         return out
 
     def __sub__(self, other: "UqTensor") -> "UqTensor":
+        self.check_legs(other)
         out = self.copy()
         for k, s in other.data.items():
             out.add_term(k, -s)
+        return out
+
+    def __neg__(self) -> "UqTensor":
+        out = UqTensor(self.ctx, self.legs)
+        out.data = {k: -s for k, s in self.data.items()}
         return out
 
     def scale(self, s) -> "UqTensor":
@@ -374,25 +387,35 @@ class UqTensor:
         return out
 
     def __mul__(self, other: "UqTensor") -> "UqTensor":
-        """Componentwise product (x1(x)...)(y1(x)...) = x1y1 (x) ..."""
-        assert self.legs == other.legs
+        """Componentwise product (x1(x)...)(y1(x)...) = x1y1 (x) ...; a leg
+        where either monomial is the unit carries the other one unchanged,
+        with no series multiply, so embedded factors cost only their own
+        legs."""
+        self.check_legs(other)
         ctx = self.ctx
+        K = ctx.order
         out = UqTensor(ctx, self.legs)
+        # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
+        # v meets only the terms of other below K - v, in their own order
+        vals = [(k2, s2, s2.valuation()) for k2, s2 in other.data.items()]
+        below = [[(k2, s2) for k2, s2, v2 in vals if v2 < K - v]
+                 for v in range(K + 1)]
         for k1, s1 in self.data.items():
-            for k2, s2 in other.data.items():
+            for k2, s2 in below[s1.valuation()]:
                 s = s1 * s2
-                if s.is_zero():
-                    continue
-                factors = [mono_mul(ctx, m1, m2) for m1, m2 in zip(k1, k2)]
-                for combo in itertools.product(*[f.items() for f in factors]):
-                    key = tuple(m for m, _ in combo)
+                factors = [((m2, None),) if m1 == UNIT else
+                           ((m1, None),) if m2 == UNIT else
+                           mono_mul(ctx, m1, m2).items()
+                           for m1, m2 in zip(k1, k2)]
+                for combo in itertools.product(*factors):
                     cs = s
                     for _, c in combo:
-                        cs = cs * c
-                        if cs.is_zero():
-                            break
-                    if not cs.is_zero():
-                        out.add_term(key, cs)
+                        if c is not None:
+                            cs = cs * c
+                            if not cs:
+                                break
+                    if cs:
+                        out.add_term(tuple([m for m, _ in combo]), cs)
         return out
 
     def swap_legs(self, perm: Sequence[int]) -> "UqTensor":
@@ -405,10 +428,9 @@ class UqTensor:
 
     def embed(self, legs: int, positions: Sequence[int]) -> "UqTensor":
         """Place this tensor into a larger tensor power (identity elsewhere)."""
-        unit: Mono = (0, 0, 0)
         out = UqTensor(self.ctx, legs)
         for k, s in self.data.items():
-            key = [unit] * legs
+            key = [UNIT] * legs
             for m, p in zip(k, positions):
                 key[p] = m
             out.add_term(tuple(key), s)
@@ -425,7 +447,7 @@ class UqTensor:
 
 
 def tensor_one(ctx: UqContext, legs: int) -> UqTensor:
-    return UqTensor(ctx, legs, {((0, 0, 0),) * legs: 1})
+    return UqTensor(ctx, legs, {(UNIT,) * legs: 1})
 
 
 def tensor_of(elements: Sequence[UqElement]) -> UqTensor:
@@ -453,8 +475,7 @@ def tensor_inv(t: UqTensor) -> UqTensor:
     out = tensor_one(ctx, t.legs)
     power = tensor_one(ctx, t.legs)
     for _ in range(1, ctx.order):
-        power = power * n
-        power = power.scale(Fraction(-1))
+        power = -(power * n)
         out = out + power
         if power.is_zero():
             break
@@ -521,7 +542,7 @@ def counit_leg(t: UqTensor, j: int) -> UqTensor:
     ctx = t.ctx
     out = UqTensor(ctx, t.legs - 1)
     for k, s in t.data.items():
-        if k[j] == (0, 0, 0):
+        if k[j] == UNIT:
             out.add_term(k[:j] + k[j + 1 :], s)
     return out
 
@@ -619,7 +640,9 @@ def hexagon_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
 def hopf_power_delta(t: UqTensor, m: int) -> UqTensor:
     """Coproduct of H^(x)m applied to t (m legs): legwise coproduct followed
     by the shuffle into (H^(x)m) (x) (H^(x)m) leg order."""
-    assert t.legs == m
+    if t.legs != m:
+        raise ValueError("expected a tensor with %d legs, got %d"
+                         % (m, t.legs))
     ctx = t.ctx
     cur = t
     for j in range(m):
@@ -632,8 +655,10 @@ def hopf_power_delta(t: UqTensor, m: int) -> UqTensor:
 def block_embed(t: UqTensor, m: int, blocks: int, positions: Sequence[int]) -> UqTensor:
     """Embed t, viewed as a tensor over groups of m legs, into a larger
     power of H^(x)m (identity in the remaining blocks)."""
-    groups = t.legs // m
-    assert t.legs == groups * m and len(positions) == groups
+    groups, rest = divmod(t.legs, m)
+    if rest or len(positions) != groups:
+        raise ValueError("a %d-leg tensor is not %d blocks of %d legs"
+                         % (t.legs, len(positions), m))
     legpos = []
     for g in range(groups):
         legpos.extend(positions[g] * m + i for i in range(m))
@@ -767,7 +792,7 @@ def semiclassical_r(t: UqTensor, m: int):
                  (0, 0, 1): alg.raise_index(0)}
     out = LieTensor(alg_m, 2)
     for key, c in t.hbar_coefficient(1).items():
-        nontriv = [(j, mono) for j, mono in enumerate(key) if mono != (0, 0, 0)]
+        nontriv = [(j, mono) for j, mono in enumerate(key) if mono != UNIT]
         if len(nontriv) != 2:
             raise ValueError("hbar^1 term is not quadratic: %s" % (key,))
         (j1, m1), (j2, m2) = nontriv
@@ -919,6 +944,7 @@ class QAffineContext:
         self.pw = PWContext(self.alg, dim_bound)
         self._qirreps: Dict[int, QIrrep] = {}
         self._qcg: Dict[Tuple[int, int], CGEntry] = {}
+        self._slot: Dict[Tuple, List[Dict]] = {}
         self._R: Optional[UqTensor] = None
 
     @property
@@ -953,9 +979,15 @@ class QAffineContext:
     def slot_action(self, lam: Tuple[int], y: UqElement, side: str):
         """rho(S(y)) on V_hbar(lam) as the sparse columns of its transpose
         (side "left", the dual slot) or of itself (side "right", the
-        vector slot); see cgx.act_factor."""
-        mat = self.irrep(lam).act(antipode(y))
-        return sparse_columns(mat if side == "right" else list(zip(*mat)))
+        vector slot); see cgx.act_factor.  Memoized per weight, element
+        (for an R-term, one monomial) and side."""
+        key = (lam, tuple(y.data.items()), side)
+        lines = self._slot.get(key)
+        if lines is None:
+            mat = self.irrep(lam).act(antipode(y))
+            lines = self._slot[key] = sparse_columns(
+                mat if side == "right" else list(zip(*mat)))
+        return lines
 
     def _tensor_generator_mats(self, va: QIrrep, vb: QIrrep):
         """Matrices of E, F on V_hbar(n)(x)V_hbar(m) via the coproduct."""

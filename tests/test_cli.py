@@ -46,10 +46,40 @@ def test_report_shape_and_sorting():
     assert js["schema"].startswith("qaffine-report/")
     assert [c["id"] for c in js["checks"]] == ["a.first", "z.last"]
     assert js["summary"] == {"total": 2, "pass": 1, "fail": 1,
-                             "inconclusive": 0}
+                             "inconclusive": 0, "error": 0}
     assert "timings_ms" not in js
     assert rep.failed
     assert rep.status_of("a.first") == "fail"
+
+
+def test_unknown_status_is_rejected():
+    rep = Report(RunConfig(suites=("classical",)))
+    with pytest.raises(ValueError):
+        rep.record("a", "d", "passed", "0")
+    assert rep.checks == []
+
+
+def test_exception_in_a_check_is_recorded_as_error(monkeypatch, capsys):
+    import qaffine.liebialg
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(qaffine.liebialg, "cybe_residual", boom)
+    js = json.loads(run_suite(RunConfig(suites=("classical",))).dumps())
+    assert js["schema"] == "qaffine-report/3"
+    by_id = {c["id"]: c for c in js["checks"]}
+    assert by_id["classical.cybe"]["status"] == "error"
+    assert by_id["classical.cybe"]["witness"] == "RuntimeError: boom"
+    assert len(by_id) == 9  # the run went on past the failing check
+    assert js["summary"]["error"] == sum(
+        c["status"] == "error" for c in js["checks"]) >= 1
+    assert js["summary"]["total"] == sum(
+        js["summary"][st] for st in ("pass", "fail", "inconclusive", "error"))
+    # the report is still written, with its own exit code
+    assert main(["run", "--suite", "classical"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"] == js["checks"]
 
 
 def test_timings_are_opt_in():

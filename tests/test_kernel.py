@@ -1,6 +1,7 @@
 """Truncated power series over Q and the q-combinatorics built on them."""
 
 from fractions import Fraction
+from typing import Iterable, Union
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,193 @@ from qaffine.kernel import (
 )
 
 K = 3
+
+Rat = Union[int, Fraction]
+
+
+# -- the Fraction-tuple kernel, kept as the reference for TruncatedSeries ----
+
+
+def _fr(x: Rat) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class NaiveSeries:
+    """Element of Q[[hbar]]/(hbar^K), stored as K exact coefficients.
+
+    Immutable.  All arithmetic demands equal K on both operands; mixing
+    orders raises :class:`SeriesOrderError`.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: Iterable[Rat] = ()):
+        if order < 1:
+            raise ValueError("truncation order must be >= 1")
+        cs = [_fr(c) for c in coeffs]
+        if len(cs) > order:
+            raise ValueError("too many coefficients for order %d" % order)
+        cs.extend([Fraction(0)] * (order - len(cs)))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("NaiveSeries is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def const(c: Rat, order: int) -> "NaiveSeries":
+        return NaiveSeries(order, [c])
+
+    @staticmethod
+    def zero(order: int) -> "NaiveSeries":
+        return NaiveSeries(order)
+
+    @staticmethod
+    def one(order: int) -> "NaiveSeries":
+        return NaiveSeries(order, [1])
+
+    @staticmethod
+    def hbar(order: int, power: int = 1) -> "NaiveSeries":
+        if power >= order:
+            return NaiveSeries(order)
+        cs = [Fraction(0)] * power + [Fraction(1)]
+        return NaiveSeries(order, cs)
+
+    # -- queries ------------------------------------------------------
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.coeffs[i]
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self) -> bool:
+        """True iff nonzero, so `not s` is the zero test shared with
+        Fraction coefficients."""
+        return any(self.coeffs)
+
+    def constant_term(self) -> Fraction:
+        return self.coeffs[0]
+
+    def valuation(self) -> int:
+        """Index of the first nonzero coefficient, or ``order`` if zero."""
+        for i, c in enumerate(self.coeffs):
+            if c != 0:
+                return i
+        return self.order
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = NaiveSeries.const(other, self.order)
+        if not isinstance(other, NaiveSeries):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self):
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append("%s*h" % c)
+            else:
+                terms.append("%s*h^%d" % (c, i))
+        return " + ".join(terms) if terms else "0"
+
+    # -- ring operations ----------------------------------------------
+
+    def _check(self, other: "NaiveSeries"):
+        if self.order != other.order:
+            raise SeriesOrderError(
+                "mixed truncation orders %d and %d" % (self.order, other.order)
+            )
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = NaiveSeries.const(other, self.order)
+        self._check(other)
+        return NaiveSeries(
+            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return NaiveSeries(self.order, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = NaiveSeries.const(other, self.order)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _fr(other)
+            return NaiveSeries(self.order, [a * c for a in self.coeffs])
+        self._check(other)
+        K = self.order
+        out = [Fraction(0)] * K
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j in range(K - i):
+                b = other.coeffs[j]
+                if b != 0:
+                    out[i + j] += a * b
+        return NaiveSeries(K, out)
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "NaiveSeries":
+        """Multiplicative inverse; requires a nonzero constant term."""
+        c0 = self.coeffs[0]
+        if c0 == 0:
+            raise SeriesDomainError("cannot invert a series with zero constant term")
+        K = self.order
+        out = [Fraction(0)] * K
+        out[0] = Fraction(1) / c0
+        for n in range(1, K):
+            s = Fraction(0)
+            for i in range(1, n + 1):
+                s += self.coeffs[i] * out[n - i]
+            out[n] = -s / c0
+        return NaiveSeries(K, out)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / _fr(other))
+        return self * other.inv()
+
+    def shift(self, k: int) -> "NaiveSeries":
+        """Multiply by hbar^k (k >= 0), discarding overflow."""
+        if k < 0:
+            raise ValueError("shift power must be nonnegative")
+        K = self.order
+        return NaiveSeries(K, [Fraction(0)] * min(k, K) + list(self.coeffs[: K - k]))
+
+    def exp(self) -> "NaiveSeries":
+        """exp of a series with zero constant term."""
+        if self.coeffs[0] != 0:
+            raise SeriesDomainError("exp requires zero constant term")
+        K = self.order
+        result = NaiveSeries.one(K)
+        power = NaiveSeries.one(K)
+        fact = 1
+        for n in range(1, K):
+            power = power * self
+            fact *= n
+            result = result + power * Fraction(1, fact)
+        return result
 
 
 def hb(order=K, power=1):
@@ -141,3 +329,95 @@ def test_inverse_roundtrip(a):
 def test_exp_homomorphism(a, b):
     a, b = a.shift(1), b.shift(1)
     assert (a + b).exp() == a.exp() * b.exp()
+
+
+def test_shift_past_the_order_is_zero():
+    a = TruncatedSeries(K, [1, 2, 3])
+    for k in range(K, K + 3):
+        assert a.shift(k) == TruncatedSeries.zero(K)
+
+
+def test_representation_is_lowest_terms():
+    a = TruncatedSeries(4, [Fraction(1, 2), Fraction(1, 3), 0, Fraction(5, 6)])
+    assert (a.num, a.den) == ((3, 2, 0, 5), 6)
+    assert (a * 6).den == 1 and (a * 6).num == (3, 2, 0, 5)
+    z = a - a
+    assert (z.num, z.den) == ((0, 0, 0, 0), 1)
+    assert TruncatedSeries(2, [Fraction(-3, 4)]).coeffs == (Fraction(-3, 4), 0)
+
+
+def _outcome(fn):
+    """A result as (order, coeffs, repr), an error as its class."""
+    try:
+        r = fn()
+    except (SeriesOrderError, SeriesDomainError) as e:
+        return type(e)
+    if isinstance(r, (TruncatedSeries, NaiveSeries)):
+        return r.order, r.coeffs, repr(r)
+    return r
+
+
+small_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def series_pairs(draw):
+    """Coefficient lists and orders for two series: equal orders mostly, and
+    sometimes one more on the right so mixing orders is exercised."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    kb = k + draw(st.sampled_from([0, 0, 0, 1]))
+    ca = draw(st.lists(small_rationals, max_size=k))
+    cb = draw(st.lists(small_rationals, max_size=kb))
+    return k, ca, kb, cb
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs(), small_rationals, st.integers(min_value=-5, max_value=5),
+       st.integers(min_value=0, max_value=7))
+def test_kernel_matches_naive_reference(pair, c, n, k):
+    order, ca, kb, cb = pair
+    a, b = TruncatedSeries(order, ca), TruncatedSeries(kb, cb)
+    ra, rb = NaiveSeries(order, ca), NaiveSeries(kb, cb)
+    ops = [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+        lambda x, y: -x, lambda x, y: x.inv(), lambda x, y: x.exp(),
+        lambda x, y: x.shift(1).exp(),
+        lambda x, y: x * c, lambda x, y: c * x, lambda x, y: x * n,
+        lambda x, y: n * x, lambda x, y: x + c, lambda x, y: n + x,
+        lambda x, y: x - n, lambda x, y: c - x,
+        lambda x, y: x.valuation(), lambda x, y: x == y, lambda x, y: x == c,
+        lambda x, y: x == n, lambda x, y: x.is_zero(), lambda x, y: bool(x),
+        lambda x, y: x.constant_term(), lambda x, y: [x[i] for i in range(order)],
+    ]
+    if k <= order:  # the reference rejects shifts past the order
+        ops.append(lambda x, y: x.shift(k))
+    for op in ops:
+        assert _outcome(lambda: op(a, b)) == _outcome(lambda: op(ra, rb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rationals, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6), st.lists(small_rationals, max_size=6),
+       st.integers(min_value=-3, max_value=3))
+def test_equal_values_hash_equally(c, k1, k2, cs, n):
+    """a == b implies hash(a) == hash(b) across series, ints and Fractions."""
+    values = [c, n, Fraction(n), TruncatedSeries.const(c, k1),
+              TruncatedSeries.const(c, k2), TruncatedSeries.const(n, k1),
+              TruncatedSeries(k1, cs[:k1]), TruncatedSeries(k2, cs[:k2]),
+              TruncatedSeries(k1, [c] + cs[1:k1]) - TruncatedSeries(k1, cs[1:k1]).shift(1)]
+    if c.denominator == 1:
+        values.append(int(c))
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+
+
+def test_constant_series_hash_as_their_constant():
+    assert 1 in {TruncatedSeries.one(3)}
+    assert TruncatedSeries.const(Fraction(1, 2), 4) in {Fraction(1, 2)}
+    assert {TruncatedSeries.zero(2): "z"}[0] == "z"

@@ -1,16 +1,23 @@
 """The truncated quantum group, its R-matrix, iterated twists, and the
 quantized function algebras with their semiclassical limits."""
 
+import itertools
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qaffine.kernel import TruncatedSeries, q_int
 from qaffine.que import (
     QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
-    almost_cocommutativity_residuals, antipode, coproduct, counit,
-    counit_leg, delta_leg, hexagon_residuals, q_integer, q_multiply,
+    almost_cocommutativity_residuals, antipode, block_embed, coproduct,
+    counit, counit_leg, delta_leg, hexagon_residuals, hopf_power_delta,
+    mono_mul, q_integer, q_multiply,
     quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
     r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
     tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
@@ -19,7 +26,7 @@ from qaffine.que import (
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
     BracketSpec, classical_bracket, hw_coefficient, matrix_coefficient,
-    pw_multiply, pw_one, pw_tensor,
+    pw_multiply, pw_one, pw_tensor, sparse_columns,
 )
 
 F = Fraction
@@ -272,3 +279,127 @@ def test_mixed_arities_and_rings_are_rejected(qctx):
     # same ring and arity from another context of the same order combine
     assert q1 + pw_one(QAffineContext(qctx.uq), 1) == q1.scale(2)
     assert c1 != pw_one(qctx, 1)
+
+
+# -- the all-legs tensor product, kept as the reference for UqTensor.__mul__ --
+
+
+def naive_tensor_mul(t1: UqTensor, t2: UqTensor) -> UqTensor:
+    """Componentwise product through mono_mul on every leg, unit or not."""
+    assert t1.legs == t2.legs
+    ctx = t1.ctx
+    out = UqTensor(ctx, t1.legs)
+    for k1, s1 in t1.data.items():
+        for k2, s2 in t2.data.items():
+            s = s1 * s2
+            if s.is_zero():
+                continue
+            factors = [mono_mul(ctx, m1, m2) for m1, m2 in zip(k1, k2)]
+            for combo in itertools.product(*[f.items() for f in factors]):
+                key = tuple(m for m, _ in combo)
+                cs = s
+                for _, c in combo:
+                    cs = cs * c
+                    if cs.is_zero():
+                        break
+                if not cs.is_zero():
+                    out.add_term(key, cs)
+    return out
+
+
+def naive_tensor_inv(t: UqTensor) -> UqTensor:
+    one = tensor_one(t.ctx, t.legs)
+    n = t - one
+    out = tensor_one(t.ctx, t.legs)
+    power = tensor_one(t.ctx, t.legs)
+    for _ in range(1, t.ctx.order):
+        power = naive_tensor_mul(power, n).scale(Fraction(-1))
+        out = out + power
+    return out
+
+
+def same_tensor(a: UqTensor, b: UqTensor) -> bool:
+    """Equal, with the terms in the same order (reports serialize it)."""
+    return a == b and list(a.data) == list(b.data)
+
+
+def _random_tensor(ctx, rng, legs):
+    monos = [(0, 0, 0)] * 3 + [(a, b, c) for a in range(2) for b in range(2)
+                               for c in range(2)]
+    data = {}
+    for _ in range(rng.randint(1, 6)):
+        key = tuple(rng.choice(monos) for _ in range(legs))
+        data[key] = TruncatedSeries(ctx.order, [
+            F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ctx.order)])
+    return UqTensor(ctx, legs, data)
+
+
+def test_unit_leg_product_matches_all_legs_reference(ctx):
+    R = r_matrix_sl2(ctx)
+    assert same_tensor(R * R, naive_tensor_mul(R, R))
+    for m in (2, 3):
+        # the embedded factors of twi_m, multiplied in its order
+        acc = tensor_one(ctx, 2 * m)
+        for k in range(2, m + 1):
+            for l in range(k - 1, 0, -1):
+                f = R.embed(2 * m, (k - 1, m + l - 1))
+                got = acc * f
+                assert same_tensor(got, naive_tensor_mul(acc, f))
+                acc = got
+        assert acc == twi_m(R, m)
+    J = twi_m(R, 2)
+    assert same_tensor(tensor_inv(J), naive_tensor_inv(J))
+    rng = random.Random(11)
+    for _ in range(40):
+        legs = rng.randint(1, 4)
+        a, b = _random_tensor(ctx, rng, legs), _random_tensor(ctx, rng, legs)
+        assert same_tensor(a * b, naive_tensor_mul(a, b))
+
+
+def test_memoized_slot_action_matches_fresh(qctx):
+    uq = qctx.uq
+    ys = [UqElement(uq, {m1: 1}) for m1, _ in qctx.R.data]
+    ys += [UqElement(uq, {m2: 1}) for _, m2 in qctx.R.data]
+    ys += [uq_gen(uq, "E") + uq_gen(uq, "F").scale(F(1, 2)), uq_one(uq)]
+    for n in range(4):
+        for y in ys:
+            for side in ("left", "right"):
+                got = qctx.slot_action((n,), y, side)
+                assert qctx.slot_action((n,), y, side) is got
+                mat = qctx.irrep((n,)).act(antipode(y))
+                fresh = sparse_columns(
+                    mat if side == "right" else list(zip(*mat)))
+                assert got == fresh
+
+
+def test_leg_counts_must_match(ctx):
+    t2, t3 = tensor_one(ctx, 2), tensor_one(ctx, 3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(t2, t3)
+        with pytest.raises(ValueError):
+            op(t3, t2)
+    with pytest.raises(ValueError):
+        hopf_power_delta(t3, 2)
+    with pytest.raises(ValueError):
+        block_embed(t3, 2, 3, (0, 1))
+    with pytest.raises(ValueError):
+        block_embed(tensor_one(ctx, 4), 2, 3, (0,))
+
+
+def test_leg_counts_are_checked_under_optimization():
+    """The checks are not asserts: they hold under `python -O` too."""
+    code = (
+        "from qaffine.que import UqContext, tensor_one\n"
+        "ctx = UqContext(2)\n"
+        "for op in ('__add__', '__sub__', '__mul__'):\n"
+        "    try:\n"
+        "        getattr(tensor_one(ctx, 2), op)(tensor_one(ctx, 3))\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('%s accepted 2 and 3 legs' % op)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
