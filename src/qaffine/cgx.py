@@ -13,8 +13,13 @@ brackets, and the oracles the bracket checks are compared against.
 Irreps are built recursively: V(lam) is generated inside
 V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
 weight-lam space is the highest weight line.  Tensor products act through
-sparse columns (one nonzero dict per basis vector), both there and when
-V(lam) (x) V(mu) is split by word transport.
+sparse columns (one nonzero dict per basis vector).
+
+One routine, cg_split, splits V(lam) (x) V(mu) over either ring: it
+transports each highest weight vector along the lowering words of V(nu)
+and inverts the injection one weight block at a time.  The contexts only
+find the highest weight vectors: PWContext by a nullspace,
+que.QAffineContext by lifting the classical ones order by order in hbar.
 
 Conventions (pinned by the test suite):
   * dual action (x.xi)(v) = -xi(x.v), i.e. xi(S(x)v) with S(x) = -x,
@@ -134,12 +139,15 @@ def sparse_columns(mat) -> List[Dict]:
 
 
 def _apply(cols: List[SparseVec], v: SparseVec) -> SparseVec:
-    """Matrix (given by its sparse columns) times sparse vector."""
+    """Matrix (given by its sparse columns) times sparse vector, over Q or
+    Q[[hbar]]/(hbar^K)."""
     out: SparseVec = {}
     for j, x in v.items():
         for r, c in cols[j].items():
-            out[r] = out.get(r, 0) + c * x
-    return {r: c for r, c in out.items() if c != 0}
+            p = c * x
+            cur = out.get(r)
+            out[r] = p if cur is None else cur + p
+    return {r: c for r, c in out.items() if c}
 
 
 class Irrep(Rep):
@@ -187,6 +195,51 @@ class CGEntry:
         raise KeyError(nu)
 
 
+def cg_split(ctx, lam: Weight, mu: Weight, weights: List,
+             lowering: List[List[SparseVec]],
+             hw_list: List[Tuple[Weight, SparseVec]]) -> CGEntry:
+    """Split V(lam) (x) V(mu) over the ring of ctx, given the weights of
+    its basis, the sparse columns of its lowering operators (one per
+    simple root) and its highest weight vectors (nu, vector).  Each vector
+    is transported along ctx.irrep(nu).words into the injection of
+    V(nu).  The injection maps weight spaces to weight spaces, so its
+    inverse, whose rows are the projections, is computed one weight block
+    at a time."""
+    dim = len(weights)
+    zero, one = ctx.coerce(0), ctx.coerce(1)
+    rows_of: Dict = {}  # weight -> basis indices of V(lam) (x) V(mu)
+    for r, w in enumerate(weights):
+        rows_of.setdefault(w, []).append(r)
+    cols_of: Dict = {}  # weight -> (summand, position) of injection columns
+    transported = []
+    for n, (nu, hw) in enumerate(hw_list):
+        ref = ctx.irrep(nu)
+        vecs = [hw]
+        for parent, i in ref.words[1:]:
+            vecs.append(_apply(lowering[i], vecs[parent]))
+        for s, w in enumerate(ref.weights):
+            cols_of.setdefault(w, []).append((n, s))
+        transported.append(vecs)
+    if sum(map(len, transported)) != dim or any(
+            len(rows_of.get(w, ())) != len(c) for w, c in cols_of.items()):
+        raise ValueError("incomplete decomposition of %s (x) %s" % (lam, mu))
+    projs = [[None] * len(vecs) for vecs in transported]
+    for w, cols in cols_of.items():
+        rows = rows_of[w]
+        block = [[transported[n][s].get(r, zero) for n, s in cols]
+                 for r in rows]
+        for (n, s), line in zip(cols, mat_inv(block, one, ctx.is_unit)):
+            full = [zero] * dim
+            for r, x in zip(rows, line):
+                full[r] = x
+            projs[n][s] = full
+    summands = []
+    for (nu, _), vecs, proj in zip(hw_list, transported, projs):
+        inj = [[v.get(r, zero) for v in vecs] for r in range(dim)]
+        summands.append((nu, inj, proj))
+    return CGEntry(tuple(lam), tuple(mu), summands)
+
+
 class PWContext:
     """Memo cache of irreps and Clebsch-Gordan tables for one algebra; the
     context of block functions with rational coefficients."""
@@ -203,6 +256,9 @@ class PWContext:
 
     def coerce(self, c) -> Fraction:
         return Fraction(c)
+
+    def is_unit(self, c: Fraction) -> bool:
+        return c != 0
 
     def coeff_json(self, c: Fraction) -> str:
         return str(c)
@@ -301,9 +357,10 @@ class PWContext:
         return self._cg[key]
 
     def _decompose(self, lam: Weight, mu: Weight) -> CGEntry:
+        """The highest weight vectors of V(lam) (x) V(mu), as kernels of
+        the raising operators per weight, split by cg_split."""
         alg = self.alg
         weights, cols = _sparse_tensor(self.irrep(lam), self.irrep(mu))
-        dim = len(weights)
         zero = Fraction(0)
         # highest weight vectors, grouped by weight
         by_weight: Dict[Weight, List[int]] = {}
@@ -331,29 +388,8 @@ class PWContext:
                 lead = next(c for c in kv if c != 0)
                 hw_list.append(
                     (w, {i: c / lead for i, c in zip(idxs, kv) if c != 0}))
-        # build injections by word transport
-        inj_cols: List[SparseVec] = []
-        summand_data = []
-        for w, vec in hw_list:
-            ref = self.irrep(w)
-            vecs = [vec]
-            for j in range(1, ref.dim):
-                parent, i = ref.words[j]
-                vecs.append(_apply(cols[alg.lower_index(i)], vecs[parent]))
-            summand_data.append((w, vecs))
-            inj_cols.extend(vecs)
-        if len(inj_cols) != dim:
-            raise ValueError("incomplete decomposition of %s (x) %s" % (lam, mu))
-        big_inv = mat_inv([[v.get(r, zero) for v in inj_cols] for r in range(dim)])
-        summands = []
-        offset = 0
-        for w, vecs in summand_data:
-            d = len(vecs)
-            inj = [[v.get(r, zero) for v in vecs] for r in range(dim)]
-            proj = [big_inv[offset + s] for s in range(d)]
-            summands.append((w, inj, proj))
-            offset += d
-        return CGEntry(tuple(lam), tuple(mu), summands)
+        lowering = [cols[alg.lower_index(i)] for i in range(alg.rank)]
+        return cg_split(self, lam, mu, weights, lowering, hw_list)
 
 
 # -- block functions --------------------------------------------------------

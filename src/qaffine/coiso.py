@@ -50,34 +50,33 @@ Word = Tuple[int, ...]  # word in generator indices
 # -- vectorization over Q ----------------------------------------------------
 
 
-def uq_vec(x: UqElement) -> Dict:
-    """Flatten an element to a sparse Q-vector keyed by (monomial, hbar
-    power)."""
+def _series_vec(terms) -> Dict:
+    """Flatten (key prefix, series) pairs to a sparse Q-vector keyed by
+    prefix + (hbar power,), making a Fraction only for nonzero numerators."""
     out = {}
-    for m, s in x.data.items():
-        for k, c in enumerate(s.coeffs):
-            if c != 0:
-                out[(m, k)] = c
+    for head, s in terms:
+        den = s.den
+        for k, n in enumerate(s.num):
+            if n:
+                out[head + (k,)] = Fraction(n, den)
     return out
+
+
+def uq_vec(x: UqElement) -> Dict:
+    """An element as a sparse Q-vector keyed by (monomial, hbar power)."""
+    return _series_vec(((m,), s) for m, s in x.data.items())
 
 
 def tensor_vec(t: UqTensor) -> Dict:
-    out = {}
-    for key, s in t.data.items():
-        for k, c in enumerate(s.coeffs):
-            if c != 0:
-                out[(key, k)] = c
-    return out
+    """A tensor as a sparse Q-vector keyed by (key, hbar power)."""
+    return _series_vec(((key,), s) for key, s in t.data.items())
 
 
 def qfun_vec(f: BlockFunction) -> Dict:
-    out = {}
-    for key, blk in f.blocks.items():
-        for idx, s in blk.items():
-            for k, c in enumerate(s.coeffs):
-                if c != 0:
-                    out[(key, idx, k)] = c
-    return out
+    """A block function as a sparse Q-vector keyed by (weights, index,
+    hbar power)."""
+    return _series_vec(((key, idx), s) for key, blk in f.blocks.items()
+                       for idx, s in blk.items())
 
 
 def _hbar(ctx: UqContext, k: int) -> TruncatedSeries:
@@ -92,31 +91,6 @@ def _h_monomials(bound: int) -> List[Tuple[int, int, int]]:
                 out.append((a, b, c))
     out.sort()
     return out
-
-
-class _RevKey:
-    """Wrapper reversing the total order of a key; used to recompute
-    echelon complements with a permuted pivot order."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
-
-    def __eq__(self, other):
-        return isinstance(other, _RevKey) and other.k == self.k
-
-    def __hash__(self):
-        return hash(("rev", self.k))
-
-
-def _wrap_vec(vec: Dict, key_order: str) -> Dict:
-    if key_order == "lex":
-        return vec
-    return {_RevKey(k): c for k, c in vec.items()}
 
 
 # -- Hopf subalgebra windows -------------------------------------------------
@@ -260,7 +234,8 @@ class CoisoReport:
 
     def __init__(self, status: str, window: Dict, witness=None,
                  details: Optional[Dict] = None):
-        assert status in ("true", "false", "inconclusive", "skipped")
+        if status not in ("true", "false", "inconclusive", "skipped"):
+            raise ValueError("unknown status %r" % (status,))
         self.status = status
         self.window = window
         self.witness = witness
@@ -282,27 +257,26 @@ class CoisoReport:
 
 
 def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
-                 side: str, track: bool = False, key_order: str = "lex"):
+                 side: str, track: bool = False, pivot=min):
     """Echelon span of U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H
-    (left) inside the given window, with hbar-shifted copies.  When
-    tracking, returns tags aligned with every insertion."""
+    (left) inside the given window, with hbar-shifted copies, pivoting on
+    pivot(keys).  When tracking, returns tags aligned with every
+    insertion."""
     ctx = Uext.ctx
-    span = EchelonSpan(track=track)
+    span = EchelonSpan(track=track, pivot=pivot)
     tags: List[Tuple] = []
     for i, u in enumerate(Uext.basis):
         for j, v in enumerate(Uext.basis):
             base = tensor_of([u, v])
             for k in range(ctx.order):
-                span.add(_wrap_vec(tensor_vec(base.scale(_hbar(ctx, k))),
-                                   key_order))
+                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
                 tags.append(("uu", i, j, k))
     for hm in _h_monomials(h_bound):
         x = UqElement(ctx, {hm: 1})
         for ci, c in enumerate(ideal.elements):
             base = tensor_of([x, c]) if side == "right" else tensor_of([c, x])
             for k in range(ctx.order):
-                span.add(_wrap_vec(tensor_vec(base.scale(_hbar(ctx, k))),
-                                   key_order))
+                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
                 tags.append(("ideal", hm, ci, k))
     return span, tags
 
@@ -355,7 +329,8 @@ def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right",
     of a degree-d word has legs of degree up to d plus the truncation
     order), so a ``true`` answer is exact within the window.
     """
-    assert side in ("right", "left")
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left', got %r" % (side,))
     ctx = U.ctx
     if span_bound is None:
         span_bound = U.degree_bound + ctx.order - 1
@@ -488,7 +463,9 @@ class Character:
     values on the generators and validated on the cached basis."""
 
     def __init__(self, U: HopfSubalgebra, values: Sequence):
-        assert len(values) == len(U.generators)
+        if len(values) != len(U.generators):
+            raise ValueError("%d values for %d generators"
+                             % (len(values), len(U.generators)))
         self.U = U
         order = U.ctx.order
         self.values = [
@@ -582,19 +559,16 @@ class ReducedCoproduct:
         if h_bound is None:
             h_bound = span_bound
         self.U = U
-        self.key_order = key_order
         self.Uext = U.extend(span_bound)
         self.ideal = ideal_commutator(self.Uext, span_bound)
         self.span, self.tags = _window_span(
             self.Uext, self.ideal, h_bound, "right", track=True,
-            key_order=key_order,
+            pivot=min if key_order == "lex" else max,
         )
 
     def pair_value(self, phi: Character, psi: Character,
                    x: UqElement) -> Optional[TruncatedSeries]:
-        combo = self.span.coefficients(
-            _wrap_vec(tensor_vec(coproduct(x)), self.key_order)
-        )
+        combo = self.span.coefficients(tensor_vec(coproduct(x)))
         if combo is None:
             return None
         ctx = self.U.ctx
@@ -669,7 +643,9 @@ def q_evaluate(f: BlockFunction, *us: UqElement) -> TruncatedSeries:
     antipode-twisted dual action, the pairing under which the product of
     the function algebra is the convolution."""
     qctx = f.ctx
-    assert len(us) == f.m
+    if len(us) != f.m:
+        raise ValueError("%d elements for a function on %d factors"
+                         % (len(us), f.m))
     out = qctx.uq.zero_series()
     mats = {}
     for key, blk in f.blocks.items():
@@ -719,7 +695,8 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
     generators of U, which suffices: the right action is multiplicative
     and the character values extend multiplicatively."""
     chis = [chi] * m if isinstance(chi, Character) else list(chi)
-    assert len(chis) == m
+    if len(chis) != m:
+        raise ValueError("%d characters for %d factors" % (len(chis), m))
     ctx = qctx.uq
     basis = _qf_window_basis(qctx, m, weight_bound)
     unknowns: List[Tuple[int, int]] = [
@@ -818,11 +795,16 @@ def semi_invariant_product_check(monoid: CharacterMonoid,
 # -- quantum sections ---------------------------------------------------------
 
 
+def _check_one_factor(d: BlockFunction):
+    if d.m != 1:
+        raise ValueError("expected a function on one factor, got m=%d" % d.m)
+
+
 def restriction_character(d: BlockFunction, U: HopfSubalgebra) -> Character:
     """p(d): the restriction of the evaluation functional of d to U,
     recorded by its values on the generators.  A character precisely
     when d is a prequantum section."""
-    assert d.m == 1
+    _check_one_factor(d)
     return Character(U, [q_evaluate(d, g) for g in U.generators])
 
 
@@ -884,7 +866,7 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
     must coincide with the semi-invariants of the monoid power p(d)^n,
     and products of sections must land in the correct degree."""
     qctx = d.ctx
-    assert d.m == 1
+    _check_one_factor(d)
     details: Dict = {}
     left = strong_coiso_hopf(U, side="left")
     pre = prequantum_check(d, U)

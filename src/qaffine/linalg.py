@@ -2,8 +2,9 @@
 
 Vectors are dicts mapping hashable, totally ordered coordinate keys to
 nonzero Fractions.  Echelon spans keep a reduced row echelon basis with a
-deterministic pivot order (sorted keys), so subspace equality and
-membership are canonical.
+deterministic pivot order (the smallest key, or the largest one), so
+subspace equality and membership are canonical.  mat_inv also inverts
+over Q[[hbar]]/(hbar^K).
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ def vec_scale(a: Vec, c: Fraction) -> Vec:
 
 class EchelonSpan:
     """Reduced echelon span of sparse vectors with optional coefficient
-    tracking against the originally inserted generators."""
+    tracking against the originally inserted generators.  The pivot of a
+    row is its pivot(...) key: min (the default) or max, which gives the
+    echelon complement of the reversed key order."""
 
-    def __init__(self, track: bool = False):
+    def __init__(self, track: bool = False, pivot=min):
         self.rows: Dict[Hashable, Vec] = {}  # pivot key -> row (pivot coeff 1)
         self.track = track
+        self.pivot = pivot
         self.history: Dict[Hashable, Vec] = {}  # pivot -> combo of gen index
         self._ngens = 0
 
@@ -50,10 +54,11 @@ class EchelonSpan:
         return res
 
     def _reduce_tracked(self, v: Vec) -> Tuple[Vec, Vec]:
+        pivot = self.pivot
         v = dict(v)
         combo: Vec = {}
         while v:
-            k = min(v)
+            k = pivot(v)
             row = self.rows.get(k)
             if row is None:
                 break
@@ -66,7 +71,7 @@ class EchelonSpan:
         # keys below the smallest remaining pivot are settled; sweep the rest
         out: Vec = {}
         while v:
-            k = min(v)
+            k = pivot(v)
             row = self.rows.get(k)
             if row is None:
                 out[k] = v.pop(k)
@@ -87,7 +92,7 @@ class EchelonSpan:
         res, combo = self._reduce_tracked(v)
         if not res:
             return False
-        p = min(res)
+        p = self.pivot(res)
         c = res[p]
         row = vec_scale(res, Fraction(1) / c)
         if self.track:
@@ -118,7 +123,8 @@ class EchelonSpan:
         return combo
 
     def basis(self) -> List[Vec]:
-        return [self.rows[p] for p in sorted(self.rows)]
+        return [self.rows[p] for p in sorted(self.rows,
+                                             reverse=self.pivot is max)]
 
     def equals(self, other: "EchelonSpan") -> bool:
         if set(self.rows) != set(other.rows):
@@ -159,19 +165,26 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ValueError if singular."""
+def mat_inv(a: Matrix, one=Fraction(1), is_unit=bool) -> Matrix:
+    """Inverse by Gauss-Jordan; raises ValueError if singular.
+
+    Over Q by default.  Over Q[[hbar]]/(hbar^K) pass the unit series as
+    one and a test for a nonzero constant term as is_unit: a matrix over
+    that local ring is invertible iff it is invertible mod hbar, and its
+    pivots must be units."""
     n = len(a)
-    aug = [list(row) + list(e) for row, e in zip(a, mat_identity(n))]
+    zero = one - one
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(a)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if is_unit(aug[r][col])), None)
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        pc = aug[col][col]
-        aug[col] = [x / pc for x in aug[col]]
+        inv = one / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col and aug[r][col]:
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]

@@ -20,10 +20,11 @@ is lost at the top order.
 
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
-V_hbar(n) and whose Clebsch-Gordan entries lift the classical ones order
-by order in hbar.  q_multiply (the convolution product) and
-quantum_affine_multiply (twisted by Twi^m(R~)) both end in the one
-contraction cgx.cg_contract.
+V_hbar(n).  Its Clebsch-Gordan entries lift the classical highest weight
+vectors order by order in hbar and split through cgx.cg_split, with the
+coproducts of E and F as sparse series columns.  q_multiply (the
+convolution product) and quantum_affine_multiply (twisted by Twi^m(R~))
+both end in the one contraction cgx.cg_contract.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
-    BlockFunction, CGEntry, PWContext, block_pairs, cg_contract, pw_tensor,
-    sparse_columns,
+    BlockFunction, CGEntry, PWContext, block_pairs, cg_contract, cg_split,
+    pw_tensor, sparse_columns,
 )
 from .kernel import TruncatedSeries
 from .liebialg import LieTensor, build_sl
@@ -832,42 +833,6 @@ def _smat_mul(a, b):
     return out
 
 
-def _smat_vec(a, v):
-    out = []
-    for row in a:
-        s = None
-        for c, x in zip(row, v):
-            if c.is_zero() or x.is_zero():
-                continue
-            p = c * x
-            s = p if s is None else s + p
-        out.append(s if s is not None else row[0] - row[0])
-    return out
-
-
-def _smat_inv(a, ctx: UqContext):
-    """Gauss-Jordan over the series ring; pivots need unit constant term."""
-    n = len(a)
-    one = ctx.one_series()
-    zero = ctx.zero_series()
-    aug = [[a[i][j] for j in range(n)] +
-           [one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if aug[r][col].constant_term() != 0), None
-        )
-        if piv is None:
-            raise ValueError("matrix not invertible over the series ring")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class QIrrep:
     """V_hbar(n) for sl2: basis w_0..w_n with
     F w_k = w_{k+1},  H w_k = (n-2k) w_k,  E w_k = [k]_q [n-k+1]_q w_{k-1}.
@@ -880,7 +845,8 @@ class QIrrep:
         self.n = n
         self.dim = n + 1
         self.weights = [n - 2 * k for k in range(n + 1)]
-        zero = ctx.zero_series()
+        # w_k = F^k w_0, as in the lowering words of cgx.Irrep
+        self.words = [None] + [(k - 1, 0) for k in range(1, n + 1)]
         one = ctx.one_series()
         d = self.dim
         self.matF = _smat_zero(ctx, d, d)
@@ -893,14 +859,6 @@ class QIrrep:
                 self.matE[k - 1][k] = q_integer(ctx, k) * q_integer(ctx, n - k + 1)
             self.matH[k][k] = TruncatedSeries.const(n - 2 * k, ctx.order)
         self._mono_mat: Dict[Mono, List] = {}
-
-    def cartan_diag(self, coeff: Fraction):
-        """exp(hbar*coeff*H) as a diagonal matrix."""
-        ctx = self.ctx
-        out = _smat_zero(ctx, self.dim, self.dim)
-        for k, w in enumerate(self.weights):
-            out[k][k] = (TruncatedSeries.hbar(ctx.order) * (coeff * w)).exp()
-        return out
 
     def act_mono(self, m: Mono):
         if m not in self._mono_mat:
@@ -970,6 +928,9 @@ class QAffineContext:
             return c
         return TruncatedSeries.const(c, self.uq.order)
 
+    def is_unit(self, s: TruncatedSeries) -> bool:
+        return s.num[0] != 0
+
     def coeff_json(self, s: TruncatedSeries) -> List[str]:
         return [str(c) for c in s.coeffs]
 
@@ -989,54 +950,45 @@ class QAffineContext:
                 mat if side == "right" else list(zip(*mat)))
         return lines
 
-    def _tensor_generator_mats(self, va: QIrrep, vb: QIrrep):
-        """Matrices of E, F on V_hbar(n)(x)V_hbar(m) via the coproduct."""
-        ctx = self.uq
-        da, db = va.dim, vb.dim
-        kp_a, km_a = va.cartan_diag(Fraction(1, 4)), va.cartan_diag(Fraction(-1, 4))
-        kp_b, km_b = vb.cartan_diag(Fraction(1, 4)), vb.cartan_diag(Fraction(-1, 4))
-
-        def kron(A, B):
-            out = _smat_zero(ctx, da * db, da * db)
-            for i in range(da):
-                for j in range(da):
-                    if A[i][j].is_zero():
-                        continue
-                    for s in range(db):
-                        for t in range(db):
-                            if not B[s][t].is_zero():
-                                out[i * db + s][j * db + t] = A[i][j] * B[s][t]
-            return out
-
-        def madd(A, B):
-            return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-        matE = madd(kron(va.matE, km_b), kron(kp_a, vb.matE))
-        matF = madd(kron(va.matF, km_b), kron(kp_a, vb.matF))
-        return matE, matF
+    def _tensor_generators(self, va: QIrrep, vb: QIrrep):
+        """Weights of V_hbar(n) (x) V_hbar(m) and the sparse columns of
+        Delta(E) = E(x)K^-1 + K(x)E and Delta(F) = F(x)K^-1 + K(x)F on it,
+        where K = exp(hbar H/4) scales a weight-w vector by exp(hbar w/4)."""
+        hbar = TruncatedSeries.hbar(self.uq.order)
+        kp = [(hbar * Fraction(w, 4)).exp() for w in va.weights]
+        km = [(hbar * Fraction(-w, 4)).exp() for w in vb.weights]
+        db = vb.dim
+        gens = []
+        for xa, xb in ((va.matE, vb.matE), (va.matF, vb.matF)):
+            ca, cb = sparse_columns(xa), sparse_columns(xb)
+            cols = []
+            for i in range(va.dim):
+                for t in range(db):
+                    # E and F move every index, so the two parts never meet
+                    col = {r * db + t: c * km[t] for r, c in ca[i].items()}
+                    col.update((i * db + s, kp[i] * c) for s, c in cb[t].items())
+                    cols.append(col)
+            gens.append(cols)
+        weights = [wa + wb for wa in va.weights for wb in vb.weights]
+        return weights, gens
 
     def _build_qcg(self, n: int, m: int) -> CGEntry:
-        """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners,
-        lifting the classical Clebsch-Gordan entry order by order."""
-        ctx = self.uq
-        K = ctx.order
-        va, vb = self.irrep((n,)), self.irrep((m,))
-        dT = va.dim * vb.dim
-        matE, matF = self._tensor_generator_mats(va, vb)
-        wT = [wa + wb for wa in va.weights for wb in vb.weights]
-        cl = self.pw.cg((n,), (m,))
-        summands = []
-        cols_all = []
-        for (nu_w, inj_cl, proj_cl) in cl.summands:
+        """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners:
+        each classical highest weight vector is lifted order by order in
+        hbar to the kernel of Delta(E), then cgx.cg_split transports it
+        along Delta(F)."""
+        K = self.uq.order
+        weights, (dE, dF) = self._tensor_generators(
+            self.irrep((n,)), self.irrep((m,)))
+        hw_list = []
+        for nu_w, inj_cl, _ in self.pw.cg((n,), (m,)).summands:
             nu = nu_w[0]
-            # lift the classical highest weight vector order by order
-            idxs = [i for i, w in enumerate(wT) if w == nu]
-            rows = [i for i, w in enumerate(wT) if w == nu + 2]
-            # hbar-coefficient matrices of E restricted to the weight block
-            eblocks = [
-                [[matE[r][c][k] for c in idxs] for r in rows] for k in range(K)
-            ]
-            coeffs = [[inj_cl[i][0] for i in idxs]]  # order-0 = classical hw
+            idxs = [i for i, w in enumerate(weights) if w == nu]
+            rows = [i for i, w in enumerate(weights) if w == nu + 2]
+            # hbar-coefficient matrices of Delta(E) from weight nu to nu + 2
+            eblocks = [[[dE[c][r][k] if r in dE[c] else Fraction(0)
+                         for c in idxs] for r in rows] for k in range(K)]
+            coeffs = [[inj_cl[i][0] for i in idxs]]  # order 0: classical hw
             for k in range(1, K):
                 rhs = [Fraction(0)] * len(rows)
                 for j in range(1, k + 1):
@@ -1052,28 +1004,13 @@ class QAffineContext:
                 else:
                     sol = [Fraction(0)] * len(idxs)
                 coeffs.append(sol)
-            hw = [ctx.zero_series()] * dT
+            hw = {}
             for ci, i in enumerate(idxs):
-                hw[i] = TruncatedSeries(K, [coeffs[k][ci] for k in range(K)])
-            # word transport: columns w, Fw, F^2 w, ...
-            cols = [hw]
-            for _ in range(nu):
-                cols.append(_smat_vec(matF, cols[-1]))
-            summands.append((nu, cols))
-            cols_all.extend(cols)
-        if len(cols_all) != dT:
-            raise ValueError("incomplete quantum decomposition")
-        big = [[cols_all[c][r] for c in range(dT)] for r in range(dT)]
-        big_inv = _smat_inv(big, ctx)
-        out = []
-        offset = 0
-        for nu, cols in summands:
-            d = len(cols)
-            inj = [[cols[c][r] for c in range(d)] for r in range(dT)]
-            proj = [big_inv[offset + s] for s in range(d)]
-            out.append(((nu,), inj, proj))
-            offset += d
-        return CGEntry((n,), (m,), out)
+                s = TruncatedSeries(K, [coeffs[k][ci] for k in range(K)])
+                if s:
+                    hw[i] = s
+            hw_list.append((nu_w, hw))
+        return cg_split(self, (n,), (m,), weights, [dF], hw_list)
 
 
 def q_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:

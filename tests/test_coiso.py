@@ -1,7 +1,11 @@
 """Strongly coisotropic Hopf subalgebras, character monoids, graded
 semi-invariants, and quantum-section checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +14,11 @@ from qaffine.coiso import (
     borel_subalgebra, classical_shadow, counit_character, ideal_commutator,
     q_evaluate, qfun_vec, quantum_section_check, r_membership_hopf,
     semi_invariant_product_check, semi_invariants, strong_coiso_hopf,
-    strong_coiso_twisted, weight_character,
+    strong_coiso_twisted, tensor_vec, uq_vec, weight_character,
 )
 from qaffine.cgx import hw_coefficient, matrix_coefficient, pw_one, pw_tensor
 from qaffine.que import (
-    QAffineContext, UqContext, quantum_affine_multiply, r_matrix_sl2, uq_gen,
+    QAffineContext, antipode, q_multiply, UqContext, quantum_affine_multiply, r_matrix_sl2, uq_gen,
 )
 from qaffine.liebialg import standard_r, strongly_coisotropic_lie
 
@@ -181,3 +185,97 @@ def test_quantum_section_negative(qctx, U, mon):
     dbad = matrix_coefficient(qctx, (2,), {0: 1}, {1: 1})
     rep = quantum_section_check(dbad, U, n_max=2, monoid=mon)
     assert rep.prequantum.status == "false"
+
+
+# Each expression hands a coiso entry point an input it must reject.
+_BAD_INPUT_SETUP = (
+    "from qaffine.cgx import pw_one, pw_tensor\n"
+    "from qaffine.coiso import (\n"
+    "    Character, CoisoReport, borel_subalgebra, q_evaluate,\n"
+    "    quantum_section_check, restriction_character, semi_invariants,\n"
+    "    strong_coiso_hopf, weight_character)\n"
+    "from qaffine.que import QAffineContext, UqContext, uq_one\n"
+    "ctx = UqContext(2)\n"
+    "U = borel_subalgebra(ctx, 1)\n"
+    "qctx = QAffineContext(ctx)\n"
+    "f2 = pw_tensor([pw_one(qctx, 1), pw_one(qctx, 1)])\n"
+)
+_BAD_INPUTS = (
+    "CoisoReport('maybe', {})",
+    "strong_coiso_hopf(U, side='middle')",
+    "Character(U, [1])",
+    "q_evaluate(f2, uq_one(ctx))",
+    "semi_invariants(qctx, U, [weight_character(U, 0)], 1, m=2)",
+    "restriction_character(f2, U)",
+    "quantum_section_check(f2, U)",
+)
+
+
+def test_bad_inputs_are_rejected():
+    env = {}
+    exec(_BAD_INPUT_SETUP, env)
+    for expr in _BAD_INPUTS:
+        with pytest.raises(ValueError):
+            eval(expr, env)
+
+
+def test_bad_inputs_are_rejected_under_optimization():
+    """The checks are not asserts: they hold under `python -O` too."""
+    code = _BAD_INPUT_SETUP + (
+        "for expr in %r:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted: ' + expr)\n" % (_BAD_INPUTS,))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- the flatteners through s.coeffs, kept as the reference ------------------
+
+
+def _uq_vec_ref(x):
+    out = {}
+    for m, s in x.data.items():
+        for k, c in enumerate(s.coeffs):
+            if c != 0:
+                out[(m, k)] = c
+    return out
+
+
+def _tensor_vec_ref(t):
+    out = {}
+    for key, s in t.data.items():
+        for k, c in enumerate(s.coeffs):
+            if c != 0:
+                out[(key, k)] = c
+    return out
+
+
+def _qfun_vec_ref(f):
+    out = {}
+    for key, blk in f.blocks.items():
+        for idx, s in blk.items():
+            for k, c in enumerate(s.coeffs):
+                if c != 0:
+                    out[(key, idx, k)] = c
+    return out
+
+
+def _same_items(a, b):
+    return list(a.items()) == list(b.items())
+
+
+def test_flatteners_match_coefficient_reference(ctx, qctx, R):
+    for name in ("E", "F", "H"):
+        x = antipode(uq_gen(ctx, name) * uq_gen(ctx, "E"))
+        assert _same_items(uq_vec(x), _uq_vec_ref(x))
+    assert _same_items(tensor_vec(R), _tensor_vec_ref(R))
+    f = hw_coefficient(qctx, (1,), {0: 1, 1: F(1, 3)})
+    g = matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1})
+    for h in (q_multiply(f, g), q_multiply(g, f), pw_tensor([f, g])):
+        assert _same_items(qfun_vec(h), _qfun_vec_ref(h))

@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from qaffine.kernel import TruncatedSeries, q_int
+from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
-    QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
+    QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
+    _smat_zero,
     almost_cocommutativity_residuals, antipode, block_embed, coproduct,
     counit, counit_leg, delta_leg, hexagon_residuals, hopf_power_delta,
     mono_mul, q_integer, q_multiply,
@@ -25,8 +27,8 @@ from qaffine.que import (
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
-    BracketSpec, classical_bracket, hw_coefficient, matrix_coefficient,
-    pw_multiply, pw_one, pw_tensor, sparse_columns,
+    BracketSpec, CGEntry, classical_bracket, hw_coefficient,
+    matrix_coefficient, pw_multiply, pw_one, pw_tensor, sparse_columns,
 )
 
 F = Fraction
@@ -184,6 +186,16 @@ def test_quantum_irreps_reduce_to_classical(qctx):
             for i in range(qv.dim):
                 for j in range(qv.dim):
                     assert qm[i][j][0] == cv.act[idx][i][j]
+
+
+def test_series_inverse_pivots_on_units(qctx):
+    """Over Q[[hbar]]/(hbar^K) a pivot must be a unit, not merely nonzero:
+    [[hbar, 1], [1, 0]] pivots on its second row."""
+    K = qctx.uq.order
+    one, zero, h = (TruncatedSeries.one(K), TruncatedSeries.zero(K),
+                    TruncatedSeries.hbar(K))
+    assert mat_inv([[h, one], [one, zero]], one, qctx.is_unit) == \
+        [[zero, one], [one, -h]]
 
 
 def test_q_multiply_ring_and_classical_limit(qctx):
@@ -403,3 +415,152 @@ def test_leg_counts_are_checked_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# -- the whole-matrix series split, kept as the reference for _build_qcg ----
+
+
+def _smat_vec(a, v):
+    out = []
+    for row in a:
+        s = None
+        for c, x in zip(row, v):
+            if c.is_zero() or x.is_zero():
+                continue
+            p = c * x
+            s = p if s is None else s + p
+        out.append(s if s is not None else row[0] - row[0])
+    return out
+
+
+def _smat_inv(a, ctx: UqContext):
+    """Gauss-Jordan over the series ring; pivots need unit constant term."""
+    n = len(a)
+    one = ctx.one_series()
+    zero = ctx.zero_series()
+    aug = [[a[i][j] for j in range(n)] +
+           [one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(
+            (r for r in range(col, n) if aug[r][col].constant_term() != 0), None
+        )
+        if piv is None:
+            raise ValueError("matrix not invertible over the series ring")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inv()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _cartan_diag(rep: QIrrep, coeff: Fraction):
+    """exp(hbar*coeff*H) as a diagonal matrix."""
+    ctx = rep.ctx
+    out = _smat_zero(ctx, rep.dim, rep.dim)
+    for k, w in enumerate(rep.weights):
+        out[k][k] = (TruncatedSeries.hbar(ctx.order) * (coeff * w)).exp()
+    return out
+
+
+class DenseQContext(QAffineContext):
+    """V_hbar(n) (x) V_hbar(m) split with dense series matrices of the
+    coproduct and one inverse of the whole injection."""
+
+    def _tensor_generator_mats(self, va: QIrrep, vb: QIrrep):
+        """Matrices of E, F on V_hbar(n)(x)V_hbar(m) via the coproduct."""
+        ctx = self.uq
+        da, db = va.dim, vb.dim
+        kp_a = _cartan_diag(va, Fraction(1, 4))
+        km_b = _cartan_diag(vb, Fraction(-1, 4))
+
+        def kron(A, B):
+            out = _smat_zero(ctx, da * db, da * db)
+            for i in range(da):
+                for j in range(da):
+                    if A[i][j].is_zero():
+                        continue
+                    for s in range(db):
+                        for t in range(db):
+                            if not B[s][t].is_zero():
+                                out[i * db + s][j * db + t] = A[i][j] * B[s][t]
+            return out
+
+        def madd(A, B):
+            return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+        matE = madd(kron(va.matE, km_b), kron(kp_a, vb.matE))
+        matF = madd(kron(va.matF, km_b), kron(kp_a, vb.matF))
+        return matE, matF
+
+    def _build_qcg(self, n: int, m: int) -> CGEntry:
+        ctx = self.uq
+        K = ctx.order
+        va, vb = self.irrep((n,)), self.irrep((m,))
+        dT = va.dim * vb.dim
+        matE, matF = self._tensor_generator_mats(va, vb)
+        wT = [wa + wb for wa in va.weights for wb in vb.weights]
+        cl = self.pw.cg((n,), (m,))
+        summands = []
+        cols_all = []
+        for (nu_w, inj_cl, proj_cl) in cl.summands:
+            nu = nu_w[0]
+            # lift the classical highest weight vector order by order
+            idxs = [i for i, w in enumerate(wT) if w == nu]
+            rows = [i for i, w in enumerate(wT) if w == nu + 2]
+            # hbar-coefficient matrices of E restricted to the weight block
+            eblocks = [
+                [[matE[r][c][k] for c in idxs] for r in rows] for k in range(K)
+            ]
+            coeffs = [[inj_cl[i][0] for i in idxs]]  # order-0 = classical hw
+            for k in range(1, K):
+                rhs = [Fraction(0)] * len(rows)
+                for j in range(1, k + 1):
+                    for ri in range(len(rows)):
+                        for ci in range(len(idxs)):
+                            rhs[ri] -= eblocks[j][ri][ci] * coeffs[k - j][ci]
+                if rows:
+                    sol = solve(eblocks[0], rhs)
+                    if sol is None:
+                        raise ValueError(
+                            "highest-weight lift failed for V(%d)(x)V(%d)" % (n, m)
+                        )
+                else:
+                    sol = [Fraction(0)] * len(idxs)
+                coeffs.append(sol)
+            hw = [ctx.zero_series()] * dT
+            for ci, i in enumerate(idxs):
+                hw[i] = TruncatedSeries(K, [coeffs[k][ci] for k in range(K)])
+            # word transport: columns w, Fw, F^2 w, ...
+            cols = [hw]
+            for _ in range(nu):
+                cols.append(_smat_vec(matF, cols[-1]))
+            summands.append((nu, cols))
+            cols_all.extend(cols)
+        if len(cols_all) != dT:
+            raise ValueError("incomplete quantum decomposition")
+        big = [[cols_all[c][r] for c in range(dT)] for r in range(dT)]
+        big_inv = _smat_inv(big, ctx)
+        out = []
+        offset = 0
+        for nu, cols in summands:
+            d = len(cols)
+            inj = [[cols[c][r] for c in range(d)] for r in range(dT)]
+            proj = [big_inv[offset + s] for s in range(d)]
+            out.append(((nu,), inj, proj))
+            offset += d
+        return CGEntry((n,), (m,), out)
+
+
+def test_block_split_matches_whole_matrix_reference():
+    """The per-weight-block inverse and the sparse coproduct give the
+    summands of the dense series split exactly."""
+    for order in range(1, 6):
+        uq = UqContext(order)
+        got, want = QAffineContext(uq), DenseQContext(uq)
+        for n in range(6):
+            for m in range(6):
+                assert got.cg((n,), (m,)).summands == \
+                    want.cg((n,), (m,)).summands, (order, n, m)
