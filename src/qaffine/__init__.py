@@ -1,7 +1,7 @@
 """Exact symbolic engine for twisted products of principal affine spaces,
 their Poisson structures, and their truncated quantizations."""
 
-from .kernel import TruncatedSeries, q_binom, q_factorial, q_int
+from .kernel import TruncatedSeries
 from .linalg import EchelonSpan
 from .liebialg import (
     LieAlgebra, LieTensor, StandardR, Subspace, basis_tensor, build_sl,

@@ -37,7 +37,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, nullspace
-from .liebialg import LieAlgebra, LieTensor, StandardR, Weight, mix_tensor
+from .liebialg import (LieAlgebra, LieTensor, StandardR, Weight, mix_tensor,
+                       require_arity)
 
 Key = Tuple[Weight, ...]
 SparseVec = Dict[int, Fraction]
@@ -640,7 +641,7 @@ def invariant_action(x: LieTensor, f: BlockFunction, side: str,
     base_dim is dim(g) when x lives over g^m; component j of the product
     acts on factor j.
     """
-    assert x.arity == 1
+    require_arity(x, 1, "x")
     ctx = f.ctx
     d = base_dim or ctx.alg.dim
     out = BlockFunction(ctx, f.m)

@@ -102,7 +102,9 @@ class HopfSubalgebra:
     Q-span equals the truncated-series-module span).
 
     Products of cached basis elements that leave the window are recorded
-    in ``closure_defects`` rather than silently dropped.
+    in ``closure_defects`` rather than silently dropped.  Extensions,
+    commutator ideals and membership windows are built once per bound and
+    kept on the instance, so they live exactly as long as U.
     """
 
     def __init__(self, ctx: UqContext, generators: Sequence[UqElement],
@@ -119,6 +121,9 @@ class HopfSubalgebra:
         self.basis: List[UqElement] = []       # rank-increasing words only
         self.basis_words: List[Word] = []
         self._defects: Optional[List[Tuple[int, int]]] = None
+        self._extended: Dict[int, HopfSubalgebra] = {}
+        self._ideals: Dict[int, IdealWindow] = {}
+        self._windows: Dict[Tuple, CoisoWindow] = {}
 
         level: List[Tuple[Word, UqElement]] = [((), uq_one(ctx))]
         for length in range(degree_bound + 1):
@@ -170,21 +175,57 @@ class HopfSubalgebra:
         """The same subalgebra with a (weakly) larger word-length bound."""
         if degree_bound <= self.degree_bound:
             return self
-        return HopfSubalgebra(self.ctx, self.generators, degree_bound,
-                              self.names)
+        ext = self._extended.get(degree_bound)
+        if ext is None:
+            ext = self._extended[degree_bound] = HopfSubalgebra(
+                self.ctx, self.generators, degree_bound, self.names)
+        return ext
+
+    def window(self, span_bound: int, h_bound: int, side: str = "right",
+               pivot=min) -> "CoisoWindow":
+        """The membership window of U at these bounds (see ``CoisoWindow``),
+        built on first use."""
+        key = (span_bound, h_bound, side, pivot)
+        win = self._windows.get(key)
+        if win is None:
+            win = self._windows[key] = CoisoWindow(self, *key)
+        return win
 
 
 class IdealWindow:
     """Window of the two-sided ideal [U,U] of U generated by commutators:
     the echelon span of u(vw - wv)u' over words with total length inside
-    the bound, together with the spanning elements themselves."""
+    the bound, together with the spanning elements themselves.  It keeps
+    no reference to W (U extended to the bound), so U can hold it without
+    a reference cycle."""
 
-    def __init__(self, U: HopfSubalgebra, bound: int,
-                 elements: List[UqElement], span: EchelonSpan):
-        self.U = U
+    def __init__(self, W: HopfSubalgebra, bound: int):
         self.bound = bound
-        self.elements = elements
-        self.span = span
+        self.span = span = EchelonSpan()
+        self.elements = elements = []
+        ctx = W.ctx
+        comms: List[Tuple[int, UqElement]] = []
+        for i in range(len(W.basis)):
+            li = len(W.basis_words[i])
+            for j in range(i + 1, len(W.basis)):
+                lj = len(W.basis_words[j])
+                if li + lj > bound:
+                    continue
+                c = W.basis[i] * W.basis[j] - W.basis[j] * W.basis[i]
+                if not c.is_zero():
+                    comms.append((li + lj, c))
+        for lc, c in comms:
+            for wl, el_l in zip(W.basis_words, W.basis):
+                if len(wl) + lc > bound:
+                    continue
+                for wr, el_r in zip(W.basis_words, W.basis):
+                    if len(wl) + lc + len(wr) > bound:
+                        continue
+                    el = el_l * c * el_r
+                    grew = [span.add(uq_vec(el.scale(_hbar(ctx, k))))
+                            for k in range(ctx.order)]
+                    if grew[0]:
+                        elements.append(el)
 
     def contains(self, x: UqElement) -> bool:
         return self.span.contains(uq_vec(x))
@@ -192,38 +233,14 @@ class IdealWindow:
 
 def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
     """Windowed two-sided ideal of U generated by the commutators of its
-    cached basis, including one-sided multiples within the degree bound."""
+    cached basis, including one-sided multiples within the degree bound;
+    built once per bound and kept on U."""
     if bound is None:
         bound = U.degree_bound
-    ctx = U.ctx
-    W = U.extend(bound)
-    span = EchelonSpan()
-    elements: List[UqElement] = []
-    comms: List[Tuple[int, UqElement]] = []
-    for i in range(len(W.basis)):
-        li = len(W.basis_words[i])
-        for j in range(i + 1, len(W.basis)):
-            lj = len(W.basis_words[j])
-            if li + lj > bound:
-                continue
-            c = W.basis[i] * W.basis[j] - W.basis[j] * W.basis[i]
-            if not c.is_zero():
-                comms.append((li + lj, c))
-    for lc, c in comms:
-        for wl, el_l in zip(W.basis_words, W.basis):
-            if len(wl) + lc > bound:
-                continue
-            for wr, el_r in zip(W.basis_words, W.basis):
-                if len(wl) + lc + len(wr) > bound:
-                    continue
-                el = el_l * c * el_r
-                grew = False
-                for k in range(ctx.order):
-                    if span.add(uq_vec(el.scale(_hbar(ctx, k)))) and k == 0:
-                        grew = True
-                if grew:
-                    elements.append(el)
-    return IdealWindow(W, bound, elements, span)
+    ideal = U._ideals.get(bound)
+    if ideal is None:
+        ideal = U._ideals[bound] = IdealWindow(U.extend(bound), bound)
+    return ideal
 
 
 # -- strong coisotropy of Hopf subalgebras -----------------------------------
@@ -257,13 +274,13 @@ class CoisoReport:
 
 
 def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
-                 side: str, track: bool = False, pivot=min):
-    """Echelon span of U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H
-    (left) inside the given window, with hbar-shifted copies, pivoting on
-    pivot(keys).  When tracking, returns tags aligned with every
-    insertion."""
+                 side: str, pivot=min):
+    """Tracked echelon span of U(x)U + H(x)[U,U] (right) or
+    U(x)U + [U,U](x)H (left) inside the given window, with hbar-shifted
+    copies, pivoting on pivot(keys); returns it with tags aligned with
+    every insertion."""
     ctx = Uext.ctx
-    span = EchelonSpan(track=track, pivot=pivot)
+    span = EchelonSpan(track=True, pivot=pivot)
     tags: List[Tuple] = []
     for i, u in enumerate(Uext.basis):
         for j, v in enumerate(Uext.basis):
@@ -281,41 +298,92 @@ def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
     return span, tags
 
 
-def _coiso_residuals(U: HopfSubalgebra, targets: List[Tuple[object, UqTensor]],
-                     side: str, span_bound: int, h_bound: int):
-    Uext = U.extend(span_bound)
-    ideal = ideal_commutator(Uext, span_bound)
-    span, _ = _window_span(Uext, ideal, h_bound, side)
-    out = []
-    for label, t in targets:
-        r = span.reduce(tensor_vec(t))
-        if r:
-            out.append((label, r))
-    return out
+class CoisoWindow:
+    """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
+    (span bound, h bound, side, pivot), as a tracked span that membership
+    and the monoid's reduced coproduct share.  It keeps the basis words
+    of the extended U, not U, so U can hold it without a cycle."""
+
+    def __init__(self, U: HopfSubalgebra, span_bound: int, h_bound: int,
+                 side: str, pivot):
+        Uext = U.extend(span_bound)
+        self.ctx = U.ctx
+        self.words = Uext.basis_words
+        self.ideal = ideal_commutator(U, span_bound)
+        self.span, self.tags = _window_span(Uext, self.ideal, h_bound, side,
+                                            pivot)
+
+    def residuals(self, targets: List[Tuple[object, UqTensor]]):
+        """(label, nonzero residual) for each target outside the window."""
+        out = []
+        for label, t in targets:
+            r = self.span.reduce(tensor_vec(t))
+            if r:
+                out.append((label, r))
+        return out
+
+    def pair_value(self, phi: "Character", psi: "Character",
+                   x: UqElement) -> Optional[TruncatedSeries]:
+        """(phi (x) psi)(reduced Delta(x)): Delta(x) projected onto the
+        U(x)U part along the echelon complement of H(x)[U,U]; None when
+        Delta(x) leaves the window."""
+        combo = self.span.coefficients(tensor_vec(coproduct(x)))
+        if combo is None:
+            return None
+        ctx, words = self.ctx, self.words
+        out = ctx.zero_series()
+        for gen_idx, c in combo.items():
+            tag = self.tags[gen_idx]
+            if tag[0] != "uu":
+                continue  # phi (x) psi kills the H(x)[U,U] part
+            _, i, j, k = tag
+            out = out + (phi.on_word(words[i]) * psi.on_word(words[j])
+                         * _hbar(ctx, k) * c)
+        return out
 
 
-def _three_valued(U: HopfSubalgebra, targets, side: str, span_bound: int,
-                  h_bound: int, slack: int, extra_window: Dict) -> CoisoReport:
-    window = {"degree_bound": U.degree_bound, "span_bound": span_bound,
-              "h_bound": h_bound, "order": U.ctx.order, "side": side}
-    window.update(extra_window)
-    res = _coiso_residuals(U, targets, side, span_bound, h_bound)
+def _default_bounds(U: HopfSubalgebra, span_bound: Optional[int],
+                    h_bound: Optional[int]) -> Tuple[int, int]:
+    """The coproduct of a degree-d word has legs of degree up to d plus
+    the truncation order, so the window defaults to that span bound."""
+    if span_bound is None:
+        span_bound = U.degree_bound + U.ctx.order - 1
+    return span_bound, span_bound if h_bound is None else h_bound
+
+
+def _three_valued(residuals, window: Dict, span_bound: int, h_bound: int,
+                  slack: int, witness) -> CoisoReport:
+    """``true`` when residuals(span_bound, h_bound) is empty, or becomes
+    empty after enlarging both bounds by slack; else ``false`` when the
+    residuals are stable under that enlargement and ``inconclusive`` when
+    they are not, with witness(*first residual) of the enlarged window."""
+    res = residuals(span_bound, h_bound)
     if not res:
         return CoisoReport("true", window)
-    res2 = _coiso_residuals(U, targets, side, span_bound + slack,
-                            h_bound + slack)
+    res2 = residuals(span_bound + slack, h_bound + slack)
     if not res2:
         window["span_bound"] = span_bound + slack
         window["h_bound"] = h_bound + slack
         return CoisoReport("true", window)
     status = "false" if res2 == res else "inconclusive"
-    label, residual = res2[0]
-    witness = {
-        "element": str(label),
-        "residual_terms": sorted(str(k) for k in residual)[:8],
-        "residual_size": len(residual),
-    }
-    return CoisoReport(status, window, witness)
+    return CoisoReport(status, window, witness(*res2[0]))
+
+
+def _membership(U: HopfSubalgebra, targets, side: str,
+                span_bound: Optional[int], h_bound: Optional[int],
+                slack: int, extra_window: Dict) -> CoisoReport:
+    span_bound, h_bound = _default_bounds(U, span_bound, h_bound)
+    window = {"degree_bound": U.degree_bound, "span_bound": span_bound,
+              "h_bound": h_bound, "order": U.ctx.order, "side": side}
+    window.update(extra_window)
+    return _three_valued(
+        lambda sb, hb: U.window(sb, hb, side).residuals(targets),
+        window, span_bound, h_bound, slack,
+        lambda label, residual: {
+            "element": str(label),
+            "residual_terms": sorted(str(k) for k in residual)[:8],
+            "residual_size": len(residual),
+        })
 
 
 def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right",
@@ -331,15 +399,10 @@ def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right",
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left', got %r" % (side,))
-    ctx = U.ctx
-    if span_bound is None:
-        span_bound = U.degree_bound + ctx.order - 1
-    if h_bound is None:
-        h_bound = span_bound
     targets = [("Delta(%s)" % ".".join(U.names[g] for g in w) if w
                 else "Delta(1)", coproduct(u))
                for w, u in zip(U.basis_words, U.basis)]
-    return _three_valued(U, targets, side, span_bound, h_bound, slack, {})
+    return _membership(U, targets, side, span_bound, h_bound, slack, {})
 
 
 def r_membership_hopf(U: HopfSubalgebra, R: UqTensor,
@@ -350,13 +413,8 @@ def r_membership_hopf(U: HopfSubalgebra, R: UqTensor,
     When it holds, the tensor powers of U stay right strongly
     coisotropic for the twisted coproducts (see
     ``strong_coiso_twisted``)."""
-    ctx = U.ctx
-    if span_bound is None:
-        span_bound = U.degree_bound + ctx.order - 1
-    if h_bound is None:
-        h_bound = span_bound
-    return _three_valued(U, [("R", R)], "right", span_bound, h_bound, slack,
-                         {"target": "R"})
+    return _membership(U, [("R", R)], "right", span_bound, h_bound, slack,
+                       {"target": "R"})
 
 
 # -- strong coisotropy of U^(x)m in the twisted tensor power -----------------
@@ -400,15 +458,13 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
               "h_bound": h_bound, "order": ctx.order}
 
     th = TwistedHopf(twi_m(R, m), m)
-    Ucheck = U.extend(check_bound) if U.degree_bound < check_bound else U
+    Ucheck = U.extend(check_bound)
     check_basis = [(w, el) for w, el in zip(Ucheck.basis_words, Ucheck.basis)
                    if len(w) <= check_bound]
 
     def residuals(sb: int, hb: int):
-        Uext = U.extend(sb)
-        ideal = ideal_commutator(Uext, sb)
-        u_monos = _monomial_support(Uext.span)
-        i_monos = _monomial_support(ideal.span)
+        u_monos = _monomial_support(U.extend(sb).span)
+        i_monos = _monomial_support(ideal_commutator(U, sb).span)
         if u_monos is None or i_monos is None:
             raise ValueError(
                 "tensor-power window requires monomial U- and ideal-spans"
@@ -440,19 +496,10 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
                 out.append((label, sorted(bad)))
         return out
 
-    res = residuals(span_bound, h_bound)
-    if not res:
-        return CoisoReport("true", window)
-    res2 = residuals(span_bound + slack, h_bound + slack)
-    if not res2:
-        window["span_bound"] = span_bound + slack
-        window["h_bound"] = h_bound + slack
-        return CoisoReport("true", window)
-    status = "false" if res2 == res else "inconclusive"
-    label, bad = res2[0]
-    return CoisoReport(status, window,
-                       {"element": label,
-                        "residual_terms": [str(k) for k in bad[:8]]})
+    return _three_valued(
+        residuals, window, span_bound, h_bound, slack,
+        lambda label, bad: {"element": label,
+                            "residual_terms": [str(k) for k in bad[:8]]})
 
 
 # -- characters and their monoid ---------------------------------------------
@@ -502,7 +549,8 @@ class Character:
 
     def is_valid(self, ideal: Optional[IdealWindow] = None) -> bool:
         """Multiplicative on the cached basis and vanishing on the
-        commutator-ideal window."""
+        commutator-ideal window (by default U's own, at its degree
+        bound)."""
         U = self.U
         for i, (wi, bi) in enumerate(zip(U.basis_words, U.basis)):
             for wj, bj in zip(U.basis_words, U.basis):
@@ -545,55 +593,15 @@ def weight_character(U: HopfSubalgebra, n: int) -> Character:
     return Character(U, values)
 
 
-class ReducedCoproduct:
-    """The reduced coproduct of a right strongly coisotropic window:
-    Delta followed by projection onto the U(x)U part along the chosen
-    echelon complement of H(x)[U,U].  Exposes the pairing
-    (phi (x) psi)(reduced Delta(x)) used for the character product."""
-
-    def __init__(self, U: HopfSubalgebra, span_bound: Optional[int] = None,
-                 h_bound: Optional[int] = None, key_order: str = "lex"):
-        ctx = U.ctx
-        if span_bound is None:
-            span_bound = U.degree_bound + ctx.order - 1
-        if h_bound is None:
-            h_bound = span_bound
-        self.U = U
-        self.Uext = U.extend(span_bound)
-        self.ideal = ideal_commutator(self.Uext, span_bound)
-        self.span, self.tags = _window_span(
-            self.Uext, self.ideal, h_bound, "right", track=True,
-            pivot=min if key_order == "lex" else max,
-        )
-
-    def pair_value(self, phi: Character, psi: Character,
-                   x: UqElement) -> Optional[TruncatedSeries]:
-        combo = self.span.coefficients(tensor_vec(coproduct(x)))
-        if combo is None:
-            return None
-        ctx = self.U.ctx
-        out = ctx.zero_series()
-        for gen_idx, c in combo.items():
-            tag = self.tags[gen_idx]
-            if tag[0] != "uu":
-                continue  # phi (x) psi kills the H(x)[U,U] part
-            _, i, j, k = tag
-            out = out + (phi.on_word(self.Uext.basis_words[i])
-                         * psi.on_word(self.Uext.basis_words[j])
-                         * _hbar(ctx, k) * c)
-        return out
-
-
 class CharacterMonoid:
     """Monoid structure on characters of a right strongly coisotropic
     window: (phi psi)(u) = (phi (x) psi)(reduced Delta(u)).  The product
-    is independent of the echelon complement; with ``recheck_pivots``
-    every product is recomputed with a reversed pivot order and the two
-    answers are asserted equal."""
+    is independent of the echelon complement, so every product is read
+    from the min- and the max-pivot right windows and the two answers
+    must agree."""
 
     def __init__(self, U: HopfSubalgebra, span_bound: Optional[int] = None,
-                 h_bound: Optional[int] = None, recheck_pivots: bool = True,
-                 precheck: bool = True):
+                 h_bound: Optional[int] = None, precheck: bool = True):
         if precheck:
             rep = strong_coiso_hopf(U, "right")
             if rep.status != "true":
@@ -602,11 +610,9 @@ class CharacterMonoid:
                     "window (got %s)" % rep.status
                 )
         self.U = U
-        self.rc = ReducedCoproduct(U, span_bound, h_bound, "lex")
-        self.rc_alt = (
-            ReducedCoproduct(U, span_bound, h_bound, "rev")
-            if recheck_pivots else None
-        )
+        span_bound, h_bound = _default_bounds(U, span_bound, h_bound)
+        self.rc = U.window(span_bound, h_bound, "right", min)
+        self.rc_alt = U.window(span_bound, h_bound, "right", max)
 
     @property
     def unit(self) -> Character:
@@ -618,12 +624,9 @@ class CharacterMonoid:
             v = self.rc.pair_value(phi, psi, g)
             if v is None:
                 raise ValueError("coproduct of a generator left the window")
-            if self.rc_alt is not None:
-                v2 = self.rc_alt.pair_value(phi, psi, g)
-                if v2 != v:
-                    raise AssertionError(
-                        "character product depends on the pivot order"
-                    )
+            if self.rc_alt.pair_value(phi, psi, g) != v:
+                raise AssertionError(
+                    "character product depends on the pivot order")
             values.append(v)
         return Character(self.U, values)
 

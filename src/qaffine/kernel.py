@@ -3,8 +3,7 @@
 Everything downstream computes over Q or over Q[[hbar]]/(hbar^K) for a
 fixed truncation order K.  No floating point anywhere.  Rationals are
 stdlib ``fractions.Fraction``; this module adds the truncated-series ring
-and the q-combinatorics (q-integers, q-factorials, q-binomials) built on
-q = exp(hbar*d/2).
+and the powers of q = exp(hbar*d/2).  The q-integers are ``que.q_integer``.
 
 A series is stored as K Python-int numerators over one positive common
 denominator in lowest terms, in the manner of FLINT's fmpq_poly, so ring
@@ -276,30 +275,3 @@ def q_exponent(d: Rat, order: int) -> TruncatedSeries:
 def q_power(i: int, d: Rat, order: int) -> TruncatedSeries:
     """q^i = exp(hbar*d*i/2), valid for any integer i."""
     return (TruncatedSeries.hbar(order) * (_fr(d) * i / 2)).exp()
-
-
-def q_int(n: int, d: Rat, order: int) -> TruncatedSeries:
-    """[n]_q = q^{n-1} + q^{n-3} + ... + q^{-(n-1)} with q = exp(hbar*d/2)."""
-    if n < 0:
-        raise ValueError("q_int requires n >= 0")
-    total = TruncatedSeries.zero(order)
-    for i in range(-n + 1, n, 2):
-        total = total + q_power(i, d, order)
-    return total
-
-
-def q_factorial(n: int, d: Rat, order: int) -> TruncatedSeries:
-    """[n]_q! = prod_{i=1}^n [i]_q."""
-    result = TruncatedSeries.one(order)
-    for i in range(1, n + 1):
-        result = result * q_int(i, d, order)
-    return result
-
-
-def q_binom(n: int, i: int, d: Rat, order: int) -> TruncatedSeries:
-    """[n choose i]_q = [n]_q! / ([n-i]_q! [i]_q!)."""
-    if not 0 <= i <= n:
-        raise ValueError("q_binom requires 0 <= i <= n")
-    num = q_factorial(n, d, order)
-    den = q_factorial(n - i, d, order) * q_factorial(i, d, order)
-    return num * den.inv()

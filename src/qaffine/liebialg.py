@@ -30,6 +30,14 @@ class LieAlgebraError(ValueError):
     pass
 
 
+def require_arity(t: "LieTensor", arity: int, what: str = "tensor"):
+    """Reject a tensor of the wrong arity; unlike an assert, this also
+    holds under ``python -O``."""
+    if t.arity != arity:
+        raise LieAlgebraError("%s must have arity %d, got %d"
+                              % (what, arity, t.arity))
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -123,7 +131,8 @@ class LieAlgebra:
 
     def simple_root(self, i: int) -> Weight:
         """alpha_i in fundamental coordinates (a column of the Cartan matrix)."""
-        assert self.cartan_matrix is not None
+        if self.cartan_matrix is None:
+            raise LieAlgebraError("algebra has no Cartan matrix")
         return tuple(self.cartan_matrix[j][i] for j in range(self.rank))
 
     # -- validation ----------------------------------------------------
@@ -347,7 +356,7 @@ class LieTensor:
             self.data[key] = nv
 
     def __add__(self, other: "LieTensor") -> "LieTensor":
-        assert self.arity == other.arity
+        require_arity(other, self.arity, "summand")
         out = self.copy()
         for k, v in other.data.items():
             out.add_term(k, v)
@@ -368,7 +377,7 @@ class LieTensor:
         return out
 
     def transpose(self) -> "LieTensor":
-        assert self.arity == 2
+        require_arity(self, 2)
         return self.swap((1, 0))
 
     def symmetric_part(self) -> "LieTensor":
@@ -436,13 +445,14 @@ def cybe_lhs(r: LieTensor, s: Optional[LieTensor] = None) -> LieTensor:
 
 
 def cybe_residual(r: LieTensor) -> LieTensor:
-    assert r.arity == 2
+    require_arity(r, 2, "r")
     return cybe_lhs(r)
 
 
 def cobracket(r: LieTensor, x: LieTensor) -> LieTensor:
     """delta_r(x) = [x(x)1 + 1(x)x, r]."""
-    assert r.arity == 2 and x.arity == 1
+    require_arity(r, 2, "r")
+    require_arity(x, 1, "x")
     alg = r.alg
     out = LieTensor(alg, 2)
     for (a,), cx in x.data.items():
@@ -525,7 +535,7 @@ def embed_tensor(t: LieTensor, alg_m: LieAlgebra, legs: Sequence[int]) -> LieTen
 
 def mix_tensor(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieTensor:
     """Mix^m(r) = sum_{k<l} sum_i (y_i)_k wedge (x_i)_l for r = sum x_i(x)y_i."""
-    assert r.arity == 2
+    require_arity(r, 2, "r")
     alg = r.alg
     if alg_m is None:
         alg_m = alg.power(m)
@@ -607,7 +617,7 @@ def verify_twisting_element(t: LieTensor, r: LieTensor) -> Tuple[bool, LieTensor
     The residual equals cybe_residual(r - t) - cybe_residual(r), the
     Yang-Baxter defect created by twisting r by t.
     """
-    assert t.arity == 2
+    require_arity(t, 2, "t")
     if not (t + t.transpose()).is_zero():
         raise LieAlgebraError("twisting element must be antisymmetric")
     residual = cobracket_extension(t, r) + schouten_square(t).scale(Fraction(1, 2))
@@ -624,7 +634,7 @@ class Subspace:
         self.alg = alg
         self.span = EchelonSpan()
         for v in vectors:
-            assert v.arity == 1
+            require_arity(v, 1, "spanning vector")
             self.span.add({k[0]: c for k, c in v.data.items()})
 
     @staticmethod

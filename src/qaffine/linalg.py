@@ -50,10 +50,12 @@ class EchelonSpan:
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after reduction; does not modify the span."""
-        res, _ = self._reduce_tracked(v)
+        res, _ = self._reduce_tracked(v, False)
         return res
 
-    def _reduce_tracked(self, v: Vec) -> Tuple[Vec, Vec]:
+    def _reduce_tracked(self, v: Vec, track: bool) -> Tuple[Vec, Vec]:
+        """Residual of v and, when tracking, the combination of inserted
+        generators that was subtracted."""
         pivot = self.pivot
         v = dict(v)
         combo: Vec = {}
@@ -64,7 +66,7 @@ class EchelonSpan:
                 break
             c = v[k]
             v = vec_add(v, row, -c)
-            if self.track:
+            if track:
                 combo = vec_add(combo, self.history[k], c)
         if not v:
             return {}, combo
@@ -78,7 +80,7 @@ class EchelonSpan:
             else:
                 c = v[k]
                 v = vec_add(v, row, -c)
-                if self.track:
+                if track:
                     combo = vec_add(combo, self.history[k], c)
         return out, combo
 
@@ -89,7 +91,7 @@ class EchelonSpan:
         """Insert v into the span.  Returns True if the rank grew."""
         gen_idx = self._ngens
         self._ngens += 1
-        res, combo = self._reduce_tracked(v)
+        res, combo = self._reduce_tracked(v, self.track)
         if not res:
             return False
         p = self.pivot(res)
@@ -117,7 +119,7 @@ class EchelonSpan:
         """
         if not self.track:
             raise ValueError("span was not built with coefficient tracking")
-        res, combo = self._reduce_tracked(v)
+        res, combo = self._reduce_tracked(v, True)
         if res:
             return None
         return combo

@@ -1,6 +1,7 @@
 """Strongly coisotropic Hopf subalgebras, character monoids, graded
 semi-invariants, and quantum-section checks."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,15 +11,18 @@ from pathlib import Path
 import pytest
 
 from qaffine.coiso import (
-    CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span,
-    borel_subalgebra, classical_shadow, counit_character, ideal_commutator,
-    q_evaluate, qfun_vec, quantum_section_check, r_membership_hopf,
-    semi_invariant_product_check, semi_invariants, strong_coiso_hopf,
-    strong_coiso_twisted, tensor_vec, uq_vec, weight_character,
+    CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span, _hbar,
+    _h_monomials, borel_subalgebra, classical_shadow, counit_character,
+    ideal_commutator, q_evaluate, qfun_vec, quantum_section_check,
+    r_membership_hopf, semi_invariant_product_check, semi_invariants,
+    strong_coiso_hopf, strong_coiso_twisted, tensor_vec, uq_vec,
+    weight_character,
 )
 from qaffine.cgx import hw_coefficient, matrix_coefficient, pw_one, pw_tensor
+from qaffine.linalg import EchelonSpan
 from qaffine.que import (
-    QAffineContext, antipode, q_multiply, UqContext, quantum_affine_multiply, r_matrix_sl2, uq_gen,
+    QAffineContext, antipode, coproduct, q_multiply, UqContext, UqElement,
+    quantum_affine_multiply, r_matrix_sl2, tensor_of, uq_gen,
 )
 from qaffine.liebialg import standard_r, strongly_coisotropic_lie
 
@@ -279,3 +283,210 @@ def test_flatteners_match_coefficient_reference(ctx, qctx, R):
     g = matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1})
     for h in (q_multiply(f, g), q_multiply(g, f), pw_tensor([f, g])):
         assert _same_items(qfun_vec(h), _qfun_vec_ref(h))
+
+
+# -- the per-call window builders, kept as the reference for the shared ------
+# -- windows: every call rebuilt U(x)U + H(x)[U,U] and its ideal from scratch -
+
+
+class _IdealRef:
+    def __init__(self, U, bound, elements, span):
+        self.U = U
+        self.bound = bound
+        self.elements = elements
+        self.span = span
+
+
+def _ideal_commutator_ref(U, bound=None):
+    if bound is None:
+        bound = U.degree_bound
+    ctx = U.ctx
+    W = U.extend(bound)
+    span = EchelonSpan()
+    elements = []
+    comms = []
+    for i in range(len(W.basis)):
+        li = len(W.basis_words[i])
+        for j in range(i + 1, len(W.basis)):
+            lj = len(W.basis_words[j])
+            if li + lj > bound:
+                continue
+            c = W.basis[i] * W.basis[j] - W.basis[j] * W.basis[i]
+            if not c.is_zero():
+                comms.append((li + lj, c))
+    for lc, c in comms:
+        for wl, el_l in zip(W.basis_words, W.basis):
+            if len(wl) + lc > bound:
+                continue
+            for wr, el_r in zip(W.basis_words, W.basis):
+                if len(wl) + lc + len(wr) > bound:
+                    continue
+                el = el_l * c * el_r
+                grew = False
+                for k in range(ctx.order):
+                    if span.add(uq_vec(el.scale(_hbar(ctx, k)))) and k == 0:
+                        grew = True
+                if grew:
+                    elements.append(el)
+    return _IdealRef(W, bound, elements, span)
+
+
+def _window_span_ref(Uext, ideal, h_bound, side, track=False, pivot=min):
+    ctx = Uext.ctx
+    span = EchelonSpan(track=track, pivot=pivot)
+    tags = []
+    for i, u in enumerate(Uext.basis):
+        for j, v in enumerate(Uext.basis):
+            base = tensor_of([u, v])
+            for k in range(ctx.order):
+                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+                tags.append(("uu", i, j, k))
+    for hm in _h_monomials(h_bound):
+        x = UqElement(ctx, {hm: 1})
+        for ci, c in enumerate(ideal.elements):
+            base = tensor_of([x, c]) if side == "right" else tensor_of([c, x])
+            for k in range(ctx.order):
+                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+                tags.append(("ideal", hm, ci, k))
+    return span, tags
+
+
+class _ReducedCoproductRef:
+    def __init__(self, U, span_bound=None, h_bound=None, key_order="lex"):
+        ctx = U.ctx
+        if span_bound is None:
+            span_bound = U.degree_bound + ctx.order - 1
+        if h_bound is None:
+            h_bound = span_bound
+        self.U = U
+        self.Uext = U.extend(span_bound)
+        self.ideal = _ideal_commutator_ref(self.Uext, span_bound)
+        self.span, self.tags = _window_span_ref(
+            self.Uext, self.ideal, h_bound, "right", track=True,
+            pivot=min if key_order == "lex" else max,
+        )
+
+    def pair_value(self, phi, psi, x):
+        combo = self.span.coefficients(tensor_vec(coproduct(x)))
+        if combo is None:
+            return None
+        ctx = self.U.ctx
+        out = ctx.zero_series()
+        for gen_idx, c in combo.items():
+            tag = self.tags[gen_idx]
+            if tag[0] != "uu":
+                continue
+            _, i, j, k = tag
+            out = out + (phi.on_word(self.Uext.basis_words[i])
+                         * psi.on_word(self.Uext.basis_words[j])
+                         * _hbar(ctx, k) * c)
+        return out
+
+
+def _product_ref(rc, rc_alt, phi, psi):
+    """The character product of a monoid on two unshared reduced
+    coproducts, the pivot-order recheck included."""
+    values = []
+    for g in phi.U.generators:
+        v = rc.pair_value(phi, psi, g)
+        assert v is not None and rc_alt.pair_value(phi, psi, g) == v
+        values.append(v)
+    return values
+
+
+@pytest.fixture(scope="module")
+def U3(ctx):
+    return borel_subalgebra(ctx, 3)
+
+
+@pytest.fixture(scope="module")
+def ref_coproducts(U3):
+    """Unshared min- and max-pivot reduced coproducts of the Borel window
+    at K = 3, degree bound 3 (span and h bounds 5)."""
+    return (_ReducedCoproductRef(U3, key_order="lex"),
+            _ReducedCoproductRef(U3, key_order="rev"))
+
+
+def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
+    bound = U3.degree_bound + ctx.order - 1
+    fresh = borel_subalgebra(ctx, 3)
+    left_ref = _window_span_ref(
+        fresh.extend(bound), _ideal_commutator_ref(fresh.extend(bound), bound),
+        bound, "left", track=True)
+    refs = {("right", min): (ref_coproducts[0].span, ref_coproducts[0].tags),
+            ("right", max): (ref_coproducts[1].span, ref_coproducts[1].tags),
+            ("left", min): left_ref}
+    ideal_ref = ref_coproducts[0].ideal
+    targets = [tensor_vec(coproduct(g)) for g in U3.generators]
+    for (side, pivot), (span, tags) in refs.items():
+        win = U3.window(bound, bound, side, pivot)
+        assert win.span.equals(span) and win.tags == tags
+        for t in targets:
+            assert win.span.coefficients(t) == span.coefficients(t)
+        assert U3.window(bound, bound, side, pivot) is win
+        assert win.ideal is ideal_commutator(U3, bound)
+        assert win.ideal.span.equals(ideal_ref.span)
+        assert win.ideal.elements == ideal_ref.elements
+    # a tracked span has the rows of the untracked one
+    untracked, _ = _window_span_ref(fresh.extend(bound), ideal_ref, bound,
+                                    "right")
+    assert untracked.equals(refs[("right", min)][0])
+    assert U3.extend(bound) is U3.extend(bound)
+
+
+def test_shared_windows_keep_the_pivot_order(ctx):
+    """The Borel window is a monomial span, the same for either pivot;
+    the E, F window is not, so its min- and max-pivot windows differ."""
+    U = HopfSubalgebra(ctx, [uq_gen(ctx, "E"), uq_gen(ctx, "F")], 1,
+                       names=["E", "F"])
+    bound = U.degree_bound + ctx.order - 1
+    ideal = _ideal_commutator_ref(U.extend(bound), bound)
+    refs = {pivot: _window_span_ref(U.extend(bound), ideal, bound, "right",
+                                    track=True, pivot=pivot)
+            for pivot in (min, max)}
+    assert not refs[min][0].equals(refs[max][0])
+    for pivot, (span, tags) in refs.items():
+        win = U.window(bound, bound, "right", pivot)
+        assert win.span.equals(span) and win.tags == tags
+
+
+def test_character_monoid_matches_unshared_reduced_coproducts(U3,
+                                                              ref_coproducts):
+    mon = CharacterMonoid(U3, precheck=False)
+    z = [weight_character(U3, n) for n in range(5)]
+    for phi in z:
+        for psi in z:
+            assert mon.product(phi, psi).values == \
+                _product_ref(*ref_coproducts, phi, psi)
+
+
+def test_coiso_suite_builds_each_window_once(monkeypatch):
+    import qaffine.coiso as coiso
+    from qaffine.cli import RunConfig, run_suite
+
+    windows, ideals = [], []
+    window_span, ideal_init = coiso._window_span, coiso.IdealWindow.__init__
+
+    def counted_window(Uext, ideal, h_bound, side, pivot=min):
+        windows.append((tuple(Uext.names), Uext.degree_bound, h_bound, side,
+                        pivot.__name__))
+        return window_span(Uext, ideal, h_bound, side, pivot)
+
+    def counted_ideal(self, W, bound):
+        ideals.append((tuple(W.names), bound))
+        ideal_init(self, W, bound)
+
+    monkeypatch.setattr(coiso, "_window_span", counted_window)
+    monkeypatch.setattr(coiso.IdealWindow, "__init__", counted_ideal)
+    report = json.loads(run_suite(
+        RunConfig(suites=("coiso",), degree_bound=3)).dumps())
+    assert report["summary"]["fail"] == 0
+    borel = [w for w in windows if w[0] == ("H", "E")]
+    assert sorted(borel) == [(("H", "E"), 5, 5, "left", "min"),
+                             (("H", "E"), 5, 5, "right", "max"),
+                             (("H", "E"), 5, 5, "right", "min")]
+    # the F negative control needs its slack-enlarged window too
+    assert sorted(w for w in windows if w[0] == ("F",)) == [
+        (("F",), 5, 5, "right", "min"), (("F",), 7, 7, "right", "min")]
+    assert len(ideals) == len(set(ideals))
+    assert sorted(b for n, b in ideals if n == ("H", "E")) == [3, 5, 6]

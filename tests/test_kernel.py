@@ -1,6 +1,7 @@
 """Truncated power series over Q and the q-combinatorics built on them."""
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterable, Union
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaffine.kernel import (
-    SeriesDomainError, SeriesOrderError, TruncatedSeries, q_binom,
-    q_exponent, q_factorial, q_int, q_power,
+    SeriesDomainError, SeriesOrderError, TruncatedSeries, q_exponent, q_power,
 )
+from qaffine.que import UqContext, q_integer
 
 K = 3
 
@@ -257,10 +258,24 @@ def test_shift_and_valuation():
     assert a[2] == 3
 
 
+def _q_factorial(ctx, n):
+    out = ctx.one_series()
+    for i in range(1, n + 1):
+        out = out * q_integer(ctx, i)
+    return out
+
+
+def _q_binom(ctx, n, i):
+    return _q_factorial(ctx, n) * (
+        _q_factorial(ctx, n - i) * _q_factorial(ctx, i)).inv()
+
+
 def test_q_int_small_values():
-    assert q_int(0, 2, K).is_zero()
-    assert q_int(1, 2, K) == TruncatedSeries.one(K)
-    assert q_int(2, 2, K) == TruncatedSeries(K, [2, 0, 1])
+    ctx = UqContext(K)
+    assert q_integer(ctx, 0).is_zero()
+    assert q_integer(ctx, 1) == TruncatedSeries.one(K)
+    # [2]_q = q + 1/q = 2 + hbar^2/4 + ... with q = exp(hbar/2)
+    assert q_integer(ctx, 2) == TruncatedSeries(K, [2, 0, Fraction(1, 4)])
 
 
 def test_q_power_consistency():
@@ -270,30 +285,42 @@ def test_q_power_consistency():
 
 
 def test_q_factorial_recursion():
-    for n in range(1, 5):
-        assert q_factorial(n, 2, 4) == q_factorial(n - 1, 2, 4) * q_int(n, 2, 4)
+    ctx = UqContext(4)
+    qi = ctx.q_inv
+    for n in range(1, 6):
+        # [n+1] = q^n + q^-1 [n] and [2][n] = [n+1] + [n-1]
+        assert q_integer(ctx, n + 1) == q_power(n, 1, 4) + qi * q_integer(ctx, n)
+        assert q_integer(ctx, 2) * q_integer(ctx, n) == \
+            q_integer(ctx, n + 1) + q_integer(ctx, n - 1)
+        assert _q_factorial(ctx, n).constant_term() == factorial(n)
 
 
 def test_q_binom_edges_and_example():
+    ctx = UqContext(K)
     for n in range(5):
-        assert q_binom(n, 0, 2, K) == TruncatedSeries.one(K)
-        assert q_binom(n, n, 2, K) == TruncatedSeries.one(K)
-    assert q_binom(2, 1, 2, K) == TruncatedSeries(K, [2, 0, 1])
+        assert _q_binom(ctx, n, 0) == TruncatedSeries.one(K)
+        assert _q_binom(ctx, n, n) == TruncatedSeries.one(K)
+    assert _q_binom(ctx, 2, 1) == q_integer(ctx, 2)
 
 
 def test_q_binom_symmetry():
+    ctx = UqContext(4)
     for n in range(7):
         for i in range(n + 1):
-            assert q_binom(n, i, 2, 4) == q_binom(n, n - i, 2, 4)
+            assert _q_binom(ctx, n, i) == _q_binom(ctx, n, n - i)
+            if 0 < i < n:
+                # q-Pascal: [n, i] = q^-i [n-1, i] + q^(n-i) [n-1, i-1]
+                assert _q_binom(ctx, n, i) == \
+                    q_power(-i, 1, 4) * _q_binom(ctx, n - 1, i) + \
+                    q_power(n - i, 1, 4) * _q_binom(ctx, n - 1, i - 1)
 
 
 def test_q_binom_is_polynomial_count_at_order_zero():
     # constant term must be the ordinary binomial coefficient
-    from math import comb
-
+    ctx = UqContext(4)
     for n in range(7):
         for i in range(n + 1):
-            assert q_binom(n, i, 2, 4).constant_term() == comb(n, i)
+            assert _q_binom(ctx, n, i).constant_term() == comb(n, i)
 
 
 rationals = st.builds(

@@ -1,7 +1,11 @@
 """Standard r-matrices, cobrackets, twisted products, and coisotropy
 at the Lie-algebra level."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,53 @@ def test_borel_derived_is_nilradical(sl2):
     der = borel.derived()
     assert der.dim() == 1
     assert der.contains({sl2.raise_index(0): F(1)})
+
+
+# Each expression hands a tensor of the wrong arity (or an algebra without
+# a Cartan matrix) to a liebialg or cgx entry point that must reject it.
+_BAD_ARITY_SETUP = (
+    "from qaffine.cgx import PWContext, invariant_action, pw_one\n"
+    "from qaffine.liebialg import (\n"
+    "    LieAlgebra, Subspace, basis_tensor, build_sl, cobracket,\n"
+    "    cybe_residual, mix_tensor, standard_r, verify_twisting_element)\n"
+    "alg = build_sl(2)\n"
+    "x = basis_tensor(alg, 0)\n"
+    "r = standard_r(alg).r\n"
+    "f = pw_one(PWContext(alg), 1)\n"
+)
+_BAD_ARITY = (
+    "x + r",
+    "x.transpose()",
+    "cybe_residual(x)",
+    "cobracket(x, x)",
+    "cobracket(r, r)",
+    "mix_tensor(x, 2)",
+    "verify_twisting_element(x, r)",
+    "Subspace(alg, [r])",
+    "invariant_action(r, f, 'left')",
+    "LieAlgebra('ab', ['x'], {}, [[1]]).simple_root(0)",
+)
+
+
+def test_bad_arities_are_rejected():
+    env = {}
+    exec(_BAD_ARITY_SETUP, env)
+    for expr in _BAD_ARITY:
+        with pytest.raises(ValueError):
+            eval(expr, env)
+
+
+def test_bad_arities_are_rejected_under_optimization():
+    """The arity checks are not asserts: they hold under `python -O` too."""
+    code = _BAD_ARITY_SETUP + (
+        "for expr in %r:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted: ' + expr)\n" % (_BAD_ARITY,))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
