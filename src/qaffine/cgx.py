@@ -18,8 +18,9 @@ sparse columns (one nonzero dict per basis vector).
 One routine, cg_split, splits V(lam) (x) V(mu) over either ring: it
 transports each highest weight vector along the lowering words of V(nu)
 and inverts the injection one weight block at a time.  The contexts only
-find the highest weight vectors: PWContext by a nullspace,
-que.QAffineContext by lifting the classical ones order by order in hbar.
+find the highest weight vectors: PWContext as the sparse kernel of the
+raising operators, que.QAffineContext by lifting the classical ones
+order by order in hbar.
 
 Conventions (pinned by the test suite):
   * dual action (x.xi)(v) = -xi(x.v), i.e. xi(S(x)v) with S(x) = -x,
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, nullspace
+from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace
 from .liebialg import (LieAlgebra, LieTensor, StandardR, Weight, mix_tensor,
                        require_arity)
 
@@ -112,16 +113,20 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _sparse_tensor(a: Rep, b: Rep) -> Tuple[List[Weight], List[List[SparseVec]]]:
+def _sparse_tensor(a: Rep, b: Rep, gens: Optional[Sequence[int]] = None
+                   ) -> Tuple[List[Weight], List[List[SparseVec]]]:
     """Weights and sparse action of a (x) b on the basis e_i (x) f_t, at
-    index i * b.dim + t: cols[x][j] holds the nonzeros of column j of x."""
+    index i * b.dim + t: cols[x][j] holds the nonzeros of column j of the
+    x-th of gens (by default every basis element of the algebra)."""
     db = b.dim
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
     ]
+    if gens is None:
+        gens = range(len(a.act))
     cols = []
-    for ma, mb in zip(a.act, b.act):
-        ca, cb = sparse_columns(ma), sparse_columns(mb)
+    for x in gens:
+        ca, cb = sparse_columns(a.act[x]), sparse_columns(b.act[x])
         mat = []
         for i in range(a.dim):
             for t in range(db):
@@ -252,6 +257,7 @@ class PWContext:
         self.dim_bound = dim_bound
         self._irreps: Dict[Weight, Irrep] = {}
         self._cg: Dict[Tuple[Weight, Weight], CGEntry] = {}
+        self._hw: Dict[Tuple[Weight, Weight], List[Tuple[Weight, SparseVec]]] = {}
         self._fund: Dict[int, Rep] = {}
         self._slot: Dict[Tuple[Weight, int, str], List[SparseVec]] = {}
 
@@ -358,12 +364,28 @@ class PWContext:
         return self._cg[key]
 
     def _decompose(self, lam: Weight, mu: Weight) -> CGEntry:
-        """The highest weight vectors of V(lam) (x) V(mu), as kernels of
-        the raising operators per weight, split by cg_split."""
+        """The split of V(lam) (x) V(mu) by cg_split, from its highest
+        weight vectors."""
         alg = self.alg
-        weights, cols = _sparse_tensor(self.irrep(lam), self.irrep(mu))
-        zero = Fraction(0)
-        # highest weight vectors, grouped by weight
+        weights, lowering = _sparse_tensor(
+            self.irrep(lam), self.irrep(mu),
+            [alg.lower_index(i) for i in range(alg.rank)])
+        return cg_split(self, lam, mu, weights, lowering,
+                        self.highest_weight_vectors(lam, mu))
+
+    def highest_weight_vectors(self, lam: Weight, mu: Weight
+                               ) -> List[Tuple[Weight, SparseVec]]:
+        """The highest weight vectors (nu, vector) of V(lam) (x) V(mu),
+        dominant weights in decreasing order, as kernels of the raising
+        operators per weight, each scaled to leading coefficient 1;
+        memoized."""
+        key = (tuple(lam), tuple(mu))
+        if key in self._hw:
+            return self._hw[key]
+        alg = self.alg
+        weights, raising = _sparse_tensor(
+            self.irrep(lam), self.irrep(mu),
+            [alg.raise_index(i) for i in range(alg.rank)])
         by_weight: Dict[Weight, List[int]] = {}
         for i, w in enumerate(weights):
             by_weight.setdefault(w, []).append(i)
@@ -372,25 +394,16 @@ class PWContext:
             if any(c < 0 for c in w):
                 continue
             idxs = by_weight[w]
-            rows = []
-            for i in range(alg.rank):
-                e = cols[alg.raise_index(i)]
-                target = tuple(a + b for a, b in zip(w, alg.simple_root(i)))
-                block = {r: [zero] * len(idxs) for r in by_weight.get(target, [])}
-                for pos, c in enumerate(idxs):
-                    for r, x in e[c].items():
-                        block[r][pos] = x
-                rows.extend(block.values())
-            kern = nullspace(rows) if rows else [
-                [Fraction(1) if j == i else zero for j in range(len(idxs))]
-                for i in range(len(idxs))
-            ]
-            for kv in kern:
-                lead = next(c for c in kv if c != 0)
+            # column pos: the images of basis vector idxs[pos] under every
+            # raising operator, which lie in the weight spaces above w
+            cols = [{(i, r): x for i, e in enumerate(raising)
+                     for r, x in e[c].items()} for c in idxs]
+            for kv in sparse_nullspace(cols):
+                lead = kv[min(kv)]
                 hw_list.append(
-                    (w, {i: c / lead for i, c in zip(idxs, kv) if c != 0}))
-        lowering = [cols[alg.lower_index(i)] for i in range(alg.rank)]
-        return cg_split(self, lam, mu, weights, lowering, hw_list)
+                    (w, {idxs[pos]: kv[pos] / lead for pos in sorted(kv)}))
+        self._hw[key] = hw_list
+        return hw_list
 
 
 # -- block functions --------------------------------------------------------

@@ -560,6 +560,7 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     ctx = UqContext(cfg.hbar_order)
     U = borel_subalgebra(ctx, cfg.degree_bound)
     R = r_matrix_sl2(ctx)
+    qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
 
     def membership():
         rep = r_membership_hopf(U, R)
@@ -613,7 +614,6 @@ def _suite_coiso(cfg: RunConfig, report: Report):
                monoid)
 
     def semi():
-        qctx = QAffineContext(ctx)
         z1 = weight_character(U, 1)
         got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
         graded = GradedSemiInvariants(U, 2)
@@ -632,7 +632,6 @@ def _suite_coiso(cfg: RunConfig, report: Report):
                "principal affine blocks", semi)
 
     def sections():
-        qctx = QAffineContext(ctx)
         mon = CharacterMonoid(U, precheck=False)
         d = hw_coefficient(qctx, (1,), {0: 1})
         rep = quantum_section_check(d, U, n_max=3, monoid=mon)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, nullspace
+from .linalg import EchelonSpan, sparse_nullspace
 from .que import (
     QAffineContext,
     UqContext,
@@ -275,12 +275,13 @@ class CoisoReport:
 
 def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
                  side: str, pivot=min):
-    """Tracked echelon span of U(x)U + H(x)[U,U] (right) or
-    U(x)U + [U,U](x)H (left) inside the given window, with hbar-shifted
-    copies, pivoting on pivot(keys); returns it with tags aligned with
-    every insertion."""
+    """Echelon span of U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H
+    (left) inside the given window, with hbar-shifted copies, pivoting on
+    pivot(keys); returns it with tags aligned with every insertion.  Only
+    a right window is tracked: the reduced coproduct reads its
+    coefficients, while a left window only answers membership."""
     ctx = Uext.ctx
-    span = EchelonSpan(track=True, pivot=pivot)
+    span = EchelonSpan(track=side == "right", pivot=pivot)
     tags: List[Tuple] = []
     for i, u in enumerate(Uext.basis):
         for j, v in enumerate(Uext.basis):
@@ -300,9 +301,10 @@ def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
 
 class CoisoWindow:
     """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
-    (span bound, h bound, side, pivot), as a tracked span that membership
-    and the monoid's reduced coproduct share.  It keeps the basis words
-    of the extended U, not U, so U can hold it without a cycle."""
+    (span bound, h bound, side, pivot), as a span that membership and
+    the monoid's reduced coproduct share; a right window is tracked for
+    pair_value.  It keeps the basis words of the extended U, not U, so U
+    can hold it without a cycle."""
 
     def __init__(self, U: HopfSubalgebra, span_bound: int, h_bound: int,
                  side: str, pivot):
@@ -694,7 +696,7 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                     chi: Union[Character, Sequence[Character]],
                     weight_bound: int, m: int = 1) -> List[BlockFunction]:
     """Basis of {f in the weight window : f.u = chi(u) f factorwise} by
-    an exact linear solve.  The eigencondition is enforced on the
+    an exact sparse kernel solve.  The eigencondition is enforced on the
     generators of U, which suffices: the right action is multiplicative
     and the character values extend multiplicatively."""
     chis = [chi] * m if isinstance(chi, Character) else list(chi)
@@ -716,20 +718,12 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                 for key, c in qfun_vec(res.scale(_hbar(ctx, k))).items():
                     col[(j, gi, key)] = c
         cols.append(col)
-    row_keys = sorted({k for col in cols for k in col})
-    row_pos = {k: i for i, k in enumerate(row_keys)}
-    matrix = [[Fraction(0)] * len(unknowns) for _ in row_keys]
-    for ci, col in enumerate(cols):
-        for k, c in col.items():
-            matrix[row_pos[k]][ci] = c
-    if not row_keys:
-        matrix = [[Fraction(0)] * len(unknowns)]
     out = []
-    for sol in nullspace(matrix):
+    for sol in sparse_nullspace(cols):
         f = BlockFunction(qctx, m)
-        for (bi, k), x in zip(unknowns, sol):
-            if x != 0:
-                f = f + basis[bi].scale(_hbar(ctx, k) * x)
+        for ci in sorted(sol):
+            bi, k = unknowns[ci]
+            f = f + basis[bi].scale(_hbar(ctx, k) * sol[ci])
         out.append(f)
     return out
 

@@ -3,14 +3,15 @@
 Vectors are dicts mapping hashable, totally ordered coordinate keys to
 nonzero Fractions.  Echelon spans keep a reduced row echelon basis with a
 deterministic pivot order (the smallest key, or the largest one), so
-subspace equality and membership are canonical.  mat_inv also inverts
-over Q[[hbar]]/(hbar^K).
+subspace equality and membership are canonical.  Kernels are read off a
+tracked echelon span (sparse_nullspace); dense rref remains only behind
+solve.  mat_inv also inverts over Q[[hbar]]/(hbar^K).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 Vec = Dict[Hashable, Fraction]
 
@@ -44,6 +45,9 @@ class EchelonSpan:
         self.pivot = pivot
         self.history: Dict[Hashable, Vec] = {}  # pivot -> combo of gen index
         self._ngens = 0
+        # non-pivot key -> pivots of the rows holding it (a pivot key is
+        # held by its own row only, so it needs no entry)
+        self._holders: Dict[Hashable, Set[Hashable]] = {}
 
     def __len__(self):
         return len(self.rows)
@@ -89,9 +93,13 @@ class EchelonSpan:
 
     def add(self, v: Vec) -> bool:
         """Insert v into the span.  Returns True if the rank grew."""
+        return self._insert(*self._reduce_tracked(v, self.track))
+
+    def _insert(self, res: Vec, combo: Vec) -> bool:
+        """Record the next generator, whose reduction left res after
+        subtracting combo; a nonzero res becomes a new row."""
         gen_idx = self._ngens
         self._ngens += 1
-        res, combo = self._reduce_tracked(v, self.track)
         if not res:
             return False
         p = self.pivot(res)
@@ -100,13 +108,22 @@ class EchelonSpan:
         if self.track:
             hist = vec_add(vec_scale(combo, Fraction(-1)), {gen_idx: Fraction(1)})
             hist = vec_scale(hist, Fraction(1) / c)
-        # back-substitute into existing rows to stay fully reduced
-        for piv, r in list(self.rows.items()):
-            if p in r:
-                coef = r[p]
-                self.rows[piv] = vec_add(r, row, -coef)
-                if self.track:
-                    self.history[piv] = vec_add(self.history[piv], hist, -coef)
+        # back-substitute into the rows that hold p, to stay fully reduced
+        holders = self._holders
+        for piv in holders.pop(p, ()):
+            r = self.rows[piv]
+            coef = r[p]
+            new = self.rows[piv] = vec_add(r, row, -coef)
+            if self.track:
+                self.history[piv] = vec_add(self.history[piv], hist, -coef)
+            for k in row:
+                if k in new:
+                    holders.setdefault(k, set()).add(piv)
+                elif k != p:
+                    holders[k].discard(piv)
+        for k in row:
+            if k != p:
+                holders.setdefault(k, set()).add(p)
         self.rows[p] = row
         if self.track:
             self.history[p] = hist
@@ -132,6 +149,23 @@ class EchelonSpan:
         if set(self.rows) != set(other.rows):
             return False
         return all(self.rows[p] == other.rows[p] for p in self.rows)
+
+
+def sparse_nullspace(cols: List[Vec]) -> List[Vec]:
+    """Basis of the right kernel of the matrix with these sparse columns,
+    keyed by column index.  The columns go into a tracked echelon span in
+    order, one reduction each; a column f that does not raise the rank
+    gives e_f minus its combination of the earlier pivot columns, which is
+    the free-variable basis of a dense rref."""
+    span = EchelonSpan(track=True)
+    out = []
+    for f, col in enumerate(cols):
+        res, combo = span._reduce_tracked(col, True)
+        if not span._insert(res, combo):
+            kv = vec_scale(combo, Fraction(-1))
+            kv[f] = Fraction(1)
+            out.append(kv)
+    return out
 
 
 # -- dense matrices over Fraction -------------------------------------
@@ -221,17 +255,11 @@ def nullspace(a: Matrix) -> List[List[Fraction]]:
     """Basis of the right kernel, deterministic (free vars in order)."""
     if not a:
         return []
-    red, pivots = rref(a)
     cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    sparse = [{i: row[j] for i, row in enumerate(a) if row[j]}
+              for j in range(cols)]
+    return [[kv.get(j, Fraction(0)) for j in range(cols)]
+            for kv in sparse_nullspace(sparse)]
 
 
 def solve(a: Matrix, b: List[Fraction]) -> Optional[List[Fraction]]:

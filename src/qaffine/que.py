@@ -981,14 +981,14 @@ class QAffineContext:
         weights, (dE, dF) = self._tensor_generators(
             self.irrep((n,)), self.irrep((m,)))
         hw_list = []
-        for nu_w, inj_cl, _ in self.pw.cg((n,), (m,)).summands:
+        for nu_w, hw_cl in self.pw.highest_weight_vectors((n,), (m,)):
             nu = nu_w[0]
             idxs = [i for i, w in enumerate(weights) if w == nu]
             rows = [i for i, w in enumerate(weights) if w == nu + 2]
             # hbar-coefficient matrices of Delta(E) from weight nu to nu + 2
             eblocks = [[[dE[c][r][k] if r in dE[c] else Fraction(0)
                          for c in idxs] for r in rows] for k in range(K)]
-            coeffs = [[inj_cl[i][0] for i in idxs]]  # order 0: classical hw
+            coeffs = [[hw_cl.get(i, Fraction(0)) for i in idxs]]  # order 0
             for k in range(1, K):
                 rhs = [Fraction(0)] * len(rows)
                 for j in range(1, k + 1):

@@ -1,13 +1,149 @@
-"""Exact echelon spans and small dense matrix helpers."""
+"""Exact echelon spans, sparse kernels and small dense matrix helpers."""
 
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qaffine.linalg
 from qaffine.linalg import (
     EchelonSpan, mat_identity, mat_inv, mat_mul, nullspace, rref, solve,
+    sparse_nullspace, vec_add, vec_scale,
 )
 
 F = Fraction
+
+
+# -- references: the full-scan insert and the dense-rref kernel ---------------
+
+
+class FullScanSpan(EchelonSpan):
+    """EchelonSpan whose add back-substitutes by scanning every row, the
+    insert the column index replaces; kept as its reference."""
+
+    def add(self, v):
+        gen_idx = self._ngens
+        self._ngens += 1
+        res, combo = self._reduce_tracked(v, self.track)
+        if not res:
+            return False
+        p = self.pivot(res)
+        c = res[p]
+        row = vec_scale(res, F(1) / c)
+        if self.track:
+            hist = vec_add(vec_scale(combo, F(-1)), {gen_idx: F(1)})
+            hist = vec_scale(hist, F(1) / c)
+        for piv, r in list(self.rows.items()):
+            if p in r:
+                coef = r[p]
+                self.rows[piv] = vec_add(r, row, -coef)
+                if self.track:
+                    self.history[piv] = vec_add(self.history[piv], hist, -coef)
+        self.rows[p] = row
+        if self.track:
+            self.history[p] = hist
+        return True
+
+
+def rref_nullspace(a):
+    """Free-variable kernel basis read off the dense rref of a."""
+    if not a:
+        return []
+    red, pivots = rref(a)
+    cols = len(a[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+_KEYS = [(a, b) for a in range(3) for b in range(3)]
+_coef = st.integers(min_value=-2, max_value=2).map(F)
+_vec = st.dictionaries(st.sampled_from(_KEYS), _coef, max_size=5).map(
+    lambda v: {k: c for k, c in v.items() if c})
+# each generator is a fresh vector plus a combination of earlier ones, so
+# dependent inserts and cancellations during back-substitution both occur
+_gens = st.lists(st.tuples(_vec, st.lists(_coef, max_size=8)), max_size=10)
+
+
+def _with_combos(raw):
+    gens = []
+    for v, cs in raw:
+        for c, g in zip(cs, gens):
+            v = vec_add(v, g, c)
+        gens.append(v)
+    return gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gens, st.lists(_vec, max_size=3), st.sampled_from([min, max]),
+       st.booleans())
+def test_indexed_add_matches_full_scan(raw, queries, pivot, track):
+    gens = _with_combos(raw)
+    got, ref = EchelonSpan(track, pivot), FullScanSpan(track, pivot)
+    for v in gens:
+        assert got.add(v) == ref.add(v)
+        assert got.rows == ref.rows and list(got.rows) == list(ref.rows)
+        assert got.history == ref.history
+        # the column index names exactly the rows that hold each key
+        held = {}
+        for piv, row in got.rows.items():
+            for k in row:
+                if k != piv:
+                    held.setdefault(k, set()).add(piv)
+        assert {k: s for k, s in got._holders.items() if s} == held
+    assert got.basis() == ref.basis()
+    for q in queries + gens:
+        assert got.reduce(q) == ref.reduce(q)
+        if track:
+            assert got.coefficients(q) == ref.coefficients(q)
+
+
+_dense = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-2, max_value=2).map(F),
+                                min_size=n, max_size=n),
+                       min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense)
+def test_sparse_nullspace_is_the_rref_basis(a):
+    cols = len(a[0])
+    sparse = [{r: row[j] for r, row in enumerate(a) if row[j]}
+              for j in range(cols)]
+    ref = rref_nullspace(a)
+    assert [[kv.get(j, F(0)) for j in range(cols)]
+            for kv in sparse_nullspace(sparse)] == ref
+    assert nullspace(a) == ref
+
+
+def test_semi_invariants_never_use_dense_rref(monkeypatch):
+    from qaffine.cgx import hw_coefficient, pw_tensor
+    from qaffine.coiso import (_fn_span, borel_subalgebra, semi_invariants,
+                               weight_character)
+    from qaffine.que import QAffineContext, UqContext
+
+    def no_rref(*args):
+        raise AssertionError("dense rref on the coiso path")
+
+    monkeypatch.setattr(qaffine.linalg, "rref", no_rref)
+    with pytest.raises(AssertionError):  # the patch reaches solve
+        solve([[F(1)]], [F(1)])
+    ctx = UqContext(3)
+    qctx = QAffineContext(ctx)
+    U = borel_subalgebra(ctx, 1)
+    z1 = weight_character(U, 1)
+    got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
+    expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
+                         hw_coefficient(qctx, (1,), {b: 1})])
+              for a in range(2) for b in range(2)]
+    assert _fn_span(got).equals(_fn_span(expect))
 
 
 def test_span_membership_and_rank():
