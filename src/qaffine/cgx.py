@@ -635,7 +635,8 @@ def act_factor(f: BlockFunction, j: int, x, side: str) -> BlockFunction:
     rho(S(x)) (S(x) = -x for x in g): on the dual slot for side "left",
     x^L c_{xi,v} = c_{x.xi, v} with (x.xi)(v) = xi(S(x)v), and on the vector
     slot for side "right", x^R c_{xi,v} = c_{xi, S(x)v}.  x is a basis
-    index for a PWContext and a UqElement for a QAffineContext."""
+    index for a PWContext and an element of U_hbar(sl2) (a one-leg
+    UqTensor, such as a UqElement) for a QAffineContext."""
     ctx = f.ctx
     slot = 2 * j + (side == "right")
     out = BlockFunction(ctx, f.m)

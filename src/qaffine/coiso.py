@@ -62,13 +62,9 @@ def _series_vec(terms) -> Dict:
     return out
 
 
-def uq_vec(x: UqElement) -> Dict:
-    """An element as a sparse Q-vector keyed by (monomial, hbar power)."""
-    return _series_vec(((m,), s) for m, s in x.data.items())
-
-
 def tensor_vec(t: UqTensor) -> Dict:
-    """A tensor as a sparse Q-vector keyed by (key, hbar power)."""
+    """A tensor (an element too, as one leg) as a sparse Q-vector keyed by
+    (key, hbar power)."""
     return _series_vec(((key,), s) for key, s in t.data.items())
 
 
@@ -79,8 +75,12 @@ def qfun_vec(f: BlockFunction) -> Dict:
                        for idx, s in blk.items())
 
 
-def _hbar(ctx: UqContext, k: int) -> TruncatedSeries:
-    return TruncatedSeries.hbar(ctx.order, k) if k else ctx.one_series()
+def _hbar_shifts(vec: Dict, order: int) -> List[Dict]:
+    """The flattened hbar^k x for k < order, from the flattened x: every
+    key's last entry (its hbar power) raised by k, powers >= order
+    dropped."""
+    return [{key[:-1] + (key[-1] + k,): c for key, c in vec.items()
+             if key[-1] + k < order} for k in range(order)]
 
 
 def _h_monomials(bound: int) -> List[Tuple[int, int, int]]:
@@ -131,13 +131,10 @@ class HopfSubalgebra:
             for w, el in level:
                 widx = len(self.words)
                 self.words.append(w)
-                grew = False
-                for k in range(ctx.order):
-                    added = self.span.add(uq_vec(el.scale(_hbar(ctx, k))))
-                    self.tags.append((widx, k))
-                    if k == 0:
-                        grew = added
-                if grew:
+                grew = [self.span.add(v)
+                        for v in _hbar_shifts(tensor_vec(el), ctx.order)]
+                self.tags.extend((widx, k) for k in range(ctx.order))
+                if grew[0]:
                     self.basis.append(el)
                     self.basis_words.append(w)
                     if length < degree_bound:
@@ -146,7 +143,7 @@ class HopfSubalgebra:
             level = nxt
 
     def contains(self, x: UqElement) -> bool:
-        return self.span.contains(uq_vec(x))
+        return self.span.contains(tensor_vec(x))
 
     @property
     def closure_defects(self) -> List[Tuple[int, int]]:
@@ -222,13 +219,13 @@ class IdealWindow:
                     if len(wl) + lc + len(wr) > bound:
                         continue
                     el = el_l * c * el_r
-                    grew = [span.add(uq_vec(el.scale(_hbar(ctx, k))))
-                            for k in range(ctx.order)]
+                    grew = [span.add(v) for v in
+                            _hbar_shifts(tensor_vec(el), ctx.order)]
                     if grew[0]:
                         elements.append(el)
 
     def contains(self, x: UqElement) -> bool:
-        return self.span.contains(uq_vec(x))
+        return self.span.contains(tensor_vec(x))
 
 
 def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
@@ -286,15 +283,17 @@ def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
     for i, u in enumerate(Uext.basis):
         for j, v in enumerate(Uext.basis):
             base = tensor_of([u, v])
-            for k in range(ctx.order):
-                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+            for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
+                                                 ctx.order)):
+                span.add(vec)
                 tags.append(("uu", i, j, k))
     for hm in _h_monomials(h_bound):
         x = UqElement(ctx, {hm: 1})
         for ci, c in enumerate(ideal.elements):
             base = tensor_of([x, c]) if side == "right" else tensor_of([c, x])
-            for k in range(ctx.order):
-                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+            for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
+                                                 ctx.order)):
+                span.add(vec)
                 tags.append(("ideal", hm, ci, k))
     return span, tags
 
@@ -339,8 +338,8 @@ class CoisoWindow:
             if tag[0] != "uu":
                 continue  # phi (x) psi kills the H(x)[U,U] part
             _, i, j, k = tag
-            out = out + (phi.on_word(words[i]) * psi.on_word(words[j])
-                         * _hbar(ctx, k) * c)
+            out = out + (phi.on_word(words[i])
+                         * psi.on_word(words[j])).shift(k) * c
         return out
 
 
@@ -429,7 +428,7 @@ def _monomial_support(span: EchelonSpan) -> Optional[set]:
     for piv, row in span.rows.items():
         if len(row) != 1:
             return None
-        (m, _k), = row.keys()
+        ((m,), _k), = row.keys()
         monos.add(m)
     return monos
 
@@ -540,13 +539,13 @@ class Character:
     def on_element(self, x: UqElement) -> Optional[TruncatedSeries]:
         """Value on an element of the window, through the tracked span;
         None when x is outside the window."""
-        combo = self.U.span.coefficients(uq_vec(x))
+        combo = self.U.span.coefficients(tensor_vec(x))
         if combo is None:
             return None
         out = self.U.ctx.zero_series()
         for gen_idx, c in combo.items():
             widx, k = self.U.tags[gen_idx]
-            out = out + self.on_word(self.U.words[widx]) * _hbar(self.U.ctx, k) * c
+            out = out + self.on_word(self.U.words[widx]).shift(k) * c
         return out
 
     def is_valid(self, ideal: Optional[IdealWindow] = None) -> bool:
@@ -704,26 +703,27 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
         raise ValueError("%d characters for %d factors" % (len(chis), m))
     ctx = qctx.uq
     basis = _qf_window_basis(qctx, m, weight_bound)
-    unknowns: List[Tuple[int, int]] = [
-        (bi, k) for bi in range(len(basis)) for k in range(ctx.order)
-    ]
-    # residual of each unknown under each (factor, generator) condition
+    # one unknown per (basis function bi, hbar power k), column bi*K + k:
+    # the residual of hbar^k basis[bi] under each (factor, generator)
+    # condition, which is the residual of basis[bi] shifted by k
     cols = []
-    for bi, k in unknowns:
-        col: Dict = {}
+    for b in basis:
+        shifted = []
         for j in range(m):
             for gi, g in enumerate(U.generators):
-                res = (act_factor(basis[bi], j, g, "right")
-                       - basis[bi].scale(chis[j].values[gi]))
-                for key, c in qfun_vec(res.scale(_hbar(ctx, k))).items():
-                    col[(j, gi, key)] = c
-        cols.append(col)
+                res = (act_factor(b, j, g, "right")
+                       - b.scale(chis[j].values[gi]))
+                shifted.append((j, gi, _hbar_shifts(qfun_vec(res), ctx.order)))
+        for k in range(ctx.order):
+            cols.append({(j, gi, key): c for j, gi, vecs in shifted
+                         for key, c in vecs[k].items()})
     out = []
     for sol in sparse_nullspace(cols):
         f = BlockFunction(qctx, m)
         for ci in sorted(sol):
-            bi, k = unknowns[ci]
-            f = f + basis[bi].scale(_hbar(ctx, k) * sol[ci])
+            bi, k = divmod(ci, ctx.order)
+            f = f + basis[bi].scale(TruncatedSeries.hbar(ctx.order, k)
+                                    * sol[ci])
         out.append(f)
     return out
 
@@ -757,12 +757,9 @@ class GradedSemiInvariants:
 
 def _fn_span(fns: List[BlockFunction]) -> EchelonSpan:
     span = EchelonSpan()
-    if not fns:
-        return span
-    order = fns[0].ctx.uq.order
     for f in fns:
-        for k in range(order):
-            span.add(qfun_vec(f.scale(_hbar(fns[0].ctx.uq, k))))
+        for v in _hbar_shifts(qfun_vec(f), f.ctx.uq.order):
+            span.add(v)
     return span
 
 

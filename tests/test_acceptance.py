@@ -231,7 +231,7 @@ def test_criterion_09_quantum_axioms(uq3):
         E, Fg, H = uq_gen(ctx, "E"), uq_gen(ctx, "F"), uq_gen(ctx, "H")
         assert H * E - E * H == E.scale(2)
         assert H * Fg - Fg * H == Fg.scale(-2)
-        assert (E * Fg - Fg * E).mod_hbar() == {(0, 1, 0): F(1)}
+        assert (E * Fg - Fg * E).mod_hbar() == {((0, 1, 0),): F(1)}
         # associativity through PBW degree 4
         words = [E, Fg, H, E * Fg, H * E]
         for x in words:
@@ -241,8 +241,7 @@ def test_criterion_09_quantum_axioms(uq3):
         for g in (E, Fg, H):
             d = coproduct(g)
             assert delta_leg(d, 0) == delta_leg(d, 1)
-            assert counit_leg(d, 0) == UqTensor(
-                ctx, 1, {(m,): s for m, s in g.data.items()})
+            assert counit_leg(d, 0) == g
             acc = UqElement(ctx)
             for (m1, m2), s in d.data.items():
                 acc = acc + (antipode(UqElement(ctx, {m1: 1}))

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from qaffine.cli import main
+from qaffine.que import UqContext, uq_gen
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,6 +42,13 @@ def test_bench_hooks_wrap_and_restore(monkeypatch, capsys):
                      "1:0", "1:1"]) == 0
         assert main(["compute", "qmultiply", "1:0", "1:1",
                      "--hbar-order", "2"]) == 0
+        # the element product is the tensor product, bound a second time
+        # as UqElement.__mul__: one product is one element_mul span
+        ctx = UqContext(2)
+        counted = dict(rec.counts)
+        uq_gen(ctx, "E") * uq_gen(ctx, "F")
+        for metric, grew in (("que.element_mul", 1), ("que.tensor_mul", 0)):
+            assert rec.counts.get(metric, 0) - counted.get(metric, 0) == grew
     capsys.readouterr()
     # one call each: a function wrapped twice would count twice
     for metric in ("cgx.bracket", "que.q_multiply", "que.qcg_build"):

@@ -3,6 +3,7 @@ semi-invariants, and quantum-section checks."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,14 +12,17 @@ from pathlib import Path
 import pytest
 
 from qaffine.coiso import (
-    CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span, _hbar,
-    _h_monomials, borel_subalgebra, classical_shadow, counit_character,
-    ideal_commutator, q_evaluate, qfun_vec, quantum_section_check,
-    r_membership_hopf, semi_invariant_product_check, semi_invariants,
-    strong_coiso_hopf, strong_coiso_twisted, tensor_vec, uq_vec,
+    CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span,
+    _hbar_shifts, _h_monomials, borel_subalgebra, classical_shadow,
+    counit_character, ideal_commutator, q_evaluate, qfun_vec,
+    quantum_section_check, r_membership_hopf, semi_invariant_product_check,
+    semi_invariants, strong_coiso_hopf, strong_coiso_twisted, tensor_vec,
     weight_character,
 )
-from qaffine.cgx import hw_coefficient, matrix_coefficient, pw_one, pw_tensor
+from qaffine.cgx import (
+    BlockFunction, hw_coefficient, matrix_coefficient, pw_one, pw_tensor,
+)
+from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import EchelonSpan
 from qaffine.que import (
     QAffineContext, antipode, coproduct, q_multiply, UqContext, UqElement,
@@ -277,12 +281,58 @@ def _same_items(a, b):
 def test_flatteners_match_coefficient_reference(ctx, qctx, R):
     for name in ("E", "F", "H"):
         x = antipode(uq_gen(ctx, name) * uq_gen(ctx, "E"))
-        assert _same_items(uq_vec(x), _uq_vec_ref(x))
+        assert _same_items(tensor_vec(x), _uq_vec_ref(x))
     assert _same_items(tensor_vec(R), _tensor_vec_ref(R))
     f = hw_coefficient(qctx, (1,), {0: 1, 1: F(1, 3)})
     g = matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1})
     for h in (q_multiply(f, g), q_multiply(g, f), pw_tensor([f, g])):
         assert _same_items(qfun_vec(h), _qfun_vec_ref(h))
+
+
+# -- hbar^k x by a series multiply, kept as the reference for the key shift --
+
+
+def _hbar(ctx, k):
+    return TruncatedSeries.hbar(ctx.order, k) if k else ctx.one_series()
+
+
+def _random_series(rng, K):
+    """A random series of random valuation (K: the zero series)."""
+    v = rng.randint(0, K)
+    return TruncatedSeries(K, [0] * v + [
+        F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K - v)])
+
+
+def test_hbar_shifts_match_series_scaling():
+    rng = random.Random(19)
+    monos = [(a, b, c) for a in range(2) for b in range(3) for c in range(2)]
+    for K in range(1, 6):
+        uq = UqContext(K)
+        qctx = QAffineContext(uq)
+        for _ in range(6):
+            x = UqElement(uq, {rng.choice(monos): _random_series(rng, K)
+                               for _ in range(rng.randint(1, 5))})
+            y = UqElement(uq, {rng.choice(monos): _random_series(rng, K)
+                               for _ in range(rng.randint(1, 5))})
+            for t in (x, x * y, tensor_of([x, y])):
+                shifts = _hbar_shifts(tensor_vec(t), K)
+                assert len(shifts) == K
+                for k in range(K):
+                    assert _same_items(shifts[k],
+                                       tensor_vec(t.scale(_hbar(uq, k))))
+            blocks = {}
+            for _ in range(rng.randint(1, 4)):
+                ns = tuple((rng.randint(0, 2),) for _ in range(2))
+                idx = tuple(rng.randint(0, n) for (n,) in ns for _ in range(2))
+                blocks.setdefault(ns, {})[idx] = _random_series(rng, K)
+            f = BlockFunction(qctx, 2, blocks)
+            g = hw_coefficient(qctx, (1,), {0: _random_series(rng, K),
+                                            1: _random_series(rng, K)})
+            for h in (f, q_multiply(g, g)):
+                shifts = _hbar_shifts(qfun_vec(h), K)
+                for k in range(K):
+                    assert _same_items(shifts[k],
+                                       qfun_vec(h.scale(_hbar(uq, k))))
 
 
 # -- the per-call window builders, kept as the reference for the shared ------
@@ -324,7 +374,8 @@ def _ideal_commutator_ref(U, bound=None):
                 el = el_l * c * el_r
                 grew = False
                 for k in range(ctx.order):
-                    if span.add(uq_vec(el.scale(_hbar(ctx, k)))) and k == 0:
+                    v = tensor_vec(el.scale(_hbar(ctx, k)))
+                    if span.add(v) and k == 0:
                         grew = True
                 if grew:
                     elements.append(el)

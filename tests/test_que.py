@@ -49,7 +49,7 @@ def test_defining_relations(ctx, gens):
     assert H * E - E * H == E.scale(2)
     assert H * Fg - Fg * H == Fg.scale(-2)
     comm = E * Fg - Fg * E
-    assert comm.mod_hbar() == {(0, 1, 0): F(1)}
+    assert comm.mod_hbar() == {((0, 1, 0),): F(1)}
     # (q - q^-1) [E,F] = K^2 - K^-2 with K^2 = exp(hbar H / 2)
     lhs = comm.scale(ctx.q - ctx.q_inv)
     rhs = uq_cartan_exp(ctx, F(1, 2)) - uq_cartan_exp(ctx, F(-1, 2))
@@ -78,7 +78,7 @@ def test_normalize_is_multiplicative(ctx):
     assert w == uq_normalize(ctx, ["E"]) * uq_normalize(ctx, ["F", "H", "E"])
     # EF = FE + lower terms: the normal form of EF has leading mono FHE-free
     ef = uq_normalize(ctx, ["E", "F"])
-    assert (1, 0, 1) in ef.data and (0, 1, 0) in ef.data
+    assert ((1, 0, 1),) in ef.data and ((0, 1, 0),) in ef.data
 
 
 def test_antipode_values(ctx, gens):
@@ -93,8 +93,7 @@ def test_hopf_axioms(ctx, gens):
     for g in gens:
         d = coproduct(g)
         assert delta_leg(d, 0) == delta_leg(d, 1)  # coassociativity
-        assert counit_leg(d, 0) == UqTensor(
-            ctx, 1, {(m,): s for m, s in g.data.items()})
+        assert counit_leg(d, 0) == g
         left = UqElement(ctx)
         right = UqElement(ctx)
         for (m1, m2), s in d.data.items():
@@ -372,6 +371,67 @@ def test_unit_leg_product_matches_all_legs_reference(ctx):
         assert same_tensor(a * b, naive_tensor_mul(a, b))
 
 
+# -- the product of the former element class, kept as the reference for ----
+# -- UqTensor.__mul__ on one leg ----------------------------------------------
+
+
+class _ElementRef:
+    """The element class before elements became one-leg tensors: dict
+    mono -> TruncatedSeries, with its own product loop."""
+
+    def __init__(self, ctx, data):
+        self.ctx = ctx
+        self.data = dict(data)
+
+    def add_term(self, m, s):
+        cur = self.data.get(m)
+        ns = s if cur is None else cur + s
+        if ns.is_zero():
+            self.data.pop(m, None)
+        else:
+            self.data[m] = ns
+
+    def __mul__(self, other):
+        out = _ElementRef(self.ctx, {})
+        for m1, s1 in self.data.items():
+            for m2, s2 in other.data.items():
+                s = s1 * s2
+                if s.is_zero():
+                    continue
+                for m, c in mono_mul(self.ctx, m1, m2).items():
+                    out.add_term(m, c * s)
+        return out
+
+
+def _random_element(uq, rng):
+    """Up to five terms, the unit among them often, each of a random
+    hbar-valuation below the order."""
+    monos = [(0, 0, 0)] * 4 + [(a, b, c) for a in range(3) for b in range(2)
+                               for c in range(3)]
+    K = uq.order
+    data = {}
+    for _ in range(rng.randint(1, 5)):
+        v = rng.randint(0, K - 1)
+        data[rng.choice(monos)] = TruncatedSeries(K, [0] * v + [
+            F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K - v)])
+    return UqElement(uq, data)
+
+
+def test_element_product_matches_former_element_loop():
+    rng = random.Random(23)
+    for K in range(1, 6):
+        uq = UqContext(K)
+        for _ in range(12):
+            x, y = _random_element(uq, rng), _random_element(uq, rng)
+            got = x * y
+            want = (_ElementRef(uq, {k: s for (k,), s in x.data.items()})
+                    * _ElementRef(uq, {k: s for (k,), s in y.data.items()}))
+            assert got.legs == 1
+            # equal values, inserted in the same order
+            assert [(k, s) for (k,), s in got.data.items()] == \
+                list(want.data.items())
+
+
 def test_memoized_slot_action_matches_fresh(qctx):
     uq = qctx.uq
     ys = [UqElement(uq, {m1: 1}) for m1, _ in qctx.R.data]
@@ -401,19 +461,27 @@ def test_leg_counts_must_match(ctx):
         block_embed(t3, 2, 3, (0, 1))
     with pytest.raises(ValueError):
         block_embed(tensor_one(ctx, 4), 2, 3, (0,))
+    with pytest.raises(ValueError):  # a 1-leg key in a 2-leg tensor
+        UqTensor(ctx, 2, {((0, 0, 1),): 1}) * tensor_one(ctx, 2)
 
 
 def test_leg_counts_are_checked_under_optimization():
     """The checks are not asserts: they hold under `python -O` too."""
     code = (
-        "from qaffine.que import UqContext, tensor_one\n"
+        "from qaffine.que import UqContext, UqTensor, tensor_one\n"
         "ctx = UqContext(2)\n"
         "for op in ('__add__', '__sub__', '__mul__'):\n"
         "    try:\n"
         "        getattr(tensor_one(ctx, 2), op)(tensor_one(ctx, 3))\n"
         "    except ValueError:\n"
         "        continue\n"
-        "    raise SystemExit('%s accepted 2 and 3 legs' % op)\n")
+        "    raise SystemExit('%s accepted 2 and 3 legs' % op)\n"
+        "try:\n"
+        "    UqTensor(ctx, 2, {((0, 0, 1),): 1}) * tensor_one(ctx, 2)\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('a 1-leg key in a 2-leg tensor was accepted')\n")
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
