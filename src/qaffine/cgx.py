@@ -7,8 +7,12 @@ deformation C_hbar[SL2^m] (coefficients in Q[[hbar]]/(hbar^K),
 que.QAffineContext).  Both contexts answer irrep(lam) and cg(lam, mu), and
 every product goes through one Clebsch-Gordan contraction, cg_contract:
 blocks are tensored factor by factor and decomposed back with exact
-intertwiners.  This module holds the classical contexts, the Poisson
-brackets, and the oracles the bracket checks are compared against.
+intertwiners, each pair of flat indices read from an option list that its
+CG table memoizes (CGEntry.options).  A Poisson bracket is one such
+contraction: the legs (a(f), b(g), c) of every bivector term go into a
+single cg_contract pass with c folded into the term coefficients.  This
+module holds the classical contexts, the Poisson brackets, and the oracles
+the bracket checks are compared against.
 
 Irreps are built recursively: V(lam) is generated inside
 V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
@@ -185,6 +189,27 @@ class CGEntry:
         self.lam = lam
         self.mu = mu
         self.summands = summands  # (nu, injection, projection)
+        self._options: Dict[Tuple[int, int], List] = {}
+
+    def options(self, dual_flat: int, vec_flat: int) -> List:
+        """The nonzero (nu, s, t, inj[dual_flat][s] * proj[t][vec_flat]):
+        where the basis pair (dual_flat, vec_flat) of V(lam) (x) V(mu)
+        lands in the blocks of the summands V(nu); memoized per pair."""
+        key = (dual_flat, vec_flat)
+        opts = self._options.get(key)
+        if opts is None:
+            opts = self._options[key] = []
+            for nu, inj, proj in self.summands:
+                dnu = len(inj[0])
+                for s in range(dnu):
+                    ic = inj[dual_flat][s]
+                    if not ic:
+                        continue
+                    for t in range(dnu):
+                        pc = proj[t][vec_flat]
+                        if pc:
+                            opts.append((nu, s, t, ic * pc))
+        return opts
 
     def cartan_injection(self) -> Matrix:
         nu = tuple(a + b for a, b in zip(self.lam, self.mu))
@@ -573,11 +598,13 @@ def pw_tensor(fs: Sequence[BlockFunction]) -> BlockFunction:
 
 def cg_contract(ctx, m: int, groups) -> BlockFunction:
     """The Clebsch-Gordan contraction behind every product of block
-    functions.  groups yields (lkey, rkey, terms), terms listing
-    (lidx, ridx, coeff): coeff times the entry lidx of an m-factor block
-    lkey times the entry ridx of an m-factor block rkey, multiplied factor
-    by factor, factor j split through the CG table of
-    V(lkey[j]) (x) V(rkey[j])."""
+    functions and every Poisson bracket.  groups yields (lkey, rkey,
+    terms), terms listing (lidx, ridx, coeff): coeff times the entry lidx
+    of an m-factor block lkey times the entry ridx of an m-factor block
+    rkey, multiplied factor by factor, factor j split through the CG table
+    of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
+    table's memo (CGEntry.options), so a pair of flat indices is expanded
+    once per table, however many terms or groups meet it."""
     out = BlockFunction(ctx, m)
     for lkey, rkey, terms in groups:
         tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
@@ -588,20 +615,9 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
             parts = []
             for j in range(m):
                 d = dims[j]
-                dual_flat = lidx[2 * j] * d + ridx[2 * j]
-                vec_flat = lidx[2 * j + 1] * d + ridx[2 * j + 1]
-                opts = []
-                for nu, inj, proj in tables[j].summands:
-                    dnu = len(inj[0])
-                    for s in range(dnu):
-                        ic = inj[dual_flat][s]
-                        if not ic:
-                            continue
-                        for t in range(dnu):
-                            pc = proj[t][vec_flat]
-                            if pc:
-                                opts.append((nu, s, t, ic * pc))
-                parts.append(opts)
+                parts.append(tables[j].options(
+                    lidx[2 * j] * d + ridx[2 * j],
+                    lidx[2 * j + 1] * d + ridx[2 * j + 1]))
             for combo in itertools.product(*parts):
                 key = tuple(ch[0] for ch in combo)
                 idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
@@ -612,19 +628,35 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
     return out
 
 
-def block_pairs(f: BlockFunction, g: BlockFunction):
-    """The cg_contract groups of the product of f (left) by g (right):
-    every block of f against every block of g."""
+def block_pairs(f: BlockFunction, g: BlockFunction, c=None):
+    """The cg_contract groups of the product of f (left) by g (right),
+    times the scalar c if given: every block of f against every block
+    of g."""
     for fkey, fblk in f.blocks.items():
         for gkey, gblk in g.blocks.items():
-            yield fkey, gkey, [(fi, gi, fc * gc) for fi, fc in fblk.items()
-                               for gi, gc in gblk.items()]
+            if c is None:
+                terms = [(fi, gi, fc * gc) for fi, fc in fblk.items()
+                         for gi, gc in gblk.items()]
+            else:
+                terms = [(fi, gi, c * fc * gc) for fi, fc in fblk.items()
+                         for gi, gc in gblk.items()]
+            yield fkey, gkey, terms
 
 
 def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     """Product in C[G^m]: blockwise tensor, then CG-decompose per factor."""
     f.check_compatible(g)
     return cg_contract(f.ctx, f.m, block_pairs(f, g))
+
+
+def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
+    """sum of c * (lf lg) over legs (lf, lg, c), as one cg_contract pass:
+    the scalar c rides in the term coefficients, so no product is scaled,
+    copied or added on its own."""
+    for lf, lg, _ in legs:
+        lf.check_compatible(lg)
+    return cg_contract(ctx, m, (group for lf, lg, c in legs
+                                for group in block_pairs(lf, lg, c)))
 
 
 # -- invariant vector fields ------------------------------------------------
@@ -637,14 +669,22 @@ def act_factor(f: BlockFunction, j: int, x, side: str) -> BlockFunction:
     slot for side "right", x^R c_{xi,v} = c_{xi, S(x)v}.  x is a basis
     index for a PWContext and an element of U_hbar(sl2) (a one-leg
     UqTensor, such as a UqElement) for a QAffineContext."""
+    return _act_into(BlockFunction(f.ctx, f.m), f, j, x, side)
+
+
+def _act_into(out: BlockFunction, f: BlockFunction, j: int, x, side: str,
+              c=None) -> BlockFunction:
+    """Add act_factor(f, j, x, side), times the scalar c if given, into
+    out, and return out."""
     ctx = f.ctx
     slot = 2 * j + (side == "right")
-    out = BlockFunction(ctx, f.m)
     for key, blk in f.blocks.items():
         lines = ctx.slot_action(key[j], x, side)
-        for idx, c in blk.items():
+        for idx, v in blk.items():
+            if c is not None:
+                v = v * c
             for s, a in lines[idx[slot]].items():
-                out._bump(key, idx[:slot] + (s,) + idx[slot + 1:], c * a)
+                out._bump(key, idx[:slot] + (s,) + idx[slot + 1:], v * a)
     return out
 
 
@@ -661,7 +701,7 @@ def invariant_action(x: LieTensor, f: BlockFunction, side: str,
     out = BlockFunction(ctx, f.m)
     for (i,), c in x.data.items():
         j, bi = divmod(i, d)
-        out = out + act_factor(f, j, bi, side).scale(c)
+        _act_into(out, f, j, bi, side, ctx.coerce(c))
     return out
 
 
@@ -766,41 +806,42 @@ class BracketSpec:
         return terms
 
 
-def _rho_apply(spec: BracketSpec, i: int, f: BlockFunction) -> BlockFunction:
-    """Apply one flattened bivector leg as a derivation."""
+def _rho_leg(spec: BracketSpec, i: int, f: BlockFunction):
+    """One flattened leg of the mixed bivector as a derivation: (the
+    action on f, its sign).  Slots below dim(g) act as y^L, the Cartan
+    slots as -x^R."""
     alg = spec.ctx.alg
-    d, k = alg.dim, alg.rank
-    if spec.kind == "product":
-        raise ValueError("product legs are handled pairwise")
-    dt = d + k
-    j, bi = divmod(i, dt)
+    d = alg.dim
+    j, bi = divmod(i, d + alg.rank)
     if bi < d:
-        return act_factor(f, j, bi, "left")
-    return act_factor(f, j, bi - d, "right").scale(Fraction(-1))
+        return act_factor(f, j, bi, "left"), 1
+    return act_factor(f, j, bi - d, "right"), -1
 
 
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
+    """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
+    terms c a (x) b, summed in one cg_contract pass."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     ctx = spec.ctx
-    out = BlockFunction(ctx, spec.m)
+    legs = []
     if spec.kind == "product":
         d = ctx.alg.dim
         for (u, w), c in spec.bivector.data.items():
             ju, bu = divmod(u, d)
             jw, bw = divmod(w, d)
-            lf = act_factor(f, ju, bu, "left")
-            lg = act_factor(g, jw, bw, "left")
-            out = out + pw_multiply(lf, lg).scale(c)
-            rf = act_factor(f, ju, bu, "right")
-            rg = act_factor(g, jw, bw, "right")
-            out = out - pw_multiply(rf, rg).scale(c)
-        return out
-    if not (f.is_semi_invariant() and g.is_semi_invariant()):
-        raise ValueError("mixed bracket requires semi-invariant inputs")
-    for (u, w), c in spec.bivector.items():
-        out = out + pw_multiply(_rho_apply(spec, u, f), _rho_apply(spec, w, g)).scale(c)
-    return out
+            legs.append((act_factor(f, ju, bu, "left"),
+                         act_factor(g, jw, bw, "left"), c))
+            legs.append((act_factor(f, ju, bu, "right"),
+                         act_factor(g, jw, bw, "right"), -c))
+    else:
+        if not (f.is_semi_invariant() and g.is_semi_invariant()):
+            raise ValueError("mixed bracket requires semi-invariant inputs")
+        for (u, w), c in spec.bivector.items():
+            lf, su = _rho_leg(spec, u, f)
+            lg, sw = _rho_leg(spec, w, g)
+            legs.append((lf, lg, su * sw * c))
+    return _sum_of_products(ctx, spec.m, legs)
 
 
 # -- oracles for the bracket checks -----------------------------------------
@@ -808,20 +849,17 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
 
 def _diag_act(f: BlockFunction, idx: int) -> BlockFunction:
     """Diagonal left-invariant action of one basis element on every factor."""
-    out = act_factor(f, 0, idx, "left")
-    for j in range(1, f.m):
-        out = out + act_factor(f, j, idx, "left")
+    out = BlockFunction(f.ctx, f.m)
+    for j in range(f.m):
+        _act_into(out, f, j, idx, "left")
     return out
 
 
 def _rho_tensor(t: LieTensor, f: BlockFunction, g: BlockFunction):
     """rho(t)(f (x) g) = sum over terms a(x)b of (rho(a)f)(rho(b)g) for the
-    diagonal action rho."""
-    out = None
-    for (a, b), c in t.data.items():
-        piece = pw_multiply(_diag_act(f, a), _diag_act(g, b)).scale(c)
-        out = piece if out is None else out + piece
-    return out
+    diagonal action rho, in one cg_contract pass."""
+    return _sum_of_products(f.ctx, f.m, [
+        (_diag_act(f, a), _diag_act(g, b), c) for (a, b), c in t.data.items()])
 
 
 def poisson_action_residual(spec: BracketSpec, f: BlockFunction,
@@ -837,7 +875,7 @@ def poisson_action_residual(spec: BracketSpec, f: BlockFunction,
         rhs = (_diag_act(classical_bracket(f, g, spec), x_idx)
                - classical_bracket(_diag_act(f, x_idx), g, spec)
                - classical_bracket(f, _diag_act(g, x_idx), spec))
-        diff = rhs.scale(-1) if lhs is None else lhs - rhs
+        diff = lhs - rhs
         if not diff.is_zero():
             return diff
     return None

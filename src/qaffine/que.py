@@ -41,7 +41,7 @@ from .cgx import (
     BlockFunction, CGEntry, PWContext, block_pairs, cg_contract, cg_split,
     pw_tensor, sparse_columns,
 )
-from .kernel import TruncatedSeries
+from .kernel import TruncatedSeries, q_power
 from .liebialg import LieTensor, build_sl
 from .linalg import solve
 
@@ -54,8 +54,8 @@ class UqContext:
 
     def __init__(self, order: int = 4):
         self.order = order
-        self.q = TruncatedSeries.hbar(order) * Fraction(1, 2)  # hbar/2
-        self.q = self.q.exp()  # q = e^{hbar/2}
+        self._q_half_powers: Dict[int, TruncatedSeries] = {}
+        self.q = self.q_half_power(2)  # q = e^{hbar/2}
         self.q_inv = self.q.inv()
         # [E,F] = kappa(H) = sum_n kappa[n] H^n; closed-form coefficients
         half = Fraction(1, 2)
@@ -79,6 +79,14 @@ class UqContext:
         self._mono_mul: Dict[Tuple[Mono, Mono], Dict[Mono, TruncatedSeries]] = {}
         self._delta: Dict[Mono, "UqTensor"] = {}
         self._antipode: Dict[Mono, "UqElement"] = {}
+
+    def q_half_power(self, n: int) -> TruncatedSeries:
+        """q^{n/2} = exp(hbar*n/4), memoized per n; K = exp(hbar*H/4)
+        scales a weight-n vector by it."""
+        s = self._q_half_powers.get(n)
+        if s is None:
+            s = self._q_half_powers[n] = q_power(n, Fraction(1, 2), self.order)
+        return s
 
     def zero_series(self) -> TruncatedSeries:
         return TruncatedSeries.zero(self.order)
@@ -492,7 +500,7 @@ def counit_leg(t: UqTensor, j: int) -> UqTensor:
 def q_integer(ctx: UqContext, n: int) -> TruncatedSeries:
     """[n]_q = sum_{i=-n+1,step 2}^{n-1} q^i with q = e^{hbar/2}."""
     s = ctx.zero_series()
-    qp = _q_power(ctx, 2 * (1 - n))
+    qp = ctx.q_half_power(2 * (1 - n))
     q2 = ctx.q * ctx.q
     for _ in range(n):
         s = s + qp
@@ -525,20 +533,13 @@ def r_matrix_sl2(ctx: UqContext) -> UqTensor:
         if n:
             xn = xn * x
             qfact = qfact * q_integer(ctx, n)
-        cn = xn * qfact.inv() * _q_power(ctx, -n * (n + 1))
+        cn = xn * qfact.inv() * ctx.q_half_power(-n * (n + 1))
         if cn.is_zero():
             continue
         fn = UqElement(ctx, {(n, 0, 0): 1}) * uq_cartan_exp(ctx, Fraction(n, 4))
         en = UqElement(ctx, {(0, 0, n): 1}) * uq_cartan_exp(ctx, Fraction(-n, 4))
         nil = nil + tensor_of([fn, en]).scale(cn)
     return nil * cart
-
-
-def _q_power(ctx: UqContext, half_exponent: int) -> TruncatedSeries:
-    """q^{half_exponent/2} = exp(hbar*half_exponent/4)."""
-    return (
-        TruncatedSeries.hbar(ctx.order) * Fraction(half_exponent, 4)
-    ).exp()
 
 
 def r0_matrix(ctx: UqContext) -> UqTensor:
@@ -892,9 +893,8 @@ class QAffineContext:
         """Weights of V_hbar(n) (x) V_hbar(m) and the sparse columns of
         Delta(E) = E(x)K^-1 + K(x)E and Delta(F) = F(x)K^-1 + K(x)F on it,
         where K = exp(hbar H/4) scales a weight-w vector by exp(hbar w/4)."""
-        hbar = TruncatedSeries.hbar(self.uq.order)
-        kp = [(hbar * Fraction(w, 4)).exp() for w in va.weights]
-        km = [(hbar * Fraction(-w, 4)).exp() for w in vb.weights]
+        kp = [self.uq.q_half_power(w) for w in va.weights]
+        km = [self.uq.q_half_power(-w) for w in vb.weights]
         db = vb.dim
         gens = []
         for xa, xb in ((va.matE, vb.matE), (va.matF, vb.matF)):
@@ -962,13 +962,6 @@ def q_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     return cg_contract(f.ctx, f.m, block_pairs(g, f))
 
 
-def _r0_inverse_scalar(qctx: QAffineContext, n1: int, n2: int) -> TruncatedSeries:
-    """Character value of R_0^{-1} = exp(-hbar H(x)H/4) on a pair of blocks
-    of weights n1, n2: exp(-hbar n1 n2 / 4)."""
-    order = qctx.uq.order
-    return (TruncatedSeries.hbar(order) * Fraction(-n1 * n2, 4)).exp()
-
-
 def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
                   fb: int) -> BlockFunction:
     """Apply R~ = tau_23(R (x) R_0^{-1}) with the U-legs acting on the dual
@@ -978,9 +971,10 @@ def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
     out = BlockFunction(qctx, P.m)
     rterms = [(UqElement(uq, {m1: 1}), UqElement(uq, {m2: 1}), s)
               for (m1, m2), s in qctx.R.data.items()]
-    # organize blockwise so the scalar part is computed once per block
     for key, blk in P.blocks.items():
-        scalar = _r0_inverse_scalar(qctx, key[fa][0], key[fb][0])
+        # the character of R_0^{-1} = exp(-hbar H(x)H/4) on blocks of
+        # weights n1, n2 is exp(-hbar n1 n2 / 4)
+        scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
         for y1, y2, s in rterms:
             lines1 = qctx.slot_action(key[fa], y1, "left")
             lines2 = qctx.slot_action(key[fb], y2, "left")

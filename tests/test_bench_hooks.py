@@ -7,7 +7,9 @@ import importlib
 import sys
 from pathlib import Path
 
+from qaffine import cgx
 from qaffine.cli import main
+from qaffine.liebialg import build_sl
 from qaffine.que import UqContext, uq_gen
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +51,11 @@ def test_bench_hooks_wrap_and_restore(monkeypatch, capsys):
         uq_gen(ctx, "E") * uq_gen(ctx, "F")
         for metric, grew in (("que.element_mul", 1), ("que.tensor_mul", 0)):
             assert rec.counts.get(metric, 0) - counted.get(metric, 0) == grew
+        # a bracket is one contraction and multiplies nothing through
+        # pw_multiply, so the product hook is entered here; the lookup goes
+        # through the module, where the recorder put its wrapper
+        f = cgx.hw_coefficient(cgx.PWContext(build_sl(2)), (1,), {0: 1})
+        cgx.pw_multiply(f, f)
     capsys.readouterr()
     # one call each: a function wrapped twice would count twice
     for metric in ("cgx.bracket", "que.q_multiply", "que.qcg_build"):

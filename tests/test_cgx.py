@@ -1,17 +1,25 @@
 """Irreps, Clebsch-Gordan data, matrix-coefficient algebras, and the
 classical Poisson brackets on products of principal affine spaces."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from qaffine import cgx, que
 from qaffine.cgx import (
-    BracketSpec, CGEntry, DimensionBoundError, Irrep, PWContext, Rep,
-    act_factor, classical_bracket, hw_coefficient, invariant_action,
-    matrix_coefficient, pw_evaluate, pw_multiply, pw_one, pw_tensor,
+    BlockFunction, BracketSpec, CGEntry, DimensionBoundError, Irrep,
+    PWContext, Rep, act_factor, block_pairs, classical_bracket,
+    hw_coefficient, invariant_action, matrix_coefficient, pw_evaluate,
+    pw_multiply, pw_one, pw_tensor,
 )
+from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
-from qaffine.liebialg import basis_tensor, build_sl
+from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
+from qaffine.que import (
+    QAffineContext, UqContext, q_multiply, quantum_affine_multiply,
+)
 
 F = Fraction
 
@@ -381,3 +389,205 @@ def test_sparse_builders_match_dense_references(ctx, ctx3):
     for lam in small:
         for mu in small:
             assert ctx3.cg(lam, mu).summands == ref3.cg(lam, mu).summands
+
+
+# -- slow references: one contraction per term, one product per leg --------
+#
+# The contraction and the bracket as they were before CGEntry.options and
+# the single-pass bracket: the option list is rebuilt for every entry pair,
+# and every bivector term is its own product, scaled and added.
+
+
+def _ref_options(entry, dual_flat, vec_flat):
+    opts = []
+    for nu, inj, proj in entry.summands:
+        dnu = len(inj[0])
+        for s in range(dnu):
+            ic = inj[dual_flat][s]
+            if not ic:
+                continue
+            for t in range(dnu):
+                pc = proj[t][vec_flat]
+                if pc:
+                    opts.append((nu, s, t, ic * pc))
+    return opts
+
+
+def ref_cg_contract(ctx, m, groups):
+    out = BlockFunction(ctx, m)
+    for lkey, rkey, terms in groups:
+        tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
+        dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
+        for lidx, ridx, coeff in terms:
+            if not coeff:
+                continue
+            parts = []
+            for j in range(m):
+                d = dims[j]
+                dual_flat = lidx[2 * j] * d + ridx[2 * j]
+                vec_flat = lidx[2 * j + 1] * d + ridx[2 * j + 1]
+                parts.append(_ref_options(tables[j], dual_flat, vec_flat))
+            for combo in itertools.product(*parts):
+                key = tuple(ch[0] for ch in combo)
+                idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
+                c = coeff
+                for ch in combo:
+                    c = c * ch[3]
+                out._bump(key, idx, c)
+    return out
+
+
+def ref_pw_multiply(f, g):
+    f.check_compatible(g)
+    return ref_cg_contract(f.ctx, f.m, block_pairs(f, g))
+
+
+def _ref_rho_apply(spec, i, f):
+    alg = spec.ctx.alg
+    d, k = alg.dim, alg.rank
+    dt = d + k
+    j, bi = divmod(i, dt)
+    if bi < d:
+        return act_factor(f, j, bi, "left")
+    return act_factor(f, j, bi - d, "right").scale(Fraction(-1))
+
+
+def ref_classical_bracket(f, g, spec):
+    if f.m != spec.m or g.m != spec.m:
+        raise ValueError("bracket spec arity mismatch")
+    ctx = spec.ctx
+    out = BlockFunction(ctx, spec.m)
+    if spec.kind == "product":
+        d = ctx.alg.dim
+        for (u, w), c in spec.bivector.data.items():
+            ju, bu = divmod(u, d)
+            jw, bw = divmod(w, d)
+            lf = act_factor(f, ju, bu, "left")
+            lg = act_factor(g, jw, bw, "left")
+            out = out + ref_pw_multiply(lf, lg).scale(c)
+            rf = act_factor(f, ju, bu, "right")
+            rg = act_factor(g, jw, bw, "right")
+            out = out - ref_pw_multiply(rf, rg).scale(c)
+        return out
+    if not (f.is_semi_invariant() and g.is_semi_invariant()):
+        raise ValueError("mixed bracket requires semi-invariant inputs")
+    for (u, w), c in spec.bivector.items():
+        out = out + ref_pw_multiply(_ref_rho_apply(spec, u, f),
+                                    _ref_rho_apply(spec, w, g)).scale(c)
+    return out
+
+
+def random_function(rng, ctx, m, semi, top=2, blocks=2, entries=3):
+    """A few random blocks with weights of height <= top, on the highest
+    weight line in every vector slot when semi."""
+    rank = ctx.alg.rank
+    out = BlockFunction(ctx, m)
+    for _ in range(blocks):
+        key = tuple(tuple(rng.randint(0, top) for _ in range(rank))
+                    for _ in range(m))
+        dims = [ctx.irrep(w).dim for w in key]
+        for _ in range(entries):
+            idx = []
+            for d in dims:
+                idx += [rng.randrange(d), 0 if semi else rng.randrange(d)]
+            c = ctx.coerce(F(rng.randint(-3, 3), rng.randint(1, 3)))
+            out._bump(key, tuple(idx), c)
+    return out
+
+
+@pytest.mark.parametrize("m, top", [(1, 3), (2, 2), (3, 2)])
+def test_bracket_matches_per_term_reference(ctx, m, top):
+    rng = random.Random(20 + m)
+    specs = [BracketSpec(ctx, m, kind) for kind in ("product", "mixed")]
+    for _ in range(4):
+        for semi in (True, False):
+            f = random_function(rng, ctx, m, semi, top)
+            g = random_function(rng, ctx, m, semi, top)
+            for spec in specs:
+                if spec.kind == "mixed" and not semi:
+                    with pytest.raises(ValueError):
+                        classical_bracket(f, g, spec)
+                    continue
+                got = classical_bracket(f, g, spec)
+                assert got.blocks == ref_classical_bracket(f, g, spec).blocks
+
+
+def test_sl3_bracket_matches_per_term_reference(ctx3):
+    rng = random.Random(3)
+    for kind in ("product", "mixed"):
+        spec = BracketSpec(ctx3, 1, kind)
+        for _ in range(2):
+            f = random_function(rng, ctx3, 1, True, top=1)
+            g = random_function(rng, ctx3, 1, True, top=1)
+            assert classical_bracket(f, g, spec).blocks == \
+                ref_classical_bracket(f, g, spec).blocks
+
+
+def _random_series_function(rng, qctx, m, semi, top):
+    K = qctx.uq.order
+    out = random_function(rng, qctx, m, semi, top=top)
+    for blk in out.blocks.values():
+        for idx in blk:
+            blk[idx] = TruncatedSeries(
+                K, [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(K)])
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_quantum_products_match_per_term_reference(K, monkeypatch):
+    qctx = QAffineContext(UqContext(K))
+    rng = random.Random(K)
+    cases = []
+    for m, top in ((1, 3), (2, 2), (3, 1)):
+        for _ in range(2):
+            f = _random_series_function(rng, qctx, m, False, top)
+            g = _random_series_function(rng, qctx, m, False, top)
+            cases.append((q_multiply, f, g))
+            f = _random_series_function(rng, qctx, m, True, top)
+            g = _random_series_function(rng, qctx, m, True, top)
+            cases.append((quantum_affine_multiply, f, g))
+    got = [product(f, g) for product, f, g in cases]
+    monkeypatch.setattr(que, "cg_contract", ref_cg_contract)
+    for (product, f, g), fast in zip(cases, got):
+        assert fast.blocks == product(f, g).blocks
+
+
+def test_one_contraction_per_bracket(ctx, monkeypatch):
+    calls = []
+    real = cgx.cg_contract
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cgx, "cg_contract", counting)
+    rng = random.Random(5)
+    for m in (1, 2):
+        for kind in ("product", "mixed"):
+            spec = BracketSpec(ctx, m, kind)
+            f = random_function(rng, ctx, m, True)
+            g = random_function(rng, ctx, m, True)
+            del calls[:]
+            classical_bracket(f, g, spec)
+            assert calls == [m]
+    # the cobracket side of the Poisson-action identity is one pass as well
+    del calls[:]
+    t = cobracket(StandardR(ctx.alg).r, basis_tensor(ctx.alg, 1))
+    cgx._rho_tensor(t, f, g)
+    assert calls == [2]
+
+
+def test_cg_options_are_the_reference_lists(ctx, ctx3):
+    qctx = QAffineContext(UqContext(3))
+    entries = [PWContext(build_sl(2)).cg((a,), (b,))
+               for a in range(4) for b in range(4)]
+    entries += [PWContext(build_sl(3)).cg((1, 0), (1, 1)),
+                qctx.cg((2,), (1,)), qctx.cg((1,), (3,))]
+    for entry in entries:
+        dim = len(entry.summands[0][1])  # rows of an injection
+        for dual_flat in range(dim):
+            for vec_flat in range(dim):
+                opts = entry.options(dual_flat, vec_flat)
+                assert opts == _ref_options(entry, dual_flat, vec_flat)
+                assert entry.options(dual_flat, vec_flat) is opts
+        assert len(entry._options) <= dim * dim
