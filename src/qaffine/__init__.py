@@ -18,7 +18,7 @@ from .que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
     antipode, coproduct, counit, q_multiply, quantum_affine_multiply,
     r_matrix_m, r_matrix_sl2, semiclassical_bracket, semiclassical_r, twi_m,
-    twist_hopf, uq_gen, uq_normalize, uq_one,
+    uq_gen, uq_normalize, uq_one,
 )
 from .coiso import (
     Character, CharacterMonoid, CoisoReport, HopfSubalgebra,

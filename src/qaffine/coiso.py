@@ -46,6 +46,12 @@ from .que import (
 
 Word = Tuple[int, ...]  # word in generator indices
 
+# A window answer that is not ``true`` is recomputed with its bound raised
+# by SLACK; strong_coiso_twisted checks words of per-factor length up to
+# CHECK_BOUND.
+SLACK = 2
+CHECK_BOUND = 2
+
 
 # -- vectorization over Q ----------------------------------------------------
 
@@ -178,11 +184,11 @@ class HopfSubalgebra:
                 self.ctx, self.generators, degree_bound, self.names)
         return ext
 
-    def window(self, span_bound: int, h_bound: int, side: str = "right",
+    def window(self, bound: int, side: str = "right",
                pivot=min) -> "CoisoWindow":
-        """The membership window of U at these bounds (see ``CoisoWindow``),
+        """The membership window of U at this bound (see ``CoisoWindow``),
         built on first use."""
-        key = (span_bound, h_bound, side, pivot)
+        key = (bound, side, pivot)
         win = self._windows.get(key)
         if win is None:
             win = self._windows[key] = CoisoWindow(self, *key)
@@ -270,49 +276,39 @@ class CoisoReport:
         return out
 
 
-def _window_span(Uext: HopfSubalgebra, ideal: IdealWindow, h_bound: int,
-                 side: str, pivot=min):
-    """Echelon span of U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H
-    (left) inside the given window, with hbar-shifted copies, pivoting on
-    pivot(keys); returns it with tags aligned with every insertion.  Only
-    a right window is tracked: the reduced coproduct reads its
-    coefficients, while a left window only answers membership."""
-    ctx = Uext.ctx
-    span = EchelonSpan(track=side == "right", pivot=pivot)
-    tags: List[Tuple] = []
-    for i, u in enumerate(Uext.basis):
-        for j, v in enumerate(Uext.basis):
-            base = tensor_of([u, v])
-            for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
-                                                 ctx.order)):
-                span.add(vec)
-                tags.append(("uu", i, j, k))
-    for hm in _h_monomials(h_bound):
-        x = UqElement(ctx, {hm: 1})
-        for ci, c in enumerate(ideal.elements):
-            base = tensor_of([x, c]) if side == "right" else tensor_of([c, x])
-            for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
-                                                 ctx.order)):
-                span.add(vec)
-                tags.append(("ideal", hm, ci, k))
-    return span, tags
-
-
 class CoisoWindow:
     """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
-    (span bound, h bound, side, pivot), as a span that membership and
-    the monoid's reduced coproduct share; a right window is tracked for
-    pair_value.  It keeps the basis words of the extended U, not U, so U
-    can hold it without a cycle."""
+    (bound, side, pivot): the echelon span, pivoting on pivot(keys), of
+    the hbar-shifted tensors of U extended to the bound and of the
+    commutator ideal at the bound against the H-monomials of degree up to
+    the bound, with tags aligned with every insertion.  Membership and the
+    monoid's reduced coproduct share it; only a right window is tracked,
+    for pair_value.  It keeps the basis words of the extended U, not U, so
+    U can hold it without a cycle."""
 
-    def __init__(self, U: HopfSubalgebra, span_bound: int, h_bound: int,
-                 side: str, pivot):
-        Uext = U.extend(span_bound)
-        self.ctx = U.ctx
+    def __init__(self, U: HopfSubalgebra, bound: int, side: str, pivot):
+        Uext = U.extend(bound)
+        ctx = self.ctx = U.ctx
         self.words = Uext.basis_words
-        self.ideal = ideal_commutator(U, span_bound)
-        self.span, self.tags = _window_span(Uext, self.ideal, h_bound, side,
-                                            pivot)
+        self.ideal = ideal_commutator(U, bound)
+        self.span = span = EchelonSpan(track=side == "right", pivot=pivot)
+        self.tags = tags = []
+        for i, u in enumerate(Uext.basis):
+            for j, v in enumerate(Uext.basis):
+                base = tensor_of([u, v])
+                for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
+                                                     ctx.order)):
+                    span.add(vec)
+                    tags.append(("uu", i, j, k))
+        for hm in _h_monomials(bound):
+            x = UqElement(ctx, {hm: 1})
+            for ci, c in enumerate(self.ideal.elements):
+                base = (tensor_of([x, c]) if side == "right"
+                        else tensor_of([c, x]))
+                for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
+                                                     ctx.order)):
+                    span.add(vec)
+                    tags.append(("ideal", hm, ci, k))
 
     def residuals(self, targets: List[Tuple[object, UqTensor]]):
         """(label, nonzero residual) for each target outside the window."""
@@ -343,43 +339,38 @@ class CoisoWindow:
         return out
 
 
-def _default_bounds(U: HopfSubalgebra, span_bound: Optional[int],
-                    h_bound: Optional[int]) -> Tuple[int, int]:
+def _window_bound(U: HopfSubalgebra) -> int:
     """The coproduct of a degree-d word has legs of degree up to d plus
-    the truncation order, so the window defaults to that span bound."""
-    if span_bound is None:
-        span_bound = U.degree_bound + U.ctx.order - 1
-    return span_bound, span_bound if h_bound is None else h_bound
+    the truncation order, so the window of U is built to that bound."""
+    return U.degree_bound + U.ctx.order - 1
 
 
-def _three_valued(residuals, window: Dict, span_bound: int, h_bound: int,
-                  slack: int, witness) -> CoisoReport:
-    """``true`` when residuals(span_bound, h_bound) is empty, or becomes
-    empty after enlarging both bounds by slack; else ``false`` when the
-    residuals are stable under that enlargement and ``inconclusive`` when
-    they are not, with witness(*first residual) of the enlarged window."""
-    res = residuals(span_bound, h_bound)
+def _three_valued(residuals, window: Dict, bound: int,
+                  witness) -> CoisoReport:
+    """``true`` when residuals(bound) is empty, or becomes empty at
+    bound + SLACK; else ``false`` when the residuals are stable under that
+    enlargement and ``inconclusive`` when they are not, with
+    witness(*first residual) of the enlarged window.  The report window
+    records the bound as both its span and its h bound."""
+    res = residuals(bound)
     if not res:
         return CoisoReport("true", window)
-    res2 = residuals(span_bound + slack, h_bound + slack)
+    res2 = residuals(bound + SLACK)
     if not res2:
-        window["span_bound"] = span_bound + slack
-        window["h_bound"] = h_bound + slack
+        window["span_bound"] = window["h_bound"] = bound + SLACK
         return CoisoReport("true", window)
     status = "false" if res2 == res else "inconclusive"
     return CoisoReport(status, window, witness(*res2[0]))
 
 
 def _membership(U: HopfSubalgebra, targets, side: str,
-                span_bound: Optional[int], h_bound: Optional[int],
-                slack: int, extra_window: Dict) -> CoisoReport:
-    span_bound, h_bound = _default_bounds(U, span_bound, h_bound)
-    window = {"degree_bound": U.degree_bound, "span_bound": span_bound,
-              "h_bound": h_bound, "order": U.ctx.order, "side": side}
+                extra_window: Dict) -> CoisoReport:
+    bound = _window_bound(U)
+    window = {"degree_bound": U.degree_bound, "span_bound": bound,
+              "h_bound": bound, "order": U.ctx.order, "side": side}
     window.update(extra_window)
     return _three_valued(
-        lambda sb, hb: U.window(sb, hb, side).residuals(targets),
-        window, span_bound, h_bound, slack,
+        lambda b: U.window(b, side).residuals(targets), window, bound,
         lambda label, residual: {
             "element": str(label),
             "residual_terms": sorted(str(k) for k in residual)[:8],
@@ -387,10 +378,7 @@ def _membership(U: HopfSubalgebra, targets, side: str,
         })
 
 
-def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right",
-                      span_bound: Optional[int] = None,
-                      h_bound: Optional[int] = None,
-                      slack: int = 2) -> CoisoReport:
+def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right") -> CoisoReport:
     """Does Delta(u) lie in U(x)U + H(x)[U,U] (right) resp.
     U(x)U + [U,U](x)H (left) for every cached basis element u?
 
@@ -403,19 +391,15 @@ def strong_coiso_hopf(U: HopfSubalgebra, side: str = "right",
     targets = [("Delta(%s)" % ".".join(U.names[g] for g in w) if w
                 else "Delta(1)", coproduct(u))
                for w, u in zip(U.basis_words, U.basis)]
-    return _membership(U, targets, side, span_bound, h_bound, slack, {})
+    return _membership(U, targets, side, {})
 
 
-def r_membership_hopf(U: HopfSubalgebra, R: UqTensor,
-                      span_bound: Optional[int] = None,
-                      h_bound: Optional[int] = None,
-                      slack: int = 2) -> CoisoReport:
+def r_membership_hopf(U: HopfSubalgebra, R: UqTensor) -> CoisoReport:
     """Membership R in U(x)U + H(x)[U,U] mod hbar^K within the window.
     When it holds, the tensor powers of U stay right strongly
     coisotropic for the twisted coproducts (see
     ``strong_coiso_twisted``)."""
-    return _membership(U, [("R", R)], "right", span_bound, h_bound, slack,
-                       {"target": "R"})
+    return _membership(U, [("R", R)], "right", {"target": "R"})
 
 
 # -- strong coisotropy of U^(x)m in the twisted tensor power -----------------
@@ -433,11 +417,8 @@ def _monomial_support(span: EchelonSpan) -> Optional[set]:
     return monos
 
 
-def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
-                         check_bound: int = 2,
-                         span_bound: Optional[int] = None,
-                         h_bound: Optional[int] = None,
-                         slack: int = 2) -> CoisoReport:
+def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
+                         m: int = 2) -> CoisoReport:
     """Direct verification that U^(x)m is right strongly coisotropic in
     the m-fold tensor power with coproduct twisted by the closed-formula
     twisting element of R:
@@ -445,27 +426,25 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
         Delta_J(u) in (U^(x)m)(x)(U^(x)m) + (H^(x)m)(x)[U^(x)m, U^(x)m],
 
     where [U^(x)m, U^(x)m] = sum_j U(x)..(x)[U,U]_j(x)..(x)U.  Checked on
-    tensors of basis words of per-factor length <= check_bound.  Requires
+    tensors of basis words of per-factor length <= CHECK_BOUND, in the
+    window of bound CHECK_BOUND + 2(K - 1) at truncation order K.  Requires
     the U- and ideal-windows to be monomial spans (true for the
     triangular subalgebras this is used on), so that membership reduces
     to a per-term predicate and the product window never has to be
     enumerated."""
     ctx = U.ctx
-    if span_bound is None:
-        span_bound = check_bound + 2 * (ctx.order - 1)
-    if h_bound is None:
-        h_bound = span_bound
-    window = {"m": m, "check_bound": check_bound, "span_bound": span_bound,
-              "h_bound": h_bound, "order": ctx.order}
+    bound = CHECK_BOUND + 2 * (ctx.order - 1)
+    window = {"m": m, "check_bound": CHECK_BOUND, "span_bound": bound,
+              "h_bound": bound, "order": ctx.order}
 
     th = TwistedHopf(twi_m(R, m), m)
-    Ucheck = U.extend(check_bound)
+    Ucheck = U.extend(CHECK_BOUND)
     check_basis = [(w, el) for w, el in zip(Ucheck.basis_words, Ucheck.basis)
-                   if len(w) <= check_bound]
+                   if len(w) <= CHECK_BOUND]
 
-    def residuals(sb: int, hb: int):
-        u_monos = _monomial_support(U.extend(sb).span)
-        i_monos = _monomial_support(ideal_commutator(U, sb).span)
+    def residuals(b: int):
+        u_monos = _monomial_support(U.extend(b).span)
+        i_monos = _monomial_support(ideal_commutator(U, b).span)
         if u_monos is None or i_monos is None:
             raise ValueError(
                 "tensor-power window requires monomial U- and ideal-spans"
@@ -475,7 +454,7 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
             if all(mono in u_monos for mono in key):
                 return True
             # H-part: bounded first block, ideal somewhere in the second
-            if any(sum(mono) > hb for mono in key[:m]):
+            if any(sum(mono) > b for mono in key[:m]):
                 return False
             hit = False
             for mono in key[m:]:
@@ -498,7 +477,7 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor, m: int = 2,
         return out
 
     return _three_valued(
-        residuals, window, span_bound, h_bound, slack,
+        residuals, window, bound,
         lambda label, bad: {"element": label,
                             "residual_terms": [str(k) for k in bad[:8]]})
 
@@ -548,10 +527,9 @@ class Character:
             out = out + self.on_word(self.U.words[widx]).shift(k) * c
         return out
 
-    def is_valid(self, ideal: Optional[IdealWindow] = None) -> bool:
-        """Multiplicative on the cached basis and vanishing on the
-        commutator-ideal window (by default U's own, at its degree
-        bound)."""
+    def is_valid(self) -> bool:
+        """Multiplicative on the cached basis and vanishing on U's
+        commutator-ideal window at its degree bound."""
         U = self.U
         for i, (wi, bi) in enumerate(zip(U.basis_words, U.basis)):
             for wj, bj in zip(U.basis_words, U.basis):
@@ -560,9 +538,7 @@ class Character:
                 got = self.on_element(bi * bj)
                 if got is None or got != self.on_word(wi) * self.on_word(wj):
                     return False
-        if ideal is None:
-            ideal = ideal_commutator(U)
-        for c in ideal.elements:
+        for c in ideal_commutator(U).elements:
             v = self.on_element(c)
             if v is None or not v.is_zero():
                 return False
@@ -601,8 +577,7 @@ class CharacterMonoid:
     from the min- and the max-pivot right windows and the two answers
     must agree."""
 
-    def __init__(self, U: HopfSubalgebra, span_bound: Optional[int] = None,
-                 h_bound: Optional[int] = None, precheck: bool = True):
+    def __init__(self, U: HopfSubalgebra, precheck: bool = True):
         if precheck:
             rep = strong_coiso_hopf(U, "right")
             if rep.status != "true":
@@ -611,9 +586,9 @@ class CharacterMonoid:
                     "window (got %s)" % rep.status
                 )
         self.U = U
-        span_bound, h_bound = _default_bounds(U, span_bound, h_bound)
-        self.rc = U.window(span_bound, h_bound, "right", min)
-        self.rc_alt = U.window(span_bound, h_bound, "right", max)
+        bound = _window_bound(U)
+        self.rc = U.window(bound, "right", min)
+        self.rc_alt = U.window(bound, "right", max)
 
     @property
     def unit(self) -> Character:
@@ -630,12 +605,6 @@ class CharacterMonoid:
                     "character product depends on the pivot order")
             values.append(v)
         return Character(self.U, values)
-
-    def power(self, phi: Character, n: int) -> Character:
-        out = self.unit
-        for _ in range(n):
-            out = self.product(out, phi)
-        return out
 
 
 # -- graded semi-invariants of the quantized function algebras ---------------
@@ -852,13 +821,13 @@ class QuantumSectionReport:
 
 
 def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
-                          weight_bound: Optional[int] = None,
                           monoid: Optional[CharacterMonoid] = None) -> QuantumSectionReport:
     """Prequantum test for d, then the graded structure: for each
     n <= n_max the degree-n sections computed from the coproduct
     condition (equivalently, the p(d^n)-eigenspace of the right action)
     must coincide with the semi-invariants of the monoid power p(d)^n,
-    and products of sections must land in the correct degree."""
+    and products of sections must land in the correct degree.  The
+    weight window is n_max times the largest weight of d."""
     qctx = d.ctx
     _check_one_factor(d)
     details: Dict = {}
@@ -869,10 +838,8 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
         return QuantumSectionReport(
             pre, CoisoReport("skipped", window), left, details)
 
-    if weight_bound is None:
-        weight_bound = n_max * max(
-            (key[0][0] for key in d.weight_keys()), default=0)
-    window["weight_bound"] = weight_bound
+    weight_bound = window["weight_bound"] = n_max * max(
+        (key[0][0] for key in d.weight_keys()), default=0)
     if monoid is None:
         monoid = CharacterMonoid(U)
     chi = restriction_character(d, U)

@@ -267,11 +267,6 @@ def _reduced(order: int, num: List[int], den: int) -> TruncatedSeries:
     return _new(order, tuple(num), den)
 
 
-def q_exponent(d: Rat, order: int) -> TruncatedSeries:
-    """q = exp(hbar*d/2) as a truncated series."""
-    return (TruncatedSeries.hbar(order) * (_fr(d) / 2)).exp()
-
-
 def q_power(i: int, d: Rat, order: int) -> TruncatedSeries:
     """q^i = exp(hbar*d*i/2), valid for any integer i."""
     return (TruncatedSeries.hbar(order) * (_fr(d) * i / 2)).exp()

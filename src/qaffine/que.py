@@ -543,16 +543,10 @@ def r_matrix_sl2(ctx: UqContext) -> UqTensor:
 
 
 def r0_matrix(ctx: UqContext) -> UqTensor:
-    """R_0 = exp(hbar r_0) = exp(hbar H(x)H/4) for sl2."""
-    cart = UqTensor(ctx, 2)
-    fact = 1
-    for k in range(ctx.order):
-        if k:
-            fact *= k
-        s = TruncatedSeries.hbar(ctx.order, k) * (Fraction(1, 4) ** k * Fraction(1, fact))
-        if not s.is_zero():
-            cart.add_term(((0, k, 0), (0, k, 0)), s)
-    return cart
+    """R_0 = exp(hbar r_0) = exp(hbar H(x)H/4) for sl2: the terms
+    (hbar/4)^k / k! H^k of exp(hbar H/4), with H^k on both legs."""
+    return UqTensor(ctx, 2, {(h, h): s for (h,), s in
+                             uq_cartan_exp(ctx, Fraction(1, 4)).data.items()})
 
 
 def almost_cocommutativity_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
@@ -682,10 +676,6 @@ class TwistedHopf:
         m = self.m
         perm = list(range(m, 2 * m)) + list(range(m))
         return d.swap_legs(perm)
-
-
-def twist_hopf(J: UqTensor, m: int = 1) -> TwistedHopf:
-    return TwistedHopf(J, m)
 
 
 def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, UqTensor]:

@@ -195,12 +195,19 @@ PINNED_COMPUTE_OUTPUT = [
      "bf73dee20ed7e99c4ae58b3bb845d00bb40d9ca7a48620b1ce56d821549e868e"),
     (["qmultiply", "1:0,2:1,2:2", "2:1,1:1,1:0", "--hbar-order", "4"],
      "5c64d7fcbfa0dc6bdf93eb4accb83adee9d9b1c10076251de8f8700671e166d6"),
+    # the windows (span and h bound) and witnesses of a failing and a
+    # passing membership check
+    (["coiso-check", "F", "--degree-bound", "2"],
+     "eb1ec0c9c1c827bc685d9eb4efd9117d0a0f7babb3f3e4c2d42ab9bb2e69386b"),
+    (["coiso-check", "HE", "--degree-bound", "2"],
+     "d9e1a168914763c63376aa5d8e45e3b3e5f3aebf9a13e7ff0325fd7c3ddde04e"),
 ]
 
 
 def test_compute_output_is_pinned(capsys):
-    """Bracket (product m=1, mixed m=2, 3) and qmultiply (m=1..3 at hbar
-    orders 2..4) print exactly the pinned bytes."""
+    """Bracket (product m=1, mixed m=2, 3), qmultiply (m=1..3 at hbar
+    orders 2..4) and coiso-check (F and HE at degree bound 2) print
+    exactly the pinned bytes."""
     assert main(["compute", "bracket", "sl2", "product", "2:1", "3:2"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "bracket": {"blocks": {"5": [[3, 0, "-3/2"]]}, "m": 1}}
@@ -208,6 +215,14 @@ def test_compute_output_is_pinned(capsys):
         assert main(["compute"] + args) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_coiso_run_output_is_pinned(capsys):
+    """The coiso suite at degree bound 3 prints exactly the pinned bytes."""
+    assert main(["run", "--suite", "coiso", "--degree-bound", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0af9061985a78ff68caf332b2f6e4d9d4617d3c19eee081dc569955987e4efa6")
 
 
 def test_compute_coiso_check(capsys):

@@ -470,7 +470,7 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
     ideal_ref = ref_coproducts[0].ideal
     targets = [tensor_vec(coproduct(g)) for g in U3.generators]
     for (side, pivot), (span, tags) in refs.items():
-        win = U3.window(bound, bound, side, pivot)
+        win = U3.window(bound, side, pivot)
         assert win.span.rows == span.rows and win.tags == tags
         for t in targets:
             if side == "right":
@@ -478,7 +478,7 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
             else:  # only the right windows are tracked
                 with pytest.raises(ValueError):
                     win.span.coefficients(t)
-        assert U3.window(bound, bound, side, pivot) is win
+        assert U3.window(bound, side, pivot) is win
         assert win.ideal is ideal_commutator(U3, bound)
         assert win.ideal.span.equals(ideal_ref.span)
         assert win.ideal.elements == ideal_ref.elements
@@ -501,7 +501,7 @@ def test_shared_windows_keep_the_pivot_order(ctx):
             for pivot in (min, max)}
     assert not refs[min][0].equals(refs[max][0])
     for pivot, (span, tags) in refs.items():
-        win = U.window(bound, bound, "right", pivot)
+        win = U.window(bound, "right", pivot)
         assert win.span.equals(span) and win.tags == tags
 
 
@@ -520,18 +520,19 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     from qaffine.cli import RunConfig, run_suite
 
     windows, ideals = [], []
-    window_span, ideal_init = coiso._window_span, coiso.IdealWindow.__init__
+    window_init = coiso.CoisoWindow.__init__
+    ideal_init = coiso.IdealWindow.__init__
 
-    def counted_window(Uext, ideal, h_bound, side, pivot=min):
-        windows.append((tuple(Uext.names), Uext.degree_bound, h_bound, side,
-                        pivot.__name__))
-        return window_span(Uext, ideal, h_bound, side, pivot)
+    def counted_window(self, U, bound, side, pivot):
+        windows.append((tuple(U.names), U.extend(bound).degree_bound, bound,
+                        side, pivot.__name__))
+        window_init(self, U, bound, side, pivot)
 
     def counted_ideal(self, W, bound):
         ideals.append((tuple(W.names), bound))
         ideal_init(self, W, bound)
 
-    monkeypatch.setattr(coiso, "_window_span", counted_window)
+    monkeypatch.setattr(coiso.CoisoWindow, "__init__", counted_window)
     monkeypatch.setattr(coiso.IdealWindow, "__init__", counted_ideal)
     report = json.loads(run_suite(
         RunConfig(suites=("coiso",), degree_bound=3)).dumps())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaffine.kernel import (
-    SeriesDomainError, SeriesOrderError, TruncatedSeries, q_exponent, q_power,
+    SeriesDomainError, SeriesOrderError, TruncatedSeries, q_power,
 )
 from qaffine.que import UqContext, q_integer
 
@@ -279,7 +279,7 @@ def test_q_int_small_values():
 
 
 def test_q_power_consistency():
-    q = q_exponent(2, 4)
+    q = q_power(1, 2, 4)
     assert q_power(3, 2, 4) == q * q * q
     assert q_power(-1, 2, 4) == q.inv()
 

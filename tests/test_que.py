@@ -23,7 +23,7 @@ from qaffine.que import (
     quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
     r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
     tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
-    twist_hopf, uq_cartan_exp, uq_gen, uq_normalize, uq_one,
+    uq_cartan_exp, uq_gen, uq_normalize, uq_one,
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
@@ -148,7 +148,7 @@ def test_twisted_square_r_matrix():
     ctx = UqContext(3)
     R = r_matrix_sl2(ctx)
     R2 = r_matrix_m(R, 2)
-    th = twist_hopf(twi_m(R, 2), 2)
+    th = TwistedHopf(twi_m(R, 2), 2)
     monos = {"E": (0, 0, 1), "F": (1, 0, 0), "H": (0, 1, 0)}
     for mono in monos.values():
         for leg in (0, 1):
