@@ -201,13 +201,18 @@ PINNED_COMPUTE_OUTPUT = [
      "eb1ec0c9c1c827bc685d9eb4efd9117d0a0f7babb3f3e4c2d42ab9bb2e69386b"),
     (["coiso-check", "HE", "--degree-bound", "2"],
      "d9e1a168914763c63376aa5d8e45e3b3e5f3aebf9a13e7ff0325fd7c3ddde04e"),
+    # a false answer with a witness, and a window that is not a monomial span
+    (["coiso-check", "HF", "--degree-bound", "2", "--hbar-order", "2"],
+     "42272e08363493fbf98a3d429fef54168844dda576e798da80b2b04d20f6f6f6"),
+    (["coiso-check", "EF", "--degree-bound", "1", "--hbar-order", "2"],
+     "27596604bb2b0f6865ce7b5681141ee3f5fa4e2cb7085010455a9b00865e113e"),
 ]
 
 
 def test_compute_output_is_pinned(capsys):
     """Bracket (product m=1, mixed m=2, 3), qmultiply (m=1..3 at hbar
-    orders 2..4) and coiso-check (F and HE at degree bound 2) print
-    exactly the pinned bytes."""
+    orders 2..4) and coiso-check (F and HE at degree bound 2, HF and EF at
+    hbar order 2) print exactly the pinned bytes."""
     assert main(["compute", "bracket", "sl2", "product", "2:1", "3:2"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "bracket": {"blocks": {"5": [[3, 0, "-3/2"]]}, "m": 1}}
