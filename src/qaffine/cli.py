@@ -66,10 +66,11 @@ class RunConfig:
                 "unknown algebra %r (expected sl2 or sl3)" % (self.algebra,))
         _check_order_and_bound(self.hbar_order, self.degree_bound)
         try:
-            if Fraction(self.scale) <= 0:
-                raise ConfigError("form scaling must be positive")
+            scale = Fraction(self.scale)
         except (ValueError, ZeroDivisionError):
             raise ConfigError("bad form scaling %r" % (self.scale,))
+        if scale <= 0:
+            raise ConfigError("form scaling must be positive")
         for s in self.suites:
             if s not in _SUITES:
                 raise ConfigError("unknown suite %r" % (s,))

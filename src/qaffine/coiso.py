@@ -22,12 +22,11 @@ every report records the window it was computed in.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, sparse_nullspace
+from .linalg import EchelonSpan
 from .que import (
     QAffineContext,
     UqContext,
@@ -53,40 +52,27 @@ SLACK = 2
 CHECK_BOUND = 2
 
 
-# -- vectorization over Q ----------------------------------------------------
-
-
-def _series_vec(terms) -> Dict:
-    """Flatten (key prefix, series) pairs to a sparse Q-vector keyed by
-    prefix + (hbar power,), making a Fraction only for nonzero numerators."""
-    out = {}
-    for head, s in terms:
-        den = s.den
-        for k, n in enumerate(s.num):
-            if n:
-                out[head + (k,)] = Fraction(n, den)
-    return out
+# -- vectorization over Q[[hbar]]/(hbar^K) ----------------------------------
 
 
 def tensor_vec(t: UqTensor) -> Dict:
-    """A tensor (an element too, as one leg) as a sparse Q-vector keyed by
-    (key, hbar power)."""
-    return _series_vec(((key,), s) for key, s in t.data.items())
+    """A tensor (an element too, as one leg) as a sparse series vector
+    keyed by its keys."""
+    return dict(t.data)
 
 
 def qfun_vec(f: BlockFunction) -> Dict:
-    """A block function as a sparse Q-vector keyed by (weights, index,
-    hbar power)."""
-    return _series_vec(((key, idx), s) for key, blk in f.blocks.items()
-                       for idx, s in blk.items())
+    """A block function as a sparse series vector keyed by (weights,
+    index)."""
+    return {(key, idx): s for key, blk in f.blocks.items()
+            for idx, s in blk.items()}
 
 
-def _hbar_shifts(vec: Dict, order: int) -> List[Dict]:
-    """The flattened hbar^k x for k < order, from the flattened x: every
-    key's last entry (its hbar power) raised by k, powers >= order
-    dropped."""
-    return [{key[:-1] + (key[-1] + k,): c for key, c in vec.items()
-             if key[-1] + k < order} for k in range(order)]
+def _hbar_terms(vec: Dict) -> List[Tuple]:
+    """The (key, hbar power) terms of a series vector: its coordinates
+    over Q."""
+    return [(key, k) for key, s in vec.items()
+            for k, n in enumerate(s.num) if n]
 
 
 def _h_monomials(bound: int) -> List[Tuple[int, int, int]]:
@@ -104,8 +90,8 @@ def _h_monomials(bound: int) -> List[Tuple[int, int, int]]:
 
 class HopfSubalgebra:
     """The span of words of bounded length in a set of generators,
-    cached as an echelon basis over Q (with hbar-shifted copies, so the
-    Q-span equals the truncated-series-module span).
+    cached as an echelon basis of the truncated-series module they span;
+    the generator index of the tracked span is the word index.
 
     Products of cached basis elements that leave the window are recorded
     in ``closure_defects`` rather than silently dropped.  Extensions,
@@ -122,7 +108,6 @@ class HopfSubalgebra:
             "g%d" % i for i in range(len(generators))
         ]
         self.span = EchelonSpan(track=True)
-        self.tags: List[Tuple[int, int]] = []  # per add: (word index, shift)
         self.words: List[Word] = []            # every attempted word
         self.basis: List[UqElement] = []       # rank-increasing words only
         self.basis_words: List[Word] = []
@@ -135,12 +120,8 @@ class HopfSubalgebra:
         for length in range(degree_bound + 1):
             nxt: List[Tuple[Word, UqElement]] = []
             for w, el in level:
-                widx = len(self.words)
                 self.words.append(w)
-                grew = [self.span.add(v)
-                        for v in _hbar_shifts(tensor_vec(el), ctx.order)]
-                self.tags.extend((widx, k) for k in range(ctx.order))
-                if grew[0]:
+                if self.span.add(tensor_vec(el)):
                     self.basis.append(el)
                     self.basis_words.append(w)
                     if length < degree_bound:
@@ -206,7 +187,6 @@ class IdealWindow:
         self.bound = bound
         self.span = span = EchelonSpan()
         self.elements = elements = []
-        ctx = W.ctx
         comms: List[Tuple[int, UqElement]] = []
         for i in range(len(W.basis)):
             li = len(W.basis_words[i])
@@ -225,9 +205,7 @@ class IdealWindow:
                     if len(wl) + lc + len(wr) > bound:
                         continue
                     el = el_l * c * el_r
-                    grew = [span.add(v) for v in
-                            _hbar_shifts(tensor_vec(el), ctx.order)]
-                    if grew[0]:
+                    if span.add(tensor_vec(el)):
                         elements.append(el)
 
     def contains(self, x: UqElement) -> bool:
@@ -279,12 +257,12 @@ class CoisoReport:
 class CoisoWindow:
     """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
     (bound, side, pivot): the echelon span, pivoting on pivot(keys), of
-    the hbar-shifted tensors of U extended to the bound and of the
-    commutator ideal at the bound against the H-monomials of degree up to
-    the bound, with tags aligned with every insertion.  Membership and the
-    monoid's reduced coproduct share it; only a right window is tracked,
-    for pair_value.  It keeps the basis words of the extended U, not U, so
-    U can hold it without a cycle."""
+    the tensors of U extended to the bound and of the commutator ideal at
+    the bound against the H-monomials of degree up to the bound, with
+    tags aligned with every insertion.  Membership and the monoid's
+    reduced coproduct share it; only a right window is tracked, for
+    pair_value.  It keeps the basis words of the extended U, not U, so U
+    can hold it without a cycle."""
 
     def __init__(self, U: HopfSubalgebra, bound: int, side: str, pivot):
         Uext = U.extend(bound)
@@ -295,20 +273,14 @@ class CoisoWindow:
         self.tags = tags = []
         for i, u in enumerate(Uext.basis):
             for j, v in enumerate(Uext.basis):
-                base = tensor_of([u, v])
-                for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
-                                                     ctx.order)):
-                    span.add(vec)
-                    tags.append(("uu", i, j, k))
+                span.add(tensor_vec(tensor_of([u, v])))
+                tags.append(("uu", i, j))
         for hm in _h_monomials(bound):
             x = UqElement(ctx, {hm: 1})
             for ci, c in enumerate(self.ideal.elements):
-                base = (tensor_of([x, c]) if side == "right"
-                        else tensor_of([c, x]))
-                for k, vec in enumerate(_hbar_shifts(tensor_vec(base),
-                                                     ctx.order)):
-                    span.add(vec)
-                    tags.append(("ideal", hm, ci, k))
+                span.add(tensor_vec(tensor_of([x, c] if side == "right"
+                                              else [c, x])))
+                tags.append(("ideal", hm, ci))
 
     def residuals(self, targets: List[Tuple[object, UqTensor]]):
         """(label, nonzero residual) for each target outside the window."""
@@ -333,9 +305,8 @@ class CoisoWindow:
             tag = self.tags[gen_idx]
             if tag[0] != "uu":
                 continue  # phi (x) psi kills the H(x)[U,U] part
-            _, i, j, k = tag
-            out = out + (phi.on_word(words[i])
-                         * psi.on_word(words[j])).shift(k) * c
+            _, i, j = tag
+            out = out + phi.on_word(words[i]) * psi.on_word(words[j]) * c
         return out
 
 
@@ -373,8 +344,8 @@ def _membership(U: HopfSubalgebra, targets, side: str,
         lambda b: U.window(b, side).residuals(targets), window, bound,
         lambda label, residual: {
             "element": str(label),
-            "residual_terms": sorted(str(k) for k in residual)[:8],
-            "residual_size": len(residual),
+            "residual_terms": sorted(map(str, _hbar_terms(residual)))[:8],
+            "residual_size": len(_hbar_terms(residual)),
         })
 
 
@@ -412,7 +383,7 @@ def _monomial_support(span: EchelonSpan) -> Optional[set]:
     for piv, row in span.rows.items():
         if len(row) != 1:
             return None
-        ((m,), _k), = row.keys()
+        (m,), = row.keys()
         monos.add(m)
     return monos
 
@@ -523,8 +494,7 @@ class Character:
             return None
         out = self.U.ctx.zero_series()
         for gen_idx, c in combo.items():
-            widx, k = self.U.tags[gen_idx]
-            out = out + self.on_word(self.U.words[widx]).shift(k) * c
+            out = out + self.on_word(self.U.words[gen_idx]) * c
         return out
 
     def is_valid(self) -> bool:
@@ -663,37 +633,33 @@ def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[Bl
 def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                     chi: Union[Character, Sequence[Character]],
                     weight_bound: int, m: int = 1) -> List[BlockFunction]:
-    """Basis of {f in the weight window : f.u = chi(u) f factorwise} by
-    an exact sparse kernel solve.  The eigencondition is enforced on the
-    generators of U, which suffices: the right action is multiplicative
-    and the character values extend multiplicatively."""
+    """Generators of the module {f in the weight window : f.u = chi(u) f
+    factorwise}, one unknown per basis function: the Howell rows of
+    [residuals | identity] whose pivots fall in the identity block.  The
+    eigencondition is enforced on the generators of U, which suffices:
+    the right action is multiplicative and the character values extend
+    multiplicatively."""
     chis = [chi] * m if isinstance(chi, Character) else list(chi)
     if len(chis) != m:
         raise ValueError("%d characters for %d factors" % (len(chis), m))
-    ctx = qctx.uq
     basis = _qf_window_basis(qctx, m, weight_bound)
-    # one unknown per (basis function bi, hbar power k), column bi*K + k:
-    # the residual of hbar^k basis[bi] under each (factor, generator)
-    # condition, which is the residual of basis[bi] shifted by k
-    cols = []
-    for b in basis:
-        shifted = []
+    span = EchelonSpan()
+    for bi, b in enumerate(basis):
+        row = {(1, bi): qctx.uq.one_series()}
         for j in range(m):
             for gi, g in enumerate(U.generators):
                 res = (act_factor(b, j, g, "right")
                        - b.scale(chis[j].values[gi]))
-                shifted.append((j, gi, _hbar_shifts(qfun_vec(res), ctx.order)))
-        for k in range(ctx.order):
-            cols.append({(j, gi, key): c for j, gi, vecs in shifted
-                         for key, c in vecs[k].items()})
+                row.update(((0, j, gi) + key, c)
+                           for key, c in qfun_vec(res).items())
+        span.add(row)
     out = []
-    for sol in sparse_nullspace(cols):
-        f = BlockFunction(qctx, m)
-        for ci in sorted(sol):
-            bi, k = divmod(ci, ctx.order)
-            f = f + basis[bi].scale(TruncatedSeries.hbar(ctx.order, k)
-                                    * sol[ci])
-        out.append(f)
+    for p, row in sorted(span.rows.items()):
+        if p[0]:  # no residual left: a semi-invariant
+            f = BlockFunction(qctx, m)
+            for (_, bi), c in sorted(row.items()):
+                f = f + basis[bi].scale(c)
+            out.append(f)
     return out
 
 
@@ -727,8 +693,7 @@ class GradedSemiInvariants:
 def _fn_span(fns: List[BlockFunction]) -> EchelonSpan:
     span = EchelonSpan()
     for f in fns:
-        for v in _hbar_shifts(qfun_vec(f), f.ctx.uq.order):
-            span.add(v)
+        span.add(qfun_vec(f))
     return span
 
 
@@ -849,7 +814,8 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
                              {"reason": "p(d) is not a character"}),
             left, details)
 
-    spaces: List[List[BlockFunction]] = []
+    spaces: List[List[BlockFunction]] = []  # module generators
+    spans: List[EchelonSpan] = []
     dn = pw_one(qctx, 1)
     chin = monoid.unit
     for n in range(n_max + 1):
@@ -864,18 +830,18 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
                                  {"reason": "p(d^%d) != p(d)^%d" % (n, n)}),
                 left, details)
         spaces.append(semi_invariants(qctx, U, chin, weight_bound))
-        if n and not _fn_span(spaces[n]).contains(qfun_vec(dn)):
+        spans.append(_fn_span(spaces[n]))
+        if n and not spans[n].contains(qfun_vec(dn)):
             return QuantumSectionReport(
                 pre, CoisoReport("false", window,
                                  {"reason": "d^%d outside its section space" % n}),
                 left, details)
-    details["dims"] = [len(s) for s in spaces]
+    details["dims"] = [len(span) for span in spans]  # over Q
     for a in range(n_max + 1):
         for b in range(n_max + 1 - a):
-            span = _fn_span(spaces[a + b])
             for f in spaces[a]:
                 for g in spaces[b]:
-                    if not span.contains(qfun_vec(q_multiply(f, g))):
+                    if not spans[a + b].contains(qfun_vec(q_multiply(f, g))):
                         return QuantumSectionReport(
                             pre,
                             CoisoReport(

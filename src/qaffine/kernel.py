@@ -218,13 +218,12 @@ class TruncatedSeries:
         return self * other.inv()
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by hbar^k (k >= 0), discarding overflow."""
-        if k < 0:
-            raise ValueError("shift power must be nonnegative")
+        """Multiply by hbar^k, discarding overflow; for k < 0 the quotient
+        by hbar^-k, discarding the terms below it."""
         K = self.order
-        if k >= K:
-            return TruncatedSeries(K)
-        return _reduced(K, [0] * k + list(self.num[: K - k]), self.den)
+        if k >= 0:
+            return _reduced(K, ([0] * k + list(self.num))[:K], self.den)
+        return _reduced(K, (list(self.num[-k:]) + [0] * K)[:K], self.den)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term."""

@@ -1,91 +1,93 @@
-"""Exact linear algebra over Q: sparse echelon spans and dense matrices.
+"""Exact linear algebra over Q and Q[[hbar]]/(hbar^K): sparse echelon
+spans and dense matrices.
 
 Vectors are dicts mapping hashable, totally ordered coordinate keys to
-nonzero Fractions.  Echelon spans keep a reduced row echelon basis with a
-deterministic pivot order (the smallest key, or the largest one), so
-subspace equality and membership are canonical.  Kernels are read off a
-tracked echelon span (sparse_nullspace); dense rref remains only behind
-solve.  mat_inv also inverts over Q[[hbar]]/(hbar^K).
+nonzero entries, Fractions or TruncatedSeries of one order K.  Echelon
+spans keep a reduced echelon basis with a deterministic pivot order (the
+smallest key, or the largest one), so subspace equality and membership
+are canonical.  Over the series ring a row's pivot entry is hbar^v (the
+Howell form of the module): a row clears only the part of an entry at or
+above hbar^v, and len() counts the Q-dimension sum (K - v).  Kernels are
+read off a tracked echelon span over Q (sparse_nullspace); dense rref
+remains only behind solve.  mat_inv also inverts over Q[[hbar]]/(hbar^K).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
-Vec = Dict[Hashable, Fraction]
+from .kernel import TruncatedSeries
+
+Vec = Dict[Hashable, Union[Fraction, TruncatedSeries]]
 
 
 def vec_add(a: Vec, b: Vec, scale: Fraction = Fraction(1)) -> Vec:
     out = dict(a)
     for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + scale * v
-        if nv == 0:
-            out.pop(k, None)
-        else:
+        old = out.get(k)
+        nv = scale * v if old is None else old + scale * v
+        if nv:
             out[k] = nv
+        else:
+            out.pop(k, None)
     return out
 
 
 def vec_scale(a: Vec, c: Fraction) -> Vec:
-    if c == 0:
+    """c * a, without the entries a non-unit series c kills."""
+    if not c:
         return {}
-    return {k: c * v for k, v in a.items()}
+    return {k: x for k, v in a.items() if (x := c * v)}
 
 
 class EchelonSpan:
-    """Reduced echelon span of sparse vectors with optional coefficient
+    """Reduced echelon span of sparse vectors over Q or over
+    Q[[hbar]]/(hbar^K), read off the entries, with optional coefficient
     tracking against the originally inserted generators.  The pivot of a
     row is its pivot(...) key: min (the default) or max, which gives the
-    echelon complement of the reversed key order."""
+    echelon complement of the reversed key order.  A row's pivot entry is
+    1, or hbar^v for a series row; a row with v > 0 keeps
+    hbar^(K - v) * row in the span of the rows past its pivot."""
 
     def __init__(self, track: bool = False, pivot=min):
-        self.rows: Dict[Hashable, Vec] = {}  # pivot key -> row (pivot coeff 1)
+        self.rows: Dict[Hashable, Vec] = {}  # pivot key -> row
         self.track = track
         self.pivot = pivot
         self.history: Dict[Hashable, Vec] = {}  # pivot -> combo of gen index
         self._ngens = 0
-        # non-pivot key -> pivots of the rows holding it (a pivot key is
-        # held by its own row only, so it needs no entry)
+        self._dim = 0  # over Q: sum of K - v, one per row over Q
+        self._vals: Dict[Hashable, int] = {}  # pivot -> v, for v > 0
+        # key -> pivots of the other rows holding it (a pivot key is held
+        # by its own row only, unless some row has v > 0)
         self._holders: Dict[Hashable, Set[Hashable]] = {}
 
     def __len__(self):
-        return len(self.rows)
+        return self._dim
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after reduction; does not modify the span."""
-        res, _ = self._reduce_tracked(v, False)
-        return res
+        return self._reduce_tracked(v, False)[0]
 
     def _reduce_tracked(self, v: Vec, track: bool) -> Tuple[Vec, Vec]:
         """Residual of v and, when tracking, the combination of inserted
-        generators that was subtracted."""
-        pivot = self.pivot
+        generators that was subtracted.  Keys are settled in pivot order;
+        a row of pivot entry hbar^w clears the part at or above hbar^w."""
+        pivot, rows, vals = self.pivot, self.rows, self._vals
         v = dict(v)
         combo: Vec = {}
-        while v:
-            k = pivot(v)
-            row = self.rows.get(k)
-            if row is None:
-                break
-            c = v[k]
-            v = vec_add(v, row, -c)
-            if track:
-                combo = vec_add(combo, self.history[k], c)
-        if not v:
-            return {}, combo
-        # keys below the smallest remaining pivot are settled; sweep the rest
         out: Vec = {}
         while v:
             k = pivot(v)
-            row = self.rows.get(k)
-            if row is None:
-                out[k] = v.pop(k)
-            else:
-                c = v[k]
-                v = vec_add(v, row, -c)
-                if track:
-                    combo = vec_add(combo, self.history[k], c)
+            row = rows.get(k)
+            if row is not None:
+                c = v[k].shift(-vals[k]) if k in vals else v[k]
+                if c:
+                    v = vec_add(v, row, -c)
+                    if track:
+                        combo = vec_add(combo, self.history[k], c)
+                    continue
+            out[k] = v.pop(k)
         return out, combo
 
     def contains(self, v: Vec) -> bool:
@@ -97,37 +99,95 @@ class EchelonSpan:
 
     def _insert(self, res: Vec, combo: Vec) -> bool:
         """Record the next generator, whose reduction left res after
-        subtracting combo; a nonzero res becomes a new row."""
+        subtracting combo; a nonzero res becomes a new row, and the
+        vectors its placing unsettles are reduced and placed in turn."""
         gen_idx = self._ngens
         self._ngens += 1
         if not res:
             return False
+        hist = (vec_add(vec_scale(combo, Fraction(-1)), {gen_idx: Fraction(1)})
+                if self.track else None)
+        todo: List[Tuple[Vec, Optional[Vec]]] = []
+        self._place(res, hist, todo)
+        while todo:
+            v, hist = todo.pop()
+            res, combo = self._reduce_tracked(v, self.track)
+            if res:
+                if self.track:
+                    hist = vec_add(hist, combo, Fraction(-1))
+                self._place(res, hist, todo)
+        return True
+
+    def _place(self, res: Vec, hist: Optional[Vec], todo: List) -> None:
+        """Make the reduced vector res (a combination hist of generators)
+        a row with pivot entry 1 or hbar^w, and back-substitute it into
+        the rows that hold its pivot.  The row whose pivot it takes and,
+        for w > 0, hbar^(K - w) * row go onto todo."""
         p = self.pivot(res)
-        c = res[p]
-        row = vec_scale(res, Fraction(1) / c)
+        e = res[p]
+        if type(e) is TruncatedSeries:
+            w = e.valuation()
+            size, scale = e.order - w, e.shift(-w).inv()
+        else:
+            w, size, scale = 0, 1, Fraction(1) / e
+        row = vec_scale(res, scale)
         if self.track:
-            hist = vec_add(vec_scale(combo, Fraction(-1)), {gen_idx: Fraction(1)})
-            hist = vec_scale(hist, Fraction(1) / c)
-        # back-substitute into the rows that hold p, to stay fully reduced
-        holders = self._holders
-        for piv in holders.pop(p, ()):
-            r = self.rows[piv]
-            coef = r[p]
-            new = self.rows[piv] = vec_add(r, row, -coef)
-            if self.track:
-                self.history[piv] = vec_add(self.history[piv], hist, -coef)
-            for k in row:
-                if k in new:
-                    holders.setdefault(k, set()).add(piv)
-                elif k != p:
-                    holders[k].discard(piv)
+            hist = vec_scale(hist, scale)
+        rows, holders, vals = self.rows, self._holders, self._vals
+        if p in rows:  # a row of higher valuation, to be placed again
+            old = rows.pop(p)
+            self._dim -= old[p].order - vals.pop(p)
+            for k in old:
+                if k != p:
+                    holders[k].discard(p)
+            todo.append((old, self.history.pop(p, None)))
+        if w:
+            vals[p] = w
+            h = TruncatedSeries.hbar(e.order, size)
+            todo.append((vec_scale(row, h),
+                         vec_scale(hist, h) if self.track else None))
+        row, hist = self._settled(p, row, hist)
         for k in row:
             if k != p:
                 holders.setdefault(k, set()).add(p)
-        self.rows[p] = row
+        rows[p] = row
         if self.track:
             self.history[p] = hist
-        return True
+        self._dim += size
+        # back-substitute into the rows that hold p, to stay fully reduced
+        for piv in holders.pop(p, ()):
+            r = rows[piv]
+            coef = r[p].shift(-w) if w else r[p]
+            if not coef:  # only a part below hbar^w, which stays
+                holders.setdefault(p, set()).add(piv)
+                continue
+            new, h = self._settled(piv, vec_add(r, row, -coef), vec_add(
+                self.history[piv], hist, -coef) if self.track else None)
+            rows[piv] = new
+            if self.track:
+                self.history[piv] = h
+            for k in (r.keys() | new.keys()) if vals else row:
+                if k in new:
+                    if k != piv:
+                        holders.setdefault(k, set()).add(piv)
+                elif k != p:
+                    holders[k].discard(piv)
+
+    def _settled(self, p: Hashable, row: Vec,
+                 hist: Optional[Vec]) -> Tuple[Vec, Optional[Vec]]:
+        """The row at p, with its other entries reduced again if one keeps
+        a part at or above the pivot entry hbar^v of its key's row, as
+        scaling by a unit that is not constant or subtracting a series
+        multiple of a row can leave."""
+        vals = self._vals
+        if not (vals and any(k in vals and k != p and row[k].shift(-vals[k])
+                             for k in row)):
+            return row, hist
+        tail, combo = self._reduce_tracked(
+            {k: x for k, x in row.items() if k != p}, self.track)
+        if self.track:
+            hist = vec_add(hist, combo, Fraction(-1))
+        return {p: row[p], **tail}, hist
 
     def coefficients(self, v: Vec) -> Optional[Vec]:
         """Express v as a combination of the inserted generators, or None.
@@ -137,18 +197,14 @@ class EchelonSpan:
         if not self.track:
             raise ValueError("span was not built with coefficient tracking")
         res, combo = self._reduce_tracked(v, True)
-        if res:
-            return None
-        return combo
+        return None if res else combo
 
     def basis(self) -> List[Vec]:
         return [self.rows[p] for p in sorted(self.rows,
                                              reverse=self.pivot is max)]
 
     def equals(self, other: "EchelonSpan") -> bool:
-        if set(self.rows) != set(other.rows):
-            return False
-        return all(self.rows[p] == other.rows[p] for p in self.rows)
+        return self.rows == other.rows
 
 
 def sparse_nullspace(cols: List[Vec]) -> List[Vec]:
@@ -175,30 +231,6 @@ Matrix = List[List[Fraction]]
 
 def mat_zero(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
-
-
-def mat_identity(n: int) -> Matrix:
-    out = mat_zero(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    m, k, n = len(a), len(b), len(b[0])
-    out = mat_zero(m, n)
-    for i in range(m):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            for j in range(n):
-                if bt[j] != 0:
-                    oi[j] += c * bt[j]
-    return out
 
 
 def mat_inv(a: Matrix, one=Fraction(1), is_unit=bool) -> Matrix:

@@ -37,6 +37,14 @@ def test_config_rejects_bad_values():
         RunConfig(algebra="sl3", suites=("quantum",))
 
 
+def test_nonpositive_scale_is_named(capsys):
+    for scale in ("0", "-1"):
+        assert main(["run", "--scale", scale]) == 2
+        assert "form scaling must be positive" in capsys.readouterr().err
+    assert main(["run", "--scale", "x"]) == 2
+    assert "bad form scaling 'x'" in capsys.readouterr().err
+
+
 def test_report_shape_and_sorting():
     cfg = RunConfig(suites=("classical",))
     rep = Report(cfg)

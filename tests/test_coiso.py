@@ -13,7 +13,7 @@ import pytest
 
 from qaffine.coiso import (
     CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span,
-    _hbar_shifts, _h_monomials, borel_subalgebra, classical_shadow,
+    _hbar_terms, _h_monomials, borel_subalgebra, classical_shadow,
     counit_character, ideal_commutator, q_evaluate, qfun_vec,
     quantum_section_check, r_membership_hopf, semi_invariant_product_check,
     semi_invariants, strong_coiso_hopf, strong_coiso_twisted, tensor_vec,
@@ -23,7 +23,7 @@ from qaffine.cgx import (
     BlockFunction, hw_coefficient, matrix_coefficient, pw_one, pw_tensor,
 )
 from qaffine.kernel import TruncatedSeries
-from qaffine.linalg import EchelonSpan
+from qaffine.linalg import EchelonSpan, vec_add
 from qaffine.que import (
     QAffineContext, antipode, coproduct, q_multiply, UqContext, UqElement,
     quantum_affine_multiply, r_matrix_sl2, tensor_of, uq_gen,
@@ -136,8 +136,9 @@ def test_character_monoid_requires_strong_coisotropy(ctx):
 def test_invariants_window(qctx, U):
     eps = counit_character(U)
     inv = semi_invariants(qctx, U, eps, 2)
-    # constants and their hbar shifts only
-    assert len(inv) == qctx.uq.order
+    # the constants only: one generator, of Q-dimension K
+    assert len(inv) == 1
+    assert len(_fn_span(inv)) == qctx.uq.order
     assert _fn_span(inv).contains(qfun_vec(pw_one(qctx, 1)))
 
 
@@ -184,6 +185,8 @@ def test_quantum_sections(qctx, U, mon):
     rep = quantum_section_check(d, U, n_max=3, monoid=mon)
     assert rep.prequantum.status == "true"
     assert rep.graded.status == "true"
+    # Q-dimensions K (n + 1) of the degree-n sections, n <= 3, at K = 3
+    assert rep.details["dims"] == [3, 6, 9, 12]
     rep1 = quantum_section_check(pw_one(qctx, 1), U, n_max=2, monoid=mon)
     assert rep1.prequantum.status == "true"
     assert rep1.graded.status == "true"
@@ -243,21 +246,13 @@ def test_bad_inputs_are_rejected_under_optimization():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# -- the flatteners through s.coeffs, kept as the reference ------------------
+# -- the Q-coordinates through s.coeffs, kept as the reference --------------
 
 
-def _uq_vec_ref(x):
+def _flat(vec):
+    """A series vector over Q, keyed by (key, hbar power)."""
     out = {}
-    for m, s in x.data.items():
-        for k, c in enumerate(s.coeffs):
-            if c != 0:
-                out[(m, k)] = c
-    return out
-
-
-def _tensor_vec_ref(t):
-    out = {}
-    for key, s in t.data.items():
+    for key, s in vec.items():
         for k, c in enumerate(s.coeffs):
             if c != 0:
                 out[(key, k)] = c
@@ -265,13 +260,8 @@ def _tensor_vec_ref(t):
 
 
 def _qfun_vec_ref(f):
-    out = {}
-    for key, blk in f.blocks.items():
-        for idx, s in blk.items():
-            for k, c in enumerate(s.coeffs):
-                if c != 0:
-                    out[(key, idx, k)] = c
-    return out
+    return {(key, idx): s for key, blk in f.blocks.items()
+            for idx, s in blk.items()}
 
 
 def _same_items(a, b):
@@ -279,21 +269,42 @@ def _same_items(a, b):
 
 
 def test_flatteners_match_coefficient_reference(ctx, qctx, R):
+    """The witness terms of a series vector are its Q-coordinates."""
     for name in ("E", "F", "H"):
         x = antipode(uq_gen(ctx, name) * uq_gen(ctx, "E"))
-        assert _same_items(tensor_vec(x), _uq_vec_ref(x))
-    assert _same_items(tensor_vec(R), _tensor_vec_ref(R))
+        assert _same_items(tensor_vec(x), x.data)
+        assert _hbar_terms(tensor_vec(x)) == list(_flat(x.data))
+    assert _hbar_terms(tensor_vec(R)) == list(_flat(R.data))
     f = hw_coefficient(qctx, (1,), {0: 1, 1: F(1, 3)})
     g = matrix_coefficient(qctx, (2,), {1: F(1, 2)}, {0: 1})
     for h in (q_multiply(f, g), q_multiply(g, f), pw_tensor([f, g])):
         assert _same_items(qfun_vec(h), _qfun_vec_ref(h))
+        assert _hbar_terms(qfun_vec(h)) == list(_flat(_qfun_vec_ref(h)))
 
 
-# -- hbar^k x by a series multiply, kept as the reference for the key shift --
+# -- the hbar-shift expansion over Q, the reference the windows were built ---
+# -- on; hbar^k x by a series multiply is the reference for its key shift ----
 
 
 def _hbar(ctx, k):
     return TruncatedSeries.hbar(ctx.order, k) if k else ctx.one_series()
+
+
+def _hbar_shifts(vec, order):
+    """The Q-coordinates of hbar^k x for k < order, from those of x: every
+    key's hbar power raised by k, powers >= order dropped."""
+    return [{(key, p + k): c for (key, p), c in _flat(vec).items()
+             if p + k < order} for k in range(order)]
+
+
+def _expand(span):
+    """The Q-span of a series span: its rows and their hbar shifts, with
+    the same pivot order."""
+    out = EchelonSpan(pivot=span.pivot)
+    for row in span.rows.values():
+        for v in _hbar_shifts(row, next(iter(row.values())).order):
+            out.add(v)
+    return out
 
 
 def _random_series(rng, K):
@@ -318,8 +329,8 @@ def test_hbar_shifts_match_series_scaling():
                 shifts = _hbar_shifts(tensor_vec(t), K)
                 assert len(shifts) == K
                 for k in range(K):
-                    assert _same_items(shifts[k],
-                                       tensor_vec(t.scale(_hbar(uq, k))))
+                    assert shifts[k] == _flat(tensor_vec(
+                        t.scale(_hbar(uq, k))))
             blocks = {}
             for _ in range(rng.randint(1, 4)):
                 ns = tuple((rng.randint(0, 2),) for _ in range(2))
@@ -331,8 +342,7 @@ def test_hbar_shifts_match_series_scaling():
             for h in (f, q_multiply(g, g)):
                 shifts = _hbar_shifts(qfun_vec(h), K)
                 for k in range(K):
-                    assert _same_items(shifts[k],
-                                       qfun_vec(h.scale(_hbar(uq, k))))
+                    assert shifts[k] == _flat(qfun_vec(h.scale(_hbar(uq, k))))
 
 
 # -- the per-call window builders, kept as the reference for the shared ------
@@ -374,7 +384,7 @@ def _ideal_commutator_ref(U, bound=None):
                 el = el_l * c * el_r
                 grew = False
                 for k in range(ctx.order):
-                    v = tensor_vec(el.scale(_hbar(ctx, k)))
+                    v = _flat(tensor_vec(el.scale(_hbar(ctx, k))))
                     if span.add(v) and k == 0:
                         grew = True
                 if grew:
@@ -390,14 +400,14 @@ def _window_span_ref(Uext, ideal, h_bound, side, track=False, pivot=min):
         for j, v in enumerate(Uext.basis):
             base = tensor_of([u, v])
             for k in range(ctx.order):
-                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+                span.add(_flat(tensor_vec(base.scale(_hbar(ctx, k)))))
                 tags.append(("uu", i, j, k))
     for hm in _h_monomials(h_bound):
         x = UqElement(ctx, {hm: 1})
         for ci, c in enumerate(ideal.elements):
             base = tensor_of([x, c]) if side == "right" else tensor_of([c, x])
             for k in range(ctx.order):
-                span.add(tensor_vec(base.scale(_hbar(ctx, k))))
+                span.add(_flat(tensor_vec(base.scale(_hbar(ctx, k)))))
                 tags.append(("ideal", hm, ci, k))
     return span, tags
 
@@ -418,7 +428,7 @@ class _ReducedCoproductRef:
         )
 
     def pair_value(self, phi, psi, x):
-        combo = self.span.coefficients(tensor_vec(coproduct(x)))
+        combo = self.span.coefficients(_flat(tensor_vec(coproduct(x))))
         if combo is None:
             return None
         ctx = self.U.ctx
@@ -458,6 +468,24 @@ def ref_coproducts(U3):
             _ReducedCoproductRef(U3, key_order="rev"))
 
 
+def _unshifted(tags):
+    """The tags of the hbar-shift build with k = 0, without the k."""
+    return [t[:-1] for t in tags if t[-1] == 0]
+
+
+def _window_gens(Uext, ideal, tags, side):
+    """The series vectors a window inserted, from its tags."""
+    out = []
+    for tag in tags:
+        if tag[0] == "uu":
+            legs = [Uext.basis[tag[1]], Uext.basis[tag[2]]]
+        else:
+            x, c = UqElement(Uext.ctx, {tag[1]: 1}), ideal.elements[tag[2]]
+            legs = [x, c] if side == "right" else [c, x]
+        out.append(tensor_vec(tensor_of(legs)))
+    return out
+
+
 def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
     bound = U3.degree_bound + ctx.order - 1
     fresh = borel_subalgebra(ctx, 3)
@@ -471,16 +499,23 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
     targets = [tensor_vec(coproduct(g)) for g in U3.generators]
     for (side, pivot), (span, tags) in refs.items():
         win = U3.window(bound, side, pivot)
-        assert win.span.rows == span.rows and win.tags == tags
+        assert _expand(win.span).equals(span) and len(win.span) == len(span)
+        assert win.tags == _unshifted(tags)
+        gens = _window_gens(U3.extend(bound), win.ideal, win.tags, side)
         for t in targets:
             if side == "right":
-                assert win.span.coefficients(t) == span.coefficients(t)
+                combo = win.span.coefficients(t)
+                assert (combo is None) == (span.coefficients(_flat(t)) is None)
+                out = {}
+                for i, c in (combo or {}).items():
+                    out = vec_add(out, gens[i], c)
+                assert combo is None or out == t
             else:  # only the right windows are tracked
                 with pytest.raises(ValueError):
                     win.span.coefficients(t)
         assert U3.window(bound, side, pivot) is win
         assert win.ideal is ideal_commutator(U3, bound)
-        assert win.ideal.span.equals(ideal_ref.span)
+        assert _expand(win.ideal.span).equals(ideal_ref.span)
         assert win.ideal.elements == ideal_ref.elements
     # a tracked span has the rows of the untracked one
     untracked, _ = _window_span_ref(fresh.extend(bound), ideal_ref, bound,
@@ -502,7 +537,8 @@ def test_shared_windows_keep_the_pivot_order(ctx):
     assert not refs[min][0].equals(refs[max][0])
     for pivot, (span, tags) in refs.items():
         win = U.window(bound, "right", pivot)
-        assert win.span.equals(span) and win.tags == tags
+        assert _expand(win.span).equals(span)
+        assert win.tags == _unshifted(tags)
 
 
 def test_character_monoid_matches_unshared_reduced_coproducts(U3,

@@ -362,6 +362,16 @@ def test_shift_past_the_order_is_zero():
     a = TruncatedSeries(K, [1, 2, 3])
     for k in range(K, K + 3):
         assert a.shift(k) == TruncatedSeries.zero(K)
+        assert a.shift(-k) == TruncatedSeries.zero(K)
+
+
+def test_negative_shift_is_the_quotient():
+    a = TruncatedSeries(K, [Fraction(1, 2), 2, Fraction(-3, 4)])
+    assert a.shift(-1) == TruncatedSeries(K, [2, Fraction(-3, 4)])
+    for k in range(K + 1):
+        # a = hbar^k (a // hbar^k) + (the terms of a below hbar^k)
+        low = TruncatedSeries(K, a.coeffs[:k])
+        assert a.shift(-k).shift(k) + low == a
 
 
 def test_representation_is_lowest_terms():

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qaffine.linalg
+from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import (
-    EchelonSpan, mat_identity, mat_inv, mat_mul, nullspace, rref, solve,
-    sparse_nullspace, vec_add, vec_scale,
+    EchelonSpan, mat_inv, nullspace, rref, solve, sparse_nullspace, vec_add,
+    vec_scale,
 )
 
 F = Fraction
@@ -44,6 +45,7 @@ class FullScanSpan(EchelonSpan):
         self.rows[p] = row
         if self.track:
             self.history[p] = hist
+        self._dim += 1
         return True
 
 
@@ -103,6 +105,103 @@ def test_indexed_add_matches_full_scan(raw, queries, pivot, track):
         assert got.reduce(q) == ref.reduce(q)
         if track:
             assert got.coefficients(q) == ref.coefficients(q)
+
+
+# -- series entries: the hbar-shift expansion over Q is the reference -------
+
+
+def _flat(v):
+    """A series vector's coordinates over Q, keyed by (key, hbar power)."""
+    return {(k, i): c for k, s in v.items() for i, c in enumerate(s.coeffs)
+            if c}
+
+
+def _hbar_shifts(v, K):
+    """The Q-coordinates of hbar^j v for j < K: together they span over Q
+    the module that v spans."""
+    return [_flat(vec_scale(v, TruncatedSeries.hbar(K, j))) for j in range(K)]
+
+
+def _series(K):
+    """A series of order K with a random valuation, the zero one included,
+    so leading entries are often non-units."""
+    return st.integers(min_value=0, max_value=K).flatmap(
+        lambda v: st.lists(st.integers(min_value=-2, max_value=2),
+                           min_size=K - v, max_size=K - v).map(
+            lambda cs: TruncatedSeries(K, [0] * v + cs)))
+
+
+@st.composite
+def _series_case(draw):
+    K = draw(st.integers(min_value=1, max_value=4))
+    keys = st.integers(min_value=0, max_value=4)
+
+    def vec():
+        v = draw(st.dictionaries(keys, _series(K), max_size=4))
+        return {k: s for k, s in v.items() if s}
+
+    # fresh vectors plus series combinations of earlier ones, so dependent
+    # inserts, torsion and pivot takeovers all occur
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        v = vec()
+        for g in gens:
+            if draw(st.booleans()):
+                v = vec_add(v, g, draw(_series(K)))
+        gens.append(v)
+    queries = [vec() for _ in range(2)]
+    for g in gens:
+        queries.append(vec_add(queries[-1], g, draw(_series(K))))
+    return K, gens, queries
+
+
+def _rebuild(combo, gens):
+    out = {}
+    for i, c in combo.items():
+        out = vec_add(out, gens[i], c)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_case(), st.sampled_from([min, max]), st.booleans())
+# the unit 1 + hbar that normalizes the second row lifts its entry 1 at the
+# pivot of entry hbar to 1 - hbar, which must be reduced again
+@example((2, [{2: TruncatedSeries(2, [0, 1])},
+              {0: TruncatedSeries(2, [1, 1]), 2: TruncatedSeries(2, [1])}],
+          []), min, True)
+def test_series_span_matches_hbar_shift_expansion(case, pivot, track):
+    """A span of series vectors is the Q-span of their hbar-shifted
+    copies: the same Q-rank after every insert and the same membership;
+    with min pivots the same residuals over Q; coefficients rebuild the
+    vector.  Its rows are a reduced Howell form."""
+    K, gens, queries = case
+    got, ref = EchelonSpan(track, pivot), FullScanSpan(pivot=pivot)
+    for v in gens:
+        grew = [ref.add(x) for x in _hbar_shifts(v, K)]
+        assert got.add(v) == grew[0]
+        assert len(got) == len(ref.rows)
+    vals = {p: row[p].valuation() for p, row in got.rows.items()}
+    held = {}
+    for p, row in got.rows.items():
+        assert row[p] == TruncatedSeries.hbar(K, vals[p])
+        assert pivot(row) == p
+        for k, e in row.items():
+            if k != p:
+                held.setdefault(k, set()).add(p)
+                if k in vals:  # only the part below the pivot entry is left
+                    assert e.valuation() < vals[k] or not e
+                    assert not e.shift(-vals[k])
+    assert {k: s for k, s in got._holders.items() if s} == held
+    for q in queries + gens:
+        res = got.reduce(q)
+        assert (not res) == ref.contains(_flat(q))
+        if pivot is min:
+            assert _flat(res) == ref.reduce(_flat(q))
+        if track:
+            combo = got.coefficients(q)
+            assert (combo is None) == bool(res)
+            if combo is not None:
+                assert _rebuild(combo, gens) == q
 
 
 _dense = st.integers(min_value=1, max_value=5).flatmap(
@@ -246,8 +345,7 @@ def test_max_pivot_matches_reversed_keys():
 
 def test_matrix_inverse_and_solve():
     m = [[F(2), F(1)], [F(1), F(1)]]
-    inv = mat_inv(m)
-    assert mat_mul(m, inv) == mat_identity(2)
+    assert mat_inv(m) == [[F(1), F(-1)], [F(-1), F(2)]]
     x = solve(m, [F(3), F(2)])
     assert x == [F(1), F(1)]
     assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
