@@ -214,13 +214,37 @@ PINNED_COMPUTE_OUTPUT = [
      "42272e08363493fbf98a3d429fef54168844dda576e798da80b2b04d20f6f6f6"),
     (["coiso-check", "EF", "--degree-bound", "1", "--hbar-order", "2"],
      "27596604bb2b0f6865ce7b5681141ee3f5fa4e2cb7085010455a9b00865e113e"),
+    # every sl3 generator's cobracket, and the sl3 mixed tensors
+    (["cobracket", "sl3", "h1"],
+     "16047574e344c31c5313c30a4d770269e832d6d4351064fe0c0eeeb63889cbf1"),
+    (["cobracket", "sl3", "h2"],
+     "16047574e344c31c5313c30a4d770269e832d6d4351064fe0c0eeeb63889cbf1"),
+    (["cobracket", "sl3", "e1"],
+     "9fca2abe141d53c646f9a84e659c303e830a491a162179ce70d010e2be8600d6"),
+    (["cobracket", "sl3", "e2"],
+     "e3994b17d65dfff2e0aa28e080497cae035a4a90ea931adf79c22900f9c173fb"),
+    (["cobracket", "sl3", "e3"],
+     "88e981769b82b433646fe213a500b04450944c4e5df8938a8b56355076afa492"),
+    (["cobracket", "sl3", "f1"],
+     "efbdd9d8304311d21cc10709e62ecc304161a71db5349084594e93a0ce4040b7"),
+    (["cobracket", "sl3", "f2"],
+     "aedb07e06cc45002411e77fa9e232bc8548eaf81bc25d9cc2c9247a425646f88"),
+    (["cobracket", "sl3", "f3"],
+     "43885515f6449841b4dd32b29da1c1ff7d05b72bc7df4a851c02690b436d0651"),
+    (["mix", "sl3", "1"],
+     "a7e80656d259d5f32b7feeecce0a1572ba50a587ec603fb0adf9a425c3ca77a9"),
+    (["mix", "sl3", "2"],
+     "23fcb8b229a293143871384cca1760ffb35dae3865686454fa6395b1ee72bed2"),
+    (["mix", "sl3", "3"],
+     "71d41e17d579ba70d12daa2ca5c87ad1375650f8040aa4519719345b30dff0b4"),
 ]
 
 
 def test_compute_output_is_pinned(capsys):
     """Bracket (product m=1, mixed m=2, 3), qmultiply (m=1..3 at hbar
-    orders 2..4) and coiso-check (F and HE at degree bound 2, HF and EF at
-    hbar order 2) print exactly the pinned bytes."""
+    orders 2..4), coiso-check (F and HE at degree bound 2, HF and EF at
+    hbar order 2), and the sl3 cobrackets and mixed tensors print exactly
+    the pinned bytes."""
     assert main(["compute", "bracket", "sl2", "product", "2:1", "3:2"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "bracket": {"blocks": {"5": [[3, 0, "-3/2"]]}, "m": 1}}
@@ -236,6 +260,16 @@ def test_coiso_run_output_is_pinned(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0af9061985a78ff68caf332b2f6e4d9d4617d3c19eee081dc569955987e4efa6")
+
+
+def test_scaled_sl3_run_output_is_pinned(capsys):
+    """A form scaling other than 1 goes through the sl3 structure constants
+    (the lowering vectors carry 1/scale) and prints exactly the pinned
+    bytes."""
+    assert main(["run", "--algebra", "sl3", "--scale", "3/2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f4c0c094847d1fd69ae1ab7d95c441f240c2f150d68ddda3c3680a6274816bd")
 
 
 def test_compute_coiso_check(capsys):
