@@ -138,38 +138,51 @@ class LieAlgebra:
     # -- validation ----------------------------------------------------
 
     def _validate(self):
+        """Antisymmetry, Jacobi, invariance of the form, and
+        <e_beta, e_-beta> = 1, each summed over nonzero entries only."""
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                bij = self.bracket_basis(i, j)
-                bji = self.bracket_basis(j, i)
-                if {k: -v for k, v in bij.items()} != bji:
-                    raise LieAlgebraError("structure constants not antisymmetric")
+        for (i, j), bij in self.structure.items():
+            bji = self.structure.get((j, i))
+            if i != j and bji is not None \
+                    and {k: -v for k, v in bij.items()} != bji:
+                raise LieAlgebraError("structure constants not antisymmetric")
+        # ad[x][y] = [x, y], for the nonzero brackets only
+        ad: List[Dict[int, Dict[int, Fraction]]] = [{} for _ in range(n)]
+        for (i, j), val in self.structure.items():
+            if i != j and val:
+                ad[i][j] = val
+                ad[j][i] = {k: -v for k, v in val.items()}
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc: Dict[int, Fraction] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(b, c)
-                        for l, cl in inner.items():
-                            for m, cm in self.bracket_basis(a, l).items():
-                                nv = acc.get(m, Fraction(0)) + cl * cm
-                                if nv == 0:
-                                    acc.pop(m, None)
-                                else:
-                                    acc[m] = nv
-                    if acc:
+                        for l, cl in ad[b].get(c, {}).items():
+                            for m, cm in ad[a].get(l, {}).items():
+                                acc[m] = acc.get(m, 0) + cl * cm
+                    if any(acc.values()):
                         raise LieAlgebraError("Jacobi identity fails")
+        # <[x,y],z> + <y,[x,z]> over the nonzero entries of the form: row l
+        # gives the <l, z> of the first term, column l the <y, l> of the
+        # second, so a form that is not symmetric is read as it is
+        rows = [[(z, g) for z, g in enumerate(self.gram[l]) if g]
+                for l in range(n)]
+        cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for y in range(n):
+            for l, g in rows[y]:
+                cols[l].append((y, g))
         for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    s = Fraction(0)
-                    for l, c in self.bracket_basis(x, y).items():
-                        s += c * self.gram[l][z]
-                    for l, c in self.bracket_basis(x, z).items():
-                        s += c * self.gram[y][l]
-                    if s != 0:
-                        raise LieAlgebraError("invariant form fails invariance")
+            s: Dict[Tuple[int, int], Fraction] = {}
+            for y, bxy in ad[x].items():
+                for l, c in bxy.items():
+                    for z, g in rows[l]:
+                        s[(y, z)] = s.get((y, z), 0) + c * g
+            for z, bxz in ad[x].items():
+                for l, c in bxz.items():
+                    for y, g in cols[l]:
+                        s[(y, z)] = s.get((y, z), 0) + c * g
+            if any(s.values()):
+                raise LieAlgebraError("invariant form fails invariance")
         for b in range(self.n_pos):
             if self.gram[self.raise_index(b)][self.lower_index(b)] != 1:
                 raise LieAlgebraError("<e_beta, e_-beta> != 1")
@@ -204,63 +217,79 @@ class LieAlgebra:
 
 
 def _sl_matrices(n: int, scale: Fraction):
-    """Basis matrices of sl(n): coroots, then E_ij (i<j), then E_ji/scale."""
-
-    def emat(i, j, c=Fraction(1)):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][j] = c
-        return m
-
+    """Basis matrices of sl(n): coroots, then E_ij (i<j), then E_ji/scale,
+    each as its nonzero entries {(row, col): value}."""
     k = n - 1
     pos_pairs = sorted(
         ((i, j) for i in range(n) for j in range(i + 1, n)),
         key=lambda p: (p[1] - p[0], p[0]),
     )
-    mats = []
+    entries: List[Dict[Tuple[int, int], Fraction]] = []
     labels = []
     for i in range(k):
-        h = [[Fraction(0)] * n for _ in range(n)]
-        h[i][i] = Fraction(1)
-        h[i + 1][i + 1] = Fraction(-1)
-        mats.append(h)
+        entries.append({(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
         labels.append("h%d" % (i + 1))
     for (i, j) in pos_pairs:
-        mats.append(emat(i, j))
+        entries.append({(i, j): Fraction(1)})
         labels.append("e[%d%d]" % (i + 1, j + 1))
+    lower = Fraction(1) / scale
     for (i, j) in pos_pairs:
-        mats.append(emat(j, i, Fraction(1) / scale))
+        entries.append({(j, i): lower})
         labels.append("f[%d%d]" % (i + 1, j + 1))
-    return mats, labels, pos_pairs
+    return entries, labels, pos_pairs
 
 
 def build_sl(n: int, scale=1) -> LieAlgebra:
-    """sl(n) with invariant form <X,Y> = scale * tr(XY)."""
-    scale = _frac(scale)
+    """sl(n) with invariant form <X,Y> = scale * tr(XY).
+
+    Every product of basis matrices is taken over their nonzero entries
+    only: a basis matrix has at most two."""
+    if n < 2:
+        raise LieAlgebraError("sl(n) needs n >= 2, got %r" % (n,))
+    try:
+        scale = _frac(scale)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise LieAlgebraError("bad form scaling %r" % (scale,)) from None
     if scale <= 0:
         raise LieAlgebraError("form scaling must be positive")
-    mats, labels, pos_pairs = _sl_matrices(n, scale)
+    entries, labels, pos_pairs = _sl_matrices(n, scale)
     k = n - 1
-    dim = len(mats)
+    n_pos = len(pos_pairs)
+    dim = len(entries)
+    # an off-diagonal position -> (coordinate order, basis index, factor);
+    # the order lists e_beta before e_-beta, root by root
+    slot: Dict[Tuple[int, int], Tuple[int, int, Fraction]] = {}
+    for idx, (i, j) in enumerate(pos_pairs):
+        slot[(i, j)] = (2 * idx, k + idx, Fraction(1))
+        slot[(j, i)] = (2 * idx + 1, k + n_pos + idx, scale)
 
-    def mat_commutator(a, b):
-        return [
-            [
-                sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    def commutator(a, b) -> Dict[Tuple[int, int], Fraction]:
+        # AB pairs A[i][t] with B[t][j]; BA pairs B[u][i] with A[i][t]
+        out: Dict[Tuple[int, int], Fraction] = {}
+        for (i, t), x in entries[a].items():
+            for (u, j), y in entries[b].items():
+                if t == u:
+                    out[(i, j)] = out.get((i, j), 0) + x * y
+                if j == i:
+                    out[(u, t)] = out.get((u, t), 0) - y * x
+        return out
 
     def decompose(m) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for idx, (i, j) in enumerate(pos_pairs):
-            if m[i][j] != 0:
-                out[k + idx] = m[i][j]
-            if m[j][i] != 0:
-                out[k + len(pos_pairs) + idx] = m[j][i] * scale
+        off = []
+        diag: Dict[int, Fraction] = {}
+        for (i, j), c in m.items():
+            if c == 0:
+                continue
+            if i == j:
+                diag[i] = c
+            else:
+                order, idx, factor = slot[(i, j)]
+                off.append((order, idx, c * factor))
+        off.sort()
+        out = {idx: c for _, idx, c in off}
         run = Fraction(0)
         for i in range(k):
-            run += m[i][i]
+            run += diag.get(i, 0)
             if run != 0:
                 out[i] = run
         return out
@@ -268,16 +297,22 @@ def build_sl(n: int, scale=1) -> LieAlgebra:
     structure: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            val = decompose(mat_commutator(mats[i], mats[j]))
+            val = decompose(commutator(i, j))
             if val:
                 structure[(i, j)] = val
-    gram = [
-        [
-            scale * sum(mats[a][i][t] * mats[b][t][i] for i in range(n) for t in range(n))
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
+    # tr(X_a X_b) pairs entry (i, t) of X_a with entry (t, i) of X_b
+    at: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
+    for b, ent in enumerate(entries):
+        for pos, c in ent.items():
+            at.setdefault(pos, []).append((b, c))
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    for a, ent in enumerate(entries):
+        tr: Dict[int, Fraction] = {}
+        for (i, t), x in ent.items():
+            for b, y in at.get((t, i), ()):
+                tr[b] = tr.get(b, 0) + x * y
+        for b, c in tr.items():
+            gram[a][b] = scale * c
     cartan = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(k)]
         for i in range(k)
@@ -293,6 +328,12 @@ def build_sl(n: int, scale=1) -> LieAlgebra:
         "sl%d" % n, labels, structure, gram,
         rank=k, positive_roots=pos_roots, cartan_matrix=cartan,
     )
+    mats = []
+    for ent in entries:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), c in ent.items():
+            m[i][j] = c
+        mats.append(m)
     alg.defining_matrices = mats
     return alg
 
@@ -305,11 +346,7 @@ def load_algebra(spec: Dict) -> LieAlgebra:
     """
     if spec.get("type", "sl") != "sl":
         raise LieAlgebraError("unsupported algebra type %r" % spec.get("type"))
-    n = int(spec["n"])
-    scale = spec.get("form_scale", 1)
-    if isinstance(scale, str):
-        scale = Fraction(scale)
-    return build_sl(n, scale)
+    return build_sl(int(spec["n"]), spec.get("form_scale", 1))
 
 
 # -- sparse tensors ----------------------------------------------------

@@ -2,6 +2,7 @@
 at the Lie-algebra level."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from qaffine.liebialg import (
-    LieTensor, Subspace, adjoint_invariance_residual, basis_tensor, build_sl,
-    cobracket, cybe_residual, diag_embedding, diagonal_r, load_algebra,
-    mix_tensor, r_membership_lie, standard_r, strongly_coisotropic_lie,
-    twisted_r, verify_twisting_element, wedge,
+    LieAlgebra, LieAlgebraError, LieTensor, Subspace,
+    adjoint_invariance_residual, basis_tensor, build_sl, cobracket,
+    cybe_residual, diag_embedding, diagonal_r, load_algebra, mix_tensor,
+    r_membership_lie, standard_r, strongly_coisotropic_lie, twisted_r,
+    verify_twisting_element, wedge,
 )
 
 F = Fraction
@@ -52,6 +54,157 @@ def test_load_algebra_round_trip(sl2):
     assert alg.labels == sl2.labels
     with pytest.raises(Exception):
         load_algebra({"type": "so", "n": 5})
+
+
+def _dense_sl(n, scale):
+    """The dense reference for build_sl: full n x n Fraction matrices,
+    commutators and traces with n-term sums."""
+    def emat(i, j, c=Fraction(1)):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        m[i][j] = c
+        return m
+
+    k = n - 1
+    pos_pairs = sorted(
+        ((i, j) for i in range(n) for j in range(i + 1, n)),
+        key=lambda p: (p[1] - p[0], p[0]),
+    )
+    mats = []
+    labels = []
+    for i in range(k):
+        h = [[Fraction(0)] * n for _ in range(n)]
+        h[i][i] = Fraction(1)
+        h[i + 1][i + 1] = Fraction(-1)
+        mats.append(h)
+        labels.append("h%d" % (i + 1))
+    for (i, j) in pos_pairs:
+        mats.append(emat(i, j))
+        labels.append("e[%d%d]" % (i + 1, j + 1))
+    for (i, j) in pos_pairs:
+        mats.append(emat(j, i, Fraction(1) / scale))
+        labels.append("f[%d%d]" % (i + 1, j + 1))
+    dim = len(mats)
+
+    def mat_commutator(a, b):
+        return [
+            [
+                sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+
+    def decompose(m):
+        out = {}
+        for idx, (i, j) in enumerate(pos_pairs):
+            if m[i][j] != 0:
+                out[k + idx] = m[i][j]
+            if m[j][i] != 0:
+                out[k + len(pos_pairs) + idx] = m[j][i] * scale
+        run = Fraction(0)
+        for i in range(k):
+            run += m[i][i]
+            if run != 0:
+                out[i] = run
+        return out
+
+    structure = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            val = decompose(mat_commutator(mats[i], mats[j]))
+            if val:
+                structure[(i, j)] = val
+    gram = [
+        [
+            scale * sum(mats[a][i][t] * mats[b][t][i]
+                        for i in range(n) for t in range(n))
+            for b in range(dim)
+        ]
+        for a in range(dim)
+    ]
+    cartan = [
+        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(k)]
+        for i in range(k)
+    ]
+    pos_roots = []
+    for (i, j) in pos_pairs:
+        root = [0] * k
+        for t in range(i, j):  # alpha_{i+1} + ... + alpha_j
+            for a in range(k):
+                root[a] += cartan[a][t]
+        pos_roots.append(tuple(root))
+    return labels, structure, gram, pos_roots, cartan, mats
+
+
+def test_sparse_build_matches_dense_reference():
+    for n in (2, 3, 4, 5):
+        for scale in (F(1), F(3, 2), F(1, 3)):
+            labels, structure, gram, roots, cartan, mats = _dense_sl(n, scale)
+            alg = build_sl(n, scale)
+            assert list(alg.structure.items()) == list(structure.items())
+            assert alg.gram == gram
+            assert alg.positive_roots == roots
+            assert alg.labels == labels
+            assert alg.cartan_matrix == cartan
+            assert alg.defining_matrices == mats
+
+
+def _perturbed_sl3(change):
+    """sl3's data with `change(structure, gram)` applied, validated anew."""
+    alg = build_sl(3)
+    structure = {key: dict(val) for key, val in alg.structure.items()}
+    gram = [list(row) for row in alg.gram]
+    change(structure, gram)
+    return LieAlgebra("sl3", alg.labels, structure, gram, rank=alg.rank,
+                      positive_roots=alg.positive_roots,
+                      cartan_matrix=alg.cartan_matrix)
+
+
+def test_validate_rejects_each_broken_identity(sl3):
+    h1, e1, f1 = 0, sl3.raise_index(0), sl3.lower_index(0)
+    assert sl3.structure[(h1, e1)] == {e1: 2}
+
+    def reversed_entry_disagrees(structure, gram):
+        structure[(e1, h1)] = {e1: F(2)}  # should be -2 e1
+
+    def bracket_changed(structure, gram):
+        structure[(h1, e1)] = {e1: F(3)}
+
+    def form_entry_changed_one_side(structure, gram):
+        gram[0][1] += 1  # <h1, h2> only; <h2, h1> keeps its value
+
+    def form_doubled(structure, gram):
+        for row in gram:
+            row[:] = [2 * g for g in row]
+
+    for change, message in (
+            (reversed_entry_disagrees, "not antisymmetric"),
+            (bracket_changed, "Jacobi identity fails"),
+            (form_entry_changed_one_side, "fails invariance"),
+            (form_doubled, "<e_beta, e_-beta> != 1")):
+        with pytest.raises(LieAlgebraError, match=re.escape(message)):
+            _perturbed_sl3(change)
+    _perturbed_sl3(lambda structure, gram: None)  # unperturbed: accepted
+
+
+def test_sl_needs_n_at_least_two():
+    for n in (1, 0, -1):
+        with pytest.raises(LieAlgebraError, match="n >= 2, got %d" % n):
+            build_sl(n)
+    with pytest.raises(LieAlgebraError, match="n >= 2, got 1"):
+        load_algebra({"n": 1})
+
+
+def test_bad_form_scale_is_named():
+    with pytest.raises(LieAlgebraError, match="bad form scaling '1/0'"):
+        load_algebra({"n": 2, "form_scale": "1/0"})
+    with pytest.raises(LieAlgebraError, match="bad form scaling 'x'"):
+        build_sl(2, "x")
+    with pytest.raises(LieAlgebraError, match="bad form scaling None"):
+        build_sl(2, None)
+    with pytest.raises(LieAlgebraError, match="must be positive"):
+        load_algebra({"n": 2, "form_scale": "-1/2"})
+    assert load_algebra({"n": 2, "form_scale": "3/2"}).form(0, 0) == 3
 
 
 def test_tensor_algebra(sl2):

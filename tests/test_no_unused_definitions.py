@@ -1,6 +1,7 @@
 """Every function, class and method defined in src/qaffine is named
 somewhere besides its own definition, in src/, tests/ or perfbench/: a
-helper nothing calls is deleted rather than kept.
+helper nothing calls is deleted rather than kept.  A name inside the
+definition's own body (a recursive call) does not count.
 
 A name counts as used when it appears as a variable, an attribute, an
 imported name, or a word of a string literal that is not a docstring (the
@@ -31,10 +32,10 @@ def _docstrings(tree):
     return out
 
 
-def _names(tree):
-    """Every identifier the tree uses, definitions excluded."""
-    docs = _docstrings(tree)
-    for node in ast.walk(tree):
+def _names(root, docs):
+    """Every identifier used under `root`, definitions excluded; `docs` are
+    the ids of the docstring constants of its file."""
+    for node in ast.walk(root):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -46,23 +47,52 @@ def _names(tree):
             yield from re.findall(r"\w+", node.value)
 
 
+def _own_uses(node, docs):
+    """How often a definition names itself inside its own body, as a
+    recursive call does."""
+    return sum(name == node.name
+               for stmt in node.body for name in _names(stmt, docs))
+
+
 def _trees():
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_definition_is_named_elsewhere():
+def _unused(trees):
+    """The definitions in src/qaffine that no code outside their own body
+    names, as "file:line name"."""
     used = Counter()
     defined = []
-    for path, tree in _trees():
-        used.update(_names(tree))
+    for path, tree in trees:
+        docs = _docstrings(tree)
+        used.update(_names(tree, docs))
         if path.parent == SRC:
             for node in ast.walk(tree):
                 if isinstance(node, DEFS):
-                    defined.append((path.name, node.lineno, node.name))
+                    defined.append((path.name, node.lineno, node.name,
+                                    _own_uses(node, docs)))
     assert defined
-    unused = ["%s:%d %s" % d for d in defined
-              if not (d[2].startswith("__") and d[2].endswith("__"))
-              and not used[d[2]]]
+    return ["%s:%d %s" % d[:3] for d in defined
+            if not (d[2].startswith("__") and d[2].endswith("__"))
+            and used[d[2]] <= d[3]]
+
+
+def test_every_definition_is_named_elsewhere():
+    unused = _unused(_trees())
     assert not unused, unused
+
+
+def test_a_name_used_only_in_its_own_body_is_unused():
+    toy = ast.parse(
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "class Node:\n"
+        "    def child(self):\n"
+        "        return Node()\n"
+        "def used():\n"
+        "    return Node\n"
+        "used()\n")
+    assert _unused([(SRC / "toy.py", toy)]) == [
+        "toy.py:1 fact", "toy.py:4 child"]
