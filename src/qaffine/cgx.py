@@ -21,10 +21,10 @@ sparse columns (one nonzero dict per basis vector).
 
 One routine, cg_split, splits V(lam) (x) V(mu) over either ring: it
 transports each highest weight vector along the lowering words of V(nu)
-and inverts the injection one weight block at a time.  The contexts only
-find the highest weight vectors: PWContext as the sparse kernel of the
-raising operators, que.QAffineContext by lifting the classical ones
-order by order in hbar.
+and inverts the injection one weight block at a time.  One routine,
+highest_weight_vectors, finds those vectors over either ring as kernel
+generators of the raising operators: of sl(n) for PWContext, the series
+coproduct of E for que.QAffineContext.
 
 Conventions (pinned by the test suite):
   * dual action (x.xi)(v) = -xi(x.v), i.e. xi(S(x)v) with S(x) = -x,
@@ -41,6 +41,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .kernel import TruncatedSeries
 from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace
 from .liebialg import (LieAlgebra, LieTensor, StandardR, Weight, mix_tensor,
                        require_arity)
@@ -50,7 +51,11 @@ SparseVec = Dict[int, Fraction]
 
 
 class DimensionBoundError(ValueError):
-    pass
+    """An irrep above a context's dimension bound was asked for."""
+
+    def __init__(self, lam: Weight, bound: int):
+        super().__init__("irrep %s exceeds dimension bound %d"
+                         % (tuple(lam), bound))
 
 
 class Rep:
@@ -271,6 +276,41 @@ def cg_split(ctx, lam: Weight, mu: Weight, weights: List,
     return CGEntry(tuple(lam), tuple(mu), summands)
 
 
+def highest_weight_vectors(ctx, weights: List[Weight],
+                           raising: List[List[SparseVec]]
+                           ) -> List[Tuple[Weight, SparseVec]]:
+    """The highest weight vectors (nu, vector) of a tensor product over the
+    ring of ctx, given the weights of its basis and the sparse columns of
+    its raising operators (one per simple root), dominant weights in
+    decreasing order.  Per weight they are the kernel generators of the
+    raising operators that have a unit entry, each divided by its entry at
+    the last unit index, then by the constant term of its entry at the
+    first; over Q that scales the leading coefficient to 1."""
+    one = ctx.coerce(1)
+    by_weight: Dict[Weight, List[int]] = {}
+    for i, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(i)
+    hw_list: List[Tuple[Weight, SparseVec]] = []
+    for w in sorted(by_weight, reverse=True):
+        if any(c < 0 for c in w):
+            continue
+        idxs = by_weight[w]
+        # column pos: the images of basis vector idxs[pos] under every
+        # raising operator, which lie in the weight spaces above w
+        cols = [{(i, r): x for i, e in enumerate(raising)
+                 for r, x in e[c].items()} for c in idxs]
+        for kv in sparse_nullspace(cols, one):
+            units = [pos for pos, x in kv.items() if ctx.is_unit(x)]
+            if units:
+                c = one / kv[units[-1]]
+                lead = kv[units[0]] * c
+                if type(lead) is TruncatedSeries:
+                    lead = lead.constant_term()
+                c = c / lead
+                hw_list.append((w, {idxs[pos]: x * c for pos, x in kv.items()}))
+    return hw_list
+
+
 class PWContext:
     """Memo cache of irreps and Clebsch-Gordan tables for one algebra; the
     context of block functions with rational coefficients."""
@@ -333,12 +373,8 @@ class PWContext:
             sub = self.irrep(lam[:a] + (lam[a] - 1,) + lam[a + 1:])
         except DimensionBoundError:
             # dim V(lam) >= dim V(lam - w_a): name the weight asked for
-            raise self._too_big(lam) from None
+            raise DimensionBoundError(lam, self.dim_bound) from None
         return self._generate(*_sparse_tensor(sub, self.fundamental(a)), lam)
-
-    def _too_big(self, lam: Weight) -> DimensionBoundError:
-        return DimensionBoundError(
-            "irrep %s exceeds dimension bound %d" % (lam, self.dim_bound))
 
     def _generate(self, weights: List[Weight], cols: List[List[SparseVec]],
                   lam: Weight) -> Irrep:
@@ -360,7 +396,7 @@ class PWContext:
                     continue
                 if span.add(img):
                     if len(basis) >= self.dim_bound:
-                        raise self._too_big(lam)
+                        raise DimensionBoundError(lam, self.dim_bound)
                     gen_map[ngens] = len(basis)
                     basis.append(img)
                     words.append((p, i))
@@ -400,35 +436,14 @@ class PWContext:
 
     def highest_weight_vectors(self, lam: Weight, mu: Weight
                                ) -> List[Tuple[Weight, SparseVec]]:
-        """The highest weight vectors (nu, vector) of V(lam) (x) V(mu),
-        dominant weights in decreasing order, as kernels of the raising
-        operators per weight, each scaled to leading coefficient 1;
-        memoized."""
+        """The highest weight vectors of V(lam) (x) V(mu); memoized."""
         key = (tuple(lam), tuple(mu))
-        if key in self._hw:
-            return self._hw[key]
-        alg = self.alg
-        weights, raising = _sparse_tensor(
-            self.irrep(lam), self.irrep(mu),
-            [alg.raise_index(i) for i in range(alg.rank)])
-        by_weight: Dict[Weight, List[int]] = {}
-        for i, w in enumerate(weights):
-            by_weight.setdefault(w, []).append(i)
-        hw_list: List[Tuple[Weight, SparseVec]] = []
-        for w in sorted(by_weight, reverse=True):
-            if any(c < 0 for c in w):
-                continue
-            idxs = by_weight[w]
-            # column pos: the images of basis vector idxs[pos] under every
-            # raising operator, which lie in the weight spaces above w
-            cols = [{(i, r): x for i, e in enumerate(raising)
-                     for r, x in e[c].items()} for c in idxs]
-            for kv in sparse_nullspace(cols):
-                lead = kv[min(kv)]
-                hw_list.append(
-                    (w, {idxs[pos]: kv[pos] / lead for pos in sorted(kv)}))
-        self._hw[key] = hw_list
-        return hw_list
+        if key not in self._hw:
+            alg = self.alg
+            self._hw[key] = highest_weight_vectors(self, *_sparse_tensor(
+                self.irrep(lam), self.irrep(mu),
+                [alg.raise_index(i) for i in range(alg.rank)]))
+        return self._hw[key]
 
 
 # -- block functions --------------------------------------------------------

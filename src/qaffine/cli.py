@@ -902,7 +902,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.degree_bound is None:
             args.degree_bound = _env_default("degree-bound", int, 4)
         _check_order_and_bound(args.hbar_order, args.degree_bound)
-        result = _compute(args)
+        from .cgx import DimensionBoundError
+        try:
+            result = _compute(args)
+        except DimensionBoundError as e:  # an input too large to build
+            raise ConfigError(str(e)) from None
         sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
         return 0
     except ConfigError as e:

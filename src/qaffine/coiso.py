@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, sparse_nullspace
 from .que import (
     QAffineContext,
     UqContext,
@@ -634,32 +634,31 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                     chi: Union[Character, Sequence[Character]],
                     weight_bound: int, m: int = 1) -> List[BlockFunction]:
     """Generators of the module {f in the weight window : f.u = chi(u) f
-    factorwise}, one unknown per basis function: the Howell rows of
-    [residuals | identity] whose pivots fall in the identity block.  The
-    eigencondition is enforced on the generators of U, which suffices:
-    the right action is multiplicative and the character values extend
-    multiplicatively."""
+    factorwise}, one unknown per basis function: the kernel generators
+    (linalg.sparse_nullspace) of the map taking each basis function f to
+    its residuals f.g - chi(g) f.  The eigencondition is enforced on the
+    generators g of U, which suffices: the right action is multiplicative
+    and the character values extend multiplicatively."""
     chis = [chi] * m if isinstance(chi, Character) else list(chi)
     if len(chis) != m:
         raise ValueError("%d characters for %d factors" % (len(chis), m))
     basis = _qf_window_basis(qctx, m, weight_bound)
-    span = EchelonSpan()
-    for bi, b in enumerate(basis):
-        row = {(1, bi): qctx.uq.one_series()}
+    cols = []
+    for b in basis:
+        col = {}
         for j in range(m):
             for gi, g in enumerate(U.generators):
                 res = (act_factor(b, j, g, "right")
                        - b.scale(chis[j].values[gi]))
-                row.update(((0, j, gi) + key, c)
+                col.update(((j, gi) + key, c)
                            for key, c in qfun_vec(res).items())
-        span.add(row)
+        cols.append(col)
     out = []
-    for p, row in sorted(span.rows.items()):
-        if p[0]:  # no residual left: a semi-invariant
-            f = BlockFunction(qctx, m)
-            for (_, bi), c in sorted(row.items()):
-                f = f + basis[bi].scale(c)
-            out.append(f)
+    for kv in sparse_nullspace(cols, qctx.uq.one_series()):
+        f = BlockFunction(qctx, m)
+        for bi, c in kv.items():
+            f = f + basis[bi].scale(c)
+        out.append(f)
     return out
 
 

@@ -244,8 +244,13 @@ def build_sl(n: int, scale=1) -> LieAlgebra:
 
     Every product of basis matrices is taken over their nonzero entries
     only: a basis matrix has at most two."""
-    if n < 2:
-        raise LieAlgebraError("sl(n) needs n >= 2, got %r" % (n,))
+    try:
+        size = _frac(n)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        size = None
+    if size is None or size.denominator != 1 or size < 2:
+        raise LieAlgebraError("sl(n) needs an integer n >= 2, got %r" % (n,))
+    n = int(size)
     try:
         scale = _frac(scale)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -341,12 +346,14 @@ def build_sl(n: int, scale=1) -> LieAlgebra:
 def load_algebra(spec: Dict) -> LieAlgebra:
     """Build an algebra from a declarative description.
 
-    Keys: "type" ("sl"), "n" (matrix size), optional "form_scale"
-    (rational string or number).
+    Keys: "type" ("sl"), "n" (matrix size, an integer or its string),
+    optional "form_scale" (rational string or number).
     """
     if spec.get("type", "sl") != "sl":
         raise LieAlgebraError("unsupported algebra type %r" % spec.get("type"))
-    return build_sl(int(spec["n"]), spec.get("form_scale", 1))
+    if "n" not in spec:
+        raise LieAlgebraError("algebra spec has no n")
+    return build_sl(spec["n"], spec.get("form_scale", 1))
 
 
 # -- sparse tensors ----------------------------------------------------

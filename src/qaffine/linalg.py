@@ -7,9 +7,11 @@ spans keep a reduced echelon basis with a deterministic pivot order (the
 smallest key, or the largest one), so subspace equality and membership
 are canonical.  Over the series ring a row's pivot entry is hbar^v (the
 Howell form of the module): a row clears only the part of an entry at or
-above hbar^v, and len() counts the Q-dimension sum (K - v).  Kernels are
-read off a tracked echelon span over Q (sparse_nullspace); dense rref
-remains only behind solve.  mat_inv also inverts over Q[[hbar]]/(hbar^K).
+above hbar^v, and len() counts the Q-dimension sum (K - v).  One routine,
+sparse_nullspace, reads kernels over either ring off such a span.  mat_inv
+inverts over either ring.  The dense rref, solve and nullspace serve no
+engine path: they stay as the references the tests check the sparse
+routines against, and perfbench/spans.py hooks them by name.
 """
 
 from __future__ import annotations
@@ -94,13 +96,10 @@ class EchelonSpan:
         return not self.reduce(v)
 
     def add(self, v: Vec) -> bool:
-        """Insert v into the span.  Returns True if the rank grew."""
-        return self._insert(*self._reduce_tracked(v, self.track))
-
-    def _insert(self, res: Vec, combo: Vec) -> bool:
-        """Record the next generator, whose reduction left res after
-        subtracting combo; a nonzero res becomes a new row, and the
+        """Insert v into the span as the next generator.  Returns True if
+        the rank grew: the residual of v becomes a new row, and the
         vectors its placing unsettles are reduced and placed in turn."""
+        res, combo = self._reduce_tracked(v, self.track)
         gen_idx = self._ngens
         self._ngens += 1
         if not res:
@@ -207,21 +206,22 @@ class EchelonSpan:
         return self.rows == other.rows
 
 
-def sparse_nullspace(cols: List[Vec]) -> List[Vec]:
-    """Basis of the right kernel of the matrix with these sparse columns,
-    keyed by column index.  The columns go into a tracked echelon span in
-    order, one reduction each; a column f that does not raise the rank
-    gives e_f minus its combination of the earlier pivot columns, which is
-    the free-variable basis of a dense rref."""
-    span = EchelonSpan(track=True)
-    out = []
+def sparse_nullspace(cols: List[Vec], one=Fraction(1)) -> List[Vec]:
+    """Generators of the right kernel of the matrix with these sparse
+    columns, keyed by column index, over Q or, with one the unit series,
+    over Q[[hbar]]/(hbar^K).  The Howell rows of [cols | identity] are kept
+    in an untracked echelon span whose identity keys sort below every
+    column key and in column order, so a kernel row pivots on its largest
+    column.  The rows whose pivot lies in the identity block are returned
+    in pivot order; over Q they are the free-variable basis of a dense
+    rref."""
+    span = EchelonSpan(pivot=max)
     for f, col in enumerate(cols):
-        res, combo = span._reduce_tracked(col, True)
-        if not span._insert(res, combo):
-            kv = vec_scale(combo, Fraction(-1))
-            kv[f] = Fraction(1)
-            out.append(kv)
-    return out
+        row = {(1, k): x for k, x in col.items()}
+        row[(0, f)] = one
+        span.add(row)
+    return [{f: x for (_, f), x in sorted(span.rows[p].items())}
+            for p in sorted(p for p in span.rows if not p[0])]
 
 
 # -- dense matrices over Fraction -------------------------------------

@@ -24,9 +24,10 @@ is lost at the top order.
 
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
-V_hbar(n).  Its Clebsch-Gordan entries lift the classical highest weight
-vectors order by order in hbar and split through cgx.cg_split, with the
-coproducts of E and F as sparse series columns.  q_multiply (the
+V_hbar(n).  Its Clebsch-Gordan entries take their highest weight vectors
+from cgx.highest_weight_vectors, the kernel generators of the coproduct
+of E, and split through cgx.cg_split along the coproduct of F; both
+coproducts are sparse series columns.  q_multiply (the
 convolution product) and quantum_affine_multiply (twisted by Twi^m(R~))
 both end in the one contraction cgx.cg_contract.
 """
@@ -38,12 +39,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
-    BlockFunction, CGEntry, PWContext, block_pairs, cg_contract, cg_split,
-    pw_tensor, sparse_columns,
+    BlockFunction, CGEntry, DimensionBoundError, PWContext, block_pairs,
+    cg_contract, cg_split, highest_weight_vectors, pw_tensor, sparse_columns,
 )
 from .kernel import TruncatedSeries, q_power
 from .liebialg import LieTensor, build_sl
-from .linalg import solve
 
 Mono = Tuple[int, int, int]  # exponents (a, b, c) of F^a H^b E^c
 UNIT: Mono = (0, 0, 0)
@@ -819,15 +819,17 @@ class QIrrep:
 
 
 class QAffineContext:
-    """Caches for C_hbar[SL2] and C_hbar[(N\\SL2)^m]: quantized irreps,
-    quantum Clebsch-Gordan tables, the R-matrix, and the companion
-    classical context used for canonical mod-hbar forms; the context of
-    block functions with coefficients in Q[[hbar]]/(hbar^K)."""
+    """Caches for C_hbar[SL2] and C_hbar[(N\\SL2)^m]: quantized irreps
+    up to dimension dim_bound, quantum Clebsch-Gordan tables (built from
+    the V_hbar(n) alone), the R-matrix, and the companion classical
+    context that mod-hbar forms live in; the context of block functions
+    with coefficients in Q[[hbar]]/(hbar^K)."""
 
     def __init__(self, uq: UqContext, dim_bound: int = 64):
         self.uq = uq
         self.ring = "Q[[hbar]]/(hbar^%d)" % uq.order
         self.alg = build_sl(2)
+        self.dim_bound = dim_bound
         self.pw = PWContext(self.alg, dim_bound)
         self._qirreps: Dict[int, QIrrep] = {}
         self._qcg: Dict[Tuple[int, int], CGEntry] = {}
@@ -843,6 +845,8 @@ class QAffineContext:
     def irrep(self, lam: Tuple[int]) -> QIrrep:
         (n,) = lam
         if n not in self._qirreps:
+            if n + 1 > self.dim_bound:
+                raise DimensionBoundError(lam, self.dim_bound)
             self._qirreps[n] = QIrrep(self.uq, n)
         return self._qirreps[n]
 
@@ -902,42 +906,11 @@ class QAffineContext:
 
     def _build_qcg(self, n: int, m: int) -> CGEntry:
         """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners:
-        each classical highest weight vector is lifted order by order in
-        hbar to the kernel of Delta(E), then cgx.cg_split transports it
-        along Delta(F)."""
-        K = self.uq.order
+        the highest weight vectors are the kernel generators of Delta(E),
+        and cgx.cg_split transports them along Delta(F)."""
         weights, (dE, dF) = self._tensor_generators(
             self.irrep((n,)), self.irrep((m,)))
-        hw_list = []
-        for nu_w, hw_cl in self.pw.highest_weight_vectors((n,), (m,)):
-            nu = nu_w[0]
-            idxs = [i for i, w in enumerate(weights) if w == nu]
-            rows = [i for i, w in enumerate(weights) if w == nu + 2]
-            # hbar-coefficient matrices of Delta(E) from weight nu to nu + 2
-            eblocks = [[[dE[c][r][k] if r in dE[c] else Fraction(0)
-                         for c in idxs] for r in rows] for k in range(K)]
-            coeffs = [[hw_cl.get(i, Fraction(0)) for i in idxs]]  # order 0
-            for k in range(1, K):
-                rhs = [Fraction(0)] * len(rows)
-                for j in range(1, k + 1):
-                    for ri in range(len(rows)):
-                        for ci in range(len(idxs)):
-                            rhs[ri] -= eblocks[j][ri][ci] * coeffs[k - j][ci]
-                if rows:
-                    sol = solve(eblocks[0], rhs)
-                    if sol is None:
-                        raise ValueError(
-                            "highest-weight lift failed for V(%d)(x)V(%d)" % (n, m)
-                        )
-                else:
-                    sol = [Fraction(0)] * len(idxs)
-                coeffs.append(sol)
-            hw = {}
-            for ci, i in enumerate(idxs):
-                s = TruncatedSeries(K, [coeffs[k][ci] for k in range(K)])
-                if s:
-                    hw[i] = s
-            hw_list.append((nu_w, hw))
+        hw_list = highest_weight_vectors(self, [(w,) for w in weights], [dE])
         return cg_split(self, (n,), (m,), weights, [dF], hw_list)
 
 

@@ -299,6 +299,17 @@ def test_compute_bad_usage(capsys):
     assert main(["compute", "qmultiply", "1:7", "1:1"]) == 2
 
 
+def test_compute_above_the_dimension_bound_is_a_config_error(capsys):
+    """An irrep above the dimension bound is a bad input, not a failed
+    check: one line on stderr and exit 2, no traceback."""
+    for argv in (["compute", "bracket", "sl2", "product", "70:0", "1:0"],
+                 ["compute", "qmultiply", "70:0", "1:0"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: irrep (70,) exceeds dimension bound 64\n"
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2  # a subcommand is required

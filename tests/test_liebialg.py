@@ -193,6 +193,18 @@ def test_sl_needs_n_at_least_two():
             build_sl(n)
     with pytest.raises(LieAlgebraError, match="n >= 2, got 1"):
         load_algebra({"n": 1})
+    for n, shown in ((2.5, "2.5"), ("x", "'x'"), (None, "None"),
+                     ("5/2", "'5/2'")):
+        with pytest.raises(LieAlgebraError,
+                           match=re.escape("n >= 2, got %s" % shown)):
+            load_algebra({"n": n})
+        with pytest.raises(LieAlgebraError,
+                           match=re.escape("n >= 2, got %s" % shown)):
+            build_sl(n)
+    with pytest.raises(LieAlgebraError, match="algebra spec has no n"):
+        load_algebra({})
+    for n in (3, "3"):
+        assert load_algebra({"n": n}).labels == build_sl(3).labels
 
 
 def test_bad_form_scale_is_named():

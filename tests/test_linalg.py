@@ -222,6 +222,52 @@ def test_sparse_nullspace_is_the_rref_basis(a):
     assert nullspace(a) == ref
 
 
+@st.composite
+def _series_columns(draw):
+    K = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=1, max_value=3))
+
+    def col():
+        v = {r: draw(_series(K)) for r in range(nrows)}
+        return {r: s for r, s in v.items() if s}
+
+    # fresh columns plus series combinations of earlier ones, so kernels
+    # with unit entries occur beside torsion ones
+    cols = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        v = col() if draw(st.booleans()) or not cols else {}
+        for c in cols:
+            if draw(st.booleans()):
+                v = vec_add(v, c, draw(_series(K)))
+        cols.append(v)
+    return K, nrows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_columns())
+# the kernel of the column hbar is hbar^(K-1) times a unit vector
+@example((2, 1, [{0: TruncatedSeries(2, [0, 1])}]))
+def test_series_nullspace_matches_hbar_shift_expansion(case):
+    """Over Q[[hbar]]/(hbar^K) every kernel generator maps to zero, and
+    the Q-dimension of the module they span is the kernel dimension of
+    the hbar-shift-expanded rational matrix."""
+    K, nrows, cols = case
+    gens = sparse_nullspace(cols, TruncatedSeries.one(K))
+    span = EchelonSpan()
+    for kv in gens:
+        image = {}
+        for f, c in kv.items():
+            image = vec_add(image, cols[f], c)
+        assert not image
+        span.add(kv)
+    # row (r, i): the hbar^i coefficient of entry r; column (f, j): hbar^j
+    # times column f
+    dense = [[cols[f][r].coeffs[i - j] if r in cols[f] and i >= j else F(0)
+              for f in range(len(cols)) for j in range(K)]
+             for r in range(nrows) for i in range(K)]
+    assert len(span) == len(rref_nullspace(dense))
+
+
 def test_semi_invariants_never_use_dense_rref(monkeypatch):
     from qaffine.cgx import hw_coefficient, pw_tensor
     from qaffine.coiso import (_fn_span, borel_subalgebra, semi_invariants,
@@ -243,6 +289,30 @@ def test_semi_invariants_never_use_dense_rref(monkeypatch):
                          hw_coefficient(qctx, (1,), {b: 1})])
               for a in range(2) for b in range(2)]
     assert _fn_span(got).equals(_fn_span(expect))
+
+
+def test_quantum_tables_never_use_dense_solve(monkeypatch):
+    """The quantum Clebsch-Gordan tables read their highest weight vectors
+    off the series kernel of Delta(E): no dense rref or solve and no
+    classical irrep on the side.  The quantum irreps keep the context's
+    dimension bound."""
+    from qaffine.cgx import DimensionBoundError
+    from qaffine.que import QAffineContext, UqContext
+
+    def no_dense(*args):
+        raise AssertionError("dense rref or solve on the quantum CG path")
+
+    monkeypatch.setattr(qaffine.linalg, "rref", no_dense)
+    monkeypatch.setattr(qaffine.linalg, "solve", no_dense)
+    for K in range(2, 5):
+        uq = UqContext(K)
+        qctx = QAffineContext(uq)
+        for n in range(5):
+            for m in range(5):
+                qctx.cg((n,), (m,))
+        assert not qctx.pw._irreps
+        with pytest.raises(DimensionBoundError, match=r"\(4,\)"):
+            QAffineContext(uq, dim_bound=4).cg((4,), (1,))
 
 
 def test_span_membership_and_rank():
