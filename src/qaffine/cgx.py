@@ -322,7 +322,6 @@ class PWContext:
         self.dim_bound = dim_bound
         self._irreps: Dict[Weight, Irrep] = {}
         self._cg: Dict[Tuple[Weight, Weight], CGEntry] = {}
-        self._hw: Dict[Tuple[Weight, Weight], List[Tuple[Weight, SparseVec]]] = {}
         self._fund: Dict[int, Rep] = {}
         self._slot: Dict[Tuple[Weight, int, str], List[SparseVec]] = {}
 
@@ -428,22 +427,12 @@ class PWContext:
         """The split of V(lam) (x) V(mu) by cg_split, from its highest
         weight vectors."""
         alg = self.alg
+        va, vb = self.irrep(lam), self.irrep(mu)
         weights, lowering = _sparse_tensor(
-            self.irrep(lam), self.irrep(mu),
-            [alg.lower_index(i) for i in range(alg.rank)])
-        return cg_split(self, lam, mu, weights, lowering,
-                        self.highest_weight_vectors(lam, mu))
-
-    def highest_weight_vectors(self, lam: Weight, mu: Weight
-                               ) -> List[Tuple[Weight, SparseVec]]:
-        """The highest weight vectors of V(lam) (x) V(mu); memoized."""
-        key = (tuple(lam), tuple(mu))
-        if key not in self._hw:
-            alg = self.alg
-            self._hw[key] = highest_weight_vectors(self, *_sparse_tensor(
-                self.irrep(lam), self.irrep(mu),
-                [alg.raise_index(i) for i in range(alg.rank)]))
-        return self._hw[key]
+            va, vb, [alg.lower_index(i) for i in range(alg.rank)])
+        hw_list = highest_weight_vectors(self, *_sparse_tensor(
+            va, vb, [alg.raise_index(i) for i in range(alg.rank)]))
+        return cg_split(self, lam, mu, weights, lowering, hw_list)
 
 
 # -- block functions --------------------------------------------------------

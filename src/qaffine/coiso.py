@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, sparse_nullspace
+from .linalg import EchelonSpan, sparse_nullspace, vec_add
 from .que import (
     QAffineContext,
     UqContext,
@@ -38,6 +38,7 @@ from .que import (
     counit,
     q_multiply,
     tensor_of,
+    tensor_one,
     twi_m,
     uq_gen,
     uq_one,
@@ -256,31 +257,24 @@ class CoisoReport:
 
 class CoisoWindow:
     """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
-    (bound, side, pivot): the echelon span, pivoting on pivot(keys), of
-    the tensors of U extended to the bound and of the commutator ideal at
-    the bound against the H-monomials of degree up to the bound, with
-    tags aligned with every insertion.  Membership and the monoid's
-    reduced coproduct share it; only a right window is tracked, for
-    pair_value.  It keeps the basis words of the extended U, not U, so U
-    can hold it without a cycle."""
+    (bound, side, pivot): the untracked echelon span, pivoting on
+    pivot(keys), of the tensors of U extended to the bound and of the
+    commutator ideal at the bound against the H-monomials of degree up to
+    the bound.  Membership reads only its residuals.  It keeps no
+    reference to U, so U can hold it without a cycle."""
 
     def __init__(self, U: HopfSubalgebra, bound: int, side: str, pivot):
-        Uext = U.extend(bound)
-        ctx = self.ctx = U.ctx
-        self.words = Uext.basis_words
+        basis = U.extend(bound).basis
         self.ideal = ideal_commutator(U, bound)
-        self.span = span = EchelonSpan(track=side == "right", pivot=pivot)
-        self.tags = tags = []
-        for i, u in enumerate(Uext.basis):
-            for j, v in enumerate(Uext.basis):
+        self.span = span = EchelonSpan(pivot=pivot)
+        for u in basis:
+            for v in basis:
                 span.add(tensor_vec(tensor_of([u, v])))
-                tags.append(("uu", i, j))
         for hm in _h_monomials(bound):
-            x = UqElement(ctx, {hm: 1})
-            for ci, c in enumerate(self.ideal.elements):
+            x = UqElement(U.ctx, {hm: 1})
+            for c in self.ideal.elements:
                 span.add(tensor_vec(tensor_of([x, c] if side == "right"
                                               else [c, x])))
-                tags.append(("ideal", hm, ci))
 
     def residuals(self, targets: List[Tuple[object, UqTensor]]):
         """(label, nonzero residual) for each target outside the window."""
@@ -289,24 +283,6 @@ class CoisoWindow:
             r = self.span.reduce(tensor_vec(t))
             if r:
                 out.append((label, r))
-        return out
-
-    def pair_value(self, phi: "Character", psi: "Character",
-                   x: UqElement) -> Optional[TruncatedSeries]:
-        """(phi (x) psi)(reduced Delta(x)): Delta(x) projected onto the
-        U(x)U part along the echelon complement of H(x)[U,U]; None when
-        Delta(x) leaves the window."""
-        combo = self.span.coefficients(tensor_vec(coproduct(x)))
-        if combo is None:
-            return None
-        ctx, words = self.ctx, self.words
-        out = ctx.zero_series()
-        for gen_idx, c in combo.items():
-            tag = self.tags[gen_idx]
-            if tag[0] != "uu":
-                continue  # phi (x) psi kills the H(x)[U,U] part
-            _, i, j = tag
-            out = out + phi.on_word(words[i]) * psi.on_word(words[j]) * c
         return out
 
 
@@ -388,6 +364,25 @@ def _monomial_support(span: EchelonSpan) -> Optional[set]:
     return monos
 
 
+def _twisted_word_images(th: TwistedHopf, U: HopfSubalgebra,
+                         words: Sequence[Word]) -> List[Dict[Word, UqTensor]]:
+    """images[j][w] = Delta_J of the basis element of word w placed in
+    factor j, for every word of words, each listed after its prefix.
+    Delta_J = J^-1 Delta J is multiplicative mod hbar^K and a basis
+    element is the ordered product of its word's generators, so each
+    image is the product of the twisted images of those generators."""
+    m = th.m
+    images = []
+    for j in range(m):
+        gens = [th.delta(g.embed(m, (j,))) for g in U.generators]
+        image = {(): tensor_one(U.ctx, 2 * m)}
+        for w in words:
+            if w not in image:
+                image[w] = image[w[:-1]] * gens[w[-1]]
+        images.append(image)
+    return images
+
+
 def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
                          m: int = 2) -> CoisoReport:
     """Direct verification that U^(x)m is right strongly coisotropic in
@@ -398,20 +393,22 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
 
     where [U^(x)m, U^(x)m] = sum_j U(x)..(x)[U,U]_j(x)..(x)U.  Checked on
     tensors of basis words of per-factor length <= CHECK_BOUND, in the
-    window of bound CHECK_BOUND + 2(K - 1) at truncation order K.  Requires
-    the U- and ideal-windows to be monomial spans (true for the
-    triangular subalgebras this is used on), so that membership reduces
-    to a per-term predicate and the product window never has to be
-    enumerated."""
+    window of bound CHECK_BOUND + 2(K - 1) at truncation order K.
+    Delta_J of a tensor u_1 (x) .. (x) u_m is the ordered product of the
+    twisted images of u_j in factor j (``_twisted_word_images``), so J
+    conjugates only the generators.  Requires the U- and ideal-windows to
+    be monomial spans (true for the triangular subalgebras this is used
+    on), so that membership reduces to a per-term predicate and the
+    product window never has to be enumerated."""
     ctx = U.ctx
     bound = CHECK_BOUND + 2 * (ctx.order - 1)
     window = {"m": m, "check_bound": CHECK_BOUND, "span_bound": bound,
               "h_bound": bound, "order": ctx.order}
 
     th = TwistedHopf(twi_m(R, m), m)
-    Ucheck = U.extend(CHECK_BOUND)
-    check_basis = [(w, el) for w, el in zip(Ucheck.basis_words, Ucheck.basis)
+    check_words = [w for w in U.extend(CHECK_BOUND).basis_words
                    if len(w) <= CHECK_BOUND]
+    images = _twisted_word_images(th, U, check_words)
 
     def residuals(b: int):
         u_monos = _monomial_support(U.extend(b).span)
@@ -436,15 +433,16 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
             return hit
 
         out = []
-        for combo in itertools.product(check_basis, repeat=m):
-            t = tensor_of([el for _, el in combo])
-            d = th.delta(t)
-            bad = {key: s for key, s in d.data.items() if not ok(key)}
+        for combo in itertools.product(check_words, repeat=m):
+            d = images[0][combo[0]]
+            for j in range(1, m):
+                d = d * images[j][combo[j]]
+            bad = sorted(key for key in d.data if not ok(key))
             if bad:
                 label = " (x) ".join(
-                    ".".join(U.names[g] for g in w) or "1" for w, _ in combo
+                    ".".join(U.names[g] for g in w) or "1" for w in combo
                 )
-                out.append((label, sorted(bad)))
+                out.append((label, bad))
         return out
 
     return _three_valued(
@@ -542,12 +540,18 @@ def weight_character(U: HopfSubalgebra, n: int) -> Character:
 
 class CharacterMonoid:
     """Monoid structure on characters of a right strongly coisotropic
-    window: (phi psi)(u) = (phi (x) psi)(reduced Delta(u)).  The product
-    is independent of the echelon complement, so every product is read
-    from the min- and the max-pivot right windows and the two answers
-    must agree."""
+    window: (phi psi)(g) = sum s phi~(x) psi~(y) over the terms s x(x)y of
+    Delta(g), for each generator g, with phi~ and psi~ any linear
+    extensions of phi and psi to H.  This is (phi (x) psi)(reduced
+    Delta(g)): Delta(g) = sum u_i (x) v_i + sum h (x) c with c in [U,U],
+    which psi kills.  phi~(x) is phi of x - reduce(x), the part of the
+    monomial x along a tracked echelon span of U's basis at the window
+    bound, written in that basis.  Every product is read from a min- and
+    a max-pivot span, and the two answers must agree; Delta(g) must lie
+    in the shared right min-pivot membership window."""
 
     def __init__(self, U: HopfSubalgebra, precheck: bool = True):
+        bound = _window_bound(U)
         if precheck:
             rep = strong_coiso_hopf(U, "right")
             if rep.status != "true":
@@ -555,25 +559,52 @@ class CharacterMonoid:
                     "character monoid requires a right strongly coisotropic "
                     "window (got %s)" % rep.status
                 )
+            bound = rep.window["span_bound"]
         self.U = U
-        bound = _window_bound(U)
-        self.rc = U.window(bound, "right", min)
-        self.rc_alt = U.window(bound, "right", max)
+        self.inside = not U.window(bound, "right", min).residuals(
+            [(g, coproduct(g)) for g in U.generators])
+        W = U.extend(bound)
+        self.words = W.basis_words
+        self.spans = []
+        for pivot in (min, max):
+            span = EchelonSpan(track=True, pivot=pivot)
+            for u in W.basis:
+                span.add(tensor_vec(u))
+            self.spans.append((span, {}))  # with its memo: monomial -> combo
 
     @property
     def unit(self) -> Character:
         return counit_character(self.U)
 
+    def _extension(self, span: EchelonSpan, combos: Dict,
+                   chi: Character, x) -> TruncatedSeries:
+        """chi~(x) for a monomial x, through span."""
+        combo = combos.get(x)
+        if combo is None:
+            v = {(x,): self.U.ctx.one_series()}
+            combo = combos[x] = span.coefficients(
+                vec_add(v, span.reduce(v), -1))
+        out = self.U.ctx.zero_series()
+        for i, c in combo.items():
+            out = out + chi.on_word(self.words[i]) * c
+        return out
+
     def product(self, phi: Character, psi: Character) -> Character:
+        if not self.inside:
+            raise ValueError("coproduct of a generator left the window")
         values = []
         for g in self.U.generators:
-            v = self.rc.pair_value(phi, psi, g)
-            if v is None:
-                raise ValueError("coproduct of a generator left the window")
-            if self.rc_alt.pair_value(phi, psi, g) != v:
+            answers = []
+            for span, combos in self.spans:
+                v = self.U.ctx.zero_series()
+                for (x, y), s in coproduct(g).data.items():
+                    v = v + (s * self._extension(span, combos, phi, x)
+                             * self._extension(span, combos, psi, y))
+                answers.append(v)
+            if answers[0] != answers[1]:
                 raise AssertionError(
                     "character product depends on the pivot order")
-            values.append(v)
+            values.append(answers[0])
         return Character(self.U, values)
 
 

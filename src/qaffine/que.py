@@ -400,12 +400,11 @@ def tensor_of(elements: Sequence[UqElement]) -> UqTensor:
     ctx = elements[0].ctx
     out = UqTensor(ctx, len(elements))
     for combo in itertools.product(*[e.data.items() for e in elements]):
-        key = tuple(k[0] for k, _ in combo)
-        s = ctx.one_series()
-        for _, c in combo:
+        s = combo[0][1]
+        for _, c in combo[1:]:
             s = s * c
-        if not s.is_zero():
-            out.add_term(key, s)
+        if s:
+            out.add_term(tuple(k[0] for k, _ in combo), s)
     return out
 
 

@@ -214,6 +214,9 @@ PINNED_COMPUTE_OUTPUT = [
      "42272e08363493fbf98a3d429fef54168844dda576e798da80b2b04d20f6f6f6"),
     (["coiso-check", "EF", "--degree-bound", "1", "--hbar-order", "2"],
      "27596604bb2b0f6865ce7b5681141ee3f5fa4e2cb7085010455a9b00865e113e"),
+    # the largest non-monomial window, at the default order 3
+    (["coiso-check", "EF", "--degree-bound", "3"],
+     "8404acc6f269c673bda2e6e042cc716327a359cec9d57fdb826a0c4ea50025b9"),
     # every sl3 generator's cobracket, and the sl3 mixed tensors
     (["cobracket", "sl3", "h1"],
      "16047574e344c31c5313c30a4d770269e832d6d4351064fe0c0eeeb63889cbf1"),
