@@ -10,7 +10,8 @@ blocks are tensored factor by factor and decomposed back with exact
 intertwiners, each pair of flat indices read from an option list that its
 CG table memoizes (CGEntry.options).  A Poisson bracket is one such
 contraction: the legs (a(f), b(g), c) of every bivector term go into a
-single cg_contract pass with c folded into the term coefficients.  This
+single cg_contract pass with c folded into the term coefficients, and
+each leg is computed once per function (BlockFunction.leg).  This
 module holds the classical contexts, the Poisson brackets, and the oracles
 the bracket checks are compared against.
 
@@ -447,12 +448,16 @@ class BlockFunction:
     TruncatedSeries for a QAffineContext (C_hbar[SL2^m]).  The rings
     differ only in ctx.coerce, the zero test `not c`, and the JSON of a
     coefficient (ctx.coeff_json, with ctx.json_fields at the top level).
+
+    _legs memoizes act_factor(self, j, x, side) for a basis index x (see
+    leg); _bump clears it, and copy starts a fresh one.
     """
 
     def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
         self.ctx = ctx
         self.m = m
         self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = {}
+        self._legs: Dict[Tuple[int, int, str], "BlockFunction"] = {}
         if blocks:
             for key, blk in blocks.items():
                 for idx, c in blk.items():
@@ -462,6 +467,8 @@ class BlockFunction:
     def _bump(self, key: Key, idx: Tuple[int, ...], c):
         if not c:
             return
+        if self._legs:
+            self._legs.clear()
         blk = self.blocks.setdefault(key, {})
         cur = blk.get(idx)
         nv = c if cur is None else cur + c
@@ -480,6 +487,16 @@ class BlockFunction:
         if self.ctx.ring != other.ctx.ring:
             raise ValueError("ring mismatch: %s and %s"
                              % (self.ctx.ring, other.ctx.ring))
+
+    def leg(self, j: int, x: int, side: str) -> "BlockFunction":
+        """act_factor(self, j, x, side) for a basis index x, computed once
+        until the next _bump.  The result is shared: read it, never bump
+        it."""
+        key = (j, x, side)
+        out = self._legs.get(key)
+        if out is None:
+            out = self._legs[key] = act_factor(self, j, x, side)
+        return out
 
     def copy(self) -> "BlockFunction":
         out = BlockFunction(self.ctx, self.m)
@@ -818,13 +835,15 @@ def _rho_leg(spec: BracketSpec, i: int, f: BlockFunction):
     d = alg.dim
     j, bi = divmod(i, d + alg.rank)
     if bi < d:
-        return act_factor(f, j, bi, "left"), 1
-    return act_factor(f, j, bi - d, "right"), -1
+        return f.leg(j, bi, "left"), 1
+    return f.leg(j, bi - d, "right"), -1
 
 
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
     """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
-    terms c a (x) b, summed in one cg_contract pass."""
+    terms c a (x) b, summed in one cg_contract pass.  Each leg is read
+    through the memo of f or g (BlockFunction.leg), so a function
+    bracketed many times acts with each basis element once."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     ctx = spec.ctx
@@ -834,10 +853,8 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
         for (u, w), c in spec.bivector.data.items():
             ju, bu = divmod(u, d)
             jw, bw = divmod(w, d)
-            legs.append((act_factor(f, ju, bu, "left"),
-                         act_factor(g, jw, bw, "left"), c))
-            legs.append((act_factor(f, ju, bu, "right"),
-                         act_factor(g, jw, bw, "right"), -c))
+            legs.append((f.leg(ju, bu, "left"), g.leg(jw, bw, "left"), c))
+            legs.append((f.leg(ju, bu, "right"), g.leg(jw, bw, "right"), -c))
     else:
         if not (f.is_semi_invariant() and g.is_semi_invariant()):
             raise ValueError("mixed bracket requires semi-invariant inputs")

@@ -294,12 +294,19 @@ def _suite_classical(cfg: RunConfig, report: Report):
     gens2 = [hw_coefficient(ctx, (2,), {a: Fraction(1)}) for a in range(3)]
     pairs2 = [pw_tensor([f, g])
               for f in gens1 + gens2 for g in gens1 + gens2]
+    mixed2 = {}
+
+    def mixed_bracket2(a: int, b: int):
+        """{pairs2[a], pairs2[b]} for the mixed spec, computed on first
+        use and shared by agreement and grading."""
+        if (a, b) not in mixed2:
+            mixed2[a, b] = classical_bracket(pairs2[a], pairs2[b], spec2m)
+        return mixed2[a, b]
 
     def agreement():
-        for f in pairs2:
-            for g in pairs2:
-                if classical_bracket(f, g, spec2p) != \
-                        classical_bracket(f, g, spec2m):
+        for a, f in enumerate(pairs2):
+            for b, g in enumerate(pairs2):
+                if classical_bracket(f, g, spec2p) != mixed_bracket2(a, b):
                     return False, "mismatch", \
                         str(f.weight_keys() + g.weight_keys())
         return True, "0", None
@@ -330,13 +337,12 @@ def _suite_classical(cfg: RunConfig, report: Report):
                "product", poisson_action)
 
     def grading():
-        for f in pairs2:
+        for a, f in enumerate(pairs2):
             fk = f.weight_keys()[0]
-            for g in pairs2:
+            for b, g in enumerate(pairs2):
                 gk = g.weight_keys()[0]
                 want = tuple((fk[j][0] + gk[j][0],) for j in range(2))
-                br = classical_bracket(f, g, spec2m)
-                for key in br.weight_keys():
+                for key in mixed_bracket2(a, b).weight_keys():
                     if key != want:
                         return False, "off-block", str(key)
         # section-algebra substrate: powers of a fixed weight pair close
@@ -362,15 +368,22 @@ def _suite_classical(cfg: RunConfig, report: Report):
 
     def jacobi():
         gens = [pw_tensor([a, b]) for a in gens1 for b in gens1]
-        for f in gens:
-            for g in gens:
-                for h in gens:
-                    j = (classical_bracket(
-                            f, classical_bracket(g, h, spec2m), spec2m)
-                         + classical_bracket(
-                            g, classical_bracket(h, f, spec2m), spec2m)
-                         + classical_bracket(
-                            h, classical_bracket(f, g, spec2m), spec2m))
+        inner, outer = {}, {}
+
+        def nested(x: int, y: int, z: int):
+            """{gens[x], {gens[y], gens[z]}}, each bracket computed once."""
+            if (y, z) not in inner:
+                inner[y, z] = classical_bracket(gens[y], gens[z], spec2m)
+            if (x, y, z) not in outer:
+                outer[x, y, z] = classical_bracket(
+                    gens[x], inner[y, z], spec2m)
+            return outer[x, y, z]
+
+        ids = range(len(gens))
+        for f in ids:
+            for g in ids:
+                for h in ids:
+                    j = nested(f, g, h) + nested(g, h, f) + nested(h, f, g)
                     if not j.is_zero():
                         return False, "%d blocks" % len(j.blocks), None
         return True, "0", None
@@ -682,7 +695,7 @@ def _generator_index(alg, name: str) -> int:
     aliases = {"h": "h1", "e": "e1", "f": "f1"}
     name = aliases.get(name, name)
     kind, idx = name[:1], name[1:]
-    if kind not in ("h", "e", "f") or not idx.isdigit():
+    if kind not in ("h", "e", "f") or not idx.isdecimal():
         raise ConfigError("unknown generator %r" % (name,))
     i = int(idx) - 1
     if kind == "h" and 0 <= i < alg.rank:
@@ -731,7 +744,7 @@ def _compute(args) -> Dict:
             cobracket(st.r, basis_tensor(alg, idx)))}
 
     if args.expr == "mix":
-        if len(args.args) != 2 or not args.args[1].isdigit():
+        if len(args.args) != 2 or not args.args[1].isdecimal():
             raise ConfigError("usage: compute mix <sl2|sl3> <m>")
         m = int(args.args[1])
         if not 1 <= m <= 3:
@@ -783,7 +796,7 @@ def _compute(args) -> Dict:
     if args.expr == "twi":
         from .que import UqContext, r_matrix_sl2, twi_m
 
-        if len(args.args) != 1 or not args.args[0].isdigit():
+        if len(args.args) != 1 or not args.args[0].isdecimal():
             raise ConfigError("usage: compute twi <m>")
         m = int(args.args[0])
         if not 1 <= m <= 3:

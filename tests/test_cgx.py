@@ -18,7 +18,7 @@ from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
 from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
 from qaffine.que import (
-    QAffineContext, UqContext, q_multiply, quantum_affine_multiply,
+    QAffineContext, UqContext, q_multiply, quantum_affine_multiply, uq_gen,
 )
 
 F = Fraction
@@ -510,6 +510,84 @@ def test_bracket_matches_per_term_reference(ctx, m, top):
                     continue
                 got = classical_bracket(f, g, spec)
                 assert got.blocks == ref_classical_bracket(f, g, spec).blocks
+
+
+def random_hw_function(rng, ctx, m, terms=2):
+    """A sum of tensor products of seeded highest-weight coefficients."""
+    out = BlockFunction(ctx, m)
+    for _ in range(terms):
+        factors = []
+        for _ in range(m):
+            n = rng.randint(1, 2)
+            xi = {a: F(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+                  for a in range(n + 1) if rng.random() < 0.7}
+            factors.append(hw_coefficient(ctx, (n,), xi or {0: F(1)}))
+        out = out + pw_tensor(factors)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
+    """Brackets that read their legs through BlockFunction.leg equal the
+    reference that calls act_factor for every bivector term, also when
+    one function is bracketed again with warm legs."""
+    rng = random.Random(40 + m)
+    fns = [random_hw_function(rng, ctx, m) for _ in range(3)]
+    specs = [BracketSpec(ctx, m, kind) for kind in ("product", "mixed")]
+    want = {(a, b, spec.kind): ref_classical_bracket(fns[a], fns[b], spec)
+            for spec in specs for a in range(3) for b in range(3)}
+    assert all(f._legs == {} for f in fns)  # the reference fills no memo
+    calls = []
+    real = cgx.act_factor
+
+    def counting(f, j, x, side):
+        calls.append((id(f), j, x, side))
+        return real(f, j, x, side)
+
+    monkeypatch.setattr(cgx, "act_factor", counting)
+    for _ in range(2):
+        for spec in specs:
+            for a in range(3):
+                for b in range(3):
+                    got = classical_bracket(fns[a], fns[b], spec)
+                    assert got.blocks == want[a, b, spec.kind].blocks
+    # every leg was computed once, on the first pass
+    assert len(calls) == len(set(calls)) == sum(len(f._legs) for f in fns)
+
+
+def test_leg_memo_is_invalidated_and_not_shared(ctx):
+    rng = random.Random(7)
+    spec = BracketSpec(ctx, 2, "mixed")
+    f, g = random_hw_function(rng, ctx, 2), random_hw_function(rng, ctx, 2)
+    before = classical_bracket(f, g, spec)
+    assert f._legs and g._legs
+    legs = dict(f._legs)
+    # copy() starts an empty memo; bumping the copy leaves f's alone
+    h = f.copy()
+    assert h._legs == {} and h._legs is not f._legs
+    h._bump(((1,), (1,)), (0, 0, 1, 0), F(5))
+    assert f._legs == legs
+    # a _bump on f after a bracket clears its memo, and the next bracket
+    # sees the new f
+    f._bump(((1,), (1,)), (0, 0, 1, 0), F(5))
+    assert f._legs == {}
+    after = classical_bracket(f, g, spec)
+    assert after.blocks == ref_classical_bracket(f, g, spec).blocks
+    assert after != before
+    assert classical_bracket(h, g, spec) == after
+
+
+def test_quantum_action_never_fills_the_leg_memo():
+    """act_factor with an element of U_hbar(sl2), and the quantum
+    products, leave the memo empty."""
+    qctx = QAffineContext(UqContext(2))
+    f = pw_tensor([hw_coefficient(qctx, (1,), {0: 1, 1: 1}),
+                   hw_coefficient(qctx, (2,), {1: 1})])
+    acted = [act_factor(f, j, uq_gen(qctx.uq, name), side)
+             for j in range(2) for name in "EFH" for side in ("left", "right")]
+    assert sum(not a.is_zero() for a in acted) > 6
+    quantum_affine_multiply(f, f)
+    assert f._legs == {}
 
 
 def test_sl3_bracket_matches_per_term_reference(ctx3):

@@ -1,11 +1,13 @@
 """Configuration validation, report determinism, exit codes, and the
 compute subcommands of the command-line driver."""
 
+import collections
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,107 @@ def test_exception_in_a_check_is_recorded_as_error(monkeypatch, capsys):
     assert main(["run", "--suite", "classical"]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["checks"] == js["checks"]
+
+
+def _hw_pair(a: int, na: int, b: int, nb: int):
+    """The semi-invariant c_{a,V(na)} (x) c_{b,V(nb)} on SL2^2."""
+    from qaffine.cgx import PWContext, hw_coefficient, pw_tensor
+    from qaffine.liebialg import build_sl
+
+    ctx = PWContext(build_sl(2))
+    return pw_tensor([hw_coefficient(ctx, (na,), {a: Fraction(1)}),
+                      hw_coefficient(ctx, (nb,), {b: Fraction(1)})])
+
+
+def _classical_run(monkeypatch, bracket):
+    """Run the sl2 classical suite with cgx.classical_bracket replaced by
+    bracket(f, g, spec, real); return the checks by id and every call's
+    arguments (kept alive, so their ids stay distinct)."""
+    from qaffine import cgx
+
+    real = cgx.classical_bracket
+    calls = []
+
+    def wrapped(f, g, spec):
+        calls.append((f, g, spec))
+        return bracket(f, g, spec, real)
+
+    monkeypatch.setattr(cgx, "classical_bracket", wrapped)
+    js = run_suite(RunConfig(suites=("classical",))).to_json()
+    return {c["id"]: c for c in js["checks"]}, calls
+
+
+def _outcome(check):
+    return check["status"], check["residual"], check["witness"]
+
+
+def test_classical_suite_brackets_each_pair_once(monkeypatch):
+    checks, calls = _classical_run(
+        monkeypatch, lambda f, g, spec, real: real(f, g, spec))
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert len(calls) == 1386
+    # the only repeats: {f, g} of the three Poisson-action cases, once per
+    # basis element of sl2
+    counts = collections.Counter(
+        (id(f), id(g), id(spec)) for f, g, spec in calls)
+    assert sorted(c for c in counts.values() if c > 1) == [3, 3, 3]
+
+
+def test_agreement_and_grading_read_one_mixed_bracket_table(monkeypatch):
+    F, G = _hw_pair(1, 1, 0, 2), _hw_pair(2, 2, 0, 1)
+
+    def corrupt(f, g, spec, real):
+        out = real(f, g, spec)
+        if spec.kind == "mixed" and f == F and g == G:
+            out = out + f
+        return out
+
+    checks, calls = _classical_run(monkeypatch, corrupt)
+    assert _outcome(checks["classical.bracket-agreement"]) == (
+        "fail", "mismatch", "[((1,), (2,)), ((2,), (1,))]")
+    assert _outcome(checks["classical.grading"]) == (
+        "fail", "off-block", "((1,), (2,))")
+    assert checks["classical.jacobi"]["status"] == "pass"
+    assert sum(spec.kind == "mixed" and f == F and g == G
+               for f, g, spec in calls) == 1
+
+
+def test_jacobi_fails_on_one_corrupted_inner_bracket(monkeypatch):
+    Y, Z = _hw_pair(0, 1, 1, 1), _hw_pair(1, 1, 0, 1)
+
+    def corrupt(f, g, spec, real):
+        out = real(f, g, spec)
+        if spec.kind == "mixed" and f == Y and g == Z:
+            out = out + f
+        return out
+
+    checks, calls = _classical_run(monkeypatch, corrupt)
+    assert _outcome(checks["classical.jacobi"]) == ("fail", "1 blocks", None)
+    # once for the shared pair table, once for the Jacobi inner table
+    assert sum(spec.kind == "mixed" and f == Y and g == Z
+               for f, g, spec in calls) == 2
+
+
+def test_grading_answers_every_pair_after_agreement_raises(monkeypatch):
+    F, G = _hw_pair(1, 2, 0, 1), _hw_pair(1, 1, 2, 2)
+
+    def boom(f, g, spec, real):
+        if spec.kind == "product" and spec.m == 2 and f == F and g == G:
+            raise RuntimeError("boom")
+        return real(f, g, spec)
+
+    checks, calls = _classical_run(monkeypatch, boom)
+    assert _outcome(checks["classical.bracket-agreement"]) == (
+        "error", "exception raised", "RuntimeError: boom")
+    assert _outcome(checks["classical.grading"]) == ("pass", "0", None)
+    # agreement reached every pair function in its first row; grading
+    # brackets the pairs it had not reached, each pair once in all
+    pairs = {id(h) for f, g, spec in calls
+             if spec.kind == "product" and spec.m == 2 for h in (f, g)}
+    assert len(pairs) == 25
+    mixed = [(id(f), id(g)) for f, g, spec in calls
+             if spec.kind == "mixed" and id(f) in pairs and id(g) in pairs]
+    assert len(mixed) == len(set(mixed)) == 625
 
 
 def test_timings_are_opt_in():
@@ -265,6 +368,19 @@ def test_coiso_run_output_is_pinned(capsys):
         "0af9061985a78ff68caf332b2f6e4d9d4617d3c19eee081dc569955987e4efa6")
 
 
+def test_classical_and_default_run_outputs_are_pinned(capsys):
+    """The sl2 classical suite and the default run print exactly the
+    pinned bytes."""
+    for argv, digest in (
+            (["run", "--suite", "classical"],
+             "e497db6798ed82b0b639b7b1abe65a281e54d51e8691a10a94bed69e5be957c1"),
+            (["run"],
+             "1d39f0b5ebaf7e4fc7ed53593b48776d3a2363e226a3d2c4a0ea9d808a8038b4")):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_scaled_sl3_run_output_is_pinned(capsys):
     """A form scaling other than 1 goes through the sl3 structure constants
     (the lowering vectors carry 1/scale) and prints exactly the pinned
@@ -300,6 +416,14 @@ def test_compute_bad_usage(capsys):
     assert main(["compute", "cobracket", "sl2"]) == 2
     assert main(["compute", "bracket", "sl3", "mixed", "1:0", "1:1"]) == 2
     assert main(["compute", "qmultiply", "1:7", "1:1"]) == 2
+    capsys.readouterr()
+    # digits that int() rejects are a usage error, not a traceback
+    for argv in (["compute", "mix", "sl2", "\u00b2"],
+                 ["compute", "twi", "\u00b3"],
+                 ["compute", "cobracket", "sl2", "e\u00b2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: "), argv
 
 
 def test_compute_above_the_dimension_bound_is_a_config_error(capsys):
