@@ -265,7 +265,7 @@ def cg_split(ctx, lam: Weight, mu: Weight, weights: List,
         rows = rows_of[w]
         block = [[transported[n][s].get(r, zero) for n, s in cols]
                  for r in rows]
-        for (n, s), line in zip(cols, mat_inv(block, one, ctx.is_unit)):
+        for (n, s), line in zip(cols, mat_inv(block, one)):
             full = [zero] * dim
             for r, x in zip(rows, line):
                 full[r] = x
@@ -891,9 +891,10 @@ def poisson_action_residual(spec: BracketSpec, f: BlockFunction,
     from .liebialg import basis_tensor, cobracket
 
     alg = spec.ctx.alg
+    fg = classical_bracket(f, g, spec)
     for x_idx in range(alg.dim):
         lhs = _rho_tensor(cobracket(spec.st.r, basis_tensor(alg, x_idx)), f, g)
-        rhs = (_diag_act(classical_bracket(f, g, spec), x_idx)
+        rhs = (_diag_act(fg, x_idx)
                - classical_bracket(_diag_act(f, x_idx), g, spec)
                - classical_bracket(f, _diag_act(g, x_idx), spec))
         diff = lhs - rhs

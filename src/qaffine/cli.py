@@ -118,12 +118,6 @@ class Report:
     def errored(self) -> bool:
         return any(c["status"] == "error" for c in self.checks)
 
-    def status_of(self, check_id: str) -> Optional[str]:
-        for c in self.checks:
-            if c["id"] == check_id:
-                return c["status"]
-        return None
-
     def to_json(self) -> Dict:
         checks = sorted(self.checks, key=lambda c: c["id"])
         out = {

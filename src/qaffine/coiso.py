@@ -33,7 +33,6 @@ from .que import (
     UqElement,
     UqTensor,
     TwistedHopf,
-    antipode,
     coproduct,
     counit,
     q_multiply,
@@ -621,19 +620,15 @@ def q_evaluate(f: BlockFunction, *us: UqElement) -> TruncatedSeries:
         raise ValueError("%d elements for a function on %d factors"
                          % (len(us), f.m))
     out = qctx.uq.zero_series()
-    mats = {}
     for key, blk in f.blocks.items():
-        for j in range(f.m):
-            if (key[j][0], j) not in mats:
-                rep = qctx.irrep(key[j])
-                mats[(key[j][0], j)] = rep.act(antipode(us[j]))
-        for idx, c in blk.items():
-            s = c
-            for j in range(f.m):
-                s = s * mats[(key[j][0], j)][idx[2 * j]][idx[2 * j + 1]]
-                if s.is_zero():
+        # entry (xi, v) of rho(S(u)) is row xi of its column v
+        cols = [qctx.slot_action(key[j], u, "right") for j, u in enumerate(us)]
+        for idx, s in blk.items():
+            for j, lines in enumerate(cols):
+                e = lines[idx[2 * j + 1]].get(idx[2 * j])
+                if e is None or not (s := s * e):
                     break
-            if not s.is_zero():
+            else:
                 out = out + s
     return out
 

@@ -7,11 +7,13 @@ spans keep a reduced echelon basis with a deterministic pivot order (the
 smallest key, or the largest one), so subspace equality and membership
 are canonical.  Over the series ring a row's pivot entry is hbar^v (the
 Howell form of the module): a row clears only the part of an entry at or
-above hbar^v, and len() counts the Q-dimension sum (K - v).  One routine,
-sparse_nullspace, reads kernels over either ring off such a span.  mat_inv
-inverts over either ring.  The dense rref, solve and nullspace serve no
-engine path: they stay as the references the tests check the sparse
-routines against, and perfbench/spans.py hooks them by name.
+above hbar^v, and len() counts the Q-dimension sum (K - v).  This one
+echelon engine does all elimination over either ring: sparse_nullspace
+reads kernels off the span of [columns | identity], and mat_inv reads an
+inverse off the span of [rows | identity].  The dense rref, solve and
+nullspace serve no engine path; they stay in this module because the
+tests check the sparse routines against them and perfbench/spans.py hooks
+them, with mat_inv, by name.
 """
 
 from __future__ import annotations
@@ -233,29 +235,24 @@ def mat_zero(m: int, n: int) -> Matrix:
     return [[Fraction(0)] * n for _ in range(m)]
 
 
-def mat_inv(a: Matrix, one=Fraction(1), is_unit=bool) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ValueError if singular.
-
-    Over Q by default.  Over Q[[hbar]]/(hbar^K) pass the unit series as
-    one and a test for a nonzero constant term as is_unit: a matrix over
-    that local ring is invertible iff it is invertible mod hbar, and its
-    pivots must be units."""
+def mat_inv(a: Matrix, one=Fraction(1)) -> Matrix:
+    """Inverse over Q or, with one the unit series, over Q[[hbar]]/(hbar^K);
+    raises ValueError if singular.  The rows [a_i | e_i] go into one
+    echelon span whose a-keys sort below the identity keys, so a row
+    pivoting on column j of a is [e_j | row j of the inverse].  The matrix
+    is singular when fewer than n rows pivot on a's columns, or when a
+    pivot entry is hbar^v with v > 0 (not invertible mod hbar)."""
     n = len(a)
+    span = EchelonSpan()
+    for i, row in enumerate(a):
+        v = {(0, j): x for j, x in enumerate(row) if x}
+        v[(1, i)] = one
+        span.add(v)
+    rows = [span.rows.get((0, j)) for j in range(n)]
+    if any(r is None or r[(0, j)] != one for j, r in enumerate(rows)):
+        raise ValueError("singular matrix")
     zero = one - one
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if is_unit(aug[r][col])), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[r.get((1, i), zero) for i in range(n)] for r in rows]
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:

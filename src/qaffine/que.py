@@ -24,10 +24,12 @@ is lost at the top order.
 
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
-V_hbar(n).  Its Clebsch-Gordan entries take their highest weight vectors
-from cgx.highest_weight_vectors, the kernel generators of the coproduct
-of E, and split through cgx.cg_split along the coproduct of F; both
-coproducts are sparse series columns.  q_multiply (the
+V_hbar(n).  A QIrrep keeps E, F, H and every action as sparse series
+columns, the one format its consumers read: the slot actions of
+act_factor and q_evaluate, and the coproducts of E and F on a tensor
+product.  Clebsch-Gordan entries take their highest weight vectors from
+cgx.highest_weight_vectors, the kernel generators of the coproduct of E,
+and split through cgx.cg_split along the coproduct of F.  q_multiply (the
 convolution product) and quantum_affine_multiply (twisted by Twi^m(R~))
 both end in the one contraction cgx.cg_contract.
 """
@@ -39,8 +41,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
-    BlockFunction, CGEntry, DimensionBoundError, PWContext, block_pairs,
-    cg_contract, cg_split, highest_weight_vectors, pw_tensor, sparse_columns,
+    BlockFunction, CGEntry, DimensionBoundError, PWContext, _apply,
+    block_pairs, cg_contract, cg_split, highest_weight_vectors, pw_tensor,
 )
 from .kernel import TruncatedSeries, q_power
 from .liebialg import LieTensor, build_sl
@@ -738,34 +740,12 @@ def semiclassical_r(t: UqTensor, m: int):
 # -- quantized irreducible representations of sl2 ----------------------------
 
 
-def _smat_zero(ctx: UqContext, n: int, m: int):
-    z = ctx.zero_series()
-    return [[z for _ in range(m)] for _ in range(n)]
-
-
-def _smat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = a[0][0] - a[0][0] if n else None
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = None
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                p = a[i][t] * b[t][j]
-                s = p if s is None else s + p
-            row.append(s if s is not None else zero)
-        out.append(row)
-    return out
-
-
 class QIrrep:
     """V_hbar(n) for sl2: basis w_0..w_n with
     F w_k = w_{k+1},  H w_k = (n-2k) w_k,  E w_k = [k]_q [n-k+1]_q w_{k-1}.
 
-    Reduces mod hbar to the classical irrep in its lowering-word basis.
+    E, F and H, and every action, are sparse series columns: column k holds
+    the nonzero entries of the image of w_k.  Reduces mod hbar to the classical irrep in its lowering-word basis.
     """
 
     def __init__(self, ctx: UqContext, n: int):
@@ -776,42 +756,33 @@ class QIrrep:
         # w_k = F^k w_0, as in the lowering words of cgx.Irrep
         self.words = [None] + [(k - 1, 0) for k in range(1, n + 1)]
         one = ctx.one_series()
-        d = self.dim
-        self.matF = _smat_zero(ctx, d, d)
-        self.matE = _smat_zero(ctx, d, d)
-        self.matH = _smat_zero(ctx, d, d)
-        for k in range(d):
-            if k + 1 < d:
-                self.matF[k + 1][k] = one
-            if k > 0:
-                self.matE[k - 1][k] = q_integer(ctx, k) * q_integer(ctx, n - k + 1)
-            self.matH[k][k] = TruncatedSeries.const(n - 2 * k, ctx.order)
-        self._mono_mat: Dict[Mono, List] = {}
+        self.F = [{k + 1: one} if k < n else {} for k in range(n + 1)]
+        self.E = [{k - 1: q_integer(ctx, k) * q_integer(ctx, n - k + 1)}
+                  if k else {} for k in range(n + 1)]
+        self.H = [{k: TruncatedSeries.const(w, ctx.order)} if w else {}
+                  for k, w in enumerate(self.weights)]
+        self._mono_cols: Dict[Mono, List[Dict]] = {}
 
-    def act_mono(self, m: Mono):
-        if m not in self._mono_mat:
+    def act_mono(self, m: Mono) -> List[Dict]:
+        """rho(F^a H^b E^c), memoized per monomial."""
+        cols = self._mono_cols.get(m)
+        if cols is None:
             a, b, c = m
-            ctx = self.ctx
-            out = [[ctx.one_series() if i == j else ctx.zero_series()
-                    for j in range(self.dim)] for i in range(self.dim)]
-            for _ in range(c):
-                out = _smat_mul(self.matE, out)
-            for _ in range(b):
-                out = _smat_mul(self.matH, out)
-            for _ in range(a):
-                out = _smat_mul(self.matF, out)
-            self._mono_mat[m] = out
-        return self._mono_mat[m]
+            one = self.ctx.one_series()
+            cols = [{k: one} for k in range(self.dim)]
+            for gen, times in ((self.E, c), (self.H, b), (self.F, a)):
+                for _ in range(times):
+                    cols = [_apply(gen, col) for col in cols]
+            self._mono_cols[m] = cols
+        return cols
 
-    def act(self, x: UqElement):
-        out = _smat_zero(self.ctx, self.dim, self.dim)
-        for (m,), s in x.data.items():
-            mat = self.act_mono(m)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if not mat[i][j].is_zero():
-                        out[i][j] = out[i][j] + mat[i][j] * s
-        return out
+    def act(self, x: UqElement) -> List[Dict]:
+        """rho(x): column k combines the columns k of the actions of x's
+        monomials with x's coefficients."""
+        monos = [self.act_mono(m) for (m,) in x.data]
+        coeffs = dict(enumerate(x.data.values()))
+        return [_apply([cols[k] for cols in monos], coeffs)
+                for k in range(self.dim)]
 
 
 # -- quantized function algebras ---------------------------------------------
@@ -877,9 +848,15 @@ class QAffineContext:
         key = (lam, tuple(y.data.items()), side)
         lines = self._slot.get(key)
         if lines is None:
-            mat = self.irrep(lam).act(antipode(y))
-            lines = self._slot[key] = sparse_columns(
-                mat if side == "right" else list(zip(*mat)))
+            cols = self.irrep(lam).act(antipode(y))
+            if side == "right":
+                lines = cols
+            else:
+                lines = [{} for _ in cols]
+                for v, col in enumerate(cols):
+                    for xi, c in col.items():
+                        lines[xi][v] = c
+            self._slot[key] = lines
         return lines
 
     def _tensor_generators(self, va: QIrrep, vb: QIrrep):
@@ -890,8 +867,7 @@ class QAffineContext:
         km = [self.uq.q_half_power(-w) for w in vb.weights]
         db = vb.dim
         gens = []
-        for xa, xb in ((va.matE, vb.matE), (va.matF, vb.matF)):
-            ca, cb = sparse_columns(xa), sparse_columns(xb)
+        for ca, cb in ((va.E, vb.E), (va.F, vb.F)):
             cols = []
             for i in range(va.dim):
                 for t in range(db):

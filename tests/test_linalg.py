@@ -413,6 +413,97 @@ def test_max_pivot_matches_reversed_keys():
             assert got.coefficients(q) == ref.coefficients(wrap(q))
 
 
+# -- mat_inv: Gauss-Jordan with a unit-pivot search is the reference ---------
+
+
+def gauss_jordan_inv(a, one=F(1), is_unit=bool):
+    """Inverse by Gauss-Jordan, pivoting on the first unit at or below the
+    diagonal (is_unit: a nonzero constant term over the series ring);
+    raises ValueError if singular."""
+    n = len(a)
+    zero = one - one
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if is_unit(aug[r][col])), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = one / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _mat_mul(a, b, zero):
+    out = []
+    for row in a:
+        out.append([sum((x * b[t][j] for t, x in enumerate(row)), zero)
+                    for j in range(len(b[0]))])
+    return out
+
+
+@st.composite
+def _invertible(draw):
+    """(one, a, is_unit): a = P L U over Q (K = 0) or Q[[hbar]]/(hbar^K),
+    with L unit lower triangular, U upper triangular on a diagonal of
+    units (over the series ring units of random higher terms, so pivots
+    are units that are not constant) and P a permutation."""
+    K = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if K:
+        one, entry, is_unit = (TruncatedSeries.one(K), _series(K),
+                               lambda s: s.constant_term() != 0)
+        unit = st.tuples(st.sampled_from([-2, -1, 1, 2]), st.lists(
+            st.integers(min_value=-2, max_value=2), min_size=K - 1,
+            max_size=K - 1)).map(lambda t: TruncatedSeries(K, [t[0]] + t[1]))
+    else:
+        one, entry, is_unit = F(1), _coef, bool
+        unit = st.sampled_from([F(-2), F(-1), F(1), F(2)])
+    zero = one - one
+    low = [[draw(entry) if j < i else one if i == j else zero
+            for j in range(n)] for i in range(n)]
+    up = [[draw(entry) if j > i else draw(unit) if i == j else zero
+           for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    a = _mat_mul(low, up, zero)
+    return one, [a[p] for p in perm], is_unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_invertible())
+def test_mat_inv_matches_gauss_jordan(case):
+    one, a, is_unit = case
+    zero = one - one
+    inv = mat_inv(a, one)
+    assert inv == gauss_jordan_inv(a, one, is_unit)
+    ident = [[one if i == j else zero for j in range(len(a))]
+             for i in range(len(a))]
+    assert _mat_mul(a, inv, zero) == ident == _mat_mul(inv, a, zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invertible(), st.data())
+def test_matrix_singular_mod_hbar_raises(case, data):
+    """Row i replaced by hbar times itself plus a multiple of another row
+    j (over Q: by that multiple alone) is singular mod hbar, so not
+    invertible; over the series ring it may still be of full rank."""
+    one, a, is_unit = case
+    n = len(a)
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    c = data.draw(_coef) if j != i else F(0)
+    h = TruncatedSeries.hbar(one.order) if type(one) is TruncatedSeries else F(0)
+    a[i] = [h * x + c * y for x, y in zip(a[i], a[j])]
+    for inverse in (lambda: mat_inv(a, one),
+                    lambda: gauss_jordan_inv(a, one, is_unit)):
+        with pytest.raises(ValueError):
+            inverse()
+
+
 def test_matrix_inverse_and_solve():
     m = [[F(2), F(1)], [F(1), F(1)]]
     assert mat_inv(m) == [[F(1), F(-1)], [F(-1), F(2)]]

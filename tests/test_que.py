@@ -16,7 +16,6 @@ from qaffine.kernel import TruncatedSeries, q_power
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
-    _smat_zero,
     almost_cocommutativity_residuals, antipode, block_embed, coproduct,
     counit, counit_leg, delta_leg, hexagon_residuals, hopf_power_delta,
     mono_mul, q_integer, q_multiply,
@@ -172,23 +171,76 @@ def qctx(ctx):
     return QAffineContext(ctx)
 
 
+# -- dense closed-form V_hbar(n), the reference for the sparse QIrrep -------
+
+
+def _smat_zero(K: int, n: int, m: int):
+    z = TruncatedSeries.zero(K)
+    return [[z] * m for _ in range(n)]
+
+
+def _smat_mul(a, b):
+    z = TruncatedSeries.zero(a[0][0].order)
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), z)
+             for j in range(len(b[0]))] for row in a]
+
+
+def _q_int(K: int, k: int) -> TruncatedSeries:
+    """[k]_q = sum of exp(hbar i/2) over i = 1-k, 3-k, ..., k-1."""
+    h = TruncatedSeries.hbar(K)
+    return sum(((h * F(i, 2)).exp() for i in range(1 - k, k, 2)),
+               TruncatedSeries.zero(K))
+
+
+def _closed_form(K: int, n: int):
+    """Dense E, F, H of V_hbar(n): E w_k = [k][n-k+1] w_{k-1},
+    F w_k = w_{k+1}, H w_k = (n-2k) w_k."""
+    E, Fm, H = (_smat_zero(K, n + 1, n + 1) for _ in range(3))
+    for k in range(n + 1):
+        if k:
+            E[k - 1][k] = _q_int(K, k) * _q_int(K, n - k + 1)
+        if k < n:
+            Fm[k + 1][k] = TruncatedSeries.one(K)
+        H[k][k] = TruncatedSeries.const(n - 2 * k, K)
+    return E, Fm, H
+
+
+def _dense_act(K: int, n: int, x: UqElement):
+    """rho(x) on V_hbar(n) as a dense matrix, each PBW monomial
+    F^a H^b E^c a product of closed-form matrices."""
+    E, Fm, H = _closed_form(K, n)
+    out = _smat_zero(K, n + 1, n + 1)
+    for ((a, b, c),), s in x.data.items():
+        mat = [[TruncatedSeries.const(int(i == j), K) for j in range(n + 1)]
+               for i in range(n + 1)]
+        for gen, times in ((E, c), (H, b), (Fm, a)):
+            for _ in range(times):
+                mat = _smat_mul(gen, mat)
+        out = [[o + y * s for o, y in zip(ro, ry)]
+               for ro, ry in zip(out, mat)]
+    return out
+
+
 def test_quantum_irreps_reduce_to_classical(qctx):
-    """At hbar=0 the closed form E w_k = [k][n-k+1] w_{k-1}, F w_k = w_{k+1}
-    of QIrrep is the classical irrep in its lowering-word basis."""
+    """The sparse columns of E, F, H of QIrrep are those of the dense
+    closed form, which at hbar=0 is the classical irrep in its
+    lowering-word basis."""
     alg = qctx.alg
     pw = qctx.pw
+    K = qctx.uq.order
     for n in range(9):
         qv = qctx.irrep((n,))
         cv = pw.irrep((n,))
         assert qv.dim == cv.dim
         for k in range(1, n + 1):
             assert cv.act[alg.raise_index(0)][k - 1][k] == k * (n - k + 1)
-        for name, idx in (("matH", 0), ("matE", alg.raise_index(0)),
-                          ("matF", alg.lower_index(0))):
-            qm = getattr(qv, name)
+        E, Fm, H = _closed_form(K, n)
+        for cols, dense, idx in ((qv.H, H, 0), (qv.E, E, alg.raise_index(0)),
+                                 (qv.F, Fm, alg.lower_index(0))):
+            assert cols == sparse_columns(dense)
             for i in range(qv.dim):
                 for j in range(qv.dim):
-                    assert qm[i][j][0] == cv.act[idx][i][j]
+                    assert dense[i][j][0] == cv.act[idx][i][j]
 
 
 def test_series_inverse_pivots_on_units(qctx):
@@ -197,8 +249,7 @@ def test_series_inverse_pivots_on_units(qctx):
     K = qctx.uq.order
     one, zero, h = (TruncatedSeries.one(K), TruncatedSeries.zero(K),
                     TruncatedSeries.hbar(K))
-    assert mat_inv([[h, one], [one, zero]], one, qctx.is_unit) == \
-        [[zero, one], [one, -h]]
+    assert mat_inv([[h, one], [one, zero]], one) == [[zero, one], [one, -h]]
 
 
 def test_q_multiply_ring_and_classical_limit(qctx):
@@ -442,10 +493,46 @@ def test_memoized_slot_action_matches_fresh(qctx):
             for side in ("left", "right"):
                 got = qctx.slot_action((n,), y, side)
                 assert qctx.slot_action((n,), y, side) is got
-                mat = qctx.irrep((n,)).act(antipode(y))
+                mat = _dense_act(uq.order, n, antipode(y))
                 fresh = sparse_columns(
                     mat if side == "right" else list(zip(*mat)))
                 assert got == fresh
+
+
+def _dense_q_evaluate(f, *us):
+    """q_evaluate as a product of entries of dense matrices rho(S(u))."""
+    K = f.ctx.uq.order
+    out = TruncatedSeries.zero(K)
+    for key, blk in f.blocks.items():
+        mats = [_dense_act(K, key[j][0], antipode(u)) for j, u in enumerate(us)]
+        for idx, s in blk.items():
+            for j, mat in enumerate(mats):
+                s = s * mat[idx[2 * j]][idx[2 * j + 1]]
+            out = out + s
+    return out
+
+
+def test_q_evaluate_matches_dense_evaluation(qctx):
+    """On V_hbar(n), n <= 4, at E, F, H, the legs of R and a sum of them,
+    and on the tensor of two factors, q_evaluate reads the dense value."""
+    from qaffine.coiso import q_evaluate
+
+    uq = qctx.uq
+    rng = random.Random(5)
+    E, Fg, H = uq_gen(uq, "E"), uq_gen(uq, "F"), uq_gen(uq, "H")
+    legs = [UqElement(uq, {m: 1}) for key in qctx.R.data for m in key]
+    us = [E, Fg, H] + legs + [E + Fg.scale(F(1, 2)) + H + legs[-1]]
+    fs = [matrix_coefficient(
+        qctx, (n,), {a: rng.randint(-2, 2) for a in range(n + 1)},
+        {b: F(rng.randint(-3, 3), rng.randint(1, 3)) for b in range(n + 1)})
+        for n in range(5)]
+    for f in fs:
+        for u in us:
+            assert q_evaluate(f, u) == _dense_q_evaluate(f, u)
+    for f, g in ((fs[1], fs[4]), (fs[3], fs[2])):
+        fg = pw_tensor([f, g])
+        for u, w in ((E, Fg), (H, legs[1]), (us[-1], E)):
+            assert q_evaluate(fg, u, w) == _dense_q_evaluate(fg, u, w)
 
 
 def test_leg_counts_must_match(ctx):
@@ -531,7 +618,7 @@ def _smat_inv(a, ctx: UqContext):
 def _cartan_diag(rep: QIrrep, coeff: Fraction):
     """exp(hbar*coeff*H) as a diagonal matrix."""
     ctx = rep.ctx
-    out = _smat_zero(ctx, rep.dim, rep.dim)
+    out = _smat_zero(ctx.order, rep.dim, rep.dim)
     for k, w in enumerate(rep.weights):
         out[k][k] = (TruncatedSeries.hbar(ctx.order) * (coeff * w)).exp()
     return out
@@ -549,7 +636,7 @@ class DenseQContext(QAffineContext):
         km_b = _cartan_diag(vb, Fraction(-1, 4))
 
         def kron(A, B):
-            out = _smat_zero(ctx, da * db, da * db)
+            out = _smat_zero(ctx.order, da * db, da * db)
             for i in range(da):
                 for j in range(da):
                     if A[i][j].is_zero():
@@ -563,9 +650,10 @@ class DenseQContext(QAffineContext):
         def madd(A, B):
             return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
-        matE = madd(kron(va.matE, km_b), kron(kp_a, vb.matE))
-        matF = madd(kron(va.matF, km_b), kron(kp_a, vb.matF))
-        return matE, matF
+        Ea, Fa, _ = _closed_form(ctx.order, va.n)
+        Eb, Fb, _ = _closed_form(ctx.order, vb.n)
+        return madd(kron(Ea, km_b), kron(kp_a, Eb)), \
+            madd(kron(Fa, km_b), kron(kp_a, Fb))
 
     def _build_qcg(self, n: int, m: int) -> CGEntry:
         ctx = self.uq
