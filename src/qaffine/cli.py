@@ -477,7 +477,9 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                 key = [(0, 0, 0), (0, 0, 0)]
                 key[leg] = mono
                 xt = UqTensor(ctx, 2, {tuple(key): 1})
-                if R2 * th.delta(xt) != th.delta_op(xt) * R2:
+                # Delta_J^op(x) is Delta_J(x) with its two blocks swapped
+                d = th.delta(xt)
+                if R2 * d != d.swap_legs((2, 3, 0, 1)) * R2:
                     return False, "almost-cocommutativity", \
                         "%s leg %d" % (g, leg)
         return True, "0", None

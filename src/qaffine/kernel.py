@@ -9,13 +9,20 @@ A series is stored as K Python-int numerators over one positive common
 denominator in lowest terms, in the manner of FLINT's fmpq_poly, so ring
 operations are integer arithmetic plus one gcd; the Fraction coefficients
 are made only when read.
+
+Sums of many products, such as the terms of a tensor product in que,
+defer even that gcd.  A factor enters as a ``multiplier`` (1, an integer
+scalar over its denominator, or the numerators of a true series),
+``mul_term`` forms each product over an unreduced denominator, and
+``series_sums`` adds the products per key over one denominator and puts
+each key in lowest terms once, when the sums are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -181,13 +188,7 @@ class TruncatedSeries:
         K = self.order
         if other.order != K:
             self._check(other)
-        b = other.num
-        out = [0] * K
-        for i, a in enumerate(self.num):
-            if a:
-                for j, y in enumerate(b[: K - i], i):
-                    out[j] += a * y
-        return _reduced(K, out, self.den * other.den)
+        return _reduced(K, mul_num(self.num, other.num, K), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -264,6 +265,81 @@ def _reduced(order: int, num: List[int], den: int) -> TruncatedSeries:
             num = [a // g for a in num]
             den //= g
     return _new(order, tuple(num), den)
+
+
+def mul_num(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
+    """Numerators of the product of two series over the product of their
+    denominators: the convolution of a and b, truncated to order terms."""
+    out = [0] * order
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: order - i], i):
+                out[j] += x * y
+    return out
+
+
+Multiplier = Tuple[Union[None, int, Tuple[int, ...]], int]
+
+
+def multiplier(s: TruncatedSeries) -> Multiplier:
+    """s as a factor (c, d) for mul_term: c is None when s is 1, the
+    numerator when s is a constant, and the numerators otherwise; d is the
+    denominator."""
+    num, den = s.num, s.den
+    if any(num[1:]):
+        return num, den
+    n0 = num[0]
+    return (None if n0 == 1 and den == 1 else n0), den
+
+
+def mul_term(num: Sequence[int], den: int, c: Union[None, int, Tuple[int, ...]],
+             d: int, order: int) -> Tuple[Sequence[int], int]:
+    """num/den times the multiplier (c, d), over den*d and not reduced:
+    num itself when c is None, the scalar multiple c*num when c is an
+    integer, and the truncated product mul_num(num, c) otherwise."""
+    if c is None:
+        return num, den
+    if type(c) is int:
+        return [x * c for x in num], den * d
+    return mul_num(num, c, order), den * d
+
+
+def series_sums(order: int,
+                terms: Iterable[Tuple[Hashable, Sequence[int], int]]
+                ) -> Dict[Hashable, TruncatedSeries]:
+    """Sum the terms (key, numerators, den) per key: order integer
+    numerators over a positive denominator, in lowest terms or not.
+
+    A key's running sum keeps integer numerators over one denominator, the
+    lcm of its terms' denominators, and is put in lowest terms once, when
+    the sums are built at the end.  A key whose running sum cancels to zero
+    leaves the dict, and a later term enters it again at the end, so the
+    keys come out in the order that adding the same terms one by one as
+    series would give them."""
+    acc: Dict = {}
+    get = acc.get
+    for key, num, den in terms:
+        cur = get(key)
+        if cur is None:
+            if any(num):
+                acc[key] = (num, den)
+            continue
+        a, ad = cur
+        if ad == den:
+            a = [x + y for x, y in zip(a, num)]
+        else:
+            g = gcd(ad, den)
+            sa, sb = den // g, ad // g
+            a = [x * sa + y * sb for x, y in zip(a, num)]
+            ad *= sa
+        if any(a):
+            acc[key] = (a, ad)
+        else:
+            del acc[key]
+    # reduce in place, so each running sum is freed as its series is made
+    for key, (a, ad) in acc.items():
+        acc[key] = _reduced(order, a, ad)
+    return acc
 
 
 def q_power(i: int, d: Rat, order: int) -> TruncatedSeries:

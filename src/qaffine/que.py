@@ -44,7 +44,7 @@ from .cgx import (
     BlockFunction, CGEntry, DimensionBoundError, PWContext, _apply,
     block_pairs, cg_contract, cg_split, highest_weight_vectors, pw_tensor,
 )
-from .kernel import TruncatedSeries, q_power
+from .kernel import TruncatedSeries, mul_term, multiplier, q_power, series_sums
 from .liebialg import LieTensor, build_sl
 
 Mono = Tuple[int, int, int]  # exponents (a, b, c) of F^a H^b E^c
@@ -321,33 +321,11 @@ class UqTensor:
     def __mul__(self, other: "UqTensor") -> "UqTensor":
         """Componentwise product (x1(x)...)(y1(x)...) = x1y1 (x) ...; a leg
         where either monomial is the unit carries the other one unchanged,
-        with no series multiply, so embedded factors cost only their own
-        legs."""
+        so embedded factors cost only their own legs.  Each output key is
+        summed once, in kernel.series_sums."""
         self.check_legs(other)
-        ctx = self.ctx
-        K = ctx.order
-        out = UqTensor(ctx, self.legs)
-        # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
-        # v meets only the terms of other below K - v, in their own order
-        vals = [(k2, s2, s2.valuation()) for k2, s2 in other.data.items()]
-        below = [[(k2, s2) for k2, s2, v2 in vals if v2 < K - v]
-                 for v in range(K + 1)]
-        for k1, s1 in self.data.items():
-            for k2, s2 in below[s1.valuation()]:
-                s = s1 * s2
-                factors = [((m2, None),) if m1 == UNIT else
-                           ((m1, None),) if m2 == UNIT else
-                           mono_mul(ctx, m1, m2).items()
-                           for m1, m2 in zip(k1, k2)]
-                for combo in itertools.product(*factors):
-                    cs = s
-                    for _, c in combo:
-                        if c is not None:
-                            cs = cs * c
-                            if not cs:
-                                break
-                    if cs:
-                        out.add_term(tuple([m for m, _ in combo]), cs)
+        out = UqTensor(self.ctx, self.legs)
+        out.data = series_sums(self.ctx.order, _product_terms(self, other))
         return out
 
     def swap_legs(self, perm: Sequence[int]) -> "UqTensor":
@@ -376,6 +354,53 @@ class UqTensor:
 
     def __repr__(self):
         return "UqTensor(legs=%d, %d terms)" % (self.legs, len(self.data))
+
+
+def _product_terms(x: UqTensor, y: UqTensor):
+    """The terms (key, numerators, den) of x*y for kernel.series_sums, in
+    the order of itertools.product over the legs' expansions.  The
+    coefficients of x and y and the structure constants of mono_mul enter
+    as kernel multipliers, so a constant (most of them) scales the
+    numerators and a 1 leaves them alone; only true series convolve."""
+    ctx = x.ctx
+    K = ctx.order
+    # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
+    # v meets only the terms of y below K - v, in their own order
+    vals = [(k2, multiplier(s2), s2.valuation()) for k2, s2 in y.data.items()]
+    below = [[(k2, f2) for k2, f2, v2 in vals if v2 < K - v]
+             for v in range(K + 1)]
+    tables: Dict[Tuple[Mono, Mono], List] = {}  # mono_mul as multipliers
+    for k1, s1 in x.data.items():
+        n1, d1 = s1.num, s1.den
+        for k2, (c2, d2) in below[s1.valuation()]:
+            n, d = mul_term(n1, d1, c2, d2, K)
+            # keys grow one non-unit leg at a time; a unit leg only extends
+            # the run of fixed monomials in front of the next one
+            terms = [((), n, d)]
+            run: Tuple[Mono, ...] = ()
+            for m1, m2 in zip(k1, k2):
+                if m1 == UNIT:
+                    run += (m2,)
+                    continue
+                if m2 == UNIT:
+                    run += (m1,)
+                    continue
+                tbl = tables.get((m1, m2))
+                if tbl is None:
+                    tbl = tables[m1, m2] = [
+                        (m3,) + multiplier(c)
+                        for m3, c in mono_mul(ctx, m1, m2).items()]
+                nxt = []
+                for pre, pn, pd in terms:
+                    pre += run
+                    for m3, c, cd in tbl:
+                        tn, td = mul_term(pn, pd, c, cd, K)
+                        if any(tn):
+                            nxt.append((pre + (m3,), tn, td))
+                terms = nxt
+                run = ()
+            for pre, pn, pd in terms:
+                yield pre + run, pn, pd
 
 
 class UqElement(UqTensor):
@@ -474,16 +499,31 @@ def coproduct_op(x: UqElement) -> UqTensor:
 
 def delta_leg(t: UqTensor, j: int) -> UqTensor:
     """Apply the coproduct to leg j, giving legs+1 legs (new leg inserted
-    after j)."""
-    ctx = t.ctx
-    out = UqTensor(ctx, t.legs + 1)
-    for k, s in t.data.items():
-        if k[j] not in ctx._delta:  # coproduct memoizes Delta per monomial
-            coproduct(UqElement(ctx, {k[j]: 1}))
-        for (m1, m2), s2 in ctx._delta[k[j]].data.items():
-            key = k[:j] + (m1, m2) + k[j + 1 :]
-            out.add_term(key, s * s2)
+    after j); each output key is summed once, in kernel.series_sums."""
+    out = UqTensor(t.ctx, t.legs + 1)
+    out.data = series_sums(t.ctx.order, _delta_leg_terms(t, j))
     return out
+
+
+def _delta_leg_terms(t: UqTensor, j: int):
+    """The terms (key, numerators, den) of delta_leg(t, j) in the order of
+    t's terms and then of the coproduct's, the coproduct's coefficients
+    entering as kernel multipliers."""
+    ctx = t.ctx
+    K = ctx.order
+    deltas: Dict[Mono, List] = {}  # Delta(mono) as multipliers
+    for k, s in t.data.items():
+        tbl = deltas.get(k[j])
+        if tbl is None:
+            if k[j] not in ctx._delta:  # coproduct memoizes Delta per monomial
+                coproduct(UqElement(ctx, {k[j]: 1}))
+            tbl = deltas[k[j]] = [(pair,) + multiplier(s2) for pair, s2
+                                  in ctx._delta[k[j]].data.items()]
+        pre, post = k[:j], k[j + 1:]
+        n, d = s.num, s.den
+        for pair, c, cd in tbl:
+            tn, td = mul_term(n, d, c, cd, K)
+            yield pre + pair + post, tn, td
 
 
 def counit_leg(t: UqTensor, j: int) -> UqTensor:
@@ -670,13 +710,9 @@ class TwistedHopf:
         self.J_inv = tensor_inv(J)
 
     def delta(self, t: UqTensor) -> UqTensor:
+        """Delta_J(t) in (H^(x)m) (x) (H^(x)m); Delta_J^op(t) is the same
+        tensor with its two blocks of m legs swapped."""
         return self.J_inv * hopf_power_delta(t, self.m) * self.J
-
-    def delta_op(self, t: UqTensor) -> UqTensor:
-        d = self.delta(t)
-        m = self.m
-        perm = list(range(m, 2 * m)) + list(range(m))
-        return d.swap_legs(perm)
 
 
 def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, UqTensor]:

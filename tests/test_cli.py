@@ -380,11 +380,12 @@ def test_classical_and_default_run_outputs_are_pinned(capsys):
 
 
 def test_quantum_run_outputs_above_order_3_are_pinned(capsys):
-    """The quantum suite at hbar orders 4 and 5 prints exactly the pinned
-    bytes."""
+    """The quantum suite at hbar orders 4, 5 and 6 prints exactly the
+    pinned bytes."""
     for order, digest in (
             ("4", "b10fc0fd25297edda87e19f010657eaf4aac07940949a475d2188c39f32eea8b"),
-            ("5", "52555cf8d2a67de8d4e805dc270fce015050a0b92c13f0f1dd61c38a1762ed9c")):
+            ("5", "52555cf8d2a67de8d4e805dc270fce015050a0b92c13f0f1dd61c38a1762ed9c"),
+            ("6", "33b43af1cc2990f0564197690d492f4dd38c41c44013bc9f7ced8b441aedb836")):
         assert main(["run", "--suite", "quantum", "--hbar-order", order]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, order

@@ -1,7 +1,7 @@
 """Truncated power series over Q and the q-combinatorics built on them."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Union
 
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaffine.kernel import (
-    SeriesDomainError, SeriesOrderError, TruncatedSeries, q_power,
+    SeriesDomainError, SeriesOrderError, TruncatedSeries, mul_term, multiplier,
+    q_power, series_sums,
 )
 from qaffine.que import UqContext, q_integer
 
@@ -458,3 +459,100 @@ def test_constant_series_hash_as_their_constant():
     assert 1 in {TruncatedSeries.one(3)}
     assert TruncatedSeries.const(Fraction(1, 2), 4) in {Fraction(1, 2)}
     assert {TruncatedSeries.zero(2): "z"}[0] == "z"
+
+
+# -- series_sums, against sums of NaiveSeries and of TruncatedSeries ---------
+
+
+def _sums_by_addition(terms, cls):
+    """The running sums of cls series per key, as UqTensor.add_term kept
+    them: a key whose sum cancels to zero leaves the dict."""
+    out = {}
+    for key, s in terms:
+        cur = out.get(key)
+        ns = s if cur is None else cur + s
+        if ns.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = ns
+    return out
+
+
+@st.composite
+def keyed_terms(draw):
+    """An order K in 1..6 and terms (key, numerators, den) over a few keys,
+    with mixed and unreduced denominators.  Some terms are minus the running
+    sum of their key, so that sums cancel to zero, and later terms of that
+    key revive it."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    terms, running = [], {}
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        key = draw(st.integers(min_value=0, max_value=3))
+        scale = draw(st.integers(min_value=1, max_value=4))
+        if draw(st.booleans()) and key in running:
+            # cancel: minus the running sum, over an unreduced denominator
+            cs = [-c for c in running[key]]
+            den = scale * draw(st.sampled_from([1, 2, 3, 6, 12]))
+            den *= lcm(*[c.denominator for c in cs])
+        else:
+            den = scale * draw(st.integers(min_value=1, max_value=12))
+            cs = [Fraction(draw(st.integers(min_value=-9, max_value=9)) * scale,
+                           den) for _ in range(k)]
+        num = [int(c * den) for c in cs]
+        terms.append((key, num, den))
+        old = running.get(key, [Fraction(0)] * k)
+        running[key] = [a + Fraction(n, den) for a, n in zip(old, num)]
+    return k, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_terms())
+def test_series_sums_match_addition(case):
+    k, terms = case
+    got = series_sums(k, iter(terms))
+    want = _sums_by_addition(
+        [(key, NaiveSeries(k, [Fraction(n, den) for n in num]))
+         for key, num, den in terms], NaiveSeries)
+    chain = _sums_by_addition(
+        [(key, TruncatedSeries(k, [Fraction(n, den) for n in num]))
+         for key, num, den in terms], TruncatedSeries)
+    # the same keys, in the same order, with the same values
+    assert list(got) == list(want) == list(chain)
+    for key, s in got.items():
+        assert s.coeffs == want[key].coeffs
+        # lowest terms, field for field equal to the + chain
+        assert (s.order, s.num, s.den) == (k, chain[key].num, chain[key].den)
+        assert s.den > 0 and gcd(s.den, *s.num) == 1
+
+
+def test_series_sums_cancel_and_revive():
+    """A key whose sum cancels leaves the dict; a later term puts it back
+    at the end, after the keys that stayed."""
+    got = series_sums(2, [("a", [1, 2], 2), ("b", [1, 0], 1),
+                          ("a", [-2, -4], 4), ("c", [0, 0], 3),
+                          ("a", [0, 3], 6)])
+    assert list(got) == ["b", "a"]
+    assert got["a"] == TruncatedSeries(2, [0, Fraction(1, 2)])
+    assert (got["a"].num, got["a"].den) == ((0, 1), 2)
+    assert series_sums(3, []) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(small_rationals, max_size=6), st.lists(small_rationals, max_size=6))
+def test_mul_term_matches_series_product(k, ca, cb):
+    """multiplier(b) is None for 1, the numerator of a constant, and the
+    numerators of a true series; mul_term then gives a*b unreduced."""
+    a, b = TruncatedSeries(k, ca[:k]), TruncatedSeries(k, cb[:k])
+    c, d = multiplier(b)
+    if c is None:
+        assert b == 1 and d == 1
+    elif isinstance(c, int):
+        assert b == Fraction(c, d) and b != 1
+    else:
+        assert c == b.num and d == b.den and any(b.num[1:])
+    num, den = mul_term(a.num, a.den, c, d, k)
+    assert den == a.den * b.den
+    got = series_sums(k, [(0, num, den)]).get(0, TruncatedSeries.zero(k))
+    assert got == a * b
+    assert got.coeffs == (NaiveSeries(k, ca[:k]) * NaiveSeries(k, cb[:k])).coeffs

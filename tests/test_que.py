@@ -21,7 +21,7 @@ from qaffine.que import (
     mono_mul, q_integer, q_multiply,
     quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
     r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
-    tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
+    tensor_of, tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
     uq_cartan_exp, uq_gen, uq_normalize, uq_one,
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
@@ -154,7 +154,9 @@ def test_twisted_square_r_matrix():
             key = [(0, 0, 0), (0, 0, 0)]
             key[leg] = mono
             xt = UqTensor(ctx, 2, {tuple(key): 1})
-            assert R2 * th.delta(xt) == th.delta_op(xt) * R2
+            d = th.delta(xt)
+            # Delta_J^op swaps the two blocks of Delta_J
+            assert R2 * d == d.swap_legs((2, 3, 0, 1)) * R2
 
 
 def test_semiclassical_r_matrices():
@@ -390,13 +392,17 @@ def same_tensor(a: UqTensor, b: UqTensor) -> bool:
 
 
 def _random_tensor(ctx, rng, legs):
-    monos = [(0, 0, 0)] * 3 + [(a, b, c) for a in range(2) for b in range(2)
-                               for c in range(2)]
+    """Up to six terms with exponents up to 2, so that E F and E^2 F^2
+    bring in the series constants of kappa(H)."""
+    monos = [(0, 0, 0)] * 3 + [(a, b, c) for a in range(3) for b in range(3)
+                               for c in range(3)]
     data = {}
     for _ in range(rng.randint(1, 6)):
         key = tuple(rng.choice(monos) for _ in range(legs))
-        data[key] = TruncatedSeries(ctx.order, [
-            F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ctx.order)])
+        v = rng.randint(0, ctx.order - 1)
+        data[key] = TruncatedSeries(ctx.order, [0] * v + [
+            F(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(ctx.order - v)])
     return UqTensor(ctx, legs, data)
 
 
@@ -415,11 +421,61 @@ def test_unit_leg_product_matches_all_legs_reference(ctx):
         assert acc == twi_m(R, m)
     J = twi_m(R, 2)
     assert same_tensor(tensor_inv(J), naive_tensor_inv(J))
+
+
+def test_random_products_match_all_legs_reference():
     rng = random.Random(11)
-    for _ in range(40):
-        legs = rng.randint(1, 4)
-        a, b = _random_tensor(ctx, rng, legs), _random_tensor(ctx, rng, legs)
-        assert same_tensor(a * b, naive_tensor_mul(a, b))
+    for K in range(1, 7):
+        uq = UqContext(K)
+        for _ in range(20):
+            legs = rng.randint(1, 4)
+            a, b = _random_tensor(uq, rng, legs), _random_tensor(uq, rng, legs)
+            assert same_tensor(a * b, naive_tensor_mul(a, b))
+
+
+def test_product_key_that_cancels_and_revives_moves_to_the_end():
+    """In (1 + H + E)(H - 1 + F) the H term of 1*H cancels against H*(-1),
+    and kappa(H) of E*F brings it back: it must come out last, where the
+    series additions of add_term put it."""
+    U, H, E, Fm = (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        x = UqElement(uq, {U: 1, H: 1, E: 1})
+        y = UqElement(uq, {H: 1, U: -1, Fm: 1})
+        got = x * y
+        assert same_tensor(got, naive_tensor_mul(x, y))
+        keys = list(got.data)
+        assert keys.index((H,)) > keys.index((E,)) > keys.index((U,))
+        assert got.data[(H,)].constant_term() == 1
+        # the same on a second leg, behind a non-unit first leg
+        x2, y2 = tensor_of([uq_gen(uq, "F"), x]), tensor_of([uq_gen(uq, "E"), y])
+        assert same_tensor(x2 * y2, naive_tensor_mul(x2, y2))
+
+
+# -- the former delta_leg loop, kept as the reference for delta_leg ----------
+
+
+def naive_delta_leg(t: UqTensor, j: int) -> UqTensor:
+    """Delta on leg j through add_term, one series product per term."""
+    ctx = t.ctx
+    out = UqTensor(ctx, t.legs + 1)
+    for k, s in t.data.items():
+        for (m1, m2), s2 in coproduct(UqElement(ctx, {k[j]: 1})).data.items():
+            out.add_term(k[:j] + (m1, m2) + k[j + 1:], s * s2)
+    return out
+
+
+def test_delta_leg_matches_former_loop():
+    rng = random.Random(5)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        R = r_matrix_sl2(uq)
+        for j in (0, 1):
+            assert same_tensor(delta_leg(R, j), naive_delta_leg(R, j))
+        for _ in range(8):
+            t = _random_tensor(uq, rng, rng.randint(1, 3))
+            j = rng.randrange(t.legs)
+            assert same_tensor(delta_leg(t, j), naive_delta_leg(t, j))
 
 
 # -- the product of the former element class, kept as the reference for ----
