@@ -679,12 +679,16 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                 col.update(((j, gi) + key, c)
                            for key, c in qfun_vec(res).items())
         cols.append(col)
+    # each basis function is one entry (key, idx) -> 1
+    entries = [(key, idx) for b in basis for key, blk in b.blocks.items()
+               for idx in blk]
     out = []
     for kv in sparse_nullspace(cols, qctx.uq.one_series()):
-        f = BlockFunction(qctx, m)
+        blocks: Dict = {}
         for bi, c in kv.items():
-            f = f + basis[bi].scale(c)
-        out.append(f)
+            key, idx = entries[bi]
+            blocks.setdefault(key, {})[idx] = c
+        out.append(BlockFunction(qctx, m, blocks))
     return out
 
 

@@ -10,11 +10,11 @@ denominator in lowest terms, in the manner of FLINT's fmpq_poly, so ring
 operations are integer arithmetic plus one gcd; the Fraction coefficients
 are made only when read.
 
-Sums of many products, such as the terms of a tensor product in que,
-defer even that gcd.  A factor enters as a ``multiplier`` (1, an integer
-scalar over its denominator, or the numerators of a true series),
-``mul_term`` forms each product over an unreduced denominator, and
-``series_sums`` adds the products per key over one denominator and puts
+Sums of many terms defer even that gcd, and every sum of U_hbar elements
+or tensors in que is made this way.  A factor enters as a ``multiplier``
+(1, an integer scalar over its denominator, or the numerators of a true
+series), ``mul_term`` forms each product over an unreduced denominator,
+and ``series_sums`` adds the terms per key over one denominator and puts
 each key in lowest terms once, when the sums are read.
 """
 

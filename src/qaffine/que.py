@@ -22,6 +22,13 @@ classical r-matrix (1/4)h(x)h + f(x)e.  The division in [E,F] is done on
 closed-form coefficient series, never on truncated data, so no precision
 is lost at the top order.
 
+Every sum that can meet a key twice (+ and -, the product, the coproduct
+on a leg, the antipode, and the passes of mono_mul and of E times a
+monomial) hands its terms to kernel.series_sums, the one place where
+series are added per key and where the order of the keys is settled.  The
+maps that are one-to-one on keys (scale, swap_legs, embed, counit_leg,
+tensor_of) build their dicts directly.
+
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
 V_hbar(n).  A QIrrep keeps E, F, H and every action as sparse series
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
@@ -59,24 +67,14 @@ class UqContext:
         self._q_half_powers: Dict[int, TruncatedSeries] = {}
         self.q = self.q_half_power(2)  # q = e^{hbar/2}
         self.q_inv = self.q.inv()
-        # [E,F] = kappa(H) = sum_n kappa[n] H^n; closed-form coefficients
-        half = Fraction(1, 2)
-        w = TruncatedSeries.zero(order)
-        j = 1
-        fact = 1
-        while j - 1 < order:
-            w = w + TruncatedSeries.hbar(order, j - 1) * (half ** (j - 1) * Fraction(1, fact))
-            fact *= (j + 1) * (j + 2)
-            j += 2
-        winv = w.inv()
-        self.kappa: Dict[int, TruncatedSeries] = {}
-        n = 1
-        fact = 1
-        while n - 1 < order:
-            coeff = TruncatedSeries.hbar(order, n - 1) * (half ** (n - 1) * Fraction(1, fact))
-            self.kappa[n] = coeff * winv
-            fact *= (n + 1) * (n + 2)
-            n += 2
+        # [E,F] = kappa(H) = sum_n kappa[n] H^n over odd n, in closed form:
+        # kappa[n] = t_n / sum_j t_j with t_n = (hbar/2)^(n-1) / n!
+        t = {n: TruncatedSeries.hbar(order, n - 1)
+             * (Fraction(1, 2) ** (n - 1) * Fraction(1, factorial(n)))
+             for n in range(1, order + 1, 2)}
+        winv = sum(t.values(), TruncatedSeries.zero(order)).inv()
+        self.kappa: Dict[int, TruncatedSeries] = {n: tn * winv
+                                                  for n, tn in t.items()}
         self._lE: Dict[Mono, Dict[Mono, TruncatedSeries]] = {}
         self._mono_mul: Dict[Tuple[Mono, Mono], Dict[Mono, TruncatedSeries]] = {}
         self._delta: Dict[Mono, "UqTensor"] = {}
@@ -97,107 +95,90 @@ class UqContext:
         return TruncatedSeries.one(self.order)
 
 
-def _shifted_h_power(n: int, shift: Fraction, order: int) -> Dict[int, Fraction]:
-    """(H + shift)^n as {H-power: rational coefficient}."""
-    out = {0: Fraction(1)}
-    for _ in range(n):
-        nxt: Dict[int, Fraction] = {}
-        for p, c in out.items():
-            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + c
-            if shift != 0:
-                nxt[p] = nxt.get(p, Fraction(0)) + c * shift
-        out = nxt
-    return {p: c for p, c in out.items() if c != 0}
+def _shifted_h_power(n: int, shift: Fraction) -> Dict[int, Fraction]:
+    """(H + shift)^n as {H-power: rational coefficient}, highest power
+    first, by the binomial theorem."""
+    return {p: c for p in range(n, -1, -1)
+            if (c := comb(n, p) * shift ** (n - p))}
 
 
 def uq_one(ctx: UqContext) -> UqElement:
     return UqElement(ctx, {UNIT: 1})
 
 
+_GENERATORS: Dict[str, Mono] = {"F": (1, 0, 0), "H": (0, 1, 0), "E": (0, 0, 1)}
+
+
 def uq_gen(ctx: UqContext, name: str) -> UqElement:
-    m = {"F": (1, 0, 0), "H": (0, 1, 0), "E": (0, 0, 1)}[name]
-    return UqElement(ctx, {m: 1})
+    return UqElement(ctx, {_GENERATORS[name]: 1})
 
 
 def uq_cartan_exp(ctx: UqContext, coeff: Fraction) -> UqElement:
     """exp(hbar * coeff * H) as a polynomial in H (exact mod hbar^K)."""
-    out = UqElement(ctx)
-    fact = 1
-    for n in range(ctx.order):
-        if n:
-            fact *= n
-        s = TruncatedSeries.hbar(ctx.order, n) * (coeff ** n * Fraction(1, fact))
-        if not s.is_zero():
-            out.add_term(((0, n, 0),), s)
-    return out
+    return UqElement(ctx, {
+        (0, n, 0): TruncatedSeries.hbar(ctx.order, n)
+        * (coeff ** n * Fraction(1, factorial(n))) for n in range(ctx.order)})
+
+
+def _term(key, s: TruncatedSeries, r: Fraction):
+    """The term (key, numerators, den) of s * r for kernel.series_sums,
+    not reduced."""
+    return key, [x * r.numerator for x in s.num], s.den * r.denominator
 
 
 def _lE_mono(ctx: UqContext, m: Mono) -> Dict[Mono, TruncatedSeries]:
     """Left multiplication by E of a normal monomial, as normal form."""
     if m in ctx._lE:
         return ctx._lE[m]
-    a, b, c = m
-    out: Dict[Mono, TruncatedSeries] = {}
-
-    def bump(mono, s):
-        cur = out.get(mono)
-        ns = s if cur is None else cur + s
-        if ns.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = ns
-
-    if a == 0:
-        # E H^b E^c = (H-2)^b E^{c+1}
-        for p, coeff in _shifted_h_power(b, Fraction(-2), ctx.order).items():
-            bump((0, p, c + 1), TruncatedSeries.const(coeff, ctx.order))
-    else:
-        # E F = F E + kappa(H), so E F^a ... = F (E F^{a-1} ...) + kappa(H) F^{a-1} ...
-        for (a2, b2, c2), s in _lE_mono(ctx, (a - 1, b, c)).items():
-            bump((a2 + 1, b2, c2), s)
-        for n, ks in ctx.kappa.items():
-            # kappa_n H^n F^{a-1} H^b E^c = kappa_n F^{a-1} (H - 2(a-1))^n H^b E^c
-            for p, coeff in _shifted_h_power(n, Fraction(-2 * (a - 1)), ctx.order).items():
-                bump((a - 1, p + b, c), ks * coeff)
-    ctx._lE[m] = out
+    ctx._lE[m] = out = series_sums(ctx.order, _lE_terms(ctx, m))
     return out
 
 
+def _lE_terms(ctx: UqContext, m: Mono):
+    """The terms of E times the monomial m for kernel.series_sums."""
+    K = ctx.order
+    a, b, c = m
+    if a == 0:
+        # E H^b E^c = (H-2)^b E^{c+1}
+        one = ctx.one_series()
+        for p, r in _shifted_h_power(b, Fraction(-2)).items():
+            yield _term((0, p, c + 1), one, r)
+        return
+    # E F = F E + kappa(H), so E F^a ... = F (E F^{a-1} ...) + kappa(H) F^{a-1} ...
+    for (a2, b2, c2), s in _lE_mono(ctx, (a - 1, b, c)).items():
+        yield (a2 + 1, b2, c2), s.num, s.den
+    for k, ks in ctx.kappa.items():
+        # kappa_k H^k F^{a-1} H^b E^c = kappa_k F^{a-1} (H - 2(a-1))^k H^b E^c
+        for p, r in _shifted_h_power(k, Fraction(-2 * (a - 1))).items():
+            yield _term((a - 1, p + b, c), ks, r)
+
+
+def _scaled_terms(items, s: TruncatedSeries, K: int):
+    """The terms (key, numerators, den) of c * s for the (key, c) in items,
+    for kernel.series_sums; s enters as a multiplier."""
+    f, fd = multiplier(s)
+    for key, c in items:
+        n, d = mul_term(c.num, c.den, f, fd, K)
+        yield key, n, d
+
+
 def mono_mul(ctx: UqContext, m1: Mono, m2: Mono) -> Dict[Mono, TruncatedSeries]:
-    """(F^a1 H^b1 E^c1)(F^a2 H^b2 E^c2) in normal form."""
+    """(F^a1 H^b1 E^c1)(F^a2 H^b2 E^c2) in normal form: E applied c1
+    times, then H^b1, each pass summed in kernel.series_sums."""
     key = (m1, m2)
     if key in ctx._mono_mul:
         return ctx._mono_mul[key]
     a1, b1, c1 = m1
     cur: Dict[Mono, TruncatedSeries] = {m2: ctx.one_series()}
+    K = ctx.order
     for _ in range(c1):
-        nxt: Dict[Mono, TruncatedSeries] = {}
-        for m, s in cur.items():
-            for m3, s3 in _lE_mono(ctx, m).items():
-                ns = s * s3
-                if ns.is_zero():
-                    continue
-                acc = nxt.get(m3)
-                ns2 = ns if acc is None else acc + ns
-                if ns2.is_zero():
-                    nxt.pop(m3, None)
-                else:
-                    nxt[m3] = ns2
-        cur = nxt
+        cur = series_sums(K, (t for m, s in cur.items() for t in
+                              _scaled_terms(_lE_mono(ctx, m).items(), s, K)))
     if b1:
-        nxt = {}
-        for (a, b, c), s in cur.items():
-            # H^{b1} F^a = F^a (H - 2a)^{b1}
-            for p, coeff in _shifted_h_power(b1, Fraction(-2 * a), ctx.order).items():
-                m3 = (a, p + b, c)
-                ns = s * coeff
-                acc = nxt.get(m3)
-                ns2 = ns if acc is None else acc + ns
-                if ns2.is_zero():
-                    nxt.pop(m3, None)
-                else:
-                    nxt[m3] = ns2
-        cur = nxt
+        # H^b1 F^a = F^a (H - 2a)^b1
+        cur = series_sums(K, (
+            _term((a, p + b, c), s, r) for (a, b, c), s in cur.items()
+            for p, r in _shifted_h_power(b1, Fraction(-2 * a)).items()))
     if a1:
         cur = {(a + a1, b, c): s for (a, b, c), s in cur.items()}
     ctx._mono_mul[key] = cur
@@ -221,22 +202,24 @@ def antipode(x: UqElement) -> UqElement:
     S(F) = -q F, S(H) = -H."""
     ctx = x.ctx
     out = UqElement(ctx)
-    for (m,), s in x.data.items():
-        if m not in ctx._antipode:
-            a, b, c = m
-            sE = uq_gen(ctx, "E").scale(-ctx.q_inv)
-            sF = uq_gen(ctx, "F").scale(-ctx.q)
-            sH = uq_gen(ctx, "H").scale(Fraction(-1))
-            acc = uq_one(ctx)
-            for _ in range(c):
-                acc = acc * sE
-            for _ in range(b):
-                acc = acc * sH
-            for _ in range(a):
-                acc = acc * sF
-            ctx._antipode[m] = acc
-        for m2, s2 in ctx._antipode[m].data.items():
-            out.add_term(m2, s * s2)
+    out.data = series_sums(ctx.order, (
+        t for (m,), s in x.data.items()
+        for t in _scaled_terms(_mono_antipode(ctx, m).data.items(), s, ctx.order)))
+    return out
+
+
+def _mono_antipode(ctx: UqContext, m: Mono) -> UqElement:
+    """S(F^a H^b E^c), memoized per monomial on ctx._antipode."""
+    out = ctx._antipode.get(m)
+    if out is None:
+        a, b, c = m
+        out = uq_one(ctx)
+        for g, n, s in (("E", c, -ctx.q_inv), ("H", b, Fraction(-1)),
+                        ("F", a, -ctx.q)):
+            sg = uq_gen(ctx, g).scale(s)
+            for _ in range(n):
+                out = out * sg
+        ctx._antipode[m] = out
     return out
 
 
@@ -263,11 +246,6 @@ class UqTensor:
                 if not s.is_zero():
                     self.data[key] = s
 
-    def copy(self) -> "UqTensor":
-        out = UqTensor(self.ctx, self.legs)
-        out.data = dict(self.data)
-        return out
-
     def is_zero(self) -> bool:
         return not self.data
 
@@ -278,45 +256,36 @@ class UqTensor:
             and self.data == other.data
         )
 
-    def add_term(self, key: Tuple[Mono, ...], s: TruncatedSeries):
-        cur = self.data.get(key)
-        ns = s if cur is None else cur + s
-        if ns.is_zero():
-            self.data.pop(key, None)
-        else:
-            self.data[key] = ns
-
     def check_legs(self, other: "UqTensor"):
         if self.legs != other.legs:
             raise ValueError("cannot combine tensors with %d and %d legs"
                              % (self.legs, other.legs))
 
     def __add__(self, other: "UqTensor") -> "UqTensor":
-        self.check_legs(other)
-        out = self.copy()
-        for k, s in other.data.items():
-            out.add_term(k, s)
-        return out
+        return self._sum(other, 1)
 
     def __sub__(self, other: "UqTensor") -> "UqTensor":
+        return self._sum(other, -1)
+
+    def _sum(self, other: "UqTensor", sign: int) -> "UqTensor":
+        """self + sign * other, each key summed once in kernel.series_sums:
+        the keys of self, then those of other that self lacks, and a key
+        whose sum cancels drops out."""
         self.check_legs(other)
-        out = self.copy()
-        for k, s in other.data.items():
-            out.add_term(k, -s)
-        return out
+        terms = itertools.chain(
+            ((k, s.num, s.den) for k, s in self.data.items()),
+            ((k, s.num if sign == 1 else [-x for x in s.num], s.den)
+             for k, s in other.data.items()))
+        return _tensor(self.ctx, self.legs, series_sums(self.ctx.order, terms))
 
     def __neg__(self) -> "UqTensor":
-        out = UqTensor(self.ctx, self.legs)
-        out.data = {k: -s for k, s in self.data.items()}
-        return out
+        return _tensor(self.ctx, self.legs, {k: -s for k, s in self.data.items()})
 
     def scale(self, s) -> "UqTensor":
         if not isinstance(s, TruncatedSeries):
             s = TruncatedSeries.const(s, self.ctx.order)
-        out = UqTensor(self.ctx, self.legs)
-        for k, c in self.data.items():
-            out.add_term(k, c * s)
-        return out
+        return _tensor(self.ctx, self.legs, {
+            k: cs for k, c in self.data.items() if (cs := c * s)})
 
     def __mul__(self, other: "UqTensor") -> "UqTensor":
         """Componentwise product (x1(x)...)(y1(x)...) = x1y1 (x) ...; a leg
@@ -324,27 +293,31 @@ class UqTensor:
         so embedded factors cost only their own legs.  Each output key is
         summed once, in kernel.series_sums."""
         self.check_legs(other)
-        out = UqTensor(self.ctx, self.legs)
-        out.data = series_sums(self.ctx.order, _product_terms(self, other))
-        return out
+        return _tensor(self.ctx, self.legs,
+                       series_sums(self.ctx.order, _product_terms(self, other)))
 
     def swap_legs(self, perm: Sequence[int]) -> "UqTensor":
         """result[key] = self[key o perm]: leg j of the result is leg
-        perm[j] of the input."""
-        out = UqTensor(self.ctx, self.legs)
-        for k, s in self.data.items():
-            out.add_term(tuple(k[p] for p in perm), s)
-        return out
+        perm[j] of the input.  perm must be a permutation of the legs."""
+        if sorted(perm) != list(range(self.legs)):
+            raise ValueError("%r is not a permutation of %d legs"
+                             % (tuple(perm), self.legs))
+        return _tensor(self.ctx, self.legs, {
+            tuple(k[p] for p in perm): s for k, s in self.data.items()})
 
     def embed(self, legs: int, positions: Sequence[int]) -> "UqTensor":
-        """Place this tensor into a larger tensor power (identity elsewhere)."""
-        out = UqTensor(self.ctx, legs)
-        for k, s in self.data.items():
-            key = [UNIT] * legs
-            for m, p in zip(k, positions):
-                key[p] = m
-            out.add_term(tuple(key), s)
-        return out
+        """Place this tensor into a larger tensor power (identity elsewhere):
+        leg j goes to leg positions[j], one distinct position per leg."""
+        if (len(positions) != self.legs
+                or len(set(positions) & set(range(legs))) != self.legs):
+            raise ValueError("positions %r do not place %d legs among %d"
+                             % (tuple(positions), self.legs, legs))
+        src: List[Optional[int]] = [None] * legs  # the input leg of each leg
+        for j, p in enumerate(positions):
+            src[p] = j
+        return _tensor(self.ctx, legs, {
+            tuple(UNIT if j is None else k[j] for j in src): s
+            for k, s in self.data.items()})
 
     def mod_hbar(self) -> Dict[Tuple[Mono, ...], Fraction]:
         return {k: s[0] for k, s in self.data.items() if s[0] != 0}
@@ -403,6 +376,13 @@ def _product_terms(x: UqTensor, y: UqTensor):
                 yield pre + run, pn, pd
 
 
+def _tensor(ctx: UqContext, legs: int, data: Dict) -> UqTensor:
+    """A tensor on data already keyed by legs monomials, zeros dropped."""
+    out = UqTensor(ctx, legs)
+    out.data = data
+    return out
+
+
 class UqElement(UqTensor):
     """An element of U = U^(x)1: a one-leg UqTensor whose keys are 1-tuples
     of monomials, built from {monomial: coefficient}."""
@@ -424,26 +404,23 @@ def tensor_one(ctx: UqContext, legs: int) -> UqTensor:
 
 
 def tensor_of(elements: Sequence[UqElement]) -> UqTensor:
-    ctx = elements[0].ctx
-    out = UqTensor(ctx, len(elements))
+    data = {}
     for combo in itertools.product(*[e.data.items() for e in elements]):
         s = combo[0][1]
         for _, c in combo[1:]:
             s = s * c
         if s:
-            out.add_term(tuple(k[0] for k, _ in combo), s)
-    return out
+            data[tuple(k for (k,), _ in combo)] = s
+    return _tensor(elements[0].ctx, len(elements), data)
 
 
 def tensor_inv(t: UqTensor) -> UqTensor:
     """Inverse by the geometric series; requires t = 1 + (positive
     hbar-valuation part)."""
     ctx = t.ctx
-    one = tensor_one(ctx, t.legs)
-    n = t - one
-    for k, s in n.data.items():
-        if s[0] != 0:
-            raise ValueError("tensor is not unipotent: constant term differs from 1")
+    n = t - tensor_one(ctx, t.legs)
+    if any(s.num[0] for s in n.data.values()):
+        raise ValueError("tensor is not unipotent: constant term differs from 1")
     out = tensor_one(ctx, t.legs)
     power = tensor_one(ctx, t.legs)
     for _ in range(1, ctx.order):
@@ -457,7 +434,7 @@ def tensor_inv(t: UqTensor) -> UqTensor:
 # -- coproduct --------------------------------------------------------------
 
 
-def _delta_generators(ctx: UqContext) -> Dict[str, UqTensor]:
+def _delta_generators(ctx: UqContext) -> Dict[Mono, UqTensor]:
     kp = uq_cartan_exp(ctx, Fraction(1, 4))    # K = e^{hbar H/4}
     km = uq_cartan_exp(ctx, Fraction(-1, 4))   # K^-1
     e = uq_gen(ctx, "E")
@@ -465,32 +442,30 @@ def _delta_generators(ctx: UqContext) -> Dict[str, UqTensor]:
     h = uq_gen(ctx, "H")
     one = uq_one(ctx)
     return {
-        "E": tensor_of([e, km]) + tensor_of([kp, e]),
-        "F": tensor_of([f, km]) + tensor_of([kp, f]),
-        "H": tensor_of([h, one]) + tensor_of([one, h]),
+        _GENERATORS["F"]: tensor_of([f, km]) + tensor_of([kp, f]),
+        _GENERATORS["H"]: tensor_of([h, one]) + tensor_of([one, h]),
+        _GENERATORS["E"]: tensor_of([e, km]) + tensor_of([kp, e]),
     }
 
 
-def coproduct(x: UqElement) -> UqTensor:
-    ctx = x.ctx
-    out = UqTensor(ctx, 2)
-    gens = None
-    for (m,), s in x.data.items():
-        if m not in ctx._delta:
-            if gens is None:
-                gens = _delta_generators(ctx)
-            a, b, c = m
-            acc = tensor_one(ctx, 2)
-            for _ in range(a):
-                acc = acc * gens["F"]
-            for _ in range(b):
-                acc = acc * gens["H"]
-            for _ in range(c):
-                acc = acc * gens["E"]
-            ctx._delta[m] = acc
-        for k, s2 in ctx._delta[m].data.items():
-            out.add_term(k, s * s2)
+def _mono_delta(ctx: UqContext, m: Mono) -> UqTensor:
+    """Delta(F^a H^b E^c) = Delta(F)^a Delta(H)^b Delta(E)^c, multiplied
+    from the left and memoized per monomial on ctx._delta, which starts
+    with the three generators."""
+    out = ctx._delta.get(m)
+    if out is None:
+        if not ctx._delta:
+            ctx._delta.update(_delta_generators(ctx))
+        out = tensor_one(ctx, 2)
+        for g, n in zip(_GENERATORS.values(), m):
+            for _ in range(n):
+                out = out * ctx._delta[g]
+        ctx._delta[m] = out
     return out
+
+
+def coproduct(x: UqElement) -> UqTensor:
+    return delta_leg(x, 0)
 
 
 def coproduct_op(x: UqElement) -> UqTensor:
@@ -500,9 +475,8 @@ def coproduct_op(x: UqElement) -> UqTensor:
 def delta_leg(t: UqTensor, j: int) -> UqTensor:
     """Apply the coproduct to leg j, giving legs+1 legs (new leg inserted
     after j); each output key is summed once, in kernel.series_sums."""
-    out = UqTensor(t.ctx, t.legs + 1)
-    out.data = series_sums(t.ctx.order, _delta_leg_terms(t, j))
-    return out
+    return _tensor(t.ctx, t.legs + 1,
+                   series_sums(t.ctx.order, _delta_leg_terms(t, j)))
 
 
 def _delta_leg_terms(t: UqTensor, j: int):
@@ -515,10 +489,8 @@ def _delta_leg_terms(t: UqTensor, j: int):
     for k, s in t.data.items():
         tbl = deltas.get(k[j])
         if tbl is None:
-            if k[j] not in ctx._delta:  # coproduct memoizes Delta per monomial
-                coproduct(UqElement(ctx, {k[j]: 1}))
             tbl = deltas[k[j]] = [(pair,) + multiplier(s2) for pair, s2
-                                  in ctx._delta[k[j]].data.items()]
+                                  in _mono_delta(ctx, k[j]).data.items()]
         pre, post = k[:j], k[j + 1:]
         n, d = s.num, s.den
         for pair, c, cd in tbl:
@@ -527,12 +499,8 @@ def _delta_leg_terms(t: UqTensor, j: int):
 
 
 def counit_leg(t: UqTensor, j: int) -> UqTensor:
-    ctx = t.ctx
-    out = UqTensor(ctx, t.legs - 1)
-    for k, s in t.data.items():
-        if k[j] == UNIT:
-            out.add_term(k[:j] + k[j + 1 :], s)
-    return out
+    return _tensor(t.ctx, t.legs - 1, {
+        k[:j] + k[j + 1:]: s for k, s in t.data.items() if k[j] == UNIT})
 
 
 # -- the R-matrix ------------------------------------------------------------
@@ -613,18 +581,25 @@ def hexagon_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
 
 
 def hopf_power_delta(t: UqTensor, m: int) -> UqTensor:
-    """Coproduct of H^(x)m applied to t (m legs): legwise coproduct followed
-    by the shuffle into (H^(x)m) (x) (H^(x)m) leg order."""
+    """Coproduct of H^(x)m applied to t (m legs)."""
     if t.legs != m:
         raise ValueError("expected a tensor with %d legs, got %d"
                          % (m, t.legs))
-    ctx = t.ctx
-    cur = t
+    return _block_delta(t, m, 0)
+
+
+def _block_delta(t: UqTensor, m: int, first: int) -> UqTensor:
+    """The coproduct of H^(x)m applied to legs first..first+m-1 of t, as
+    one block: legwise coproduct, then the shuffle of the 2m new legs into
+    (H^(x)m) (x) (H^(x)m) order; the other legs keep their places."""
     for j in range(m):
-        cur = delta_leg(cur, 2 * j)
-    # legs now interleaved (a1, b1, a2, b2, ...); regroup to (a..., b...)
-    perm = [2 * j for j in range(m)] + [2 * j + 1 for j in range(m)]
-    return cur.swap_legs(perm)
+        t = delta_leg(t, first + 2 * j)
+    # the block's legs are now interleaved (a1, b1, a2, b2, ...); regroup
+    # them to (a..., b...)
+    perm = (list(range(first)) + [first + 2 * j for j in range(m)]
+            + [first + 2 * j + 1 for j in range(m)]
+            + list(range(first + 2 * m, t.legs)))
+    return t.swap_legs(perm)
 
 
 def block_embed(t: UqTensor, m: int, blocks: int, positions: Sequence[int]) -> UqTensor:
@@ -719,24 +694,8 @@ def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, 
     """Residuals of the twisting-element axioms for J over H' = H^(x)m:
     (Delta'(x)I)(J)J_12 - (I(x)Delta')(J)J_23, and the two counit defects."""
     ctx = J.ctx
-    # (Delta' (x) I)(J): expand first block
-    a = J
-    t1 = a
-    # apply Delta' to the first m legs as one block
-    # realize as: legwise delta on legs 0..m-1, then regroup blocks
-    for j in range(m):
-        t1 = delta_leg(t1, 2 * j)
-    perm = [2 * j for j in range(m)] + [2 * j + 1 for j in range(m)] + \
-        [2 * m + j for j in range(m)]
-    t1 = t1.swap_legs(perm)
-    lhs = t1 * block_embed(J, m, 3, (0, 1))
-    t2 = J
-    for j in range(m):
-        t2 = delta_leg(t2, m + 2 * j)
-    perm = list(range(m)) + [m + 2 * j for j in range(m)] + \
-        [m + 2 * j + 1 for j in range(m)]
-    t2 = t2.swap_legs(perm)
-    rhs = t2 * block_embed(J, m, 3, (1, 2))
+    lhs = _block_delta(J, m, 0) * block_embed(J, m, 3, (0, 1))
+    rhs = _block_delta(J, m, m) * block_embed(J, m, 3, (1, 2))
     resid = lhs - rhs
     # counit defects
     c1 = J

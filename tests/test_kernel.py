@@ -465,8 +465,9 @@ def test_constant_series_hash_as_their_constant():
 
 
 def _sums_by_addition(terms, cls):
-    """The running sums of cls series per key, as UqTensor.add_term kept
-    them: a key whose sum cancels to zero leaves the dict."""
+    """The running sums of cls series per key, as add_term in
+    tests/test_que.py keeps them: a key whose sum cancels to zero leaves
+    the dict."""
     out = {}
     for key, s in terms:
         cur = out.get(key)

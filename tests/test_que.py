@@ -349,7 +349,112 @@ def test_mixed_arities_and_rings_are_rejected(qctx):
     assert c1 != pw_one(qctx, 1)
 
 
-# -- the all-legs tensor product, kept as the reference for UqTensor.__mul__ --
+# -- references that add one series per term, through add_term -------------
+
+
+def add_term(t: UqTensor, key, s: TruncatedSeries):
+    """t[key] += s as one series add (the former UqTensor.add_term): a key
+    whose sum cancels leaves the dict, and a later term puts it back at the
+    end."""
+    cur = t.data.get(key)
+    ns = s if cur is None else cur + s
+    if ns.is_zero():
+        t.data.pop(key, None)
+    else:
+        t.data[key] = ns
+
+
+def naive_add(a: UqTensor, b: UqTensor, sign: int = 1) -> UqTensor:
+    out = UqTensor(a.ctx, a.legs)
+    for k, s in a.data.items():
+        add_term(out, k, s)
+    for k, s in b.data.items():
+        add_term(out, k, s if sign == 1 else -s)
+    return out
+
+
+def naive_scale(t: UqTensor, s: TruncatedSeries) -> UqTensor:
+    out = UqTensor(t.ctx, t.legs)
+    for k, c in t.data.items():
+        add_term(out, k, c * s)
+    return out
+
+
+def naive_swap_legs(t: UqTensor, perm) -> UqTensor:
+    out = UqTensor(t.ctx, t.legs)
+    for k, s in t.data.items():
+        add_term(out, tuple(k[p] for p in perm), s)
+    return out
+
+
+def naive_embed(t: UqTensor, legs: int, positions) -> UqTensor:
+    out = UqTensor(t.ctx, legs)
+    for k, s in t.data.items():
+        key = [(0, 0, 0)] * legs
+        for m, p in zip(k, positions):
+            key[p] = m
+        add_term(out, tuple(key), s)
+    return out
+
+
+def naive_counit_leg(t: UqTensor, j: int) -> UqTensor:
+    out = UqTensor(t.ctx, t.legs - 1)
+    for k, s in t.data.items():
+        if k[j] == (0, 0, 0):
+            add_term(out, k[:j] + k[j + 1:], s)
+    return out
+
+
+def naive_tensor_of(elements) -> UqTensor:
+    out = UqTensor(elements[0].ctx, len(elements))
+    for combo in itertools.product(*[e.data.items() for e in elements]):
+        s = combo[0][1]
+        for _, c in combo[1:]:
+            s = s * c
+        if s:
+            add_term(out, tuple(k[0] for k, _ in combo), s)
+    return out
+
+
+def naive_mono_delta(ctx, m) -> UqTensor:
+    """Delta(F)^a Delta(H)^b Delta(E)^c, the generators' coproducts
+    written out and multiplied by naive_tensor_mul from the left."""
+    kp, km = uq_cartan_exp(ctx, F(1, 4)), uq_cartan_exp(ctx, F(-1, 4))
+    one = uq_one(ctx)
+    out = tensor_one(ctx, 2)
+    for name, n in zip("FHE", m):
+        g = uq_gen(ctx, name)
+        left, right = (one, one) if name == "H" else (kp, km)
+        dg = naive_add(naive_tensor_of([g, right]), naive_tensor_of([left, g]))
+        for _ in range(n):
+            out = naive_tensor_mul(out, dg)
+    return out
+
+
+def naive_coproduct(x: UqElement) -> UqTensor:
+    out = UqTensor(x.ctx, 2)
+    for (m,), s in x.data.items():
+        for k, s2 in naive_mono_delta(x.ctx, m).data.items():
+            add_term(out, k, s * s2)
+    return out
+
+
+def naive_antipode(x: UqElement) -> UqElement:
+    """S(F^a H^b E^c) = S(E)^c S(H)^b S(F)^a, summed term by term."""
+    ctx = x.ctx
+    sE = naive_scale(uq_gen(ctx, "E"), -ctx.q_inv)
+    sH = naive_scale(uq_gen(ctx, "H"), TruncatedSeries.const(-1, ctx.order))
+    sF = naive_scale(uq_gen(ctx, "F"), -ctx.q)
+    out = UqElement(ctx)
+    for (m,), s in x.data.items():
+        a, b, c = m
+        acc = uq_one(ctx)
+        for g, n in ((sE, c), (sH, b), (sF, a)):
+            for _ in range(n):
+                acc = naive_tensor_mul(acc, g)
+        for k, s2 in acc.data.items():
+            add_term(out, k, s * s2)
+    return out
 
 
 def naive_tensor_mul(t1: UqTensor, t2: UqTensor) -> UqTensor:
@@ -371,18 +476,19 @@ def naive_tensor_mul(t1: UqTensor, t2: UqTensor) -> UqTensor:
                     if cs.is_zero():
                         break
                 if not cs.is_zero():
-                    out.add_term(key, cs)
+                    add_term(out, key, cs)
     return out
 
 
 def naive_tensor_inv(t: UqTensor) -> UqTensor:
     one = tensor_one(t.ctx, t.legs)
-    n = t - one
+    minus_one = TruncatedSeries.const(-1, t.ctx.order)
+    n = naive_add(t, one, -1)
     out = tensor_one(t.ctx, t.legs)
     power = tensor_one(t.ctx, t.legs)
     for _ in range(1, t.ctx.order):
-        power = naive_tensor_mul(power, n).scale(Fraction(-1))
-        out = out + power
+        power = naive_scale(naive_tensor_mul(power, n), minus_one)
+        out = naive_add(out, power)
     return out
 
 
@@ -459,9 +565,12 @@ def naive_delta_leg(t: UqTensor, j: int) -> UqTensor:
     """Delta on leg j through add_term, one series product per term."""
     ctx = t.ctx
     out = UqTensor(ctx, t.legs + 1)
+    deltas = {}
     for k, s in t.data.items():
-        for (m1, m2), s2 in coproduct(UqElement(ctx, {k[j]: 1})).data.items():
-            out.add_term(k[:j] + (m1, m2) + k[j + 1:], s * s2)
+        if k[j] not in deltas:
+            deltas[k[j]] = naive_mono_delta(ctx, k[j])
+        for (m1, m2), s2 in deltas[k[j]].data.items():
+            add_term(out, k[:j] + (m1, m2) + k[j + 1:], s * s2)
     return out
 
 
@@ -476,6 +585,189 @@ def test_delta_leg_matches_former_loop():
             t = _random_tensor(uq, rng, rng.randint(1, 3))
             j = rng.randrange(t.legs)
             assert same_tensor(delta_leg(t, j), naive_delta_leg(t, j))
+
+
+def _as_element(t: UqTensor) -> UqElement:
+    return UqElement(t.ctx, {m: s for (m,), s in t.data.items()})
+
+
+def _random_series(ctx, rng):
+    """A series of random valuation, zero now and then, so that products
+    with it may vanish mod hbar^K."""
+    K = ctx.order
+    v = rng.randint(0, K)
+    return TruncatedSeries(K, [0] * v + [
+        F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K - v)])
+
+
+def test_sums_and_maps_match_add_term_loops():
+    """+ and - sum through kernel.series_sums, the maps that are one-to-one
+    on keys build their dicts directly; each must give the add_term loop's
+    tensor, key order included."""
+    rng = random.Random(29)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        for _ in range(12):
+            legs = rng.randint(1, 4)
+            a, b = _random_tensor(uq, rng, legs), _random_tensor(uq, rng, legs)
+            assert same_tensor(a + b, naive_add(a, b))
+            assert same_tensor(a - b, naive_add(a, b, -1))
+            assert (a - a).is_zero()
+            s = _random_series(uq, rng)
+            assert same_tensor(a.scale(s), naive_scale(a, s))
+            perm = rng.sample(range(legs), legs)
+            assert same_tensor(a.swap_legs(perm), naive_swap_legs(a, perm))
+            big = legs + rng.randint(0, 2)
+            positions = rng.sample(range(big), legs)
+            assert same_tensor(a.embed(big, positions),
+                               naive_embed(a, big, positions))
+            j = rng.randrange(legs)
+            assert same_tensor(counit_leg(a, j), naive_counit_leg(a, j))
+        for _ in range(6):
+            xs = [_as_element(_random_tensor(uq, rng, 1))
+                  for _ in range(rng.randint(1, 3))]
+            assert same_tensor(tensor_of(xs), naive_tensor_of(xs))
+            x = xs[0]
+            assert same_tensor(coproduct(x), naive_coproduct(x))
+            sx = antipode(x)
+            assert isinstance(sx, UqElement)
+            assert same_tensor(sx, naive_antipode(x))
+
+
+def test_difference_key_that_cancels_and_revives_moves_to_the_end():
+    """x - y drops the H term that cancels; subtracting a later H term
+    brings it back behind the others, as add_term does."""
+    U, H, E = (0, 0, 0), (0, 1, 0), (0, 0, 1)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        h = TruncatedSeries(K, [F(2, 3)] + [F(1, 5)] * (K - 1))
+        x = UqElement(uq, {U: 1, H: h, E: 3})
+        y = UqElement(uq, {H: h, E: 1})
+        d = x - y
+        assert same_tensor(d, naive_add(x, y, -1))
+        assert list(d.data) == [(U,), (E,)]
+        z = UqElement(uq, {H: -5})
+        revived = d - z
+        assert same_tensor(revived, naive_add(d, z, -1))
+        assert list(revived.data) == [(U,), (E,), (H,)]
+        assert revived.data[(H,)] == 5
+        assert same_tensor(d + (y - z), naive_add(d, naive_add(y, z, -1)))
+
+
+# -- the former bump loops of _lE_mono and mono_mul, kept as references -----
+
+
+def _ref_shifted_h_power(n, shift):
+    """(H + shift)^n as {H-power: coefficient}, one factor at a time."""
+    out = {0: F(1)}
+    for _ in range(n):
+        nxt = {}
+        for p, c in out.items():
+            nxt[p + 1] = nxt.get(p + 1, F(0)) + c
+            if shift != 0:
+                nxt[p] = nxt.get(p, F(0)) + c * shift
+        out = nxt
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def _ref_lE_mono(ctx, m, memo):
+    """Left multiplication by E, one series add per term."""
+    if m in memo:
+        return memo[m]
+    a, b, c = m
+    out = {}
+
+    def bump(mono, s):
+        cur = out.get(mono)
+        ns = s if cur is None else cur + s
+        if ns.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = ns
+
+    if a == 0:
+        for p, coeff in _ref_shifted_h_power(b, F(-2)).items():
+            bump((0, p, c + 1), TruncatedSeries.const(coeff, ctx.order))
+    else:
+        for (a2, b2, c2), s in _ref_lE_mono(ctx, (a - 1, b, c), memo).items():
+            bump((a2 + 1, b2, c2), s)
+        for n, ks in ctx.kappa.items():
+            for p, coeff in _ref_shifted_h_power(n, F(-2 * (a - 1))).items():
+                bump((a - 1, p + b, c), ks * coeff)
+    memo[m] = out
+    return out
+
+
+def _ref_left_E(ctx, cur, memo):
+    """E * cur, the first pass of the former mono_mul."""
+    nxt = {}
+    for m, s in cur.items():
+        for m3, s3 in _ref_lE_mono(ctx, m, memo).items():
+            ns = s * s3
+            if ns.is_zero():
+                continue
+            acc = nxt.get(m3)
+            ns2 = ns if acc is None else acc + ns
+            if ns2.is_zero():
+                nxt.pop(m3, None)
+            else:
+                nxt[m3] = ns2
+    return nxt
+
+
+def _ref_left_H(ctx, cur, b1):
+    """H^b1 * cur, the second pass of the former mono_mul."""
+    nxt = {}
+    for (a, b, c), s in cur.items():
+        for p, coeff in _ref_shifted_h_power(b1, F(-2 * a)).items():
+            m3 = (a, p + b, c)
+            ns = s * coeff
+            acc = nxt.get(m3)
+            ns2 = ns if acc is None else acc + ns
+            if ns2.is_zero():
+                nxt.pop(m3, None)
+            else:
+                nxt[m3] = ns2
+    return nxt
+
+
+def test_shifted_h_power_matches_former_loop():
+    """The binomial expansion, key order included."""
+    from qaffine.que import _shifted_h_power
+
+    for n in range(8):
+        for shift in (F(0), F(-2), F(-6), F(3, 2)):
+            got = _shifted_h_power(n, shift)
+            assert list(got.items()) == \
+                list(_ref_shifted_h_power(n, shift).items())
+            assert all(type(c) is F for c in got.values())
+
+
+def test_mono_mul_matches_former_bump_loops():
+    """E times every monomial with exponents up to 3, and every product of
+    two of them, equal the former loops' dicts, key order included.  The
+    reference shares its E^c1 passes between the m1 = F^a1 H^b1 E^c1."""
+    from qaffine.que import _lE_mono
+
+    monos = list(itertools.product(range(4), repeat=3))
+    for K in range(1, 7):
+        uq = UqContext(K)
+        memo = {}
+        for m in monos:
+            assert list(_lE_mono(uq, m).items()) == \
+                list(_ref_lE_mono(uq, m, memo).items()), (K, m)
+        for m2 in monos:
+            cur = {m2: uq.one_series()}
+            for c1 in range(4):
+                if c1:
+                    cur = _ref_left_E(uq, cur, memo)
+                for b1 in range(4):
+                    want = _ref_left_H(uq, cur, b1) if b1 else cur
+                    for a1 in range(4):
+                        got = mono_mul(uq, (a1, b1, c1), m2)
+                        assert list(got.items()) == [
+                            ((a + a1, b, c), s)
+                            for (a, b, c), s in want.items()], (K, a1, b1, c1, m2)
 
 
 # -- the product of the former element class, kept as the reference for ----
@@ -606,6 +898,22 @@ def test_leg_counts_must_match(ctx):
         block_embed(tensor_one(ctx, 4), 2, 3, (0,))
     with pytest.raises(ValueError):  # a 1-leg key in a 2-leg tensor
         UqTensor(ctx, 2, {((0, 0, 1),): 1}) * tensor_one(ctx, 2)
+
+
+def test_swap_and_embed_reject_maps_that_merge_keys(ctx):
+    """swap_legs and embed move each key to one output key, so a map that
+    could send two keys to one is refused before it merges them."""
+    t = tensor_of([uq_gen(ctx, "E"), uq_gen(ctx, "F") + uq_one(ctx)])
+    for perm in ((0, 0), (1, 1), (0,), (0, 1, 2), (1, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            t.swap_legs(perm)
+    assert t.swap_legs((1, 0)).swap_legs([1, 0]) == t
+    for legs, positions in ((3, (0, 0)), (3, (2, 2)), (3, (0, 3)),
+                            (3, (-1, 0)), (3, (0,)), (3, (0, 1, 2)),
+                            (1, (0, 1))):
+        with pytest.raises(ValueError):
+            t.embed(legs, positions)
+    assert counit_leg(t.embed(3, [2, 0]), 1) == t.swap_legs((1, 0))
 
 
 def test_leg_counts_are_checked_under_optimization():
