@@ -9,9 +9,10 @@ every product goes through one Clebsch-Gordan contraction, cg_contract:
 blocks are tensored factor by factor and decomposed back with exact
 intertwiners, each pair of flat indices read from an option list that its
 CG table memoizes (CGEntry.options).  A Poisson bracket is one such
-contraction: the legs (a(f), b(g), c) of every bivector term go into a
-single cg_contract pass with c folded into the term coefficients, and
-each leg is computed once per function (BlockFunction.leg).  This
+contraction: the legs (a(f), b(g), c) of every bivector term are summed
+per block pair and index pair, c * a(f)[fi] * b(g)[gi], and the sums go
+into a single cg_contract pass, one group per block pair; each leg is
+computed once per function (BlockFunction.leg).  This
 module holds the classical contexts, the Poisson brackets, and the oracles
 the bracket checks are compared against.
 
@@ -649,19 +650,13 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
     return out
 
 
-def block_pairs(f: BlockFunction, g: BlockFunction, c=None):
-    """The cg_contract groups of the product of f (left) by g (right),
-    times the scalar c if given: every block of f against every block
-    of g."""
+def block_pairs(f: BlockFunction, g: BlockFunction):
+    """The cg_contract groups of the product of f (left) by g (right):
+    every block of f against every block of g."""
     for fkey, fblk in f.blocks.items():
         for gkey, gblk in g.blocks.items():
-            if c is None:
-                terms = [(fi, gi, fc * gc) for fi, fc in fblk.items()
-                         for gi, gc in gblk.items()]
-            else:
-                terms = [(fi, gi, c * fc * gc) for fi, fc in fblk.items()
-                         for gi, gc in gblk.items()]
-            yield fkey, gkey, terms
+            yield fkey, gkey, [(fi, gi, fc * gc) for fi, fc in fblk.items()
+                               for gi, gc in gblk.items()]
 
 
 def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
@@ -671,13 +666,25 @@ def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
 
 
 def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
-    """sum of c * (lf lg) over legs (lf, lg, c), as one cg_contract pass:
-    the scalar c rides in the term coefficients, so no product is scaled,
-    copied or added on its own."""
-    for lf, lg, _ in legs:
-        lf.check_compatible(lg)
-    return cg_contract(ctx, m, (group for lf, lg, c in legs
-                                for group in block_pairs(lf, lg, c)))
+    """sum of c * (lf lg) over legs (lf, lg, c) of compatible functions,
+    as one cg_contract pass: the terms c * lf[fi] * lg[gi] of every leg
+    are summed per block pair (fkey, gkey) and index pair (fi, gi) first,
+    so cg_contract meets each block pair once, in first-seen order, and
+    never an index pair whose terms cancel."""
+    sums: Dict[Tuple[Key, Key], Dict] = {}
+    for lf, lg, c in legs:
+        for fkey, fblk in lf.blocks.items():
+            for gkey, gblk in lg.blocks.items():
+                acc = sums.setdefault((fkey, gkey), {})
+                for fi, fc in fblk.items():
+                    cf = c * fc
+                    for gi, gc in gblk.items():
+                        p = cf * gc
+                        cur = acc.get((fi, gi))
+                        acc[fi, gi] = p if cur is None else cur + p
+    return cg_contract(ctx, m, (
+        (fkey, gkey, [(fi, gi, v) for (fi, gi), v in acc.items() if v])
+        for (fkey, gkey), acc in sums.items()))
 
 
 # -- invariant vector fields ------------------------------------------------
@@ -768,15 +775,39 @@ class BracketSpec:
     def __init__(self, ctx: PWContext, m: int, kind: str = "product"):
         if kind not in ("product", "mixed"):
             raise ValueError(kind)
+        if ctx.ring != PWContext.ring:
+            raise ValueError("ring mismatch: a bracket spec needs a "
+                             "PWContext, not %s" % ctx.ring)
         self.ctx = ctx
         self.m = m
         self.kind = kind
         alg = ctx.alg
         self.st = StandardR(alg)
+        # legs: ((j, x, side), (j', x', side'), c), one per product
+        # c (x on factor j of f) (x' on factor j' of g) that {f, g} sums,
+        # each end read by BlockFunction.leg and every sign folded into c
+        self.legs = []
+        d = alg.dim
         if kind == "product":
             self.bivector = self._lambda_m(alg, m)
+            for (u, w), c in self.bivector.data.items():
+                (ju, bu), (jw, bw) = divmod(u, d), divmod(w, d)
+                self.legs.append(((ju, bu, "left"), (jw, bw, "left"), c))
+                self.legs.append(((ju, bu, "right"), (jw, bw, "right"), -c))
         else:
+            # slots below dim(g) of each (g (+) t) component act as y^L,
+            # the Cartan slots as -x^R
             self.bivector = self._mixed_bivector(alg, m)
+            for (u, w), c in self.bivector.items():
+                ends = []
+                for i in (u, w):
+                    j, bi = divmod(i, d + alg.rank)
+                    if bi < d:
+                        ends.append((j, bi, "left"))
+                    else:
+                        ends.append((j, bi - d, "right"))
+                        c = -c
+                self.legs.append((ends[0], ends[1], c))
 
     def _lambda_m(self, alg, m):
         """Lambda_st^(m) = (Lambda_st, ..., Lambda_st) - Mix^m(r_st) over g^m,
@@ -827,42 +858,22 @@ class BracketSpec:
         return terms
 
 
-def _rho_leg(spec: BracketSpec, i: int, f: BlockFunction):
-    """One flattened leg of the mixed bivector as a derivation: (the
-    action on f, its sign).  Slots below dim(g) act as y^L, the Cartan
-    slots as -x^R."""
-    alg = spec.ctx.alg
-    d = alg.dim
-    j, bi = divmod(i, d + alg.rank)
-    if bi < d:
-        return f.leg(j, bi, "left"), 1
-    return f.leg(j, bi - d, "right"), -1
-
-
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
     """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
-    terms c a (x) b, summed in one cg_contract pass.  Each leg is read
-    through the memo of f or g (BlockFunction.leg), so a function
+    terms c a (x) b (spec.legs), summed in one cg_contract pass.  Each leg
+    is read through the memo of f or g (BlockFunction.leg), so a function
     bracketed many times acts with each basis element once."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
-    ctx = spec.ctx
-    legs = []
-    if spec.kind == "product":
-        d = ctx.alg.dim
-        for (u, w), c in spec.bivector.data.items():
-            ju, bu = divmod(u, d)
-            jw, bw = divmod(w, d)
-            legs.append((f.leg(ju, bu, "left"), g.leg(jw, bw, "left"), c))
-            legs.append((f.leg(ju, bu, "right"), g.leg(jw, bw, "right"), -c))
-    else:
-        if not (f.is_semi_invariant() and g.is_semi_invariant()):
-            raise ValueError("mixed bracket requires semi-invariant inputs")
-        for (u, w), c in spec.bivector.items():
-            lf, su = _rho_leg(spec, u, f)
-            lg, sw = _rho_leg(spec, w, g)
-            legs.append((lf, lg, su * sw * c))
-    return _sum_of_products(ctx, spec.m, legs)
+    for h in (f, g):
+        if h.ctx.ring != spec.ctx.ring:
+            raise ValueError("ring mismatch: %s and %s"
+                             % (h.ctx.ring, spec.ctx.ring))
+    if spec.kind == "mixed" and not (f.is_semi_invariant()
+                                     and g.is_semi_invariant()):
+        raise ValueError("mixed bracket requires semi-invariant inputs")
+    return _sum_of_products(spec.ctx, spec.m, [
+        (f.leg(*a), g.leg(*b), c) for a, b, c in spec.legs])
 
 
 # -- oracles for the bracket checks -----------------------------------------

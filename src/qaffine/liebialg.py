@@ -424,12 +424,6 @@ class LieTensor:
         require_arity(self, 2)
         return self.swap((1, 0))
 
-    def symmetric_part(self) -> "LieTensor":
-        return (self + self.transpose()).scale(Fraction(1, 2))
-
-    def antisymmetric_part(self) -> "LieTensor":
-        return (self - self.transpose()).scale(Fraction(1, 2))
-
     def as_vector(self) -> Dict[Tuple[int, ...], Fraction]:
         return dict(self.data)
 
@@ -520,12 +514,6 @@ def _ad2(alg: LieAlgebra, x_idx: int, t: LieTensor) -> LieTensor:
     return out
 
 
-def adjoint_invariance_residual(t: LieTensor) -> List[LieTensor]:
-    """[x(x)1+1(x)x, t] for every basis x; all zero iff t is g-invariant."""
-    alg = t.alg
-    return [cobracket(t, basis_tensor(alg, i)) for i in range(alg.dim)]
-
-
 # -- standard r-matrix --------------------------------------------------
 
 
@@ -611,26 +599,6 @@ def twisted_r(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieTe
     if alg_m is None:
         alg_m = alg.power(m)
     return diagonal_r(r, m, alg_m) - mix_tensor(r, m, alg_m)
-
-
-def diag_embedding(x: LieTensor, m: int, alg_m: LieAlgebra) -> LieTensor:
-    """diag_m(x) for arity-1 x, or (diag (x) diag)(t) for arity-2 t."""
-    alg = x.alg
-    out = LieTensor(alg_m, x.arity)
-    if x.arity == 1:
-        for (a,), c in x.data.items():
-            for j in range(m):
-                out.add_term((embed_index(alg, a, j),), c)
-        return out
-    if x.arity == 2:
-        for (a, b), c in x.data.items():
-            for j1 in range(m):
-                for j2 in range(m):
-                    out.add_term(
-                        (embed_index(alg, a, j1), embed_index(alg, b, j2)), c
-                    )
-        return out
-    raise ValueError("arity must be 1 or 2")
 
 
 # -- twisting elements ----------------------------------------------------

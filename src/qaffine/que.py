@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -799,13 +800,17 @@ class QAffineContext:
         self._qirreps: Dict[int, QIrrep] = {}
         self._qcg: Dict[Tuple[int, int], CGEntry] = {}
         self._slot: Dict[Tuple, List[Dict]] = {}
-        self._R: Optional[UqTensor] = None
 
-    @property
+    @cached_property
     def R(self) -> UqTensor:
-        if self._R is None:
-            self._R = r_matrix_sl2(self.uq)
-        return self._R
+        return r_matrix_sl2(self.uq)
+
+    @cached_property
+    def r_legs(self) -> List[Tuple[UqElement, UqElement, TruncatedSeries]]:
+        """The terms s m1 (x) m2 of R as (m1, m2, s), each leg a one-term
+        UqElement, built once per context (see _apply_rtilde)."""
+        return [(UqElement(self.uq, {m1: 1}), UqElement(self.uq, {m2: 1}), s)
+                for (m1, m2), s in self.R.data.items()]
 
     def irrep(self, lam: Tuple[int]) -> QIrrep:
         (n,) = lam
@@ -902,13 +907,11 @@ def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
     characters of those factors."""
     uq = qctx.uq
     out = BlockFunction(qctx, P.m)
-    rterms = [(UqElement(uq, {m1: 1}), UqElement(uq, {m2: 1}), s)
-              for (m1, m2), s in qctx.R.data.items()]
     for key, blk in P.blocks.items():
         # the character of R_0^{-1} = exp(-hbar H(x)H/4) on blocks of
         # weights n1, n2 is exp(-hbar n1 n2 / 4)
         scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
-        for y1, y2, s in rterms:
+        for y1, y2, s in qctx.r_legs:
             lines1 = qctx.slot_action(key[fa], y1, "left")
             lines2 = qctx.slot_action(key[fb], y2, "left")
             for idx, c in blk.items():

@@ -630,6 +630,103 @@ def test_quantum_products_match_per_term_reference(K, monkeypatch):
         assert fast.blocks == product(f, g).blocks
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_self_bracket_cancels_in_the_pre_sum(ctx, m):
+    """{f, f} vanishes for both kinds: every term the legs contribute
+    cancels in the per-index-pair sums, as it does in the reference."""
+    rng = random.Random(60 + m)
+    for kind in ("product", "mixed"):
+        spec = BracketSpec(ctx, m, kind)
+        for semi in (True, False) if kind == "product" else (True,):
+            f = random_function(rng, ctx, m, semi, top=2)
+            got = classical_bracket(f, f, spec)
+            assert got.blocks == ref_classical_bracket(f, f, spec).blocks
+            assert got.is_zero()
+        f = random_hw_function(rng, ctx, m)
+        assert classical_bracket(f, f, spec).blocks == \
+            ref_classical_bracket(f, f, spec).blocks == {}
+
+
+def test_legs_that_cancel_at_an_index_pair(ctx, monkeypatch):
+    """Legs whose terms c * lf[fi] * lg[gi] sum to zero at some (fi, gi)
+    reach cg_contract without that pair (a block pair whose pairs all
+    cancel as an empty group), and the sum of products is the sum of the
+    reference products."""
+    seen = []
+    real = cgx.cg_contract
+
+    def recording(c, m, groups):
+        groups = [(lk, rk, list(terms)) for lk, rk, terms in groups]
+        seen.append(groups)
+        return real(c, m, groups)
+
+    monkeypatch.setattr(cgx, "cg_contract", recording)
+    rng = random.Random(11)
+    for m in (1, 2):
+        for c in (F(1, 2), F(3), F(2, 3)):
+            f = random_function(rng, ctx, m, False)
+            g = random_function(rng, ctx, m, False)
+            # extra and h live on V(3)^m, which f (weights <= 2) misses
+            top = ((3,),) * m
+            extra = BlockFunction(ctx, m, {top: {(0, 1) * m: F(2)}})
+            h = BlockFunction(ctx, m, {top: {(1, 2) * m: F(rng.randint(1, 3)),
+                                             (0, 1) * m: F(1)}})
+            # c f g - c (f + extra) g + h g = (h - c extra) g
+            legs = [(f, g, c), (f + extra, g, -c), (h, g, F(1))]
+            del seen[:]
+            got = cgx._sum_of_products(ctx, m, legs)
+            assert got.blocks == ref_pw_multiply(h - extra.scale(c), g).blocks
+            (groups,) = seen
+            # one group per block pair, in first-seen order
+            assert [(lk, rk) for lk, rk, _ in groups] == list(dict.fromkeys(
+                (fk, gk) for lf, lg, _ in legs
+                for fk in lf.blocks for gk in lg.blocks))
+            # the legs cancel at every index pair of f, and at the pairs
+            # of (0, 1)^m in V(3)^m when c = 1/2
+            for lk, rk, terms in groups:
+                assert (lk in f.blocks) == (not terms)
+                assert all(v for _, _, v in terms)
+                lidx = {fi for fi, _, _ in terms}
+                assert ((0, 1) * m in lidx) == (lk == top and c != F(1, 2))
+
+
+def test_classical_round_contracts_each_block_pair_once(monkeypatch):
+    """One classical suite round hands cg_contract one group per block
+    pair with the summed terms: 1,350 groups and 3,820 terms, against
+    7,212 groups holding 7,241 terms when every leg was its own product."""
+    from qaffine.cli import RunConfig, run_suite
+
+    counts = [0, 0]
+    real = cgx.cg_contract
+
+    def counting(c, m, groups):
+        groups = [(lk, rk, list(terms)) for lk, rk, terms in groups]
+        counts[0] += len(groups)
+        counts[1] += sum(len(terms) for _, _, terms in groups)
+        return real(c, m, groups)
+
+    monkeypatch.setattr(cgx, "cg_contract", counting)
+    run_suite(RunConfig(suites=("classical",)))
+    assert counts == [1350, 3820]
+
+
+def test_bracket_rejects_a_series_valued_function(ctx):
+    """A function over QAffineContext against a classical spec raises the
+    ring mismatch before any leg is computed, for both kinds, and a spec
+    over QAffineContext is refused."""
+    qctx = QAffineContext(UqContext(2))
+    fq = hw_coefficient(qctx, (1,), {0: 1, 1: 2})
+    fc = hw_coefficient(ctx, (1,), {0: F(1), 1: F(2)})
+    for kind in ("product", "mixed"):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            BracketSpec(qctx, 1, kind)
+        spec = BracketSpec(ctx, 1, kind)
+        for f, g in ((fq, fc), (fc, fq), (fq, fq)):
+            with pytest.raises(ValueError, match="ring mismatch"):
+                classical_bracket(f, g, spec)
+        assert fq._legs == {} and fc._legs == {}
+
+
 def test_one_contraction_per_bracket(ctx, monkeypatch):
     calls = []
     real = cgx.cg_contract
