@@ -1,20 +1,22 @@
 """Function algebras on G^m in the Peter-Weyl model.
 
 Regular functions are block functions: finite sums of matrix-coefficient
-blocks c_{xi,v} indexed by tuples of dominant weights.  One type,
-BlockFunction, serves C[G^m] (rational coefficients, PWContext) and its
-deformation C_hbar[SL2^m] (coefficients in Q[[hbar]]/(hbar^K),
-que.QAffineContext).  Both contexts answer irrep(lam) and cg(lam, mu), and
-every product goes through one Clebsch-Gordan contraction, cg_contract:
-blocks are tensored factor by factor and decomposed back with exact
-intertwiners, each pair of flat indices read from an option list that its
-CG table memoizes (CGEntry.options).  A Poisson bracket is one such
-contraction: the legs (a(f), b(g), c) of every bivector term are summed
-per block pair and index pair, c * a(f)[fi] * b(g)[gi], and the sums go
-into a single cg_contract pass, one group per block pair; each leg is
-computed once per function (BlockFunction.leg).  This
-module holds the classical contexts, the Poisson brackets, and the oracles
-the bracket checks are compared against.
+blocks c_{xi,v} indexed by tuples of dominant weights.  One immutable
+type, BlockFunction, serves C[G^m] (rational coefficients, PWContext) and
+its deformation C_hbar[SL2^m] (coefficients in Q[[hbar]]/(hbar^K),
+que.QAffineContext); every builder yields its terms, which are summed
+once, in linalg.vec_sum.  Both contexts answer irrep(lam) and
+cg(lam, mu), and every product goes through one Clebsch-Gordan
+contraction, cg_contract: blocks are tensored factor by factor and
+decomposed back with exact intertwiners, each pair of flat indices read
+from an option list that its CG table memoizes (CGEntry.options).  A
+Poisson bracket is one such contraction: the legs (a(f), b(g), c) of
+every bivector term are summed per block pair and index pair,
+c * a(f)[fi] * b(g)[gi], and the sums go into a single cg_contract pass,
+one group per block pair; each leg is computed once per function
+(BlockFunction.leg).  This module holds the classical contexts, the
+Poisson brackets, and the oracles the bracket checks are compared
+against.
 
 Irreps are built recursively: V(lam) is generated inside
 V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
@@ -44,7 +46,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace
+from .linalg import (EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace,
+                     vec_sum)
 from .liebialg import (LieAlgebra, LieTensor, StandardR, Weight, mix_tensor,
                        require_arity)
 
@@ -440,6 +443,19 @@ class PWContext:
 # -- block functions --------------------------------------------------------
 
 
+def _blocks_of(terms) -> Dict:
+    """The blocks of the terms ((key, idx), coefficient), each entry summed
+    in linalg.vec_sum."""
+    blocks: Dict = {}
+    for (key, idx), c in vec_sum(terms).items():
+        blk = blocks.get(key)
+        if blk is None:
+            blocks[key] = {idx: c}
+        else:
+            blk[idx] = c
+    return blocks
+
+
 class BlockFunction:
     """Finite sum of matrix-coefficient blocks c_{xi,v} on G^m.
 
@@ -450,35 +466,31 @@ class BlockFunction:
     differ only in ctx.coerce, the zero test `not c`, and the JSON of a
     coefficient (ctx.coeff_json, with ctx.json_fields at the top level).
 
-    _legs memoizes act_factor(self, j, x, side) for a basis index x (see
-    leg); _bump clears it, and copy starts a fresh one.
+    A function never changes once built: every builder hands its terms
+    ((key, idx), coefficient) to _from_terms, which sums them per entry
+    in linalg.vec_sum.  _legs memoizes act_factor(self, j, x, side) for a
+    basis index x (see leg), and so never goes stale.
     """
 
     def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
+        coerce = ctx.coerce
         self.ctx = ctx
         self.m = m
-        self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = {}
         self._legs: Dict[Tuple[int, int, str], "BlockFunction"] = {}
-        if blocks:
-            for key, blk in blocks.items():
-                for idx, c in blk.items():
-                    self._bump(tuple(tuple(w) for w in key), tuple(idx),
-                               ctx.coerce(c))
+        self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = _blocks_of(
+            ((tuple(tuple(w) for w in key), tuple(idx)), coerce(c))
+            for key, blk in (blocks or {}).items() for idx, c in blk.items())
 
-    def _bump(self, key: Key, idx: Tuple[int, ...], c):
-        if not c:
-            return
-        if self._legs:
-            self._legs.clear()
-        blk = self.blocks.setdefault(key, {})
-        cur = blk.get(idx)
-        nv = c if cur is None else cur + c
-        if not nv:
-            del blk[idx]
-            if not blk:
-                del self.blocks[key]
-        else:
-            blk[idx] = nv
+    @classmethod
+    def _from_terms(cls, ctx, m: int, terms) -> "BlockFunction":
+        """The function of the terms ((key, idx), coefficient)."""
+        out = cls.__new__(cls)
+        out.ctx, out.m, out._legs, out.blocks = ctx, m, {}, _blocks_of(terms)
+        return out
+
+    def _terms(self):
+        return (((key, idx), c) for key, blk in self.blocks.items()
+                for idx, c in blk.items())
 
     def check_compatible(self, other: "BlockFunction"):
         """Sums and products need equal arities and coefficient rings."""
@@ -491,17 +503,11 @@ class BlockFunction:
 
     def leg(self, j: int, x: int, side: str) -> "BlockFunction":
         """act_factor(self, j, x, side) for a basis index x, computed once
-        until the next _bump.  The result is shared: read it, never bump
-        it."""
+        per function."""
         key = (j, x, side)
         out = self._legs.get(key)
         if out is None:
             out = self._legs[key] = act_factor(self, j, x, side)
-        return out
-
-    def copy(self) -> "BlockFunction":
-        out = BlockFunction(self.ctx, self.m)
-        out.blocks = {k: dict(b) for k, b in self.blocks.items()}
         return out
 
     def is_zero(self) -> bool:
@@ -517,30 +523,19 @@ class BlockFunction:
 
     def __add__(self, other: "BlockFunction") -> "BlockFunction":
         self.check_compatible(other)
-        out = self.copy()
-        for key, blk in other.blocks.items():
-            for idx, c in blk.items():
-                out._bump(key, idx, c)
-        return out
+        return BlockFunction._from_terms(self.ctx, self.m, itertools.chain(
+            self._terms(), other._terms()))
 
     def __sub__(self, other: "BlockFunction") -> "BlockFunction":
         self.check_compatible(other)
-        out = self.copy()
-        for key, blk in other.blocks.items():
-            for idx, c in blk.items():
-                out._bump(key, idx, -c)
-        return out
+        return BlockFunction._from_terms(self.ctx, self.m, itertools.chain(
+            self._terms(), ((k, -c) for k, c in other._terms())))
 
     def scale(self, c) -> "BlockFunction":
+        # a product of nonzero series can vanish mod hbar^K: vec_sum drops it
         c = self.ctx.coerce(c)
-        out = BlockFunction(self.ctx, self.m)
-        if c:
-            for key, blk in self.blocks.items():
-                # a product of nonzero series can vanish mod hbar^K
-                nb = {i: p for i, v in blk.items() if (p := c * v)}
-                if nb:
-                    out.blocks[key] = nb
-        return out
+        return BlockFunction._from_terms(self.ctx, self.m, (
+            (k, c * v) for k, v in self._terms()) if c else ())
 
     def weight_keys(self) -> List[Key]:
         return sorted(self.blocks)
@@ -556,11 +551,8 @@ class BlockFunction:
     def hbar_coefficient(self, i: int) -> "BlockFunction":
         """Coefficient of hbar^i of a series-valued function, as a function
         over the companion classical context ctx.pw."""
-        out = BlockFunction(self.ctx.pw, self.m)
-        for key, blk in self.blocks.items():
-            for idx, s in blk.items():
-                out._bump(key, idx, s[i])
-        return out
+        return BlockFunction._from_terms(self.ctx.pw, self.m, (
+            (k, s[i]) for k, s in self._terms()))
 
     def mod_hbar(self) -> "BlockFunction":
         return self.hbar_coefficient(0)
@@ -590,12 +582,10 @@ def pw_one(ctx, m: int) -> BlockFunction:
 def matrix_coefficient(ctx, lam: Weight, xi: Dict[int, object],
                        v: Dict[int, object]) -> BlockFunction:
     """Single-block function c_{xi, v} on V(lam) (m = 1)."""
-    out = BlockFunction(ctx, 1)
     key = (tuple(lam),)
-    for a, ca in xi.items():
-        for b, cb in v.items():
-            out._bump(key, (a, b), ctx.coerce(ca) * ctx.coerce(cb))
-    return out
+    return BlockFunction._from_terms(ctx, 1, (
+        ((key, (a, b)), ctx.coerce(ca) * ctx.coerce(cb))
+        for a, ca in xi.items() for b, cb in v.items()))
 
 
 def hw_coefficient(ctx, lam: Weight, xi: Dict[int, object]) -> BlockFunction:
@@ -609,13 +599,14 @@ def pw_tensor(fs: Sequence[BlockFunction]) -> BlockFunction:
     ctx = fs[0].ctx
     if any(f.ctx.ring != ctx.ring for f in fs):
         raise ValueError("ring mismatch in a tensor product")
-    out = BlockFunction(ctx, sum(f.m for f in fs))
-    for combo in itertools.product(*[f.blocks.items() for f in fs]):
-        key = tuple(w for (k, _) in combo for w in k)
-        for idxs in itertools.product(*[blk.items() for (_, blk) in combo]):
-            idx = tuple(i for (ii, _) in idxs for i in ii)
-            out._bump(key, idx, math.prod(c for _, c in idxs))
-    return out
+
+    def terms():
+        for combo in itertools.product(*[f.blocks.items() for f in fs]):
+            key = tuple(w for (k, _) in combo for w in k)
+            for idxs in itertools.product(*[blk.items() for (_, blk) in combo]):
+                idx = tuple(i for (ii, _) in idxs for i in ii)
+                yield (key, idx), math.prod(c for _, c in idxs)
+    return BlockFunction._from_terms(ctx, sum(f.m for f in fs), terms())
 
 
 def cg_contract(ctx, m: int, groups) -> BlockFunction:
@@ -627,7 +618,11 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
     of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
     table's memo (CGEntry.options), so a pair of flat indices is expanded
     once per table, however many terms or groups meet it."""
-    out = BlockFunction(ctx, m)
+    return BlockFunction._from_terms(ctx, m, _contraction_terms(ctx, m, groups))
+
+
+def _contraction_terms(ctx, m: int, groups):
+    """The terms ((key, idx), coefficient) of cg_contract(ctx, m, groups)."""
     for lkey, rkey, terms in groups:
         tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
         dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
@@ -646,8 +641,7 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
                 c = coeff
                 for ch in combo:
                     c = c * ch[3]
-                out._bump(key, idx, c)
-    return out
+                yield (key, idx), c
 
 
 def block_pairs(f: BlockFunction, g: BlockFunction):
@@ -670,7 +664,8 @@ def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
     as one cg_contract pass: the terms c * lf[fi] * lg[gi] of every leg
     are summed per block pair (fkey, gkey) and index pair (fi, gi) first,
     so cg_contract meets each block pair once, in first-seen order, and
-    never an index pair whose terms cancel."""
+    never an index pair whose terms cancel, nor a block pair whose pairs
+    all do."""
     sums: Dict[Tuple[Key, Key], Dict] = {}
     for lf, lg, c in legs:
         for fkey, fblk in lf.blocks.items():
@@ -683,8 +678,8 @@ def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
                         cur = acc.get((fi, gi))
                         acc[fi, gi] = p if cur is None else cur + p
     return cg_contract(ctx, m, (
-        (fkey, gkey, [(fi, gi, v) for (fi, gi), v in acc.items() if v])
-        for (fkey, gkey), acc in sums.items()))
+        (fkey, gkey, terms) for (fkey, gkey), acc in sums.items()
+        if (terms := [(fi, gi, v) for (fi, gi), v in acc.items() if v])))
 
 
 # -- invariant vector fields ------------------------------------------------
@@ -697,13 +692,12 @@ def act_factor(f: BlockFunction, j: int, x, side: str) -> BlockFunction:
     slot for side "right", x^R c_{xi,v} = c_{xi, S(x)v}.  x is a basis
     index for a PWContext and an element of U_hbar(sl2) (a one-leg
     UqTensor, such as a UqElement) for a QAffineContext."""
-    return _act_into(BlockFunction(f.ctx, f.m), f, j, x, side)
+    return BlockFunction._from_terms(f.ctx, f.m, _act_terms(f, j, x, side))
 
 
-def _act_into(out: BlockFunction, f: BlockFunction, j: int, x, side: str,
-              c=None) -> BlockFunction:
-    """Add act_factor(f, j, x, side), times the scalar c if given, into
-    out, and return out."""
+def _act_terms(f: BlockFunction, j: int, x, side: str, c=None):
+    """The terms ((key, idx), coefficient) of act_factor(f, j, x, side),
+    times the scalar c if given."""
     ctx = f.ctx
     slot = 2 * j + (side == "right")
     for key, blk in f.blocks.items():
@@ -712,8 +706,7 @@ def _act_into(out: BlockFunction, f: BlockFunction, j: int, x, side: str,
             if c is not None:
                 v = v * c
             for s, a in lines[idx[slot]].items():
-                out._bump(key, idx[:slot] + (s,) + idx[slot + 1:], v * a)
-    return out
+                yield (key, idx[:slot] + (s,) + idx[slot + 1:]), v * a
 
 
 def invariant_action(x: LieTensor, f: BlockFunction, side: str,
@@ -726,11 +719,9 @@ def invariant_action(x: LieTensor, f: BlockFunction, side: str,
     require_arity(x, 1, "x")
     ctx = f.ctx
     d = base_dim or ctx.alg.dim
-    out = BlockFunction(ctx, f.m)
-    for (i,), c in x.data.items():
-        j, bi = divmod(i, d)
-        _act_into(out, f, j, bi, side, ctx.coerce(c))
-    return out
+    return BlockFunction._from_terms(ctx, f.m, (
+        t for (i,), c in x.data.items()
+        for t in _act_terms(f, *divmod(i, d), side, ctx.coerce(c))))
 
 
 def pw_evaluate(f: BlockFunction, words: Sequence[Sequence[int]]) -> Fraction:
@@ -825,37 +816,23 @@ class BracketSpec:
         the first dim(g) slots act as y^L, the last rank slots as -x^R on the
         Cartan part.
         """
-        d, k = alg.dim, alg.rank
-        dt = d + k
-        terms: Dict[Tuple[int, int], Fraction] = {}
-
-        def bump(key, c):
-            nv = terms.get(key, Fraction(0)) + c
-            if nv == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = nv
-
-        for j in range(m):
-            for (a, b), c in self.st.lam.data.items():
-                bump((j * dt + a, j * dt + b), c)
+        d = alg.dim
+        dt = d + alg.rank
         # Mix^m(r~_st) with r~ = (r_st, 0) - (0, r_0)
-        rtilde: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b), c in self.st.r.data.items():
-            rtilde[(a, b)] = rtilde.get((a, b), Fraction(0)) + c
-        for (a, b), c in self.st.r0.data.items():
-            key = (d + a, d + b)
-            rtilde[key] = rtilde.get(key, Fraction(0)) - c
-        for (a, b), c in rtilde.items():
-            if c == 0:
-                continue
-            for kk in range(m):
-                for ll in range(kk + 1, m):
-                    yk = kk * dt + b
-                    xl = ll * dt + a
-                    bump((yk, xl), -c)
-                    bump((xl, yk), c)
-        return terms
+        rtilde = itertools.chain(self.st.r.data.items(), (
+            ((d + a, d + b), -c) for (a, b), c in self.st.r0.data.items()))
+
+        def terms():
+            for j in range(m):
+                for (a, b), c in self.st.lam.data.items():
+                    yield (j * dt + a, j * dt + b), c
+            for (a, b), c in rtilde:
+                for kk in range(m):
+                    for ll in range(kk + 1, m):
+                        yk, xl = kk * dt + b, ll * dt + a
+                        yield (yk, xl), -c
+                        yield (xl, yk), c
+        return vec_sum(terms())
 
 
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
@@ -881,10 +858,8 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
 
 def _diag_act(f: BlockFunction, idx: int) -> BlockFunction:
     """Diagonal left-invariant action of one basis element on every factor."""
-    out = BlockFunction(f.ctx, f.m)
-    for j in range(f.m):
-        _act_into(out, f, j, idx, "left")
-    return out
+    return BlockFunction._from_terms(f.ctx, f.m, (
+        t for j in range(f.m) for t in _act_terms(f, j, idx, "left")))
 
 
 def _rho_tensor(t: LieTensor, f: BlockFunction, g: BlockFunction):
@@ -919,17 +894,8 @@ def _dual_act_vec(rep: Irrep, basis_idx: int,
     """Action on the dual slot of a matrix coefficient: (x.xi)_s =
     -sum_a A[a][s] xi_a."""
     mat = rep.act[basis_idx]
-    out: Dict[int, Fraction] = {}
-    for a, c in xi.items():
-        row = mat[a]
-        for s in range(rep.dim):
-            if row[s] != 0:
-                nv = out.get(s, Fraction(0)) - c * row[s]
-                if nv == 0:
-                    out.pop(s, None)
-                else:
-                    out[s] = nv
-    return out
+    return vec_sum((s, -c * x) for a, c in xi.items()
+                   for s, x in enumerate(mat[a]) if x)
 
 
 def hw_bracket_oracle(ctx: PWContext, st: StandardR, w: int, l: int,
@@ -940,32 +906,18 @@ def hw_bracket_oracle(ctx: PWContext, st: StandardR, w: int, l: int,
     onto the top Clebsch-Gordan summand V(w+l), and read the result off as
     a single highest-weight coefficient."""
     rw, rl = ctx.irrep((w,)), ctx.irrep((l,))
-    flat: Dict[int, Fraction] = {}
-    for (a, b), c in st.lam.data.items():
-        axi = _dual_act_vec(rw, a, xi)
-        bmu = _dual_act_vec(rl, b, mu)
-        for i, ci in axi.items():
-            for j, cj in bmu.items():
-                k = i * rl.dim + j
-                nv = flat.get(k, Fraction(0)) + c * ci * cj
-                if nv == 0:
-                    flat.pop(k, None)
-                else:
-                    flat[k] = nv
+    legs = [(c, _dual_act_vec(rw, a, xi), _dual_act_vec(rl, b, mu))
+            for (a, b), c in st.lam.data.items()]
+    flat = vec_sum((i * rl.dim + j, c * ci * cj) for c, axi, bmu in legs
+                   for i, ci in axi.items() for j, cj in bmu.items())
     cg = ctx.cg((w,), (l,))
     inj = cg.cartan_injection()
     proj = cg.cartan_projection()
     dnu = len(inj[0])
-    out = BlockFunction(ctx, 1)
     key = ((w + l,),)
-    for s in range(dnu):
-        ic = Fraction(0)
-        for fl, c in flat.items():
-            ic += inj[fl][s] * c
-        if ic == 0:
-            continue
-        for t in range(dnu):
-            pc = proj[t][0]  # image of the pair of highest vectors
-            if pc != 0:
-                out._bump(key, (s, t), ic * pc)
-    return out
+    ics = [sum((inj[fl][s] * c for fl, c in flat.items()), Fraction(0))
+           for s in range(dnu)]
+    # proj[t][0] is the image of the pair of highest vectors
+    return BlockFunction._from_terms(ctx, 1, (
+        ((key, (s, t)), ic * proj[t][0])
+        for s, ic in enumerate(ics) if ic for t in range(dnu)))

@@ -18,10 +18,11 @@ Tensor conventions used everywhere downstream:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import EchelonSpan, Matrix, mat_inv
+from .linalg import EchelonSpan, Matrix, mat_inv, vec_sum
 
 Weight = Tuple[int, ...]  # fundamental-weight coordinates
 
@@ -99,16 +100,9 @@ class LieAlgebra:
         return {k: -v for k, v in rev.items()}
 
     def bracket(self, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    nv = out.get(k, Fraction(0)) + ci * cj * c
-                    if nv == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = nv
-        return out
+        return vec_sum((k, ci * cj * c) for i, ci in x.items()
+                       for j, cj in y.items()
+                       for k, c in self.bracket_basis(i, j).items())
 
     def form(self, i: int, j: int) -> Fraction:
         return self.gram[i][j]
@@ -360,24 +354,24 @@ def load_algebra(spec: Dict) -> LieAlgebra:
 
 
 class LieTensor:
-    """Sparse exact element of g^(x)k over a fixed algebra."""
+    """Sparse exact element of g^(x)k over a fixed algebra.  A tensor never
+    changes once built: every builder hands its terms (key, coefficient)
+    to _from_terms, which sums them per key in linalg.vec_sum."""
 
     __slots__ = ("alg", "arity", "data")
 
     def __init__(self, alg: LieAlgebra, arity: int, data: Optional[Dict] = None):
         self.alg = alg
         self.arity = arity
-        self.data: Dict[Tuple[int, ...], Fraction] = {}
-        if data:
-            for key, val in data.items():
-                v = _frac(val)
-                if v != 0:
-                    self.data[tuple(key)] = v
+        self.data: Dict[Tuple[int, ...], Fraction] = vec_sum(
+            (tuple(key), _frac(val)) for key, val in (data or {}).items())
 
-    def copy(self) -> "LieTensor":
-        t = LieTensor(self.alg, self.arity)
-        t.data = dict(self.data)
-        return t
+    @classmethod
+    def _from_terms(cls, alg: LieAlgebra, arity: int, terms) -> "LieTensor":
+        """The tensor of the terms (key, coefficient)."""
+        out = cls.__new__(cls)
+        out.alg, out.arity, out.data = alg, arity, vec_sum(terms)
+        return out
 
     def is_zero(self) -> bool:
         return not self.data
@@ -392,22 +386,15 @@ class LieTensor:
     def __hash__(self):
         raise TypeError("unhashable")
 
-    def add_term(self, key: Tuple[int, ...], coeff: Fraction):
-        nv = self.data.get(key, Fraction(0)) + coeff
-        if nv == 0:
-            self.data.pop(key, None)
-        else:
-            self.data[key] = nv
-
     def __add__(self, other: "LieTensor") -> "LieTensor":
         require_arity(other, self.arity, "summand")
-        out = self.copy()
-        for k, v in other.data.items():
-            out.add_term(k, v)
-        return out
+        return LieTensor._from_terms(self.alg, self.arity, itertools.chain(
+            self.data.items(), other.data.items()))
 
     def __sub__(self, other: "LieTensor") -> "LieTensor":
-        return self + other.scale(Fraction(-1))
+        require_arity(other, self.arity, "summand")
+        return LieTensor._from_terms(self.alg, self.arity, itertools.chain(
+            self.data.items(), ((k, -v) for k, v in other.data.items())))
 
     def scale(self, c) -> "LieTensor":
         c = _frac(c)
@@ -415,10 +402,8 @@ class LieTensor:
 
     def swap(self, perm: Sequence[int]) -> "LieTensor":
         """Permute legs: result[key] = self[key o perm]."""
-        out = LieTensor(self.alg, self.arity)
-        for key, v in self.data.items():
-            out.add_term(tuple(key[p] for p in perm), v)
-        return out
+        return LieTensor._from_terms(self.alg, self.arity, (
+            (tuple(key[p] for p in perm), v) for key, v in self.data.items()))
 
     def transpose(self) -> "LieTensor":
         require_arity(self, 2)
@@ -444,30 +429,27 @@ def basis_tensor(alg: LieAlgebra, idx: int) -> LieTensor:
 def wedge(alg: LieAlgebra, a: int, b: int, coeff=1) -> LieTensor:
     """coeff * (a wedge b) = coeff*(a(x)b - b(x)a)."""
     c = _frac(coeff)
-    t = LieTensor(alg, 2)
-    t.add_term((a, b), c)
-    t.add_term((b, a), -c)
-    return t
+    return LieTensor._from_terms(alg, 2, (((a, b), c), ((b, a), -c)))
 
 
 def _bracket_legs(alg: LieAlgebra, r: LieTensor, s: LieTensor, mode: str) -> LieTensor:
     """[r_12, s_13], [r_12, s_23] or [r_13, s_23] inside g^(x)3."""
-    out = LieTensor(alg, 3)
-    for (a, b), cr in r.data.items():
-        for (c, d), cs in s.data.items():
-            coeff = cr * cs
-            if mode == "12,13":
-                for l, cl in alg.bracket_basis(a, c).items():
-                    out.add_term((l, b, d), coeff * cl)
-            elif mode == "12,23":
-                for l, cl in alg.bracket_basis(b, c).items():
-                    out.add_term((a, l, d), coeff * cl)
-            elif mode == "13,23":
-                for l, cl in alg.bracket_basis(b, d).items():
-                    out.add_term((a, c, l), coeff * cl)
-            else:
-                raise ValueError(mode)
-    return out
+    def terms():
+        for (a, b), cr in r.data.items():
+            for (c, d), cs in s.data.items():
+                coeff = cr * cs
+                if mode == "12,13":
+                    for l, cl in alg.bracket_basis(a, c).items():
+                        yield (l, b, d), coeff * cl
+                elif mode == "12,23":
+                    for l, cl in alg.bracket_basis(b, c).items():
+                        yield (a, l, d), coeff * cl
+                elif mode == "13,23":
+                    for l, cl in alg.bracket_basis(b, d).items():
+                        yield (a, c, l), coeff * cl
+                else:
+                    raise ValueError(mode)
+    return LieTensor._from_terms(alg, 3, terms())
 
 
 def cybe_lhs(r: LieTensor, s: Optional[LieTensor] = None) -> LieTensor:
@@ -492,26 +474,27 @@ def cobracket(r: LieTensor, x: LieTensor) -> LieTensor:
     require_arity(r, 2, "r")
     require_arity(x, 1, "x")
     alg = r.alg
-    out = LieTensor(alg, 2)
-    for (a,), cx in x.data.items():
-        for (u, v), cr in r.data.items():
-            coeff = cx * cr
-            for l, cl in alg.bracket_basis(a, u).items():
-                out.add_term((l, v), coeff * cl)
-            for l, cl in alg.bracket_basis(a, v).items():
-                out.add_term((u, l), coeff * cl)
-    return out
+
+    def terms():
+        for (a,), cx in x.data.items():
+            for (u, v), cr in r.data.items():
+                coeff = cx * cr
+                for l, cl in alg.bracket_basis(a, u).items():
+                    yield (l, v), coeff * cl
+                for l, cl in alg.bracket_basis(a, v).items():
+                    yield (u, l), coeff * cl
+    return LieTensor._from_terms(alg, 2, terms())
 
 
 def _ad2(alg: LieAlgebra, x_idx: int, t: LieTensor) -> LieTensor:
     """Diagonal adjoint action of basis element x_idx on an arity-2 tensor."""
-    out = LieTensor(alg, 2)
-    for (a, b), c in t.data.items():
-        for k, cc in alg.bracket_basis(x_idx, a).items():
-            out.add_term((k, b), c * cc)
-        for k, cc in alg.bracket_basis(x_idx, b).items():
-            out.add_term((a, k), c * cc)
-    return out
+    def terms():
+        for (a, b), c in t.data.items():
+            for k, cc in alg.bracket_basis(x_idx, a).items():
+                yield (k, b), c * cc
+            for k, cc in alg.bracket_basis(x_idx, b).items():
+                yield (a, k), c * cc
+    return LieTensor._from_terms(alg, 2, terms())
 
 
 # -- standard r-matrix --------------------------------------------------
@@ -527,21 +510,16 @@ class StandardR:
         self.alg = alg
         k = alg.rank
         inv = alg._gram_t_inv
-        r0 = LieTensor(alg, 2)
-        for a in range(k):
-            for b in range(k):
-                if inv[a][b] != 0:
-                    r0.add_term((a, b), inv[a][b] / 2)
-        self.r0 = r0
-        r = r0.copy()
-        lam = LieTensor(alg, 2)
-        for bidx in range(alg.n_pos):
-            e = alg.raise_index(bidx)
-            f = alg.lower_index(bidx)
-            r.add_term((f, e), Fraction(1))
-            lam = lam + wedge(alg, f, e, Fraction(1, 2))
-        self.r = r
-        self.lam = lam  # Lambda_st = (1/2) sum e_-a wedge e_a
+        self.r0 = LieTensor._from_terms(alg, 2, (
+            ((a, b), inv[a][b] / 2) for a in range(k) for b in range(k)))
+        roots = [(alg.lower_index(b), alg.raise_index(b))
+                 for b in range(alg.n_pos)]
+        self.r = LieTensor._from_terms(alg, 2, itertools.chain(
+            self.r0.data.items(), ((fe, Fraction(1)) for fe in roots)))
+        # Lambda_st = (1/2) sum e_-a wedge e_a
+        self.lam = LieTensor._from_terms(alg, 2, (
+            t for f, e in roots
+            for t in wedge(alg, f, e, Fraction(1, 2)).data.items()))
 
 
 def standard_r(alg: LieAlgebra) -> StandardR:
@@ -559,10 +537,9 @@ def embed_index(alg: LieAlgebra, idx: int, j: int) -> int:
 def embed_tensor(t: LieTensor, alg_m: LieAlgebra, legs: Sequence[int]) -> LieTensor:
     """Embed t in g^m by sending tensor leg p into component legs[p]."""
     alg = t.alg
-    out = LieTensor(alg_m, t.arity)
-    for key, v in t.data.items():
-        out.add_term(tuple(embed_index(alg, i, j) for i, j in zip(key, legs)), v)
-    return out
+    return LieTensor._from_terms(alg_m, t.arity, (
+        (tuple(embed_index(alg, i, j) for i, j in zip(key, legs)), v)
+        for key, v in t.data.items()))
 
 
 def mix_tensor(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieTensor:
@@ -571,15 +548,15 @@ def mix_tensor(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieT
     alg = r.alg
     if alg_m is None:
         alg_m = alg.power(m)
-    out = LieTensor(alg_m, 2)
-    for (a, b), c in r.data.items():  # term c * a(x)b: x = a, y = b
-        for k in range(m):
-            for l in range(k + 1, m):
-                yk = embed_index(alg, b, k)
-                xl = embed_index(alg, a, l)
-                out.add_term((yk, xl), c)
-                out.add_term((xl, yk), -c)
-    return out
+    def terms():
+        for (a, b), c in r.data.items():  # term c * a(x)b: x = a, y = b
+            for k in range(m):
+                for l in range(k + 1, m):
+                    yk = embed_index(alg, b, k)
+                    xl = embed_index(alg, a, l)
+                    yield (yk, xl), c
+                    yield (xl, yk), -c
+    return LieTensor._from_terms(alg_m, 2, terms())
 
 
 def diagonal_r(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieTensor:
@@ -587,10 +564,9 @@ def diagonal_r(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieT
     alg = r.alg
     if alg_m is None:
         alg_m = alg.power(m)
-    out = LieTensor(alg_m, 2)
-    for j in range(m):
-        out = out + embed_tensor(r, alg_m, (j, j))
-    return out
+    return LieTensor._from_terms(alg_m, 2, (
+        t for j in range(m)
+        for t in embed_tensor(r, alg_m, (j, j)).data.items()))
 
 
 def twisted_r(r: LieTensor, m: int, alg_m: Optional[LieAlgebra] = None) -> LieTensor:

@@ -2,10 +2,12 @@
 spans and dense matrices.
 
 Vectors are dicts mapping hashable, totally ordered coordinate keys to
-nonzero entries, Fractions or TruncatedSeries of one order K.  Echelon
-spans keep a reduced echelon basis with a deterministic pivot order (the
-smallest key, or the largest one), so subspace equality and membership
-are canonical.  Over the series ring a row's pivot entry is hbar^v (the
+nonzero entries, Fractions or TruncatedSeries of one order K.  vec_sum
+adds a stream of (key, entry) terms per key; the block functions of cgx
+and the Lie tensors of liebialg are built through it.  Echelon spans keep
+a reduced echelon basis with a deterministic pivot order (the smallest
+key, or the largest one), so subspace equality and membership are
+canonical.  Over the series ring a row's pivot entry is hbar^v (the
 Howell form of the module): a row clears only the part of an entry at or
 above hbar^v, and len() counts the Q-dimension sum (K - v).  This one
 echelon engine does all elimination over either ring: sparse_nullspace
@@ -19,11 +21,30 @@ them, with mat_inv, by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from .kernel import TruncatedSeries
 
 Vec = Dict[Hashable, Union[Fraction, TruncatedSeries]]
+
+
+def vec_sum(terms: Iterable[Tuple[Hashable, object]]) -> Vec:
+    """The terms (key, entry) summed per key, over Q or Q[[hbar]]/(hbar^K).
+    A key whose running sum cancels leaves the dict, and a later term
+    brings it back at the end, so the keys come out in the order that
+    adding the terms one by one gives them (as kernel.series_sums does)."""
+    out: Vec = {}
+    get = out.get
+    for k, v in terms:
+        cur = get(k)
+        if cur is None:
+            if v:
+                out[k] = v
+        elif (s := cur + v):
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 def vec_add(a: Vec, b: Vec, scale: Fraction = Fraction(1)) -> Vec:

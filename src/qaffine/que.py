@@ -717,7 +717,7 @@ def semiclassical_r(t: UqTensor, m: int):
     alg_m = alg.power(m)
     gen_index = {(1, 0, 0): alg.lower_index(0), (0, 1, 0): 0,
                  (0, 0, 1): alg.raise_index(0)}
-    out = LieTensor(alg_m, 2)
+    terms = []
     for key, c in t.hbar_coefficient(1).items():
         nontriv = [(j, mono) for j, mono in enumerate(key) if mono != UNIT]
         if len(nontriv) != 2:
@@ -729,8 +729,8 @@ def semiclassical_r(t: UqTensor, m: int):
             raise ValueError("hbar^1 term is not split across the two groups")
         i1 = j1 * alg.dim + gen_index[m1]
         i2 = (j2 - m) * alg.dim + gen_index[m2]
-        out.add_term((i1, i2), c)
-    return out
+        terms.append(((i1, i2), c))
+    return LieTensor._from_terms(alg_m, 2, terms)
 
 
 # -- quantized irreducible representations of sl2 ----------------------------
@@ -906,25 +906,26 @@ def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
     slots of factors fa and fb, and the Cartan legs acting by the weight
     characters of those factors."""
     uq = qctx.uq
-    out = BlockFunction(qctx, P.m)
-    for key, blk in P.blocks.items():
-        # the character of R_0^{-1} = exp(-hbar H(x)H/4) on blocks of
-        # weights n1, n2 is exp(-hbar n1 n2 / 4)
-        scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
-        for y1, y2, s in qctx.r_legs:
-            lines1 = qctx.slot_action(key[fa], y1, "left")
-            lines2 = qctx.slot_action(key[fb], y2, "left")
-            for idx, c in blk.items():
-                base = c * s * scalar
-                if not base:
-                    continue
-                for s1, c1 in lines1[idx[2 * fa]].items():
-                    for s2, c2 in lines2[idx[2 * fb]].items():
-                        nidx = list(idx)
-                        nidx[2 * fa] = s1
-                        nidx[2 * fb] = s2
-                        out._bump(key, tuple(nidx), base * c1 * c2)
-    return out
+
+    def terms():
+        for key, blk in P.blocks.items():
+            # the character of R_0^{-1} = exp(-hbar H(x)H/4) on blocks of
+            # weights n1, n2 is exp(-hbar n1 n2 / 4)
+            scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
+            for y1, y2, s in qctx.r_legs:
+                lines1 = qctx.slot_action(key[fa], y1, "left")
+                lines2 = qctx.slot_action(key[fb], y2, "left")
+                for idx, c in blk.items():
+                    base = c * s * scalar
+                    if not base:
+                        continue
+                    for s1, c1 in lines1[idx[2 * fa]].items():
+                        for s2, c2 in lines2[idx[2 * fb]].items():
+                            nidx = list(idx)
+                            nidx[2 * fa] = s1
+                            nidx[2 * fb] = s2
+                            yield (key, tuple(nidx)), base * c1 * c2
+    return BlockFunction._from_terms(qctx, P.m, terms())
 
 
 def _contract_pairs(P: BlockFunction, m: int) -> BlockFunction:

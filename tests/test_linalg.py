@@ -11,7 +11,7 @@ import qaffine.linalg
 from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import (
     EchelonSpan, mat_inv, nullspace, rref, solve, sparse_nullspace, vec_add,
-    vec_scale,
+    vec_scale, vec_sum,
 )
 
 F = Fraction
@@ -411,6 +411,57 @@ def test_max_pivot_matches_reversed_keys():
         for q in (vec(), combo):
             assert got.reduce(q) == unwrap(ref.reduce(wrap(q)))
             assert got.coefficients(q) == ref.coefficients(wrap(q))
+
+
+# -- vec_sum: the add-or-pop loop of every former accumulator is the reference
+
+
+def add_or_pop(terms):
+    """The per-term loop that BlockFunction._bump and LieTensor.add_term
+    ran: add each term into its key, drop a key whose sum is zero."""
+    out = {}
+    for k, v in terms:
+        nv = out[k] + v if k in out else v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+@st.composite
+def _terms(draw):
+    """Terms over a few keys, rational or series of one order; each drawn
+    term may be followed by its negative, so keys cancel and come back."""
+    K = draw(st.integers(min_value=0, max_value=3))
+    entry = (st.integers(-3, 3).map(F) if not K else
+             st.lists(st.integers(-3, 3), min_size=K, max_size=K).map(
+                 lambda cs: TruncatedSeries(K, cs)))
+    out = []
+    for k, v, cancel in draw(st.lists(st.tuples(
+            st.integers(0, 4), entry, st.booleans()), max_size=12)):
+        out.append((k, v))
+        if cancel:
+            out.append((k, -v))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms())
+@example([(0, F(1)), (1, F(2)), (0, F(-1)), (2, F(3)), (0, F(4))])
+@example([(0, TruncatedSeries(2, [1, 1])), (1, TruncatedSeries(2, [0, 1])),
+          (0, TruncatedSeries(2, [-1, -1])), (0, TruncatedSeries(2, [0, 2]))])
+def test_vec_sum_matches_add_or_pop(terms):
+    """Same sums and the same key order: a key whose sum cancels leaves,
+    and a later term brings it back at the end."""
+    got, want = vec_sum(iter(terms)), add_or_pop(terms)
+    assert list(got.items()) == list(want.items())
+    assert all(got.values())
+
+
+def test_vec_sum_revives_a_cancelled_key_at_the_end():
+    terms = [(0, F(1)), (1, F(2)), (0, F(-1)), (2, F(3)), (0, F(4))]
+    assert list(vec_sum(terms)) == [1, 2, 0]
 
 
 # -- mat_inv: Gauss-Jordan with a unit-pivot search is the reference ---------

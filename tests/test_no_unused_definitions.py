@@ -1,7 +1,9 @@
 """Every function, class and method defined in src/qaffine is named
 somewhere besides its own definition, in src/, tests/ or perfbench/: a
 helper nothing calls is deleted rather than kept.  A name inside the
-definition's own body (a recursive call) does not count.
+definition's own body (a recursive call) does not count.  The definitions
+that only tests/ or perfbench/ name are a fixed list, TEST_ONLY: a new
+helper that the engine does not run belongs in tests/.
 
 A name counts as used when it appears as a variable, an attribute, an
 imported name, or a word of a string literal that is not a docstring (the
@@ -18,6 +20,11 @@ SRC = ROOT / "src" / "qaffine"
 SCANNED = ("src", "tests", "perfbench")
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# named in src/ only where they are defined; the tests (and, for the dense
+# routines, perfbench/spans.py) use them
+TEST_ONLY = {"nullspace", "r0_pairing", "semi_invariant_product_check",
+             "simple_root", "solve"}
 
 
 def _docstrings(tree):
@@ -60,28 +67,51 @@ def _trees():
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _unused(trees):
-    """The definitions in src/qaffine that no code outside their own body
-    names, as "file:line name"."""
-    used = Counter()
+def _scan(trees):
+    """The definitions in src/qaffine, dunders left out, as (file, line,
+    name, uses in their own body), and the names used under src/ and
+    under tests/ or perfbench/."""
+    in_src, outside = Counter(), Counter()
     defined = []
     for path, tree in trees:
         docs = _docstrings(tree)
-        used.update(_names(tree, docs))
+        (in_src if ROOT / "src" in path.parents else outside).update(
+            _names(tree, docs))
         if path.parent == SRC:
             for node in ast.walk(tree):
-                if isinstance(node, DEFS):
+                if isinstance(node, DEFS) and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
                     defined.append((path.name, node.lineno, node.name,
                                     _own_uses(node, docs)))
     assert defined
+    return defined, in_src, outside
+
+
+def _unused(trees):
+    """The definitions in src/qaffine that no code outside their own body
+    names, as "file:line name"."""
+    defined, in_src, outside = _scan(trees)
     return ["%s:%d %s" % d[:3] for d in defined
-            if not (d[2].startswith("__") and d[2].endswith("__"))
-            and used[d[2]] <= d[3]]
+            if in_src[d[2]] + outside[d[2]] <= d[3]]
+
+
+def _test_only(trees):
+    """The names of the definitions in src/qaffine that src/ names only in
+    their own body, but tests/ or perfbench/ name."""
+    defined, in_src, outside = _scan(trees)
+    return {d[2] for d in defined if in_src[d[2]] <= d[3] and outside[d[2]]}
 
 
 def test_every_definition_is_named_elsewhere():
     unused = _unused(_trees())
     assert not unused, unused
+
+
+def test_src_holds_only_the_listed_test_only_definitions():
+    """A definition that only tests/ or perfbench/ name moves to tests/;
+    the list only shrinks, when the engine starts to call one of them."""
+    assert _test_only(_trees()) == TEST_ONLY
 
 
 def test_a_name_used_only_in_its_own_body_is_unused():
@@ -96,3 +126,17 @@ def test_a_name_used_only_in_its_own_body_is_unused():
         "used()\n")
     assert _unused([(SRC / "toy.py", toy)]) == [
         "toy.py:1 fact", "toy.py:4 child"]
+
+
+def test_a_name_only_tests_use_is_test_only():
+    toy = ast.parse(
+        "def engine():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def probe():\n"
+        "    \"\"\"probe is named in its docstring only\"\"\"\n"
+        "engine()\n")
+    test = ast.parse("from toy import probe, helper\nprobe()\nhelper()\n")
+    assert _test_only([(SRC / "toy.py", toy),
+                       (ROOT / "tests" / "test_toy.py", test)]) == {"probe"}
