@@ -5,20 +5,19 @@ from .kernel import TruncatedSeries
 from .linalg import EchelonSpan
 from .liebialg import (
     LieAlgebra, LieTensor, StandardR, Subspace, basis_tensor, build_sl,
-    cobracket, cybe_residual, diagonal_r, load_algebra, mix_tensor,
+    cobracket, cybe_residual, diagonal_r, mix_tensor,
     r_membership_lie, standard_r, strongly_coisotropic_lie, twisted_r,
     verify_twisting_element, wedge,
 )
 from .cgx import (
     BlockFunction, BracketSpec, PWContext, act_factor, classical_bracket,
-    hw_coefficient, invariant_action, matrix_coefficient, pw_evaluate,
-    pw_multiply, pw_one, pw_tensor,
+    hw_coefficient, matrix_coefficient, pw_multiply, pw_one, pw_tensor,
 )
 from .que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
     antipode, coproduct, counit, q_multiply, quantum_affine_multiply,
     r_matrix_m, r_matrix_sl2, semiclassical_bracket, semiclassical_r, twi_m,
-    uq_gen, uq_normalize, uq_one,
+    uq_gen, uq_one,
 )
 from .coiso import (
     Character, CharacterMonoid, CoisoReport, HopfSubalgebra,

@@ -48,8 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .kernel import TruncatedSeries
 from .linalg import (EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace,
                      vec_sum)
-from .liebialg import (LieAlgebra, LieTensor, StandardR, Weight, mix_tensor,
-                       require_arity)
+from .liebialg import LieAlgebra, LieTensor, StandardR, Weight, mix_tensor
 
 Key = Tuple[Weight, ...]
 SparseVec = Dict[int, Fraction]
@@ -179,15 +178,9 @@ class Irrep(Rep):
     the same weight yields an intertwiner.
     """
 
-    def __init__(self, alg, act, weights, hw: Weight, words):
+    def __init__(self, alg, act, weights, words):
         super().__init__(alg, act, weights)
-        self.hw = hw
         self.words = words
-
-    def dual_act(self, idx: int) -> Matrix:
-        """Action on the dual basis: (x.xi)(v) = -xi(x.v)."""
-        a = self.act[idx]
-        return [[-a[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
 
 class CGEntry:
@@ -221,18 +214,12 @@ class CGEntry:
                             opts.append((nu, s, t, ic * pc))
         return opts
 
-    def cartan_injection(self) -> Matrix:
+    def cartan(self) -> Tuple[Matrix, Matrix]:
+        """The (injection, projection) of the Cartan summand V(lam+mu)."""
         nu = tuple(a + b for a, b in zip(self.lam, self.mu))
-        for w, inj, _ in self.summands:
+        for w, inj, proj in self.summands:
             if w == nu:
-                return inj
-        raise KeyError(nu)
-
-    def cartan_projection(self) -> Matrix:
-        nu = tuple(a + b for a, b in zip(self.lam, self.mu))
-        for w, _, proj in self.summands:
-            if w == nu:
-                return proj
+                return inj, proj
         raise KeyError(nu)
 
 
@@ -418,7 +405,7 @@ class PWContext:
                     mat[gen_map[gidx]][col] = c
             act.append(mat)
         weights = [weights[min(v)] for v in basis]
-        return Irrep(self.alg, act, weights, lam, words)
+        return Irrep(self.alg, act, weights, words)
 
     # -- Clebsch-Gordan -------------------------------------------------
 
@@ -695,65 +682,15 @@ def act_factor(f: BlockFunction, j: int, x, side: str) -> BlockFunction:
     return BlockFunction._from_terms(f.ctx, f.m, _act_terms(f, j, x, side))
 
 
-def _act_terms(f: BlockFunction, j: int, x, side: str, c=None):
-    """The terms ((key, idx), coefficient) of act_factor(f, j, x, side),
-    times the scalar c if given."""
+def _act_terms(f: BlockFunction, j: int, x, side: str):
+    """The terms ((key, idx), coefficient) of act_factor(f, j, x, side)."""
     ctx = f.ctx
     slot = 2 * j + (side == "right")
     for key, blk in f.blocks.items():
         lines = ctx.slot_action(key[j], x, side)
         for idx, v in blk.items():
-            if c is not None:
-                v = v * c
             for s, a in lines[idx[slot]].items():
                 yield (key, idx[:slot] + (s,) + idx[slot + 1:]), v * a
-
-
-def invariant_action(x: LieTensor, f: BlockFunction, side: str,
-                     base_dim: Optional[int] = None) -> BlockFunction:
-    """x^L or x^R for x an arity-1 tensor over g or g^m.
-
-    base_dim is dim(g) when x lives over g^m; component j of the product
-    acts on factor j.
-    """
-    require_arity(x, 1, "x")
-    ctx = f.ctx
-    d = base_dim or ctx.alg.dim
-    return BlockFunction._from_terms(ctx, f.m, (
-        t for (i,), c in x.data.items()
-        for t in _act_terms(f, *divmod(i, d), side, ctx.coerce(c))))
-
-
-def pw_evaluate(f: BlockFunction, words: Sequence[Sequence[int]]) -> Fraction:
-    """Evaluate f against a PBW monomial per factor: the pairing
-    <(word_m ... applied to xi), v> per factor, multiplied over factors.
-
-    Independent of the canonical-form machinery; used as a test oracle.
-    """
-    ctx = f.ctx
-    total = Fraction(0)
-    for key, blk in f.blocks.items():
-        reps = [ctx.irrep(w) for w in key]
-        duals = [
-            [rep.dual_act(i) for i in range(ctx.alg.dim)] for rep in reps
-        ]
-        for idx, c in blk.items():
-            val = c
-            for j, word in enumerate(words):
-                rep = reps[j]
-                vec = [Fraction(0)] * rep.dim
-                vec[idx[2 * j]] = Fraction(1)
-                for bi in word:
-                    mat = duals[j][bi]
-                    vec = [
-                        sum(mat[r][s] * vec[s] for s in range(rep.dim))
-                        for r in range(rep.dim)
-                    ]
-                val *= vec[idx[2 * j + 1]]
-                if val == 0:
-                    break
-            total += val
-    return total
 
 
 # -- Poisson brackets -------------------------------------------------------
@@ -911,8 +848,7 @@ def hw_bracket_oracle(ctx: PWContext, st: StandardR, w: int, l: int,
     flat = vec_sum((i * rl.dim + j, c * ci * cj) for c, axi, bmu in legs
                    for i, ci in axi.items() for j, cj in bmu.items())
     cg = ctx.cg((w,), (l,))
-    inj = cg.cartan_injection()
-    proj = cg.cartan_projection()
+    inj, proj = cg.cartan()
     dnu = len(inj[0])
     key = ((w + l,),)
     ics = [sum((inj[fl][s] * c for fl, c in flat.items()), Fraction(0))

@@ -15,6 +15,7 @@ least one check raised an unexpected exception (recorded with status
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -898,13 +899,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "run":
             config = _config_from_args(args)
-            report = run_suite(config)
-            text = report.dumps()
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            try:  # before any suite runs, so a bad path costs nothing
+                out = (open(args.out, "w") if args.out
+                       else contextlib.nullcontext(sys.stdout))
+            except OSError as e:
+                raise ConfigError("cannot write %s: %s" % (
+                    args.out, e.strerror or e)) from None
+            with out as fh:
+                report = run_suite(config)
+                fh.write(report.dumps())
             return 3 if report.errored else 1 if report.failed else 0
         if args.hbar_order is None:
             args.hbar_order = _env_default("hbar-order", int, 3)

@@ -55,12 +55,6 @@ CHECK_BOUND = 2
 # -- vectorization over Q[[hbar]]/(hbar^K) ----------------------------------
 
 
-def tensor_vec(t: UqTensor) -> Dict:
-    """A tensor (an element too, as one leg) as a sparse series vector
-    keyed by its keys."""
-    return dict(t.data)
-
-
 def qfun_vec(f: BlockFunction) -> Dict:
     """A block function as a sparse series vector keyed by (weights,
     index)."""
@@ -93,10 +87,8 @@ class HopfSubalgebra:
     cached as an echelon basis of the truncated-series module they span;
     the generator index of the tracked span is the word index.
 
-    Products of cached basis elements that leave the window are recorded
-    in ``closure_defects`` rather than silently dropped.  Extensions,
-    commutator ideals and membership windows are built once per bound and
-    kept on the instance, so they live exactly as long as U.
+    Extensions, commutator ideals and membership windows are built once
+    per bound and kept on the instance, so they live exactly as long as U.
     """
 
     def __init__(self, ctx: UqContext, generators: Sequence[UqElement],
@@ -111,7 +103,6 @@ class HopfSubalgebra:
         self.words: List[Word] = []            # every attempted word
         self.basis: List[UqElement] = []       # rank-increasing words only
         self.basis_words: List[Word] = []
-        self._defects: Optional[List[Tuple[int, int]]] = None
         self._extended: Dict[int, HopfSubalgebra] = {}
         self._ideals: Dict[int, IdealWindow] = {}
         self._windows: Dict[Tuple, CoisoWindow] = {}
@@ -121,7 +112,7 @@ class HopfSubalgebra:
             nxt: List[Tuple[Word, UqElement]] = []
             for w, el in level:
                 self.words.append(w)
-                if self.span.add(tensor_vec(el)):
+                if self.span.add(el.data):
                     self.basis.append(el)
                     self.basis_words.append(w)
                     if length < degree_bound:
@@ -130,30 +121,7 @@ class HopfSubalgebra:
             level = nxt
 
     def contains(self, x: UqElement) -> bool:
-        return self.span.contains(tensor_vec(x))
-
-    @property
-    def closure_defects(self) -> List[Tuple[int, int]]:
-        """Pairs (i, j) of basis indices whose product leaves the span
-        (the product then necessarily exceeds the degree window; within
-        the window the word construction is closed by design).  Kept as
-        an explicit flag instead of silently dropping the products."""
-        if self._defects is None:
-            self._defects = []
-            for i, u in enumerate(self.basis):
-                for j, v in enumerate(self.basis):
-                    if not self.contains(u * v):
-                        self._defects.append((i, j))
-        return self._defects
-
-    @property
-    def closed(self) -> bool:
-        """Closed under multiplication up to the bound: every flagged
-        pair genuinely exceeds the word-length window."""
-        return all(
-            len(self.basis_words[i]) + len(self.basis_words[j]) > self.degree_bound
-            for i, j in self.closure_defects
-        )
+        return self.span.contains(x.data)
 
     def extend(self, degree_bound: int) -> "HopfSubalgebra":
         """The same subalgebra with a (weakly) larger word-length bound."""
@@ -184,7 +152,6 @@ class IdealWindow:
     a reference cycle."""
 
     def __init__(self, W: HopfSubalgebra, bound: int):
-        self.bound = bound
         self.span = span = EchelonSpan()
         self.elements = elements = []
         comms: List[Tuple[int, UqElement]] = []
@@ -205,11 +172,11 @@ class IdealWindow:
                     if len(wl) + lc + len(wr) > bound:
                         continue
                     el = el_l * c * el_r
-                    if span.add(tensor_vec(el)):
+                    if span.add(el.data):
                         elements.append(el)
 
     def contains(self, x: UqElement) -> bool:
-        return self.span.contains(tensor_vec(x))
+        return self.span.contains(x.data)
 
 
 def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
@@ -268,18 +235,18 @@ class CoisoWindow:
         self.span = span = EchelonSpan(pivot=pivot)
         for u in basis:
             for v in basis:
-                span.add(tensor_vec(tensor_of([u, v])))
+                span.add(tensor_of([u, v]).data)
         for hm in _h_monomials(bound):
             x = UqElement(U.ctx, {hm: 1})
             for c in self.ideal.elements:
-                span.add(tensor_vec(tensor_of([x, c] if side == "right"
-                                              else [c, x])))
+                span.add(tensor_of([x, c] if side == "right"
+                                   else [c, x]).data)
 
     def residuals(self, targets: List[Tuple[object, UqTensor]]):
         """(label, nonzero residual) for each target outside the window."""
         out = []
         for label, t in targets:
-            r = self.span.reduce(tensor_vec(t))
+            r = self.span.reduce(t.data)
             if r:
                 out.append((label, r))
         return out
@@ -486,7 +453,7 @@ class Character:
     def on_element(self, x: UqElement) -> Optional[TruncatedSeries]:
         """Value on an element of the window, through the tracked span;
         None when x is outside the window."""
-        combo = self.U.span.coefficients(tensor_vec(x))
+        combo = self.U.span.coefficients(x.data)
         if combo is None:
             return None
         out = self.U.ctx.zero_series()
@@ -568,7 +535,7 @@ class CharacterMonoid:
         for pivot in (min, max):
             span = EchelonSpan(track=True, pivot=pivot)
             for u in W.basis:
-                span.add(tensor_vec(u))
+                span.add(u.data)
             self.spans.append((span, {}))  # with its memo: monomial -> combo
 
     @property
@@ -795,23 +762,14 @@ def prequantum_check(d: BlockFunction, U: HopfSubalgebra) -> CoisoReport:
 
 class QuantumSectionReport:
     def __init__(self, prequantum: CoisoReport, graded: CoisoReport,
-                 left_coiso: CoisoReport, details: Optional[Dict] = None):
+                 details: Optional[Dict] = None):
         self.prequantum = prequantum
         self.graded = graded
-        self.left_coiso = left_coiso
         self.details = details or {}
 
     def __repr__(self):
         return "QuantumSectionReport(prequantum=%s, graded=%s)" % (
             self.prequantum.status, self.graded.status)
-
-    def to_json(self) -> Dict:
-        return {
-            "prequantum": self.prequantum.to_json(),
-            "graded": self.graded.to_json(),
-            "left_coiso": self.left_coiso.to_json(),
-            "details": self.details,
-        }
 
 
 def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
@@ -830,7 +788,7 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
     window = {"n_max": n_max, "order": U.ctx.order}
     if pre.status != "true" or left.status != "true":
         return QuantumSectionReport(
-            pre, CoisoReport("skipped", window), left, details)
+            pre, CoisoReport("skipped", window), details)
 
     weight_bound = window["weight_bound"] = n_max * max(
         (key[0][0] for key in d.weight_keys()), default=0)
@@ -841,7 +799,7 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
         return QuantumSectionReport(
             pre, CoisoReport("false", window,
                              {"reason": "p(d) is not a character"}),
-            left, details)
+            details)
 
     spaces: List[List[BlockFunction]] = []  # module generators
     spans: List[EchelonSpan] = []
@@ -857,14 +815,14 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
             return QuantumSectionReport(
                 pre, CoisoReport("false", window,
                                  {"reason": "p(d^%d) != p(d)^%d" % (n, n)}),
-                left, details)
+                details)
         spaces.append(semi_invariants(qctx, U, chin, weight_bound))
         spans.append(_fn_span(spaces[n]))
         if n and not spans[n].contains(qfun_vec(dn)):
             return QuantumSectionReport(
                 pre, CoisoReport("false", window,
                                  {"reason": "d^%d outside its section space" % n}),
-                left, details)
+                details)
     details["dims"] = [len(span) for span in spans]  # over Q
     for a in range(n_max + 1):
         for b in range(n_max + 1 - a):
@@ -877,8 +835,8 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
                                 "false", window,
                                 {"reason": "product of degrees (%d, %d) "
                                            "left degree %d" % (a, b, a + b)}),
-                            left, details)
-    return QuantumSectionReport(pre, CoisoReport("true", window), left, details)
+                            details)
+    return QuantumSectionReport(pre, CoisoReport("true", window), details)
 
 
 # -- classical shadow ---------------------------------------------------------

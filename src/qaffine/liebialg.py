@@ -104,9 +104,6 @@ class LieAlgebra:
                        for j, cj in y.items()
                        for k, c in self.bracket_basis(i, j).items())
 
-    def form(self, i: int, j: int) -> Fraction:
-        return self.gram[i][j]
-
     def r0_pairing(self, mu: Sequence, lam: Sequence) -> Fraction:
         """<mu (x) lam, r_0> for weights in fundamental coordinates."""
         if self._gram_t_inv is None:
@@ -337,19 +334,6 @@ def build_sl(n: int, scale=1) -> LieAlgebra:
     return alg
 
 
-def load_algebra(spec: Dict) -> LieAlgebra:
-    """Build an algebra from a declarative description.
-
-    Keys: "type" ("sl"), "n" (matrix size, an integer or its string),
-    optional "form_scale" (rational string or number).
-    """
-    if spec.get("type", "sl") != "sl":
-        raise LieAlgebraError("unsupported algebra type %r" % spec.get("type"))
-    if "n" not in spec:
-        raise LieAlgebraError("algebra spec has no n")
-    return build_sl(spec["n"], spec.get("form_scale", 1))
-
-
 # -- sparse tensors ----------------------------------------------------
 
 
@@ -408,9 +392,6 @@ class LieTensor:
     def transpose(self) -> "LieTensor":
         require_arity(self, 2)
         return self.swap((1, 0))
-
-    def as_vector(self) -> Dict[Tuple[int, ...], Fraction]:
-        return dict(self.data)
 
     def __repr__(self):
         labels = self.alg.labels
@@ -684,7 +665,7 @@ def strongly_coisotropic_lie(u: Subspace, r: LieTensor) -> Dict[str, bool]:
     for x in u.basis_vectors():
         xt = LieTensor(alg, 1, {(k,): c for k, c in x.items()})
         d = cobracket(r, xt)
-        vec = d.as_vector()
+        vec = d.data
         if not strong_span.contains(vec):
             strongly = False
         if not cois_span.contains(vec):
@@ -704,4 +685,4 @@ def r_membership_lie(u: Subspace, r: LieTensor) -> bool:
                 for b, cb in y.items():
                     vec[(a, b)] = ca * cb
             span.add(vec)
-    return span.contains(r.as_vector())
+    return span.contains(r.data)

@@ -186,14 +186,6 @@ def mono_mul(ctx: UqContext, m1: Mono, m2: Mono) -> Dict[Mono, TruncatedSeries]:
     return cur
 
 
-def uq_normalize(ctx: UqContext, word: Sequence, coeff=1) -> UqElement:
-    """Normal form of a free word in the generators, e.g. ["E","F","H"]."""
-    out = uq_one(ctx).scale(coeff)
-    for g in word:
-        out = out * uq_gen(ctx, g)
-    return out
-
-
 def counit(x: UqElement) -> TruncatedSeries:
     return x.data.get((UNIT,), x.ctx.zero_series())
 
@@ -746,7 +738,6 @@ class QIrrep:
 
     def __init__(self, ctx: UqContext, n: int):
         self.ctx = ctx
-        self.n = n
         self.dim = n + 1
         self.weights = [n - 2 * k for k in range(n + 1)]
         # w_k = F^k w_0, as in the lowering words of cgx.Irrep

@@ -220,6 +220,24 @@ def test_run_exit_codes(tmp_path, capsys):
     assert js["summary"]["fail"] == 0
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """The output is opened before any suite runs: a path that cannot be
+    written is one line on stderr and exit 2, and no check runs."""
+    from qaffine import cli
+
+    def no_suite(config):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", "--suite", "quantum", "--hbar-order", "2",
+                 "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("config error: cannot write %s: " % out)
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("QAFFINE_ALGEBRA", "sl3")
     monkeypatch.setenv("QAFFINE_SUITE", "classical")

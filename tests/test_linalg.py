@@ -204,6 +204,28 @@ def test_series_span_matches_hbar_shift_expansion(case, pivot, track):
                 assert _rebuild(combo, gens) == q
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(_gens, st.lists(_vec, max_size=3)).map(
+        lambda t: (_with_combos(t[0]), t[1])),
+    _series_case().map(lambda case: case[1:])),
+    st.sampled_from([min, max]))
+def test_span_methods_leave_their_input_unchanged(case, pivot):
+    """add, reduce, contains and coefficients work on a copy, over Q and
+    over the series ring, so a caller hands them a tensor's own data."""
+    gens, queries = case
+    span = EchelonSpan(track=True, pivot=pivot)
+    given_items = []
+    for v in gens + queries:
+        given_items.append((v, list(v.items())))
+        span.reduce(v)
+        span.contains(v)
+        span.coefficients(v)
+        span.add(v)
+    for v, items in given_items:
+        assert list(v.items()) == items
+
+
 _dense = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.lists(st.integers(min_value=-2, max_value=2).map(F),
                                 min_size=n, max_size=n),

@@ -5,18 +5,22 @@ definition's own body (a recursive call) does not count.  The definitions
 that only tests/ or perfbench/ name are a fixed list, TEST_ONLY: a new
 helper that the engine does not run belongs in tests/.
 
-A name counts as used when it appears as a variable, an attribute, an
-imported name, or a word of a string literal that is not a docstring (the
-benchmark's span recorder hooks functions by dotted name).  Dunder methods
-are called by the language and are not checked."""
+A name counts as used when it appears as a variable, an attribute or an
+imported name, outside src/qaffine/__init__.py: a re-export is not a use.
+A string literal that is not a docstring counts only when it parses as
+Python, and then its names count as code does: the benchmark's span
+recorder hooks functions by dotted name ("PWContext._build_irrep"), and
+tests exec snippets, while report and error prose names nothing.  Methods
+are matched by name, not by class.  Dunder methods are called by the
+language and are not checked."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qaffine"
+INIT = SRC / "__init__.py"
 SCANNED = ("src", "tests", "perfbench")
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -51,7 +55,11 @@ def _names(root, docs):
             yield node.name.split(".")[-1]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docs):
-            yield from re.findall(r"\w+", node.value)
+            try:
+                code = ast.parse(node.value)
+            except (SyntaxError, ValueError):
+                continue
+            yield from _names(code, _docstrings(code))
 
 
 def _own_uses(node, docs):
@@ -75,8 +83,9 @@ def _scan(trees):
     defined = []
     for path, tree in trees:
         docs = _docstrings(tree)
-        (in_src if ROOT / "src" in path.parents else outside).update(
-            _names(tree, docs))
+        if path != INIT:
+            (in_src if ROOT / "src" in path.parents else outside).update(
+                _names(tree, docs))
         if path.parent == SRC:
             for node in ast.walk(tree):
                 if isinstance(node, DEFS) and not (
@@ -140,3 +149,31 @@ def test_a_name_only_tests_use_is_test_only():
     test = ast.parse("from toy import probe, helper\nprobe()\nhelper()\n")
     assert _test_only([(SRC / "toy.py", toy),
                        (ROOT / "tests" / "test_toy.py", test)]) == {"probe"}
+
+
+def test_a_re_export_is_not_a_use():
+    toy = ast.parse(
+        "def engine():\n"
+        "    return 1\n"
+        "def probe():\n"
+        "    return 2\n"
+        "engine()\n")
+    init = ast.parse("from .toy import engine, probe\n")
+    test = ast.parse("from qaffine import probe\nprobe()\n")
+    trees = [(SRC / "toy.py", toy), (INIT, init)]
+    assert _unused(trees) == ["toy.py:3 probe"]
+    assert _test_only(trees + [(ROOT / "tests" / "test_toy.py", test)]) == {
+        "probe"}
+
+
+def test_only_a_string_that_parses_names_anything():
+    toy = ast.parse(
+        "def hooked():\n"
+        "    return 1\n"
+        "def run():\n"
+        "    return 2\n"
+        "def closed():\n"
+        "    return 3\n"
+        "HOOKS = ['Ctx.hooked', 'run(x, side=1)']\n"
+        "raise ValueError('window closed vs open')\n")
+    assert _unused([(SRC / "toy.py", toy)]) == ["toy.py:5 closed"]
