@@ -541,9 +541,6 @@ class BlockFunction:
         return BlockFunction._from_terms(self.ctx.pw, self.m, (
             (k, s[i]) for k, s in self._terms()))
 
-    def mod_hbar(self) -> "BlockFunction":
-        return self.hbar_coefficient(0)
-
     def to_json(self):
         ctx = self.ctx
         out = {}

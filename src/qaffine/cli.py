@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import random
 import sys
 import time
@@ -27,57 +26,56 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 SCHEMA = "qaffine-report/3"
 STATUSES = ("pass", "fail", "inconclusive", "error")
 
-_ENV_PREFIX = "QAFFINE_"
 _SUITES = ("classical", "quantum", "coiso")
+_ALGEBRAS = {"sl2": 2, "sl3": 3}  # name -> n of sl_n
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_order_and_bound(hbar_order: int, degree_bound: int):
-    if not 2 <= hbar_order <= 6:
-        raise ConfigError("hbar-order must be in 2..6")
-    if degree_bound < 1:
-        raise ConfigError("bounds must be positive")
-
-
 class RunConfig:
     """Validated run configuration.  A fixed configuration (including
-    the seed) produces a byte-identical report."""
+    the seed) produces a byte-identical report.  The signature holds every
+    default; the command-line flags are the only way to change one."""
 
     def __init__(self, algebra: str = "sl2", hbar_order: int = 3,
                  degree_bound: int = 4, seed: int = 0, scale: str = "1",
                  suites: Optional[Sequence[str]] = None,
                  timings: bool = False):
+        if algebra not in _ALGEBRAS:
+            raise ConfigError("unknown algebra %r (expected %s)"
+                              % (algebra, " or ".join(_ALGEBRAS)))
+        if not 2 <= hbar_order <= 6:
+            raise ConfigError("hbar-order must be in 2..6")
+        if degree_bound < 1:
+            raise ConfigError("bounds must be positive")
+        scale = str(scale)
+        try:
+            form_scale = Fraction(scale)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError("bad form scaling %r" % (scale,))
+        if form_scale <= 0:
+            raise ConfigError("form scaling must be positive")
+        # the quantum and coiso suites build sl2 with its unscaled form
+        unscaled_sl2 = algebra == "sl2" and form_scale == 1
+        if suites is None:
+            suites = _SUITES if unscaled_sl2 else ("classical",)
+        for s in suites:
+            if s not in _SUITES:
+                raise ConfigError("unknown suite %r" % (s,))
+        if not unscaled_sl2 and set(suites) & {"quantum", "coiso"}:
+            raise ConfigError(
+                "the quantum and coiso suites run at desk scale for sl2 only"
+                if algebra != "sl2" else
+                "the quantum and coiso suites run at form scaling 1 only")
         self.algebra = algebra
         self.hbar_order = hbar_order
         self.degree_bound = degree_bound
         self.seed = seed
-        self.scale = str(scale)
-        if suites is None:
-            suites = _SUITES if algebra == "sl2" else ("classical",)
+        self.scale = scale
         self.suites = tuple(suites)
         self.timings = timings
-        self.validate()
-
-    def validate(self):
-        if self.algebra not in ("sl2", "sl3"):
-            raise ConfigError(
-                "unknown algebra %r (expected sl2 or sl3)" % (self.algebra,))
-        _check_order_and_bound(self.hbar_order, self.degree_bound)
-        try:
-            scale = Fraction(self.scale)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("bad form scaling %r" % (self.scale,))
-        if scale <= 0:
-            raise ConfigError("form scaling must be positive")
-        for s in self.suites:
-            if s not in _SUITES:
-                raise ConfigError("unknown suite %r" % (s,))
-        if self.algebra != "sl2" and set(self.suites) & {"quantum", "coiso"}:
-            raise ConfigError(
-                "the quantum and coiso suites run at desk scale for sl2 only")
 
     def to_json(self) -> Dict:
         return {
@@ -173,8 +171,7 @@ def _suite_classical(cfg: RunConfig, report: Report):
         pw_multiply, pw_tensor,
     )
 
-    n = 2 if cfg.algebra == "sl2" else 3
-    alg = build_sl(n, Fraction(cfg.scale))
+    alg = build_sl(_ALGEBRAS[cfg.algebra], Fraction(cfg.scale))
     st = standard_r(alg)
 
     def cybe():
@@ -406,6 +403,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     ctx = UqContext(cfg.hbar_order)
     E, F, H = uq_gen(ctx, "E"), uq_gen(ctx, "F"), uq_gen(ctx, "H")
     R = r_matrix_sl2(ctx)
+    qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
 
     def algebra():
         if (H * E - E * H) != E.scale(2) or (H * F - F * H) != F.scale(-2):
@@ -499,7 +497,6 @@ def _suite_quantum(cfg: RunConfig, report: Report):
             return False, "order-1 of R", None
         if semiclassical_r(r_matrix_m(R, 2), 2) != twisted_r(st.r, 2):
             return False, "order-1 of the twisted R", None
-        qctx = QAffineContext(ctx)
         pw = qctx.pw
         spec1 = BracketSpec(pw, 1, "product")
         spec2 = BracketSpec(pw, 2, "mixed")
@@ -524,7 +521,6 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                "classical structures", semiclassical)
 
     def factorization():
-        qctx = QAffineContext(ctx)
         rng = random.Random(cfg.seed)
         gens = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
         gens += [hw_coefficient(qctx, (2,), {a: 1}) for a in range(3)]
@@ -560,8 +556,8 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     from .cgx import hw_coefficient, pw_tensor
     from .que import QAffineContext, UqContext, r_matrix_sl2, uq_gen
     from .coiso import (
-        CharacterMonoid, GradedSemiInvariants, HopfSubalgebra, _fn_span,
-        borel_subalgebra, classical_shadow, counit_character,
+        CharacterMonoid, HopfSubalgebra, _fn_span, borel_subalgebra,
+        classical_shadow, counit_character, is_eigenfunction,
         quantum_section_check, r_membership_hopf, semi_invariants,
         strong_coiso_hopf, strong_coiso_twisted, weight_character,
     )
@@ -626,9 +622,7 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     def semi():
         z1 = weight_character(U, 1)
         got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
-        graded = GradedSemiInvariants(U, 2)
-        graded.add((z1, z1), got)
-        if not graded.validate():
+        if not all(is_eigenfunction(f, (z1, z1)) for f in got):
             return False, "eigenproperty", None
         expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
                              hw_coefficient(qctx, (1,), {b: 1})])
@@ -721,13 +715,12 @@ def _parse_function_spec(spec: str) -> List[Tuple[int, int]]:
 
 
 def _algebra_size(name: str) -> int:
-    n = {"sl2": 2, "sl3": 3}.get(name)
-    if n is None:
+    if name not in _ALGEBRAS:
         raise ConfigError("unknown algebra %r" % (name,))
-    return n
+    return _ALGEBRAS[name]
 
 
-def _compute(args) -> Dict:
+def _compute(args, config: RunConfig) -> Dict:
     from .liebialg import basis_tensor, build_sl, cobracket, mix_tensor, \
         standard_r
 
@@ -784,7 +777,7 @@ def _compute(args) -> Dict:
         gs = _parse_function_spec(args.args[1])
         if len(fs) != len(gs):
             raise ConfigError("factor counts differ")
-        qctx = QAffineContext(UqContext(args.hbar_order))
+        qctx = QAffineContext(UqContext(config.hbar_order))
         f = pw_tensor([hw_coefficient(qctx, (n,), {a: 1}) for n, a in fs])
         g = pw_tensor([hw_coefficient(qctx, (n,), {a: 1}) for n, a in gs])
         prod = q_multiply if len(fs) == 1 else quantum_affine_multiply
@@ -798,7 +791,7 @@ def _compute(args) -> Dict:
         m = int(args.args[0])
         if not 1 <= m <= 3:
             raise ConfigError("m must be in 1..3")
-        ctx = UqContext(args.hbar_order)
+        ctx = UqContext(config.hbar_order)
         return {"twi": _uq_tensor_json(twi_m(r_matrix_sl2(ctx), m))}
 
     if args.expr == "coiso-check":
@@ -812,9 +805,9 @@ def _compute(args) -> Dict:
         letters = args.args[0]
         if not letters or any(c not in "EFH" for c in letters):
             raise ConfigError("subalgebra spec must use the letters E, F, H")
-        ctx = UqContext(args.hbar_order)
+        ctx = UqContext(config.hbar_order)
         U = HopfSubalgebra(ctx, [uq_gen(ctx, c) for c in letters],
-                           args.degree_bound, list(letters))
+                           config.degree_bound, list(letters))
         return {
             "strong_coiso": strong_coiso_hopf(U, "right").to_json(),
             "r_membership": r_membership_hopf(U, r_matrix_sl2(ctx)).to_json(),
@@ -826,16 +819,6 @@ def _compute(args) -> Dict:
 # -- entry point --------------------------------------------------------------
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError("bad environment override for %s: %r" % (name, raw))
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qaffine",
@@ -845,15 +828,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run verification suites")
-    run.add_argument("--algebra", default=None)
-    run.add_argument("--hbar-order", type=int, default=None)
-    run.add_argument("--degree-bound", type=int, default=None)
-    run.add_argument("--scale", default=None,
+    run.add_argument("--algebra")
+    run.add_argument("--hbar-order", type=int)
+    run.add_argument("--degree-bound", type=int)
+    run.add_argument("--scale",
                      help="invariant-form scaling (a positive rational)")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--suite", action="append", choices=_SUITES,
+    run.add_argument("--seed", type=int)
+    run.add_argument("--suite", dest="suites", action="append",
+                     choices=_SUITES,
                      help="restrict to a suite (repeatable)")
-    run.add_argument("--timings", action="store_true",
+    run.add_argument("--timings", action="store_true", default=None,
                      help="include wall-clock timings (breaks byte-for-byte "
                           "report determinism)")
     run.add_argument("--out", help="write the JSON report to a file")
@@ -862,31 +846,17 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("expr", choices=["bracket", "qmultiply", "cobracket",
                                        "mix", "twi", "coiso-check"])
     comp.add_argument("args", nargs="*")
-    comp.add_argument("--hbar-order", type=int, default=None)
-    comp.add_argument("--degree-bound", type=int, default=None)
+    comp.add_argument("--hbar-order", type=int)
+    comp.add_argument("--degree-bound", type=int)
     return p
 
 
 def _config_from_args(args) -> RunConfig:
-    def pick(value, name, cast, fallback):
-        if value is not None:
-            return value
-        return _env_default(name, cast, fallback)
-
-    suites = tuple(args.suite) if args.suite else None
-    if suites is None:
-        env_suites = os.environ.get(_ENV_PREFIX + "SUITE")
-        if env_suites:
-            suites = tuple(s.strip() for s in env_suites.split(","))
-    return RunConfig(
-        algebra=pick(args.algebra, "algebra", str, "sl2"),
-        hbar_order=pick(args.hbar_order, "hbar-order", int, 3),
-        degree_bound=pick(args.degree_bound, "degree-bound", int, 4),
-        seed=pick(args.seed, "seed", int, 0),
-        scale=pick(args.scale, "scale", str, "1"),
-        suites=suites,
-        timings=args.timings,
-    )
+    """The RunConfig of the flags that were given; RunConfig supplies the
+    default of every other setting."""
+    return RunConfig(**{k: v for k, v in vars(args).items()
+                        if v is not None
+                        and k not in ("command", "out", "expr", "args")})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -897,8 +867,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = e.code if e.code is not None else 0
         return 0 if code == 0 else 2
     try:
+        config = _config_from_args(args)
         if args.command == "run":
-            config = _config_from_args(args)
             try:  # before any suite runs, so a bad path costs nothing
                 out = (open(args.out, "w") if args.out
                        else contextlib.nullcontext(sys.stdout))
@@ -909,14 +879,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report = run_suite(config)
                 fh.write(report.dumps())
             return 3 if report.errored else 1 if report.failed else 0
-        if args.hbar_order is None:
-            args.hbar_order = _env_default("hbar-order", int, 3)
-        if args.degree_bound is None:
-            args.degree_bound = _env_default("degree-bound", int, 4)
-        _check_order_and_bound(args.hbar_order, args.degree_bound)
         from .cgx import DimensionBoundError
         try:
-            result = _compute(args)
+            result = _compute(args, config)
         except DimensionBoundError as e:  # an input too large to build
             raise ConfigError(str(e)) from None
         sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")

@@ -175,9 +175,6 @@ class IdealWindow:
                     if span.add(el.data):
                         elements.append(el)
 
-    def contains(self, x: UqElement) -> bool:
-        return self.span.contains(x.data)
-
 
 def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
     """Windowed two-sided ideal of U generated by the commutators of its
@@ -659,31 +656,15 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
     return out
 
 
-class GradedSemiInvariants:
-    """Character-graded family of semi-invariant windows with its
-    defining eigenproperty checkable against the cached basis of U."""
-
-    def __init__(self, U: HopfSubalgebra, m: int = 1):
-        self.U = U
-        self.m = m
-        self.entries: List[Tuple[Tuple[Character, ...], List[BlockFunction]]] = []
-
-    def add(self, chis: Union[Character, Sequence[Character]],
-            fns: List[BlockFunction]):
-        chis = (chis,) * self.m if isinstance(chis, Character) else tuple(chis)
-        self.entries.append((chis, fns))
-
-    def validate(self) -> bool:
-        """Every listed f satisfies f.u = chi(u) f for all cached basis
-        elements u of U, in every factor."""
-        for chis, fns in self.entries:
-            for f in fns:
-                for j in range(self.m):
-                    for w in self.U.basis_words:
-                        lhs = q_right_action_word(f, j, self.U, w)
-                        if lhs != f.scale(chis[j].on_word(w)):
-                            return False
-        return True
+def is_eigenfunction(f: BlockFunction, chis: Sequence[Character]) -> bool:
+    """f.u = chi_j(u) f for every cached basis element u of U, on every
+    factor j, where U is the window of the characters chis."""
+    for j, chi in enumerate(chis):
+        for w in chi.U.basis_words:
+            if q_right_action_word(f, j, chi.U, w) != \
+                    f.scale(chi.on_word(w)):
+                return False
+    return True
 
 
 def _fn_span(fns: List[BlockFunction]) -> EchelonSpan:

@@ -367,9 +367,6 @@ class LieTensor:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def __add__(self, other: "LieTensor") -> "LieTensor":
         require_arity(other, self.arity, "summand")
         return LieTensor._from_terms(self.alg, self.arity, itertools.chain(
@@ -615,9 +612,6 @@ class Subspace:
 
     def contains(self, v: Dict[int, Fraction]) -> bool:
         return self.span.contains(v)
-
-    def dim(self) -> int:
-        return len(self.span)
 
     def is_subalgebra(self) -> bool:
         for x in self.basis_vectors():

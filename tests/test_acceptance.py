@@ -20,17 +20,15 @@ from qaffine.cgx import (
     pw_tensor,
 )
 from qaffine.que import (
-    QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
-    almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
-    delta_leg, hexagon_residuals, quantum_affine_multiply,
-    quantum_affine_multiply_pairwise, r_matrix_m, r_matrix_sl2,
-    semiclassical_bracket, semiclassical_r, tensor_one,
+    QAffineContext, UqContext, UqElement, almost_cocommutativity_residuals,
+    antipode, coproduct, counit_leg, delta_leg, hexagon_residuals,
+    quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
+    r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_one,
     twi_m, twi_m_inductive, twist_condition_residuals, uq_gen,
 )
 from qaffine.coiso import (
-    CharacterMonoid, _fn_span, borel_subalgebra, counit_character,
-    quantum_section_check, r_membership_hopf, semi_invariants,
-    strong_coiso_hopf, weight_character,
+    CharacterMonoid, _fn_span, borel_subalgebra, quantum_section_check,
+    r_membership_hopf, semi_invariants, strong_coiso_hopf, weight_character,
 )
 
 F = Fraction

@@ -39,6 +39,24 @@ def test_config_rejects_bad_values():
         RunConfig(algebra="sl3", suites=("quantum",))
 
 
+def test_scaled_sl2_runs_the_classical_suite_only(capsys):
+    """The quantum and coiso suites build sl2 with its unscaled form, so a
+    scaling other than 1 runs the classical suite alone, and asking for
+    either of the others is a config error."""
+    assert main(["run", "--scale", "3/2"]) == 0
+    default = capsys.readouterr().out
+    assert main(["run", "--suite", "classical", "--scale", "3/2"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["config"]["suites"] == ["classical"]
+    for suite in ("quantum", "coiso"):
+        assert main(["run", "--suite", suite, "--scale", "3/2"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the quantum and coiso suites run at form "
+            "scaling 1 only\n")
+    # the scaling is compared as a rational number
+    assert RunConfig(scale="1.0").suites == ("classical", "quantum", "coiso")
+
+
 def test_nonpositive_scale_is_named(capsys):
     for scale in ("0", "-1"):
         assert main(["run", "--scale", scale]) == 2
@@ -238,18 +256,16 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert not out.parent.exists()
 
 
-def test_env_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("QAFFINE_ALGEBRA", "sl3")
-    monkeypatch.setenv("QAFFINE_SUITE", "classical")
-    out = tmp_path / "report.json"
-    assert main(["run", "--out", str(out)]) == 0
-    js = json.loads(out.read_text())
-    assert js["config"]["algebra"] == "sl3"
-    assert js["config"]["suites"] == ["classical"]
-    # explicit flags beat the environment
+def test_environment_sets_nothing(tmp_path, monkeypatch):
+    """The flags are the only way to set a value: QAFFINE_* variables are
+    not read, so a run without flags gets RunConfig's defaults."""
     monkeypatch.setenv("QAFFINE_ALGEBRA", "so5")
-    assert main(["run", "--algebra", "sl3", "--suite", "classical",
-                 "--out", str(out)]) == 0
+    monkeypatch.setenv("QAFFINE_HBAR_ORDER", "0")
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "classical", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["algebra"] == "sl2"
+    assert config["hbar_order"] == 3
 
 
 def test_compute_cobracket(capsys):
@@ -427,7 +443,7 @@ def test_compute_coiso_check(capsys):
     assert js["r_membership"]["status"] == "true"
 
 
-def test_degree_bound_must_be_positive(capsys, monkeypatch):
+def test_degree_bound_must_be_positive(capsys):
     for bound in ("0", "-1"):
         assert main(["compute", "coiso-check", "HE",
                      "--degree-bound", bound]) == 2
@@ -435,9 +451,14 @@ def test_degree_bound_must_be_positive(capsys, monkeypatch):
         assert main(["run", "--suite", "coiso",
                      "--degree-bound", bound]) == 2
         assert "bounds must be positive" in capsys.readouterr().err
-    monkeypatch.setenv("QAFFINE_DEGREE_BOUND", "0")
-    assert main(["compute", "coiso-check", "HE"]) == 2
-    assert "bounds must be positive" in capsys.readouterr().err
+
+
+def test_compute_and_run_share_the_hbar_order_range(capsys):
+    for order in ("1", "7"):
+        for argv in (["compute", "twi", "2"], ["run"]):
+            assert main(argv + ["--hbar-order", order]) == 2
+            assert capsys.readouterr().err == (
+                "config error: hbar-order must be in 2..6\n")
 
 
 def test_compute_bad_usage(capsys):

@@ -5,8 +5,9 @@ definition's own body (a recursive call) does not count.  The definitions
 that only tests/ or perfbench/ name are a fixed list, TEST_ONLY: a new
 helper that the engine does not run belongs in tests/.
 
-A name counts as used when it appears as a variable, an attribute or an
-imported name, outside src/qaffine/__init__.py: a re-export is not a use.
+A name counts as used when it appears as a variable or an attribute,
+outside src/qaffine/__init__.py: a re-export is not a use, and neither is
+an import.
 A string literal that is not a docstring counts only when it parses as
 Python, and then its names count as code does: the benchmark's span
 recorder hooks functions by dotted name ("PWContext._build_irrep"), and
@@ -51,8 +52,6 @@ def _names(root, docs):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docs):
             try:
@@ -164,6 +163,19 @@ def test_a_re_export_is_not_a_use():
     assert _unused(trees) == ["toy.py:3 probe"]
     assert _test_only(trees + [(ROOT / "tests" / "test_toy.py", test)]) == {
         "probe"}
+
+
+def test_an_import_is_not_a_use():
+    toy = ast.parse(
+        "def engine():\n"
+        "    return 1\n"
+        "def probe():\n"
+        "    return 2\n"
+        "engine()\n")
+    test = ast.parse("from toy import engine, probe\nengine()\n")
+    assert _unused([(SRC / "toy.py", toy),
+                    (ROOT / "tests" / "test_toy.py", test)]) == [
+        "toy.py:3 probe"]
 
 
 def test_only_a_string_that_parses_names_anything():
