@@ -36,7 +36,6 @@ from .que import (
     coproduct,
     counit,
     q_multiply,
-    tensor_of,
     tensor_one,
     twi_m,
     uq_gen,
@@ -146,40 +145,35 @@ class HopfSubalgebra:
 
 class IdealWindow:
     """Window of the two-sided ideal [U,U] of U generated by commutators:
-    the echelon span of u(vw - wv)u' over words with total length inside
-    the bound, together with the spanning elements themselves.  It keeps
-    no reference to W (U extended to the bound), so U can hold it without
-    a reference cycle."""
+    the echelon span of u[g_i, g_j]u' over the generators g_i, g_j and
+    basis words u, u' with total length inside the bound.  That is the
+    span of every u[v, w]u' over basis words, because [xy, z] =
+    x[y, z] + [x, z]y writes a commutator of words as generator
+    commutators sandwiched between words of the same total length, and
+    every word lies in the span of basis words no longer than itself.  It
+    keeps no reference to W (U extended to the bound), so U can hold it
+    without a reference cycle."""
 
     def __init__(self, W: HopfSubalgebra, bound: int):
         self.span = span = EchelonSpan()
-        self.elements = elements = []
-        comms: List[Tuple[int, UqElement]] = []
-        for i in range(len(W.basis)):
-            li = len(W.basis_words[i])
-            for j in range(i + 1, len(W.basis)):
-                lj = len(W.basis_words[j])
-                if li + lj > bound:
-                    continue
-                c = W.basis[i] * W.basis[j] - W.basis[j] * W.basis[i]
-                if not c.is_zero():
-                    comms.append((li + lj, c))
-        for lc, c in comms:
+        gens = W.generators
+        comms = [c for i, gi in enumerate(gens) for gj in gens[i + 1:]
+                 if not (c := gi * gj - gj * gi).is_zero()]
+        for c in comms:
             for wl, el_l in zip(W.basis_words, W.basis):
-                if len(wl) + lc > bound:
+                if len(wl) + 2 > bound:
                     continue
+                left = el_l * c
                 for wr, el_r in zip(W.basis_words, W.basis):
-                    if len(wl) + lc + len(wr) > bound:
-                        continue
-                    el = el_l * c * el_r
-                    if span.add(el.data):
-                        elements.append(el)
+                    if len(wl) + 2 + len(wr) <= bound:
+                        span.add((left * el_r).data)
 
 
 def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
     """Windowed two-sided ideal of U generated by the commutators of its
-    cached basis, including one-sided multiples within the degree bound;
-    built once per bound and kept on U."""
+    generators, with their one- and two-sided multiples by basis words
+    within the degree bound (see ``IdealWindow``); built once per bound
+    and kept on U."""
     if bound is None:
         bound = U.degree_bound
     ideal = U._ideals.get(bound)
@@ -221,23 +215,28 @@ class CoisoReport:
 class CoisoWindow:
     """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
     (bound, side, pivot): the untracked echelon span, pivoting on
-    pivot(keys), of the tensors of U extended to the bound and of the
-    commutator ideal at the bound against the H-monomials of degree up to
-    the bound.  Membership reads only its residuals.  It keeps no
-    reference to U, so U can hold it without a cycle."""
+    pivot(keys), of r(x)r' over the echelon rows r, r' of U extended to
+    the bound, and of h(x)c (or c(x)h) over the H-monomials h of degree up
+    to the bound and the echelon rows c of the commutator ideal at the
+    bound.  Over Q[[hbar]]/(hbar^K) the Howell rows of a span generate the
+    module its inserted vectors generate, so these products generate the
+    same module as the tensors of every pair of spanning elements.
+    Membership reads only its residuals.  It keeps no reference to U, so
+    U can hold it without a cycle."""
 
     def __init__(self, U: HopfSubalgebra, bound: int, side: str, pivot):
-        basis = U.extend(bound).basis
+        rows = U.extend(bound).span.rows.values()
         self.ideal = ideal_commutator(U, bound)
         self.span = span = EchelonSpan(pivot=pivot)
-        for u in basis:
-            for v in basis:
-                span.add(tensor_of([u, v]).data)
+        for ra in rows:
+            for rb in rows:
+                span.add({ka + kb: x for ka, s in ra.items()
+                          for kb, t in rb.items() if (x := s * t)})
         for hm in _h_monomials(bound):
-            x = UqElement(U.ctx, {hm: 1})
-            for c in self.ideal.elements:
-                span.add(tensor_of([x, c] if side == "right"
-                                   else [c, x]).data)
+            for c in self.ideal.span.rows.values():
+                span.add({(hm,) + k: t for k, t in c.items()}
+                         if side == "right" else
+                         {k + (hm,): t for k, t in c.items()})
 
     def residuals(self, targets: List[Tuple[object, UqTensor]]):
         """(label, nonzero residual) for each target outside the window."""
@@ -447,10 +446,11 @@ class Character:
             out = out * self.values[gi]
         return out
 
-    def on_element(self, x: UqElement) -> Optional[TruncatedSeries]:
-        """Value on an element of the window, through the tracked span;
-        None when x is outside the window."""
-        combo = self.U.span.coefficients(x.data)
+    def on_vector(self, v: Dict) -> Optional[TruncatedSeries]:
+        """Value on the element of the window whose data dict is v (an
+        element's data or an echelon row of a span of elements), through
+        the tracked span; None when v is outside the window."""
+        combo = self.U.span.coefficients(v)
         if combo is None:
             return None
         out = self.U.ctx.zero_series()
@@ -459,18 +459,19 @@ class Character:
         return out
 
     def is_valid(self) -> bool:
-        """Multiplicative on the cached basis and vanishing on U's
-        commutator-ideal window at its degree bound."""
+        """Multiplicative on the cached basis and vanishing on the echelon
+        rows of U's commutator-ideal window at its degree bound, which
+        generate that window."""
         U = self.U
         for i, (wi, bi) in enumerate(zip(U.basis_words, U.basis)):
             for wj, bj in zip(U.basis_words, U.basis):
                 if len(wi) + len(wj) > U.degree_bound:
                     continue
-                got = self.on_element(bi * bj)
+                got = self.on_vector((bi * bj).data)
                 if got is None or got != self.on_word(wi) * self.on_word(wj):
                     return False
-        for c in ideal_commutator(U).elements:
-            v = self.on_element(c)
+        for row in ideal_commutator(U).span.rows.values():
+            v = self.on_vector(row)
             if v is None or not v.is_zero():
                 return False
         return True

@@ -149,12 +149,15 @@ class EchelonSpan:
         e = res[p]
         if type(e) is TruncatedSeries:
             w = e.valuation()
-            size, scale = e.order - w, e.shift(-w).inv()
+            unit = e.shift(-w)
+            size, scale = e.order - w, None if unit == 1 else unit.inv()
         else:
-            w, size, scale = 0, 1, Fraction(1) / e
-        row = vec_scale(res, scale)
-        if self.track:
-            hist = vec_scale(hist, scale)
+            w, size, scale = 0, 1, None if e == 1 else Fraction(1) / e
+        row = res
+        if scale is not None:  # a pivot entry 1 or hbar^w needs no scaling
+            row = vec_scale(res, scale)
+            if self.track:
+                hist = vec_scale(hist, scale)
         rows, holders, vals = self.rows, self._holders, self._vals
         if p in rows:  # a row of higher valuation, to be placed again
             old = rows.pop(p)

@@ -78,7 +78,7 @@ def test_commutator_ideal(ctx, U):
         assert bigger.span.contains(row)
     # a commutative window has a zero ideal
     Uh = HopfSubalgebra(ctx, [uq_gen(ctx, "H")], 4, names=["H"])
-    assert not ideal_commutator(Uh).elements
+    assert not ideal_commutator(Uh).span.rows
 
 
 def test_strong_coisotropy(ctx, U):
@@ -493,7 +493,7 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
         assert U3.window(bound, side, pivot) is win
         assert win.ideal is ideal_commutator(U3, bound)
         assert _expand(win.ideal.span).equals(ideal_ref.span)
-        assert win.ideal.elements == ideal_ref.elements
+        assert len(win.ideal.span) == len(ideal_ref.span)
     # a tracked span has the rows of the untracked one
     untracked, _ = _window_span_ref(fresh.extend(bound), ideal_ref, bound,
                                     "right")
@@ -516,6 +516,91 @@ def test_shared_windows_keep_the_pivot_order(ctx):
         win = U.window(bound, "right", pivot)
         assert not win.span.track
         assert _expand(win.span).equals(span)
+
+
+def _has_hbar_pivot(span):
+    return any(row[p].valuation() for p, row in span.rows.items())
+
+
+def test_generator_commutator_ideal_matches_all_pairs(ctx):
+    """The ideal sandwiches only the generator commutators, yet spans the
+    module of the commutators of every pair of basis words."""
+    U = borel_subalgebra(ctx, 2)
+    for bound in range(2, 7):
+        ref = _ideal_commutator_ref(U, bound)
+        got = ideal_commutator(U, bound).span
+        assert _expand(got).equals(ref.span) and len(got) == len(ref.span)
+
+
+def test_row_built_windows_match_spanning_element_builds(ctx):
+    """For <E,F> and <H,F>, whose rows include hbar^v pivots, the ideal
+    matches the all-pairs build, and U(x)U + H(x)[U,U] and its left twin,
+    built from echelon rows, span the module the tensors of every basis
+    pair and every ideal element span."""
+    hbar_pivots = False
+    for names in ("EF", "HF"):
+        for degree_bound in (1, 2):
+            U = HopfSubalgebra(ctx, [uq_gen(ctx, c) for c in names],
+                               degree_bound, names=list(names))
+            bound = degree_bound + ctx.order - 1
+            ideal = _ideal_commutator_ref(U, bound)
+            got = ideal_commutator(U, bound).span
+            assert _expand(got).equals(ideal.span) and \
+                len(got) == len(ideal.span), (names, degree_bound)
+            hbar_pivots |= _has_hbar_pivot(U.extend(bound).span)
+            hbar_pivots |= _has_hbar_pivot(got)
+            for side in ("right", "left"):
+                for pivot in (min, max):
+                    ref, _ = _window_span_ref(U.extend(bound), ideal, bound,
+                                              side, pivot=pivot)
+                    win = U.window(bound, side, pivot)
+                    assert _expand(win.span).equals(ref) and \
+                        len(win.span) == len(ref), \
+                        (names, degree_bound, side, pivot)
+    assert hbar_pivots
+
+
+def test_windows_insert_row_products_of_generator_commutators(ctx,
+                                                              monkeypatch):
+    """Work-count guard: the Borel right window at K = 3, degree bound 3
+    inserts one product per pair of U-rows and one per H-monomial and
+    ideal row, and its ideal forms only the generator commutators."""
+    import qaffine.coiso as coiso
+    from qaffine.que import UqTensor
+
+    U = borel_subalgebra(ctx, 3)
+    bound = U.degree_bound + ctx.order - 1
+    W = U.extend(bound)
+    subtracted, inserted = [], []
+    sub, add = UqTensor.__sub__, EchelonSpan.add
+
+    def counted_sub(self, other):
+        subtracted.append((self, other))
+        return sub(self, other)
+
+    def counted_add(self, v):
+        inserted.append((self, v))
+        return add(self, v)
+
+    monkeypatch.setattr(UqTensor, "__sub__", counted_sub)
+    monkeypatch.setattr(EchelonSpan, "add", counted_add)
+    ideal = coiso.IdealWindow(W, bound)
+    H, E = U.generators
+    assert subtracted == [(H * E, E * H)]
+    # u [H, E] u' over the basis words u, u' of total length <= bound
+    lengths = [len(w) for w in W.basis_words]
+    assert len(inserted) == sum(1 for a in lengths for b in lengths
+                                if a + 2 + b <= bound)
+    inserted.clear()
+    win = U.window(bound, "right")
+    assert ideal.span.equals(win.ideal.span)
+    products = [v for span, v in inserted if span is win.span]
+    assert len(products) == (
+        len(W.span.rows) ** 2
+        + len(_h_monomials(bound)) * len(win.ideal.span.rows))
+    # products of rows have pivot entry 1, unlike products of elements
+    # such as H.E - E.H = 2E
+    assert all(v[min(v)] == 1 for v in products)
 
 
 def test_character_monoid_matches_unshared_reduced_coproducts(U3,

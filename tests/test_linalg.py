@@ -204,6 +204,53 @@ def test_series_span_matches_hbar_shift_expansion(case, pivot, track):
                 assert _rebuild(combo, gens) == q
 
 
+def test_unit_pivot_rows_are_placed_unscaled(monkeypatch):
+    """A residual whose pivot entry is already 1 over Q, or exactly hbar^w
+    over the series ring, becomes a row without a scaling by 1; its rows
+    and coefficients are those of the full-scan and hbar-shift
+    references."""
+    scales = []
+    vec_scale_ = qaffine.linalg.vec_scale
+
+    def recorded(a, c):
+        scales.append(c)
+        return vec_scale_(a, c)
+
+    monkeypatch.setattr(qaffine.linalg, "vec_scale", recorded)
+    gens = [{0: F(1), 2: F(3)}, {1: F(1), 2: F(-1)},
+            {0: F(1), 1: F(1), 2: F(5)}, {0: F(2), 2: F(6)}]
+    got, ref = EchelonSpan(track=True), FullScanSpan(track=True)
+    for v in gens:
+        assert got.add(v) == ref.add(v)
+        assert got.rows == ref.rows and got.history == ref.history
+    for q in gens + [{2: F(1)}, {0: F(2), 1: F(1)}, {3: F(1)}]:
+        assert got.coefficients(q) == ref.coefficients(q)
+
+    K = 3
+    T = TruncatedSeries
+    gens = [{0: T.hbar(K), 1: T(K, [2, 1])},    # pivot entry hbar
+            {1: T.hbar(K), 2: T.one(K)},        # takes pivot 1 from hbar^2
+            {0: T(K, [0, 1, 5]), 2: T(K, [1, 1])},
+            {2: T.hbar(K, 2), 3: T(K, [0, 3])}]
+    got, ref = EchelonSpan(track=True), FullScanSpan()
+    for v in gens:
+        grew = [ref.add(x) for x in _hbar_shifts(v, K)]
+        assert got.add(v) == grew[0]
+        assert len(got) == len(ref.rows)
+    expanded = FullScanSpan()
+    for row in got.rows.values():
+        for x in _hbar_shifts(row, K):
+            expanded.add(x)
+    assert expanded.rows == ref.rows
+    assert any(row[p] == T.hbar(K, 1) for p, row in got.rows.items())
+    for q in gens + [{1: T.hbar(K, 2)}, {3: T.one(K)}]:
+        combo = got.coefficients(q)
+        assert (combo is None) == (not ref.contains(_flat(q)))
+        if combo is not None:
+            assert _rebuild(combo, gens) == q
+    assert scales and not any(c == 1 for c in scales)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.tuples(_gens, st.lists(_vec, max_size=3)).map(
