@@ -621,7 +621,7 @@ def _suite_coiso(cfg: RunConfig, report: Report):
 
     def semi():
         z1 = weight_character(U, 1)
-        got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
+        got = semi_invariants(qctx, U, (z1, z1), 1)
         if not all(is_eigenfunction(f, (z1, z1)) for f in got):
             return False, "eigenproperty", None
         expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
@@ -638,11 +638,10 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     def sections():
         mon = CharacterMonoid(U, precheck=False)
         d = hw_coefficient(qctx, (1,), {0: 1})
-        rep = quantum_section_check(d, U, n_max=3, monoid=mon)
-        if rep.prequantum.status != "true" or rep.graded.status != "true":
-            return False, \
-                "%s/%s" % (rep.prequantum.status, rep.graded.status), \
-                rep.graded.witness or rep.prequantum.witness
+        pre, graded = quantum_section_check(d, U, mon, n_max=3)
+        if pre.status != "true" or graded.status != "true":
+            return False, "%s/%s" % (pre.status, graded.status), \
+                graded.witness or pre.witness
         return True, "0", None
 
     _run_check(report, "coiso.sections",

@@ -22,7 +22,7 @@ every report records the window it was computed in.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
@@ -87,7 +87,9 @@ class HopfSubalgebra:
     the generator index of the tracked span is the word index.
 
     Extensions, commutator ideals and membership windows are built once
-    per bound and kept on the instance, so they live exactly as long as U.
+    per key and kept on the instance, so they live exactly as long as U.
+    An ideal or a window is a plain echelon span, which keeps no reference
+    to U, so U holds it without a reference cycle.
     """
 
     def __init__(self, ctx: UqContext, generators: Sequence[UqElement],
@@ -103,8 +105,8 @@ class HopfSubalgebra:
         self.basis: List[UqElement] = []       # rank-increasing words only
         self.basis_words: List[Word] = []
         self._extended: Dict[int, HopfSubalgebra] = {}
-        self._ideals: Dict[int, IdealWindow] = {}
-        self._windows: Dict[Tuple, CoisoWindow] = {}
+        self._ideals: Dict[int, EchelonSpan] = {}
+        self._windows: Dict[Tuple[int, str], EchelonSpan] = {}
 
         level: List[Tuple[Word, UqElement]] = [((), uq_one(ctx))]
         for length in range(degree_bound + 1):
@@ -132,30 +134,49 @@ class HopfSubalgebra:
                 self.ctx, self.generators, degree_bound, self.names)
         return ext
 
-    def window(self, bound: int, side: str = "right",
-               pivot=min) -> "CoisoWindow":
-        """The membership window of U at this bound (see ``CoisoWindow``),
-        built on first use."""
-        key = (bound, side, pivot)
-        win = self._windows.get(key)
-        if win is None:
-            win = self._windows[key] = CoisoWindow(self, *key)
-        return win
+    def window(self, bound: int, side: str = "right") -> EchelonSpan:
+        """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at this
+        bound, built on first use: the untracked echelon span of r(x)r'
+        over the echelon rows r, r' of U extended to the bound, and of
+        h(x)c (or c(x)h) over the H-monomials h of degree up to the bound
+        and the echelon rows c of the commutator ideal at the bound.  Over
+        Q[[hbar]]/(hbar^K) the Howell rows of a span generate the module
+        its inserted vectors generate, so these products generate the same
+        module as the tensors of every pair of spanning elements."""
+        key = (bound, side)
+        span = self._windows.get(key)
+        if span is None:
+            rows = self.extend(bound).span.rows.values()
+            ideal = ideal_commutator(self, bound).rows.values()
+            span = self._windows[key] = EchelonSpan()
+            for ra in rows:
+                for rb in rows:
+                    span.add({ka + kb: x for ka, s in ra.items()
+                              for kb, t in rb.items() if (x := s * t)})
+            for hm in _h_monomials(bound):
+                for c in ideal:
+                    span.add({(hm,) + k: t for k, t in c.items()}
+                             if side == "right" else
+                             {k + (hm,): t for k, t in c.items()})
+        return span
 
 
-class IdealWindow:
-    """Window of the two-sided ideal [U,U] of U generated by commutators:
-    the echelon span of u[g_i, g_j]u' over the generators g_i, g_j and
-    basis words u, u' with total length inside the bound.  That is the
-    span of every u[v, w]u' over basis words, because [xy, z] =
-    x[y, z] + [x, z]y writes a commutator of words as generator
-    commutators sandwiched between words of the same total length, and
-    every word lies in the span of basis words no longer than itself.  It
-    keeps no reference to W (U extended to the bound), so U can hold it
-    without a reference cycle."""
-
-    def __init__(self, W: HopfSubalgebra, bound: int):
-        self.span = span = EchelonSpan()
+def ideal_commutator(U: HopfSubalgebra,
+                     bound: Optional[int] = None) -> EchelonSpan:
+    """Window of the two-sided ideal [U,U] of U generated by commutators,
+    built once per bound and kept on U: the echelon span of u[g_i, g_j]u'
+    over the generators g_i, g_j and the basis words u, u' of U extended
+    to the bound, with total length inside the bound.  That is the span
+    of every u[v, w]u' over basis words, because [xy, z] = x[y, z] +
+    [x, z]y writes a commutator of words as generator commutators
+    sandwiched between words of the same total length, and every word
+    lies in the span of basis words no longer than itself."""
+    if bound is None:
+        bound = U.degree_bound
+    span = U._ideals.get(bound)
+    if span is None:
+        W = U.extend(bound)
+        span = U._ideals[bound] = EchelonSpan()
         gens = W.generators
         comms = [c for i, gi in enumerate(gens) for gj in gens[i + 1:]
                  if not (c := gi * gj - gj * gi).is_zero()]
@@ -167,19 +188,7 @@ class IdealWindow:
                 for wr, el_r in zip(W.basis_words, W.basis):
                     if len(wl) + 2 + len(wr) <= bound:
                         span.add((left * el_r).data)
-
-
-def ideal_commutator(U: HopfSubalgebra, bound: Optional[int] = None) -> IdealWindow:
-    """Windowed two-sided ideal of U generated by the commutators of its
-    generators, with their one- and two-sided multiples by basis words
-    within the degree bound (see ``IdealWindow``); built once per bound
-    and kept on U."""
-    if bound is None:
-        bound = U.degree_bound
-    ideal = U._ideals.get(bound)
-    if ideal is None:
-        ideal = U._ideals[bound] = IdealWindow(U.extend(bound), bound)
-    return ideal
+    return span
 
 
 # -- strong coisotropy of Hopf subalgebras -----------------------------------
@@ -209,42 +218,6 @@ class CoisoReport:
             out["witness"] = self.witness
         if self.details:
             out["details"] = self.details
-        return out
-
-
-class CoisoWindow:
-    """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at one
-    (bound, side, pivot): the untracked echelon span, pivoting on
-    pivot(keys), of r(x)r' over the echelon rows r, r' of U extended to
-    the bound, and of h(x)c (or c(x)h) over the H-monomials h of degree up
-    to the bound and the echelon rows c of the commutator ideal at the
-    bound.  Over Q[[hbar]]/(hbar^K) the Howell rows of a span generate the
-    module its inserted vectors generate, so these products generate the
-    same module as the tensors of every pair of spanning elements.
-    Membership reads only its residuals.  It keeps no reference to U, so
-    U can hold it without a cycle."""
-
-    def __init__(self, U: HopfSubalgebra, bound: int, side: str, pivot):
-        rows = U.extend(bound).span.rows.values()
-        self.ideal = ideal_commutator(U, bound)
-        self.span = span = EchelonSpan(pivot=pivot)
-        for ra in rows:
-            for rb in rows:
-                span.add({ka + kb: x for ka, s in ra.items()
-                          for kb, t in rb.items() if (x := s * t)})
-        for hm in _h_monomials(bound):
-            for c in self.ideal.span.rows.values():
-                span.add({(hm,) + k: t for k, t in c.items()}
-                         if side == "right" else
-                         {k + (hm,): t for k, t in c.items()})
-
-    def residuals(self, targets: List[Tuple[object, UqTensor]]):
-        """(label, nonzero residual) for each target outside the window."""
-        out = []
-        for label, t in targets:
-            r = self.span.reduce(t.data)
-            if r:
-                out.append((label, r))
         return out
 
 
@@ -278,8 +251,15 @@ def _membership(U: HopfSubalgebra, targets, side: str,
     window = {"degree_bound": U.degree_bound, "span_bound": bound,
               "h_bound": bound, "order": U.ctx.order, "side": side}
     window.update(extra_window)
+
+    def residuals(b: int):
+        """(label, nonzero residual) for each target outside the window."""
+        span = U.window(b, side)
+        return [(label, r) for label, t in targets
+                if (r := span.reduce(t.data))]
+
     return _three_valued(
-        lambda b: U.window(b, side).residuals(targets), window, bound,
+        residuals, window, bound,
         lambda label, residual: {
             "element": str(label),
             "residual_terms": sorted(map(str, _hbar_terms(residual)))[:8],
@@ -374,7 +354,7 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
 
     def residuals(b: int):
         u_monos = _monomial_support(U.extend(b).span)
-        i_monos = _monomial_support(ideal_commutator(U, b).span)
+        i_monos = _monomial_support(ideal_commutator(U, b))
         if u_monos is None or i_monos is None:
             raise ValueError(
                 "tensor-power window requires monomial U- and ideal-spans"
@@ -451,12 +431,8 @@ class Character:
         element's data or an echelon row of a span of elements), through
         the tracked span; None when v is outside the window."""
         combo = self.U.span.coefficients(v)
-        if combo is None:
-            return None
-        out = self.U.ctx.zero_series()
-        for gen_idx, c in combo.items():
-            out = out + self.on_word(self.U.words[gen_idx]) * c
-        return out
+        return None if combo is None else _on_combination(
+            self, self.U.words, combo)
 
     def is_valid(self) -> bool:
         """Multiplicative on the cached basis and vanishing on the echelon
@@ -470,11 +446,22 @@ class Character:
                 got = self.on_vector((bi * bj).data)
                 if got is None or got != self.on_word(wi) * self.on_word(wj):
                     return False
-        for row in ideal_commutator(U).span.rows.values():
+        for row in ideal_commutator(U).rows.values():
             v = self.on_vector(row)
             if v is None or not v.is_zero():
                 return False
         return True
+
+
+def _on_combination(chi: Character, words: Sequence[Word],
+                    combo: Dict) -> TruncatedSeries:
+    """sum chi(words[i]) c over the terms i -> c of a combination of the
+    generators of a tracked span, whose generator i is the word
+    words[i]."""
+    out = chi.U.ctx.zero_series()
+    for i, c in combo.items():
+        out = out + chi.on_word(words[i]) * c
+    return out
 
 
 def counit_character(U: HopfSubalgebra) -> Character:
@@ -512,7 +499,7 @@ class CharacterMonoid:
     monomial x along a tracked echelon span of U's basis at the window
     bound, written in that basis.  Every product is read from a min- and
     a max-pivot span, and the two answers must agree; Delta(g) must lie
-    in the shared right min-pivot membership window."""
+    in the shared right membership window."""
 
     def __init__(self, U: HopfSubalgebra, precheck: bool = True):
         bound = _window_bound(U)
@@ -525,8 +512,9 @@ class CharacterMonoid:
                 )
             bound = rep.window["span_bound"]
         self.U = U
-        self.inside = not U.window(bound, "right", min).residuals(
-            [(g, coproduct(g)) for g in U.generators])
+        window = U.window(bound, "right")
+        self.inside = all(window.contains(coproduct(g).data)
+                          for g in U.generators)
         W = U.extend(bound)
         self.words = W.basis_words
         self.spans = []
@@ -548,10 +536,7 @@ class CharacterMonoid:
             v = {(x,): self.U.ctx.one_series()}
             combo = combos[x] = span.coefficients(
                 vec_add(v, span.reduce(v), -1))
-        out = self.U.ctx.zero_series()
-        for i, c in combo.items():
-            out = out + chi.on_word(self.words[i]) * c
-        return out
+        return _on_combination(chi, self.words, combo)
 
     def product(self, phi: Character, psi: Character) -> Character:
         if not self.inside:
@@ -622,17 +607,16 @@ def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[Bl
 
 
 def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
-                    chi: Union[Character, Sequence[Character]],
-                    weight_bound: int, m: int = 1) -> List[BlockFunction]:
-    """Generators of the module {f in the weight window : f.u = chi(u) f
-    factorwise}, one unknown per basis function: the kernel generators
-    (linalg.sparse_nullspace) of the map taking each basis function f to
-    its residuals f.g - chi(g) f.  The eigencondition is enforced on the
-    generators g of U, which suffices: the right action is multiplicative
-    and the character values extend multiplicatively."""
-    chis = [chi] * m if isinstance(chi, Character) else list(chi)
-    if len(chis) != m:
-        raise ValueError("%d characters for %d factors" % (len(chis), m))
+                    chis: Sequence[Character],
+                    weight_bound: int) -> List[BlockFunction]:
+    """Generators of the module {f in the weight window : f.u = chi_j(u) f
+    on each factor j}, on m = len(chis) factors, one unknown per basis
+    function: the kernel generators (linalg.sparse_nullspace) of the map
+    taking each basis function f to its residuals f.g - chi_j(g) f.  The
+    eigencondition is enforced on the generators g of U, which suffices:
+    the right action is multiplicative and the character values extend
+    multiplicatively."""
+    m = len(chis)
     basis = _qf_window_basis(qctx, m, weight_bound)
     cols = []
     for b in basis:
@@ -675,42 +659,37 @@ def _fn_span(fns: List[BlockFunction]) -> EchelonSpan:
     return span
 
 
+def _products_inside(fs: List[BlockFunction], gs: List[BlockFunction],
+                     span: EchelonSpan, product) -> bool:
+    """Does product(f, g) lie in span for every f of fs and g of gs?"""
+    return all(span.contains(qfun_vec(product(f, g))) for f in fs for g in gs)
+
+
 def semi_invariant_product_check(monoid: CharacterMonoid,
                                  qctx: QAffineContext,
-                                 chi1, chi2, weight_bound: int,
-                                 m: int = 1, product=None) -> bool:
-    """A^{chi1} A^{chi2} lands in A^{chi1 chi2} on the window (products
-    whose weights leave the window are excluded by choosing the bound
-    large enough for the inputs used)."""
-    if product is None:
-        product = q_multiply
-    chis1 = (chi1,) * m if isinstance(chi1, Character) else tuple(chi1)
-    chis2 = (chi2,) * m if isinstance(chi2, Character) else tuple(chi2)
-    a1 = semi_invariants(qctx, monoid.U, chis1, weight_bound, m)
-    a2 = semi_invariants(qctx, monoid.U, chis2, weight_bound, m)
-    chis12 = tuple(monoid.product(c1, c2) for c1, c2 in zip(chis1, chis2))
-    a12 = semi_invariants(qctx, monoid.U, chis12, weight_bound, m)
-    span = _fn_span(a12)
-    for f in a1:
-        for g in a2:
-            if not span.contains(qfun_vec(product(f, g))):
-                return False
-    return True
+                                 chis1: Sequence[Character],
+                                 chis2: Sequence[Character],
+                                 weight_bound: int,
+                                 product=q_multiply) -> bool:
+    """A^{chis1} A^{chis2} lands in A^{chis1 chis2} on the window, with
+    one character per factor and the characters multiplied factorwise
+    (products whose weights leave the window are excluded by choosing
+    the bound large enough for the inputs used)."""
+    chis12 = [monoid.product(c1, c2)
+              for c1, c2 in zip(chis1, chis2, strict=True)]
+    a1, a2, a12 = (semi_invariants(qctx, monoid.U, chis, weight_bound)
+                   for chis in (chis1, chis2, chis12))
+    return _products_inside(a1, a2, _fn_span(a12), product)
 
 
 # -- quantum sections ---------------------------------------------------------
 
 
-def _check_one_factor(d: BlockFunction):
-    if d.m != 1:
-        raise ValueError("expected a function on one factor, got m=%d" % d.m)
-
-
 def restriction_character(d: BlockFunction, U: HopfSubalgebra) -> Character:
     """p(d): the restriction of the evaluation functional of d to U,
     recorded by its values on the generators.  A character precisely
-    when d is a prequantum section."""
-    _check_one_factor(d)
+    when d is a prequantum section.  A function on m != 1 factors is
+    refused by ``q_evaluate``."""
     return Character(U, [q_evaluate(d, g) for g in U.generators])
 
 
@@ -742,46 +721,30 @@ def prequantum_check(d: BlockFunction, U: HopfSubalgebra) -> CoisoReport:
     return CoisoReport("true", window)
 
 
-class QuantumSectionReport:
-    def __init__(self, prequantum: CoisoReport, graded: CoisoReport,
-                 details: Optional[Dict] = None):
-        self.prequantum = prequantum
-        self.graded = graded
-        self.details = details or {}
-
-    def __repr__(self):
-        return "QuantumSectionReport(prequantum=%s, graded=%s)" % (
-            self.prequantum.status, self.graded.status)
-
-
-def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
-                          monoid: Optional[CharacterMonoid] = None) -> QuantumSectionReport:
-    """Prequantum test for d, then the graded structure: for each
-    n <= n_max the degree-n sections computed from the coproduct
-    condition (equivalently, the p(d^n)-eigenspace of the right action)
-    must coincide with the semi-invariants of the monoid power p(d)^n,
-    and products of sections must land in the correct degree.  The
-    weight window is n_max times the largest weight of d."""
+def quantum_section_check(d: BlockFunction, U: HopfSubalgebra,
+                          monoid: CharacterMonoid, n_max: int = 3
+                          ) -> Tuple[CoisoReport, CoisoReport]:
+    """The pair (prequantum, graded): the prequantum test for d, then the
+    graded structure.  For each n <= n_max the degree-n sections computed
+    from the coproduct condition (equivalently, the p(d^n)-eigenspace of
+    the right action) must coincide with the semi-invariants of the
+    monoid power p(d)^n, and products of sections must land in the
+    correct degree.  The weight window is n_max times the largest weight
+    of d; once the sections are built, the graded report's details hold
+    their Q-dimensions as "dims".  The prequantum test runs first, so a
+    function on m != 1 factors is refused before any window is built."""
     qctx = d.ctx
-    _check_one_factor(d)
-    details: Dict = {}
-    left = strong_coiso_hopf(U, side="left")
     pre = prequantum_check(d, U)
     window = {"n_max": n_max, "order": U.ctx.order}
-    if pre.status != "true" or left.status != "true":
-        return QuantumSectionReport(
-            pre, CoisoReport("skipped", window), details)
+    if pre.status != "true" or strong_coiso_hopf(U, "left").status != "true":
+        return pre, CoisoReport("skipped", window)
 
     weight_bound = window["weight_bound"] = n_max * max(
         (key[0][0] for key in d.weight_keys()), default=0)
-    if monoid is None:
-        monoid = CharacterMonoid(U)
     chi = restriction_character(d, U)
     if not chi.is_valid():
-        return QuantumSectionReport(
-            pre, CoisoReport("false", window,
-                             {"reason": "p(d) is not a character"}),
-            details)
+        return pre, CoisoReport("false", window,
+                                {"reason": "p(d) is not a character"})
 
     spaces: List[List[BlockFunction]] = []  # module generators
     spans: List[EchelonSpan] = []
@@ -794,31 +757,24 @@ def quantum_section_check(d: BlockFunction, U: HopfSubalgebra, n_max: int = 3,
         # p(d^n) = p(d)^n: the monoid power evaluates d^n on the generators
         evals = [q_evaluate(dn, g) for g in U.generators]
         if evals != chin.values:
-            return QuantumSectionReport(
-                pre, CoisoReport("false", window,
-                                 {"reason": "p(d^%d) != p(d)^%d" % (n, n)}),
-                details)
-        spaces.append(semi_invariants(qctx, U, chin, weight_bound))
+            return pre, CoisoReport(
+                "false", window, {"reason": "p(d^%d) != p(d)^%d" % (n, n)})
+        spaces.append(semi_invariants(qctx, U, (chin,), weight_bound))
         spans.append(_fn_span(spaces[n]))
         if n and not spans[n].contains(qfun_vec(dn)):
-            return QuantumSectionReport(
-                pre, CoisoReport("false", window,
-                                 {"reason": "d^%d outside its section space" % n}),
-                details)
-    details["dims"] = [len(span) for span in spans]  # over Q
+            return pre, CoisoReport(
+                "false", window,
+                {"reason": "d^%d outside its section space" % n})
+    details = {"dims": [len(span) for span in spans]}  # over Q
     for a in range(n_max + 1):
         for b in range(n_max + 1 - a):
-            for f in spaces[a]:
-                for g in spaces[b]:
-                    if not spans[a + b].contains(qfun_vec(q_multiply(f, g))):
-                        return QuantumSectionReport(
-                            pre,
-                            CoisoReport(
-                                "false", window,
-                                {"reason": "product of degrees (%d, %d) "
-                                           "left degree %d" % (a, b, a + b)}),
-                            details)
-    return QuantumSectionReport(pre, CoisoReport("true", window), details)
+            if not _products_inside(spaces[a], spaces[b], spans[a + b],
+                                    q_multiply):
+                return pre, CoisoReport(
+                    "false", window,
+                    {"reason": "product of degrees (%d, %d) left degree %d"
+                               % (a, b, a + b)}, details)
+    return pre, CoisoReport("true", window, details=details)
 
 
 # -- classical shadow ---------------------------------------------------------

@@ -329,15 +329,15 @@ def test_criterion_13_hopf_coisotropy(uq3, qctx):
         for n in (1, 2):
             for l in (1, 2):
                 assert mon.product(z[n], z[l]) == z[n + l]
-        got = semi_invariants(qctx, U, (z[1], z[1]), 1, m=2)
+        got = semi_invariants(qctx, U, (z[1], z[1]), 1)
         expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
                              hw_coefficient(qctx, (1,), {b: 1})])
                   for a in range(2) for b in range(2)]
         assert _fn_span(got).equals(_fn_span(expect))
         d = hw_coefficient(qctx, (1,), {0: 1})
-        rep = quantum_section_check(d, U, n_max=3, monoid=mon)
-        assert rep.prequantum.status == "true"
-        assert rep.graded.status == "true"
+        pre, graded = quantum_section_check(d, U, mon, n_max=3)
+        assert pre.status == "true"
+        assert graded.status == "true"
     _criterion(13, "Hopf coisotropy pipeline", 120, body)
 
 

@@ -393,11 +393,19 @@ def test_compute_output_is_pinned(capsys):
 
 
 def test_coiso_run_output_is_pinned(capsys):
-    """The coiso suite at degree bound 3 prints exactly the pinned bytes."""
-    assert main(["run", "--suite", "coiso", "--degree-bound", "3"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0af9061985a78ff68caf332b2f6e4d9d4617d3c19eee081dc569955987e4efa6")
+    """The coiso suite prints exactly the pinned bytes at degree bound 3,
+    at hbar order 4 and degree bound 5, and at hbar order 2 and degree
+    bound 6, where the twisted check's bound 2K = 4 lies below U's."""
+    for extra, digest in (
+            (["--degree-bound", "3"],
+             "0af9061985a78ff68caf332b2f6e4d9d4617d3c19eee081dc569955987e4efa6"),
+            (["--hbar-order", "4", "--degree-bound", "5"],
+             "1c105b230eb50013a6b1b76eb5b6d94c8abe3476a2d0d52edb01e2dd8d1f6947"),
+            (["--hbar-order", "2", "--degree-bound", "6"],
+             "8c2cdc1eaa71cb7d051f31dce6ac2477c319249ec4d9b67c83fe2b06a4946954")):
+        assert main(["run", "--suite", "coiso"] + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
 def test_classical_and_default_run_outputs_are_pinned(capsys):

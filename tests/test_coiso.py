@@ -71,14 +71,30 @@ def test_borel_window_is_closed(ctx, U):
 
 def test_commutator_ideal(ctx, U):
     ideal = ideal_commutator(U)
-    assert ideal.span.contains(uq_gen(ctx, "E").data)  # since [H, E] = 2E
+    assert ideal.contains(uq_gen(ctx, "E").data)  # since [H, E] = 2E
     # window monotonicity: a larger bound never shrinks the span
     bigger = ideal_commutator(U, 5)
-    for row in ideal.span.basis():
-        assert bigger.span.contains(row)
+    for row in ideal.basis():
+        assert bigger.contains(row)
     # a commutative window has a zero ideal
     Uh = HopfSubalgebra(ctx, [uq_gen(ctx, "H")], 4, names=["H"])
-    assert not ideal_commutator(Uh).span.rows
+    assert not ideal_commutator(Uh).rows
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_ideal_below_the_degree_bound_filters_words_by_length(K):
+    """At a bound below U's degree bound, extend returns U itself and the
+    ideal keeps only the words within the bound: it equals the ideal of
+    the subalgebra built at that bound."""
+    uq = UqContext(K)
+    for names in ("HE", "EF", "HF"):
+        gens = [uq_gen(uq, c) for c in names]
+        U6 = HopfSubalgebra(uq, gens, 6, names=list(names))
+        for b in (2, 3, 4):
+            assert U6.extend(b) is U6
+            got = ideal_commutator(U6, b)
+            want = ideal_commutator(HopfSubalgebra(uq, gens, b, list(names)), b)
+            assert got.equals(want) and len(got) == len(want), (names, b)
 
 
 def test_strong_coisotropy(ctx, U):
@@ -140,7 +156,7 @@ def test_character_monoid_requires_strong_coisotropy(ctx):
 
 def test_invariants_window(qctx, U):
     eps = counit_character(U)
-    inv = semi_invariants(qctx, U, eps, 2)
+    inv = semi_invariants(qctx, U, (eps,), 2)
     # the constants only: one generator, of Q-dimension K
     assert len(inv) == 1
     assert len(_fn_span(inv)) == qctx.uq.order
@@ -149,30 +165,30 @@ def test_invariants_window(qctx, U):
 
 def test_weight_one_semi_invariants(qctx, U):
     z1 = weight_character(U, 1)
-    got = semi_invariants(qctx, U, z1, 2)
+    got = semi_invariants(qctx, U, (z1,), 2)
     expect = [hw_coefficient(qctx, (1,), {a: 1}) for a in range(2)]
     assert _fn_span(got).equals(_fn_span(expect))
     eps = counit_character(U)
     assert all(is_eigenfunction(f, (eps,))
-               for f in semi_invariants(qctx, U, eps, 2))
+               for f in semi_invariants(qctx, U, (eps,), 2))
     assert all(is_eigenfunction(f, (z1,)) for f in got)
 
 
 def test_semi_invariant_products_close(qctx, U, mon):
     z1 = weight_character(U, 1)
-    assert semi_invariant_product_check(mon, qctx, z1, z1, 2)
+    assert semi_invariant_product_check(mon, qctx, (z1,), (z1,), 2)
 
 
 def test_m2_semi_invariants_are_affine_blocks(qctx, U, mon):
     z1 = weight_character(U, 1)
-    got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
+    got = semi_invariants(qctx, U, (z1, z1), 1)
     expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
                          hw_coefficient(qctx, (1,), {b: 1})])
               for a in range(2) for b in range(2)]
     assert _fn_span(got).equals(_fn_span(expect))
     eps = counit_character(U)
     assert semi_invariant_product_check(
-        mon, qctx, (z1, eps), (eps, z1), 2, m=2,
+        mon, qctx, (z1, eps), (eps, z1), 2,
         product=quantum_affine_multiply)
 
 
@@ -186,32 +202,34 @@ def test_evaluation_pairing(qctx, U, ctx):
 
 def test_quantum_sections(qctx, U, mon):
     d = hw_coefficient(qctx, (1,), {0: 1})
-    rep = quantum_section_check(d, U, n_max=3, monoid=mon)
-    assert rep.prequantum.status == "true"
-    assert rep.graded.status == "true"
+    pre, graded = quantum_section_check(d, U, mon, n_max=3)
+    assert pre.status == "true"
+    assert graded.status == "true"
     # Q-dimensions K (n + 1) of the degree-n sections, n <= 3, at K = 3
-    assert rep.details["dims"] == [3, 6, 9, 12]
-    rep1 = quantum_section_check(pw_one(qctx, 1), U, n_max=2, monoid=mon)
-    assert rep1.prequantum.status == "true"
-    assert rep1.graded.status == "true"
+    assert graded.details["dims"] == [3, 6, 9, 12]
+    pre1, graded1 = quantum_section_check(pw_one(qctx, 1), U, mon, n_max=2)
+    assert pre1.status == "true"
+    assert graded1.status == "true"
 
 
 def test_quantum_section_negative(qctx, U, mon):
     dbad = matrix_coefficient(qctx, (2,), {0: 1}, {1: 1})
-    rep = quantum_section_check(dbad, U, n_max=2, monoid=mon)
-    assert rep.prequantum.status == "false"
+    pre, _ = quantum_section_check(dbad, U, mon, n_max=2)
+    assert pre.status == "false"
 
 
-# Each expression hands a coiso entry point an input it must reject.
+# Each expression hands a coiso entry point an input it must reject.  The
+# monoid is built on a subalgebra of its own, so U starts with no window.
 _BAD_INPUT_SETUP = (
     "from qaffine.cgx import pw_one, pw_tensor\n"
     "from qaffine.coiso import (\n"
-    "    Character, CoisoReport, borel_subalgebra, q_evaluate,\n"
-    "    quantum_section_check, restriction_character, semi_invariants,\n"
-    "    strong_coiso_hopf, weight_character)\n"
+    "    Character, CharacterMonoid, CoisoReport, borel_subalgebra,\n"
+    "    prequantum_check, q_evaluate, quantum_section_check,\n"
+    "    restriction_character, strong_coiso_hopf)\n"
     "from qaffine.que import QAffineContext, UqContext, uq_one\n"
     "ctx = UqContext(2)\n"
     "U = borel_subalgebra(ctx, 1)\n"
+    "mon = CharacterMonoid(borel_subalgebra(ctx, 1))\n"
     "qctx = QAffineContext(ctx)\n"
     "f2 = pw_tensor([pw_one(qctx, 1), pw_one(qctx, 1)])\n"
 )
@@ -220,9 +238,9 @@ _BAD_INPUTS = (
     "strong_coiso_hopf(U, side='middle')",
     "Character(U, [1])",
     "q_evaluate(f2, uq_one(ctx))",
-    "semi_invariants(qctx, U, [weight_character(U, 0)], 1, m=2)",
     "restriction_character(f2, U)",
-    "quantum_section_check(f2, U)",
+    "prequantum_check(f2, U)",
+    "quantum_section_check(f2, U, mon)",
 )
 
 
@@ -232,6 +250,8 @@ def test_bad_inputs_are_rejected():
     for expr in _BAD_INPUTS:
         with pytest.raises(ValueError):
             eval(expr, env)
+    # a function on two factors is refused before any window is built
+    assert not env["U"]._windows and not env["U"]._ideals
 
 
 def test_bad_inputs_are_rejected_under_optimization():
@@ -476,46 +496,28 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
     left_ref, _ = _window_span_ref(
         fresh.extend(bound), _ideal_commutator_ref(fresh.extend(bound), bound),
         bound, "left")
-    refs = {("right", min): ref_coproducts[0].span,
-            ("right", max): ref_coproducts[1].span,
-            ("left", min): left_ref}
+    refs = {"right": ref_coproducts[0].span, "left": left_ref}
     ideal_ref = ref_coproducts[0].ideal
     targets = [coproduct(g) for g in U3.generators]
     outside_f = coproduct(uq_gen(ctx, "F"))  # outside every window
-    for (side, pivot), span in refs.items():
-        win = U3.window(bound, side, pivot)
-        assert not win.span.track
-        assert _expand(win.span).equals(span) and len(win.span) == len(span)
+    for side, span in refs.items():
+        win = U3.window(bound, side)
+        assert not win.track
+        assert _expand(win).equals(span) and len(win) == len(span)
         for t in targets + [outside_f]:
-            got = [label for label, _ in win.residuals([(t, t)])]
-            assert got == ([] if span.contains(_flat(t.data)) else [t])
-        assert win.residuals([("F", outside_f)])
-        assert U3.window(bound, side, pivot) is win
-        assert win.ideal is ideal_commutator(U3, bound)
-        assert _expand(win.ideal.span).equals(ideal_ref.span)
-        assert len(win.ideal.span) == len(ideal_ref.span)
+            assert bool(win.reduce(t.data)) == \
+                (not span.contains(_flat(t.data)))
+        assert win.reduce(outside_f.data)
+        assert U3.window(bound, side) is win
+        ideal = ideal_commutator(U3, bound)  # the one the window read
+        assert ideal_commutator(U3, bound) is ideal
+        assert _expand(ideal).equals(ideal_ref.span)
+        assert len(ideal) == len(ideal_ref.span)
     # a tracked span has the rows of the untracked one
     untracked, _ = _window_span_ref(fresh.extend(bound), ideal_ref, bound,
                                     "right")
-    assert untracked.equals(refs[("right", min)])
+    assert untracked.equals(refs["right"])
     assert U3.extend(bound) is U3.extend(bound)
-
-
-def test_shared_windows_keep_the_pivot_order(ctx):
-    """The Borel window is a monomial span, the same for either pivot;
-    the E, F window is not, so its min- and max-pivot windows differ."""
-    U = HopfSubalgebra(ctx, [uq_gen(ctx, "E"), uq_gen(ctx, "F")], 1,
-                       names=["E", "F"])
-    bound = U.degree_bound + ctx.order - 1
-    ideal = _ideal_commutator_ref(U.extend(bound), bound)
-    refs = {pivot: _window_span_ref(U.extend(bound), ideal, bound, "right",
-                                    pivot=pivot)[0]
-            for pivot in (min, max)}
-    assert not refs[min].equals(refs[max])
-    for pivot, span in refs.items():
-        win = U.window(bound, "right", pivot)
-        assert not win.span.track
-        assert _expand(win.span).equals(span)
 
 
 def _has_hbar_pivot(span):
@@ -528,7 +530,7 @@ def test_generator_commutator_ideal_matches_all_pairs(ctx):
     U = borel_subalgebra(ctx, 2)
     for bound in range(2, 7):
         ref = _ideal_commutator_ref(U, bound)
-        got = ideal_commutator(U, bound).span
+        got = ideal_commutator(U, bound)
         assert _expand(got).equals(ref.span) and len(got) == len(ref.span)
 
 
@@ -544,19 +546,16 @@ def test_row_built_windows_match_spanning_element_builds(ctx):
                                degree_bound, names=list(names))
             bound = degree_bound + ctx.order - 1
             ideal = _ideal_commutator_ref(U, bound)
-            got = ideal_commutator(U, bound).span
+            got = ideal_commutator(U, bound)
             assert _expand(got).equals(ideal.span) and \
                 len(got) == len(ideal.span), (names, degree_bound)
             hbar_pivots |= _has_hbar_pivot(U.extend(bound).span)
             hbar_pivots |= _has_hbar_pivot(got)
             for side in ("right", "left"):
-                for pivot in (min, max):
-                    ref, _ = _window_span_ref(U.extend(bound), ideal, bound,
-                                              side, pivot=pivot)
-                    win = U.window(bound, side, pivot)
-                    assert _expand(win.span).equals(ref) and \
-                        len(win.span) == len(ref), \
-                        (names, degree_bound, side, pivot)
+                ref, _ = _window_span_ref(U.extend(bound), ideal, bound, side)
+                win = U.window(bound, side)
+                assert _expand(win).equals(ref) and len(win) == len(ref), \
+                    (names, degree_bound, side)
     assert hbar_pivots
 
 
@@ -565,7 +564,6 @@ def test_windows_insert_row_products_of_generator_commutators(ctx,
     """Work-count guard: the Borel right window at K = 3, degree bound 3
     inserts one product per pair of U-rows and one per H-monomial and
     ideal row, and its ideal forms only the generator commutators."""
-    import qaffine.coiso as coiso
     from qaffine.que import UqTensor
 
     U = borel_subalgebra(ctx, 3)
@@ -584,7 +582,7 @@ def test_windows_insert_row_products_of_generator_commutators(ctx,
 
     monkeypatch.setattr(UqTensor, "__sub__", counted_sub)
     monkeypatch.setattr(EchelonSpan, "add", counted_add)
-    ideal = coiso.IdealWindow(W, bound)
+    ideal = ideal_commutator(U, bound)  # on the W built above
     H, E = U.generators
     assert subtracted == [(H * E, E * H)]
     # u [H, E] u' over the basis words u, u' of total length <= bound
@@ -593,11 +591,10 @@ def test_windows_insert_row_products_of_generator_commutators(ctx,
                                 if a + 2 + b <= bound)
     inserted.clear()
     win = U.window(bound, "right")
-    assert ideal.span.equals(win.ideal.span)
-    products = [v for span, v in inserted if span is win.span]
+    assert ideal_commutator(U, bound) is ideal  # the window read this ideal
+    products = [v for span, v in inserted if span is win]
     assert len(products) == (
-        len(W.span.rows) ** 2
-        + len(_h_monomials(bound)) * len(win.ideal.span.rows))
+        len(W.span.rows) ** 2 + len(_h_monomials(bound)) * len(ideal.rows))
     # products of rows have pivot entry 1, unlike products of elements
     # such as H.E - E.H = 2E
     assert all(v[min(v)] == 1 for v in products)
@@ -617,32 +614,37 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     import qaffine.coiso as coiso
     from qaffine.cli import RunConfig, run_suite
 
-    windows, ideals, tracked = [], [], []
-    window_init = coiso.CoisoWindow.__init__
-    ideal_init = coiso.IdealWindow.__init__
+    # every distinct span handed out is one build, recorded by its id with
+    # the span kept alive, so an id is never reused
+    built_windows, built_ideals = {}, {}
+    window, ideal_of = coiso.HopfSubalgebra.window, coiso.ideal_commutator
 
-    def counted_window(self, U, bound, side, pivot):
-        windows.append((tuple(U.names), U.extend(bound).degree_bound, bound,
-                        side, pivot.__name__))
-        window_init(self, U, bound, side, pivot)
-        tracked.append(self.span.track)
+    def recorded_window(self, bound, side="right"):
+        span = window(self, bound, side)
+        built_windows.setdefault(id(span), (span, (
+            tuple(self.names), self.extend(bound).degree_bound, bound, side)))
+        return span
 
-    def counted_ideal(self, W, bound):
-        ideals.append((tuple(W.names), bound))
-        ideal_init(self, W, bound)
+    def recorded_ideal(U, bound=None):
+        span = ideal_of(U, bound)
+        built_ideals.setdefault(id(span), (span, (
+            tuple(U.names), U.degree_bound if bound is None else bound)))
+        return span
 
-    monkeypatch.setattr(coiso.CoisoWindow, "__init__", counted_window)
-    monkeypatch.setattr(coiso.IdealWindow, "__init__", counted_ideal)
+    monkeypatch.setattr(coiso.HopfSubalgebra, "window", recorded_window)
+    monkeypatch.setattr(coiso, "ideal_commutator", recorded_ideal)
     report = json.loads(run_suite(
         RunConfig(suites=("coiso",), degree_bound=3)).dumps())
     assert report["summary"]["fail"] == 0
+    windows = [w for _, w in built_windows.values()]
+    ideals = [i for _, i in built_ideals.values()]
     borel = [w for w in windows if w[0] == ("H", "E")]
-    assert sorted(borel) == [(("H", "E"), 5, 5, "left", "min"),
-                             (("H", "E"), 5, 5, "right", "min")]
-    assert len(tracked) == len(windows) and not any(tracked)
+    assert sorted(borel) == [(("H", "E"), 5, 5, "left"),
+                             (("H", "E"), 5, 5, "right")]
+    assert not any(span.track for span, _ in built_windows.values())
     # the F negative control needs its slack-enlarged window too
     assert sorted(w for w in windows if w[0] == ("F",)) == [
-        (("F",), 5, 5, "right", "min"), (("F",), 7, 7, "right", "min")]
+        (("F",), 5, 5, "right"), (("F",), 7, 7, "right")]
     assert len(ideals) == len(set(ideals))
     assert sorted(b for n, b in ideals if n == ("H", "E")) == [3, 5, 6]
 
@@ -693,7 +695,7 @@ def _strong_coiso_twisted_ref(U, R, m=2):
 
     def residuals(b):
         u_monos = _monomial_support(U.extend(b).span)
-        i_monos = _monomial_support(ideal_commutator(U, b).span)
+        i_monos = _monomial_support(ideal_commutator(U, b))
         assert u_monos is not None and i_monos is not None
 
         def ok(key):

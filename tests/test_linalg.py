@@ -353,7 +353,7 @@ def test_semi_invariants_never_use_dense_rref(monkeypatch):
     qctx = QAffineContext(ctx)
     U = borel_subalgebra(ctx, 1)
     z1 = weight_character(U, 1)
-    got = semi_invariants(qctx, U, (z1, z1), 1, m=2)
+    got = semi_invariants(qctx, U, (z1, z1), 1)
     expect = [pw_tensor([hw_coefficient(qctx, (1,), {a: 1}),
                          hw_coefficient(qctx, (1,), {b: 1})])
               for a in range(2) for b in range(2)]
