@@ -9,14 +9,16 @@ once, in linalg.vec_sum.  Both contexts answer irrep(lam) and
 cg(lam, mu), and every product goes through one Clebsch-Gordan
 contraction, cg_contract: blocks are tensored factor by factor and
 decomposed back with exact intertwiners, each pair of flat indices read
-from an option list that its CG table memoizes (CGEntry.options).  A
+from an option list that its CG table memoizes (CGEntry.options).  Over
+Q the contraction multiplies and sums integer numerators and
+denominators and builds one Fraction per entry of the result.  A
 Poisson bracket is one such contraction: the legs (a(f), b(g), c) of
 every bivector term are summed per block pair and index pair,
-c * a(f)[fi] * b(g)[gi], and the sums go into a single cg_contract pass,
-one group per block pair; each leg is computed once per function
-(BlockFunction.leg).  This module holds the classical contexts, the
-Poisson brackets, and the oracles the bracket checks are compared
-against.
+c * a(f)[fi] * b(g)[gi], as integer pairs too, and the sums go into a
+single cg_contract pass, one group per block pair and one Fraction per
+index pair; each leg is computed once per function (BlockFunction.leg).
+This module holds the classical contexts, the Poisson brackets, and the
+oracles the bracket checks are compared against.
 
 Irreps are built recursively: V(lam) is generated inside
 V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
@@ -450,8 +452,9 @@ class BlockFunction:
     index and vector index per factor, interleaved) to a coefficient in
     the ring of the context: Fraction for a PWContext (C[G^m]),
     TruncatedSeries for a QAffineContext (C_hbar[SL2^m]).  The rings
-    differ only in ctx.coerce, the zero test `not c`, and the JSON of a
-    coefficient (ctx.coeff_json, with ctx.json_fields at the top level).
+    differ only in ctx.coerce, the zero test `not c`, the JSON of a
+    coefficient (ctx.coeff_json, with ctx.json_fields at the top level),
+    and the loop of cg_contract, which over Q runs on integer pairs.
 
     A function never changes once built: every builder hands its terms
     ((key, idx), coefficient) to _from_terms, which sums them per entry
@@ -601,31 +604,77 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
     rkey, multiplied factor by factor, factor j split through the CG table
     of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
     table's memo (CGEntry.options), so a pair of flat indices is expanded
-    once per table, however many terms or groups meet it."""
-    return BlockFunction._from_terms(ctx, m, _contraction_terms(ctx, m, groups))
+    once per table, however many terms or groups meet it.  Over a
+    PWContext the products and their sums run on integer numerators and
+    denominators, with one Fraction per entry of the result."""
+    if ctx.ring == PWContext.ring:
+        terms = _rational_contraction(ctx, m, groups)
+    else:
+        terms = _contraction_terms(ctx, m, groups)
+    return BlockFunction._from_terms(ctx, m, terms)
 
 
-def _contraction_terms(ctx, m: int, groups):
-    """The terms ((key, idx), coefficient) of cg_contract(ctx, m, groups)."""
+def _term_options(ctx, m: int, groups):
+    """(coeff, parts) for every nonzero term of the cg_contract groups:
+    parts[j] the CG options of factor j."""
     for lkey, rkey, terms in groups:
         tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
         dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
         for lidx, ridx, coeff in terms:
-            if not coeff:
-                continue
-            parts = []
-            for j in range(m):
-                d = dims[j]
-                parts.append(tables[j].options(
-                    lidx[2 * j] * d + ridx[2 * j],
-                    lidx[2 * j + 1] * d + ridx[2 * j + 1]))
-            for combo in itertools.product(*parts):
-                key = tuple(ch[0] for ch in combo)
-                idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
-                c = coeff
-                for ch in combo:
-                    c = c * ch[3]
-                yield (key, idx), c
+            if coeff:
+                yield coeff, [tables[j].options(
+                    lidx[2 * j] * dims[j] + ridx[2 * j],
+                    lidx[2 * j + 1] * dims[j] + ridx[2 * j + 1])
+                    for j in range(m)]
+
+
+def _contraction_terms(ctx, m: int, groups):
+    """The terms ((key, idx), coefficient) of cg_contract(ctx, m, groups)."""
+    for coeff, parts in _term_options(ctx, m, groups):
+        for combo in itertools.product(*parts):
+            key = tuple(ch[0] for ch in combo)
+            idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
+            c = coeff
+            for ch in combo:
+                c = c * ch[3]
+            yield (key, idx), c
+
+
+def _add_pair(acc: Dict, k, n: int, d: int) -> int:
+    """Add n/d (d > 0) to the integer pair acc[k] = [num, den], starting
+    it when k is new, and return the new numerator; den stays the lcm of
+    the denominators added."""
+    cur = acc.get(k)
+    if cur is None:
+        acc[k] = [n, d]
+        return n
+    cn, cd = cur
+    if cd == d:
+        cur[0] = cn = cn + n
+    else:
+        g = math.gcd(cd, d)
+        cur[0] = cn = cn * (d // g) + n * (cd // g)
+        cur[1] = cd // g * d
+    return cn
+
+
+def _rational_contraction(ctx, m: int, groups):
+    """The entries ((key, idx), Fraction) of cg_contract over Q: every
+    product coeff * options is an integer pair, summed per entry by the
+    rule of linalg.vec_sum (an entry that cancels leaves and a later term
+    brings it back at the end), and reduced once."""
+    acc: Dict = {}
+    for coeff, parts in _term_options(ctx, m, groups):
+        # the combinations of options in itertools.product order
+        combos = [((), (), coeff.numerator, coeff.denominator)]
+        for opts in parts:
+            combos = [(key + (nu,), idx + (s, t), n * c.numerator,
+                       d * c.denominator)
+                      for key, idx, n, d in combos for nu, s, t, c in opts]
+        for key, idx, n, d in combos:
+            if not _add_pair(acc, (key, idx), n, d):
+                del acc[key, idx]
+    return ((k, Fraction(n, d)) for k, (n, d) in acc.items())
 
 
 def block_pairs(f: BlockFunction, g: BlockFunction):
@@ -644,26 +693,29 @@ def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
 
 
 def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
-    """sum of c * (lf lg) over legs (lf, lg, c) of compatible functions,
-    as one cg_contract pass: the terms c * lf[fi] * lg[gi] of every leg
-    are summed per block pair (fkey, gkey) and index pair (fi, gi) first,
-    so cg_contract meets each block pair once, in first-seen order, and
-    never an index pair whose terms cancel, nor a block pair whose pairs
-    all do."""
+    """sum of c * (lf lg) over legs (lf, lg, c) of compatible functions
+    over a PWContext, as one cg_contract pass: the terms c * lf[fi] *
+    lg[gi] of every leg are summed per block pair (fkey, gkey) and index
+    pair (fi, gi) first, as integer numerators and denominators, so
+    cg_contract meets each block pair once, in first-seen order, with one
+    Fraction per index pair, and never an index pair whose terms cancel,
+    nor a block pair whose pairs all do."""
     sums: Dict[Tuple[Key, Key], Dict] = {}
     for lf, lg, c in legs:
+        cn, cd = c.numerator, c.denominator
         for fkey, fblk in lf.blocks.items():
             for gkey, gblk in lg.blocks.items():
                 acc = sums.setdefault((fkey, gkey), {})
                 for fi, fc in fblk.items():
-                    cf = c * fc
+                    fn, fd = cn * fc.numerator, cd * fc.denominator
                     for gi, gc in gblk.items():
-                        p = cf * gc
-                        cur = acc.get((fi, gi))
-                        acc[fi, gi] = p if cur is None else cur + p
+                        # an index pair that cancels keeps its place
+                        _add_pair(acc, (fi, gi), fn * gc.numerator,
+                                  fd * gc.denominator)
     return cg_contract(ctx, m, (
         (fkey, gkey, terms) for (fkey, gkey), acc in sums.items()
-        if (terms := [(fi, gi, v) for (fi, gi), v in acc.items() if v])))
+        if (terms := [(fi, gi, Fraction(n, d))
+                      for (fi, gi), (n, d) in acc.items() if n])))
 
 
 # -- invariant vector fields ------------------------------------------------

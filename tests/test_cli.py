@@ -410,10 +410,14 @@ def test_coiso_run_output_is_pinned(capsys):
 
 def test_classical_and_default_run_outputs_are_pinned(capsys):
     """The sl2 classical suite and the default run print exactly the
-    pinned bytes."""
+    pinned bytes; the scaled forms give the bracket legs denominators."""
     for argv, digest in (
             (["run", "--suite", "classical"],
              "e497db6798ed82b0b639b7b1abe65a281e54d51e8691a10a94bed69e5be957c1"),
+            (["run", "--suite", "classical", "--scale", "3/2"],
+             "5ffa524faf8ff910c55e08e15cb02c3b8b3e05534e85e90cae74898db9e74d22"),
+            (["run", "--suite", "classical", "--scale", "2/7"],
+             "d44a84f9d9c114008c4b3e11d9199f4b2033ecbe05bef6a5296121716272a622"),
             (["run"],
              "1d39f0b5ebaf7e4fc7ed53593b48776d3a2363e226a3d2c4a0ea9d808a8038b4")):
         assert main(argv) == 0

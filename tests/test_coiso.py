@@ -221,7 +221,7 @@ def test_quantum_section_negative(qctx, U, mon):
 # Each expression hands a coiso entry point an input it must reject.  The
 # monoid is built on a subalgebra of its own, so U starts with no window.
 _BAD_INPUT_SETUP = (
-    "from qaffine.cgx import pw_one, pw_tensor\n"
+    "from qaffine.cgx import BlockFunction, pw_one, pw_tensor\n"
     "from qaffine.coiso import (\n"
     "    Character, CharacterMonoid, CoisoReport, borel_subalgebra,\n"
     "    prequantum_check, q_evaluate, quantum_section_check,\n"
@@ -232,6 +232,7 @@ _BAD_INPUT_SETUP = (
     "mon = CharacterMonoid(borel_subalgebra(ctx, 1))\n"
     "qctx = QAffineContext(ctx)\n"
     "f2 = pw_tensor([pw_one(qctx, 1), pw_one(qctx, 1)])\n"
+    "z2 = BlockFunction(qctx, 2, {})\n"
 )
 _BAD_INPUTS = (
     "CoisoReport('maybe', {})",
@@ -241,6 +242,8 @@ _BAD_INPUTS = (
     "restriction_character(f2, U)",
     "prequantum_check(f2, U)",
     "quantum_section_check(f2, U, mon)",
+    "prequantum_check(z2, U)",
+    "quantum_section_check(z2, U, mon)",
 )
 
 
