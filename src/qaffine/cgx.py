@@ -25,12 +25,12 @@ V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
 weight-lam space is the highest weight line.  Tensor products act through
 sparse columns (one nonzero dict per basis vector).
 
-One routine, cg_split, splits V(lam) (x) V(mu) over either ring: it
-transports each highest weight vector along the lowering words of V(nu)
-and inverts the injection one weight block at a time.  One routine,
-highest_weight_vectors, finds those vectors over either ring as kernel
-generators of the raising operators: of sl(n) for PWContext, the series
-coproduct of E for que.QAffineContext.
+One type, CGEntry, splits V(lam) (x) V(mu) over either ring, one weight
+block at a time and only for the blocks that are read: a block takes the
+highest weight vectors of the summands V(nu) that have its weight, as
+kernel generators of the raising operators (of sl(n) for PWContext, the
+series coproduct of E for que.QAffineContext), transports them along the
+lowering words of V(nu), and inverts the injection on that weight.
 
 Conventions (pinned by the test suite):
   * dual action (x.xi)(v) = -xi(x.v), i.e. xi(S(x)v) with S(x) = -x,
@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import TruncatedSeries
@@ -186,14 +187,48 @@ class Irrep(Rep):
 
 
 class CGEntry:
-    """Decomposition of V(lam)(x)V(mu) with exact intertwiners, with
-    rational entries or, for que.QAffineContext, truncated series."""
+    """The split of V(lam) (x) V(mu) into summands V(nu) with exact
+    intertwiners, with rational entries or, for que.QAffineContext,
+    truncated series, built one weight block at a time as reads need it.
 
-    def __init__(self, lam: Weight, mu: Weight,
-                 summands: List[Tuple[Weight, Matrix, Matrix]]):
-        self.lam = lam
-        self.mu = mu
-        self.summands = summands  # (nu, injection, projection)
+    The injection maps weight spaces to weight spaces, so the split is
+    block-diagonal by weight.  The entry keeps the weights of the tensor
+    basis and the sparse columns of its raising and lowering operators (one
+    list per simple root).  options(dual_flat, vec_flat) builds the block
+    of weight w = weight(vec_flat) the first time it is read: the highest
+    weight vectors of the summands V(nu) that have weight w, their
+    transports along ctx.irrep(nu).words, and the inverse of that one
+    block, whose rows are the projections; each is memoized.  summands is
+    the complete dense view, built on demand.
+
+    ctx must not hold the entry (see detached), so that a context and the
+    tables it memoizes form no reference cycle."""
+
+    def __init__(self, ctx, lam: Weight, mu: Weight, weights: List[Weight],
+                 raising: List[List[SparseVec]],
+                 lowering: List[List[SparseVec]]):
+        self.lam = tuple(lam)
+        self.mu = tuple(mu)
+        self._ctx = ctx
+        self._zero, self._one = ctx.coerce(0), ctx.coerce(1)
+        self._weights = weights
+        self._raising = raising
+        self._lowering = lowering
+        self._rows_of: Dict[Weight, List[int]] = {}  # weight -> basis indices
+        for r, w in enumerate(weights):
+            self._rows_of.setdefault(w, []).append(r)
+        # depth of a weight w: lam + mu - w in simple roots, read off the
+        # lowering words of the factors at the first basis vector of w
+        rank = ctx.alg.rank
+        da, db = (_depths(ctx.irrep(x).words, rank) for x in (lam, mu))
+        self._depth = {w: tuple(map(sum, zip(da[rows[0] // len(db)],
+                                             db[rows[0] % len(db)])))
+                       for w, rows in self._rows_of.items()}
+        # the dominant weights, where highest weight vectors can lie
+        self._dominants = sorted((w for w in self._rows_of if min(w) >= 0),
+                            reverse=True)
+        self._at: Dict[Weight, Tuple[List[List[SparseVec]], List]] = {}
+        self._blocks: Dict[Weight, Tuple[List, Dict]] = {}
         self._options: Dict[Tuple[int, int], List] = {}
 
     def options(self, dual_flat: int, vec_flat: int) -> List:
@@ -204,17 +239,117 @@ class CGEntry:
         opts = self._options.get(key)
         if opts is None:
             opts = self._options[key] = []
-            for nu, inj, proj in self.summands:
-                dnu = len(inj[0])
-                for s in range(dnu):
-                    ic = inj[dual_flat][s]
-                    if not ic:
-                        continue
-                    for t in range(dnu):
-                        pc = proj[t][vec_flat]
-                        if pc:
-                            opts.append((nu, s, t, ic * pc))
+            parts, proj = self._block(self._weights[vec_flat])
+            for p, line in proj[vec_flat].items():
+                nu, _, vecs = parts[p]
+                for s, v in enumerate(vecs):
+                    ic = v.get(dual_flat)
+                    if ic:
+                        opts.extend((nu, s, t, ic * pc) for t, pc in line)
         return opts
+
+    def _summands_at(self, nu: Weight) -> Tuple[List[List[SparseVec]], List]:
+        """The summands V(nu) of highest weight nu, each as the transport
+        of its highest weight vector along ctx.irrep(nu).words, and the
+        depths of the basis of V(nu); V(nu) is built only when there is
+        such a vector.  The vectors are the kernel generators of the
+        raising operators at weight nu that have a unit entry, each
+        divided by its entry at the last unit index, then by the constant
+        term of its entry at the first; over Q that scales the leading
+        coefficient to 1."""
+        got = self._at.get(nu)
+        if got is None:
+            ctx, one = self._ctx, self._one
+            idxs = self._rows_of[nu]
+            # column pos: the images of basis vector idxs[pos] under every
+            # raising operator, which lie in the weight spaces above nu
+            cols = [{(i, r): x for i, e in enumerate(self._raising)
+                     for r, x in e[c].items()} for c in idxs]
+            transports = []
+            for kv in sparse_nullspace(cols, one):
+                units = [pos for pos, x in kv.items() if ctx.is_unit(x)]
+                if units:
+                    c = one / kv[units[-1]]
+                    lead = kv[units[0]] * c
+                    if type(lead) is TruncatedSeries:
+                        lead = lead.constant_term()
+                    c = c / lead
+                    transports.append([{idxs[pos]: x * c
+                                        for pos, x in kv.items()}])
+            depths: List = []
+            if transports:
+                ref = ctx.irrep(nu)
+                for vecs in transports:
+                    for parent, i in ref.words[1:]:
+                        vecs.append(_apply(self._lowering[i], vecs[parent]))
+                depths = _depths(ref.words, ctx.alg.rank)
+            got = self._at[nu] = (transports, depths)
+        return got
+
+    def _block(self, w: Weight) -> Tuple[List, Dict]:
+        """The summands (nu, k, transported vectors) that have weight w,
+        k the place of the summand among those of highest weight nu, in
+        summand order, and the inverse of the weight-w block
+        of the injection by columns: proj[r][p] lists the nonzero (t,
+        proj[t][r]) of summand p at the basis index r of weight w.  A
+        summand V(nu) has weight w when nu - w+ lies in the positive root
+        cone, w+ the dominant weight in the Weyl orbit of w, so no V(nu)
+        is built for a block it misses."""
+        blk = self._blocks.get(w)
+        if blk is None:
+            rows = self._rows_of[w]
+            depth = self._depth
+            top = depth[_dominant(w, self._ctx.alg.cartan_matrix)]
+            parts: List = []
+            cols: List[Tuple[int, int]] = []  # (summand p, position s)
+            for nu in self._dominants:
+                if any(a < b for a, b in zip(top, depth[nu])):
+                    continue
+                transports, depths = self._summands_at(nu)
+                rel = tuple(a - b for a, b in zip(depth[w], depth[nu]))
+                at = [s for s, d in enumerate(depths) if d == rel]
+                for k, vecs in enumerate(transports):
+                    cols.extend((len(parts), s) for s in at)
+                    parts.append((nu, k, vecs))
+            if len(cols) != len(rows):
+                raise ValueError("incomplete decomposition of %s (x) %s"
+                                 % (self.lam, self.mu))
+            zero = self._zero
+            inv = mat_inv([[parts[p][2][s].get(r, zero) for p, s in cols]
+                           for r in rows], self._one)
+            proj: Dict[int, Dict[int, List]] = {r: {} for r in rows}
+            for (p, t), line in zip(cols, inv):
+                for r, x in zip(rows, line):
+                    if x:
+                        proj[r].setdefault(p, []).append((t, x))
+            blk = self._blocks[w] = (parts, proj)
+        return blk
+
+    @cached_property
+    def summands(self) -> List[Tuple[Weight, Matrix, Matrix]]:
+        """The complete split as dense (nu, injection, projection), the
+        summands by descending nu; builds every block."""
+        dim, zero = len(self._weights), self._zero
+        projs: Dict[Tuple[Weight, int], Dict[int, List]] = {}
+        for w in self._rows_of:
+            parts, proj = self._block(w)
+            for r, by_part in proj.items():
+                for p, line in by_part.items():
+                    rows = projs.setdefault(parts[p][:2], {})
+                    for t, x in line:
+                        if t not in rows:
+                            rows[t] = [zero] * dim
+                        rows[t][r] = x
+        out = []
+        for nu in self._dominants:
+            for k, vecs in enumerate(self._summands_at(nu)[0]):
+                inj = [[v.get(r, zero) for v in vecs] for r in range(dim)]
+                rows = projs[nu, k]
+                out.append((nu, inj, [rows[t] for t in range(len(vecs))]))
+        if sum(len(inj[0]) for _, inj, _ in out) != dim:
+            raise ValueError("incomplete decomposition of %s (x) %s"
+                             % (self.lam, self.mu))
+        return out
 
     def cartan(self) -> Tuple[Matrix, Matrix]:
         """The (injection, projection) of the Cartan summand V(lam+mu)."""
@@ -225,84 +360,40 @@ class CGEntry:
         raise KeyError(nu)
 
 
-def cg_split(ctx, lam: Weight, mu: Weight, weights: List,
-             lowering: List[List[SparseVec]],
-             hw_list: List[Tuple[Weight, SparseVec]]) -> CGEntry:
-    """Split V(lam) (x) V(mu) over the ring of ctx, given the weights of
-    its basis, the sparse columns of its lowering operators (one per
-    simple root) and its highest weight vectors (nu, vector).  Each vector
-    is transported along ctx.irrep(nu).words into the injection of
-    V(nu).  The injection maps weight spaces to weight spaces, so its
-    inverse, whose rows are the projections, is computed one weight block
-    at a time."""
-    dim = len(weights)
-    zero, one = ctx.coerce(0), ctx.coerce(1)
-    rows_of: Dict = {}  # weight -> basis indices of V(lam) (x) V(mu)
-    for r, w in enumerate(weights):
-        rows_of.setdefault(w, []).append(r)
-    cols_of: Dict = {}  # weight -> (summand, position) of injection columns
-    transported = []
-    for n, (nu, hw) in enumerate(hw_list):
-        ref = ctx.irrep(nu)
-        vecs = [hw]
-        for parent, i in ref.words[1:]:
-            vecs.append(_apply(lowering[i], vecs[parent]))
-        for s, w in enumerate(ref.weights):
-            cols_of.setdefault(w, []).append((n, s))
-        transported.append(vecs)
-    if sum(map(len, transported)) != dim or any(
-            len(rows_of.get(w, ())) != len(c) for w, c in cols_of.items()):
-        raise ValueError("incomplete decomposition of %s (x) %s" % (lam, mu))
-    projs = [[None] * len(vecs) for vecs in transported]
-    for w, cols in cols_of.items():
-        rows = rows_of[w]
-        block = [[transported[n][s].get(r, zero) for n, s in cols]
-                 for r in rows]
-        for (n, s), line in zip(cols, mat_inv(block, one)):
-            full = [zero] * dim
-            for r, x in zip(rows, line):
-                full[r] = x
-            projs[n][s] = full
-    summands = []
-    for (nu, _), vecs, proj in zip(hw_list, transported, projs):
-        inj = [[v.get(r, zero) for v in vecs] for r in range(dim)]
-        summands.append((nu, inj, proj))
-    return CGEntry(tuple(lam), tuple(mu), summands)
+def _depths(words: List, rank: int) -> List[Tuple[int, ...]]:
+    """Per basis vector of an irrep, how often its lowering word applies
+    each simple root: its highest weight minus its weight, in simple
+    roots."""
+    out: List[Tuple[int, ...]] = []
+    for word in words:
+        if word is None:
+            out.append((0,) * rank)
+        else:
+            parent, i = word
+            d = out[parent]
+            out.append(d[:i] + (d[i] + 1,) + d[i + 1:])
+    return out
 
 
-def highest_weight_vectors(ctx, weights: List[Weight],
-                           raising: List[List[SparseVec]]
-                           ) -> List[Tuple[Weight, SparseVec]]:
-    """The highest weight vectors (nu, vector) of a tensor product over the
-    ring of ctx, given the weights of its basis and the sparse columns of
-    its raising operators (one per simple root), dominant weights in
-    decreasing order.  Per weight they are the kernel generators of the
-    raising operators that have a unit entry, each divided by its entry at
-    the last unit index, then by the constant term of its entry at the
-    first; over Q that scales the leading coefficient to 1."""
-    one = ctx.coerce(1)
-    by_weight: Dict[Weight, List[int]] = {}
-    for i, w in enumerate(weights):
-        by_weight.setdefault(w, []).append(i)
-    hw_list: List[Tuple[Weight, SparseVec]] = []
-    for w in sorted(by_weight, reverse=True):
-        if any(c < 0 for c in w):
-            continue
-        idxs = by_weight[w]
-        # column pos: the images of basis vector idxs[pos] under every
-        # raising operator, which lie in the weight spaces above w
-        cols = [{(i, r): x for i, e in enumerate(raising)
-                 for r, x in e[c].items()} for c in idxs]
-        for kv in sparse_nullspace(cols, one):
-            units = [pos for pos, x in kv.items() if ctx.is_unit(x)]
-            if units:
-                c = one / kv[units[-1]]
-                lead = kv[units[0]] * c
-                if type(lead) is TruncatedSeries:
-                    lead = lead.constant_term()
-                c = c / lead
-                hw_list.append((w, {idxs[pos]: x * c for pos, x in kv.items()}))
-    return hw_list
+def _dominant(w: Weight, cartan: Matrix) -> Weight:
+    """The dominant weight in the Weyl orbit of w (fundamental
+    coordinates): reflect by s_i(w) = w - w_i alpha_i, alpha_i the column
+    i of the Cartan matrix, while some w_i < 0."""
+    w = list(w)
+    while (i := next((i for i, c in enumerate(w) if c < 0), None)) is not None:
+        c = w[i]
+        w = [x - c * cartan[j][i] for j, x in enumerate(w)]
+    return tuple(w)
+
+
+def detached(ctx):
+    """A shallow copy of ctx that shares its irreps and other caches but
+    holds an empty CG memo: the CG tables of ctx build their irreps
+    through it, so a context and the tables it memoizes form no reference
+    cycle and the context is freed as soon as its last user drops it."""
+    view = object.__new__(type(ctx))
+    view.__dict__.update(vars(ctx), _cg={})
+    return view
 
 
 class PWContext:
@@ -418,15 +509,16 @@ class PWContext:
         return self._cg[key]
 
     def _decompose(self, lam: Weight, mu: Weight) -> CGEntry:
-        """The split of V(lam) (x) V(mu) by cg_split, from its highest
-        weight vectors."""
+        """The split of V(lam) (x) V(mu), from the sparse raising and
+        lowering operators on it; its blocks are built as they are read."""
         alg = self.alg
-        va, vb = self.irrep(lam), self.irrep(mu)
-        weights, lowering = _sparse_tensor(
-            va, vb, [alg.lower_index(i) for i in range(alg.rank)])
-        hw_list = highest_weight_vectors(self, *_sparse_tensor(
-            va, vb, [alg.raise_index(i) for i in range(alg.rank)]))
-        return cg_split(self, lam, mu, weights, lowering, hw_list)
+        rank = alg.rank
+        weights, cols = _sparse_tensor(
+            self.irrep(lam), self.irrep(mu),
+            [alg.raise_index(i) for i in range(rank)]
+            + [alg.lower_index(i) for i in range(rank)])
+        return CGEntry(detached(self), lam, mu, weights, cols[:rank],
+                       cols[rank:])
 
 
 # -- block functions --------------------------------------------------------
@@ -825,7 +917,8 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
     """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
     terms c a (x) b (spec.legs), summed in one cg_contract pass.  Each leg
     is read through the memo of f or g (BlockFunction.leg), so a function
-    bracketed many times acts with each basis element once."""
+    bracketed many times acts with each basis element once; b(g) is read
+    only when a(f) is nonzero, and a leg with a zero side is dropped."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     for h in (f, g):
@@ -835,8 +928,12 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
     if spec.kind == "mixed" and not (f.is_semi_invariant()
                                      and g.is_semi_invariant()):
         raise ValueError("mixed bracket requires semi-invariant inputs")
-    return _sum_of_products(spec.ctx, spec.m, [
-        (f.leg(*a), g.leg(*b), c) for a, b, c in spec.legs])
+    legs = []
+    for a, b, c in spec.legs:
+        lf = f.leg(*a)
+        if lf.blocks and (lg := g.leg(*b)).blocks:
+            legs.append((lf, lg, c))
+    return _sum_of_products(spec.ctx, spec.m, legs)
 
 
 # -- oracles for the bracket checks -----------------------------------------

@@ -34,9 +34,10 @@ the block functions of cgx over a QAffineContext, whose irreps are the
 V_hbar(n).  A QIrrep keeps E, F, H and every action as sparse series
 columns, the one format its consumers read: the slot actions of
 act_factor and q_evaluate, and the coproducts of E and F on a tensor
-product.  Clebsch-Gordan entries take their highest weight vectors from
-cgx.highest_weight_vectors, the kernel generators of the coproduct of E,
-and split through cgx.cg_split along the coproduct of F.  q_multiply (the
+product.  Clebsch-Gordan entries are cgx.CGEntry tables over the series
+ring, built one weight block at a time as they are read: the highest
+weight vectors are kernel generators of the coproduct of E, transported
+along the coproduct of F.  q_multiply (the
 convolution product) and quantum_affine_multiply (twisted by Twi^m(R~))
 both end in the one contraction cgx.cg_contract.
 """
@@ -51,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
     BlockFunction, CGEntry, DimensionBoundError, PWContext, _apply,
-    block_pairs, cg_contract, cg_split, highest_weight_vectors, pw_tensor,
+    block_pairs, cg_contract, detached, pw_tensor,
 )
 from .kernel import TruncatedSeries, mul_term, multiplier, q_power, series_sums
 from .liebialg import LieTensor, build_sl
@@ -789,7 +790,7 @@ class QAffineContext:
         self.dim_bound = dim_bound
         self.pw = PWContext(self.alg, dim_bound)
         self._qirreps: Dict[int, QIrrep] = {}
-        self._qcg: Dict[Tuple[int, int], CGEntry] = {}
+        self._cg: Dict[Tuple[int, int], CGEntry] = {}
         self._slot: Dict[Tuple, List[Dict]] = {}
 
     @cached_property
@@ -813,9 +814,9 @@ class QAffineContext:
 
     def cg(self, lam: Tuple[int], mu: Tuple[int]) -> CGEntry:
         key = (lam[0], mu[0])
-        if key not in self._qcg:
-            self._qcg[key] = self._build_qcg(*key)
-        return self._qcg[key]
+        if key not in self._cg:
+            self._cg[key] = self._build_qcg(*key)
+        return self._cg[key]
 
     def coerce(self, c) -> TruncatedSeries:
         if isinstance(c, TruncatedSeries):
@@ -873,11 +874,12 @@ class QAffineContext:
     def _build_qcg(self, n: int, m: int) -> CGEntry:
         """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners:
         the highest weight vectors are the kernel generators of Delta(E),
-        and cgx.cg_split transports them along Delta(F)."""
+        transported along Delta(F); its blocks are built as they are
+        read."""
         weights, (dE, dF) = self._tensor_generators(
             self.irrep((n,)), self.irrep((m,)))
-        hw_list = highest_weight_vectors(self, [(w,) for w in weights], [dE])
-        return cg_split(self, (n,), (m,), weights, [dF], hw_list)
+        return CGEntry(detached(self), (n,), (m,), [(w,) for w in weights],
+                       [dE], [dF])
 
 
 def q_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:

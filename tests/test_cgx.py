@@ -1,8 +1,10 @@
 """Irreps, Clebsch-Gordan data, matrix-coefficient algebras, and the
 classical Poisson brackets on products of principal affine spaces."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from qaffine.cgx import (
     PWContext, Rep, act_factor, block_pairs, classical_bracket,
     hw_coefficient, matrix_coefficient, pw_multiply, pw_one, pw_tensor,
 )
+from qaffine.cli import main
 from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
 from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
@@ -275,6 +278,34 @@ def test_sl3_bracket_smoke(ctx3):
 # -- slow references: dense tensor products and the tensor-power model ------
 
 
+def _ref_options(entry, dual_flat, vec_flat):
+    """The CG options of a pair of flat indices, read off the dense
+    summands: every (nu, s, t, inj[dual_flat][s] * proj[t][vec_flat])."""
+    opts = []
+    for nu, inj, proj in entry.summands:
+        dnu = len(inj[0])
+        for s in range(dnu):
+            ic = inj[dual_flat][s]
+            if not ic:
+                continue
+            for t in range(dnu):
+                pc = proj[t][vec_flat]
+                if pc:
+                    opts.append((nu, s, t, ic * pc))
+    return opts
+
+
+class DenseEntry:
+    """A whole split held as dense (nu, injection, projection) summands:
+    the reference that CGEntry, built one weight block at a time, is
+    compared against."""
+
+    def __init__(self, lam, mu, summands):
+        self.lam, self.mu, self.summands = lam, mu, summands
+
+    options = _ref_options
+
+
 def _dense_tensor(a: Rep, b: Rep) -> Rep:
     dim = a.dim * b.dim
     weights = [
@@ -341,7 +372,7 @@ class DenseContext(PWContext):
             inj = [[col[r] for col in cols] for r in range(t.dim)]
             summands.append((w, inj, big_inv[offset:offset + len(cols)]))
             offset += len(cols)
-        return CGEntry(lam, mu, summands)
+        return DenseEntry(lam, mu, summands)
 
 
 class TensorPowerContext(DenseContext):
@@ -421,21 +452,6 @@ def test_sparse_builders_match_dense_references(ctx, ctx3):
 # The contraction and the bracket as they were before CGEntry.options and
 # the single-pass bracket: the option list is rebuilt for every entry pair,
 # and every bivector term is its own product, scaled and added.
-
-
-def _ref_options(entry, dual_flat, vec_flat):
-    opts = []
-    for nu, inj, proj in entry.summands:
-        dnu = len(inj[0])
-        for s in range(dnu):
-            ic = inj[dual_flat][s]
-            if not ic:
-                continue
-            for t in range(dnu):
-                pc = proj[t][vec_flat]
-                if pc:
-                    opts.append((nu, s, t, ic * pc))
-    return opts
 
 
 def bump(blocks, key, idx, c):
@@ -859,3 +875,121 @@ def test_cg_options_are_the_reference_lists(ctx, ctx3):
                 assert opts == _ref_options(entry, dual_flat, vec_flat)
                 assert entry.options(dual_flat, vec_flat) is opts
         assert len(entry._options) <= dim * dim
+
+
+def _all_options(entry, dim):
+    return [entry.options(d, v) for d in range(dim) for v in range(dim)]
+
+
+def test_block_options_match_the_dense_split():
+    """Options read one weight block at a time, on a fresh table and on one
+    whose dense view was built first, are the lists of the whole split: on
+    sl2 up to V(4) (x) V(4) and on the small sl3 pairs against dense
+    transport with one whole inverse, and over Q[[hbar]]/(hbar^K) for
+    K = 2..4 against the dense view (which tests/test_que.py holds to the
+    whole-matrix series split)."""
+    small = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+    for n, pairs in ((2, [((a,), (b,)) for a in range(5) for b in range(5)]),
+                     (3, [(lam, mu) for lam in small for mu in small])):
+        ref = DenseContext(build_sl(n))
+        before, after = PWContext(build_sl(n)), PWContext(build_sl(n))
+        for lam, mu in pairs:
+            want = ref.cg(lam, mu)
+            dim = len(want.summands[0][1])
+            assert _all_options(before.cg(lam, mu), dim) == \
+                _all_options(want, dim), (lam, mu)
+            after.cg(lam, mu).summands
+            assert _all_options(after.cg(lam, mu), dim) == \
+                _all_options(want, dim), (lam, mu)
+    for K in (2, 3, 4):
+        before = QAffineContext(UqContext(K))
+        after = QAffineContext(UqContext(K))
+        for a in range(4):
+            for b in range(4):
+                entry = after.cg((a,), (b,))
+                want = DenseEntry((a,), (b,), entry.summands)
+                dim = (a + 1) * (b + 1)
+                assert _all_options(before.cg((a,), (b,)), dim) == \
+                    _all_options(want, dim), (K, a, b)
+                assert _all_options(entry, dim) == _all_options(want, dim)
+
+
+@pytest.mark.parametrize("args, inverses", [
+    (["bracket", "sl2", "product", "3:1", "3:2"], 1),
+    (["qmultiply", "3:1", "3:2"], 1),
+    (["qmultiply", "3:3,1:0,2:1", "3:1,2:2,1:1"], 3),
+])
+def test_cg_tables_invert_only_the_blocks_read(args, inverses, monkeypatch,
+                                               capsys):
+    """A product of highest weight vectors reads one weight block per CG
+    table, so a call inverts one block per table it meets, not every
+    weight block of V(lam) (x) V(mu) (7 for V(3) (x) V(3) alone)."""
+    calls = []
+    real = cgx.mat_inv
+
+    def counting(*a):
+        calls.append(len(a[0]))
+        return real(*a)
+
+    monkeypatch.setattr(cgx, "mat_inv", counting)
+    assert main(["compute"] + args) == 0
+    capsys.readouterr()
+    assert len(calls) == inverses, calls
+
+
+def test_a_block_builds_only_the_summands_that_have_its_weight():
+    """V(nu) has weight w exactly when nu - w+ is a sum of positive roots,
+    w+ the dominant weight in the Weyl orbit of w.  So the lowest block of
+    V_hbar(3) (x) V_hbar(3) (weight -6, w+ = 6) transports into V_hbar(6)
+    alone, and the weight-0 block into every summand."""
+    qctx = QAffineContext(UqContext(2))
+    entry = qctx.cg((3,), (3,))
+    assert [opt[:3] for opt in entry.options(15, 15)] == [((6,), 6, 6)]
+    assert sorted(qctx._qirreps) == [3, 6]
+    entry.options(6, 6)
+    assert sorted(qctx._qirreps) == [0, 2, 3, 4, 6]
+
+
+def test_block_without_matching_columns_is_an_incomplete_decomposition(ctx):
+    """With the raising operators dropped, every weight vector of V(1) (x)
+    V(1) is a highest weight vector: the weight-0 block gets three
+    columns for two rows and raises when read, while the top block, one
+    column for one row, still reads."""
+    weights, (lowering,) = cgx._sparse_tensor(
+        ctx.irrep((1,)), ctx.irrep((1,)), [ctx.alg.lower_index(0)])
+    entry = CGEntry(cgx.detached(ctx), (1,), (1,), weights,
+                    [[{} for _ in weights]], [lowering])
+    assert entry.options(0, 0) == [((2,), 0, 0, F(1))]
+    with pytest.raises(ValueError, match="incomplete decomposition"):
+        entry.options(1, 1)
+    with pytest.raises(ValueError, match="incomplete decomposition"):
+        entry.summands
+
+
+def test_contexts_are_freed_by_refcount():
+    """A context and the CG tables it memoizes form no reference cycle:
+    with the cycle collector off, a context is gone as soon as the last
+    function over it is."""
+    gc.disable()
+    try:
+        ctx = PWContext(build_sl(2))
+        f = matrix_coefficient(ctx, (3,), {1: 1, 2: 3}, {0: 1, 2: 1})
+        g = hw_coefficient(ctx, (3,), {2: 1})
+        pw_multiply(f, g)
+        classical_bracket(f, g, BracketSpec(ctx, 1))
+        alive = weakref.ref(ctx)
+        del ctx, f, g
+        assert alive() is None
+        qctx = QAffineContext(UqContext(3))
+        f = matrix_coefficient(qctx, (3,), {1: 1}, {0: 1, 3: 1})
+        q_multiply(f, hw_coefficient(qctx, (3,), {2: 1}))
+        f = pw_tensor([hw_coefficient(qctx, (3,), {1: 1}),
+                       hw_coefficient(qctx, (1,), {0: 1})])
+        g = pw_tensor([hw_coefficient(qctx, (2,), {0: 1}),
+                       hw_coefficient(qctx, (3,), {2: 1})])
+        quantum_affine_multiply(f, g)
+        alive, pw = weakref.ref(qctx), weakref.ref(qctx.pw)
+        del qctx, f, g
+        assert alive() is None and pw() is None
+    finally:
+        gc.enable()

@@ -375,6 +375,16 @@ PINNED_COMPUTE_OUTPUT = [
      "23fcb8b229a293143871384cca1760ffb35dae3865686454fa6395b1ee72bed2"),
     (["mix", "sl3", "3"],
      "71d41e17d579ba70d12daa2ca5c87ad1375650f8040aa4519719345b30dff0b4"),
+    # weight 3 on both sides of a factor: the CG tables of V(3) (x) V(3),
+    # read one weight block at a time
+    (["bracket", "sl2", "product", "3:1", "3:2"],
+     "2649e30dc219e43348daa5a7845aadd95269a8618d86f550d65bcffc5203b38b"),
+    (["bracket", "sl2", "mixed", "3:3,3:1", "3:1,1:0"],
+     "4f6b7efaaea221b88318193b14a7cd5a61890bea99f3655aad5d2f57e37b3307"),
+    (["qmultiply", "3:1", "3:2"],
+     "1cf157d9e946906b3a0e3cda1797920b60168a3ece095054d6c3d39fac641d92"),
+    (["qmultiply", "3:3,1:0,2:1", "3:1,2:2,1:1"],
+     "4e4c206003678580d1d44747dd4d6ad9de1dedfc70348775294242202096224e"),
 ]
 
 

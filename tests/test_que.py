@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from qaffine.que import (
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
-    BracketSpec, CGEntry, classical_bracket, hw_coefficient,
+    BracketSpec, classical_bracket, hw_coefficient,
     matrix_coefficient, pw_multiply, pw_one, pw_tensor, sparse_columns,
 )
 
@@ -990,7 +991,8 @@ def _cartan_diag(rep: QIrrep, coeff: Fraction):
 
 class DenseQContext(QAffineContext):
     """V_hbar(n) (x) V_hbar(m) split with dense series matrices of the
-    coproduct and one inverse of the whole injection."""
+    coproduct and one inverse of the whole injection; cg gives the whole
+    split as its dense summands."""
 
     def _tensor_generator_mats(self, va: QIrrep, vb: QIrrep):
         """Matrices of E, F on V_hbar(n)(x)V_hbar(m) via the coproduct."""
@@ -1019,7 +1021,7 @@ class DenseQContext(QAffineContext):
         return madd(kron(Ea, km_b), kron(kp_a, Eb)), \
             madd(kron(Fa, km_b), kron(kp_a, Fb))
 
-    def _build_qcg(self, n: int, m: int) -> CGEntry:
+    def _build_qcg(self, n: int, m: int) -> SimpleNamespace:
         ctx = self.uq
         K = ctx.order
         va, vb = self.irrep((n,)), self.irrep((m,))
@@ -1075,12 +1077,14 @@ class DenseQContext(QAffineContext):
             proj = [big_inv[offset + s] for s in range(d)]
             out.append(((nu,), inj, proj))
             offset += d
-        return CGEntry((n,), (m,), out)
+        return SimpleNamespace(summands=out)
 
 
 def test_block_split_matches_whole_matrix_reference():
     """The per-weight-block inverse and the sparse coproduct give the
-    summands of the dense series split exactly."""
+    summands of the dense series split exactly (the CG options, read one
+    block at a time, are checked against these summands in
+    tests/test_cgx.py)."""
     for order in range(1, 6):
         uq = UqContext(order)
         got, want = QAffineContext(uq), DenseQContext(uq)
