@@ -9,21 +9,25 @@ once, in linalg.vec_sum.  Both contexts answer irrep(lam) and
 cg(lam, mu), and every product goes through one Clebsch-Gordan
 contraction, cg_contract: blocks are tensored factor by factor and
 decomposed back with exact intertwiners, each pair of flat indices read
-from an option list that its CG table memoizes (CGEntry.options).  Over
-Q the contraction multiplies and sums integer numerators and
-denominators and builds one Fraction per entry of the result.  A
-Poisson bracket is one such contraction: the legs (a(f), b(g), c) of
-every bivector term are summed per block pair and index pair,
+from an option list that its CG table memoizes (CGEntry.options).  One
+loop serves both rings: it multiplies and sums the pairs ctx.pair makes
+(numerator and denominator over Q, a series over 1) and builds one
+coefficient per entry of the result with ctx.build.  A Poisson bracket
+(over Q) is one such contraction: the legs (a(f), b(g), c) of every
+bivector term are summed per block pair and index pair,
 c * a(f)[fi] * b(g)[gi], as integer pairs too, and the sums go into a
 single cg_contract pass, one group per block pair and one Fraction per
 index pair; each leg is computed once per function (BlockFunction.leg).
 This module holds the classical contexts, the Poisson brackets, and the
 oracles the bracket checks are compared against.
 
-Irreps are built recursively: V(lam) is generated inside
-V(lam - w_a) (x) V(w_a), with a the last index where lam_a > 0, whose
-weight-lam space is the highest weight line.  Tensor products act through
-sparse columns (one nonzero dict per basis vector).
+Representations (Rep, Irrep, que.QIrrep) act by sparse columns, one
+nonzero dict per basis vector in ascending row order; Rep.act is a dense
+view that no engine path reads.  Irreps are built recursively: V(lam) is
+generated inside V(lam - w_a) (x) V(w_a), with a the last index where
+lam_a > 0, whose weight-lam space is the highest weight line.  Tensor
+products act through _tensor_columns and duals through _transposed, over
+either ring.
 
 One type, CGEntry, splits V(lam) (x) V(mu) over either ring, one weight
 block at a time and only for the blocks that are read: a block takes the
@@ -49,8 +53,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import TruncatedSeries
-from .linalg import (EchelonSpan, Matrix, mat_inv, mat_zero, sparse_nullspace,
-                     vec_sum)
+from .linalg import EchelonSpan, Matrix, mat_inv, sparse_nullspace, vec_sum
 from .liebialg import LieAlgebra, LieTensor, StandardR, Weight, mix_tensor
 
 Key = Tuple[Weight, ...]
@@ -66,98 +69,108 @@ class DimensionBoundError(ValueError):
 
 
 class Rep:
-    """A representation given by exact action matrices for every basis
-    element of the algebra, with weight-homogeneous basis vectors."""
+    """A representation given by the sparse columns of every basis element
+    of the algebra, cols[x][j] the nonzeros of column j of x in ascending
+    row order, with weight-homogeneous basis vectors."""
 
-    def __init__(self, alg: LieAlgebra, act: List[Matrix], weights: List[Weight]):
+    def __init__(self, alg: LieAlgebra, cols: List[List[SparseVec]],
+                 weights: List[Weight]):
         self.alg = alg
-        self.act = act
+        self.cols = cols
         self.weights = weights
         self.dim = len(weights)
+
+    @cached_property
+    def act(self) -> List[Matrix]:
+        """The action matrices, a dense read-only view of cols."""
+        zero = Fraction(0)
+        return [[[col.get(r, zero) for col in cols] for r in range(self.dim)]
+                for cols in self.cols]
 
 
 def defining_rep(alg: LieAlgebra) -> Rep:
     mats = alg.defining_matrices
-    n = len(mats[0])
-    k = alg.rank
-    weights = []
-    for i in range(n):
-        weights.append(tuple(int(mats[a][i][i]) for a in range(k)))
-    return Rep(alg, mats, weights)
+    weights = [tuple(int(mats[a][i][i]) for a in range(alg.rank))
+               for i in range(len(mats[0]))]
+    return Rep(alg, [sparse_columns(m) for m in mats], weights)
 
 
 def exterior_power(rep: Rep, p: int) -> Rep:
+    """Lambda^p of rep on the p-subsets s: x replaces an i in s by a j
+    outside it, with sign (-1)^#{u in s : min(i,j) < u < max(i,j)}."""
     subsets = list(itertools.combinations(range(rep.dim), p))
     index = {s: i for i, s in enumerate(subsets)}
     k = rep.alg.rank
     weights = [
         tuple(sum(rep.weights[i][a] for i in s) for a in range(k)) for s in subsets
     ]
-    act = []
-    for mat in rep.act:
-        out = mat_zero(len(subsets), len(subsets))
-        for col, s in enumerate(subsets):
+    cols = []
+    for xcols in rep.cols:
+        out = []
+        for s in subsets:
+            col: SparseVec = {}
             for pos, i in enumerate(s):
-                for j in range(rep.dim):
-                    c = mat[j][i]
-                    if c == 0 or (j != i and j in s):
+                for j, c in xcols[i].items():
+                    if j != i and j in s:
                         continue
-                    new = list(s)
-                    new[pos] = j
-                    order = sorted(range(p), key=lambda t: new[t])
-                    sign = _perm_sign(order)
-                    new_sorted = tuple(sorted(new))
-                    out[index[new_sorted]][col] += sign * c
-        act.append(out)
-    return Rep(rep.alg, act, weights)
+                    if sum(min(i, j) < u < max(i, j) for u in s) % 2:
+                        c = -c
+                    r = index[tuple(sorted(s[:pos] + (j,) + s[pos + 1:]))]
+                    col[r] = col.get(r, 0) + c
+            out.append({r: col[r] for r in sorted(col) if col[r]})
+        cols.append(out)
+    return Rep(rep.alg, cols, weights)
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _tensor_columns(ca: List[SparseVec], cb: List[SparseVec],
+                    left: Optional[Sequence] = None,
+                    right: Optional[Sequence] = None) -> List[SparseVec]:
+    """Sparse columns of x (x) k' + k (x) x' on the basis e_i (x) f_t of
+    V (x) W, at index i * dim W + t: ca and cb the columns of x on V and
+    of x' on W, left and right the diagonals of k on V and of k' on W (the
+    identity when None).  Where the two parts meet they add, and zeros are
+    dropped."""
+    db = len(cb)
+    cols = []
+    for i, a in enumerate(ca):
+        for t, b in enumerate(cb):
+            col = {r * db + t: c if right is None else c * right[t]
+                   for r, c in a.items()}
+            for s, c in b.items():
+                if left is not None:
+                    c = left[i] * c
+                cur = col.get(i * db + s)
+                col[i * db + s] = c if cur is None else cur + c
+            cols.append({r: c for r, c in col.items() if c})
+    return cols
 
 
 def _sparse_tensor(a: Rep, b: Rep, gens: Optional[Sequence[int]] = None
                    ) -> Tuple[List[Weight], List[List[SparseVec]]]:
-    """Weights and sparse action of a (x) b on the basis e_i (x) f_t, at
-    index i * b.dim + t: cols[x][j] holds the nonzeros of column j of the
-    x-th of gens (by default every basis element of the algebra)."""
-    db = b.dim
+    """Weights and sparse action x (x) 1 + 1 (x) x of a (x) b (see
+    _tensor_columns), for every x of gens (by default every basis element
+    of the algebra)."""
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
     ]
     if gens is None:
-        gens = range(len(a.act))
-    cols = []
-    for x in gens:
-        ca, cb = sparse_columns(a.act[x]), sparse_columns(b.act[x])
-        mat = []
-        for i in range(a.dim):
-            for t in range(db):
-                col = {r * db + t: c for r, c in ca[i].items()}
-                for s, c in cb[t].items():
-                    col[i * db + s] = col.get(i * db + s, 0) + c
-                mat.append({r: c for r, c in col.items() if c != 0})
-        cols.append(mat)
-    return weights, cols
+        gens = range(len(a.cols))
+    return weights, [_tensor_columns(a.cols[x], b.cols[x]) for x in gens]
 
 
 def sparse_columns(mat) -> List[Dict]:
     """Nonzeros of every column of a matrix over Q or Q[[hbar]]/(hbar^K)."""
     return [{r: row[j] for r, row in enumerate(mat) if row[j]}
             for j in range(len(mat[0]))]
+
+
+def _transposed(cols: List[SparseVec]) -> List[SparseVec]:
+    """The sparse columns of the transpose of a square matrix."""
+    out: List[SparseVec] = [{} for _ in cols]
+    for j, col in enumerate(cols):
+        for r, c in col.items():
+            out[r][j] = c
+    return out
 
 
 def _apply(cols: List[SparseVec], v: SparseVec) -> SparseVec:
@@ -181,8 +194,8 @@ class Irrep(Rep):
     the same weight yields an intertwiner.
     """
 
-    def __init__(self, alg, act, weights, words):
-        super().__init__(alg, act, weights)
+    def __init__(self, alg, cols, weights, words):
+        super().__init__(alg, cols, weights)
         self.words = words
 
 
@@ -232,20 +245,23 @@ class CGEntry:
         self._options: Dict[Tuple[int, int], List] = {}
 
     def options(self, dual_flat: int, vec_flat: int) -> List:
-        """The nonzero (nu, s, t, inj[dual_flat][s] * proj[t][vec_flat]):
-        where the basis pair (dual_flat, vec_flat) of V(lam) (x) V(mu)
-        lands in the blocks of the summands V(nu); memoized per pair."""
+        """The (nu, s, t, n, d) with n / d = ctx.pair(inj[dual_flat][s] *
+        proj[t][vec_flat]) nonzero: where the basis pair (dual_flat,
+        vec_flat) of V(lam) (x) V(mu) lands in the blocks of the summands
+        V(nu); memoized per pair."""
         key = (dual_flat, vec_flat)
         opts = self._options.get(key)
         if opts is None:
             opts = self._options[key] = []
+            pair = self._ctx.pair
             parts, proj = self._block(self._weights[vec_flat])
             for p, line in proj[vec_flat].items():
                 nu, _, vecs = parts[p]
                 for s, v in enumerate(vecs):
                     ic = v.get(dual_flat)
                     if ic:
-                        opts.extend((nu, s, t, ic * pc) for t, pc in line)
+                        opts.extend((nu, s, t, *pair(ic * pc))
+                                    for t, pc in line)
         return opts
 
     def _summands_at(self, nu: Weight) -> Tuple[List[List[SparseVec]], List]:
@@ -416,6 +432,13 @@ class PWContext:
     def is_unit(self, c: Fraction) -> bool:
         return c != 0
 
+    def pair(self, c: Fraction) -> Tuple[int, int]:
+        """c as the (numerator, denominator) that cg_contract sums."""
+        return c.numerator, c.denominator
+
+    def build(self, n: int, d: int) -> Fraction:
+        return Fraction(n, d)
+
     def coeff_json(self, c: Fraction) -> str:
         return str(c)
 
@@ -428,9 +451,9 @@ class PWContext:
         or of itself (side "right", the vector slot); see act_factor."""
         key = (lam, x, side)
         if key not in self._slot:
-            a = self.irrep(lam).act[x]
-            rows = a if side == "right" else zip(*a)
-            self._slot[key] = sparse_columns([[-c for c in r] for r in rows])
+            cols = [{r: -c for r, c in col.items()}
+                    for col in self.irrep(lam).cols[x]]
+            self._slot[key] = cols if side == "right" else _transposed(cols)
         return self._slot[key]
 
     def fundamental(self, a: int) -> Rep:
@@ -486,17 +509,16 @@ class PWContext:
                     words.append((p, i))
                 ngens += 1
             p += 1
-        dim = len(basis)
         act = []
         for idx in range(alg.dim):
-            mat = mat_zero(dim, dim)
-            for col in range(dim):
-                coeffs = span.coefficients(_apply(cols[idx], basis[col]))
+            out = []
+            for v in basis:
+                coeffs = span.coefficients(_apply(cols[idx], v))
                 if coeffs is None:
                     raise ValueError("module not closed under the action")
-                for gidx, c in coeffs.items():
-                    mat[gen_map[gidx]][col] = c
-            act.append(mat)
+                # generator order is basis order: ascending rows
+                out.append({gen_map[g]: c for g, c in sorted(coeffs.items())})
+            act.append(out)
         weights = [weights[min(v)] for v in basis]
         return Irrep(self.alg, act, weights, words)
 
@@ -546,7 +568,7 @@ class BlockFunction:
     TruncatedSeries for a QAffineContext (C_hbar[SL2^m]).  The rings
     differ only in ctx.coerce, the zero test `not c`, the JSON of a
     coefficient (ctx.coeff_json, with ctx.json_fields at the top level),
-    and the loop of cg_contract, which over Q runs on integer pairs.
+    and the pairs that cg_contract sums (ctx.pair and ctx.build).
 
     A function never changes once built: every builder hands its terms
     ((key, idx), coefficient) to _from_terms, which sums them per entry
@@ -688,54 +710,10 @@ def pw_tensor(fs: Sequence[BlockFunction]) -> BlockFunction:
     return BlockFunction._from_terms(ctx, sum(f.m for f in fs), terms())
 
 
-def cg_contract(ctx, m: int, groups) -> BlockFunction:
-    """The Clebsch-Gordan contraction behind every product of block
-    functions and every Poisson bracket.  groups yields (lkey, rkey,
-    terms), terms listing (lidx, ridx, coeff): coeff times the entry lidx
-    of an m-factor block lkey times the entry ridx of an m-factor block
-    rkey, multiplied factor by factor, factor j split through the CG table
-    of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
-    table's memo (CGEntry.options), so a pair of flat indices is expanded
-    once per table, however many terms or groups meet it.  Over a
-    PWContext the products and their sums run on integer numerators and
-    denominators, with one Fraction per entry of the result."""
-    if ctx.ring == PWContext.ring:
-        terms = _rational_contraction(ctx, m, groups)
-    else:
-        terms = _contraction_terms(ctx, m, groups)
-    return BlockFunction._from_terms(ctx, m, terms)
-
-
-def _term_options(ctx, m: int, groups):
-    """(coeff, parts) for every nonzero term of the cg_contract groups:
-    parts[j] the CG options of factor j."""
-    for lkey, rkey, terms in groups:
-        tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
-        dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
-        for lidx, ridx, coeff in terms:
-            if coeff:
-                yield coeff, [tables[j].options(
-                    lidx[2 * j] * dims[j] + ridx[2 * j],
-                    lidx[2 * j + 1] * dims[j] + ridx[2 * j + 1])
-                    for j in range(m)]
-
-
-def _contraction_terms(ctx, m: int, groups):
-    """The terms ((key, idx), coefficient) of cg_contract(ctx, m, groups)."""
-    for coeff, parts in _term_options(ctx, m, groups):
-        for combo in itertools.product(*parts):
-            key = tuple(ch[0] for ch in combo)
-            idx = tuple(x for ch in combo for x in (ch[1], ch[2]))
-            c = coeff
-            for ch in combo:
-                c = c * ch[3]
-            yield (key, idx), c
-
-
-def _add_pair(acc: Dict, k, n: int, d: int) -> int:
-    """Add n/d (d > 0) to the integer pair acc[k] = [num, den], starting
-    it when k is new, and return the new numerator; den stays the lcm of
-    the denominators added."""
+def _add_pair(acc: Dict, k, n, d) -> object:
+    """Add n/d (d > 0) to the pair acc[k] = [num, den], starting it when k
+    is new, and return the new numerator; den stays the lcm of the
+    denominators added (1 for a series)."""
     cur = acc.get(k)
     if cur is None:
         acc[k] = [n, d]
@@ -750,23 +728,40 @@ def _add_pair(acc: Dict, k, n: int, d: int) -> int:
     return cn
 
 
-def _rational_contraction(ctx, m: int, groups):
-    """The entries ((key, idx), Fraction) of cg_contract over Q: every
-    product coeff * options is an integer pair, summed per entry by the
-    rule of linalg.vec_sum (an entry that cancels leaves and a later term
-    brings it back at the end), and reduced once."""
+def cg_contract(ctx, m: int, groups) -> BlockFunction:
+    """The Clebsch-Gordan contraction behind every product of block
+    functions and every Poisson bracket.  groups yields (lkey, rkey,
+    terms), terms listing (lidx, ridx, coeff): coeff times the entry lidx
+    of an m-factor block lkey times the entry ridx of an m-factor block
+    rkey, multiplied factor by factor, factor j split through the CG table
+    of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
+    table's memo (CGEntry.options), so a pair of flat indices is expanded
+    once per table, however many terms or groups meet it.  Products and
+    sums run on the pairs of ctx.pair, summed per entry by the rule of
+    linalg.vec_sum (an entry that cancels leaves and a later term brings
+    it back at the end), with one ctx.build per entry of the result."""
+    pair, build = ctx.pair, ctx.build
     acc: Dict = {}
-    for coeff, parts in _term_options(ctx, m, groups):
-        # the combinations of options in itertools.product order
-        combos = [((), (), coeff.numerator, coeff.denominator)]
-        for opts in parts:
-            combos = [(key + (nu,), idx + (s, t), n * c.numerator,
-                       d * c.denominator)
-                      for key, idx, n, d in combos for nu, s, t, c in opts]
-        for key, idx, n, d in combos:
-            if not _add_pair(acc, (key, idx), n, d):
-                del acc[key, idx]
-    return ((k, Fraction(n, d)) for k, (n, d) in acc.items())
+    for lkey, rkey, terms in groups:
+        tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
+        dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
+        for lidx, ridx, coeff in terms:
+            if not coeff:
+                continue
+            # the combinations of options in itertools.product order
+            combos = [((), (), *pair(coeff))]
+            for j in range(m):
+                opts = tables[j].options(
+                    lidx[2 * j] * dims[j] + ridx[2 * j],
+                    lidx[2 * j + 1] * dims[j] + ridx[2 * j + 1])
+                combos = [(key + (nu,), idx + (s, t), n * on, d * od)
+                          for key, idx, n, d in combos
+                          for nu, s, t, on, od in opts]
+            for key, idx, n, d in combos:
+                if not _add_pair(acc, (key, idx), n, d):
+                    del acc[key, idx]
+    return BlockFunction._from_terms(ctx, m, (
+        (k, build(n, d)) for k, (n, d) in acc.items()))
 
 
 def block_pairs(f: BlockFunction, g: BlockFunction):
@@ -976,9 +971,9 @@ def _dual_act_vec(rep: Irrep, basis_idx: int,
                   xi: Dict[int, Fraction]) -> Dict[int, Fraction]:
     """Action on the dual slot of a matrix coefficient: (x.xi)_s =
     -sum_a A[a][s] xi_a."""
-    mat = rep.act[basis_idx]
+    rows = _transposed(rep.cols[basis_idx])
     return vec_sum((s, -c * x) for a, c in xi.items()
-                   for s, x in enumerate(mat[a]) if x)
+                   for s, x in rows[a].items())
 
 
 def hw_bracket_oracle(ctx: PWContext, st: StandardR, w: int, l: int,

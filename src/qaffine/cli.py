@@ -395,15 +395,15 @@ def _suite_quantum(cfg: RunConfig, report: Report):
         QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
         almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
         delta_leg, hexagon_residuals, quantum_affine_multiply,
-        quantum_affine_multiply_pairwise, r_matrix_m, r_matrix_sl2,
-        semiclassical_bracket, semiclassical_r, tensor_one,
-        twi_m, twi_m_inductive, twist_condition_residuals, uq_gen,
+        quantum_affine_multiply_pairwise, r_matrix_m, semiclassical_bracket,
+        semiclassical_r, tensor_one, twi_m, twi_m_inductive,
+        twist_condition_residuals, uq_gen,
     )
 
     ctx = UqContext(cfg.hbar_order)
     E, F, H = uq_gen(ctx, "E"), uq_gen(ctx, "F"), uq_gen(ctx, "H")
-    R = r_matrix_sl2(ctx)
     qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
+    R = qctx.R
 
     def algebra():
         if (H * E - E * H) != E.scale(2) or (H * F - F * H) != F.scale(-2):
@@ -554,7 +554,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
 
 def _suite_coiso(cfg: RunConfig, report: Report):
     from .cgx import hw_coefficient, pw_tensor
-    from .que import QAffineContext, UqContext, r_matrix_sl2, uq_gen
+    from .que import QAffineContext, UqContext, uq_gen
     from .coiso import (
         CharacterMonoid, HopfSubalgebra, _fn_span, borel_subalgebra,
         classical_shadow, counit_character, is_eigenfunction,
@@ -565,8 +565,8 @@ def _suite_coiso(cfg: RunConfig, report: Report):
 
     ctx = UqContext(cfg.hbar_order)
     U = borel_subalgebra(ctx, cfg.degree_bound)
-    R = r_matrix_sl2(ctx)
     qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
+    R = qctx.R
 
     def membership():
         rep = r_membership_hopf(U, R)

@@ -12,10 +12,11 @@ Howell form of the module): a row clears only the part of an entry at or
 above hbar^v, and len() counts the Q-dimension sum (K - v).  This one
 echelon engine does all elimination over either ring: sparse_nullspace
 reads kernels off the span of [columns | identity], and mat_inv reads an
-inverse off the span of [rows | identity].  The dense rref, solve and
-nullspace serve no engine path; they stay in this module because the
-tests check the sparse routines against them and perfbench/spans.py hooks
-them, with mat_inv, by name.
+inverse off the span of [rows | identity].  Representations act by
+sparse columns (cgx.Rep).  The dense rref, solve and nullspace serve no
+engine path; they stay in this module because the tests check the
+sparse routines against them and perfbench/spans.py hooks them, with
+mat_inv, by name.
 """
 
 from __future__ import annotations
@@ -253,10 +254,6 @@ def sparse_nullspace(cols: List[Vec], one=Fraction(1)) -> List[Vec]:
 # -- dense matrices over Fraction -------------------------------------
 
 Matrix = List[List[Fraction]]
-
-
-def mat_zero(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
 
 
 def mat_inv(a: Matrix, one=Fraction(1)) -> Matrix:

@@ -32,14 +32,14 @@ tensor_of) build their dicts directly.
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
 V_hbar(n).  A QIrrep keeps E, F, H and every action as sparse series
-columns, the one format its consumers read: the slot actions of
-act_factor and q_evaluate, and the coproducts of E and F on a tensor
-product.  Clebsch-Gordan entries are cgx.CGEntry tables over the series
-ring, built one weight block at a time as they are read: the highest
-weight vectors are kernel generators of the coproduct of E, transported
-along the coproduct of F.  q_multiply (the
-convolution product) and quantum_affine_multiply (twisted by Twi^m(R~))
-both end in the one contraction cgx.cg_contract.
+columns, as cgx.Rep does: the slot actions (cgx._transposed for the dual
+slot) and q_evaluate read them, and cgx._tensor_columns builds the
+coproducts of E and F on a tensor product from them.  Clebsch-Gordan
+entries are cgx.CGEntry tables over the series ring, built one weight
+block at a time as they are read: the highest weight vectors are kernel
+generators of the coproduct of E, transported along the coproduct of F.
+q_multiply (the convolution product) and quantum_affine_multiply
+(twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
     BlockFunction, CGEntry, DimensionBoundError, PWContext, _apply,
-    block_pairs, cg_contract, detached, pw_tensor,
+    _tensor_columns, _transposed, block_pairs, cg_contract, detached,
+    pw_tensor,
 )
 from .kernel import TruncatedSeries, mul_term, multiplier, q_power, series_sums
 from .liebialg import LieTensor, build_sl
@@ -826,6 +827,12 @@ class QAffineContext:
     def is_unit(self, s: TruncatedSeries) -> bool:
         return s.num[0] != 0
 
+    def pair(self, s: TruncatedSeries) -> Tuple[TruncatedSeries, int]:
+        return s, 1  # see PWContext.pair
+
+    def build(self, s: TruncatedSeries, d: int) -> TruncatedSeries:
+        return s
+
     def coeff_json(self, s: TruncatedSeries) -> List[str]:
         return [str(c) for c in s.coeffs]
 
@@ -840,46 +847,25 @@ class QAffineContext:
         key = (lam, tuple(y.data.items()), side)
         lines = self._slot.get(key)
         if lines is None:
-            cols = self.irrep(lam).act(antipode(y))
-            if side == "right":
-                lines = cols
-            else:
-                lines = [{} for _ in cols]
-                for v, col in enumerate(cols):
-                    for xi, c in col.items():
-                        lines[xi][v] = c
+            lines = self.irrep(lam).act(antipode(y))
+            if side == "left":
+                lines = _transposed(lines)
             self._slot[key] = lines
         return lines
 
-    def _tensor_generators(self, va: QIrrep, vb: QIrrep):
-        """Weights of V_hbar(n) (x) V_hbar(m) and the sparse columns of
-        Delta(E) = E(x)K^-1 + K(x)E and Delta(F) = F(x)K^-1 + K(x)F on it,
-        where K = exp(hbar H/4) scales a weight-w vector by exp(hbar w/4)."""
-        kp = [self.uq.q_half_power(w) for w in va.weights]
-        km = [self.uq.q_half_power(-w) for w in vb.weights]
-        db = vb.dim
-        gens = []
-        for ca, cb in ((va.E, vb.E), (va.F, vb.F)):
-            cols = []
-            for i in range(va.dim):
-                for t in range(db):
-                    # E and F move every index, so the two parts never meet
-                    col = {r * db + t: c * km[t] for r, c in ca[i].items()}
-                    col.update((i * db + s, kp[i] * c) for s, c in cb[t].items())
-                    cols.append(col)
-            gens.append(cols)
-        weights = [wa + wb for wa in va.weights for wb in vb.weights]
-        return weights, gens
-
     def _build_qcg(self, n: int, m: int) -> CGEntry:
         """Decomposition of V_hbar(n)(x)V_hbar(m) with series intertwiners:
-        the highest weight vectors are the kernel generators of Delta(E),
-        transported along Delta(F); its blocks are built as they are
-        read."""
-        weights, (dE, dF) = self._tensor_generators(
-            self.irrep((n,)), self.irrep((m,)))
-        return CGEntry(detached(self), (n,), (m,), [(w,) for w in weights],
-                       [dE], [dF])
+        the highest weight vectors are the kernel generators of
+        Delta(E) = E(x)K^-1 + K(x)E, transported along Delta(F) =
+        F(x)K^-1 + K(x)F, where K = exp(hbar H/4) scales a weight-w vector
+        by exp(hbar w/4); its blocks are built as they are read."""
+        va, vb = self.irrep((n,)), self.irrep((m,))
+        kp = [self.uq.q_half_power(w) for w in va.weights]
+        km = [self.uq.q_half_power(-w) for w in vb.weights]
+        return CGEntry(detached(self), (n,), (m,),
+                       [(wa + wb,) for wa in va.weights for wb in vb.weights],
+                       [_tensor_columns(va.E, vb.E, kp, km)],
+                       [_tensor_columns(va.F, vb.F, kp, km)])
 
 
 def q_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:

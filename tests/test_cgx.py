@@ -2,28 +2,33 @@
 classical Poisson brackets on products of principal affine spaces."""
 
 import gc
+import hashlib
 import itertools
+import json
+import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qaffine import cgx, que
 from qaffine.cgx import (
     BlockFunction, BracketSpec, CGEntry, DimensionBoundError, Irrep,
-    PWContext, Rep, act_factor, block_pairs, classical_bracket,
-    hw_coefficient, matrix_coefficient, pw_multiply, pw_one, pw_tensor,
+    PWContext, act_factor, block_pairs, classical_bracket, hw_coefficient,
+    matrix_coefficient, pw_multiply, pw_one, pw_tensor, sparse_columns,
 )
 from qaffine.cli import main
 from qaffine.kernel import TruncatedSeries
-from qaffine.linalg import EchelonSpan, mat_inv, mat_zero, nullspace
+from qaffine.linalg import EchelonSpan, mat_inv, nullspace, vec_sum
 from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
 from qaffine.que import (
     QAffineContext, UqContext, q_multiply, quantum_affine_multiply, uq_gen,
 )
 
 F = Fraction
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,57 @@ def test_sl3_irrep_dimensions(ctx3):
     for a in range(5):
         for b in range(5 - a):
             assert ctx3.irrep((a, b)).dim == (a + 1) * (b + 1) * (a + b + 2) // 2
+
+
+def test_dense_view_is_the_sparse_columns(ctx, ctx3, monkeypatch):
+    """Rep.act, the dense view that the benchmark's oracle reads, holds
+    exactly the entries of the sparse columns, each column in ascending
+    row order; on sl2 V(0)..V(8) the view passes that oracle."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracles
+
+    reps = [ctx.irrep((n,)) for n in range(9)]
+    reps += [ctx3.irrep((a, b)) for a in range(4) for b in range(4 - a)]
+    for rep in reps:
+        assert len(rep.act) == len(rep.cols) == rep.alg.dim
+        for cols, mat in zip(rep.cols, rep.act):
+            assert [len(row) for row in mat] == [rep.dim] * rep.dim
+            assert sparse_columns(mat) == cols
+            assert all(list(col) == sorted(col) for col in cols)
+    h, e, f = 0, ctx.alg.raise_index(0), ctx.alg.lower_index(0)
+    for n in range(9):
+        rep = ctx.irrep((n,))
+        assert oracles.sl2_irrep_problems(
+            n, rep.weights, rep.act[h], rep.act[e], rep.act[f]) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exterior_powers_are_representations(n):
+    """Lambda^p C^n for p = 1..n-1: rho([x, y]) = [rho(x), rho(y)] for
+    every pair of basis elements of sl(n), which holds only if every
+    replacement i -> j in a subset carries the right sign (the engine
+    builds these fundamentals only up to n = 3)."""
+    alg = build_sl(n)
+    for p in range(1, n):
+        rep = cgx.exterior_power(cgx.defining_rep(alg), p)
+        assert rep.dim == math.comb(n, p)
+        assert any(rep.cols[alg.raise_index(0)])
+
+        def product(a, b):
+            return [cgx._apply(a, col) for col in b]
+
+        for x in range(alg.dim):
+            for y in range(alg.dim):
+                xy = product(rep.cols[x], rep.cols[y])
+                yx = product(rep.cols[y], rep.cols[x])
+                got = [vec_sum(itertools.chain(
+                    u.items(), ((r, -c) for r, c in v.items())))
+                    for u, v in zip(xy, yx)]
+                want = [vec_sum((r, c * v) for k, c in
+                                alg.bracket_basis(x, y).items()
+                                for r, v in rep.cols[k][j].items())
+                        for j in range(rep.dim)]
+                assert got == want, (p, x, y)
 
 
 def test_sl2_clebsch_gordan_rule(ctx):
@@ -275,6 +331,37 @@ def test_sl3_bracket_smoke(ctx3):
         assert key == ((1, 1),)
 
 
+# sha256 of json.dumps(h.to_json(), sort_keys=True) for the sl3 product
+# a b, the product bracket {c, d} and the mixed bracket {a (x) b, c (x) d}
+SL3_PINS = {
+    1: ("7516f64ce172c250a2c6286bb6785dfc4240790867abd6296a3a14b64905198e",
+        "ab56a7672ff7ed7a8828d733d688a26b94eb31badecb5594b1b30c665d269429",
+        "f75867b7eedb4a1351f1ba24b57563e973f0dd2b9aab5828423d95841f52859a"),
+    F(3, 2): (
+        "7516f64ce172c250a2c6286bb6785dfc4240790867abd6296a3a14b64905198e",
+        "40a522cd8c292a9654ba3850f33889581ea39677e107324b319b262868f5cae8",
+        "48655ebeab55988ee00798b71a98c7c9d9bd7abe94850af54759780dd207c4e9"),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(SL3_PINS), ids=str)
+def test_sl3_products_and_brackets_are_pinned(scale):
+    """sl3 function-algebra outputs, on both fundamentals and the adjoint,
+    at the trace form and a rescaled one."""
+    ctx = PWContext(build_sl(3, scale))
+    a = hw_coefficient(ctx, (1, 0), {0: 1})
+    b = hw_coefficient(ctx, (0, 1), {2: 1})
+    c = hw_coefficient(ctx, (1, 1), {3: 1})
+    d = hw_coefficient(ctx, (1, 0), {1: 1})
+    got = [pw_multiply(a, b),
+           classical_bracket(c, d, BracketSpec(ctx, 1, "product")),
+           classical_bracket(pw_tensor([a, b]), pw_tensor([c, d]),
+                             BracketSpec(ctx, 2, "mixed"))]
+    assert tuple(hashlib.sha256(json.dumps(h.to_json(), sort_keys=True)
+                                .encode()).hexdigest()
+                 for h in got) == SL3_PINS[scale]
+
+
 # -- slow references: dense tensor products and the tensor-power model ------
 
 
@@ -295,18 +382,39 @@ def _ref_options(entry, dual_flat, vec_flat):
     return opts
 
 
+def _paired(pair, opts):
+    """Options (nu, s, t, c) as CGEntry.options holds them: (nu, s, t, n,
+    d) with (n, d) = pair(c), pair the hook of the context's ring."""
+    return [(nu, s, t, *pair(c)) for nu, s, t, c in opts]
+
+
 class DenseEntry:
     """A whole split held as dense (nu, injection, projection) summands:
     the reference that CGEntry, built one weight block at a time, is
-    compared against."""
+    compared against; pair is the ring hook of its context."""
 
-    def __init__(self, lam, mu, summands):
+    def __init__(self, lam, mu, summands, pair):
         self.lam, self.mu, self.summands = lam, mu, summands
+        self.pair = pair
 
-    options = _ref_options
+    def options(self, dual_flat, vec_flat):
+        return _paired(self.pair, _ref_options(self, dual_flat, vec_flat))
 
 
-def _dense_tensor(a: Rep, b: Rep) -> Rep:
+def mat_zero(m, n):
+    return [[F(0)] * n for _ in range(m)]
+
+
+class DenseRep:
+    """A representation held as dense action matrices, the model of the
+    references below (a cgx.Rep holds sparse columns)."""
+
+    def __init__(self, alg, act, weights):
+        self.alg, self.act, self.weights = alg, act, weights
+        self.dim = len(weights)
+
+
+def _dense_tensor(a, b) -> DenseRep:
     dim = a.dim * b.dim
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
@@ -323,7 +431,7 @@ def _dense_tensor(a: Rep, b: Rep) -> Rep:
                 for i in range(a.dim):
                     out[i * b.dim + t][i * b.dim + u] += mb[t][u]
         act.append(out)
-    return Rep(a.alg, act, weights)
+    return DenseRep(a.alg, act, weights)
 
 
 def _mat_vec(mat, v):
@@ -372,7 +480,7 @@ class DenseContext(PWContext):
             inj = [[col[r] for col in cols] for r in range(t.dim)]
             summands.append((w, inj, big_inv[offset:offset + len(cols)]))
             offset += len(cols)
-        return DenseEntry(lam, mu, summands)
+        return DenseEntry(lam, mu, summands, self.pair)
 
 
 class TensorPowerContext(DenseContext):
@@ -381,8 +489,8 @@ class TensorPowerContext(DenseContext):
 
     def _build_irrep(self, lam):
         alg = self.alg
-        model = Rep(alg, [mat_zero(1, 1) for _ in range(alg.dim)],
-                    [(0,) * alg.rank])
+        model = DenseRep(alg, [mat_zero(1, 1) for _ in range(alg.dim)],
+                         [(0,) * alg.rank])
         for a in range(alg.rank):
             for _ in range(lam[a]):
                 model = _dense_tensor(model, self.fundamental(a))
@@ -421,10 +529,14 @@ class TensorPowerContext(DenseContext):
             act.append(mat)
         weights = [model.weights[next(i for i, c in enumerate(v) if c != 0)]
                    for v in basis]
-        return Irrep(alg, act, weights, words)
+        return Irrep(alg, [sparse_columns(m) for m in act], weights, words)
 
 
 def _same_irrep(got, want):
+    """Equal columns, with their entries in the same (ascending) order, and
+    equal dense views, weights and words."""
+    assert [[list(col.items()) for col in cols] for cols in got.cols] == \
+        [[list(col.items()) for col in cols] for cols in want.cols]
     assert (got.act, got.weights, got.words) == (want.act, want.weights, want.words)
 
 
@@ -872,7 +984,8 @@ def test_cg_options_are_the_reference_lists(ctx, ctx3):
         for dual_flat in range(dim):
             for vec_flat in range(dim):
                 opts = entry.options(dual_flat, vec_flat)
-                assert opts == _ref_options(entry, dual_flat, vec_flat)
+                assert opts == _paired(
+                    entry._ctx.pair, _ref_options(entry, dual_flat, vec_flat))
                 assert entry.options(dual_flat, vec_flat) is opts
         assert len(entry._options) <= dim * dim
 
@@ -907,7 +1020,7 @@ def test_block_options_match_the_dense_split():
         for a in range(4):
             for b in range(4):
                 entry = after.cg((a,), (b,))
-                want = DenseEntry((a,), (b,), entry.summands)
+                want = DenseEntry((a,), (b,), entry.summands, after.pair)
                 dim = (a + 1) * (b + 1)
                 assert _all_options(before.cg((a,), (b,)), dim) == \
                     _all_options(want, dim), (K, a, b)
@@ -959,7 +1072,7 @@ def test_block_without_matching_columns_is_an_incomplete_decomposition(ctx):
         ctx.irrep((1,)), ctx.irrep((1,)), [ctx.alg.lower_index(0)])
     entry = CGEntry(cgx.detached(ctx), (1,), (1,), weights,
                     [[{} for _ in weights]], [lowering])
-    assert entry.options(0, 0) == [((2,), 0, 0, F(1))]
+    assert entry.options(0, 0) == [((2,), 0, 0, 1, 1)]
     with pytest.raises(ValueError, match="incomplete decomposition"):
         entry.options(1, 1)
     with pytest.raises(ValueError, match="incomplete decomposition"):
