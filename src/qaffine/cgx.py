@@ -546,11 +546,11 @@ class PWContext:
 # -- block functions --------------------------------------------------------
 
 
-def _blocks_of(terms) -> Dict:
-    """The blocks of the terms ((key, idx), coefficient), each entry summed
-    in linalg.vec_sum."""
+def _blocks_of(entries: Dict) -> Dict:
+    """The blocks of the summed entries {(key, idx): coefficient}, in
+    their order."""
     blocks: Dict = {}
-    for (key, idx), c in vec_sum(terms).items():
+    for (key, idx), c in entries.items():
         blk = blocks.get(key)
         if blk is None:
             blocks[key] = {idx: c}
@@ -572,8 +572,9 @@ class BlockFunction:
 
     A function never changes once built: every builder hands its terms
     ((key, idx), coefficient) to _from_terms, which sums them per entry
-    in linalg.vec_sum.  _legs memoizes act_factor(self, j, x, side) for a
-    basis index x (see leg), and so never goes stale.
+    in linalg.vec_sum, or its entries already summed to _from_sums.  _legs
+    memoizes act_factor(self, j, x, side) for a basis index x (see leg),
+    and so never goes stale.
     """
 
     def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
@@ -582,14 +583,22 @@ class BlockFunction:
         self.m = m
         self._legs: Dict[Tuple[int, int, str], "BlockFunction"] = {}
         self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = _blocks_of(
-            ((tuple(tuple(w) for w in key), tuple(idx)), coerce(c))
-            for key, blk in (blocks or {}).items() for idx, c in blk.items())
+            vec_sum(((tuple(tuple(w) for w in key), tuple(idx)), coerce(c))
+                    for key, blk in (blocks or {}).items()
+                    for idx, c in blk.items()))
 
     @classmethod
     def _from_terms(cls, ctx, m: int, terms) -> "BlockFunction":
         """The function of the terms ((key, idx), coefficient)."""
+        return cls._from_sums(ctx, m, vec_sum(terms))
+
+    @classmethod
+    def _from_sums(cls, ctx, m: int, entries: Dict) -> "BlockFunction":
+        """The function of the nonzero entries {(key, idx): coefficient},
+        each key's terms already summed (by vec_sum or, over the series
+        ring, kernel.series_sums)."""
         out = cls.__new__(cls)
-        out.ctx, out.m, out._legs, out.blocks = ctx, m, {}, _blocks_of(terms)
+        out.ctx, out.m, out._legs, out.blocks = ctx, m, {}, _blocks_of(entries)
         return out
 
     def _terms(self):

@@ -394,10 +394,10 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     from .que import (
         QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
         almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
-        delta_leg, hexagon_residuals, quantum_affine_multiply,
-        quantum_affine_multiply_pairwise, r_matrix_m, semiclassical_bracket,
-        semiclassical_r, tensor_one, twi_m, twi_m_inductive,
-        twist_condition_residuals, uq_gen,
+        delta_leg, hexagon_residuals, intertwining_residual,
+        quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
+        semiclassical_bracket, semiclassical_r, tensor_one, twi_m,
+        twi_m_inductive, twist_condition_residuals, uq_gen,
     )
 
     ctx = UqContext(cfg.hbar_order)
@@ -478,7 +478,8 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                 xt = UqTensor(ctx, 2, {tuple(key): 1})
                 # Delta_J^op(x) is Delta_J(x) with its two blocks swapped
                 d = th.delta(xt)
-                if R2 * d != d.swap_legs((2, 3, 0, 1)) * R2:
+                if not intertwining_residual(
+                        R2, d, d.swap_legs((2, 3, 0, 1))).is_zero():
                     return False, "almost-cocommutativity", \
                         "%s leg %d" % (g, leg)
         return True, "0", None

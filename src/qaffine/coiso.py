@@ -142,18 +142,24 @@ class HopfSubalgebra:
         and the echelon rows c of the commutator ideal at the bound.  Over
         Q[[hbar]]/(hbar^K) the Howell rows of a span generate the module
         its inserted vectors generate, so these products generate the same
-        module as the tensors of every pair of spanning elements."""
+        module as the tensors of every pair of spanning elements.  An h
+        that lies in U itself is skipped: each h(x)c then lies in U(x)U,
+        which the r(x)r' already span, so it could not change a row."""
         key = (bound, side)
         span = self._windows.get(key)
         if span is None:
-            rows = self.extend(bound).span.rows.values()
+            W = self.extend(bound)
+            rows = W.span.rows.values()
             ideal = ideal_commutator(self, bound).rows.values()
             span = self._windows[key] = EchelonSpan()
             for ra in rows:
                 for rb in rows:
                     span.add({ka + kb: x for ka, s in ra.items()
                               for kb, t in rb.items() if (x := s * t)})
+            one = self.ctx.one_series()
             for hm in _h_monomials(bound):
+                if W.span.contains({(hm,): one}):
+                    continue
                 for c in ideal:
                     span.add({(hm,) + k: t for k, t in c.items()}
                              if side == "right" else

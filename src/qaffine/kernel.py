@@ -14,8 +14,12 @@ Sums of many terms defer even that gcd, and every sum of U_hbar elements
 or tensors in que is made this way.  A factor enters as a ``multiplier``
 (1, an integer scalar over its denominator, or the numerators of a true
 series), ``mul_term`` forms each product over an unreduced denominator,
-and ``series_sums`` adds the terms per key over one denominator and puts
-each key in lowest terms once, when the sums are read.
+``sum_terms`` adds the terms per key into running sums over one
+denominator, and ``reduce_sums`` puts each key in lowest terms once, when
+the sums are read; ``series_sums`` is the two in one call.  A signed
+combination of sums, such as a residual A*B - C*D, adds the second side's
+running sums into the first (``signed_terms``) and reduces only the keys
+that survive, so neither side is ever built as series.
 """
 
 from __future__ import annotations
@@ -304,19 +308,17 @@ def mul_term(num: Sequence[int], den: int, c: Union[None, int, Tuple[int, ...]],
     return mul_num(num, c, order), den * d
 
 
-def series_sums(order: int,
-                terms: Iterable[Tuple[Hashable, Sequence[int], int]]
-                ) -> Dict[Hashable, TruncatedSeries]:
-    """Sum the terms (key, numerators, den) per key: order integer
-    numerators over a positive denominator, in lowest terms or not.
+def sum_terms(acc: Dict, terms: Iterable[Tuple[Hashable, Sequence[int], int]]
+              ) -> Dict:
+    """Add the terms (key, numerators, den) to the running sums acc, per
+    key: integer numerators over a positive denominator, in lowest terms
+    or not, and acc maps a key to its running sum (numerators, den).
 
     A key's running sum keeps integer numerators over one denominator, the
-    lcm of its terms' denominators, and is put in lowest terms once, when
-    the sums are built at the end.  A key whose running sum cancels to zero
-    leaves the dict, and a later term enters it again at the end, so the
-    keys come out in the order that adding the same terms one by one as
-    series would give them."""
-    acc: Dict = {}
+    lcm of its terms' denominators, and is not reduced.  A key whose
+    running sum cancels to zero leaves the dict, and a later term enters it
+    again at the end, so the keys come out in the order that adding the
+    same terms one by one as series would give them.  Returns acc."""
     get = acc.get
     for key, num, den in terms:
         cur = get(key)
@@ -336,10 +338,32 @@ def series_sums(order: int,
             acc[key] = (a, ad)
         else:
             del acc[key]
-    # reduce in place, so each running sum is freed as its series is made
+    return acc
+
+
+def signed_terms(acc: Dict, sign: int):
+    """The running sums of acc as terms (key, numerators, den), times sign
+    (1 or -1), in the order of acc's keys."""
+    if sign == 1:
+        return ((k, n, d) for k, (n, d) in acc.items())
+    return ((k, [-x for x in n], d) for k, (n, d) in acc.items())
+
+
+def reduce_sums(order: int, acc: Dict) -> Dict[Hashable, TruncatedSeries]:
+    """Put each running sum of acc in lowest terms as a series, in place,
+    so each running sum is freed as its series is made.  Returns acc."""
     for key, (a, ad) in acc.items():
         acc[key] = _reduced(order, a, ad)
     return acc
+
+
+def series_sums(order: int,
+                terms: Iterable[Tuple[Hashable, Sequence[int], int]]
+                ) -> Dict[Hashable, TruncatedSeries]:
+    """Sum the terms (key, numerators, den) per key (see sum_terms) and put
+    each key's sum in lowest terms once, when the sums are built at the
+    end."""
+    return reduce_sums(order, sum_terms({}, terms))
 
 
 def q_power(i: int, d: Rat, order: int) -> TruncatedSeries:

@@ -24,10 +24,15 @@ is lost at the top order.
 
 Every sum that can meet a key twice (+ and -, the product, the coproduct
 on a leg, the antipode, and the passes of mono_mul and of E times a
-monomial) hands its terms to kernel.series_sums, the one place where
-series are added per key and where the order of the keys is settled.  The
-maps that are one-to-one on keys (scale, swap_legs, embed, counit_leg,
-tensor_of) build their dicts directly.
+monomial) adds its terms into the running sums of kernel.sum_terms, the
+one rule by which series are added per key and the order of the keys is
+settled; the product applies that rule inline, adding each term as it is
+generated.  A residual A*B - C*D (almost-cocommutativity, the hexagons,
+the twist axiom, intertwining_residual) keeps both sides as running sums
+and subtracts them in one pass, reducing only the keys that survive, so
+it is empty exactly when the two products agree.  The maps that are
+one-to-one on keys (scale, swap_legs, embed, counit_leg, tensor_of) build
+their dicts directly.
 
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
@@ -39,7 +44,9 @@ entries are cgx.CGEntry tables over the series ring, built one weight
 block at a time as they are read: the highest weight vectors are kernel
 generators of the coproduct of E, transported along the coproduct of F.
 q_multiply (the convolution product) and quantum_affine_multiply
-(twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract.
+(twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract;
+the R~ action before it sums its terms in kernel.series_sums, every factor
+a kernel multiplier.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import (
@@ -55,7 +62,10 @@ from .cgx import (
     _tensor_columns, _transposed, block_pairs, cg_contract, detached,
     pw_tensor,
 )
-from .kernel import TruncatedSeries, mul_term, multiplier, q_power, series_sums
+from .kernel import (
+    TruncatedSeries, _reduced, mul_num, mul_term, multiplier, q_power,
+    reduce_sums, series_sums, signed_terms, sum_terms,
+)
 from .liebialg import LieTensor, build_sl
 
 Mono = Tuple[int, int, int]  # exponents (a, b, c) of F^a H^b E^c
@@ -263,15 +273,22 @@ class UqTensor:
         return self._sum(other, -1)
 
     def _sum(self, other: "UqTensor", sign: int) -> "UqTensor":
-        """self + sign * other, each key summed once in kernel.series_sums:
+        """self + sign * other, each key summed once in kernel.sum_terms:
         the keys of self, then those of other that self lacks, and a key
-        whose sum cancels drops out."""
+        whose sum cancels drops out.  A key of self alone (or, under +, of
+        other alone) keeps its series; only the keys both hold are reduced
+        again."""
         self.check_legs(other)
-        terms = itertools.chain(
-            ((k, s.num, s.den) for k, s in self.data.items()),
-            ((k, s.num if sign == 1 else [-x for x in s.num], s.den)
-             for k, s in other.data.items()))
-        return _tensor(self.ctx, self.legs, series_sums(self.ctx.order, terms))
+        acc = sum_terms(_running(self), signed_terms(_running(other), sign))
+        a, b = self.data, other.data
+        for k, (n, d) in acc.items():
+            s = a.get(k)
+            if s is None or s.num is not n:
+                s = b.get(k)
+                if s is None or s.num is not n:
+                    s = _reduced(self.ctx.order, n, d)
+            acc[k] = s
+        return _tensor(self.ctx, self.legs, acc)
 
     def __neg__(self) -> "UqTensor":
         return _tensor(self.ctx, self.legs, {k: -s for k, s in self.data.items()})
@@ -289,7 +306,7 @@ class UqTensor:
         summed once, in kernel.series_sums."""
         self.check_legs(other)
         return _tensor(self.ctx, self.legs,
-                       series_sums(self.ctx.order, _product_terms(self, other)))
+                       reduce_sums(self.ctx.order, _product_sums(self, other)))
 
     def swap_legs(self, perm: Sequence[int]) -> "UqTensor":
         """result[key] = self[key o perm]: leg j of the result is leg
@@ -324,26 +341,37 @@ class UqTensor:
         return "UqTensor(legs=%d, %d terms)" % (self.legs, len(self.data))
 
 
-def _product_terms(x: UqTensor, y: UqTensor):
-    """The terms (key, numerators, den) of x*y for kernel.series_sums, in
-    the order of itertools.product over the legs' expansions.  The
-    coefficients of x and y and the structure constants of mono_mul enter
-    as kernel multipliers, so a constant (most of them) scales the
-    numerators and a 1 leaves them alone; only true series convolve."""
+def _product_sums(x: UqTensor, y: UqTensor) -> Dict:
+    """The running sums of kernel.sum_terms for x*y (not reduced), each
+    term added as it is generated, in the order of itertools.product over
+    the legs' expansions.  The coefficients of x and y and the structure
+    constants of mono_mul enter as kernel multipliers, so a constant (most
+    of them) scales the numerators and a 1 leaves them alone; only true
+    series convolve.  No term is zero, so a new key is always kept."""
     ctx = x.ctx
     K = ctx.order
     # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
     # v meets only the terms of y below K - v, in their own order
     vals = [(k2, multiplier(s2), s2.valuation()) for k2, s2 in y.data.items()]
-    below = [[(k2, f2) for k2, f2, v2 in vals if v2 < K - v]
+    below = [[(k2,) + f2 for k2, f2, v2 in vals if v2 < K - v]
              for v in range(K + 1)]
-    tables: Dict[Tuple[Mono, Mono], List] = {}  # mono_mul as multipliers
+    # mono_mul as multipliers, or as the one monomial m3 when the product
+    # is m3 itself (then a leg only extends the key)
+    tables: Dict[Tuple[Mono, Mono], object] = {}
+    acc: Dict = {}
+    get = acc.get
     for k1, s1 in x.data.items():
         n1, d1 = s1.num, s1.den
-        for k2, (c2, d2) in below[s1.valuation()]:
-            n, d = mul_term(n1, d1, c2, d2, K)
-            # keys grow one non-unit leg at a time; a unit leg only extends
-            # the run of fixed monomials in front of the next one
+        for k2, c2, d2 in below[s1.valuation()]:
+            if c2 is None:
+                n, d = n1, d1
+            elif type(c2) is int:
+                n, d = [a * c2 for a in n1], d1 * d2
+            else:
+                n, d = mul_num(n1, c2, K), d1 * d2
+            # keys grow one expanding leg at a time; a unit leg or a
+            # one-monomial product only extends the run of fixed monomials
+            # in front of the next one
             terms = [((), n, d)]
             run: Tuple[Mono, ...] = ()
             for m1, m2 in zip(k1, k2):
@@ -355,20 +383,63 @@ def _product_terms(x: UqTensor, y: UqTensor):
                     continue
                 tbl = tables.get((m1, m2))
                 if tbl is None:
-                    tbl = tables[m1, m2] = [
-                        (m3,) + multiplier(c)
-                        for m3, c in mono_mul(ctx, m1, m2).items()]
+                    tbl = [(m3,) + multiplier(c)
+                           for m3, c in mono_mul(ctx, m1, m2).items()]
+                    if len(tbl) == 1 and tbl[0][1] is None:
+                        tbl = tbl[0][0]
+                    tables[m1, m2] = tbl
+                if type(tbl) is tuple:
+                    run += (tbl,)
+                    continue
                 nxt = []
                 for pre, pn, pd in terms:
                     pre += run
                     for m3, c, cd in tbl:
-                        tn, td = mul_term(pn, pd, c, cd, K)
-                        if any(tn):
-                            nxt.append((pre + (m3,), tn, td))
+                        if c is None:
+                            nxt.append((pre + (m3,), pn, pd))
+                        elif type(c) is int:
+                            nxt.append((pre + (m3,), [a * c for a in pn],
+                                        pd * cd))
+                        elif any(tn := mul_num(pn, c, K)):
+                            nxt.append((pre + (m3,), tn, pd * cd))
                 terms = nxt
                 run = ()
+            # kernel.sum_terms, inlined: this is the innermost loop
             for pre, pn, pd in terms:
-                yield pre + run, pn, pd
+                key = pre + run
+                cur = get(key)
+                if cur is None:
+                    acc[key] = (pn, pd)
+                    continue
+                a, ad = cur
+                if ad == pd:
+                    a = [u + v for u, v in zip(a, pn)]
+                else:
+                    g = gcd(ad, pd)
+                    sa, sb = pd // g, ad // g
+                    a = [u * sa + v * sb for u, v in zip(a, pn)]
+                    ad *= sa
+                if any(a):
+                    acc[key] = (a, ad)
+                else:
+                    del acc[key]
+    return acc
+
+
+def _running(t: UqTensor) -> Dict:
+    """The coefficients of t as running sums of kernel.sum_terms."""
+    return {k: (s.num, s.den) for k, s in t.data.items()}
+
+
+def _difference(ctx: UqContext, legs: int, first: Dict,
+                second: Dict) -> UqTensor:
+    """first - second for the running sums of two tensors (see
+    kernel.sum_terms): the second is subtracted key by key, so the keys
+    come out in the order that UqTensor.__sub__ of the two tensors gives
+    them.  Neither side is reduced; only the keys that survive are put in
+    lowest terms."""
+    return _tensor(ctx, legs, reduce_sums(
+        ctx.order, sum_terms(first, signed_terms(second, -1))))
 
 
 def _tensor(ctx: UqContext, legs: int, data: Dict) -> UqTensor:
@@ -413,13 +484,13 @@ def tensor_inv(t: UqTensor) -> UqTensor:
     """Inverse by the geometric series; requires t = 1 + (positive
     hbar-valuation part)."""
     ctx = t.ctx
-    n = t - tensor_one(ctx, t.legs)
+    n = -(t - tensor_one(ctx, t.legs))  # t^-1 = sum_k n^k
     if any(s.num[0] for s in n.data.values()):
         raise ValueError("tensor is not unipotent: constant term differs from 1")
     out = tensor_one(ctx, t.legs)
     power = tensor_one(ctx, t.legs)
     for _ in range(1, ctx.order):
-        power = -(power * n)
+        power = power * n
         out = out + power
         if power.is_zero():
             break
@@ -553,23 +624,34 @@ def r0_matrix(ctx: UqContext) -> UqTensor:
                              uq_cartan_exp(ctx, Fraction(1, 4)).data.items()})
 
 
+def intertwining_residual(R: UqTensor, d: UqTensor, d_op: UqTensor) -> UqTensor:
+    """R d - d_op R, which vanishes when R intertwines d with d_op; the two
+    products are summed as they are generated and subtracted in one pass
+    (see _difference)."""
+    R.check_legs(d)
+    R.check_legs(d_op)
+    return _difference(R.ctx, R.legs, _product_sums(R, d),
+                       _product_sums(d_op, R))
+
+
 def almost_cocommutativity_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
     """R Delta(x) - Delta^op(x) R for the three generators."""
     out = []
     for g in ("E", "F", "H"):
         x = uq_gen(ctx, g)
-        out.append(R * coproduct(x) - coproduct_op(x) * R)
+        out.append(intertwining_residual(R, coproduct(x), coproduct_op(x)))
     return out
 
 
 def hexagon_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
-    """(Delta(x)I)R - R13 R23 and (I(x)Delta)R - R13 R12."""
+    """(Delta(x)I)R - R13 R23 and (I(x)Delta)R - R13 R12, each coproduct
+    and product summed as it is generated (see _difference)."""
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))
     r12 = R.embed(3, (0, 1))
-    lhs1 = delta_leg(R, 0)
-    lhs2 = delta_leg(R, 1)
-    return [lhs1 - r13 * r23, lhs2 - r13 * r12]
+    return [_difference(ctx, 3, sum_terms({}, _delta_leg_terms(R, j)),
+                        _product_sums(r13, r))
+            for j, r in ((0, r23), (1, r12))]
 
 
 # -- twisted m-fold tensor products -----------------------------------------
@@ -687,11 +769,13 @@ class TwistedHopf:
 
 def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, UqTensor]:
     """Residuals of the twisting-element axioms for J over H' = H^(x)m:
-    (Delta'(x)I)(J)J_12 - (I(x)Delta')(J)J_23, and the two counit defects."""
+    (Delta'(x)I)(J)J_12 - (I(x)Delta')(J)J_23, its two products summed as
+    they are generated (see _difference), and the two counit defects."""
     ctx = J.ctx
-    lhs = _block_delta(J, m, 0) * block_embed(J, m, 3, (0, 1))
-    rhs = _block_delta(J, m, m) * block_embed(J, m, 3, (1, 2))
-    resid = lhs - rhs
+    resid = _difference(
+        ctx, 3 * m,
+        _product_sums(_block_delta(J, m, 0), block_embed(J, m, 3, (0, 1))),
+        _product_sums(_block_delta(J, m, m), block_embed(J, m, 3, (1, 2))))
     # counit defects
     c1 = J
     for _ in range(m):
@@ -793,6 +877,7 @@ class QAffineContext:
         self._qirreps: Dict[int, QIrrep] = {}
         self._cg: Dict[Tuple[int, int], CGEntry] = {}
         self._slot: Dict[Tuple, List[Dict]] = {}
+        self._rtilde: Dict[Tuple[int, int], List[Tuple]] = {}
 
     @cached_property
     def R(self) -> UqTensor:
@@ -801,9 +886,26 @@ class QAffineContext:
     @cached_property
     def r_legs(self) -> List[Tuple[UqElement, UqElement, TruncatedSeries]]:
         """The terms s m1 (x) m2 of R as (m1, m2, s), each leg a one-term
-        UqElement, built once per context (see _apply_rtilde)."""
+        UqElement, built once per context (see rtilde_terms)."""
         return [(UqElement(self.uq, {m1: 1}), UqElement(self.uq, {m2: 1}), s)
                 for (m1, m2), s in self.R.data.items()]
+
+    def rtilde_terms(self, n1: int, n2: int) -> List[Tuple]:
+        """R~ on the dual slots of V_hbar(n1) and V_hbar(n2), for
+        _apply_rtilde: per term s m1 (x) m2 of R, the multiplier (c, d) of
+        s exp(-hbar n1 n2 / 4), the character of R_0^{-1} = exp(-hbar
+        H(x)H/4) on those weights, and the dual-slot actions of m1 and m2
+        with each entry a (row, c, d) multiplier; memoized per (n1, n2)."""
+        out = self._rtilde.get((n1, n2))
+        if out is None:
+            q = self.uq.q_half_power(-n1 * n2)
+            out = self._rtilde[n1, n2] = [
+                multiplier(s * q) + tuple(
+                    [[(t,) + multiplier(c) for t, c in col.items()]
+                     for col in self.slot_action((n,), y, "left")]
+                    for n, y in ((n1, y1), (n2, y2)))
+                for y1, y2, s in self.r_legs]
+        return out
 
     def irrep(self, lam: Tuple[int]) -> QIrrep:
         (n,) = lam
@@ -883,28 +985,30 @@ def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
                   fb: int) -> BlockFunction:
     """Apply R~ = tau_23(R (x) R_0^{-1}) with the U-legs acting on the dual
     slots of factors fa and fb, and the Cartan legs acting by the weight
-    characters of those factors."""
-    uq = qctx.uq
+    characters of those factors.  Every factor of a term (the entry, the
+    R-term with the character, and the two slot-action entries) enters as
+    a kernel multiplier (QAffineContext.rtilde_terms), and the terms are
+    summed per entry in kernel.series_sums: no series is reduced before
+    the sums are."""
+    K = qctx.uq.order
 
     def terms():
         for key, blk in P.blocks.items():
-            # the character of R_0^{-1} = exp(-hbar H(x)H/4) on blocks of
-            # weights n1, n2 is exp(-hbar n1 n2 / 4)
-            scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
-            for y1, y2, s in qctx.r_legs:
-                lines1 = qctx.slot_action(key[fa], y1, "left")
-                lines2 = qctx.slot_action(key[fb], y2, "left")
+            for f, fd, lines1, lines2 in qctx.rtilde_terms(key[fa][0],
+                                                          key[fb][0]):
                 for idx, c in blk.items():
-                    base = c * s * scalar
-                    if not base:
+                    n, d = mul_term(c.num, c.den, f, fd, K)
+                    if not any(n):
                         continue
-                    for s1, c1 in lines1[idx[2 * fa]].items():
-                        for s2, c2 in lines2[idx[2 * fb]].items():
+                    for s1, c1, d1 in lines1[idx[2 * fa]]:
+                        n1, e1 = mul_term(n, d, c1, d1, K)
+                        for s2, c2, d2 in lines2[idx[2 * fb]]:
+                            tn, td = mul_term(n1, e1, c2, d2, K)
                             nidx = list(idx)
                             nidx[2 * fa] = s1
                             nidx[2 * fb] = s2
-                            yield (key, tuple(nidx)), base * c1 * c2
-    return BlockFunction._from_terms(qctx, P.m, terms())
+                            yield (key, tuple(nidx)), tn, td
+    return BlockFunction._from_sums(qctx, P.m, series_sums(K, terms()))
 
 
 def _contract_pairs(P: BlockFunction, m: int) -> BlockFunction:

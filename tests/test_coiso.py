@@ -562,6 +562,44 @@ def test_row_built_windows_match_spanning_element_builds(ctx):
     assert hbar_pivots
 
 
+def _full_loop_window(U, bound, side):
+    """The window as built before the H-monomials of U were skipped: one
+    h(x)c insert for every H-monomial h and ideal row c."""
+    rows = U.extend(bound).span.rows.values()
+    ideal = ideal_commutator(U, bound).rows.values()
+    span = EchelonSpan()
+    for ra in rows:
+        for rb in rows:
+            span.add({ka + kb: x for ka, s in ra.items()
+                      for kb, t in rb.items() if (x := s * t)})
+    for hm in _h_monomials(bound):
+        for c in ideal:
+            span.add({(hm,) + k: t for k, t in c.items()}
+                     if side == "right" else
+                     {k + (hm,): t for k, t in c.items()})
+    return span
+
+
+@pytest.mark.parametrize("names,degree_bound", [
+    ("HE", 3), ("HF", 1), ("HF", 2), ("EF", 1), ("EF", 2), ("EF", 4)])
+def test_windows_skip_h_monomials_of_u_without_changing_rows(ctx, names,
+                                                              degree_bound):
+    """Skipping the h(x)c with h in U leaves every window row, pivot order
+    and entry as the full loop builds them: the Borel window (<H,E>) and
+    the <H,F> and <E,F> windows at K = 3, on both sides."""
+    for side in ("right", "left"):
+        U = HopfSubalgebra(ctx, [uq_gen(ctx, c) for c in names],
+                           degree_bound, names=list(names))
+        bound = degree_bound + ctx.order - 1
+        ref = _full_loop_window(U, bound, side)
+        win = U.window(bound, side)
+        W = U.extend(bound)
+        assert any(W.contains(UqElement(ctx, {hm: 1}))
+                   for hm in _h_monomials(bound))  # some insert is skipped
+        assert list(win.rows.items()) == list(ref.rows.items())
+        assert win._vals == ref._vals and len(win) == len(ref)
+
+
 def test_windows_insert_row_products_of_generator_commutators(ctx,
                                                               monkeypatch):
     """Work-count guard: the Borel right window at K = 3, degree bound 3
@@ -596,8 +634,14 @@ def test_windows_insert_row_products_of_generator_commutators(ctx,
     win = U.window(bound, "right")
     assert ideal_commutator(U, bound) is ideal  # the window read this ideal
     products = [v for span, v in inserted if span is win]
+    # an H-monomial that lies in U brings no h(x)c: the 21 monomials
+    # H^b E^c with b + c <= 5 of the 56, each times the 10 ideal rows
+    outside = [hm for hm in _h_monomials(bound)
+               if not W.contains(UqElement(ctx, {hm: 1}))]
+    assert (len(_h_monomials(bound)) - len(outside), len(ideal.rows)) == \
+        (21, 10)
     assert len(products) == (
-        len(W.span.rows) ** 2 + len(_h_monomials(bound)) * len(ideal.rows))
+        len(W.span.rows) ** 2 + len(outside) * len(ideal.rows))
     # products of rows have pivot entry 1, unlike products of elements
     # such as H.E - E.H = 2E
     assert all(v[min(v)] == 1 for v in products)

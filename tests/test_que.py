@@ -17,9 +17,9 @@ from qaffine.kernel import TruncatedSeries, q_power
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
-    almost_cocommutativity_residuals, antipode, block_embed, coproduct,
-    counit, counit_leg, delta_leg, hexagon_residuals, hopf_power_delta,
-    mono_mul, q_integer, q_multiply,
+    _apply_rtilde, almost_cocommutativity_residuals, antipode, block_embed,
+    coproduct, coproduct_op, counit, counit_leg, delta_leg, hexagon_residuals,
+    hopf_power_delta, intertwining_residual, mono_mul, q_integer, q_multiply,
     quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
     r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
     tensor_of, tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
@@ -27,7 +27,7 @@ from qaffine.que import (
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
 from qaffine.cgx import (
-    BracketSpec, classical_bracket, hw_coefficient,
+    BlockFunction, BracketSpec, classical_bracket, hw_coefficient,
     matrix_coefficient, pw_multiply, pw_one, pw_tensor, sparse_columns,
 )
 
@@ -653,6 +653,186 @@ def test_difference_key_that_cancels_and_revives_moves_to_the_end():
         assert list(revived.data) == [(U,), (E,), (H,)]
         assert revived.data[(H,)] == 5
         assert same_tensor(d + (y - z), naive_add(d, naive_add(y, z, -1)))
+
+
+# -- one-pass residuals, against the naive products and differences -------
+
+
+def _broken_r(uq, n=2):
+    """R + hbar^(K-1) F^n (x) E^n: a wrong R-matrix whose orders below K-1
+    are right.  With n = 1 the bump is primitive in each leg mod hbar,
+    and the hexagons and the twist axiom are linear in it at the top
+    order, so only almost-cocommutativity and its twisted form see it;
+    with n = 2 every check does."""
+    bump = TruncatedSeries.hbar(uq.order, uq.order - 1)
+    return r_matrix_sl2(uq) + UqTensor(uq, 2, {((n, 0, 0), (0, 0, n)): bump})
+
+
+def _naive_difference(a, b, c, d):
+    """a b - c d from naive_tensor_mul and naive_add."""
+    return naive_add(naive_tensor_mul(a, b), naive_tensor_mul(c, d), -1)
+
+
+def _naive_block_delta(t, m, first):
+    for j in range(m):
+        t = naive_delta_leg(t, first + 2 * j)
+    perm = (list(range(first)) + [first + 2 * j for j in range(m)]
+            + [first + 2 * j + 1 for j in range(m)]
+            + list(range(first + 2 * m, t.legs)))
+    return naive_swap_legs(t, perm)
+
+
+@pytest.mark.parametrize("K,n", [(3, 1), (4, 1), (3, 2), (4, 2)])
+def test_one_pass_residuals_match_naive_differences_on_a_broken_r(K, n):
+    """On R + hbar^(K-1) F^n (x) E^n each residual the quantum suite reads
+    equals, values and key order, the difference of the two sides built
+    by naive_tensor_mul and naive_add, and is nonzero wherever the bump
+    breaks the identity (see _broken_r)."""
+    uq = UqContext(K)
+    R = _broken_r(uq, n)
+    res = almost_cocommutativity_residuals(uq, R)
+    for g, r in zip("EFH", res):
+        x = uq_gen(uq, g)
+        assert same_tensor(
+            r, _naive_difference(R, coproduct(x), coproduct_op(x), R))
+    # the bump has weight 0, so it commutes with Delta(H)
+    assert [r.is_zero() for r in res] == [False, False, True]
+    r13, r23, r12 = R.embed(3, (0, 2)), R.embed(3, (1, 2)), R.embed(3, (0, 1))
+    for j, r, h in zip((0, 1), (r23, r12), hexagon_residuals(uq, R)):
+        assert h.is_zero() == (n == 1)
+        assert same_tensor(h, naive_add(naive_delta_leg(R, j),
+                                        naive_tensor_mul(r13, r), -1))
+    J = twi_m(R, 2)
+    resid, _, _ = twist_condition_residuals(J, 2)
+    assert resid.is_zero() == (n == 1)
+    assert same_tensor(resid, _naive_difference(
+        _naive_block_delta(J, 2, 0), block_embed(J, 2, 3, (0, 1)),
+        _naive_block_delta(J, 2, 2), block_embed(J, 2, 3, (1, 2))))
+    R2, th = r_matrix_m(R, 2), TwistedHopf(J, 2)
+    nonzero = 0
+    for mono in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+        for leg in (0, 1):
+            key = [(0, 0, 0), (0, 0, 0)]
+            key[leg] = mono
+            d = th.delta(UqTensor(uq, 2, {tuple(key): 1}))
+            d_op = d.swap_legs((2, 3, 0, 1))
+            got = intertwining_residual(R2, d, d_op)
+            assert same_tensor(got, _naive_difference(R2, d, d_op, R2))
+            nonzero += not got.is_zero()
+    assert nonzero
+
+
+def test_one_pass_residual_matches_naive_on_random_tensors():
+    """a b - c a and a b - b a for random 1-4-leg tensors with unit legs:
+    their two products share keys, and some of those cancel."""
+    rng = random.Random(41)
+    cancelled = 0
+    for K in range(1, 6):
+        uq = UqContext(K)
+        for _ in range(10):
+            legs = rng.randint(1, 4)
+            a, b, c = (_random_tensor(uq, rng, legs) for _ in range(3))
+            for d_op in (c, b):
+                left, right = naive_tensor_mul(a, b), naive_tensor_mul(d_op, a)
+                want = naive_add(left, right, -1)
+                assert same_tensor(intertwining_residual(a, b, d_op), want)
+                cancelled += len(left.data.keys() & right.data.keys()
+                                 - want.data.keys())
+            one = tensor_one(uq, legs)
+            assert intertwining_residual(a, one, one).is_zero()
+    assert cancelled
+
+
+def test_quantum_checks_fail_on_a_broken_r(monkeypatch):
+    """The suite's three R-matrix checks refute R + hbar^(K-1) F^2 (x) E^2."""
+    import qaffine.que as que
+    from qaffine.cli import RunConfig, run_suite
+
+    monkeypatch.setattr(que, "r_matrix_sl2", _broken_r)
+    for K in (3, 4):
+        report = run_suite(RunConfig(hbar_order=K, suites=("quantum",)))
+        status = {c["id"]: c["status"] for c in report.checks}
+        assert [status[c] for c in ("quantum.rmatrix", "quantum.twists",
+                                    "quantum.rmatrix-m")] == ["fail"] * 3
+
+
+def test_sums_keep_the_series_of_keys_one_side_holds():
+    """a + b and a - b reduce only the keys both sides hold; every other
+    key keeps its side's series (for b under +)."""
+    uq = UqContext(4)
+    U, H, E = (0, 0, 0), (0, 1, 0), (0, 0, 1)
+    h = TruncatedSeries(4, [F(2, 3), F(1, 5), 0, F(7, 9)])
+    a = UqElement(uq, {U: h, H: 3})
+    b = UqElement(uq, {H: h, E: h})
+    for d in (a + b, a - b):
+        assert d.data[(U,)] is a.data[(U,)]
+    assert (a + b).data[(E,)] is b.data[(E,)]
+    assert same_tensor(a - b, naive_add(a, b, -1))
+
+
+# -- the former R~ loop of _apply_rtilde, kept as its reference -------------
+
+
+def _apply_rtilde_ref(qctx, P, fa, fb):
+    """base = c * s * scalar and each term base * c1 * c2 as reduced series
+    products, summed per entry in vec_sum by BlockFunction._from_terms."""
+    uq = qctx.uq
+
+    def terms():
+        for key, blk in P.blocks.items():
+            scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
+            for y1, y2, s in qctx.r_legs:
+                lines1 = qctx.slot_action(key[fa], y1, "left")
+                lines2 = qctx.slot_action(key[fb], y2, "left")
+                for idx, c in blk.items():
+                    base = c * s * scalar
+                    if not base:
+                        continue
+                    for s1, c1 in lines1[idx[2 * fa]].items():
+                        for s2, c2 in lines2[idx[2 * fb]].items():
+                            nidx = list(idx)
+                            nidx[2 * fa] = s1
+                            nidx[2 * fb] = s2
+                            yield (key, tuple(nidx)), base * c1 * c2
+    return BlockFunction._from_terms(qctx, P.m, terms())
+
+
+def _same_blocks(f, g):
+    """Equal blocks, in the same order, with their entries in the same
+    order."""
+    return (list(f.blocks) == list(g.blocks)
+            and all(list(f.blocks[k].items()) == list(g.blocks[k].items())
+                    for k in f.blocks))
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_rtilde_action_matches_series_product_loop(K):
+    """Every R~ application of quantum_affine_multiply at m = 2 and 3, on
+    products of random coefficients (some of high valuation, so that a
+    term vanishes mod hbar^K), against the series-product loop."""
+    qctx = QAffineContext(UqContext(K))
+    rng = random.Random(K)
+
+    def coefficient():
+        n = rng.randint(1, 2)
+        xi = {a: _random_series(qctx.uq, rng) for a in range(n + 1)}
+        xi[rng.randint(0, n)] = TruncatedSeries(K, [
+            F(rng.randint(1, 4), rng.randint(1, 3))] * K)  # never zero
+        return hw_coefficient(qctx, (n,), xi)
+
+    for m in (2, 3):
+        pairs = [(k - 1, m + l - 1) for k in range(2, m + 1)
+                 for l in range(k - 1, 0, -1)]
+        for _ in range(2):
+            P = pw_tensor([coefficient() for _ in range(2 * m)])
+            for fa, fb in reversed(pairs):
+                got = _apply_rtilde(qctx, P, fa, fb)
+                assert got.blocks and got != P
+                assert _same_blocks(got, _apply_rtilde_ref(qctx, P, fa, fb))
+                P = got
+            # the case split's placement, the first leg on the second group
+            assert _same_blocks(_apply_rtilde(qctx, P, m, 0),
+                                _apply_rtilde_ref(qctx, P, m, 0))
 
 
 # -- the former bump loops of _lE_mono and mono_mul, kept as references -----
