@@ -157,7 +157,9 @@ class HopfSubalgebra:
                     span.add({ka + kb: x for ka, s in ra.items()
                               for kb, t in rb.items() if (x := s * t)})
             one = self.ctx.one_series()
-            for hm in _h_monomials(bound):
+            # with no ideal rows (U commutative) there is nothing to skip,
+            # and the membership tests alone would cost
+            for hm in _h_monomials(bound) if ideal else ():
                 if W.span.contains({(hm,): one}):
                     continue
                 for c in ideal:

@@ -318,7 +318,8 @@ def sum_terms(acc: Dict, terms: Iterable[Tuple[Hashable, Sequence[int], int]]
     lcm of its terms' denominators, and is not reduced.  A key whose
     running sum cancels to zero leaves the dict, and a later term enters it
     again at the end, so the keys come out in the order that adding the
-    same terms one by one as series would give them.  Returns acc."""
+    same terms one by one as series would give them.  que._product_sums
+    inlines this rule in its innermost loop.  Returns acc."""
     get = acc.get
     for key, num, den in terms:
         cur = get(key)

@@ -581,12 +581,14 @@ def _full_loop_window(U, bound, side):
 
 
 @pytest.mark.parametrize("names,degree_bound", [
-    ("HE", 3), ("HF", 1), ("HF", 2), ("EF", 1), ("EF", 2), ("EF", 4)])
+    ("HE", 3), ("HF", 1), ("HF", 2), ("EF", 1), ("EF", 2), ("EF", 4),
+    ("H", 2), ("E", 2)])
 def test_windows_skip_h_monomials_of_u_without_changing_rows(ctx, names,
                                                               degree_bound):
     """Skipping the h(x)c with h in U leaves every window row, pivot order
     and entry as the full loop builds them: the Borel window (<H,E>) and
-    the <H,F> and <E,F> windows at K = 3, on both sides."""
+    the <H,F> and <E,F> windows at K = 3, on both sides, and the windows
+    of the commutative <H> and <E>, whose ideal has no rows."""
     for side in ("right", "left"):
         U = HopfSubalgebra(ctx, [uq_gen(ctx, c) for c in names],
                            degree_bound, names=list(names))
