@@ -488,36 +488,30 @@ class PWContext:
         """Close the highest weight vector of the model (weights, cols)
         under the lowering operators, recording the lowering words."""
         alg = self.alg
-        span = EchelonSpan(track=True)
+        span = EchelonSpan.with_coordinates()
         hw = {weights.index(lam): Fraction(1)}
         span.add(hw)
-        basis = [hw]
+        basis = [hw]  # the inserts that grew the span, in index order
         words: List[Optional[Tuple[int, int]]] = [None]
-        gen_map: Dict[int, int] = {0: 0}  # span generator index -> basis position
-        ngens = 1
         p = 0
         while p < len(basis):
             for i in range(alg.rank):
                 img = _apply(cols[alg.lower_index(i)], basis[p])
-                if not img:
-                    continue
-                if span.add(img):
+                if img and span.add(img):
                     if len(basis) >= self.dim_bound:
                         raise DimensionBoundError(lam, self.dim_bound)
-                    gen_map[ngens] = len(basis)
                     basis.append(img)
                     words.append((p, i))
-                ngens += 1
             p += 1
         act = []
         for idx in range(alg.dim):
             out = []
             for v in basis:
-                coeffs = span.coefficients(_apply(cols[idx], v))
-                if coeffs is None:
+                residual, coords = span.coefficients(_apply(cols[idx], v))
+                if residual:
                     raise ValueError("module not closed under the action")
-                # generator order is basis order: ascending rows
-                out.append({gen_map[g]: c for g, c in sorted(coeffs.items())})
+                # identity keys settle in index order: ascending rows
+                out.append(coords)
             act.append(out)
         weights = [weights[min(v)] for v in basis]
         return Irrep(self.alg, act, weights, words)

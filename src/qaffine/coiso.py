@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, sparse_nullspace, vec_add
+from .linalg import EchelonSpan, sparse_nullspace
 from .que import (
     QAffineContext,
     UqContext,
@@ -36,6 +36,7 @@ from .que import (
     coproduct,
     counit,
     q_multiply,
+    sl2_generator_monos,
     tensor_one,
     twi_m,
     uq_gen,
@@ -83,8 +84,8 @@ def _h_monomials(bound: int) -> List[Tuple[int, int, int]]:
 
 class HopfSubalgebra:
     """The span of words of bounded length in a set of generators,
-    cached as an echelon basis of the truncated-series module they span;
-    the generator index of the tracked span is the word index.
+    cached as an echelon basis of the truncated-series module they span,
+    with the words that grew it as the basis.
 
     Extensions, commutator ideals and membership windows are built once
     per key and kept on the instance, so they live exactly as long as U.
@@ -100,10 +101,10 @@ class HopfSubalgebra:
         self.names = list(names) if names else [
             "g%d" % i for i in range(len(generators))
         ]
-        self.span = EchelonSpan(track=True)
-        self.words: List[Word] = []            # every attempted word
+        self.span = EchelonSpan()
         self.basis: List[UqElement] = []       # rank-increasing words only
         self.basis_words: List[Word] = []
+        self._coordinates: Dict[object, EchelonSpan] = {}
         self._extended: Dict[int, HopfSubalgebra] = {}
         self._ideals: Dict[int, EchelonSpan] = {}
         self._windows: Dict[Tuple[int, str], EchelonSpan] = {}
@@ -112,7 +113,6 @@ class HopfSubalgebra:
         for length in range(degree_bound + 1):
             nxt: List[Tuple[Word, UqElement]] = []
             for w, el in level:
-                self.words.append(w)
                 if self.span.add(el.data):
                     self.basis.append(el)
                     self.basis_words.append(w)
@@ -123,6 +123,17 @@ class HopfSubalgebra:
 
     def contains(self, x: UqElement) -> bool:
         return self.span.contains(x.data)
+
+    def coordinates(self, pivot=min) -> EchelonSpan:
+        """The basis, in order, as the inserts of a span with coordinates
+        (each one grows it), built on first use per pivot order."""
+        span = self._coordinates.get(pivot)
+        if span is None:
+            span = self._coordinates[pivot] = EchelonSpan.with_coordinates(
+                pivot)
+            for u in self.basis:
+                span.add(u.data)
+        return span
 
     def extend(self, degree_bound: int) -> "HopfSubalgebra":
         """The same subalgebra with a (weakly) larger word-length bound."""
@@ -136,7 +147,7 @@ class HopfSubalgebra:
 
     def window(self, bound: int, side: str = "right") -> EchelonSpan:
         """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at this
-        bound, built on first use: the untracked echelon span of r(x)r'
+        bound, built on first use: the echelon span of r(x)r'
         over the echelon rows r, r' of U extended to the bound, and of
         h(x)c (or c(x)h) over the H-monomials h of degree up to the bound
         and the echelon rows c of the commutator ideal at the bound.  Over
@@ -213,9 +224,6 @@ class CoisoReport:
         self.window = window
         self.witness = witness
         self.details = details or {}
-
-    def __bool__(self) -> bool:
-        return self.status == "true"
 
     def __repr__(self):
         return "CoisoReport(%s, window=%s)" % (self.status, self.window)
@@ -437,10 +445,11 @@ class Character:
     def on_vector(self, v: Dict) -> Optional[TruncatedSeries]:
         """Value on the element of the window whose data dict is v (an
         element's data or an echelon row of a span of elements), through
-        the tracked span; None when v is outside the window."""
-        combo = self.U.span.coefficients(v)
-        return None if combo is None else _on_combination(
-            self, self.U.words, combo)
+        its coordinates over U's basis; None when v is outside the
+        window."""
+        residual, coords = self.U.coordinates().coefficients(v)
+        return None if residual else _on_combination(
+            self, self.U.basis_words, coords)
 
     def is_valid(self) -> bool:
         """Multiplicative on the cached basis and vanishing on the echelon
@@ -463,9 +472,7 @@ class Character:
 
 def _on_combination(chi: Character, words: Sequence[Word],
                     combo: Dict) -> TruncatedSeries:
-    """sum chi(words[i]) c over the terms i -> c of a combination of the
-    generators of a tracked span, whose generator i is the word
-    words[i]."""
+    """sum chi(words[i]) c over coordinates i -> c on a basis of words."""
     out = chi.U.ctx.zero_series()
     for i, c in combo.items():
         out = out + chi.on_word(words[i]) * c
@@ -504,8 +511,8 @@ class CharacterMonoid:
     extensions of phi and psi to H.  This is (phi (x) psi)(reduced
     Delta(g)): Delta(g) = sum u_i (x) v_i + sum h (x) c with c in [U,U],
     which psi kills.  phi~(x) is phi of x - reduce(x), the part of the
-    monomial x along a tracked echelon span of U's basis at the window
-    bound, written in that basis.  Every product is read from a min- and
+    monomial x along U's basis at the window bound, read off that basis's
+    coordinates in one reduction.  Every product is read from a min- and
     a max-pivot span, and the two answers must agree; Delta(g) must lie
     in the shared right membership window."""
 
@@ -525,12 +532,8 @@ class CharacterMonoid:
                           for g in U.generators)
         W = U.extend(bound)
         self.words = W.basis_words
-        self.spans = []
-        for pivot in (min, max):
-            span = EchelonSpan(track=True, pivot=pivot)
-            for u in W.basis:
-                span.add(u.data)
-            self.spans.append((span, {}))  # with its memo: monomial -> combo
+        # each with its memo: monomial -> coordinates
+        self.spans = [(W.coordinates(pivot), {}) for pivot in (min, max)]
 
     @property
     def unit(self) -> Character:
@@ -541,9 +544,8 @@ class CharacterMonoid:
         """chi~(x) for a monomial x, through span."""
         combo = combos.get(x)
         if combo is None:
-            v = {(x,): self.U.ctx.one_series()}
             combo = combos[x] = span.coefficients(
-                vec_add(v, span.reduce(v), -1))
+                {(x,): self.U.ctx.one_series()})[1]
         return _on_combination(chi, self.words, combo)
 
     def product(self, phi: Character, psi: Character) -> Character:
@@ -797,8 +799,7 @@ def classical_shadow(U: HopfSubalgebra):
     from .liebialg import Subspace, basis_tensor, build_sl
 
     alg = build_sl(2)
-    gen_mono = {0: (0, 1, 0), alg.raise_index(0): (0, 0, 1),
-                alg.lower_index(0): (1, 0, 0)}
+    gen_mono = sl2_generator_monos(alg)
     vectors = []
     for idx in range(alg.dim):
         x = UqElement(U.ctx, {gen_mono[idx]: 1})

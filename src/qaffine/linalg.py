@@ -10,13 +10,16 @@ key, or the largest one), so subspace equality and membership are
 canonical.  Over the series ring a row's pivot entry is hbar^v (the
 Howell form of the module): a row clears only the part of an entry at or
 above hbar^v, and len() counts the Q-dimension sum (K - v).  This one
-echelon engine does all elimination over either ring: sparse_nullspace
-reads kernels off the span of [columns | identity], and mat_inv reads an
-inverse off the span of [rows | identity].  Representations act by
-sparse columns (cgx.Rep).  The dense rref, solve and nullspace serve no
-engine path; they stay in this module because the tests check the
-sparse routines against them and perfbench/spans.py hooks them, with
-mat_inv, by name.
+echelon engine, with one reduce, place and back-substitute path, does all
+elimination over either ring, and three readers take their answers off
+an identity block in it: sparse_nullspace reads kernels off the span of
+[columns | identity], mat_inv reads an inverse off the span of [rows |
+identity], and a span made by EchelonSpan.with_coordinates() reads the
+coordinates of a vector over the inserts that grew it off [inserts |
+identity].  Representations act by sparse columns (cgx.Rep).  The dense
+rref, solve and nullspace serve no engine path; they stay in this module
+because the tests check the sparse routines against them and
+perfbench/spans.py hooks them, with mat_inv, by name.
 """
 
 from __future__ import annotations
@@ -69,39 +72,46 @@ def vec_scale(a: Vec, c: Fraction) -> Vec:
 
 class EchelonSpan:
     """Reduced echelon span of sparse vectors over Q or over
-    Q[[hbar]]/(hbar^K), read off the entries, with optional coefficient
-    tracking against the originally inserted generators.  The pivot of a
-    row is its pivot(...) key: min (the default) or max, which gives the
-    echelon complement of the reversed key order.  A row's pivot entry is
-    1, or hbar^v for a series row; a row with v > 0 keeps
-    hbar^(K - v) * row in the span of the rows past its pivot."""
+    Q[[hbar]]/(hbar^K), read off the entries.  The pivot of a row is its
+    pivot(...) key: min (the default) or max, which gives the echelon
+    complement of the reversed key order.  A row's pivot entry is 1, or
+    hbar^v for a series row; a row with v > 0 keeps hbar^(K - v) * row in
+    the span of the rows past its pivot.  A span made by with_coordinates()
+    holds [v | e_i] for the i-th insert v that grew it (data keys (0, k),
+    identity keys (1, i) under min and (-1, i) under max, which settle
+    after every data key), and coefficients() reads off that identity
+    block.  Only a residual that keeps a data key becomes a row."""
 
-    def __init__(self, track: bool = False, pivot=min):
+    def __init__(self, pivot=min):
         self.rows: Dict[Hashable, Vec] = {}  # pivot key -> row
-        self.track = track
         self.pivot = pivot
-        self.history: Dict[Hashable, Vec] = {}  # pivot -> combo of gen index
-        self._ngens = 0
         self._dim = 0  # over Q: sum of K - v, one per row over Q
         self._vals: Dict[Hashable, int] = {}  # pivot -> v, for v > 0
         # key -> pivots of the other rows holding it (a pivot key is held
         # by its own row only, unless some row has v > 0)
         self._holders: Dict[Hashable, Set[Hashable]] = {}
+        self._grown: Optional[int] = None  # grown inserts, with coordinates
+
+    @classmethod
+    def with_coordinates(cls, pivot=min) -> "EchelonSpan":
+        span = cls(pivot)
+        span._grown = 0
+        return span
 
     def __len__(self):
         return self._dim
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after reduction; does not modify the span."""
-        return self._reduce_tracked(v, False)[0]
+        if self._grown is None:
+            return self._reduce(v)
+        return self.coefficients(v)[0]
 
-    def _reduce_tracked(self, v: Vec, track: bool) -> Tuple[Vec, Vec]:
-        """Residual of v and, when tracking, the combination of inserted
-        generators that was subtracted.  Keys are settled in pivot order;
-        a row of pivot entry hbar^w clears the part at or above hbar^w."""
+    def _reduce(self, v: Vec) -> Vec:
+        """Residual of v, keys settled in pivot order; a row of pivot
+        entry hbar^w clears the part at or above hbar^w."""
         pivot, rows, vals = self.pivot, self.rows, self._vals
         v = dict(v)
-        combo: Vec = {}
         out: Vec = {}
         while v:
             k = pivot(v)
@@ -110,42 +120,45 @@ class EchelonSpan:
                 c = v[k].shift(-vals[k]) if k in vals else v[k]
                 if c:
                     v = vec_add(v, row, -c)
-                    if track:
-                        combo = vec_add(combo, self.history[k], c)
                     continue
             out[k] = v.pop(k)
-        return out, combo
+        return out
+
+    def _grows(self, res: Vec) -> bool:
+        """Does the reduced vector res keep a data key?"""
+        return bool(res) and (self._grown is None or not self.pivot(res)[0])
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
     def add(self, v: Vec) -> bool:
-        """Insert v into the span as the next generator.  Returns True if
-        the rank grew: the residual of v becomes a new row, and the
-        vectors its placing unsettles are reduced and placed in turn."""
-        res, combo = self._reduce_tracked(v, self.track)
-        gen_idx = self._ngens
-        self._ngens += 1
-        if not res:
+        """Insert v into the span.  Returns True if the rank grew: the
+        residual of v (with e_i, given coordinates) becomes a new row, and
+        the vectors its placing unsettles are reduced and placed in turn."""
+        i = self._grown
+        res = self._reduce(
+            v if i is None else {(0, k): x for k, x in v.items()})
+        if not self._grows(res):
             return False
-        hist = (vec_add(vec_scale(combo, Fraction(-1)), {gen_idx: Fraction(1)})
-                if self.track else None)
-        todo: List[Tuple[Vec, Optional[Vec]]] = []
-        self._place(res, hist, todo)
+        if i is not None:
+            e = next(iter(res.values()))
+            res[(1 if self.pivot is min else -1, i)] = (
+                TruncatedSeries.one(e.order) if type(e) is TruncatedSeries
+                else Fraction(1))
+            self._grown = i + 1
+        todo: List[Vec] = []
+        self._place(res, todo)
         while todo:
-            v, hist = todo.pop()
-            res, combo = self._reduce_tracked(v, self.track)
-            if res:
-                if self.track:
-                    hist = vec_add(hist, combo, Fraction(-1))
-                self._place(res, hist, todo)
+            res = self._reduce(todo.pop())
+            if self._grows(res):
+                self._place(res, todo)
         return True
 
-    def _place(self, res: Vec, hist: Optional[Vec], todo: List) -> None:
-        """Make the reduced vector res (a combination hist of generators)
-        a row with pivot entry 1 or hbar^w, and back-substitute it into
-        the rows that hold its pivot.  The row whose pivot it takes and,
-        for w > 0, hbar^(K - w) * row go onto todo."""
+    def _place(self, res: Vec, todo: List[Vec]) -> None:
+        """Make the reduced vector res a row with pivot entry 1 or hbar^w,
+        and back-substitute it into the rows that hold its pivot.  The row
+        whose pivot it takes and, for w > 0, hbar^(K - w) * row go onto
+        todo."""
         p = self.pivot(res)
         e = res[p]
         if type(e) is TruncatedSeries:
@@ -154,11 +167,8 @@ class EchelonSpan:
             size, scale = e.order - w, None if unit == 1 else unit.inv()
         else:
             w, size, scale = 0, 1, None if e == 1 else Fraction(1) / e
-        row = res
-        if scale is not None:  # a pivot entry 1 or hbar^w needs no scaling
-            row = vec_scale(res, scale)
-            if self.track:
-                hist = vec_scale(hist, scale)
+        # a pivot entry 1 or hbar^w needs no scaling
+        row = res if scale is None else vec_scale(res, scale)
         rows, holders, vals = self.rows, self._holders, self._vals
         if p in rows:  # a row of higher valuation, to be placed again
             old = rows.pop(p)
@@ -166,19 +176,15 @@ class EchelonSpan:
             for k in old:
                 if k != p:
                     holders[k].discard(p)
-            todo.append((old, self.history.pop(p, None)))
+            todo.append(old)
         if w:
             vals[p] = w
-            h = TruncatedSeries.hbar(e.order, size)
-            todo.append((vec_scale(row, h),
-                         vec_scale(hist, h) if self.track else None))
-        row, hist = self._settled(p, row, hist)
+            todo.append(vec_scale(row, TruncatedSeries.hbar(e.order, size)))
+        row = self._settled(p, row)
         for k in row:
             if k != p:
                 holders.setdefault(k, set()).add(p)
         rows[p] = row
-        if self.track:
-            self.history[p] = hist
         self._dim += size
         # back-substitute into the rows that hold p, to stay fully reduced
         for piv in holders.pop(p, ()):
@@ -187,11 +193,7 @@ class EchelonSpan:
             if not coef:  # only a part below hbar^w, which stays
                 holders.setdefault(p, set()).add(piv)
                 continue
-            new, h = self._settled(piv, vec_add(r, row, -coef), vec_add(
-                self.history[piv], hist, -coef) if self.track else None)
-            rows[piv] = new
-            if self.track:
-                self.history[piv] = h
+            new = rows[piv] = self._settled(piv, vec_add(r, row, -coef))
             for k in (r.keys() | new.keys()) if vals else row:
                 if k in new:
                     if k != piv:
@@ -199,8 +201,7 @@ class EchelonSpan:
                 elif k != p:
                     holders[k].discard(piv)
 
-    def _settled(self, p: Hashable, row: Vec,
-                 hist: Optional[Vec]) -> Tuple[Vec, Optional[Vec]]:
+    def _settled(self, p: Hashable, row: Vec) -> Vec:
         """The row at p, with its other entries reduced again if one keeps
         a part at or above the pivot entry hbar^v of its key's row, as
         scaling by a unit that is not constant or subtracting a series
@@ -208,22 +209,19 @@ class EchelonSpan:
         vals = self._vals
         if not (vals and any(k in vals and k != p and row[k].shift(-vals[k])
                              for k in row)):
-            return row, hist
-        tail, combo = self._reduce_tracked(
-            {k: x for k, x in row.items() if k != p}, self.track)
-        if self.track:
-            hist = vec_add(hist, combo, Fraction(-1))
-        return {p: row[p], **tail}, hist
+            return row
+        return {p: row[p],
+                **self._reduce({k: x for k, x in row.items() if k != p})}
 
-    def coefficients(self, v: Vec) -> Optional[Vec]:
-        """Express v as a combination of the inserted generators, or None.
-
-        Requires track=True.  Returns {generator index: coefficient}.
-        """
-        if not self.track:
-            raise ValueError("span was not built with coefficient tracking")
-        res, combo = self._reduce_tracked(v, True)
-        return None if res else combo
+    def coefficients(self, v: Vec) -> Tuple[Vec, Vec]:
+        """The reduction of [v | 0] split into the residual of v and the
+        coordinates i -> c of the rest: v - residual is the sum of c times
+        the i-th insert that grew the span.  Needs with_coordinates()."""
+        if self._grown is None:
+            raise ValueError("span was not made with coordinates")
+        res = self._reduce({(0, k): x for k, x in v.items()})
+        return ({k: x for (t, k), x in res.items() if not t},
+                {k: -x for (t, k), x in res.items() if t})
 
     def basis(self) -> List[Vec]:
         return [self.rows[p] for p in sorted(self.rows,
@@ -237,7 +235,7 @@ def sparse_nullspace(cols: List[Vec], one=Fraction(1)) -> List[Vec]:
     """Generators of the right kernel of the matrix with these sparse
     columns, keyed by column index, over Q or, with one the unit series,
     over Q[[hbar]]/(hbar^K).  The Howell rows of [cols | identity] are kept
-    in an untracked echelon span whose identity keys sort below every
+    in an echelon span whose identity keys sort below every
     column key and in column order, so a kernel row pivots on its largest
     column.  The rows whose pivot lies in the identity block are returned
     in pivot order; over Q they are the free-variable basis of a dense

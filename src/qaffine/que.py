@@ -126,6 +126,12 @@ def uq_gen(ctx: UqContext, name: str) -> UqElement:
     return UqElement(ctx, {_GENERATORS[name]: 1})
 
 
+def sl2_generator_monos(alg) -> Dict[int, Mono]:
+    """The U_hbar(sl2) generator monomial at each basis index of sl2."""
+    return {0: _GENERATORS["H"], alg.raise_index(0): _GENERATORS["E"],
+            alg.lower_index(0): _GENERATORS["F"]}
+
+
 def uq_cartan_exp(ctx: UqContext, coeff: Fraction) -> UqElement:
     """exp(hbar * coeff * H) as a polynomial in H (exact mod hbar^K)."""
     return UqElement(ctx, {
@@ -693,15 +699,19 @@ def _ordered_product(ctx: UqContext, factors: Sequence[UqTensor], legs: int) -> 
     return out
 
 
+def _twi_legs(m: int):
+    """The leg pairs (k - 1, m + l - 1) of the factors R_{k, m+l} of
+    Twi^m = prod_{k=2}^m prod_{l=k-1}^1 R_{k, m+l}, leftmost first."""
+    for k in range(2, m + 1):
+        for l in range(k - 1, 0, -1):
+            yield k - 1, m + l - 1
+
+
 def twi_m(R: UqTensor, m: int) -> UqTensor:
     """Twi^m(R) = prod_{k=2}^m prod_{l=k-1}^1 R_{k, m+l} in H^(x)2m
     (closed formula)."""
-    ctx = R.ctx
-    factors = []
-    for k in range(2, m + 1):
-        for l in range(k - 1, 0, -1):
-            factors.append(R.embed(2 * m, (k - 1, m + l - 1)))
-    return _ordered_product(ctx, factors, 2 * m)
+    return _ordered_product(
+        R.ctx, [R.embed(2 * m, legs) for legs in _twi_legs(m)], 2 * m)
 
 
 def twi_m_inductive(R: UqTensor, m: int) -> UqTensor:
@@ -787,8 +797,7 @@ def semiclassical_r(t: UqTensor, m: int):
     generators."""
     alg = build_sl(2)
     alg_m = alg.power(m)
-    gen_index = {(1, 0, 0): alg.lower_index(0), (0, 1, 0): 0,
-                 (0, 0, 1): alg.raise_index(0)}
+    gen_index = {mono: i for i, mono in sl2_generator_monos(alg).items()}
     terms = []
     for key, c in t.hbar_coefficient(1).items():
         nontriv = [(j, mono) for j, mono in enumerate(key) if mono != UNIT]
@@ -1021,13 +1030,8 @@ def quantum_affine_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction
         raise ValueError("inputs must be graded (semi-invariant) functions")
     qctx = f.ctx
     P = pw_tensor([f, g])
-    # Twi^m(R~) = prod_{k=2}^m prod_{l=k-1}^1 R~_{k, m+l}; leftmost factor
-    # acts last
-    pairs = []
-    for k in range(2, m + 1):
-        for l in range(k - 1, 0, -1):
-            pairs.append((k - 1, m + l - 1))
-    for fa, fb in reversed(pairs):
+    # the leftmost factor R~_{k, m+l} of Twi^m(R~) acts last
+    for fa, fb in reversed(list(_twi_legs(m))):
         P = _apply_rtilde(qctx, P, fa, fb)
     return _contract_pairs(P, m)
 

@@ -21,11 +21,12 @@ from qaffine.cgx import (
 )
 from qaffine.cli import main
 from qaffine.kernel import TruncatedSeries
-from qaffine.linalg import EchelonSpan, mat_inv, nullspace, vec_sum
+from qaffine.linalg import mat_inv, nullspace, vec_sum
 from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
 from qaffine.que import (
     QAffineContext, UqContext, q_multiply, quantum_affine_multiply, uq_gen,
 )
+from tracked_span import TrackedSpan
 
 F = Fraction
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -501,7 +502,7 @@ class TensorPowerContext(DenseContext):
         hw = [F(0)] * model.dim
         for pos, i in enumerate(idxs):
             hw[i] = kern[pos]
-        span = EchelonSpan(track=True)
+        span = TrackedSpan(track=True)
         span.add({i: c for i, c in enumerate(hw) if c != 0})
         basis, words, gen_map, ngens = [hw], [None], {0: 0}, 1
         p = 0

@@ -30,6 +30,7 @@ from qaffine.que import (
     quantum_affine_multiply, r_matrix_sl2, tensor_of, uq_gen,
 )
 from qaffine.liebialg import standard_r, strongly_coisotropic_lie
+from tracked_span import TrackedSpan
 
 F = Fraction
 
@@ -419,7 +420,7 @@ def _ideal_commutator_ref(U, bound=None):
 
 def _window_span_ref(Uext, ideal, h_bound, side, track=False, pivot=min):
     ctx = Uext.ctx
-    span = EchelonSpan(track=track, pivot=pivot)
+    span = TrackedSpan(track=track, pivot=pivot)
     tags = []
     for i, u in enumerate(Uext.basis):
         for j, v in enumerate(Uext.basis):
@@ -505,7 +506,9 @@ def test_shared_windows_match_per_call_builds(ctx, U3, ref_coproducts):
     outside_f = coproduct(uq_gen(ctx, "F"))  # outside every window
     for side, span in refs.items():
         win = U3.window(bound, side)
-        assert not win.track
+        # a plain span: the rows the reference engine builds, no more
+        assert list(win.rows.items()) == \
+            list(_full_loop_window(U3, bound, side).rows.items())
         assert _expand(win).equals(span) and len(win) == len(span)
         for t in targets + [outside_f]:
             assert bool(win.reduce(t.data)) == \
@@ -563,11 +566,12 @@ def test_row_built_windows_match_spanning_element_builds(ctx):
 
 
 def _full_loop_window(U, bound, side):
-    """The window as built before the H-monomials of U were skipped: one
-    h(x)c insert for every H-monomial h and ideal row c."""
+    """The window as built before the H-monomials of U were skipped, by
+    the reference engine: one h(x)c insert for every H-monomial h and
+    ideal row c."""
     rows = U.extend(bound).span.rows.values()
     ideal = ideal_commutator(U, bound).rows.values()
-    span = EchelonSpan()
+    span = TrackedSpan()
     for ra in rows:
         for rb in rows:
             span.add({ka + kb: x for ka, s in ra.items()
@@ -671,7 +675,8 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     def recorded_window(self, bound, side="right"):
         span = window(self, bound, side)
         built_windows.setdefault(id(span), (span, (
-            tuple(self.names), self.extend(bound).degree_bound, bound, side)))
+            tuple(self.names), self.extend(bound).degree_bound, bound, side),
+            self))
         return span
 
     def recorded_ideal(U, bound=None):
@@ -685,12 +690,15 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     report = json.loads(run_suite(
         RunConfig(suites=("coiso",), degree_bound=3)).dumps())
     assert report["summary"]["fail"] == 0
-    windows = [w for _, w in built_windows.values()]
+    windows = [w for _, w, _ in built_windows.values()]
     ideals = [i for _, i in built_ideals.values()]
     borel = [w for w in windows if w[0] == ("H", "E")]
     assert sorted(borel) == [(("H", "E"), 5, 5, "left"),
                              (("H", "E"), 5, 5, "right")]
-    assert not any(span.track for span, _ in built_windows.values())
+    # plain spans: the rows the reference engine builds, no more
+    for span, (_, _, bound, side), U in built_windows.values():
+        assert list(span.rows.items()) == \
+            list(_full_loop_window(U, bound, side).rows.items())
     # the F negative control needs its slack-enlarged window too
     assert sorted(w for w in windows if w[0] == ("F",)) == [
         (("F",), 5, 5, "right"), (("F",), 7, 7, "right")]

@@ -13,15 +13,17 @@ from qaffine.linalg import (
     EchelonSpan, mat_inv, nullspace, rref, solve, sparse_nullspace, vec_add,
     vec_scale, vec_sum,
 )
+from tracked_span import TrackedSpan
 
 F = Fraction
 
 
-# -- references: the full-scan insert and the dense-rref kernel ---------------
+# -- references: the tracked span, the full-scan insert and the dense-rref ---
+# -- kernel --------------------------------------------------------------------
 
 
-class FullScanSpan(EchelonSpan):
-    """EchelonSpan whose add back-substitutes by scanning every row, the
+class FullScanSpan(TrackedSpan):
+    """TrackedSpan whose add back-substitutes by scanning every row, the
     insert the column index replaces; kept as its reference."""
 
     def add(self, v):
@@ -47,6 +49,29 @@ class FullScanSpan(EchelonSpan):
             self.history[p] = hist
         self._dim += 1
         return True
+
+
+def _parts(span):
+    """The rows of a span with coordinates, keyed by their data pivots and
+    split into their data parts and their identity parts."""
+    return ({p: {k: x for (t, k), x in row.items() if not t}
+             for (_, p), row in span.rows.items()},
+            {p: {k: x for (t, k), x in row.items() if t}
+             for (_, p), row in span.rows.items()})
+
+
+def _renumbered(combo, grew):
+    """A combination of every insert of a tracked span, written over the
+    inserts that grew the span instead: grew[j] says whether insert j
+    did."""
+    index = {j: i for i, j in enumerate(
+        j for j, g in enumerate(grew) if g)}
+    return {index[j]: c for j, c in combo.items()}
+
+
+def _new_span(coordinates, pivot=min):
+    return (EchelonSpan.with_coordinates(pivot) if coordinates
+            else EchelonSpan(pivot))
 
 
 def rref_nullspace(a):
@@ -87,12 +112,22 @@ def _with_combos(raw):
 @given(_gens, st.lists(_vec, max_size=3), st.sampled_from([min, max]),
        st.booleans())
 def test_indexed_add_matches_full_scan(raw, queries, pivot, track):
+    """The indexed insert keeps the rows of the full-scan reference; with
+    coordinates, a row's identity part is the reference's combination of
+    the inserts that grew the span, and so are the coordinates."""
     gens = _with_combos(raw)
-    got, ref = EchelonSpan(track, pivot), FullScanSpan(track, pivot)
+    got, ref = _new_span(track, pivot), FullScanSpan(track, pivot)
+    grew = []
     for v in gens:
-        assert got.add(v) == ref.add(v)
-        assert got.rows == ref.rows and list(got.rows) == list(ref.rows)
-        assert got.history == ref.history
+        grew.append(got.add(v))
+        assert grew[-1] == ref.add(v)
+        if track:
+            data, ident = _parts(got)
+            assert data == ref.rows and list(data) == list(ref.rows)
+            assert ident == {p: _renumbered(h, grew)
+                             for p, h in ref.history.items()}
+        else:
+            assert got.rows == ref.rows and list(got.rows) == list(ref.rows)
         # the column index names exactly the rows that hold each key
         held = {}
         for piv, row in got.rows.items():
@@ -100,11 +135,15 @@ def test_indexed_add_matches_full_scan(raw, queries, pivot, track):
                 if k != piv:
                     held.setdefault(k, set()).add(piv)
         assert {k: s for k, s in got._holders.items() if s} == held
-    assert got.basis() == ref.basis()
+    if not track:
+        assert got.basis() == ref.basis()
     for q in queries + gens:
         assert got.reduce(q) == ref.reduce(q)
         if track:
-            assert got.coefficients(q) == ref.coefficients(q)
+            residual, coords = got.coefficients(q)
+            assert residual == ref.reduce(q)
+            assert coords == _renumbered(
+                ref.coefficients(vec_add(q, residual, -1)), grew)
 
 
 # -- series entries: the hbar-shift expansion over Q is the reference -------
@@ -173,14 +212,21 @@ def _rebuild(combo, gens):
 def test_series_span_matches_hbar_shift_expansion(case, pivot, track):
     """A span of series vectors is the Q-span of their hbar-shifted
     copies: the same Q-rank after every insert and the same membership;
-    with min pivots the same residuals over Q; coefficients rebuild the
-    vector.  Its rows are a reduced Howell form."""
+    with min pivots the same residuals over Q.  Its rows are a reduced
+    Howell form.  With coordinates, v - residual is rebuilt from the
+    inserts that grew the span; when those are a basis with unit pivots,
+    the coordinates are the tracked reference's combinations."""
     K, gens, queries = case
-    got, ref = EchelonSpan(track, pivot), FullScanSpan(pivot=pivot)
+    got, ref = _new_span(track, pivot), FullScanSpan(pivot=pivot)
+    tracked = TrackedSpan(track=True, pivot=pivot)
+    grew = []
     for v in gens:
-        grew = [ref.add(x) for x in _hbar_shifts(v, K)]
-        assert got.add(v) == grew[0]
+        shifts = [ref.add(x) for x in _hbar_shifts(v, K)]
+        grew.append(got.add(v))
+        assert grew[-1] == shifts[0] == tracked.add(v)
         assert len(got) == len(ref.rows)
+    grown = [v for v, g in zip(gens, grew) if g]
+    unit_basis = not got._vals and len(got.rows) == len(grown)
     vals = {p: row[p].valuation() for p, row in got.rows.items()}
     held = {}
     for p, row in got.rows.items():
@@ -198,10 +244,12 @@ def test_series_span_matches_hbar_shift_expansion(case, pivot, track):
         if pivot is min:
             assert _flat(res) == ref.reduce(_flat(q))
         if track:
-            combo = got.coefficients(q)
-            assert (combo is None) == bool(res)
-            if combo is not None:
-                assert _rebuild(combo, gens) == q
+            residual, coords = got.coefficients(q)
+            assert residual == res
+            assert _rebuild(coords, grown) == vec_add(q, residual, -1)
+            if unit_basis:
+                assert coords == _renumbered(
+                    tracked.coefficients(vec_add(q, residual, -1)), grew)
 
 
 def test_unit_pivot_rows_are_placed_unscaled(monkeypatch):
@@ -219,12 +267,19 @@ def test_unit_pivot_rows_are_placed_unscaled(monkeypatch):
     monkeypatch.setattr(qaffine.linalg, "vec_scale", recorded)
     gens = [{0: F(1), 2: F(3)}, {1: F(1), 2: F(-1)},
             {0: F(1), 1: F(1), 2: F(5)}, {0: F(2), 2: F(6)}]
-    got, ref = EchelonSpan(track=True), FullScanSpan(track=True)
+    got, ref = EchelonSpan.with_coordinates(), FullScanSpan(track=True)
+    grew = []
     for v in gens:
-        assert got.add(v) == ref.add(v)
-        assert got.rows == ref.rows and got.history == ref.history
+        grew.append(got.add(v))
+        assert grew[-1] == ref.add(v)
+        data, ident = _parts(got)
+        assert data == ref.rows and ident == {
+            p: _renumbered(h, grew) for p, h in ref.history.items()}
     for q in gens + [{2: F(1)}, {0: F(2), 1: F(1)}, {3: F(1)}]:
-        assert got.coefficients(q) == ref.coefficients(q)
+        residual, coords = got.coefficients(q)
+        assert residual == ref.reduce(q)
+        assert coords == _renumbered(
+            ref.coefficients(vec_add(q, residual, -1)), grew)
 
     K = 3
     T = TruncatedSeries
@@ -232,22 +287,24 @@ def test_unit_pivot_rows_are_placed_unscaled(monkeypatch):
             {1: T.hbar(K), 2: T.one(K)},        # takes pivot 1 from hbar^2
             {0: T(K, [0, 1, 5]), 2: T(K, [1, 1])},
             {2: T.hbar(K, 2), 3: T(K, [0, 3])}]
-    got, ref = EchelonSpan(track=True), FullScanSpan()
+    got, ref = EchelonSpan.with_coordinates(), FullScanSpan()
+    grown = []
     for v in gens:
-        grew = [ref.add(x) for x in _hbar_shifts(v, K)]
-        assert got.add(v) == grew[0]
+        shifts = [ref.add(x) for x in _hbar_shifts(v, K)]
+        assert got.add(v) == shifts[0]
+        if shifts[0]:
+            grown.append(v)
         assert len(got) == len(ref.rows)
     expanded = FullScanSpan()
-    for row in got.rows.values():
+    for row in _parts(got)[0].values():
         for x in _hbar_shifts(row, K):
             expanded.add(x)
     assert expanded.rows == ref.rows
     assert any(row[p] == T.hbar(K, 1) for p, row in got.rows.items())
     for q in gens + [{1: T.hbar(K, 2)}, {3: T.one(K)}]:
-        combo = got.coefficients(q)
-        assert (combo is None) == (not ref.contains(_flat(q)))
-        if combo is not None:
-            assert _rebuild(combo, gens) == q
+        residual, coords = got.coefficients(q)
+        assert (not residual) == ref.contains(_flat(q))
+        assert _rebuild(coords, grown) == vec_add(q, residual, -1)
     assert scales and not any(c == 1 for c in scales)
 
 
@@ -259,9 +316,10 @@ def test_unit_pivot_rows_are_placed_unscaled(monkeypatch):
     st.sampled_from([min, max]))
 def test_span_methods_leave_their_input_unchanged(case, pivot):
     """add, reduce, contains and coefficients work on a copy, over Q and
-    over the series ring, so a caller hands them a tensor's own data."""
+    over the series ring, with and without coordinates, so a caller hands
+    them a tensor's own data."""
     gens, queries = case
-    span = EchelonSpan(track=True, pivot=pivot)
+    plain, span = EchelonSpan(pivot), EchelonSpan.with_coordinates(pivot)
     given_items = []
     for v in gens + queries:
         given_items.append((v, list(v.items())))
@@ -269,6 +327,9 @@ def test_span_methods_leave_their_input_unchanged(case, pivot):
         span.contains(v)
         span.coefficients(v)
         span.add(v)
+        plain.reduce(v)
+        plain.contains(v)
+        plain.add(v)
     for v, items in given_items:
         assert list(v.items()) == items
 
@@ -402,19 +463,28 @@ def test_span_reduce_is_idempotent():
     assert s.reduce(r) == r
 
 
-def test_span_coefficients_track_all_adds():
-    s = EchelonSpan(track=True)
-    s.add({0: F(1)})
-    s.add({0: F(1)})          # dependent, still counted as generator 1
-    s.add({1: F(1)})
-    coeffs = s.coefficients({0: F(2), 1: F(3)})
-    total = {}
-    gens = [{0: F(1)}, {0: F(1)}, {1: F(1)}]
-    for i, c in coeffs.items():
-        for k, v in gens[i].items():
-            total[k] = total.get(k, F(0)) + c * v
-    assert total == {0: F(2), 1: F(3)}
-    assert s.coefficients({2: F(1)}) is None
+def test_span_coefficients_index_only_the_adds_that_grew():
+    """A dependent insert returns False and takes no index, over Q and
+    over the series ring, where hbar x lies in the span of x; the residual
+    and coordinates split v, and a span without coordinates has none."""
+    T = TruncatedSeries
+    for one, small in ((F(1), F(5)), (T.one(3), T.hbar(3))):
+        s = EchelonSpan.with_coordinates()
+        assert s.add({0: one})
+        assert not s.add({0: one + one})  # dependent: no index
+        assert s.add({1: one})
+        assert not s.add({1: small})
+        assert s.add({2: one, 0: one})
+        three = one + one + one
+        assert s.coefficients({0: one + one, 1: three}) == \
+            ({}, {0: one + one, 1: three})
+        assert s.coefficients({2: one, 3: three}) == \
+            ({3: three}, {0: -one, 2: one})
+        assert s.reduce({2: one, 3: three}) == {3: three}
+        assert not s.contains({3: one}) and s.contains({2: one})
+        assert len(s) == (3 if type(one) is Fraction else 9)
+    with pytest.raises(ValueError):
+        EchelonSpan().coefficients({0: F(1)})
 
 
 def test_span_equals_is_basis_independent():
@@ -448,7 +518,8 @@ class _RevKey:
 
 def test_max_pivot_matches_reversed_keys():
     """pivot=max is the min-pivot span over keys in reversed order: the
-    same rows, basis, residuals and generator coefficients."""
+    same rows, basis and residuals as the tracked reference, and with
+    coordinates its combinations of the inserts that grew the span."""
     rng = random.Random(7)
     keys = [(a, b) for a in range(3) for b in range(3)]
 
@@ -464,13 +535,20 @@ def test_max_pivot_matches_reversed_keys():
         return {k.k: c for k, c in v.items()}
 
     for _ in range(40):
-        got, ref = EchelonSpan(track=True, pivot=max), EchelonSpan(track=True)
+        plain, got = EchelonSpan(pivot=max), EchelonSpan.with_coordinates(max)
+        ref = TrackedSpan(track=True)
         gens = [vec() for _ in range(rng.randint(1, 7))]
+        grew = []
         for v in gens:
-            assert got.add(v) == ref.add(wrap(v))
-        assert list(got.rows) == [p.k for p in ref.rows]
-        assert got.rows == {p.k: unwrap(r) for p, r in ref.rows.items()}
-        assert got.basis() == [unwrap(r) for r in ref.basis()]
+            grew.append(got.add(v))
+            assert grew[-1] == plain.add(v) == ref.add(wrap(v))
+        data, ident = _parts(got)
+        assert list(plain.rows) == list(data) == [p.k for p in ref.rows]
+        assert plain.rows == data == {
+            p.k: unwrap(r) for p, r in ref.rows.items()}
+        assert ident == {p.k: _renumbered(h, grew)
+                         for p, h in ref.history.items()}
+        assert plain.basis() == [unwrap(r) for r in ref.basis()]
         combo = {}
         for v in gens:
             c = F(rng.randint(-2, 2))
@@ -478,8 +556,10 @@ def test_max_pivot_matches_reversed_keys():
                 combo[k] = combo.get(k, F(0)) + c * x
         combo = {k: c for k, c in combo.items() if c}
         for q in (vec(), combo):
-            assert got.reduce(q) == unwrap(ref.reduce(wrap(q)))
-            assert got.coefficients(q) == ref.coefficients(wrap(q))
+            residual = unwrap(ref.reduce(wrap(q)))
+            assert plain.reduce(q) == got.reduce(q) == residual
+            assert got.coefficients(q) == (residual, _renumbered(
+                ref.coefficients(wrap(vec_add(q, residual, -1))), grew))
 
 
 # -- vec_sum: the add-or-pop loop of every former accumulator is the reference
