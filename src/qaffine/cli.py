@@ -404,6 +404,14 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     E, F, H = uq_gen(ctx, "E"), uq_gen(ctx, "F"), uq_gen(ctx, "H")
     qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
     R = qctx.R
+    r2 = []
+
+    def r_matrix2():
+        """R^(2), built on first use and shared by rmatrix-m and
+        semiclassical."""
+        if not r2:
+            r2.append(r_matrix_m(R, 2))
+        return r2[0]
 
     def algebra():
         if (H * E - E * H) != E.scale(2) or (H * F - F * H) != F.scale(-2):
@@ -468,7 +476,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                "inductive forms", twists)
 
     def rmatrix_m():
-        R2 = r_matrix_m(R, 2)
+        R2 = r_matrix2()
         th = TwistedHopf(twi_m(R, 2), 2)
         monos = {"E": (0, 0, 1), "F": (1, 0, 0), "H": (0, 1, 0)}
         for g, mono in monos.items():
@@ -496,7 +504,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
                 ((1, 0, 0), (0, 0, 1)): Fraction(1)}
         if h1 != want:
             return False, "order-1 of R", None
-        if semiclassical_r(r_matrix_m(R, 2), 2) != twisted_r(st.r, 2):
+        if semiclassical_r(r_matrix2(), 2) != twisted_r(st.r, 2):
             return False, "order-1 of the twisted R", None
         pw = qctx.pw
         spec1 = BracketSpec(pw, 1, "product")

@@ -23,16 +23,17 @@ closed-form coefficient series, never on truncated data, so no precision
 is lost at the top order.
 
 Every sum that can meet a key twice (+ and -, the product, the coproduct
-on a leg, the antipode, and the passes of mono_mul and of E times a
-monomial) adds its terms into the running sums of kernel.sum_terms, the
-one rule by which series are added per key and the order of the keys is
-settled; the product applies that rule inline, adding each term as it is
-generated.  A residual A*B - C*D (almost-cocommutativity, the hexagons,
-the twist axiom, intertwining_residual) keeps both sides as running sums
-and subtracts them in one pass, reducing only the keys that survive, so
-it is empty exactly when the two products agree.  The maps that are
-one-to-one on keys (scale, swap_legs, embed, counit_leg, tensor_of) build
-their dicts directly.
+on a block of legs, the antipode, and the passes of mono_mul and of E
+times a monomial) adds its terms into the running sums of
+kernel.sum_terms, the one rule by which series are added per key and the
+order of the keys is settled; the product applies that rule inline,
+adding each term as it is generated.  A residual A*B - C*D
+(almost-cocommutativity, the hexagons, the twist axiom,
+intertwining_residual) keeps both sides as running sums and subtracts
+them in one pass, reducing only the keys that survive, so it is empty
+exactly when the two products agree.  The maps that are one-to-one on
+keys (scale, swap_legs, embed, counit_leg, tensor_of) build their dicts
+directly.
 
 The quantized function algebras C_hbar[SL2^m] and C_hbar[(N\\SL2)^m] use
 the block functions of cgx over a QAffineContext, whose irreps are the
@@ -44,9 +45,11 @@ entries are cgx.CGEntry tables over the series ring, built one weight
 block at a time as they are read: the highest weight vectors are kernel
 generators of the coproduct of E, transported along the coproduct of F.
 q_multiply (the convolution product) and quantum_affine_multiply
-(twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract;
-the R~ action before it sums its terms in kernel.series_sums, every factor
-a kernel multiplier.
+(twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract.
+The R~ action before it reads R by its E/F skeletons (its terms grouped by
+their E and F exponents): the H-powers of a skeleton act on the basis
+vectors by powers of weights, so each skeleton acts on an entry by one
+kernel multiplier, and the terms are summed in kernel.series_sums.
 """
 
 from __future__ import annotations
@@ -541,27 +544,45 @@ def coproduct_op(x: UqElement) -> UqTensor:
 def delta_leg(t: UqTensor, j: int) -> UqTensor:
     """Apply the coproduct to leg j, giving legs+1 legs (new leg inserted
     after j); each output key is summed once, in kernel.series_sums."""
-    return _tensor(t.ctx, t.legs + 1,
-                   series_sums(t.ctx.order, _delta_leg_terms(t, j)))
+    return _block_delta(t, 1, j)
 
 
-def _delta_leg_terms(t: UqTensor, j: int):
-    """The terms (key, numerators, den) of delta_leg(t, j) in the order of
-    t's terms and then of the coproduct's, the coproduct's coefficients
-    entering as kernel multipliers."""
+def _block_delta(t: UqTensor, m: int, first: int) -> UqTensor:
+    """The coproduct of H^(x)m applied to legs first..first+m-1 of t, as
+    one block in (H^(x)m) (x) (H^(x)m) order; the other legs keep their
+    places.  Each output key is summed once, in kernel.series_sums."""
+    return _tensor(t.ctx, t.legs + m,
+                   series_sums(t.ctx.order, _block_delta_terms(t, m, first)))
+
+
+def _block_delta_terms(t: UqTensor, m: int, first: int):
+    """The terms (key, numerators, den) of _block_delta(t, m, first): per
+    term of t, the product of the coproducts of its m block legs, the
+    first leg outermost, with the shuffle of the 2m new legs into
+    (a1..am, b1..bm) order written straight into the key.  The
+    coproducts' coefficients enter as kernel multipliers, and a partial
+    product of valuation v meets only the coproduct terms below hbar^(K-v),
+    so no product that vanishes mod hbar^K is formed."""
     ctx = t.ctx
     K = ctx.order
-    deltas: Dict[Mono, List] = {}  # Delta(mono) as multipliers
+    last = first + m
+    # Delta(mono) as terms (x, y, c, d, valuation of the coefficient)
+    deltas: Dict[Mono, List[Tuple]] = {}
     for k, s in t.data.items():
-        tbl = deltas.get(k[j])
-        if tbl is None:
-            tbl = deltas[k[j]] = [(pair,) + multiplier(s2) for pair, s2
-                                  in _mono_delta(ctx, k[j]).data.items()]
-        pre, post = k[:j], k[j + 1:]
-        n, d = s.num, s.den
-        for pair, c, cd in tbl:
-            tn, td = mul_term(n, d, c, cd, K)
-            yield pre + pair + post, tn, td
+        partial = [((), (), s.num, s.den, s.valuation())]
+        for mono in k[first:last]:
+            tbl = deltas.get(mono)
+            if tbl is None:
+                tbl = deltas[mono] = [pair + multiplier(c) + (c.valuation(),)
+                                      for pair, c in
+                                      _mono_delta(ctx, mono).data.items()]
+            partial = [(xs + (x,), ys + (y,)) + mul_term(n, d, c, cd, K)
+                       + (v + vc,)
+                       for xs, ys, n, d, v in partial
+                       for x, y, c, cd, vc in tbl if v + vc < K]
+        pre, post = k[:first], k[last:]
+        for xs, ys, n, d, _ in partial:
+            yield pre + xs + ys + post, n, d
 
 
 def counit_leg(t: UqTensor, j: int) -> UqTensor:
@@ -649,7 +670,7 @@ def hexagon_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))
     r12 = R.embed(3, (0, 1))
-    return [_difference(ctx, 3, sum_terms({}, _delta_leg_terms(R, j)),
+    return [_difference(ctx, 3, sum_terms({}, _block_delta_terms(R, 1, j)),
                         _product_sums(r13, r))
             for j, r in ((0, r23), (1, r12))]
 
@@ -663,20 +684,6 @@ def hopf_power_delta(t: UqTensor, m: int) -> UqTensor:
         raise ValueError("expected a tensor with %d legs, got %d"
                          % (m, t.legs))
     return _block_delta(t, m, 0)
-
-
-def _block_delta(t: UqTensor, m: int, first: int) -> UqTensor:
-    """The coproduct of H^(x)m applied to legs first..first+m-1 of t, as
-    one block: legwise coproduct, then the shuffle of the 2m new legs into
-    (H^(x)m) (x) (H^(x)m) order; the other legs keep their places."""
-    for j in range(m):
-        t = delta_leg(t, first + 2 * j)
-    # the block's legs are now interleaved (a1, b1, a2, b2, ...); regroup
-    # them to (a..., b...)
-    perm = (list(range(first)) + [first + 2 * j for j in range(m)]
-            + [first + 2 * j + 1 for j in range(m)]
-            + list(range(first + 2 * m, t.legs)))
-    return t.swap_legs(perm)
 
 
 def block_embed(t: UqTensor, m: int, blocks: int, positions: Sequence[int]) -> UqTensor:
@@ -867,9 +874,10 @@ class QIrrep:
 class QAffineContext:
     """Caches for C_hbar[SL2] and C_hbar[(N\\SL2)^m]: quantized irreps
     up to dimension dim_bound, quantum Clebsch-Gordan tables (built from
-    the V_hbar(n) alone), the R-matrix, and the companion classical
-    context that mod-hbar forms live in; the context of block functions
-    with coefficients in Q[[hbar]]/(hbar^K)."""
+    the V_hbar(n) alone), the R-matrix and the R~ tables read off its E/F
+    skeletons per weight pair, and the companion classical context that
+    mod-hbar forms live in; the context of block functions with
+    coefficients in Q[[hbar]]/(hbar^K)."""
 
     def __init__(self, uq: UqContext, dim_bound: int = 64):
         self.uq = uq
@@ -880,29 +888,53 @@ class QAffineContext:
         self._qirreps: Dict[int, QIrrep] = {}
         self._cg: Dict[Tuple[int, int], CGEntry] = {}
         self._slot: Dict[Tuple, List[Dict]] = {}
-        self._rtilde: Dict[Tuple[int, int], List[Tuple]] = {}
+        self._rtilde: Dict[Tuple[int, int], List[List[List]]] = {}
 
     @cached_property
     def R(self) -> UqTensor:
         return r_matrix_sl2(self.uq)
 
-    def rtilde_terms(self, n1: int, n2: int) -> List[Tuple]:
+    def rtilde_table(self, n1: int, n2: int) -> List[List[List]]:
         """R~ on the dual slots of V_hbar(n1) and V_hbar(n2), for
-        _apply_rtilde: per term s m1 (x) m2 of R, the multiplier (c, d) of
-        s exp(-hbar n1 n2 / 4), the character of R_0^{-1} = exp(-hbar
-        H(x)H/4) on those weights, and the dual-slot actions of m1 and m2
-        (each a one-term element) with each entry a (row, c, d)
-        multiplier; memoized per (n1, n2)."""
+        _apply_rtilde: per E/F skeleton of R, the table [j1][j2] of
+        (k1, k2, c, d) or None, with (c, d) the multiplier of the whole
+        skeleton's action taking the dual indices (j1, j2) to (k1, k2).
+        S(F^a H^b E^c) = S(E)^c (-H)^b S(F)^a, so the H^b of a term acts
+        on w_k as the power (2(k + a) - n)^b of a weight: a skeleton's
+        terms collapse into one series per (j1, j2), times the character
+        exp(-hbar n1 n2 / 4) of R_0^{-1} = exp(-hbar H(x)H/4) and the two
+        skeleton slot entries.  A monomial F^a E^c moves each basis vector
+        to one basis vector, so a dual index meets at most one entry.
+        Memoized per (n1, n2)."""
         out = self._rtilde.get((n1, n2))
-        if out is None:
-            q = self.uq.q_half_power(-n1 * n2)
-            out = self._rtilde[n1, n2] = [
-                multiplier(s * q) + tuple(
-                    [[(t,) + multiplier(c) for t, c in col.items()]
-                     for col in self.slot_action(
-                         (n,), UqElement(self.uq, {mono: 1}), "left")]
-                    for n, mono in ((n1, m1), (n2, m2)))
-                for (m1, m2), s in self.R.data.items()]
+        if out is not None:
+            return out
+        # R's terms (b1, b2, s) of s F^a1 H^b1 E^c1 (x) F^a2 H^b2 E^c2 per
+        # skeleton F^a1 E^c1 (x) F^a2 E^c2, in the order R first meets them
+        skeletons: Dict[Tuple[Mono, Mono], List[Tuple]] = {}
+        for ((a1, b1, c1), (a2, b2, c2)), s in self.R.data.items():
+            skeletons.setdefault(((a1, 0, c1), (a2, 0, c2)), []).append(
+                (b1, b2, s))
+        uq = self.uq
+        q = uq.q_half_power(-n1 * n2)
+        out = self._rtilde[n1, n2] = []
+        for (m1, m2), terms in skeletons.items():
+            # the entries (j, k, c, w) of the skeleton slot actions, with w
+            # the weight whose power H^b brings
+            ents1, ents2 = (
+                [(j, k, c, 2 * (k + mono[0]) - n) for j, line in enumerate(
+                    self.slot_action((n,), UqElement(uq, {mono: 1}), "left"))
+                 for k, c in line.items()]
+                for n, mono in ((n1, m1), (n2, m2)))
+            tbl = [[None] * (n2 + 1) for _ in range(n1 + 1)]
+            for j1, k1, c1, w1 in ents1:
+                for j2, k2, c2, w2 in ents2:
+                    h = series_sums(uq.order, (
+                        _term(0, s, w1 ** b1 * w2 ** b2)
+                        for b1, b2, s in terms)).get(0)
+                    if h is not None:
+                        tbl[j1][j2] = (k1, k2) + multiplier(h * q * c1 * c2)
+            out.append(tbl)
         return out
 
     def irrep(self, lam: Tuple[int]) -> QIrrep:
@@ -983,29 +1015,25 @@ def _apply_rtilde(qctx: QAffineContext, P: BlockFunction, fa: int,
                   fb: int) -> BlockFunction:
     """Apply R~ = tau_23(R (x) R_0^{-1}) with the U-legs acting on the dual
     slots of factors fa and fb, and the Cartan legs acting by the weight
-    characters of those factors.  Every factor of a term (the entry, the
-    R-term with the character, and the two slot-action entries) enters as
-    a kernel multiplier (QAffineContext.rtilde_terms), and the terms are
-    summed per entry in kernel.series_sums: no series is reduced before
-    the sums are."""
+    characters of those factors.  Per block, each E/F skeleton of R acts
+    on an entry by one kernel multiplier (QAffineContext.rtilde_table),
+    and the terms are summed per entry in kernel.series_sums: no series is
+    reduced before the sums are."""
     K = qctx.uq.order
 
     def terms():
         for key, blk in P.blocks.items():
-            for f, fd, lines1, lines2 in qctx.rtilde_terms(key[fa][0],
-                                                          key[fb][0]):
+            for tbl in qctx.rtilde_table(key[fa][0], key[fb][0]):
                 for idx, c in blk.items():
-                    n, d = mul_term(c.num, c.den, f, fd, K)
-                    if not any(n):
+                    hit = tbl[idx[2 * fa]][idx[2 * fb]]
+                    if hit is None:
                         continue
-                    for s1, c1, d1 in lines1[idx[2 * fa]]:
-                        n1, e1 = mul_term(n, d, c1, d1, K)
-                        for s2, c2, d2 in lines2[idx[2 * fb]]:
-                            tn, td = mul_term(n1, e1, c2, d2, K)
-                            nidx = list(idx)
-                            nidx[2 * fa] = s1
-                            nidx[2 * fb] = s2
-                            yield (key, tuple(nidx)), tn, td
+                    s1, s2, f, fd = hit
+                    n, d = mul_term(c.num, c.den, f, fd, K)
+                    nidx = list(idx)
+                    nidx[2 * fa] = s1
+                    nidx[2 * fb] = s2
+                    yield (key, tuple(nidx)), n, d
     return BlockFunction._from_sums(qctx, P.m, series_sums(K, terms()))
 
 

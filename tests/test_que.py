@@ -17,12 +17,13 @@ from qaffine.kernel import TruncatedSeries, q_power
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
-    _apply_rtilde, almost_cocommutativity_residuals, antipode, block_embed,
-    coproduct, coproduct_op, counit, counit_leg, delta_leg, hexagon_residuals,
-    hopf_power_delta, intertwining_residual, mono_mul, q_integer, q_multiply,
-    quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
-    r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_inv,
-    tensor_of, tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
+    _apply_rtilde, _block_delta, almost_cocommutativity_residuals, antipode,
+    block_embed, coproduct, coproduct_op, counit, counit_leg, delta_leg,
+    hexagon_residuals, hopf_power_delta, intertwining_residual, mono_mul,
+    q_integer, q_multiply, quantum_affine_multiply,
+    quantum_affine_multiply_pairwise, r_matrix_m, r_matrix_sl2,
+    semiclassical_bracket, semiclassical_r, tensor_inv, tensor_of,
+    tensor_one, twi_m, twi_m_inductive, twist_condition_residuals,
     uq_cartan_exp, uq_gen, uq_one,
 )
 from qaffine.liebialg import build_sl, standard_r, twisted_r
@@ -743,6 +744,30 @@ def test_one_pass_residual_matches_naive_on_random_tensors():
     assert cancelled
 
 
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_one_pass_block_delta_matches_leg_by_leg_passes(K):
+    """_block_delta, one pass over products of the legs' coproducts,
+    against the leg-by-leg passes and the regrouping of _naive_block_delta,
+    for blocks of m = 1..3 legs at either end of Twi^m(R) and of random
+    tensors.  The values agree everywhere, and so does the key order but
+    for Twi^3(R) at K = 5: there keys cancel and re-enter the running sums
+    at other points of the passes than of the one pass, and so come out in
+    another order."""
+    uq = UqContext(K)
+    R = r_matrix_sl2(uq)
+    rng = random.Random(K)
+    for m in (1, 2, 3):
+        tensors = [twi_m(R, m)]
+        tensors += [_random_tensor(uq, rng, 2 * m) for _ in range(2)]
+        for i, t in enumerate(tensors):
+            for first in (0, m):
+                got = _block_delta(t, m, first)
+                want = _naive_block_delta(t, m, first)
+                assert got == want
+                same_order = list(got.data) == list(want.data)
+                assert same_order == ((K, m, i) != (5, 3, 0))
+
+
 def test_quantum_checks_fail_on_a_broken_r(monkeypatch):
     """The suite's three R-matrix checks refute R + hbar^(K-1) F^2 (x) E^2."""
     import qaffine.que as que
@@ -792,13 +817,32 @@ def _same_blocks(f, g):
                     for k in f.blocks))
 
 
-@pytest.mark.parametrize("K", [3, 4, 5])
+def _skewed_r(uq):
+    """R + hbar^(K-1) (F^2 H (x) H E^2 + F E (x) F H E): not of the closed
+    form, with H-powers on a term of an existing E/F skeleton, and a new
+    skeleton with a > 0 and c > 0 on both legs and an H-power behind the
+    F of the second leg."""
+    K = uq.order
+    bump = TruncatedSeries.hbar(K, K - 1)
+    return r_matrix_sl2(uq) + UqTensor(uq, 2, {
+        ((2, 1, 0), (0, 1, 2)): bump, ((1, 0, 1), (1, 1, 1)): bump})
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_rtilde_action_matches_series_product_loop(K):
     """Every R~ application of quantum_affine_multiply at m = 2 and 3, on
     products of random coefficients (some of high valuation, so that a
-    term vanishes mod hbar^K), against the series-product loop."""
-    qctx = QAffineContext(UqContext(K))
-    rng = random.Random(K)
+    term vanishes mod hbar^K), against the series-product loop; with R
+    itself, and with an R not of the closed form (see _skewed_r)."""
+    uq = UqContext(K)
+    for R in (r_matrix_sl2(uq), _skewed_r(uq)):
+        qctx = QAffineContext(uq)
+        qctx.R = R
+        _check_rtilde_against_loop(qctx, random.Random(K))
+
+
+def _check_rtilde_against_loop(qctx, rng):
+    K = qctx.uq.order
 
     def coefficient():
         n = rng.randint(1, 2)
@@ -820,6 +864,34 @@ def test_rtilde_action_matches_series_product_loop(K):
             # the case split's placement, the first leg on the second group
             assert _same_blocks(_apply_rtilde(qctx, P, m, 0),
                                 _apply_rtilde_ref(qctx, P, m, 0))
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_slot_action_of_an_h_power_is_a_weight_power(K):
+    """rho(S(F^a H^b E^c)) w_k = (-(n - 2(k + a)))^b rho(S(F^a E^c)) w_k,
+    since S(F^a H^b E^c) = S(E)^c (-H)^b S(F)^a: the identity by which
+    QAffineContext.rtilde_table collapses the H-powers of an E/F skeleton
+    of R.  On both slots, for n <= 4, a, c <= n and b < K."""
+    qctx = QAffineContext(UqContext(K))
+    uq = qctx.uq
+    for n in range(5):
+        for a in range(n + 1):
+            for c in range(n + 1):
+                skeleton = UqElement(uq, {(a, 0, c): 1})
+                right = qctx.slot_action((n,), skeleton, "right")
+                left = qctx.slot_action((n,), skeleton, "left")
+                for b in range(K):
+                    y = UqElement(uq, {(a, b, c): 1})
+                    # column k of the right slot is the image of w_k, and
+                    # entry k of each line of the left slot its transpose
+                    assert qctx.slot_action((n,), y, "right") == [
+                        {j: x for j, e in col.items()
+                         if (x := e * (2 * (k + a) - n) ** b)}
+                        for k, col in enumerate(right)]
+                    assert qctx.slot_action((n,), y, "left") == [
+                        {k: x for k, e in line.items()
+                         if (x := e * (2 * (k + a) - n) ** b)}
+                        for line in left]
 
 
 # -- the former bump loops of _lE_mono and mono_mul, kept as references -----
