@@ -9,15 +9,17 @@ once, in linalg.vec_sum.  Both contexts answer irrep(lam) and
 cg(lam, mu), and every product goes through one Clebsch-Gordan
 contraction, cg_contract: blocks are tensored factor by factor and
 decomposed back with exact intertwiners, each pair of flat indices read
-from an option list that its CG table memoizes (CGEntry.options).  One
-loop serves both rings: it multiplies and sums the pairs ctx.pair makes
-(numerator and denominator over Q, a series over 1) and builds one
-coefficient per entry of the result with ctx.build.  A Poisson bracket
-(over Q) is one such contraction: the legs (a(f), b(g), c) of every
-bivector term are summed per block pair and index pair,
-c * a(f)[fi] * b(g)[gi], as integer pairs too, and the sums go into a
-single cg_contract pass, one group per block pair and one Fraction per
-index pair; each leg is computed once per function (BlockFunction.leg).
+from an option list that its CG table memoizes (CGEntry.options), and
+the tables and dimensions of a block pair memoized as its plan.  One
+loop serves both rings: its terms carry their coefficients as the pairs
+it sums (numerator and denominator over Q, a series over 1, as ctx.pair
+makes them), and it builds one coefficient per entry of the result, from
+that entry's running sum, with ctx.build.  A Poisson bracket (over Q) is
+one such contraction: the legs (a(f), b(g), c) of every bivector term
+are summed per block pair and index pair, c * a(f)[fi] * b(g)[gi], as
+integer pairs, and those sums go into a single cg_contract pass as they
+are, one group per block pair; each leg is computed once per function
+(BlockFunction.leg).
 This module holds the classical contexts, the Poisson brackets, and the
 oracles the bracket checks are compared against.
 
@@ -404,11 +406,13 @@ def _dominant(w: Weight, cartan: Matrix) -> Weight:
 
 def detached(ctx):
     """A shallow copy of ctx that shares its irreps and other caches but
-    holds an empty CG memo: the CG tables of ctx build their irreps
-    through it, so a context and the tables it memoizes form no reference
-    cycle and the context is freed as soon as its last user drops it."""
+    holds an empty CG memo and an empty plan memo of its own: the CG
+    tables of ctx build their irreps through it, and the plans of ctx hold
+    those tables, so a context and the tables it memoizes form no
+    reference cycle and the context is freed as soon as its last user
+    drops it."""
     view = object.__new__(type(ctx))
-    view.__dict__.update(vars(ctx), _cg={})
+    view.__dict__.update(vars(ctx), _cg={}, _plans={})
     return view
 
 
@@ -423,6 +427,7 @@ class PWContext:
         self.dim_bound = dim_bound
         self._irreps: Dict[Weight, Irrep] = {}
         self._cg: Dict[Tuple[Weight, Weight], CGEntry] = {}
+        self._plans: Dict[Tuple[Key, Key], List] = {}  # see cg_contract
         self._fund: Dict[int, Rep] = {}
         self._slot: Dict[Tuple[Weight, int, str], List[SparseVec]] = {}
 
@@ -433,10 +438,12 @@ class PWContext:
         return c != 0
 
     def pair(self, c: Fraction) -> Tuple[int, int]:
-        """c as the (numerator, denominator) that cg_contract sums."""
+        """c as a term pair of cg_contract: (numerator, denominator)."""
         return c.numerator, c.denominator
 
     def build(self, n: int, d: int) -> Fraction:
+        """The coefficient of a summed pair of cg_contract, which need not
+        be in lowest terms."""
         return Fraction(n, d)
 
     def coeff_json(self, c: Fraction) -> str:
@@ -566,9 +573,11 @@ class BlockFunction:
 
     A function never changes once built: every builder hands its terms
     ((key, idx), coefficient) to _from_terms, which sums them per entry
-    in linalg.vec_sum, or its entries already summed to _from_sums.  _legs
-    memoizes act_factor(self, j, x, side) for a basis index x (see leg),
-    and so never goes stale.
+    in linalg.vec_sum, or its entries already summed to _from_sums
+    (cg_contract, from one running sum per entry).  So its memos never go
+    stale: _legs holds act_factor(self, j, x, side) per (j, x, side) for
+    a basis index x (see leg), and semi_invariant is is_semi_invariant()
+    computed once.
     """
 
     def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
@@ -589,8 +598,8 @@ class BlockFunction:
     @classmethod
     def _from_sums(cls, ctx, m: int, entries: Dict) -> "BlockFunction":
         """The function of the nonzero entries {(key, idx): coefficient},
-        each key's terms already summed (by vec_sum or, over the series
-        ring, kernel.series_sums)."""
+        each key's terms already summed (by vec_sum, by cg_contract or,
+        over the series ring, by kernel.series_sums)."""
         out = cls.__new__(cls)
         out.ctx, out.m, out._legs, out.blocks = ctx, m, {}, _blocks_of(entries)
         return out
@@ -608,13 +617,12 @@ class BlockFunction:
             raise ValueError("ring mismatch: %s and %s"
                              % (self.ctx.ring, other.ctx.ring))
 
-    def leg(self, j: int, x: int, side: str) -> "BlockFunction":
-        """act_factor(self, j, x, side) for a basis index x, computed once
-        per function."""
-        key = (j, x, side)
-        out = self._legs.get(key)
+    def leg(self, end: Tuple[int, int, str]) -> "BlockFunction":
+        """act_factor(self, j, x, side) for the end (j, x, side) of a
+        bracket leg, x a basis index, computed once per function."""
+        out = self._legs.get(end)
         if out is None:
-            out = self._legs[key] = act_factor(self, j, x, side)
+            out = self._legs[end] = act_factor(self, *end)
         return out
 
     def is_zero(self) -> bool:
@@ -654,6 +662,11 @@ class BlockFunction:
                 if any(idx[2 * j + 1] != 0 for j in range(self.m)):
                     return False
         return True
+
+    @cached_property
+    def semi_invariant(self) -> bool:
+        """is_semi_invariant(), scanned once per function."""
+        return self.is_semi_invariant()
 
     def hbar_coefficient(self, i: int) -> "BlockFunction":
         """Coefficient of hbar^i of a series-valued function, as a function
@@ -734,45 +747,54 @@ def _add_pair(acc: Dict, k, n, d) -> object:
 def cg_contract(ctx, m: int, groups) -> BlockFunction:
     """The Clebsch-Gordan contraction behind every product of block
     functions and every Poisson bracket.  groups yields (lkey, rkey,
-    terms), terms listing (lidx, ridx, coeff): coeff times the entry lidx
+    terms), terms listing (lidx, ridx, n, d): n / d times the entry lidx
     of an m-factor block lkey times the entry ridx of an m-factor block
     rkey, multiplied factor by factor, factor j split through the CG table
-    of V(lkey[j]) (x) V(rkey[j]).  Each factor reads its options from the
-    table's memo (CGEntry.options), so a pair of flat indices is expanded
-    once per table, however many terms or groups meet it.  Products and
-    sums run on the pairs of ctx.pair, summed per entry by the rule of
-    linalg.vec_sum (an entry that cancels leaves and a later term brings
-    it back at the end), with one ctx.build per entry of the result."""
-    pair, build = ctx.pair, ctx.build
+    of V(lkey[j]) (x) V(rkey[j]).  (n, d) is a pair as ctx.pair makes it:
+    integers over Q (in lowest terms or not), a series over 1 over
+    Q[[hbar]]/(hbar^K).  Each factor reads its options from the table's
+    memo (CGEntry.options), so a pair of flat indices is expanded once
+    per table, however many terms or groups meet it; the plan of a block
+    pair, the options method and dim V(rkey[j]) of every factor, is
+    memoized per context (ctx._plans).  The pairs are multiplied and
+    summed per entry by the rule of linalg.vec_sum (an entry that cancels
+    leaves and a later term brings it back at the end), and each entry of
+    the result is built once from its running sum, by ctx.build."""
+    build, plans = ctx.build, ctx._plans
     acc: Dict = {}
     for lkey, rkey, terms in groups:
-        tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
-        dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
-        for lidx, ridx, coeff in terms:
-            if not coeff:
+        plan = plans.get((lkey, rkey))
+        if plan is None:
+            plan = plans[lkey, rkey] = [
+                (ctx.cg(lkey[j], rkey[j]).options, ctx.irrep(rkey[j]).dim)
+                for j in range(m)]
+        for lidx, ridx, n, d in terms:
+            if not n:
                 continue
             # the combinations of options in itertools.product order
-            combos = [((), (), *pair(coeff))]
-            for j in range(m):
-                opts = tables[j].options(
-                    lidx[2 * j] * dims[j] + ridx[2 * j],
-                    lidx[2 * j + 1] * dims[j] + ridx[2 * j + 1])
+            combos = [((), (), n, d)]
+            for j, (options, dim) in enumerate(plan):
+                opts = options(lidx[2 * j] * dim + ridx[2 * j],
+                               lidx[2 * j + 1] * dim + ridx[2 * j + 1])
                 combos = [(key + (nu,), idx + (s, t), n * on, d * od)
                           for key, idx, n, d in combos
                           for nu, s, t, on, od in opts]
             for key, idx, n, d in combos:
                 if not _add_pair(acc, (key, idx), n, d):
                     del acc[key, idx]
-    return BlockFunction._from_terms(ctx, m, (
-        (k, build(n, d)) for k, (n, d) in acc.items()))
+    return BlockFunction._from_sums(ctx, m, {
+        k: build(n, d) for k, (n, d) in acc.items()})
 
 
 def block_pairs(f: BlockFunction, g: BlockFunction):
     """The cg_contract groups of the product of f (left) by g (right):
-    every block of f against every block of g."""
+    every block of f against every block of g, each pair of entries as
+    ctx.pair of the product of their coefficients."""
+    pair = f.ctx.pair
     for fkey, fblk in f.blocks.items():
         for gkey, gblk in g.blocks.items():
-            yield fkey, gkey, [(fi, gi, fc * gc) for fi, fc in fblk.items()
+            yield fkey, gkey, [(fi, gi, *pair(fc * gc))
+                               for fi, fc in fblk.items()
                                for gi, gc in gblk.items()]
 
 
@@ -786,9 +808,9 @@ def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
     """sum of c * (lf lg) over legs (lf, lg, c) of compatible functions
     over a PWContext, as one cg_contract pass: the terms c * lf[fi] *
     lg[gi] of every leg are summed per block pair (fkey, gkey) and index
-    pair (fi, gi) first, as integer numerators and denominators, so
-    cg_contract meets each block pair once, in first-seen order, with one
-    Fraction per index pair, and never an index pair whose terms cancel,
+    pair (fi, gi) first, as integer numerators and denominators, and those
+    sums go into cg_contract as they are, so it meets each block pair
+    once, in first-seen order, and never an index pair whose terms cancel,
     nor a block pair whose pairs all do."""
     sums: Dict[Tuple[Key, Key], Dict] = {}
     for lf, lg, c in legs:
@@ -804,7 +826,7 @@ def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
                                   fd * gc.denominator)
     return cg_contract(ctx, m, (
         (fkey, gkey, terms) for (fkey, gkey), acc in sums.items()
-        if (terms := [(fi, gi, Fraction(n, d))
+        if (terms := [(fi, gi, n, d)
                       for (fi, gi), (n, d) in acc.items() if n])))
 
 
@@ -923,13 +945,12 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
         if h.ctx.ring != spec.ctx.ring:
             raise ValueError("ring mismatch: %s and %s"
                              % (h.ctx.ring, spec.ctx.ring))
-    if spec.kind == "mixed" and not (f.is_semi_invariant()
-                                     and g.is_semi_invariant()):
+    if spec.kind == "mixed" and not (f.semi_invariant and g.semi_invariant):
         raise ValueError("mixed bracket requires semi-invariant inputs")
     legs = []
     for a, b, c in spec.legs:
-        lf = f.leg(*a)
-        if lf.blocks and (lg := g.leg(*b)).blocks:
+        lf = f.leg(a)
+        if lf.blocks and (lg := g.leg(b)).blocks:
             legs.append((lf, lg, c))
     return _sum_of_products(spec.ctx, spec.m, legs)
 

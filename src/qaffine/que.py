@@ -80,6 +80,9 @@ class UqContext:
 
     def __init__(self, order: int = 4):
         self.order = order
+        # series are immutable, so every caller can share these two
+        self._zero = TruncatedSeries.zero(order)
+        self._one = TruncatedSeries.one(order)
         self._q_half_powers: Dict[int, TruncatedSeries] = {}
         self.q = self.q_half_power(2)  # q = e^{hbar/2}
         self.q_inv = self.q.inv()
@@ -88,7 +91,7 @@ class UqContext:
         t = {n: TruncatedSeries.hbar(order, n - 1)
              * (Fraction(1, 2) ** (n - 1) * Fraction(1, factorial(n)))
              for n in range(1, order + 1, 2)}
-        winv = sum(t.values(), TruncatedSeries.zero(order)).inv()
+        winv = sum(t.values(), self._zero).inv()
         self.kappa: Dict[int, TruncatedSeries] = {n: tn * winv
                                                   for n, tn in t.items()}
         self._lE: Dict[Mono, Dict[Mono, TruncatedSeries]] = {}
@@ -105,10 +108,10 @@ class UqContext:
         return s
 
     def zero_series(self) -> TruncatedSeries:
-        return TruncatedSeries.zero(self.order)
+        return self._zero
 
     def one_series(self) -> TruncatedSeries:
-        return TruncatedSeries.one(self.order)
+        return self._one
 
 
 def _shifted_h_power(n: int, shift: Fraction) -> Dict[int, Fraction]:
@@ -887,6 +890,7 @@ class QAffineContext:
         self.pw = PWContext(self.alg, dim_bound)
         self._qirreps: Dict[int, QIrrep] = {}
         self._cg: Dict[Tuple[int, int], CGEntry] = {}
+        self._plans: Dict[Tuple, List] = {}  # see cgx.cg_contract
         self._slot: Dict[Tuple, List[Dict]] = {}
         self._rtilde: Dict[Tuple[int, int], List[List[List]]] = {}
 
@@ -960,9 +964,12 @@ class QAffineContext:
         return s.num[0] != 0
 
     def pair(self, s: TruncatedSeries) -> Tuple[TruncatedSeries, int]:
-        return s, 1  # see PWContext.pair
+        """s as a term pair of cgx.cg_contract: the series over 1."""
+        return s, 1
 
     def build(self, s: TruncatedSeries, d: int) -> TruncatedSeries:
+        """The coefficient of a summed pair of cgx.cg_contract: the
+        series itself (d is 1)."""
         return s
 
     def coeff_json(self, s: TruncatedSeries) -> List[str]:
@@ -1042,8 +1049,9 @@ def _contract_pairs(P: BlockFunction, m: int) -> BlockFunction:
     function into an m-factor one (the factorwise multiplication map).
     Convolution order: factor j of the product is (factor j) * (factor
     m+j), contracted through the CG tables of V(n_{m+j}) (x) V(n_j)."""
+    pair = P.ctx.pair
     return cg_contract(P.ctx, m, (
-        (key[m:], key[:m], [(idx[2 * m:], idx[:2 * m], c)
+        (key[m:], key[:m], [(idx[2 * m:], idx[:2 * m], *pair(c))
                             for idx, c in blk.items()])
         for key, blk in P.blocks.items()))
 
@@ -1054,7 +1062,7 @@ def quantum_affine_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction
     structure.  Requires semi-invariant inputs."""
     f.check_compatible(g)
     m = f.m
-    if not (f.is_semi_invariant() and g.is_semi_invariant()):
+    if not (f.semi_invariant and g.semi_invariant):
         raise ValueError("inputs must be graded (semi-invariant) functions")
     qctx = f.ctx
     P = pw_tensor([f, g])

@@ -588,7 +588,8 @@ def ref_cg_contract(ctx, m, groups):
     for lkey, rkey, terms in groups:
         tables = [ctx.cg(lkey[j], rkey[j]) for j in range(m)]
         dims = [ctx.irrep(rkey[j]).dim for j in range(m)]
-        for lidx, ridx, coeff in terms:
+        for lidx, ridx, n, d in terms:
+            coeff = ctx.build(n, d)
             if not coeff:
                 continue
             parts = []
@@ -885,8 +886,8 @@ def test_legs_that_cancel_at_an_index_pair(ctx, monkeypatch):
             # the legs also cancel at the pairs of (0, 1)^m in V(3)^m when
             # c = 1/2
             for lk, rk, terms in groups:
-                assert terms and all(v for _, _, v in terms)
-                lidx = {fi for fi, _, _ in terms}
+                assert terms and all(n for _, _, n, _ in terms)
+                lidx = {fi for fi, _, _, _ in terms}
                 assert ((0, 1) * m in lidx) == (lk == top and c != F(1, 2))
 
 
@@ -1107,3 +1108,110 @@ def test_contexts_are_freed_by_refcount():
         assert alive() is None and pw() is None
     finally:
         gc.enable()
+
+
+def _memo_cases(pw, qctx):
+    """Seeded (f, g) pairs over both rings, semi-invariant and not, for
+    the memo tests: over pw as classical functions and over qctx as
+    series-valued ones, m = 1 and 2."""
+    rng = random.Random(91)
+    cases = []
+    for m in (1, 2):
+        for semi in (True, False):
+            cases.append((random_function(rng, pw, m, semi),
+                          random_function(rng, pw, m, semi)))
+            cases.append((_random_series_function(rng, qctx, m, semi, 2),
+                          _random_series_function(rng, qctx, m, semi, 2)))
+    return cases
+
+
+def _products(f, g):
+    """Every product and bracket of f and g that their ring and shape
+    allow, by name."""
+    out = {}
+    if f.ctx.ring == PWContext.ring:
+        out["pw"] = pw_multiply(f, g)
+        for kind in ("product", "mixed"):
+            if kind == "product" or f.semi_invariant and g.semi_invariant:
+                out[kind] = classical_bracket(f, g,
+                                              BracketSpec(f.ctx, f.m, kind))
+    else:
+        out["q"] = q_multiply(f, g)
+        if f.semi_invariant and g.semi_invariant:
+            out["affine"] = quantum_affine_multiply(f, g)
+    return out
+
+
+def _rebuilt(h, ctx):
+    """h as a new function over ctx, with empty memos."""
+    return BlockFunction(ctx, h.m, h.blocks)
+
+
+def test_warm_plans_give_what_a_fresh_context_gives():
+    """Products and brackets read through a context whose plan memo is
+    warm equal those of a fresh context, over both rings."""
+    pw, qctx = PWContext(build_sl(2)), QAffineContext(UqContext(3))
+    cases = _memo_cases(pw, qctx)
+    cold = [_products(f, g) for f, g in cases]
+    assert pw._plans and qctx._plans
+    plans = (dict(pw._plans), dict(qctx._plans))
+    for _ in range(2):
+        for (f, g), want in zip(cases, cold):
+            assert _products(f, g) == want
+    assert (pw._plans, qctx._plans) == plans  # every pair already planned
+    fresh_pw, fresh_q = PWContext(build_sl(2)), QAffineContext(UqContext(3))
+    for (f, g), want in zip(cases, cold):
+        ctx = fresh_pw if f.ctx is pw else fresh_q
+        got = _products(_rebuilt(f, ctx), _rebuilt(g, ctx))
+        assert {k: h.blocks for k, h in got.items()} == \
+            {k: h.blocks for k, h in want.items()}
+
+
+def test_detached_views_hold_their_own_empty_plan_memo():
+    """detached(ctx) shares the caches of ctx but starts its own plan
+    memo, and the CG tables, which hold such views, never fill one."""
+    for ctx in (PWContext(build_sl(2)), QAffineContext(UqContext(2))):
+        f = matrix_coefficient(ctx, (2,), {0: 1, 1: 2}, {0: 1, 2: 1})
+        pw_multiply(f, f)
+        assert ctx._plans
+        view = cgx.detached(ctx)
+        assert view._plans == {} and view._plans is not ctx._plans
+        assert view._cg == {} and view._slot is ctx._slot
+        for entry in ctx._cg.values():
+            assert entry._ctx._plans == {}
+            assert entry._ctx._plans is not ctx._plans
+
+
+def test_semi_invariance_memo_is_a_fresh_scan():
+    """BlockFunction.semi_invariant, read once and again, equals a fresh
+    is_semi_invariant() on semi-invariant functions and on others, over
+    both rings."""
+    pw, qctx = PWContext(build_sl(2)), QAffineContext(UqContext(3))
+    seen = set()
+    for f, g in _memo_cases(pw, qctx):
+        for h in (f, g, f + g, f - f):
+            assert h.semi_invariant == h.is_semi_invariant()
+            assert h.semi_invariant == h.is_semi_invariant()
+            seen.add((h.ctx.ring, h.semi_invariant))
+    assert len(seen) == 4
+
+
+def test_non_semi_invariant_inputs_still_raise_after_memos_fill():
+    """The mixed bracket and the twisted product refuse a function off the
+    highest weight line, also after the memos of its partner are warm."""
+    pw, qctx = PWContext(build_sl(2)), QAffineContext(UqContext(3))
+    for m in (1, 2):
+        spec = BracketSpec(pw, m, "mixed")
+        f = pw_tensor([hw_coefficient(pw, (1,), {0: 1, 1: 2})] * m)
+        g = pw_tensor([matrix_coefficient(pw, (1,), {0: 1}, {1: 1})] * m)
+        classical_bracket(f, f, spec)
+        fq = pw_tensor([hw_coefficient(qctx, (1,), {0: 1, 1: 2})] * m)
+        gq = pw_tensor([matrix_coefficient(qctx, (1,), {0: 1}, {1: 1})] * m)
+        quantum_affine_multiply(fq, fq)
+        assert f.semi_invariant and fq.semi_invariant
+        for a, b in ((f, g), (g, f), (g, g)):
+            with pytest.raises(ValueError, match="semi-invariant"):
+                classical_bracket(a, b, spec)
+        for a, b in ((fq, gq), (gq, fq), (gq, gq)):
+            with pytest.raises(ValueError, match="semi-invariant"):
+                quantum_affine_multiply(a, b)

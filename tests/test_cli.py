@@ -286,6 +286,23 @@ def test_python_m_qaffine_from_checkout(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def test_reports_do_not_depend_on_the_hash_seed():
+    """The default run and the sl3 run print the same bytes in processes
+    with different string hash seeds: no memo or set order that follows
+    string hashing reaches a report."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["run"], ["run", "--algebra", "sl3"]):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "qaffine"] + argv,
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1], argv
+
+
 def test_compute_mix(capsys):
     assert main(["compute", "mix", "sl2", "2"]) == 0
     js = json.loads(capsys.readouterr().out)

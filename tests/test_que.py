@@ -256,6 +256,26 @@ def test_series_inverse_pivots_on_units(qctx):
     assert mat_inv([[h, one], [one, zero]], one) == [[zero, one], [one, -h]]
 
 
+def test_unit_series_are_built_once_and_stay_units():
+    """zero_series() and one_series() return one object each, which sums,
+    products, a coproduct and the twisted product leave equal to 0 and
+    1."""
+    uq = UqContext(3)
+    one, zero = uq.one_series(), uq.zero_series()
+    assert uq.one_series() is one and uq.zero_series() is zero
+    h = TruncatedSeries.hbar(3)
+    assert (one + h).coeffs == (1, 1, 0) and one * h == h == h + zero
+    assert (one - one, -one + one, zero * h) == (zero, zero, zero)
+    qctx = QAffineContext(uq)
+    f = hw_coefficient(qctx, (1,), {0: 1, 1: 2})
+    quantum_affine_multiply(f, q_multiply(f, f))
+    coproduct(UqElement(uq, {(1, 1, 1): one}))
+    assert uq.one_series() is one and uq.zero_series() is zero
+    assert one == TruncatedSeries.one(3) and zero == TruncatedSeries.zero(3)
+    assert (one.num, one.den, zero.num, zero.den) == ((1, 0, 0), 1,
+                                                      (0, 0, 0), 1)
+
+
 def test_q_multiply_ring_and_classical_limit(qctx):
     pw = qctx.pw
     f = matrix_coefficient(qctx, (1,), {0: 1}, {1: 1})
