@@ -94,7 +94,15 @@ class HopfSubalgebra:
     """
 
     def __init__(self, ctx: UqContext, generators: Sequence[UqElement],
-                 degree_bound: int, names: Optional[Sequence[str]] = None):
+                 degree_bound: int, names: Optional[Sequence[str]] = None,
+                 base: Optional["HopfSubalgebra"] = None):
+        """The words are built breadth first: a word that grows the span
+        joins the basis and, below the bound, is multiplied by each
+        generator to give a word of the next length.  Given base, the same
+        subalgebra at a lower bound, the build goes on from its words:
+        its basis is inserted again in order (an insert that does not grow
+        the span changes nothing, so the span comes out as base built it)
+        and only its basis words of the longest length are expanded."""
         self.ctx = ctx
         self.generators = list(generators)
         self.degree_bound = degree_bound
@@ -109,8 +117,19 @@ class HopfSubalgebra:
         self._ideals: Dict[int, EchelonSpan] = {}
         self._windows: Dict[Tuple[int, str], EchelonSpan] = {}
 
-        level: List[Tuple[Word, UqElement]] = [((), uq_one(ctx))]
-        for length in range(degree_bound + 1):
+        if base is None:
+            start, level = 0, [((), uq_one(ctx))]
+        else:
+            start = base.degree_bound + 1
+            for el in base.basis:
+                self.span.add(el.data)
+            self.basis.extend(base.basis)
+            self.basis_words.extend(base.basis_words)
+            level = [(w + (gi,), el * g)
+                     for w, el in zip(base.basis_words, base.basis)
+                     if len(w) == base.degree_bound
+                     for gi, g in enumerate(self.generators)]
+        for length in range(start, degree_bound + 1):
             nxt: List[Tuple[Word, UqElement]] = []
             for w, el in level:
                 if self.span.add(el.data):
@@ -136,13 +155,14 @@ class HopfSubalgebra:
         return span
 
     def extend(self, degree_bound: int) -> "HopfSubalgebra":
-        """The same subalgebra with a (weakly) larger word-length bound."""
+        """The same subalgebra with a (weakly) larger word-length bound,
+        built on from the words U holds and kept on U per bound."""
         if degree_bound <= self.degree_bound:
             return self
         ext = self._extended.get(degree_bound)
         if ext is None:
             ext = self._extended[degree_bound] = HopfSubalgebra(
-                self.ctx, self.generators, degree_bound, self.names)
+                self.ctx, self.generators, degree_bound, self.names, self)
         return ext
 
     def window(self, bound: int, side: str = "right") -> EchelonSpan:

@@ -17,9 +17,11 @@ series), ``mul_term`` forms each product over an unreduced denominator,
 ``sum_terms`` adds the terms per key into running sums over one
 denominator, and ``reduce_sums`` puts each key in lowest terms once, when
 the sums are read; ``series_sums`` is the two in one call.  A signed
-combination of sums, such as a residual A*B - C*D, adds the second side's
-running sums into the first (``signed_terms``) and reduces only the keys
-that survive, so neither side is ever built as series.
+combination of two sums, such as a difference of U_hbar tensors, adds the
+second's running sums into the first (``signed_terms``) and reduces only
+the keys that survive; a residual A*B - C*D goes further and subtracts
+the terms of C*D into the running sums of A*B as they are generated
+(``que._product_sums``), so neither side is ever built as series.
 """
 
 from __future__ import annotations
@@ -319,7 +321,9 @@ def sum_terms(acc: Dict, terms: Iterable[Tuple[Hashable, Sequence[int], int]]
     running sum cancels to zero leaves the dict, and a later term enters it
     again at the end, so the keys come out in the order that adding the
     same terms one by one as series would give them.  que._product_sums
-    inlines this rule in its innermost loop.  Returns acc."""
+    keeps this rule inline, on running sums it owns and updates in place,
+    and keeps the keys a residual's first product holds in place through
+    a zero sum (see there).  Returns acc."""
     get = acc.get
     for key, num, den in terms:
         cur = get(key)

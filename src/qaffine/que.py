@@ -27,10 +27,11 @@ on a block of legs, the antipode, and the passes of mono_mul and of E
 times a monomial) adds its terms into the running sums of
 kernel.sum_terms, the one rule by which series are added per key and the
 order of the keys is settled; the product applies that rule inline,
-adding each term as it is generated.  A residual A*B - C*D
+adding each term as it is generated, and carries a pair of terms that
+meets only at hbar^(K-1) as one integer.  A residual A*B - C*D
 (almost-cocommutativity, the hexagons, the twist axiom,
-intertwining_residual) keeps both sides as running sums and subtracts
-them in one pass, reducing only the keys that survive, so it is empty
+intertwining_residual) sums both sides into one accumulator, the second
+with sign -1, and reduces only the keys that survive, so it is empty
 exactly when the two products agree.  The maps that are one-to-one on
 keys (scale, swap_legs, embed, counit_leg, tensor_of) build their dicts
 directly.
@@ -306,7 +307,7 @@ class UqTensor:
         """Componentwise product (x1(x)...)(y1(x)...) = x1y1 (x) ...; a leg
         where either monomial is the unit carries the other one unchanged,
         so embedded factors cost only their own legs.  Each output key is
-        summed once, in kernel.series_sums."""
+        summed in _product_sums and reduced once."""
         self.check_legs(other)
         return _tensor(self.ctx, self.legs,
                        reduce_sums(self.ctx.order, _product_sums(self, other)))
@@ -344,28 +345,101 @@ class UqTensor:
         return "UqTensor(legs=%d, %d terms)" % (self.legs, len(self.data))
 
 
-def _product_sums(x: UqTensor, y: UqTensor) -> Dict:
-    """The running sums of kernel.sum_terms for x*y (not reduced), each
-    term added as it is generated, in the order of itertools.product over
-    the legs' expansions.  The coefficients of x and y and the structure
-    constants of mono_mul enter as kernel multipliers, so a constant (most
-    of them) scales the numerators and a 1 leaves them alone; only true
-    series convolve.  No term is zero, so a new key is always kept."""
+def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
+                  sign: int = 1) -> Dict:
+    """The running sums of x*y (or of -x*y when sign is -1) added into acc,
+    each term as it is generated, in the order of itertools.product over
+    the legs' expansions; a new dict when acc is None.  A running sum is
+    an owned [numerators, den] list, updated in place and not reduced.
+
+    A key whose sum cancels leaves acc and a later term brings it back at
+    the end (the rule of kernel.sum_terms), except the keys acc held when
+    the call began: those keep their place through a zero sum, and the
+    zeros among them are swept at the end.  So subtracting a second
+    product into the sums of a first puts the keys in the order that
+    UqTensor.__sub__ of the two products gives them.
+
+    A pair of terms whose valuations add up to K - 1 survives only in its
+    hbar^(K-1) coefficient, the product of the two leading numerators: it
+    is carried as that one integer through the hbar^0 structure constants
+    of mono_mul and added into slot K - 1 (a short product).  The other
+    pairs take their coefficients and the structure constants as kernel
+    multipliers, so a constant (most of them) scales the numerators and a
+    1 leaves them alone; only true series convolve.  No term is zero, so a
+    new key is always kept."""
     ctx = x.ctx
     K = ctx.order
+    top = K - 1
+    if acc is None:
+        acc = {}
+    held = set(acc)
     # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
-    # v meets only the terms of y below K - v, in their own order
-    vals = [(k2, multiplier(s2), s2.valuation()) for k2, s2 in y.data.items()]
-    below = [[(k2,) + f2 for k2, f2, v2 in vals if v2 < K - v]
+    # v meets only the terms of y below K - v, in their own order; those
+    # at K - 1 - v carry their leading numerator for the short product
+    vals = [(k2, multiplier(s2), s2.valuation(), s2.num)
+            for k2, s2 in y.data.items()]
+    below = [[(k2, n2[v2] if v2 == top - v else None) + f2
+              for k2, f2, v2, n2 in vals if v2 < K - v]
              for v in range(K + 1)]
     # mono_mul as multipliers, or as the one monomial m3 when the product
-    # is m3 itself (then a leg only extends the key)
+    # is m3 itself (then a leg only extends the key); tops holds the
+    # hbar^0 constants (m3, numerator, den), collapsed the same way
     tables: Dict[Tuple[Mono, Mono], object] = {}
-    acc: Dict = {}
+    tops: Dict[Tuple[Mono, Mono], object] = {}
     get = acc.get
     for k1, s1 in x.data.items():
         n1, d1 = s1.num, s1.den
-        for k2, c2, d2 in below[s1.valuation()]:
+        v1 = s1.valuation()
+        if sign != 1:
+            n1 = [-a for a in n1]
+        for k2, lead2, c2, d2 in below[v1]:
+            run: Tuple[Mono, ...] = ()
+            if lead2 is not None:
+                # the short product: one integer per term, at hbar^(K-1)
+                scalars = [((), n1[v1] * lead2, d1 * d2)]
+                for m1, m2 in zip(k1, k2):
+                    if m1 == UNIT:
+                        run += (m2,)
+                        continue
+                    if m2 == UNIT:
+                        run += (m1,)
+                        continue
+                    tbl = tops.get((m1, m2))
+                    if tbl is None:
+                        tbl = [(m3, c.num[0], c.den)
+                               for m3, c in mono_mul(ctx, m1, m2).items()
+                               if c.num[0]]
+                        if len(tbl) == 1 and tbl[0][1:] == (1, 1):
+                            tbl = tbl[0][0]
+                        tops[m1, m2] = tbl
+                    if type(tbl) is tuple:
+                        run += (tbl,)
+                        continue
+                    scalars = [(pre + run + (m3,), t * c, td * cd)
+                               for pre, t, td in scalars for m3, c, cd in tbl]
+                    run = ()
+                # each scalar goes into slot K - 1 of its key's running sum
+                for pre, t, td in scalars:
+                    key = pre + run
+                    cur = get(key)
+                    if cur is None:
+                        a = [0] * K
+                        a[top] = t
+                        acc[key] = [a, td]
+                        continue
+                    a, ad = cur
+                    if ad == td:
+                        a[top] += t
+                    else:
+                        g = gcd(ad, td)
+                        sa, sb = td // g, ad // g
+                        if sa != 1:
+                            a = cur[0] = [u * sa for u in a]
+                            cur[1] = ad * sa
+                        a[top] += t * sb
+                    if not (a[top] or any(a) or key in held):
+                        del acc[key]
+                continue
             if c2 is None:
                 n, d = n1, d1
             elif type(c2) is int:
@@ -376,7 +450,6 @@ def _product_sums(x: UqTensor, y: UqTensor) -> Dict:
             # one-monomial product only extends the run of fixed monomials
             # in front of the next one
             terms = [((), n, d)]
-            run: Tuple[Mono, ...] = ()
             for m1, m2 in zip(k1, k2):
                 if m1 == UNIT:
                     run += (m2,)
@@ -407,15 +480,12 @@ def _product_sums(x: UqTensor, y: UqTensor) -> Dict:
                             nxt.append((pre + (m3,), tn, pd * cd))
                 terms = nxt
                 run = ()
-            # kernel.sum_terms inlined (as mul_term is above): this is the
-            # innermost loop, and calling the two kernel functions instead
-            # costs 5% of quantum-k4 (0.0953 -> 0.1004 s per round on a
-            # 2-core host, median of 12 pairs)
+            # kernel.sum_terms inlined, on the owned running sums
             for pre, pn, pd in terms:
                 key = pre + run
                 cur = get(key)
                 if cur is None:
-                    acc[key] = (pn, pd)
+                    acc[key] = [list(pn), pd]
                     continue
                 a, ad = cur
                 if ad == pd:
@@ -424,11 +494,14 @@ def _product_sums(x: UqTensor, y: UqTensor) -> Dict:
                     g = gcd(ad, pd)
                     sa, sb = pd // g, ad // g
                     a = [u * sa + v * sb for u, v in zip(a, pn)]
-                    ad *= sa
-                if any(a):
-                    acc[key] = (a, ad)
+                    cur[1] = ad * sa
+                if any(a) or key in held:
+                    cur[0] = a
                 else:
                     del acc[key]
+    if held:
+        for key in [k for k in held if not any(acc[k][0])]:
+            del acc[key]
     return acc
 
 
@@ -437,15 +510,12 @@ def _running(t: UqTensor) -> Dict:
     return {k: (s.num, s.den) for k, s in t.data.items()}
 
 
-def _difference(ctx: UqContext, legs: int, first: Dict,
-                second: Dict) -> UqTensor:
-    """first - second for the running sums of two tensors (see
-    kernel.sum_terms): the second is subtracted key by key, so the keys
-    come out in the order that UqTensor.__sub__ of the two tensors gives
-    them.  Neither side is reduced; only the keys that survive are put in
-    lowest terms."""
-    return _tensor(ctx, legs, reduce_sums(
-        ctx.order, sum_terms(first, signed_terms(second, -1))))
+def _residual(ctx: UqContext, legs: int, acc: Dict, x: UqTensor,
+              y: UqTensor) -> UqTensor:
+    """The running sums acc minus x*y, subtracted into acc (see
+    _product_sums), with only the keys that survive reduced."""
+    return _tensor(ctx, legs,
+                   reduce_sums(ctx.order, _product_sums(x, y, acc, -1)))
 
 
 def _tensor(ctx: UqContext, legs: int, data: Dict) -> UqTensor:
@@ -649,13 +719,13 @@ def r0_matrix(ctx: UqContext) -> UqTensor:
 
 
 def intertwining_residual(R: UqTensor, d: UqTensor, d_op: UqTensor) -> UqTensor:
-    """R d - d_op R, which vanishes when R intertwines d with d_op; the two
-    products are summed as they are generated and subtracted in one pass
-    (see _difference)."""
+    """R d - d_op R, which vanishes when R intertwines d with d_op; both
+    products are summed into one accumulator as they are generated, the
+    second with sign -1 (see _product_sums), and only the keys that
+    survive are reduced."""
     R.check_legs(d)
     R.check_legs(d_op)
-    return _difference(R.ctx, R.legs, _product_sums(R, d),
-                       _product_sums(d_op, R))
+    return _residual(R.ctx, R.legs, _product_sums(R, d), d_op, R)
 
 
 def almost_cocommutativity_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
@@ -668,14 +738,18 @@ def almost_cocommutativity_residuals(ctx: UqContext, R: UqTensor) -> List[UqTens
 
 
 def hexagon_residuals(ctx: UqContext, R: UqTensor) -> List[UqTensor]:
-    """(Delta(x)I)R - R13 R23 and (I(x)Delta)R - R13 R12, each coproduct
-    and product summed as it is generated (see _difference)."""
+    """(Delta(x)I)R - R13 R23 and (I(x)Delta)R - R13 R12: the coproduct's
+    running sums, owned, take the product subtracted into them as it is
+    generated (see _product_sums)."""
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))
     r12 = R.embed(3, (0, 1))
-    return [_difference(ctx, 3, sum_terms({}, _block_delta_terms(R, 1, j)),
-                        _product_sums(r13, r))
-            for j, r in ((0, r23), (1, r12))]
+    out = []
+    for j, r in ((0, r23), (1, r12)):
+        acc = {k: [list(n), d] for k, (n, d) in
+               sum_terms({}, _block_delta_terms(R, 1, j)).items()}
+        out.append(_residual(ctx, 3, acc, r13, r))
+    return out
 
 
 # -- twisted m-fold tensor products -----------------------------------------
@@ -783,13 +857,14 @@ class TwistedHopf:
 
 def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, UqTensor]:
     """Residuals of the twisting-element axioms for J over H' = H^(x)m:
-    (Delta'(x)I)(J)J_12 - (I(x)Delta')(J)J_23, its two products summed as
-    they are generated (see _difference), and the two counit defects."""
+    (Delta'(x)I)(J)J_12 - (I(x)Delta')(J)J_23, its two products summed
+    into one accumulator as they are generated (see _product_sums), and
+    the two counit defects."""
     ctx = J.ctx
-    resid = _difference(
+    resid = _residual(
         ctx, 3 * m,
         _product_sums(_block_delta(J, m, 0), block_embed(J, m, 3, (0, 1))),
-        _product_sums(_block_delta(J, m, m), block_embed(J, m, 3, (1, 2))))
+        _block_delta(J, m, m), block_embed(J, m, 3, (1, 2)))
     # counit defects
     c1 = J
     for _ in range(m):

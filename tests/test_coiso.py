@@ -98,6 +98,31 @@ def test_ideal_below_the_degree_bound_filters_words_by_length(K):
             assert got.equals(want) and len(got) == len(want), (names, b)
 
 
+def _build_state(U: HopfSubalgebra):
+    """Everything a build leaves on U, in order: the basis words, the keys
+    and coefficients of the basis, and the echelon rows by pivot."""
+    return (U.degree_bound, U.basis_words,
+            [list(u.data.items()) for u in U.basis],
+            [(p, list(r.items())) for p, r in U.span.rows.items()])
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_extend_goes_on_from_the_words_u_holds(K):
+    """extend re-inserts U's basis and expands only its longest basis
+    words; the result must be the subalgebra built fresh at the larger
+    bound, for the Borel <H, E>, <F> and <H, F>, extended once or twice."""
+    uq = UqContext(K)
+    for names in ("HE", "F", "HF"):
+        gens = [uq_gen(uq, c) for c in names]
+        fresh = {b: _build_state(HopfSubalgebra(uq, gens, b, list(names)))
+                 for b in range(5)}
+        for low, highs in ((0, (2,)), (1, (3,)), (2, (4,)), (1, (2, 4))):
+            U = HopfSubalgebra(uq, gens, low, list(names))
+            for high in highs:
+                U = U.extend(high)
+                assert _build_state(U) == fresh[high], (names, low, high)
+
+
 def test_strong_coisotropy(ctx, U):
     assert strong_coiso_hopf(U, "right").status == "true"
     assert strong_coiso_hopf(U, "left").status == "true"

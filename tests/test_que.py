@@ -764,6 +764,124 @@ def test_one_pass_residual_matches_naive_on_random_tensors():
     assert cancelled
 
 
+# -- pairs that meet at hbar^(K-1): the short product of _product_sums ----
+
+
+def _tensor_at_every_valuation(ctx, rng, legs):
+    """One term at each valuation 0..K-1 (keys may repeat, and then the
+    later term wins), on random keys with unit legs; half the series
+    have only their leading coefficient."""
+    K = ctx.order
+    monos = [(0, 0, 0)] * 3 + [(a, b, c) for a in range(3) for b in range(3)
+                               for c in range(3)]
+    data = {}
+    for v in range(K):
+        key = tuple(rng.choice(monos) for _ in range(legs))
+        lead = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        tail = ([F(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(K - v - 1)] if rng.random() < 0.5 else [])
+        data[key] = TruncatedSeries(K, [0] * v + [lead] + tail)
+    return UqTensor(ctx, legs, data)
+
+
+def test_top_order_pairs_match_all_legs_reference():
+    """Products and one-pass residuals of tensors with a term at every
+    valuation, at K = 1..6: each product has pairs at every total
+    valuation, those at K - 1 carried as scalars."""
+    rng = random.Random(53)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        for _ in range(8):
+            legs = rng.randint(1, 4)
+            a, b, c = (_tensor_at_every_valuation(uq, rng, legs)
+                       for _ in range(3))
+            assert same_tensor(a * b, naive_tensor_mul(a, b))
+            assert same_tensor(intertwining_residual(a, b, c),
+                               _naive_difference(a, b, c, a))
+
+
+def test_every_pair_is_top_order_at_k1():
+    """At K = 1 every pair of terms meets at hbar^0 = hbar^(K-1), so the
+    products, residuals and R-matrix checks run on the short product
+    alone."""
+    uq = UqContext(1)
+    rng = random.Random(59)
+    for _ in range(20):
+        legs = rng.randint(1, 4)
+        a, b, c = (_random_tensor(uq, rng, legs) for _ in range(3))
+        assert same_tensor(a * b, naive_tensor_mul(a, b))
+        assert same_tensor(intertwining_residual(a, b, c),
+                           _naive_difference(a, b, c, a))
+    R = r_matrix_sl2(uq)
+    assert same_tensor(R * R, naive_tensor_mul(R, R))
+    assert all(r.is_zero() for r in almost_cocommutativity_residuals(uq, R))
+    assert all(h.is_zero() for h in hexagon_residuals(uq, R))
+    J = twi_m(R, 2)
+    assert same_tensor(J, naive_tensor_mul(tensor_one(uq, 4),
+                                           R.embed(4, (1, 2))))
+    assert twist_condition_residuals(J, 2)[0].is_zero()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_top_order_and_lower_order_pairs_share_a_key(K):
+    """A key that a scalar at hbar^(K-1) reaches first and a lower-order
+    pair reaches later, and the reverse, with sums that cancel and come
+    back at the end."""
+    U, H, E, Fm = (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)
+    top = TruncatedSeries.hbar(K, K - 1)
+    uq = UqContext(K)
+    # H: the scalar of U*H enters it, the scalar of H*(-top U) cancels it,
+    # and kappa(H) of the lower-order E*F brings it back behind F E
+    x = UqElement(uq, {U: top, H: 1, E: 1})
+    y = UqElement(uq, {H: 1, U: -top, Fm: 1})
+    got = x * y
+    assert same_tensor(got, naive_tensor_mul(x, y))
+    keys = list(got.data)
+    FE = (1, 0, 1)
+    assert keys.index((H,)) > keys.index((FE,))
+    # E: the lower-order E*H enters it, the scalar of E*(-top U) adds to it
+    assert keys.index((E,)) < keys.index((FE,))
+    # H^3 at K = 3: kappa_3 = hbar^2/24 of the lower-order E*F enters it
+    # at hbar^(K-1) only, the scalar of top*(-H^3/24) cancels it, and the
+    # lower-order H*H^2 brings it back at the end
+    H2, H3 = (0, 2, 0), (0, 3, 0)
+    if K == 3:
+        x = UqElement(uq, {E: 1, U: top, H: 1})
+        y = UqElement(uq, {Fm: 1, H3: F(-1, 24), H2: 1})
+        got = x * y
+        assert same_tensor(got, naive_tensor_mul(x, y))
+        keys = list(got.data)
+        assert keys[-1] == (H3,) and keys.index((Fm,)) < len(keys) - 1
+    # H: lower-order pairs leave it at hbar^(K-1) only, and the hbar^0
+    # constant kappa_1 = 1 of the scalar top E * (-F) cancels it
+    x = UqElement(uq, {U: 1, H: 1, E: top})
+    y = UqElement(uq, {H: 1, U: top - 1, Fm: -1})
+    got = x * y
+    assert same_tensor(got, naive_tensor_mul(x, y))
+    assert (H,) not in got.data and (E,) in got.data
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_residual_keeps_a_held_key_through_a_zero_sum(K):
+    """a b - c a, where the second product passes a key of the first
+    through zero and then leaves it nonzero: the key keeps its place in
+    the first product's order, as naive_add of the two sides gives it,
+    whether the crossing is made by a scalar at hbar^(K-1) or not."""
+    U, H, H2 = (0, 0, 0), (0, 1, 0), (0, 2, 0)
+    uq = UqContext(K)
+    top = TruncatedSeries.hbar(K, K - 1)
+    # b = top H: the scalar of (top U) * H takes H of a b to zero, and
+    # H * U then leaves it at -1; b = H: the same by lower-order pairs
+    cases = [({U: 1, H: 1}, {H: top}, {U: top, H: 1}),
+             ({U: 1, H: 1}, {H: 1}, {U: 1, H: 1})]
+    for a, b, c in cases:
+        a, b, c = (UqElement(uq, t) for t in (a, b, c))
+        got = intertwining_residual(a, b, c)
+        assert same_tensor(got, _naive_difference(a, b, c, a))
+        assert list(got.data)[0] == (H,)
+        assert (a * b).data.keys() >= {(H,), (H2,)}
+
+
 @pytest.mark.parametrize("K", [3, 4, 5])
 def test_one_pass_block_delta_matches_leg_by_leg_passes(K):
     """_block_delta, one pass over products of the legs' coproducts,
