@@ -17,6 +17,13 @@ order, and weight bounds on function-algebra blocks.  Membership answers
 are therefore three-valued -- ``true``, ``false`` (with a witness whose
 residual is stable under window enlargement), or ``inconclusive`` -- and
 every report records the window it was computed in.
+
+When U and its commutator ideal are monomial spans (each echelon row one
+monomial with pivot entry 1, as for the Borel, <H>, <E>, <F> and <H, F>),
+the membership window is the module of vectors supported on the keys a
+predicate accepts, and ``MonomialWindow`` tests membership key by key
+without building the window; the echelon ``HopfSubalgebra.window`` serves
+every other U.  The twisted tensor-power check reads the same predicate.
 """
 
 from __future__ import annotations
@@ -89,8 +96,9 @@ class HopfSubalgebra:
 
     Extensions, commutator ideals and membership windows are built once
     per key and kept on the instance, so they live exactly as long as U.
-    An ideal or a window is a plain echelon span, which keeps no reference
-    to U, so U holds it without a reference cycle.
+    An ideal or a window is a plain echelon span or a ``MonomialWindow``,
+    neither of which keeps a reference to U, so U holds it without a
+    reference cycle.
     """
 
     def __init__(self, ctx: UqContext, generators: Sequence[UqElement],
@@ -116,6 +124,7 @@ class HopfSubalgebra:
         self._extended: Dict[int, HopfSubalgebra] = {}
         self._ideals: Dict[int, EchelonSpan] = {}
         self._windows: Dict[Tuple[int, str], EchelonSpan] = {}
+        self._memberships: Dict[Tuple[int, str], object] = {}
 
         if base is None:
             start, level = 0, [((), uq_one(ctx))]
@@ -165,6 +174,20 @@ class HopfSubalgebra:
                 self.ctx, self.generators, degree_bound, self.names, self)
         return ext
 
+    def membership_window(self, bound: int, side: str = "right"):
+        """The window that membership reads at this bound and side, built
+        on first use and kept on U: a ``MonomialWindow`` when U extended
+        to the bound and the commutator ideal at the bound are monomial
+        spans, else the echelon ``window(bound, side)``.  Both answer
+        reduce and contains alike."""
+        key = (bound, side)
+        win = self._memberships.get(key)
+        if win is None:
+            win = self._memberships[key] = (
+                _monomial_window(self, bound, side)
+                or self.window(bound, side))
+        return win
+
     def window(self, bound: int, side: str = "right") -> EchelonSpan:
         """U(x)U + H(x)[U,U] (right) or U(x)U + [U,U](x)H (left) at this
         bound, built on first use: the echelon span of r(x)r'
@@ -175,7 +198,10 @@ class HopfSubalgebra:
         its inserted vectors generate, so these products generate the same
         module as the tensors of every pair of spanning elements.  An h
         that lies in U itself is skipped: each h(x)c then lies in U(x)U,
-        which the r(x)r' already span, so it could not change a row."""
+        which the r(x)r' already span, so it could not change a row.
+        Membership reads it through ``membership_window``, which takes it
+        only when U or its ideal is not a monomial span; it stays the
+        reference that a ``MonomialWindow`` is tested against."""
         key = (bound, side)
         span = self._windows.get(key)
         if span is None:
@@ -290,7 +316,7 @@ def _membership(U: HopfSubalgebra, targets, side: str,
 
     def residuals(b: int):
         """(label, nonzero residual) for each target outside the window."""
-        span = U.window(b, side)
+        span = U.membership_window(b, side)
         return [(label, r) for label, t in targets
                 if (r := span.reduce(t.data))]
 
@@ -331,15 +357,67 @@ def r_membership_hopf(U: HopfSubalgebra, R: UqTensor) -> CoisoReport:
 
 
 def _monomial_support(span: EchelonSpan) -> Optional[set]:
-    """If every echelon row is a single coordinate, the span is a
-    monomial span; return its set of monomials (else None)."""
+    """If every echelon row is a single coordinate with pivot entry 1, the
+    span is the module of all vectors supported on those coordinates;
+    return its set of monomials (else None).  A single-coordinate row with
+    pivot entry hbar^w, w > 0, holds only the hbar^w multiples of its
+    monomial, so it gives None too."""
     monos = set()
     for piv, row in span.rows.items():
-        if len(row) != 1:
+        if len(row) != 1 or row[piv] != 1:
             return None
         (m,), = row.keys()
         monos.add(m)
     return monos
+
+
+class MonomialWindow:
+    """U^(x)m (x) U^(x)m + H^(x)m (x) [U^(x)m, U^(x)m] (right) or its left
+    twin at a bound, for U and its commutator ideal monomial spans with
+    monomial sets u_monos and i_monos: the module of the vectors supported
+    on the keys ``ok`` accepts (m = 1 is the window of
+    ``HopfSubalgebra.window``).  reduce(v) is what the min-pivot echelon
+    span of that window leaves of v: the entries whose keys fail ``ok``,
+    in ascending key order."""
+
+    def __init__(self, u_monos: set, i_monos: set, bound: int,
+                 side: str = "right", m: int = 1):
+        self.u_monos = u_monos
+        self.i_monos = i_monos
+        self.bound = bound
+        self.side = side
+        self.m = m
+
+    def ok(self, key: Tuple) -> bool:
+        """Every monomial of key lies in U, or the H block (the first m
+        legs on the right side, the last m on the left) is bounded by the
+        bound and the other block lies in U with a monomial in [U,U]."""
+        if self.u_monos.issuperset(key):
+            return True
+        m = self.m
+        h, rest = ((key[:m], key[m:]) if self.side == "right"
+                   else (key[m:], key[:m]))
+        return (all(sum(mono) <= self.bound for mono in h)
+                and self.u_monos.issuperset(rest)
+                and not self.i_monos.isdisjoint(rest))
+
+    def reduce(self, v: Dict) -> Dict:
+        ok = self.ok
+        return {k: v[k] for k in sorted(k for k in v if not ok(k))}
+
+    def contains(self, v: Dict) -> bool:
+        return all(map(self.ok, v))
+
+
+def _monomial_window(U: HopfSubalgebra, bound: int, side: str,
+                     m: int = 1) -> Optional[MonomialWindow]:
+    """The ``MonomialWindow`` of U at the bound when U extended to it and
+    the commutator ideal at it are monomial spans, else None."""
+    u_monos = _monomial_support(U.extend(bound).span)
+    i_monos = _monomial_support(ideal_commutator(U, bound))
+    if u_monos is None or i_monos is None:
+        return None
+    return MonomialWindow(u_monos, i_monos, bound, side, m)
 
 
 def _twisted_word_images(th: TwistedHopf, U: HopfSubalgebra,
@@ -376,8 +454,9 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
     twisted images of u_j in factor j (``_twisted_word_images``), so J
     conjugates only the generators.  Requires the U- and ideal-windows to
     be monomial spans (true for the triangular subalgebras this is used
-    on), so that membership reduces to a per-term predicate and the
-    product window never has to be enumerated."""
+    on), so that membership is the per-key predicate of a
+    ``MonomialWindow`` on 2m legs and the product window never has to be
+    enumerated."""
     ctx = U.ctx
     bound = CHECK_BOUND + 2 * (ctx.order - 1)
     window = {"m": m, "check_bound": CHECK_BOUND, "span_bound": bound,
@@ -389,33 +468,17 @@ def strong_coiso_twisted(U: HopfSubalgebra, R: UqTensor,
     images = _twisted_word_images(th, U, check_words)
 
     def residuals(b: int):
-        u_monos = _monomial_support(U.extend(b).span)
-        i_monos = _monomial_support(ideal_commutator(U, b))
-        if u_monos is None or i_monos is None:
+        win = _monomial_window(U, b, "right", m)
+        if win is None:
             raise ValueError(
                 "tensor-power window requires monomial U- and ideal-spans"
             )
-
-        def ok(key: Tuple) -> bool:
-            if all(mono in u_monos for mono in key):
-                return True
-            # H-part: bounded first block, ideal somewhere in the second
-            if any(sum(mono) > b for mono in key[:m]):
-                return False
-            hit = False
-            for mono in key[m:]:
-                if mono in i_monos:
-                    hit = True
-                elif mono not in u_monos:
-                    return False
-            return hit
-
         out = []
         for combo in itertools.product(check_words, repeat=m):
             d = images[0][combo[0]]
             for j in range(1, m):
                 d = d * images[j][combo[j]]
-            bad = sorted(key for key in d.data if not ok(key))
+            bad = list(win.reduce(d.data))
             if bad:
                 label = " (x) ".join(
                     ".".join(U.names[g] for g in w) or "1" for w in combo
@@ -534,7 +597,8 @@ class CharacterMonoid:
     monomial x along U's basis at the window bound, read off that basis's
     coordinates in one reduction.  Every product is read from a min- and
     a max-pivot span, and the two answers must agree; Delta(g) must lie
-    in the shared right membership window."""
+    in the shared right membership window (``membership_window``, a
+    ``MonomialWindow`` whenever U is monomial)."""
 
     def __init__(self, U: HopfSubalgebra, precheck: bool = True):
         bound = _window_bound(U)
@@ -547,7 +611,7 @@ class CharacterMonoid:
                 )
             bound = rep.window["span_bound"]
         self.U = U
-        window = U.window(bound, "right")
+        window = U.membership_window(bound, "right")
         self.inside = all(window.contains(coproduct(g).data)
                           for g in U.generators)
         W = U.extend(bound)

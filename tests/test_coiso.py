@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from qaffine.coiso import (
-    CharacterMonoid, HopfSubalgebra, _fn_span, _hbar_terms, _h_monomials,
+    SLACK, CharacterMonoid, HopfSubalgebra, MonomialWindow, _fn_span,
+    _hbar_terms, _h_monomials, _monomial_support,
     borel_subalgebra, classical_shadow, counit_character, ideal_commutator,
     is_eigenfunction, q_evaluate, qfun_vec,
     quantum_section_check, r_membership_hopf, semi_invariant_product_check,
@@ -692,17 +693,23 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     import qaffine.coiso as coiso
     from qaffine.cli import RunConfig, run_suite
 
-    # every distinct span handed out is one build, recorded by its id with
-    # the span kept alive, so an id is never reused
-    built_windows, built_ideals = {}, {}
-    window, ideal_of = coiso.HopfSubalgebra.window, coiso.ideal_commutator
+    # every distinct window handed out is one build, recorded by its id
+    # with the window kept alive, so an id is never reused
+    built_windows, built_ideals, echelon_builds = {}, {}, []
+    membership, window = (coiso.HopfSubalgebra.membership_window,
+                          coiso.HopfSubalgebra.window)
+    ideal_of = coiso.ideal_commutator
 
-    def recorded_window(self, bound, side="right"):
-        span = window(self, bound, side)
-        built_windows.setdefault(id(span), (span, (
+    def recorded_membership(self, bound, side="right"):
+        win = membership(self, bound, side)
+        built_windows.setdefault(id(win), (win, (
             tuple(self.names), self.extend(bound).degree_bound, bound, side),
             self))
-        return span
+        return win
+
+    def recorded_window(self, bound, side="right"):
+        echelon_builds.append((tuple(self.names), bound, side))
+        return window(self, bound, side)
 
     def recorded_ideal(U, bound=None):
         span = ideal_of(U, bound)
@@ -710,6 +717,8 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
             tuple(U.names), U.degree_bound if bound is None else bound)))
         return span
 
+    monkeypatch.setattr(coiso.HopfSubalgebra, "membership_window",
+                        recorded_membership)
     monkeypatch.setattr(coiso.HopfSubalgebra, "window", recorded_window)
     monkeypatch.setattr(coiso, "ideal_commutator", recorded_ideal)
     report = json.loads(run_suite(
@@ -720,10 +729,22 @@ def test_coiso_suite_builds_each_window_once(monkeypatch):
     borel = [w for w in windows if w[0] == ("H", "E")]
     assert sorted(borel) == [(("H", "E"), 5, 5, "left"),
                              (("H", "E"), 5, 5, "right")]
-    # plain spans: the rows the reference engine builds, no more
-    for span, (_, _, bound, side), U in built_windows.values():
-        assert list(span.rows.items()) == \
-            list(_full_loop_window(U, bound, side).rows.items())
+    # the Borel and <F> are monomial, so no echelon window is built; a
+    # monomial window reduces every suite target (Delta of each basis
+    # element, R, and Delta(F), outside the Borel's windows) to the
+    # residual the reference engine leaves, and an echelon one has its rows
+    assert not echelon_builds
+    for win, (_, _, bound, side), U in built_windows.values():
+        ref = _full_loop_window(U, bound, side)
+        if isinstance(win, EchelonSpan):
+            assert list(win.rows.items()) == list(ref.rows.items())
+            continue
+        assert isinstance(win, MonomialWindow)
+        targets = [coproduct(u) for u in U.basis] + [
+            r_matrix_sl2(U.ctx), coproduct(uq_gen(U.ctx, "F"))]
+        for t in targets:
+            assert list(win.reduce(t.data).items()) == \
+                list(ref.reduce(t.data).items())
     # the F negative control needs its slack-enlarged window too
     assert sorted(w for w in windows if w[0] == ("F",)) == [
         (("F",), 5, 5, "right"), (("F",), 7, 7, "right")]
@@ -853,3 +874,159 @@ def test_monoid_pivot_check_compares_the_two_spans(U3):
     hi[h] = {i: -c for i, c in lo[h].items()}
     with pytest.raises(AssertionError, match="pivot order"):
         mon.product(z1, z1)
+
+
+# -- monomial windows against the echelon windows they stand in for ---------
+
+
+def _monomial_window_targets(U, win, rng):
+    """Coproducts of U's basis, R, Delta(F) and Delta(EF), and random
+    series vectors over keys inside and outside the window."""
+    ctx = U.ctx
+    K = ctx.order
+    E, Fg = uq_gen(ctx, "E"), uq_gen(ctx, "F")
+    out = [coproduct(u).data for u in U.basis]
+    out += [r_matrix_sl2(ctx).data, coproduct(Fg).data,
+            coproduct(E * Fg).data]
+    u_monos, i_monos = sorted(win.u_monos), sorted(win.i_monos)
+    pool = _h_monomials(win.bound + 1)
+    for _ in range(12):
+        keys = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                keys.append((rng.choice(u_monos), rng.choice(u_monos)))
+            elif kind == 1 and i_monos:
+                keys.append((rng.choice(pool), rng.choice(i_monos)))
+            elif kind == 2 and i_monos:
+                keys.append((rng.choice(i_monos), rng.choice(pool)))
+            else:
+                keys.append((rng.choice(pool), rng.choice(pool)))
+        vec = {k: s for k in keys if (s := _random_series(rng, K))}
+        if vec:
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_monomial_windows_match_echelon_windows(K):
+    """reduce (residual entries, in order) and contains of the monomial
+    window agree with the echelon window on both sides, for the Borel,
+    <F>, <H>, <E> and <H, F> (and <E, F> at K = 2, where it is monomial),
+    at the membership bound and that bound plus SLACK."""
+    uq = UqContext(K)
+    rng = random.Random(K)
+    cases = ["HE", "F", "H", "E", "HF"] + (["EF"] if K == 2 else [])
+    for names in cases:
+        U = HopfSubalgebra(uq, [uq_gen(uq, c) for c in names], 2,
+                           names=list(names))
+        b = U.degree_bound + K - 1
+        for bound in (b, b + SLACK):
+            for side in ("right", "left"):
+                win = U.membership_window(bound, side)
+                assert isinstance(win, MonomialWindow), (names, bound)
+                assert U.membership_window(bound, side) is win
+                ref = U.window(bound, side)
+                for v in _monomial_window_targets(U, win, rng):
+                    assert list(win.reduce(v).items()) == \
+                        list(ref.reduce(v).items()), (names, bound, side)
+                    assert win.contains(v) == ref.contains(v)
+
+
+def test_non_monomial_window_falls_back_to_echelon():
+    """<E, F> at K = 3 has hbar^v pivots and rows of several keys, so its
+    membership window is the echelon one."""
+    uq = UqContext(3)
+    U = HopfSubalgebra(uq, [uq_gen(uq, "E"), uq_gen(uq, "F")], 1,
+                       names=["E", "F"])
+    bound = U.degree_bound + uq.order - 1
+    assert _monomial_support(U.extend(bound).span) is None
+    for side in ("right", "left"):
+        win = U.membership_window(bound, side)
+        assert isinstance(win, EchelonSpan)
+        assert win is U.window(bound, side)
+
+
+def test_monomial_support_needs_unit_pivots(ctx):
+    """A single-key row with pivot entry hbar holds only the hbar
+    multiples of its monomial, so the span is not read as monomial."""
+    m = (0, 1, 0)
+    span = EchelonSpan()
+    span.add({(m,): TruncatedSeries.hbar(ctx.order, 1)})
+    assert _monomial_support(span) is None
+    assert not span.contains({(m,): ctx.one_series()})
+    unit = EchelonSpan()
+    unit.add({(m,): ctx.one_series()})
+    assert _monomial_support(unit) == {m}
+
+
+def test_echelon_membership_gives_the_same_reports(monkeypatch, capsys):
+    """With every membership window echelon (the twisted check, which
+    needs the monomial predicate, keeps it), the coiso suite and each
+    coiso-check letter set give the same JSON."""
+    import qaffine.coiso as coiso
+    from qaffine.cli import RunConfig, main, run_suite
+
+    def outputs():
+        out = [run_suite(RunConfig(suites=("coiso",))).dumps()]
+        for letters in ("H", "E", "F", "HE", "EH", "HF", "FH", "EF"):
+            for degree_bound, order in ((1, 2), (2, 2), (1, 3)):
+                if letters == "EF" and order == 3:
+                    continue  # echelon either way
+                assert main(["compute", "coiso-check", letters,
+                             "--degree-bound", str(degree_bound),
+                             "--hbar-order", str(order)]) == 0
+                out.append(capsys.readouterr().out)
+        return out
+
+    monomial = outputs()
+    monomial_window, window = coiso._monomial_window, HopfSubalgebra.window
+    echelon = []
+    monkeypatch.setattr(
+        coiso, "_monomial_window",
+        lambda U, bound, side, m=1: (monomial_window(U, bound, side, m)
+                                     if m > 1 else None))
+    monkeypatch.setattr(
+        HopfSubalgebra, "window",
+        lambda U, bound, side="right": echelon.append(side) or window(
+            U, bound, side))
+    assert outputs() == monomial
+    assert set(echelon) == {"right", "left"}
+
+
+def test_monomial_window_predicate_on_tensor_powers(ctx):
+    """On 2m legs the H block must be bounded, and the other block must
+    lie in U^(x)m with some leg in [U,U]; the left side mirrors the
+    right.  The Borel at bound 4: H = (0,1,0) lies in U, E = (0,0,1) in
+    [U,U], F = (1,0,0) outside U."""
+    from qaffine.coiso import _monomial_window
+
+    U = borel_subalgebra(ctx, 2)
+    f, h, e = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    for side in ("right", "left"):
+        win = _monomial_window(U, 4, side, 2)
+        assert isinstance(win, MonomialWindow)
+        assert h in win.u_monos and e in win.i_monos
+        assert f not in win.u_monos
+        ok = win.ok if side == "right" else (
+            lambda key: win.ok(key[2:] + key[:2]))
+        assert ok((h, e, h, h))                   # all in U
+        assert ok((f, f, h, e))                   # H block, E in [U,U]
+        assert not ok((f, f, h, h))               # no leg in [U,U]
+        assert not ok((f, f, f, e))               # a leg outside U
+        assert not ok(((5, 0, 0), f, h, e))       # H block past the bound
+        assert ok(((4, 0, 0), f, e, e))
+
+
+@pytest.mark.parametrize("K,m", [(2, 2), (3, 2), (2, 3)])
+def test_twisted_check_matches_reference_predicate(K, m):
+    """The twisted check reads MonomialWindow.ok on 2m legs; its answers
+    and witnesses equal the reference's own inline predicate, for <E>,
+    <H, F> and the Borel."""
+    uq = UqContext(K)
+    R = r_matrix_sl2(uq)
+    for names in ("E", "HF", "HE"):
+        U = HopfSubalgebra(uq, [uq_gen(uq, c) for c in names], 2,
+                           names=list(names))
+        assert strong_coiso_twisted(U, R, m).to_json() == \
+            _strong_coiso_twisted_ref(U, R, m).to_json()
