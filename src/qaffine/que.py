@@ -97,6 +97,10 @@ class UqContext:
                                                   for n, tn in t.items()}
         self._lE: Dict[Mono, Dict[Mono, TruncatedSeries]] = {}
         self._mono_mul: Dict[Tuple[Mono, Mono], Dict[Mono, TruncatedSeries]] = {}
+        # mono_mul read by _product_sums: as kernel multipliers, and as
+        # the hbar^0 structure constants of its short products
+        self._mul_tables: Dict[Tuple[Mono, Mono], object] = {}
+        self._mul_tops: Dict[Tuple[Mono, Mono], object] = {}
         self._delta: Dict[Mono, "UqTensor"] = {}
         self._antipode: Dict[Mono, "UqElement"] = {}
 
@@ -383,9 +387,10 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
              for v in range(K + 1)]
     # mono_mul as multipliers, or as the one monomial m3 when the product
     # is m3 itself (then a leg only extends the key); tops holds the
-    # hbar^0 constants (m3, numerator, den), collapsed the same way
-    tables: Dict[Tuple[Mono, Mono], object] = {}
-    tops: Dict[Tuple[Mono, Mono], object] = {}
+    # hbar^0 constants (m3, numerator, den), collapsed the same way; both
+    # live on ctx and are only read here, never changed once built
+    tables = ctx._mul_tables
+    tops = ctx._mul_tops
     get = acc.get
     for k1, s1 in x.data.items():
         n1, d1 = s1.num, s1.den
@@ -819,6 +824,12 @@ def twi_m_inductive(R: UqTensor, m: int) -> UqTensor:
     return prev_emb * t
 
 
+def _swap_blocks(t: UqTensor, m: int) -> UqTensor:
+    """t in (H^(x)m) (x) (H^(x)m) with its two blocks of m legs swapped:
+    J_21 from J."""
+    return t.swap_legs(list(range(m, 2 * m)) + list(range(m)))
+
+
 def r_matrix_m(R: UqTensor, m: int) -> UqTensor:
     """R^(m) in (H^(x)m) (x) (H^(x)m), the quasitriangular structure of the
     twisted m-fold product:
@@ -830,9 +841,7 @@ def r_matrix_m(R: UqTensor, m: int) -> UqTensor:
     """
     ctx = R.ctx
     J = twi_m(R, m)
-    perm = list(range(m, 2 * m)) + list(range(m))
-    j21_inv = tensor_inv(J.swap_legs(perm))
-    factors = [j21_inv]
+    factors = [tensor_inv(_swap_blocks(J, m))]
     for k in range(1, m + 1):
         factors.append(R.embed(2 * m, (k - 1, m + k - 1)))
     factors.append(J)
@@ -853,6 +862,21 @@ class TwistedHopf:
         """Delta_J(t) in (H^(x)m) (x) (H^(x)m); Delta_J^op(t) is the same
         tensor with its two blocks of m legs swapped."""
         return self.J_inv * hopf_power_delta(t, self.m) * self.J
+
+    def untwist(self, t: UqTensor) -> UqTensor:
+        """J_21 t J^-1 for t in (H^(x)m) (x) (H^(x)m).
+
+        Delta_J^op(x) is Delta_J(x) with its two blocks swapped, that is
+        J_21^-1 Delta^op(x) J_21, so for every x
+
+            t Delta_J(x) - Delta_J^op(x) t
+                = J_21^-1 (u Delta(x) - Delta^op(x) u) J,   u = untwist(t),
+
+        exactly (the products are exact modulo hbar^K), so t
+        intertwines Delta_J with Delta_J^op iff u intertwines the
+        untwisted Delta with Delta^op (Drinfeld's twisting).  For
+        t = R^(m), u is the componentwise prod_k R_{k, m+k}."""
+        return _swap_blocks(self.J, self.m) * (t * self.J_inv)
 
 
 def twist_condition_residuals(J: UqTensor, m: int) -> Tuple[UqTensor, UqTensor, UqTensor]:

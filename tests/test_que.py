@@ -161,6 +161,52 @@ def test_twisted_square_r_matrix():
             assert R2 * d == d.swap_legs((2, 3, 0, 1)) * R2
 
 
+def _untwisted_r_matrix_m(R, m):
+    """prod_k R_{k, m+k}: the componentwise R-matrix of H^(x)m, which is
+    R^(m) without its twist."""
+    out = tensor_one(R.ctx, 2 * m)
+    for k in range(m):
+        out = out * R.embed(2 * m, (k, m + k))
+    return out
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_untwisted_residual_conjugates_to_the_twisted_one(K):
+    """R Delta_J(x) - Delta_J^op(x) R == J_21^-1 (M Delta(x) - Delta^op(x) M) J
+    with M = TwistedHopf.untwist(R), for each generator on each leg, on
+    R^(2) and on three wrong candidates built from R13 R24: R^(2) gives
+    zero residuals, and each wrong one fails all six cases in both forms."""
+    uq = UqContext(K)
+    R = r_matrix_sl2(uq)
+    J = twi_m(R, 2)
+    th = TwistedHopf(J, 2)
+    swap = (2, 3, 0, 1)
+    j21 = J.swap_legs(swap)
+    j21_inv = tensor_inv(j21)
+    plain = _untwisted_r_matrix_m(R, 2)
+    candidates = [
+        r_matrix_m(R, 2),
+        plain,
+        J * plain * j21_inv,
+        j21_inv.swap_legs(swap) * plain * j21,
+    ]
+    for i, cand in enumerate(candidates):
+        M = th.untwist(cand)
+        zero = []
+        for mono in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+            for leg in (0, 1):
+                key = [(0, 0, 0), (0, 0, 0)]
+                key[leg] = mono
+                x = UqTensor(uq, 2, {tuple(key): 1})
+                d = th.delta(x)
+                direct = intertwining_residual(cand, d, d.swap_legs(swap))
+                d = hopf_power_delta(x, 2)
+                conj = intertwining_residual(M, d, d.swap_legs(swap))
+                assert direct == j21_inv * conj * J
+                zero.append((direct.is_zero(), conj.is_zero()))
+        assert zero == [(i == 0, i == 0)] * 6
+
+
 def test_semiclassical_r_matrices():
     ctx = UqContext(3)
     R = r_matrix_sl2(ctx)
@@ -800,6 +846,34 @@ def test_top_order_pairs_match_all_legs_reference():
                                _naive_difference(a, b, c, a))
 
 
+def test_products_on_a_warm_context_match_a_fresh_one():
+    """_product_sums keeps its mono_mul tables on the context: products
+    and one-pass residuals on a context warmed by the same products, and
+    R^(2) after them, equal those on a fresh context, values and key
+    order."""
+    rng = random.Random(67)
+    for K in range(1, 6):
+        warm = UqContext(K)
+        cases = []
+        for _ in range(8):
+            legs = rng.randint(1, 4)
+            cases.append([_tensor_at_every_valuation(warm, rng, legs)
+                          for _ in range(3)])
+        for a, b, c in cases:
+            a * b
+            intertwining_residual(a, b, c)
+        # at K = 1 every pair is top-order, so only the hbar^0 tables fill
+        assert warm._mul_tops and (K == 1 or warm._mul_tables)
+        for a, b, c in cases:
+            fresh = UqContext(K)
+            fa, fb, fc = (UqTensor(fresh, t.legs, t.data) for t in (a, b, c))
+            assert same_tensor(a * b, fa * fb)
+            assert same_tensor(intertwining_residual(a, b, c),
+                               intertwining_residual(fa, fb, fc))
+        assert same_tensor(r_matrix_m(r_matrix_sl2(warm), 2),
+                           r_matrix_m(r_matrix_sl2(UqContext(K)), 2))
+
+
 def test_every_pair_is_top_order_at_k1():
     """At K = 1 every pair of terms meets at hbar^0 = hbar^(K-1), so the
     products, residuals and R-matrix checks run on the short product
@@ -917,6 +991,24 @@ def test_quantum_checks_fail_on_a_broken_r(monkeypatch):
         status = {c["id"]: c["status"] for c in report.checks}
         assert [status[c] for c in ("quantum.rmatrix", "quantum.twists",
                                     "quantum.rmatrix-m")] == ["fail"] * 3
+
+
+def test_quantum_checks_fail_on_an_untwisted_r2(monkeypatch):
+    """With R^(2) replaced by R13 R24, which lacks only the twist, the
+    suite's rmatrix-m and semiclassical checks fail and the other four,
+    which never read R^(2), pass."""
+    import qaffine.que as que
+    from qaffine.cli import RunConfig, run_suite
+
+    monkeypatch.setattr(que, "r_matrix_m", _untwisted_r_matrix_m)
+    for K in (3, 4):
+        report = run_suite(RunConfig(hbar_order=K, suites=("quantum",)))
+        status = {c["id"]: c["status"] for c in report.checks}
+        assert status == {
+            "quantum.algebra": "pass", "quantum.rmatrix": "pass",
+            "quantum.twists": "pass", "quantum.rmatrix-m": "fail",
+            "quantum.semiclassical": "fail",
+            "quantum.factorization": "pass"}
 
 
 # -- the former R~ loop of _apply_rtilde, kept as its reference -------------
