@@ -10,16 +10,17 @@ cg(lam, mu), and every product goes through one Clebsch-Gordan
 contraction, cg_contract: blocks are tensored factor by factor and
 decomposed back with exact intertwiners, each pair of flat indices read
 from an option list that its CG table memoizes (CGEntry.options), and
-the tables and dimensions of a block pair memoized as its plan.  One
-loop serves both rings: its terms carry their coefficients as the pairs
-it sums (numerator and denominator over Q, a series over 1, as ctx.pair
-makes them), and it builds one coefficient per entry of the result, from
-that entry's running sum, with ctx.build.  A Poisson bracket (over Q) is
-one such contraction: the legs (a(f), b(g), c) of every bivector term
-are summed per block pair and index pair, c * a(f)[fi] * b(g)[gi], as
-integer pairs, and those sums go into a single cg_contract pass as they
-are, one group per block pair; each leg is computed once per function
-(BlockFunction.leg).
+the option memos of the tables and the dimensions of a block pair
+memoized as its plan.  One loop serves both rings: its terms carry their
+coefficients as the pairs it sums (numerator and denominator over Q, a
+series over 1, as ctx.pair makes them), and it builds one coefficient per
+entry of the result, from that entry's running sum, with ctx.build.  A
+Poisson bracket (over Q) is one such contraction, on integer pairs from
+end to end: each leg a(f) is computed once per function, as a list of
+entries (key, idx, n, d) (_pair_leg), the terms c * a(f)[fi] * b(g)[gi]
+of every bivector term are summed per block pair and index pair, and
+those sums go into a single cg_contract pass as they are, one group per
+block pair.
 This module holds the classical contexts, the Poisson brackets, and the
 oracles the bracket checks are compared against.
 
@@ -575,16 +576,17 @@ class BlockFunction:
     ((key, idx), coefficient) to _from_terms, which sums them per entry
     in linalg.vec_sum, or its entries already summed to _from_sums
     (cg_contract, from one running sum per entry).  So its memos never go
-    stale: _legs holds act_factor(self, j, x, side) per (j, x, side) for
-    a basis index x (see leg), and semi_invariant is is_semi_invariant()
-    computed once.
+    stale: _pair_legs holds, per bracket leg end (j, x, side) with x a
+    basis index, the entries of act_factor(self, j, x, side) as integer
+    pairs (see _pair_leg; filled only by classical_bracket), and
+    semi_invariant is is_semi_invariant() computed once.
     """
 
     def __init__(self, ctx, m: int, blocks: Optional[Dict] = None):
         coerce = ctx.coerce
         self.ctx = ctx
         self.m = m
-        self._legs: Dict[Tuple[int, int, str], "BlockFunction"] = {}
+        self._pair_legs: Dict[Tuple[int, int, str], List[Tuple]] = {}
         self.blocks: Dict[Key, Dict[Tuple[int, ...], object]] = _blocks_of(
             vec_sum(((tuple(tuple(w) for w in key), tuple(idx)), coerce(c))
                     for key, blk in (blocks or {}).items()
@@ -601,7 +603,8 @@ class BlockFunction:
         each key's terms already summed (by vec_sum, by cg_contract or,
         over the series ring, by kernel.series_sums)."""
         out = cls.__new__(cls)
-        out.ctx, out.m, out._legs, out.blocks = ctx, m, {}, _blocks_of(entries)
+        out.ctx, out.m, out.blocks = ctx, m, _blocks_of(entries)
+        out._pair_legs = {}
         return out
 
     def _terms(self):
@@ -616,14 +619,6 @@ class BlockFunction:
         if self.ctx.ring != other.ctx.ring:
             raise ValueError("ring mismatch: %s and %s"
                              % (self.ctx.ring, other.ctx.ring))
-
-    def leg(self, end: Tuple[int, int, str]) -> "BlockFunction":
-        """act_factor(self, j, x, side) for the end (j, x, side) of a
-        bracket leg, x a basis index, computed once per function."""
-        out = self._legs.get(end)
-        if out is None:
-            out = self._legs[end] = act_factor(self, *end)
-        return out
 
     def is_zero(self) -> bool:
         return not self.blocks
@@ -726,10 +721,10 @@ def pw_tensor(fs: Sequence[BlockFunction]) -> BlockFunction:
     return BlockFunction._from_terms(ctx, sum(f.m for f in fs), terms())
 
 
-def _add_pair(acc: Dict, k, n, d) -> object:
+def _add_pair(acc: Dict, k, n, d) -> int:
     """Add n/d (d > 0) to the pair acc[k] = [num, den], starting it when k
     is new, and return the new numerator; den stays the lcm of the
-    denominators added (1 for a series)."""
+    denominators added."""
     cur = acc.get(k)
     if cur is None:
         acc[k] = [n, d]
@@ -752,36 +747,58 @@ def cg_contract(ctx, m: int, groups) -> BlockFunction:
     rkey, multiplied factor by factor, factor j split through the CG table
     of V(lkey[j]) (x) V(rkey[j]).  (n, d) is a pair as ctx.pair makes it:
     integers over Q (in lowest terms or not), a series over 1 over
-    Q[[hbar]]/(hbar^K).  Each factor reads its options from the table's
-    memo (CGEntry.options), so a pair of flat indices is expanded once
-    per table, however many terms or groups meet it; the plan of a block
-    pair, the options method and dim V(rkey[j]) of every factor, is
-    memoized per context (ctx._plans).  The pairs are multiplied and
-    summed per entry by the rule of linalg.vec_sum (an entry that cancels
-    leaves and a later term brings it back at the end), and each entry of
-    the result is built once from its running sum, by ctx.build."""
+    Q[[hbar]]/(hbar^K).  The plan of a block pair, memoized per context
+    (ctx._plans), holds per factor its table's option memo, the table's
+    options method and dim V(rkey[j]); a pair of flat indices is read
+    straight from the memo, and CGEntry.options runs only on a miss, so
+    it is expanded once per table, however many terms or groups meet it.
+    The pairs are multiplied and summed per entry by the rule of
+    linalg.vec_sum (an entry that cancels leaves and a later term brings
+    it back at the end), and each entry of the result is built once from
+    its running sum, by ctx.build."""
     build, plans = ctx.build, ctx._plans
+    gcd = math.gcd
     acc: Dict = {}
+    get = acc.get
     for lkey, rkey, terms in groups:
         plan = plans.get((lkey, rkey))
         if plan is None:
-            plan = plans[lkey, rkey] = [
-                (ctx.cg(lkey[j], rkey[j]).options, ctx.irrep(rkey[j]).dim)
-                for j in range(m)]
+            plan = plans[lkey, rkey] = []
+            for j in range(m):
+                entry = ctx.cg(lkey[j], rkey[j])
+                plan.append((entry._options, entry.options,
+                             ctx.irrep(rkey[j]).dim, 2 * j, 2 * j + 1))
         for lidx, ridx, n, d in terms:
             if not n:
                 continue
             # the combinations of options in itertools.product order
             combos = [((), (), n, d)]
-            for j, (options, dim) in enumerate(plan):
-                opts = options(lidx[2 * j] * dim + ridx[2 * j],
-                               lidx[2 * j + 1] * dim + ridx[2 * j + 1])
+            for memo, options, dim, a, b in plan:
+                flat = (lidx[a] * dim + ridx[a], lidx[b] * dim + ridx[b])
+                opts = memo.get(flat)
+                if opts is None:
+                    opts = options(*flat)
                 combos = [(key + (nu,), idx + (s, t), n * on, d * od)
                           for key, idx, n, d in combos
                           for nu, s, t, on, od in opts]
             for key, idx, n, d in combos:
-                if not _add_pair(acc, (key, idx), n, d):
-                    del acc[key, idx]
+                k = (key, idx)
+                cur = get(k)
+                if cur is None:
+                    if n:
+                        acc[k] = [n, d]
+                    continue
+                cn, cd = cur
+                if cd == d:
+                    cn += n
+                else:
+                    g = gcd(cd, d)
+                    cn = cn * (d // g) + n * (cd // g)
+                    cur[1] = cd // g * d
+                if cn:
+                    cur[0] = cn
+                else:
+                    del acc[k]
     return BlockFunction._from_sums(ctx, m, {
         k: build(n, d) for k, (n, d) in acc.items()})
 
@@ -804,26 +821,45 @@ def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     return cg_contract(f.ctx, f.m, block_pairs(f, g))
 
 
+def _pair_entries(f: BlockFunction) -> List[Tuple]:
+    """The entries (key, idx, n, d) of a function over a PWContext, n / d
+    its coefficient there, in block order: the form of a leg that
+    _sum_of_products reads."""
+    return [(key, idx, c.numerator, c.denominator)
+            for key, blk in f.blocks.items() for idx, c in blk.items()]
+
+
 def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
-    """sum of c * (lf lg) over legs (lf, lg, c) of compatible functions
-    over a PWContext, as one cg_contract pass: the terms c * lf[fi] *
-    lg[gi] of every leg are summed per block pair (fkey, gkey) and index
-    pair (fi, gi) first, as integer numerators and denominators, and those
-    sums go into cg_contract as they are, so it meets each block pair
-    once, in first-seen order, and never an index pair whose terms cancel,
-    nor a block pair whose pairs all do."""
+    """sum of (cn / cd) * (lf lg) over legs (lf, lg, cn, cd) of compatible
+    functions over a PWContext, each function given by its entries (key,
+    idx, n, d) (_pair_entries, _pair_leg), as one cg_contract pass: the
+    terms c * lf[fi] * lg[gi] of every leg are summed per block pair
+    (fkey, gkey) and index pair (fi, gi) first, as integer numerators and
+    denominators, and those sums go into cg_contract as they are, so it
+    meets each block pair once, in first-seen order, and never an index
+    pair whose terms cancel, nor a block pair whose pairs all do."""
     sums: Dict[Tuple[Key, Key], Dict] = {}
-    for lf, lg, c in legs:
-        cn, cd = c.numerator, c.denominator
-        for fkey, fblk in lf.blocks.items():
-            for gkey, gblk in lg.blocks.items():
-                acc = sums.setdefault((fkey, gkey), {})
-                for fi, fc in fblk.items():
-                    fn, fd = cn * fc.numerator, cd * fc.denominator
-                    for gi, gc in gblk.items():
-                        # an index pair that cancels keeps its place
-                        _add_pair(acc, (fi, gi), fn * gc.numerator,
-                                  fd * gc.denominator)
+    gcd = math.gcd
+    for lf, lg, cn, cd in legs:
+        for fkey, fi, fn, fd in lf:
+            fn *= cn
+            fd *= cd
+            for gkey, gi, gn, gd in lg:
+                acc = sums.get((fkey, gkey))
+                if acc is None:
+                    acc = sums[fkey, gkey] = {}
+                n, d = fn * gn, fd * gd
+                cur = acc.get((fi, gi))
+                if cur is None:
+                    acc[fi, gi] = [n, d]
+                elif cur[1] == d:
+                    # an index pair that cancels keeps its place
+                    cur[0] += n
+                else:
+                    an, ad = cur
+                    g = gcd(ad, d)
+                    cur[0] = an * (d // g) + n * (ad // g)
+                    cur[1] = ad // g * d
     return cg_contract(ctx, m, (
         (fkey, gkey, terms) for (fkey, gkey), acc in sums.items()
         if (terms := [(fi, gi, n, d)
@@ -854,6 +890,31 @@ def _act_terms(f: BlockFunction, j: int, x, side: str):
                 yield (key, idx[:slot] + (s,) + idx[slot + 1:]), v * a
 
 
+def _pair_leg(f: BlockFunction, j: int, x: int, side: str) -> List[Tuple]:
+    """act_factor(f, j, x, side) for f over a PWContext and x a basis
+    index, as its entries (key, idx, n, d) in the order of its blocks:
+    the lines of ctx.slot_action, read as integer pairs, times the
+    coefficients of f, summed per entry by the rule of linalg.vec_sum, n /
+    d the entry (not in lowest terms).  The bracket leg form that
+    classical_bracket memoizes on f (f._pair_legs)."""
+    ctx = f.ctx
+    slot = 2 * j + (side == "right")
+    out: List[Tuple] = []
+    for key, blk in f.blocks.items():
+        lines = ctx.slot_action(key[j], x, side)
+        acc: Dict = {}
+        for idx, v in blk.items():
+            vn, vd = v.numerator, v.denominator
+            head, tail = idx[:slot], idx[slot + 1:]
+            for s, a in lines[idx[slot]].items():
+                k = head + (s,) + tail
+                if not _add_pair(acc, k, vn * a.numerator,
+                                 vd * a.denominator):
+                    del acc[k]
+        out.extend((key, k, n, d) for k, (n, d) in acc.items())
+    return out
+
+
 # -- Poisson brackets -------------------------------------------------------
 
 
@@ -872,17 +933,20 @@ class BracketSpec:
         self.kind = kind
         alg = ctx.alg
         self.st = StandardR(alg)
-        # legs: ((j, x, side), (j', x', side'), c), one per product
+        # legs: ((j, x, side), (j', x', side'), n, d), one per product
         # c (x on factor j of f) (x' on factor j' of g) that {f, g} sums,
-        # each end read by BlockFunction.leg and every sign folded into c
+        # every sign folded into c = n / d; each end is read through the
+        # leg memo of its function (see classical_bracket)
         self.legs = []
         d = alg.dim
         if kind == "product":
             self.bivector = self._lambda_m(alg, m)
             for (u, w), c in self.bivector.data.items():
                 (ju, bu), (jw, bw) = divmod(u, d), divmod(w, d)
-                self.legs.append(((ju, bu, "left"), (jw, bw, "left"), c))
-                self.legs.append(((ju, bu, "right"), (jw, bw, "right"), -c))
+                n, dc = c.numerator, c.denominator
+                self.legs.append(((ju, bu, "left"), (jw, bw, "left"), n, dc))
+                self.legs.append(((ju, bu, "right"), (jw, bw, "right"), -n,
+                                  dc))
         else:
             # slots below dim(g) of each (g (+) t) component act as y^L,
             # the Cartan slots as -x^R
@@ -896,7 +960,8 @@ class BracketSpec:
                     else:
                         ends.append((j, bi - d, "right"))
                         c = -c
-                self.legs.append((ends[0], ends[1], c))
+                self.legs.append((ends[0], ends[1], c.numerator,
+                                  c.denominator))
 
     def _lambda_m(self, alg, m):
         """Lambda_st^(m) = (Lambda_st, ..., Lambda_st) - Mix^m(r_st) over g^m,
@@ -935,10 +1000,11 @@ class BracketSpec:
 
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
     """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
-    terms c a (x) b (spec.legs), summed in one cg_contract pass.  Each leg
-    is read through the memo of f or g (BlockFunction.leg), so a function
-    bracketed many times acts with each basis element once; b(g) is read
-    only when a(f) is nonzero, and a leg with a zero side is dropped."""
+    terms c a (x) b (spec.legs), summed in one cg_contract pass by
+    _sum_of_products.  Each end is the entry list of _pair_leg, read
+    through the memo of f or g (_pair_legs), so a function bracketed many
+    times acts with each basis element once; b(g) is read only when a(f)
+    is nonzero, and a leg with a zero side is dropped."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     for h in (f, g):
@@ -947,11 +1013,18 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
                              % (h.ctx.ring, spec.ctx.ring))
     if spec.kind == "mixed" and not (f.semi_invariant and g.semi_invariant):
         raise ValueError("mixed bracket requires semi-invariant inputs")
+    fmemo, gmemo = f._pair_legs, g._pair_legs
     legs = []
-    for a, b, c in spec.legs:
-        lf = f.leg(a)
-        if lf.blocks and (lg := g.leg(b)).blocks:
-            legs.append((lf, lg, c))
+    for a, b, n, d in spec.legs:
+        lf = fmemo.get(a)
+        if lf is None:
+            lf = fmemo[a] = _pair_leg(f, *a)
+        if lf:
+            lg = gmemo.get(b)
+            if lg is None:
+                lg = gmemo[b] = _pair_leg(g, *b)
+            if lg:
+                legs.append((lf, lg, n, d))
     return _sum_of_products(spec.ctx, spec.m, legs)
 
 
@@ -968,7 +1041,8 @@ def _rho_tensor(t: LieTensor, f: BlockFunction, g: BlockFunction):
     """rho(t)(f (x) g) = sum over terms a(x)b of (rho(a)f)(rho(b)g) for the
     diagonal action rho, in one cg_contract pass."""
     return _sum_of_products(f.ctx, f.m, [
-        (_diag_act(f, a), _diag_act(g, b), c) for (a, b), c in t.data.items()])
+        (_pair_entries(_diag_act(f, a)), _pair_entries(_diag_act(g, b)),
+         c.numerator, c.denominator) for (a, b), c in t.data.items()])
 
 
 def poisson_action_residual(spec: BracketSpec, f: BlockFunction,

@@ -101,8 +101,10 @@ class UqContext:
         # the hbar^0 structure constants of its short products
         self._mul_tables: Dict[Tuple[Mono, Mono], object] = {}
         self._mul_tops: Dict[Tuple[Mono, Mono], object] = {}
-        self._delta: Dict[Mono, "UqTensor"] = {}
-        self._antipode: Dict[Mono, "UqElement"] = {}
+        # the data of Delta and S per monomial (see _grown): dicts, not
+        # tensors, so that no memo entry points back to the context
+        self._delta: Dict[Mono, Dict] = {}
+        self._antipode: Dict[Mono, Dict] = {}
 
     def q_half_power(self, n: int) -> TruncatedSeries:
         """q^{n/2} = exp(hbar*n/4), memoized per n; K = exp(hbar*H/4)
@@ -226,23 +228,47 @@ def antipode(x: UqElement) -> UqElement:
     out = UqElement(ctx)
     out.data = series_sums(ctx.order, (
         t for (m,), s in x.data.items()
-        for t in _scaled_terms(_mono_antipode(ctx, m).data.items(), s, ctx.order)))
+        for t in _scaled_terms(_mono_antipode(ctx, m).items(), s, ctx.order)))
     return out
 
 
-def _mono_antipode(ctx: UqContext, m: Mono) -> UqElement:
-    """S(F^a H^b E^c), memoized per monomial on ctx._antipode."""
-    out = ctx._antipode.get(m)
-    if out is None:
-        a, b, c = m
-        out = uq_one(ctx)
-        for g, n, s in (("E", c, -ctx.q_inv), ("H", b, Fraction(-1)),
-                        ("F", a, -ctx.q)):
-            sg = uq_gen(ctx, g).scale(s)
-            for _ in range(n):
-                out = out * sg
-        ctx._antipode[m] = out
-    return out
+def _grown(ctx: UqContext, memo: Dict, legs: int, m: Mono, word: str,
+           letters) -> Dict:
+    """The data of memo[m], the product from the left, starting at 1, of
+    the word of m: the generators named in word ("F", "H", "E" in some
+    order), each as often as its exponent in m, a generator g standing
+    for the legs-leg tensor letters()[g].  A monomial missing from memo is
+    grown from the monomial one letter shorter, memo[m] = memo[p] * its
+    last letter, the monomials between m and the nearest one memoized
+    first, so each new monomial costs one product and its entry is the
+    product from 1 cut where its word ends.  memo holds data dicts, which
+    are rewrapped as tensors for each product."""
+    data = memo.get(m)
+    if data is None:
+        chain = []
+        top = m
+        while top not in memo:
+            g = next(g for g in reversed(word) if top["FHE".index(g)])
+            i = "FHE".index(g)
+            p = top[:i] + (top[i] - 1,) + top[i + 1:]
+            chain.append((top, p, g))
+            top = p
+        factors = letters()
+        for mono, p, g in reversed(chain):
+            memo[mono] = (_tensor(ctx, legs, memo[p]) * factors[g]).data
+        data = memo[m]
+    return data
+
+
+def _mono_antipode(ctx: UqContext, m: Mono) -> Dict:
+    """The data of S(F^a H^b E^c) = S(E)^c S(H)^b S(F)^a, memoized per
+    monomial on ctx._antipode and grown letter by letter (_grown)."""
+    memo = ctx._antipode
+    if not memo:
+        memo[UNIT] = uq_one(ctx).data
+    return _grown(ctx, memo, 1, m, "EHF", lambda: {
+        g: uq_gen(ctx, g).scale(s) for g, s in (
+            ("E", -ctx.q_inv), ("H", Fraction(-1)), ("F", -ctx.q))})
 
 
 # -- tensor powers ---------------------------------------------------------
@@ -595,20 +621,16 @@ def _delta_generators(ctx: UqContext) -> Dict[Mono, UqTensor]:
     }
 
 
-def _mono_delta(ctx: UqContext, m: Mono) -> UqTensor:
-    """Delta(F^a H^b E^c) = Delta(F)^a Delta(H)^b Delta(E)^c, multiplied
-    from the left and memoized per monomial on ctx._delta, which starts
-    with the three generators."""
-    out = ctx._delta.get(m)
-    if out is None:
-        if not ctx._delta:
-            ctx._delta.update(_delta_generators(ctx))
-        out = tensor_one(ctx, 2)
-        for g, n in zip(_GENERATORS.values(), m):
-            for _ in range(n):
-                out = out * ctx._delta[g]
-        ctx._delta[m] = out
-    return out
+def _mono_delta(ctx: UqContext, m: Mono) -> Dict:
+    """The data of Delta(F^a H^b E^c) = Delta(F)^a Delta(H)^b Delta(E)^c,
+    memoized per monomial on ctx._delta, which starts with 1 and the three
+    generators, and grown letter by letter (_grown)."""
+    memo = ctx._delta
+    if not memo:
+        memo[UNIT] = tensor_one(ctx, 2).data
+        memo.update((g, d.data) for g, d in _delta_generators(ctx).items())
+    return _grown(ctx, memo, 2, m, "FHE", lambda: {
+        g: _tensor(ctx, 2, memo[mono]) for g, mono in _GENERATORS.items()})
 
 
 def coproduct(x: UqElement) -> UqTensor:
@@ -653,7 +675,7 @@ def _block_delta_terms(t: UqTensor, m: int, first: int):
             if tbl is None:
                 tbl = deltas[mono] = [pair + multiplier(c) + (c.valuation(),)
                                       for pair, c in
-                                      _mono_delta(ctx, mono).data.items()]
+                                      _mono_delta(ctx, mono).items()]
             partial = [(xs + (x,), ys + (y,)) + mul_term(n, d, c, cd, K)
                        + (v + vc,)
                        for xs, ys, n, d, v in partial

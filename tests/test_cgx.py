@@ -24,7 +24,8 @@ from qaffine.kernel import TruncatedSeries
 from qaffine.linalg import mat_inv, nullspace, vec_sum
 from qaffine.liebialg import StandardR, basis_tensor, build_sl, cobracket
 from qaffine.que import (
-    QAffineContext, UqContext, q_multiply, quantum_affine_multiply, uq_gen,
+    QAffineContext, UqContext, antipode, coproduct, q_multiply,
+    quantum_affine_multiply, uq_gen,
 )
 from tracked_span import TrackedSpan
 
@@ -732,7 +733,7 @@ def random_hw_function(rng, ctx, m, terms=2):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
-    """Brackets that read their legs through BlockFunction.leg equal the
+    """Brackets that read their legs through the memo _pair_legs equal the
     reference that calls act_factor for every bivector term, also when
     one function is bracketed again with warm legs."""
     rng = random.Random(40 + m)
@@ -740,15 +741,15 @@ def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
     specs = [BracketSpec(ctx, m, kind) for kind in ("product", "mixed")]
     want = {(a, b, spec.kind): ref_classical_bracket(fns[a], fns[b], spec)
             for spec in specs for a in range(3) for b in range(3)}
-    assert all(f._legs == {} for f in fns)  # the reference fills no memo
+    assert all(f._pair_legs == {} for f in fns)  # the reference fills none
     calls = []
-    real = cgx.act_factor
+    real = cgx._pair_leg
 
     def counting(f, j, x, side):
         calls.append((id(f), j, x, side))
         return real(f, j, x, side)
 
-    monkeypatch.setattr(cgx, "act_factor", counting)
+    monkeypatch.setattr(cgx, "_pair_leg", counting)
     for _ in range(2):
         for spec in specs:
             for a in range(3):
@@ -756,7 +757,9 @@ def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
                     got = classical_bracket(fns[a], fns[b], spec)
                     assert got.blocks == want[a, b, spec.kind].blocks
     # every leg was computed once, on the first pass
-    assert len(calls) == len(set(calls)) == sum(len(f._legs) for f in fns)
+    assert calls
+    assert len(calls) == len(set(calls)) == \
+        sum(len(f._pair_legs) for f in fns)
 
 
 def test_a_sum_starts_its_own_leg_memo(ctx):
@@ -767,21 +770,30 @@ def test_a_sum_starts_its_own_leg_memo(ctx):
     spec = BracketSpec(ctx, 2, "mixed")
     f, g = random_hw_function(rng, ctx, 2), random_hw_function(rng, ctx, 2)
     before = classical_bracket(f, g, spec)
-    assert f._legs and g._legs
-    legs = dict(f._legs)
+    assert f._pair_legs and g._pair_legs
+    legs = dict(f._pair_legs)
     h = BlockFunction(ctx, 2, {((1,), (1,)): {(0, 0, 1, 0): F(5)}})
     fh = f + h
-    assert fh._legs == {} and fh._legs is not f._legs
+    assert fh._pair_legs == {} and fh._pair_legs is not f._pair_legs
     after = classical_bracket(fh, g, spec)
-    assert f._legs == legs
+    assert f._pair_legs == legs
     assert after.blocks == ref_classical_bracket(fh, g, spec).blocks
     assert after != before
     assert classical_bracket(f, g, spec) == before
 
 
-def test_quantum_action_never_fills_the_leg_memo():
+def test_quantum_action_never_fills_the_leg_memo(ctx, monkeypatch):
     """act_factor with an element of U_hbar(sl2), and the quantum
-    products, leave the memo empty."""
+    products, leave the memo empty and never build a leg, which a bracket
+    of the classical function of the same shape does."""
+    calls = []
+    real = cgx._pair_leg
+
+    def counting(f, j, x, side):
+        calls.append((id(f), j, x, side))
+        return real(f, j, x, side)
+
+    monkeypatch.setattr(cgx, "_pair_leg", counting)
     qctx = QAffineContext(UqContext(2))
     f = pw_tensor([hw_coefficient(qctx, (1,), {0: 1, 1: 1}),
                    hw_coefficient(qctx, (2,), {1: 1})])
@@ -789,7 +801,76 @@ def test_quantum_action_never_fills_the_leg_memo():
              for j in range(2) for name in "EFH" for side in ("left", "right")]
     assert sum(not a.is_zero() for a in acted) > 6
     quantum_affine_multiply(f, f)
-    assert f._legs == {}
+    assert f._pair_legs == {} and calls == []
+    fc = pw_tensor([hw_coefficient(ctx, (1,), {0: 1, 1: 1}),
+                    hw_coefficient(ctx, (2,), {1: 1})])
+    classical_bracket(fc, fc, BracketSpec(ctx, 2, "mixed"))
+    assert fc._pair_legs and len(calls) == len(fc._pair_legs)
+
+
+def _act_entries(h):
+    """The entries (key, idx, coefficient) of a function, in block order."""
+    return [(key, idx, c) for key, blk in h.blocks.items()
+            for idx, c in blk.items()]
+
+
+def _leg_as_fractions(f, j, x, side):
+    return [(key, idx, F(n, d))
+            for key, idx, n, d in cgx._pair_leg(f, j, x, side)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pair_leg_matches_act_factor(ctx, ctx_scaled, ctx3, m):
+    """The integer-pair leg of every end (j, x, side) is act_factor(f, j,
+    x, side) entry for entry, in order, once each (n, d) is read as a
+    Fraction: seeded functions over sl2, sl2 with a scaled form and sl3,
+    semi-invariant and not."""
+    for pw, top in ((ctx, 3), (ctx_scaled, 2), (ctx3, 1)):
+        rng = random.Random(60 + m)
+        for _ in range(3):
+            f = random_function(rng, pw, m, rng.random() < 0.5, top)
+            for j in range(m):
+                for x in range(pw.alg.dim):
+                    for side in ("left", "right"):
+                        assert _leg_as_fractions(f, j, x, side) == \
+                            _act_entries(act_factor(f, j, x, side))
+
+
+def test_pair_leg_sums_entries_that_land_on_one_index(ctx3):
+    """On the sl3 adjoint V(1,1), a basis element sends two basis vectors
+    onto one; the leg sums the two terms there, and drops the entry when
+    they cancel, as act_factor does, on either slot and in a middle
+    factor."""
+    lam = (1, 1)
+    found = 0
+    for side in ("left", "right"):
+        for x in range(ctx3.alg.dim):
+            lines = ctx3.slot_action(lam, x, side)
+            hits = [(s, a, b) for a in range(len(lines))
+                    for b in range(a + 1, len(lines))
+                    for s in lines[a] if s in lines[b]]
+            if not hits:
+                continue
+            s, a, b = hits[0]
+            ca, cb = lines[a][s], lines[b][s]
+            found += 1
+            for p, q, lands in ((F(1, 2), F(2, 3), ca / 2 + cb * 2 / 3),
+                                (cb / 5, -ca / 5, 0)):
+                # factor 1 of three, entries at slot a and b of that factor
+                pos = 2 + (side == "right")
+                base = [1, 0, 2, 0, 0, 0]
+                ia, ib = list(base), list(base)
+                ia[pos], ib[pos] = a, b
+                key = ((1, 0), lam, (0, 1))
+                f = BlockFunction(ctx3, 3, {key: {tuple(ia): p,
+                                                  tuple(ib): q}})
+                leg = _leg_as_fractions(f, 1, x, side)
+                assert leg == _act_entries(act_factor(f, 1, x, side))
+                at = list(base)
+                at[pos] = s
+                got = {idx: c for _, idx, c in leg}
+                assert got.get(tuple(at), 0) == lands
+    assert found >= 2
 
 
 def test_sl3_bracket_matches_per_term_reference(ctx3):
@@ -874,7 +955,9 @@ def test_legs_that_cancel_at_an_index_pair(ctx, monkeypatch):
             # c f g - c (f + extra) g + h g = (h - c extra) g
             legs = [(f, g, c), (f + extra, g, -c), (h, g, F(1))]
             del seen[:]
-            got = cgx._sum_of_products(ctx, m, legs)
+            got = cgx._sum_of_products(ctx, m, [
+                (cgx._pair_entries(a), cgx._pair_entries(b), k.numerator,
+                 k.denominator) for a, b, k in legs])
             assert got.blocks == ref_pw_multiply(h - extra.scale(c), g).blocks
             (groups,) = seen
             # one group per block pair, in first-seen order, except the
@@ -947,7 +1030,7 @@ def test_bracket_rejects_a_series_valued_function(ctx):
         for f, g in ((fq, fc), (fc, fq), (fq, fq)):
             with pytest.raises(ValueError, match="ring mismatch"):
                 classical_bracket(f, g, spec)
-        assert fq._legs == {} and fc._legs == {}
+        assert fq._pair_legs == {} and fc._pair_legs == {}
 
 
 def test_one_contraction_per_bracket(ctx, monkeypatch):
@@ -1106,6 +1189,32 @@ def test_contexts_are_freed_by_refcount():
         alive, pw = weakref.ref(qctx), weakref.ref(qctx.pw)
         del qctx, f, g
         assert alive() is None and pw() is None
+        # the coproduct and antipode memos of a UqContext hold data, not
+        # tensors that point back to it
+        uq = UqContext(3)
+        coproduct(uq_gen(uq, "E") * uq_gen(uq, "F"))
+        antipode(uq_gen(uq, "F") * uq_gen(uq, "H"))
+        assert uq._delta and uq._antipode
+        alive = weakref.ref(uq)
+        del uq
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("suite, settings", [
+    ("classical", {}), ("quantum", {"hbar_order": 4}),
+    ("coiso", {"hbar_order": 3, "degree_bound": 3})])
+def test_a_suite_run_leaves_no_garbage_cycles(suite, settings):
+    """With the cycle collector off, one run_suite of each suite frees
+    everything it built by refcount alone."""
+    from qaffine.cli import RunConfig, run_suite
+
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(RunConfig(suites=(suite,), **settings))
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

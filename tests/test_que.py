@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qaffine import que
 from qaffine.kernel import TruncatedSeries, q_power
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
@@ -700,6 +701,50 @@ def test_sums_and_maps_match_add_term_loops():
             sx = antipode(x)
             assert isinstance(sx, UqElement)
             assert same_tensor(sx, naive_antipode(x))
+
+
+def _delta_from_scratch(ctx, m) -> UqTensor:
+    """Delta(F)^a Delta(H)^b Delta(E)^c multiplied from the left starting
+    at 1, every letter again: the loop that grew no entry from another
+    (a generator is its own coproduct)."""
+    gens = que._delta_generators(ctx)
+    if m in gens:
+        return gens[m]
+    out = tensor_one(ctx, 2)
+    for g, n in zip(que._GENERATORS.values(), m):
+        for _ in range(n):
+            out = out * gens[g]
+    return out
+
+
+def _antipode_from_scratch(ctx, m) -> UqTensor:
+    """S(E)^c S(H)^b S(F)^a multiplied from the left starting at 1."""
+    a, b, c = m
+    out = uq_one(ctx)
+    for g, n, s in (("E", c, -ctx.q_inv), ("H", b, F(-1)),
+                    ("F", a, -ctx.q)):
+        sg = uq_gen(ctx, g).scale(s)
+        for _ in range(n):
+            out = out * sg
+    return out
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_grown_coproducts_and_antipodes_are_the_from_scratch_products(K):
+    """Delta and S of every monomial of degree <= 4, each grown from the
+    monomial one letter shorter, equal the products from 1 in values and
+    key order, whether the memo fills from short monomials up or from
+    long ones down."""
+    monos = [m for m in itertools.product(range(5), repeat=3) if sum(m) <= 4]
+    for order in (monos, monos[::-1]):
+        uq = UqContext(K)
+        for m in order:
+            for got, want in ((que._mono_delta(uq, m),
+                               _delta_from_scratch(uq, m)),
+                              (que._mono_antipode(uq, m),
+                               _antipode_from_scratch(uq, m))):
+                assert got == want.data and list(got) == list(want.data)
+        assert sorted(uq._delta) == sorted(uq._antipode) == sorted(monos)
 
 
 def test_difference_key_that_cancels_and_revives_moves_to_the_end():
