@@ -731,8 +731,22 @@ def random_hw_function(rng, ctx, m, terms=2):
     return out
 
 
+@pytest.fixture
+def leg_builds(monkeypatch):
+    """The (id(f), j, x, side) of every cgx._pair_leg call, in order."""
+    calls = []
+    real = cgx._pair_leg
+
+    def counting(f, j, x, side):
+        calls.append((id(f), j, x, side))
+        return real(f, j, x, side)
+
+    monkeypatch.setattr(cgx, "_pair_leg", counting)
+    return calls
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
+def test_leg_memo_matches_per_term_reference(ctx, m, leg_builds):
     """Brackets that read their legs through the memo _pair_legs equal the
     reference that calls act_factor for every bivector term, also when
     one function is bracketed again with warm legs."""
@@ -742,14 +756,7 @@ def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
     want = {(a, b, spec.kind): ref_classical_bracket(fns[a], fns[b], spec)
             for spec in specs for a in range(3) for b in range(3)}
     assert all(f._pair_legs == {} for f in fns)  # the reference fills none
-    calls = []
-    real = cgx._pair_leg
-
-    def counting(f, j, x, side):
-        calls.append((id(f), j, x, side))
-        return real(f, j, x, side)
-
-    monkeypatch.setattr(cgx, "_pair_leg", counting)
+    assert leg_builds == []
     for _ in range(2):
         for spec in specs:
             for a in range(3):
@@ -757,8 +764,8 @@ def test_leg_memo_matches_per_term_reference(ctx, m, monkeypatch):
                     got = classical_bracket(fns[a], fns[b], spec)
                     assert got.blocks == want[a, b, spec.kind].blocks
     # every leg was computed once, on the first pass
-    assert calls
-    assert len(calls) == len(set(calls)) == \
+    assert leg_builds
+    assert len(leg_builds) == len(set(leg_builds)) == \
         sum(len(f._pair_legs) for f in fns)
 
 
@@ -782,18 +789,10 @@ def test_a_sum_starts_its_own_leg_memo(ctx):
     assert classical_bracket(f, g, spec) == before
 
 
-def test_quantum_action_never_fills_the_leg_memo(ctx, monkeypatch):
+def test_quantum_action_never_fills_the_leg_memo(ctx, leg_builds):
     """act_factor with an element of U_hbar(sl2), and the quantum
     products, leave the memo empty and never build a leg, which a bracket
     of the classical function of the same shape does."""
-    calls = []
-    real = cgx._pair_leg
-
-    def counting(f, j, x, side):
-        calls.append((id(f), j, x, side))
-        return real(f, j, x, side)
-
-    monkeypatch.setattr(cgx, "_pair_leg", counting)
     qctx = QAffineContext(UqContext(2))
     f = pw_tensor([hw_coefficient(qctx, (1,), {0: 1, 1: 1}),
                    hw_coefficient(qctx, (2,), {1: 1})])
@@ -801,11 +800,11 @@ def test_quantum_action_never_fills_the_leg_memo(ctx, monkeypatch):
              for j in range(2) for name in "EFH" for side in ("left", "right")]
     assert sum(not a.is_zero() for a in acted) > 6
     quantum_affine_multiply(f, f)
-    assert f._pair_legs == {} and calls == []
+    assert f._pair_legs == {} and leg_builds == []
     fc = pw_tensor([hw_coefficient(ctx, (1,), {0: 1, 1: 1}),
                     hw_coefficient(ctx, (2,), {1: 1})])
     classical_bracket(fc, fc, BracketSpec(ctx, 2, "mixed"))
-    assert fc._pair_legs and len(calls) == len(fc._pair_legs)
+    assert fc._pair_legs and len(leg_builds) == len(fc._pair_legs)
 
 
 def _act_entries(h):
