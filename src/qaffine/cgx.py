@@ -578,7 +578,7 @@ class BlockFunction:
     (cg_contract, from one running sum per entry).  So its memos never go
     stale: _pair_legs holds, per bracket leg end (j, x, side) with x a
     basis index, the entries of act_factor(self, j, x, side) as integer
-    pairs (see _pair_leg; filled only by classical_bracket), and
+    pairs (see _pair_leg; filled only by _memo_legs), and
     semi_invariant is is_semi_invariant() computed once.
     """
 
@@ -821,19 +821,11 @@ def pw_multiply(f: BlockFunction, g: BlockFunction) -> BlockFunction:
     return cg_contract(f.ctx, f.m, block_pairs(f, g))
 
 
-def _pair_entries(f: BlockFunction) -> List[Tuple]:
-    """The entries (key, idx, n, d) of a function over a PWContext, n / d
-    its coefficient there, in block order: the form of a leg that
-    _sum_of_products reads."""
-    return [(key, idx, c.numerator, c.denominator)
-            for key, blk in f.blocks.items() for idx, c in blk.items()]
-
-
 def _sum_of_products(ctx, m: int, legs) -> BlockFunction:
     """sum of (cn / cd) * (lf lg) over legs (lf, lg, cn, cd) of compatible
     functions over a PWContext, each function given by its entries (key,
-    idx, n, d) (_pair_entries, _pair_leg), as one cg_contract pass: the
-    terms c * lf[fi] * lg[gi] of every leg are summed per block pair
+    idx, n, d) (_pair_leg), as one cg_contract pass: the terms
+    c * lf[fi] * lg[gi] of every leg are summed per block pair
     (fkey, gkey) and index pair (fi, gi) first, as integer numerators and
     denominators, and those sums go into cg_contract as they are, so it
     meets each block pair once, in first-seen order, and never an index
@@ -1001,10 +993,9 @@ class BracketSpec:
 def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> BlockFunction:
     """{f, g} for the bivector of spec: the legs (a(f), b(g), c) of its
     terms c a (x) b (spec.legs), summed in one cg_contract pass by
-    _sum_of_products.  Each end is the entry list of _pair_leg, read
-    through the memo of f or g (_pair_legs), so a function bracketed many
-    times acts with each basis element once; b(g) is read only when a(f)
-    is nonzero, and a leg with a zero side is dropped."""
+    _sum_of_products, each end read through the memo of f or g
+    (_memo_legs), so a function bracketed many times acts with each basis
+    element once."""
     if f.m != spec.m or g.m != spec.m:
         raise ValueError("bracket spec arity mismatch")
     for h in (f, g):
@@ -1013,9 +1004,17 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
                              % (h.ctx.ring, spec.ctx.ring))
     if spec.kind == "mixed" and not (f.semi_invariant and g.semi_invariant):
         raise ValueError("mixed bracket requires semi-invariant inputs")
+    return _sum_of_products(spec.ctx, spec.m, _memo_legs(f, g, spec.legs))
+
+
+def _memo_legs(f: BlockFunction, g: BlockFunction, ends) -> List[Tuple]:
+    """The legs (a(f), b(g), n, d) of the leg ends (a, b, n, d), each side
+    the entry list of _pair_leg read through the memo of f or g
+    (_pair_legs); b(g) is read only when a(f) is nonzero, and a leg with
+    a zero side is dropped."""
     fmemo, gmemo = f._pair_legs, g._pair_legs
     legs = []
-    for a, b, n, d in spec.legs:
+    for a, b, n, d in ends:
         lf = fmemo.get(a)
         if lf is None:
             lf = fmemo[a] = _pair_leg(f, *a)
@@ -1025,7 +1024,7 @@ def classical_bracket(f: BlockFunction, g: BlockFunction, spec: BracketSpec) -> 
                 lg = gmemo[b] = _pair_leg(g, *b)
             if lg:
                 legs.append((lf, lg, n, d))
-    return _sum_of_products(spec.ctx, spec.m, legs)
+    return legs
 
 
 # -- oracles for the bracket checks -----------------------------------------
@@ -1039,10 +1038,13 @@ def _diag_act(f: BlockFunction, idx: int) -> BlockFunction:
 
 def _rho_tensor(t: LieTensor, f: BlockFunction, g: BlockFunction):
     """rho(t)(f (x) g) = sum over terms a(x)b of (rho(a)f)(rho(b)g) for the
-    diagonal action rho, in one cg_contract pass."""
-    return _sum_of_products(f.ctx, f.m, [
-        (_pair_entries(_diag_act(f, a)), _pair_entries(_diag_act(g, b)),
-         c.numerator, c.denominator) for (a, b), c in t.data.items()])
+    diagonal action rho(a) = sum_j (a on factor j), in one cg_contract
+    pass over the legs (j, a, "left") of f and (k, b, "left") of g for
+    every pair of factors j, k, read through the leg memos (_memo_legs)."""
+    return _sum_of_products(f.ctx, f.m, _memo_legs(f, g, [
+        ((j, a, "left"), (k, b, "left"), c.numerator, c.denominator)
+        for (a, b), c in t.data.items()
+        for j in range(f.m) for k in range(g.m)]))
 
 
 def poisson_action_residual(spec: BracketSpec, f: BlockFunction,

@@ -19,9 +19,10 @@ denominator, and ``reduce_sums`` puts each key in lowest terms once, when
 the sums are read; ``series_sums`` is the two in one call.  A signed
 combination of two sums, such as a difference of U_hbar tensors, adds the
 second's running sums into the first (``signed_terms``) and reduces only
-the keys that survive; a residual A*B - C*D goes further and subtracts
-the terms of C*D into the running sums of A*B as they are generated
-(``que._product_sums``), so neither side is ever built as series.
+the keys that survive.  A product of U_hbar tensors (``que._product_sums``)
+adds each term over its hbar-window as it is generated (``mul_num`` cuts
+longer operands to the window), and a residual A*B - C*D subtracts the
+terms of C*D into the running sums of A*B, so neither is built as series.
 """
 
 from __future__ import annotations
@@ -275,9 +276,10 @@ def _reduced(order: int, num: List[int], den: int) -> TruncatedSeries:
 
 def mul_num(a: Sequence[int], b: Sequence[int], order: int) -> List[int]:
     """Numerators of the product of two series over the product of their
-    denominators: the convolution of a and b, truncated to order terms."""
+    denominators: the convolution of a and b, truncated to order terms;
+    either may be longer than order."""
     out = [0] * order
-    for i, x in enumerate(a):
+    for i, x in enumerate(a[:order]):
         if x:
             for j, y in enumerate(b[: order - i], i):
                 out[j] += x * y
@@ -322,8 +324,9 @@ def sum_terms(acc: Dict, terms: Iterable[Tuple[Hashable, Sequence[int], int]]
     again at the end, so the keys come out in the order that adding the
     same terms one by one as series would give them.  que._product_sums
     keeps this rule inline, on running sums it owns and updates in place,
-    and keeps the keys a residual's first product holds in place through
-    a zero sum (see there).  Returns acc."""
+    each term added from the first slot of its hbar-window on, and keeps
+    the keys a residual's first product holds in place through a zero sum
+    (see there).  Returns acc."""
     get = acc.get
     for key, num, den in terms:
         cur = get(key)

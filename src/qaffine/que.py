@@ -27,8 +27,11 @@ on a block of legs, the antipode, and the passes of mono_mul and of E
 times a monomial) adds its terms into the running sums of
 kernel.sum_terms, the one rule by which series are added per key and the
 order of the keys is settled; the product applies that rule inline,
-adding each term as it is generated, and carries a pair of terms that
-meets only at hbar^(K-1) as one integer.  A residual A*B - C*D
+adding each term as it is generated.  It is one loop over hbar-windows:
+a pair of terms of valuations v1 + v2 = v carries only its K - v
+numerators from hbar^v on, every series that enters it is cut to that
+window, a series constant there multiplies an integer factor, and a pair
+at v = K - 1 is one integer.  A residual A*B - C*D
 (almost-cocommutativity, the hexagons, the twist axiom,
 intertwining_residual) sums both sides into one accumulator, the second
 with sign -1, and reduces only the keys that survive, so it is empty
@@ -97,10 +100,9 @@ class UqContext:
                                                   for n, tn in t.items()}
         self._lE: Dict[Mono, Dict[Mono, TruncatedSeries]] = {}
         self._mono_mul: Dict[Tuple[Mono, Mono], Dict[Mono, TruncatedSeries]] = {}
-        # mono_mul read by _product_sums: as kernel multipliers, and as
-        # the hbar^0 structure constants of its short products
-        self._mul_tables: Dict[Tuple[Mono, Mono], object] = {}
-        self._mul_tops: Dict[Tuple[Mono, Mono], object] = {}
+        # mono_mul read by _product_sums, cut to each window length L
+        self._mul_tables: Dict[int, Dict[Tuple[Mono, Mono], object]] = {
+            L: {} for L in range(1, order + 1)}
         # the data of Delta and S per monomial (see _grown): dicts, not
         # tensors, so that no memo entry points back to the context
         self._delta: Dict[Mono, Dict] = {}
@@ -389,98 +391,57 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
     product into the sums of a first puts the keys in the order that
     UqTensor.__sub__ of the two products gives them.
 
-    A pair of terms whose valuations add up to K - 1 survives only in its
-    hbar^(K-1) coefficient, the product of the two leading numerators: it
-    is carried as that one integer through the hbar^0 structure constants
-    of mono_mul and added into slot K - 1 (a short product).  The other
-    pairs take their coefficients and the structure constants as kernel
-    multipliers, so a constant (most of them) scales the numerators and a
-    1 leaves them alone; only true series convolve.  No term is zero, so a
-    new key is always kept."""
+    A pair of terms whose valuations add up to v < K survives only from
+    hbar^v on, so it carries its window of L = K - v numerators, and every
+    series that enters it (y's coefficient, the structure constants of
+    mono_mul) is cut to that window first.  A term is (key prefix,
+    numerators, integer factor, den): a series constant in its window
+    multiplies the factor and only a true series convolves; the sign
+    negates each term of x once.  Numerators may run past the window; a
+    product cuts them (mul_num) and the sum reads the first L.  At v =
+    K - 1 the window is one integer.  No term is zero, so a new key is
+    always kept."""
     ctx = x.ctx
     K = ctx.order
-    top = K - 1
     if acc is None:
         acc = {}
     held = set(acc)
     # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
-    # v meets only the terms of y below K - v, in their own order; those
-    # at K - 1 - v carry their leading numerator for the short product
-    vals = [(k2, multiplier(s2), s2.valuation(), s2.num)
+    # v1 meets only the terms of y below K - v1, in their own order, each
+    # with its window (v, L) and its coefficient cut to it (an integer in
+    # every window when it has one nonzero numerator); built for the
+    # valuations that x has
+    vals = [(k2, (v2 := s2.valuation()), s2.num, s2.den, any(s2.num[v2 + 1:]))
             for k2, s2 in y.data.items()]
-    below = [[(k2, n2[v2] if v2 == top - v else None) + f2
-              for k2, f2, v2, n2 in vals if v2 < K - v]
-             for v in range(K + 1)]
-    # mono_mul as multipliers, or as the one monomial m3 when the product
-    # is m3 itself (then a leg only extends the key); tops holds the
-    # hbar^0 constants (m3, numerator, den), collapsed the same way; both
-    # live on ctx and are only read here, never changed once built
-    tables = ctx._mul_tables
-    tops = ctx._mul_tops
+    below: List[Optional[List]] = [None] * K
+    # mono_mul per window length L, cut to it: (m3, c, den) entries, or the
+    # one monomial m3 when the product is m3 itself there (then a leg only
+    # extends the key); the tables live on ctx and are only read here,
+    # never changed once built
+    tables_at = ctx._mul_tables
     get = acc.get
     for k1, s1 in x.data.items():
-        n1, d1 = s1.num, s1.den
         v1 = s1.valuation()
+        n1, d1 = s1.num[v1:], s1.den
         if sign != 1:
             n1 = [-a for a in n1]
-        for k2, lead2, c2, d2 in below[v1]:
-            run: Tuple[Mono, ...] = ()
-            if lead2 is not None:
-                # the short product: one integer per term, at hbar^(K-1)
-                scalars = [((), n1[v1] * lead2, d1 * d2)]
-                for m1, m2 in zip(k1, k2):
-                    if m1 == UNIT:
-                        run += (m2,)
-                        continue
-                    if m2 == UNIT:
-                        run += (m1,)
-                        continue
-                    tbl = tops.get((m1, m2))
-                    if tbl is None:
-                        tbl = [(m3, c.num[0], c.den)
-                               for m3, c in mono_mul(ctx, m1, m2).items()
-                               if c.num[0]]
-                        if len(tbl) == 1 and tbl[0][1:] == (1, 1):
-                            tbl = tbl[0][0]
-                        tops[m1, m2] = tbl
-                    if type(tbl) is tuple:
-                        run += (tbl,)
-                        continue
-                    scalars = [(pre + run + (m3,), t * c, td * cd)
-                               for pre, t, td in scalars for m3, c, cd in tbl]
-                    run = ()
-                # each scalar goes into slot K - 1 of its key's running sum
-                for pre, t, td in scalars:
-                    key = pre + run
-                    cur = get(key)
-                    if cur is None:
-                        a = [0] * K
-                        a[top] = t
-                        acc[key] = [a, td]
-                        continue
-                    a, ad = cur
-                    if ad == td:
-                        a[top] += t
-                    else:
-                        g = gcd(ad, td)
-                        sa, sb = td // g, ad // g
-                        if sa != 1:
-                            a = cur[0] = [u * sa for u in a]
-                            cur[1] = ad * sa
-                        a[top] += t * sb
-                    if not (a[top] or any(a) or key in held):
-                        del acc[key]
-                continue
-            if c2 is None:
-                n, d = n1, d1
-            elif type(c2) is int:
-                n, d = [a * c2 for a in n1], d1 * d2
+        pairs = below[v1]
+        if pairs is None:
+            pairs = below[v1] = [
+                (k2, v1 + v2, K - v1 - v2,
+                 _cut(n2[v2:K - v1]) if tail else n2[v2], d2)
+                for k2, v2, n2, d2, tail in vals if v1 + v2 < K]
+        for k2, v, L, c2, d2 in pairs:
+            if type(c2) is int:
+                n, f = n1, c2
             else:
-                n, d = mul_num(n1, c2, K), d1 * d2
+                n, f = mul_num(n1, c2, L), 1
+            tables = tables_at[L]
             # keys grow one expanding leg at a time; a unit leg or a
             # one-monomial product only extends the run of fixed monomials
             # in front of the next one
-            terms = [((), n, d)]
+            terms = [((), n, f, d1 * d2)]
+            run: Tuple[Mono, ...] = ()
             for m1, m2 in zip(k1, k2):
                 if m1 == UNIT:
                     run += (m2,)
@@ -490,50 +451,58 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
                     continue
                 tbl = tables.get((m1, m2))
                 if tbl is None:
-                    tbl = [(m3,) + multiplier(c)
-                           for m3, c in mono_mul(ctx, m1, m2).items()]
-                    if len(tbl) == 1 and tbl[0][1] is None:
+                    tbl = [(m3, c, s.den) for m3, s in
+                           mono_mul(ctx, m1, m2).items()
+                           if (c := _cut(s.num[:L]))]
+                    if len(tbl) == 1 and tbl[0][1:] == (1, 1):
                         tbl = tbl[0][0]
                     tables[m1, m2] = tbl
                 if type(tbl) is tuple:
                     run += (tbl,)
                     continue
                 nxt = []
-                for pre, pn, pd in terms:
+                for pre, pn, pf, pd in terms:
                     pre += run
                     for m3, c, cd in tbl:
-                        if c is None:
-                            nxt.append((pre + (m3,), pn, pd))
-                        elif type(c) is int:
-                            nxt.append((pre + (m3,), [a * c for a in pn],
-                                        pd * cd))
-                        elif any(tn := mul_num(pn, c, K)):
-                            nxt.append((pre + (m3,), tn, pd * cd))
+                        if type(c) is int:
+                            nxt.append((pre + (m3,), pn, pf * c, pd * cd))
+                        elif any(tn := mul_num(pn, c, L)):
+                            nxt.append((pre + (m3,), tn, pf, pd * cd))
                 terms = nxt
                 run = ()
-            # kernel.sum_terms inlined, on the owned running sums
-            for pre, pn, pd in terms:
+            # kernel.sum_terms inlined, on the owned running sums: each
+            # term's window is added, times its factor, from slot v on (a
+            # window of one integer in one step)
+            for pre, pn, f, pd in terms:
                 key = pre + run
                 cur = get(key)
                 if cur is None:
-                    acc[key] = [list(pn), pd]
-                    continue
+                    cur = acc[key] = [[0] * K, pd]
                 a, ad = cur
-                if ad == pd:
-                    a = [u + v for u, v in zip(a, pn)]
-                else:
+                if ad != pd:
                     g = gcd(ad, pd)
-                    sa, sb = pd // g, ad // g
-                    a = [u * sa + v * sb for u, v in zip(a, pn)]
-                    cur[1] = ad * sa
-                if any(a) or key in held:
-                    cur[0] = a
+                    sa = pd // g
+                    f *= ad // g
+                    if sa != 1:
+                        a = cur[0] = [u * sa for u in a]
+                        cur[1] = ad * sa
+                if L == 1:
+                    a[v] += pn[0] * f
                 else:
+                    for i, w in zip(range(v, K), pn):
+                        a[i] += w * f
+                if not (a[v] or any(a) or key in held):
                     del acc[key]
     if held:
         for key in [k for k in held if not any(acc[k][0])]:
             del acc[key]
     return acc
+
+
+def _cut(w: Tuple[int, ...]):
+    """The numerators w of a window: its first one, an int, when the rest
+    are zero (0 when all are), else w itself."""
+    return w if any(w[1:]) else w[0]
 
 
 def _running(t: UqTensor) -> Dict:

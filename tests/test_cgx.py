@@ -807,6 +807,47 @@ def test_quantum_action_never_fills_the_leg_memo(ctx, leg_builds):
     assert fc._pair_legs and len(leg_builds) == len(fc._pair_legs)
 
 
+def _pair_entries(f):
+    """The entries (key, idx, n, d) of a function over a PWContext, n / d
+    its coefficient there, in block order: the form of a leg that
+    cgx._sum_of_products reads."""
+    return [(key, idx, c.numerator, c.denominator)
+            for key, blk in f.blocks.items() for idx, c in blk.items()]
+
+
+def _ref_rho_tensor(t, f, g):
+    """rho(t)(f (x) g) by the diagonal actions: each term a(x)b of t as the
+    functions cgx._diag_act(f, a) and cgx._diag_act(g, b), read back into
+    integer pairs for one cgx._sum_of_products pass."""
+    return cgx._sum_of_products(f.ctx, f.m, [
+        (_pair_entries(cgx._diag_act(f, a)), _pair_entries(cgx._diag_act(g, b)),
+         c.numerator, c.denominator) for (a, b), c in t.data.items()])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rho_tensor_from_the_leg_memo_matches_the_diagonal_action(
+        ctx, m, leg_builds):
+    """_rho_tensor, which sums the legs of every pair of factors read
+    through the leg memos, equals the diagonal-action route on seeded
+    functions, for the cobracket of every basis element, and builds each
+    leg once."""
+    rng = random.Random(80 + m)
+    st = StandardR(ctx.alg)
+    nonzero = 0
+    for f, g in ((random_function(rng, ctx, m, False),
+                  random_function(rng, ctx, m, False)),
+                 (random_hw_function(rng, ctx, m),
+                  random_hw_function(rng, ctx, m))):
+        for x in range(ctx.alg.dim):
+            t = cobracket(st.r, basis_tensor(ctx.alg, x))
+            got = cgx._rho_tensor(t, f, g)
+            assert got == _ref_rho_tensor(t, f, g)
+            nonzero += not got.is_zero()
+        assert f._pair_legs and g._pair_legs
+    assert nonzero
+    assert leg_builds and len(leg_builds) == len(set(leg_builds))
+
+
 def _act_entries(h):
     """The entries (key, idx, coefficient) of a function, in block order."""
     return [(key, idx, c) for key, blk in h.blocks.items()
@@ -955,7 +996,7 @@ def test_legs_that_cancel_at_an_index_pair(ctx, monkeypatch):
             legs = [(f, g, c), (f + extra, g, -c), (h, g, F(1))]
             del seen[:]
             got = cgx._sum_of_products(ctx, m, [
-                (cgx._pair_entries(a), cgx._pair_entries(b), k.numerator,
+                (_pair_entries(a), _pair_entries(b), k.numerator,
                  k.denominator) for a, b, k in legs])
             assert got.blocks == ref_pw_multiply(h - extra.scale(c), g).blocks
             (groups,) = seen

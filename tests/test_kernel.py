@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaffine.kernel import (
-    SeriesDomainError, SeriesOrderError, TruncatedSeries, mul_term, multiplier,
-    q_power, series_sums,
+    SeriesDomainError, SeriesOrderError, TruncatedSeries, mul_num, mul_term,
+    multiplier, q_power, series_sums,
 )
 from qaffine.que import UqContext, q_integer
 
@@ -557,3 +557,31 @@ def test_mul_term_matches_series_product(k, ca, cb):
     got = series_sums(k, [(0, num, den)]).get(0, TruncatedSeries.zero(k))
     assert got == a * b
     assert got.coeffs == (NaiveSeries(k, ca[:k]) * NaiveSeries(k, cb[:k])).coeffs
+
+
+def _naive_convolution(a, b, order):
+    """The first order coefficients of (sum a_i x^i)(sum b_j x^j), as
+    Fractions."""
+    out = [Fraction(0)] * order
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < order:
+                out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(st.integers(min_value=-9, max_value=9), max_size=10),
+       st.lists(st.integers(min_value=-9, max_value=9), max_size=10))
+def test_mul_num_cuts_operands_longer_than_the_order(order, a, b):
+    """mul_num truncates either operand to order numerators: the window
+    loop of que._product_sums passes numerators cut only at their start."""
+    assert mul_num(a, b, order) == _naive_convolution(a, b, order)
+    assert mul_num(tuple(a), tuple(b), order) == _naive_convolution(a, b, order)
+
+
+def test_mul_num_with_both_operands_past_the_order():
+    assert mul_num((1, 2, 3), (1, 1, 1), 1) == [1]
+    assert mul_num((1, 2, 3, 4), (5, 6, 7), 2) == [5, 16]
+    assert mul_num((0, 0, 3, 4), (5, 6, 7), 2) == [0, 0]

@@ -13,7 +13,12 @@ Python, and then its names count as code does: the benchmark's span
 recorder hooks functions by dotted name ("PWContext._build_irrep"), and
 tests exec snippets, while report and error prose names nothing.  Methods
 are matched by name, not by class.  Dunder methods are called by the
-language and are not checked."""
+language and are not checked.
+
+In the same way, every attribute that an __init__ in src/qaffine sets on
+self is read as an attribute (x.name, loaded) somewhere in src/, tests/
+or perfbench/, matched by name: a memo or field whose readers are gone
+is deleted with them."""
 
 import ast
 from collections import Counter
@@ -111,6 +116,53 @@ def _test_only(trees):
     return {d[2] for d in defined if in_src[d[2]] <= d[3] and outside[d[2]]}
 
 
+def _init_attributes(trees):
+    """The attributes that an __init__ in src/qaffine sets on self (its
+    first parameter), as (file, line, name)."""
+    for path, tree in trees:
+        if path.parent != SRC:
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef)
+                    and node.name == "__init__" and node.args.args):
+                continue
+            me = node.args.args[0].arg
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == me):
+                    yield path.name, sub.lineno, sub.attr
+
+
+def _attribute_reads(root, docs):
+    """Every attribute name loaded under `root`, also inside a string
+    literal that parses as Python; `docs` are the ids of the docstring
+    constants of its file."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            try:
+                code = ast.parse(node.value)
+            except (SyntaxError, ValueError):
+                continue
+            yield from _attribute_reads(code, _docstrings(code))
+
+
+def _unread_attributes(trees):
+    """The attributes set on self in an __init__ of src/qaffine that no
+    code reads as an attribute, as "file:line name"."""
+    trees = list(trees)
+    read = set()
+    for _, tree in trees:
+        read.update(_attribute_reads(tree, _docstrings(tree)))
+    attrs = list(_init_attributes(trees))
+    assert attrs
+    return ["%s:%d %s" % a for a in attrs if a[2] not in read]
+
+
 def test_every_definition_is_named_elsewhere():
     unused = _unused(_trees())
     assert not unused, unused
@@ -189,3 +241,23 @@ def test_only_a_string_that_parses_names_anything():
         "HOOKS = ['Ctx.hooked', 'run(x, side=1)']\n"
         "raise ValueError('window closed vs open')\n")
     assert _unused([(SRC / "toy.py", toy)]) == ["toy.py:5 closed"]
+
+
+def test_every_attribute_set_in_an_init_is_read():
+    unread = _unread_attributes(_trees())
+    assert not unread, unread
+
+
+def test_an_attribute_only_set_is_unread():
+    toy = ast.parse(
+        "class Ctx:\n"
+        "    def __init__(me, order):\n"
+        "        me.order = order\n"
+        "        me._memo = {}\n"
+        "        me._tables: dict = {}\n"
+        "        me.hooked = 0\n"
+        "def read(ctx):\n"
+        "    ctx._tables[1] = ctx.order\n"
+        "    _memo = 'not an attribute'\n"
+        "HOOKS = ['Ctx.hooked']\n")
+    assert _unread_attributes([(SRC / "toy.py", toy)]) == ["toy.py:4 _memo"]

@@ -855,7 +855,7 @@ def test_one_pass_residual_matches_naive_on_random_tensors():
     assert cancelled
 
 
-# -- pairs that meet at hbar^(K-1): the short product of _product_sums ----
+# -- pairs at every total valuation: the hbar-windows of _product_sums ----
 
 
 def _tensor_at_every_valuation(ctx, rng, legs):
@@ -878,7 +878,8 @@ def _tensor_at_every_valuation(ctx, rng, legs):
 def test_top_order_pairs_match_all_legs_reference():
     """Products and one-pass residuals of tensors with a term at every
     valuation, at K = 1..6: each product has pairs at every total
-    valuation, those at K - 1 carried as scalars."""
+    valuation, so windows of every length, down to the one integer of a
+    pair at K - 1."""
     rng = random.Random(53)
     for K in range(1, 7):
         uq = UqContext(K)
@@ -892,10 +893,10 @@ def test_top_order_pairs_match_all_legs_reference():
 
 
 def test_products_on_a_warm_context_match_a_fresh_one():
-    """_product_sums keeps its mono_mul tables on the context: products
-    and one-pass residuals on a context warmed by the same products, and
-    R^(2) after them, equal those on a fresh context, values and key
-    order."""
+    """_product_sums keeps its mono_mul tables, cut per window length, on
+    the context: products and one-pass residuals on a context warmed by
+    the same products, and R^(2) after them, equal those on a fresh
+    context, values and key order."""
     rng = random.Random(67)
     for K in range(1, 6):
         warm = UqContext(K)
@@ -907,8 +908,8 @@ def test_products_on_a_warm_context_match_a_fresh_one():
         for a, b, c in cases:
             a * b
             intertwining_residual(a, b, c)
-        # at K = 1 every pair is top-order, so only the hbar^0 tables fill
-        assert warm._mul_tops and (K == 1 or warm._mul_tables)
+        # a table for every window length, down to L = 1 at hbar^(K-1)
+        assert all(warm._mul_tables[L] for L in range(1, K + 1))
         for a, b, c in cases:
             fresh = UqContext(K)
             fa, fb, fc = (UqTensor(fresh, t.legs, t.data) for t in (a, b, c))
@@ -921,7 +922,7 @@ def test_products_on_a_warm_context_match_a_fresh_one():
 
 def test_every_pair_is_top_order_at_k1():
     """At K = 1 every pair of terms meets at hbar^0 = hbar^(K-1), so the
-    products, residuals and R-matrix checks run on the short product
+    products, residuals and R-matrix checks run on windows of one integer
     alone."""
     uq = UqContext(1)
     rng = random.Random(59)
