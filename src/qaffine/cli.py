@@ -392,18 +392,18 @@ def _suite_quantum(cfg: RunConfig, report: Report):
     from .liebialg import build_sl, standard_r, twisted_r
     from .cgx import BracketSpec, classical_bracket, hw_coefficient, pw_tensor
     from .que import (
-        QAffineContext, TwistedHopf, UqContext, UqElement, UqTensor,
+        QAffineContext, TwistedHopf, UqContext, UqElement,
         almost_cocommutativity_residuals, antipode, coproduct, counit_leg,
         delta_leg, hexagon_residuals, hopf_power_delta, intertwining_residual,
         quantum_affine_multiply, quantum_affine_multiply_pairwise, r_matrix_m,
-        semiclassical_bracket, semiclassical_r, tensor_one, twi_m,
-        twi_m_inductive, twist_condition_residuals, uq_gen,
+        r_matrix_sl2, semiclassical_bracket, semiclassical_r, tensor_one,
+        twi_m, twi_m_inductive, twist_condition_residuals, uq_gen,
     )
 
     ctx = UqContext(cfg.hbar_order)
     E, F, H = uq_gen(ctx, "E"), uq_gen(ctx, "F"), uq_gen(ctx, "H")
     qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
-    R = qctx.R
+    R = r_matrix_sl2(ctx)
     r2 = []
 
     def r_matrix2():
@@ -479,12 +479,9 @@ def _suite_quantum(cfg: RunConfig, report: Report):
         # R^(2) intertwines Delta_J with Delta_J^op iff J_21 R^(2) J^-1
         # intertwines Delta with Delta^op (see TwistedHopf.untwist)
         M = TwistedHopf(twi_m(R, 2), 2).untwist(r_matrix2())
-        monos = {"E": (0, 0, 1), "F": (1, 0, 0), "H": (0, 1, 0)}
-        for g, mono in monos.items():
+        for g in "EFH":
             for leg in (0, 1):
-                key = [(0, 0, 0), (0, 0, 0)]
-                key[leg] = mono
-                d = hopf_power_delta(UqTensor(ctx, 2, {tuple(key): 1}), 2)
+                d = hopf_power_delta(uq_gen(ctx, g).embed(2, (leg,)), 2)
                 if not intertwining_residual(
                         M, d, d.swap_legs((2, 3, 0, 1))).is_zero():
                     return False, "almost-cocommutativity", \
@@ -562,7 +559,7 @@ def _suite_quantum(cfg: RunConfig, report: Report):
 
 def _suite_coiso(cfg: RunConfig, report: Report):
     from .cgx import hw_coefficient, pw_tensor
-    from .que import QAffineContext, UqContext, uq_gen
+    from .que import QAffineContext, UqContext, r_matrix_sl2, uq_gen
     from .coiso import (
         CharacterMonoid, HopfSubalgebra, _fn_span, borel_subalgebra,
         classical_shadow, counit_character, is_eigenfunction,
@@ -574,7 +571,7 @@ def _suite_coiso(cfg: RunConfig, report: Report):
     ctx = UqContext(cfg.hbar_order)
     U = borel_subalgebra(ctx, cfg.degree_bound)
     qctx = QAffineContext(ctx)  # one set of quantum CG tables for the suite
-    R = qctx.R
+    R = r_matrix_sl2(ctx)
 
     def membership():
         rep = r_membership_hopf(U, R)

@@ -50,17 +50,19 @@ block at a time as they are read: the highest weight vectors are kernel
 generators of the coproduct of E, transported along the coproduct of F.
 q_multiply (the convolution product) and quantum_affine_multiply
 (twisted by Twi^m(R~)) both end in the one contraction cgx.cg_contract.
-The R~ action before it reads R by its E/F skeletons (its terms grouped by
-their E and F exponents): the H-powers of a skeleton act on the basis
-vectors by powers of weights, so each skeleton acts on an entry by one
-kernel multiplier, and the terms are summed in kernel.series_sums.
+R has a closed normal form, sum_n c_n (F^n (x) 1) exp(hbar (H-n)(x)(H-n)/4)
+(1 (x) E^n), and both R and the R~ action are built from it: R by summing
+its terms in kernel.series_sums, and the R~ action with no R tensor at
+all.  The H-part of the skeleton F^n (x) E^n acts on a pair of basis
+vectors of weights w1, w2 by c_n q^{(w1-n)(w2-n)/2}, so each skeleton acts
+on an entry by one kernel multiplier, and the terms are summed in
+kernel.series_sums.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -673,45 +675,51 @@ def q_integer(ctx: UqContext, n: int) -> TruncatedSeries:
     return s
 
 
-def r_matrix_sl2(ctx: UqContext) -> UqTensor:
-    """Quasitriangular R-matrix of truncated U_hbar(sl2):
-
-    R = [ sum_n c_n (F^n K^n) (x) (E^n K^{-n}) ] * exp(hbar H(x)H/4),
-
-    with K = e^{hbar H/4} and c_n = q^{-n(n+1)/2} (q-q^{-1})^n / [n]_q!.
-    The sum truncates automatically since c_n has hbar-valuation n.
-
-    The coefficients (the q-power exponent, the K-companions, the factor
-    order) were pinned by an exhaustive exact search over a family of
-    closed forms: this is the unique member passing almost-
-    cocommutativity and both hexagon identities at truncation orders
-    up to 6, with hbar^1 coefficient (1/4)h(x)h + f(x)e.
-    """
-    order = ctx.order
-    # Cartan part: exp(hbar H(x)H/4) = sum_k (hbar/4)^k / k! H^k (x) H^k
-    cart = r0_matrix(ctx)
+def _r_skeleton_coefficients(ctx: UqContext) -> List[TruncatedSeries]:
+    """c_0..c_{K-1} with c_n = q^{-n/2} (q - q^-1)^n / [n]_q!, the
+    coefficient of the E/F skeleton F^n (x) E^n of R (see r_matrix_sl2);
+    c_n has hbar-valuation n, so c_n vanishes mod hbar^K from n = K on."""
     x = ctx.q - ctx.q_inv  # valuation 1
-    nil = UqTensor(ctx, 2)
-    xn = ctx.one_series()
-    qfact = ctx.one_series()
-    for n in range(order):
+    xn = qfact = ctx.one_series()
+    out = []
+    for n in range(ctx.order):
         if n:
             xn = xn * x
             qfact = qfact * q_integer(ctx, n)
-        cn = xn * qfact.inv() * ctx.q_half_power(-n * (n + 1))
-        if cn.is_zero():
-            continue
-        fn = UqElement(ctx, {(n, 0, 0): 1}) * uq_cartan_exp(ctx, Fraction(n, 4))
-        en = UqElement(ctx, {(0, 0, n): 1}) * uq_cartan_exp(ctx, Fraction(-n, 4))
-        nil = nil + tensor_of([fn, en]).scale(cn)
-    return nil * cart
+        out.append(xn * qfact.inv() * ctx.q_half_power(-n))
+    return out
 
 
-def r0_matrix(ctx: UqContext) -> UqTensor:
-    """R_0 = exp(hbar r_0) = exp(hbar H(x)H/4) for sl2: the terms
-    (hbar/4)^k / k! H^k of exp(hbar H/4), with H^k on both legs."""
-    return UqTensor(ctx, 2, {(h, h): s for (h,), s in
-                             uq_cartan_exp(ctx, Fraction(1, 4)).data.items()})
+def r_matrix_sl2(ctx: UqContext) -> UqTensor:
+    """Quasitriangular R-matrix of truncated U_hbar(sl2) (Jimbo 1986;
+    Kassel, GTM 155):
+
+    R = [ sum_n a_n (F^n K^n) (x) (E^n K^{-n}) ] * exp(hbar H(x)H/4),
+
+    with K = e^{hbar H/4} and a_n = q^{-n(n+1)/2} (q-q^{-1})^n / [n]_q!,
+    in its closed normal form.  E^n h(H) = h(H - 2n) E^n moves the Cartan
+    factors of the second leg in front of E^n, and the exponents collect
+    to (H-n)(x)(H-n) + n^2, so
+
+    R = sum_{n<K} c_n (F^n (x) 1) exp(hbar (H-n)(x)(H-n)/4) (1 (x) E^n)
+
+    with c_n from _r_skeleton_coefficients.  The coefficient of
+    F^n H^b1 (x) H^b2 E^n is the sum over k of c_n (hbar/4)^k / k! times
+    the H^b1 and H^b2 coefficients of (H-n)^k; the terms are summed in one
+    kernel.series_sums.  The hbar^1 coefficient is (1/4)h(x)h + f(x)e.
+    """
+    K = ctx.order
+
+    def terms():
+        for n, cn in enumerate(_r_skeleton_coefficients(ctx)):
+            for k in range(K - n):
+                s = cn.shift(k)
+                h = _shifted_h_power(k, Fraction(-n)).items()
+                r = Fraction(1, 4 ** k * factorial(k))
+                for b1, r1 in h:
+                    for b2, r2 in h:
+                        yield _term(((n, b1, 0), (0, b2, n)), s, r * r1 * r2)
+    return _tensor(ctx, 2, series_sums(K, terms()))
 
 
 def intertwining_residual(R: UqTensor, d: UqTensor, d_op: UqTensor) -> UqTensor:
@@ -967,10 +975,10 @@ class QIrrep:
 class QAffineContext:
     """Caches for C_hbar[SL2] and C_hbar[(N\\SL2)^m]: quantized irreps
     up to dimension dim_bound, quantum Clebsch-Gordan tables (built from
-    the V_hbar(n) alone), the R-matrix and the R~ tables read off its E/F
-    skeletons per weight pair, and the companion classical context that
-    mod-hbar forms live in; the context of block functions with
-    coefficients in Q[[hbar]]/(hbar^K)."""
+    the V_hbar(n) alone), the R~ tables per weight pair (built from R's
+    closed normal form, with no R tensor), and the companion classical
+    context that mod-hbar forms live in; the context of block functions
+    with coefficients in Q[[hbar]]/(hbar^K)."""
 
     def __init__(self, uq: UqContext, dim_bound: int = 64):
         self.uq = uq
@@ -984,18 +992,16 @@ class QAffineContext:
         self._slot: Dict[Tuple, List[Dict]] = {}
         self._rtilde: Dict[Tuple[int, int], List[List[List]]] = {}
 
-    @cached_property
-    def R(self) -> UqTensor:
-        return r_matrix_sl2(self.uq)
-
     def rtilde_table(self, n1: int, n2: int) -> List[List[List]]:
         """R~ on the dual slots of V_hbar(n1) and V_hbar(n2), for
-        _apply_rtilde: per E/F skeleton of R, the table [j1][j2] of
-        (k1, k2, c, d) or None, with (c, d) the multiplier of the whole
-        skeleton's action taking the dual indices (j1, j2) to (k1, k2).
-        S(F^a H^b E^c) = S(E)^c (-H)^b S(F)^a, so the H^b of a term acts
-        on w_k as the power (2(k + a) - n)^b of a weight: a skeleton's
-        terms collapse into one series per (j1, j2), times the character
+        _apply_rtilde: per E/F skeleton F^n (x) E^n of R (n < K), the
+        table [j1][j2] of (k1, k2, c, d) or None, with (c, d) the
+        multiplier of the whole skeleton's action taking the dual indices
+        (j1, j2) to (k1, k2).  S(F^a H^b E^c) = S(E)^c (-H)^b S(F)^a, so
+        on V_hbar(d) the H^b of a term acts on w_k as the power
+        (2(k + a) - d)^b of a weight w: the skeleton's H-part
+        c_n exp(hbar (H-n)(x)(H-n)/4) (see r_matrix_sl2) acts by
+        c_n q^{(w1-n)(w2-n)/2}, times the character
         exp(-hbar n1 n2 / 4) of R_0^{-1} = exp(-hbar H(x)H/4) and the two
         skeleton slot entries.  A monomial F^a E^c moves each basis vector
         to one basis vector, so a dual index meets at most one entry.
@@ -1003,31 +1009,21 @@ class QAffineContext:
         out = self._rtilde.get((n1, n2))
         if out is not None:
             return out
-        # R's terms (b1, b2, s) of s F^a1 H^b1 E^c1 (x) F^a2 H^b2 E^c2 per
-        # skeleton F^a1 E^c1 (x) F^a2 E^c2, in the order R first meets them
-        skeletons: Dict[Tuple[Mono, Mono], List[Tuple]] = {}
-        for ((a1, b1, c1), (a2, b2, c2)), s in self.R.data.items():
-            skeletons.setdefault(((a1, 0, c1), (a2, 0, c2)), []).append(
-                (b1, b2, s))
         uq = self.uq
-        q = uq.q_half_power(-n1 * n2)
         out = self._rtilde[n1, n2] = []
-        for (m1, m2), terms in skeletons.items():
+        for n, cn in enumerate(_r_skeleton_coefficients(uq)):
             # the entries (j, k, c, w) of the skeleton slot actions, with w
             # the weight whose power H^b brings
             ents1, ents2 = (
-                [(j, k, c, 2 * (k + mono[0]) - n) for j, line in enumerate(
-                    self.slot_action((n,), UqElement(uq, {mono: 1}), "left"))
+                [(j, k, c, 2 * (k + a) - d) for j, line in enumerate(
+                    self.slot_action((d,), UqElement(uq, {mono: 1}), "left"))
                  for k, c in line.items()]
-                for n, mono in ((n1, m1), (n2, m2)))
+                for d, mono, a in ((n1, (n, 0, 0), n), (n2, (0, 0, n), 0)))
             tbl = [[None] * (n2 + 1) for _ in range(n1 + 1)]
             for j1, k1, c1, w1 in ents1:
                 for j2, k2, c2, w2 in ents2:
-                    h = series_sums(uq.order, (
-                        _term(0, s, w1 ** b1 * w2 ** b2)
-                        for b1, b2, s in terms)).get(0)
-                    if h is not None:
-                        tbl[j1][j2] = (k1, k2) + multiplier(h * q * c1 * c2)
+                    h = cn * uq.q_half_power((w1 - n) * (w2 - n) - n1 * n2)
+                    tbl[j1][j2] = (k1, k2) + multiplier(h * c1 * c2)
             out.append(tbl)
         return out
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from qaffine import que
-from qaffine.kernel import TruncatedSeries, q_power
+from qaffine.kernel import TruncatedSeries, multiplier, q_power
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
     QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
@@ -130,6 +130,72 @@ def test_r_matrix_first_order(ctx):
     h1 = (R - tensor_one(ctx, 2)).hbar_coefficient(1)
     assert h1 == {((0, 1, 0), (0, 1, 0)): F(1, 4),
                   ((1, 0, 0), (0, 0, 1)): F(1)}
+
+
+# -- the former product build of R, kept as the reference for its closed
+# normal form, and an independent oracle on V(1) (x) V(1) ------------------
+
+
+def _ref_r_matrix(ctx):
+    """R = [sum_n c_n (F^n K^n) (x) (E^n K^{-n})] * exp(hbar H(x)H/4) with
+    K = e^{hbar H/4} and c_n = q^{-n(n+1)/2} (q-q^{-1})^n / [n]_q!, as a
+    product of U_hbar tensors."""
+    cart = UqTensor(ctx, 2, {(h, h): s for (h,), s in
+                             uq_cartan_exp(ctx, F(1, 4)).data.items()})
+    x = ctx.q - ctx.q_inv
+    nil = UqTensor(ctx, 2)
+    xn = qfact = ctx.one_series()
+    for n in range(ctx.order):
+        if n:
+            xn = xn * x
+            qfact = qfact * q_integer(ctx, n)
+        cn = xn * qfact.inv() * ctx.q_half_power(-n * (n + 1))
+        fn = UqElement(ctx, {(n, 0, 0): 1}) * uq_cartan_exp(ctx, F(n, 4))
+        en = UqElement(ctx, {(0, 0, n): 1}) * uq_cartan_exp(ctx, F(-n, 4))
+        nil = nil + tensor_of([fn, en]).scale(cn)
+    return nil * cart
+
+
+@pytest.mark.parametrize("K", range(1, 8))
+def test_r_matrix_closed_form_matches_product_build(K):
+    uq = UqContext(K)
+    assert r_matrix_sl2(uq) == _ref_r_matrix(uq)
+
+
+def _exp_series(a, K):
+    """exp(a hbar) mod hbar^K as its K Fraction coefficients."""
+    out, c = [], F(1)
+    for k in range(K):
+        out.append(c)
+        c = c * a / (k + 1)
+    return out
+
+
+@pytest.mark.parametrize("K", range(1, 8))
+def test_r_matrix_on_the_two_dimensional_irrep(K):
+    """(rho_1 (x) rho_1)(R) = q^{-1/2} diag(q, 1, 1, q) plus the entry
+    q^{-1/2} (q - q^-1) = q^{1/2} - q^{-3/2} from w_0 (x) w_1 to
+    w_1 (x) w_0, with q^{a/2} = exp(a hbar / 4) expanded in Fractions
+    (Jimbo's R-matrix on V (x) V)."""
+    uq = UqContext(K)
+    rho = QIrrep(uq, 1)
+    got = {}
+    for (m1, m2), s in r_matrix_sl2(uq).data.items():
+        cols1, cols2 = rho.act_mono(m1), rho.act_mono(m2)
+        for a, b in itertools.product(range(2), repeat=2):
+            for c, x in cols1[a].items():
+                for d, y in cols2[b].items():
+                    key = ((a, b), (c, d))
+                    got[key] = got.get(key, uq.zero_series()) + s * x * y
+    half = _exp_series(F(1, 4), K)  # q^{1/2}
+    want = {((0, 0), (0, 0)): half, ((1, 1), (1, 1)): half,
+            ((0, 1), (0, 1)): _exp_series(F(-1, 4), K),
+            ((1, 0), (1, 0)): _exp_series(F(-1, 4), K),
+            ((0, 1), (1, 0)): [u - v for u, v in
+                               zip(half, _exp_series(F(-3, 4), K))]}
+    # at K = 1 the last entry vanishes mod hbar
+    assert {k: list(s.coeffs) for k, s in got.items() if s} == {
+        k: c for k, c in want.items() if any(c)}
 
 
 def test_twist_closed_vs_inductive():
@@ -1064,11 +1130,12 @@ def _apply_rtilde_ref(qctx, P, fa, fb):
     """base = c * s * scalar and each term base * c1 * c2 as reduced series
     products, summed per entry in vec_sum by BlockFunction._from_terms."""
     uq = qctx.uq
+    R = r_matrix_sl2(uq)
 
     def terms():
         for key, blk in P.blocks.items():
             scalar = uq.q_half_power(-key[fa][0] * key[fb][0])
-            for (m1, m2), s in qctx.R.data.items():
+            for (m1, m2), s in R.data.items():
                 y1, y2 = UqElement(uq, {m1: 1}), UqElement(uq, {m2: 1})
                 lines1 = qctx.slot_action(key[fa], y1, "left")
                 lines2 = qctx.slot_action(key[fb], y2, "left")
@@ -1093,28 +1160,76 @@ def _same_blocks(f, g):
                     for k in f.blocks))
 
 
-def _skewed_r(uq):
-    """R + hbar^(K-1) (F^2 H (x) H E^2 + F E (x) F H E): not of the closed
-    form, with H-powers on a term of an existing E/F skeleton, and a new
-    skeleton with a > 0 and c > 0 on both legs and an H-power behind the
-    F of the second leg."""
-    K = uq.order
-    bump = TruncatedSeries.hbar(K, K - 1)
-    return r_matrix_sl2(uq) + UqTensor(uq, 2, {
-        ((2, 1, 0), (0, 1, 2)): bump, ((1, 0, 1), (1, 1, 1)): bump})
-
-
 @pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_rtilde_action_matches_series_product_loop(K):
     """Every R~ application of quantum_affine_multiply at m = 2 and 3, on
     products of random coefficients (some of high valuation, so that a
-    term vanishes mod hbar^K), against the series-product loop; with R
-    itself, and with an R not of the closed form (see _skewed_r)."""
-    uq = UqContext(K)
-    for R in (r_matrix_sl2(uq), _skewed_r(uq)):
-        qctx = QAffineContext(uq)
-        qctx.R = R
-        _check_rtilde_against_loop(qctx, random.Random(K))
+    term vanishes mod hbar^K), against the series-product loop over the
+    terms of R."""
+    _check_rtilde_against_loop(QAffineContext(UqContext(K)), random.Random(K))
+
+
+def _ref_rtilde_table(qctx, n1, n2):
+    """The R~ tables of QAffineContext.rtilde_table read off the terms of
+    R: grouped by their E/F skeletons in the order R first meets them, the
+    H-powers of each term evaluated at the weights of the basis vectors
+    (see test_slot_action_of_an_h_power_is_a_weight_power) and summed as
+    series."""
+    uq = qctx.uq
+    skeletons = {}
+    for ((a1, b1, c1), (a2, b2, c2)), s in r_matrix_sl2(uq).data.items():
+        skeletons.setdefault(((a1, 0, c1), (a2, 0, c2)), []).append(
+            (b1, b2, s))
+    q = uq.q_half_power(-n1 * n2)
+    out = []
+    for (m1, m2), terms in skeletons.items():
+        ents1, ents2 = (
+            [(j, k, c, 2 * (k + mono[0]) - n) for j, line in enumerate(
+                qctx.slot_action((n,), UqElement(uq, {mono: 1}), "left"))
+             for k, c in line.items()]
+            for n, mono in ((n1, m1), (n2, m2)))
+        tbl = [[None] * (n2 + 1) for _ in range(n1 + 1)]
+        for j1, k1, c1, w1 in ents1:
+            for j2, k2, c2, w2 in ents2:
+                h = sum((s * (w1 ** b1 * w2 ** b2) for b1, b2, s in terms),
+                        uq.zero_series())
+                if h:
+                    tbl[j1][j2] = (k1, k2) + multiplier(h * q * c1 * c2)
+        out.append(tbl)
+    return out
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+def test_rtilde_tables_match_regrouped_skeletons_of_r(K):
+    """The closed-form R~ tables equal those regrouped from the terms of
+    R, entry for entry, skeleton order and empty entries included."""
+    qctx = QAffineContext(UqContext(K))
+    for n1 in range(5):
+        for n2 in range(5):
+            assert qctx.rtilde_table(n1, n2) == _ref_rtilde_table(
+                qctx, n1, n2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_quantum_affine_multiply_builds_no_r_tensor(monkeypatch, m):
+    """quantum_affine_multiply reads R~ off R's closed normal form, so
+    with que.r_matrix_sl2 made to raise a fresh context gives the same
+    products as before."""
+    def products():
+        qctx = QAffineContext(UqContext(4))
+        phi = [hw_coefficient(qctx, (n,), {0: 1, n: F(1, 3)})
+               for n in (1, 2)]
+        fs = [pw_tensor([phi[(i + j) % 2] for j in range(m)])
+              for i in range(2)]
+        return [quantum_affine_multiply(f, g) for f in fs for g in fs]
+
+    want = products()
+
+    def no_r(uq):
+        raise AssertionError("an R tensor was built")
+
+    monkeypatch.setattr(que, "r_matrix_sl2", no_r)
+    assert products() == want
 
 
 def _check_rtilde_against_loop(qctx, rng):
@@ -1349,8 +1464,9 @@ def test_element_product_matches_former_element_loop():
 
 def test_memoized_slot_action_matches_fresh(qctx):
     uq = qctx.uq
-    ys = [UqElement(uq, {m1: 1}) for m1, _ in qctx.R.data]
-    ys += [UqElement(uq, {m2: 1}) for _, m2 in qctx.R.data]
+    R = r_matrix_sl2(uq)
+    ys = [UqElement(uq, {m1: 1}) for m1, _ in R.data]
+    ys += [UqElement(uq, {m2: 1}) for _, m2 in R.data]
     ys += [uq_gen(uq, "E") + uq_gen(uq, "F").scale(F(1, 2)), uq_one(uq)]
     for n in range(4):
         for y in ys:
@@ -1384,7 +1500,8 @@ def test_q_evaluate_matches_dense_evaluation(qctx):
     uq = qctx.uq
     rng = random.Random(5)
     E, Fg, H = uq_gen(uq, "E"), uq_gen(uq, "F"), uq_gen(uq, "H")
-    legs = [UqElement(uq, {m: 1}) for key in qctx.R.data for m in key]
+    legs = [UqElement(uq, {m: 1}) for key in r_matrix_sl2(uq).data
+            for m in key]
     us = [E, Fg, H] + legs + [E + Fg.scale(F(1, 2)) + H + legs[-1]]
     fs = [matrix_coefficient(
         qctx, (n,), {a: rng.randint(-2, 2) for a in range(n + 1)},
