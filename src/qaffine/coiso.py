@@ -18,6 +18,11 @@ are therefore three-valued -- ``true``, ``false`` (with a witness whose
 residual is stable under window enlargement), or ``inconclusive`` -- and
 every report records the window it was computed in.
 
+The right action c_{xi,v} . y = c_{xi, S(y)v} behind semi-invariants and
+quantum sections is read from one place, the memoized lines of
+``QAffineContext.slot_action`` (directly by ``semi_invariants``, through
+``cgx.act_factor`` for the basis elements of U elsewhere).
+
 When U and its commutator ideal are monomial spans (each echelon row one
 monomial with pivot entry 1, as for the Borel, <H>, <E>, <F> and <H, F>),
 the membership window is the module of vectors supported on the keys a
@@ -33,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cgx import BlockFunction, act_factor, pw_one
 from .kernel import TruncatedSeries
-from .linalg import EchelonSpan, sparse_nullspace
+from .linalg import EchelonSpan, sparse_nullspace, vec_sum
 from .que import (
     QAffineContext,
     UqContext,
@@ -576,15 +581,14 @@ def borel_subalgebra(ctx: UqContext, degree_bound: int = 4) -> HopfSubalgebra:
 def weight_character(U: HopfSubalgebra, n: int) -> Character:
     """The character by which the weight-n highest-weight block of the
     quantized function algebra transforms under the right action
-    c_{xi,v} . y = c_{xi, S(y)v}: the generator named H acts by -n and
-    every other generator by its counit."""
-    values = []
-    for name, g in zip(U.names, U.generators):
-        if name == "H":
-            values.append(TruncatedSeries.const(-n, U.ctx.order))
-        else:
-            values.append(counit(g))
-    return Character(U, values)
+    c_{xi,v} . y = c_{xi, S(y)v}, read off each generator's PBW terms:
+    chi_n(F^a H^b E^c) = (-n)^b when a = c = 0, and 0 otherwise (H acts by
+    -n, E and F by their counit 0), whatever the generators are named."""
+    zero = U.ctx.zero_series()
+    return Character(U, [
+        sum((s * (-n) ** b for ((a, b, c),), s in g.data.items()
+             if a == c == 0), zero)
+        for g in U.generators])
 
 
 class CharacterMonoid:
@@ -677,59 +681,49 @@ def q_evaluate(f: BlockFunction, *us: UqElement) -> TruncatedSeries:
     return out
 
 
-def q_right_action_word(f: BlockFunction, j: int, U: HopfSubalgebra,
-                        word: Word) -> BlockFunction:
-    """Right action c_{xi,v} . y = c_{xi, S(y)v} of a word of generators
-    of U on factor j."""
-    out = f
-    for gi in word:
-        out = act_factor(out, j, U.generators[gi], "right")
-    return out
-
-
-def _qf_window_basis(qctx: QAffineContext, m: int, weight_bound: int) -> List[BlockFunction]:
-    out = []
-    for ns in itertools.product(range(weight_bound + 1), repeat=m):
-        key = tuple((n,) for n in ns)
-        ranges = []
-        for n in ns:
-            ranges.append(range(n + 1))
-            ranges.append(range(n + 1))
-        for idx in itertools.product(*ranges):
-            out.append(BlockFunction(qctx, m, {key: {idx: 1}}))
-    return out
-
-
 def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
                     chis: Sequence[Character],
                     weight_bound: int) -> List[BlockFunction]:
     """Generators of the module {f in the weight window : f.u = chi_j(u) f
-    on each factor j}, on m = len(chis) factors, one unknown per basis
-    function: the kernel generators (linalg.sparse_nullspace) of the map
-    taking each basis function f to its residuals f.g - chi_j(g) f.  The
-    eigencondition is enforced on the generators g of U, which suffices:
-    the right action is multiplicative and the character values extend
-    multiplicatively."""
+    on each factor j}, on m = len(chis) factors, one unknown per window
+    entry (key, idx): the kernel generators (linalg.sparse_nullspace) of
+    the map taking each entry c to its residuals c.g - chi_j(g) c, keyed
+    (j, gi, key, idx').  The column of an entry is read off the lines of
+    ``QAffineContext.slot_action`` for g on the vector slot of factor j,
+    with -chi_j(g) on the diagonal.  The eigencondition is enforced on the
+    generators g of U, which suffices: the right action is multiplicative
+    and the character values extend multiplicatively.  Each character
+    must be one of a subalgebra with U's generators, since its values are
+    read by generator index."""
+    if any(chi.U.generators != U.generators for chi in chis):
+        raise ValueError("a character of a subalgebra with generators "
+                         "other than U's")
     m = len(chis)
-    basis = _qf_window_basis(qctx, m, weight_bound)
-    cols = []
-    for b in basis:
-        col = {}
-        for j in range(m):
-            for gi, g in enumerate(U.generators):
-                res = (act_factor(b, j, g, "right")
-                       - b.scale(chis[j].values[gi]))
-                col.update(((j, gi) + key, c)
-                           for key, c in qfun_vec(res).items())
-        cols.append(col)
-    # each basis function is one entry (key, idx) -> 1
-    entries = [(key, idx) for b in basis for key, blk in b.blocks.items()
-               for idx in blk]
+    lines = [[qctx.slot_action((n,), g, "right") for g in U.generators]
+             for n in range(weight_bound + 1)]
+    diag = [[-v for v in chi.values] for chi in chis]
+
+    def column(key, idx):
+        for j, ((n,), minus_chi) in enumerate(zip(key, diag)):
+            slot = 2 * j + 1
+            head, tail = idx[:slot], idx[slot + 1:]
+            for gi, acts in enumerate(lines[n]):
+                for s, a in acts[idx[slot]].items():
+                    yield (j, gi, key, head + (s,) + tail), a
+                yield (j, gi, key, idx), minus_chi[gi]
+
+    # the entries in the window, a dual and a vector index per factor
+    entries = [(key, idx)
+               for ns in itertools.product(range(weight_bound + 1), repeat=m)
+               for key in [tuple((n,) for n in ns)]
+               for idx in itertools.product(
+                   *(range(n + 1) for n in ns for _ in (0, 1)))]
     out = []
-    for kv in sparse_nullspace(cols, qctx.uq.one_series()):
+    for kv in sparse_nullspace([vec_sum(column(*e)) for e in entries],
+                               qctx.uq.one_series()):
         blocks: Dict = {}
-        for bi, c in kv.items():
-            key, idx = entries[bi]
+        for e, c in kv.items():
+            key, idx = entries[e]
             blocks.setdefault(key, {})[idx] = c
         out.append(BlockFunction(qctx, m, blocks))
     return out
@@ -737,11 +731,12 @@ def semi_invariants(qctx: QAffineContext, U: HopfSubalgebra,
 
 def is_eigenfunction(f: BlockFunction, chis: Sequence[Character]) -> bool:
     """f.u = chi_j(u) f for every cached basis element u of U, on every
-    factor j, where U is the window of the characters chis."""
+    factor j, where U is the window of the characters chis.  Each u acts
+    as one element (act_factor), which is the action of its word letter
+    by letter since (c.y1).y2 = c.(y1 y2)."""
     for j, chi in enumerate(chis):
-        for w in chi.U.basis_words:
-            if q_right_action_word(f, j, chi.U, w) != \
-                    f.scale(chi.on_word(w)):
+        for w, u in zip(chi.U.basis_words, chi.U.basis):
+            if act_factor(f, j, u, "right") != f.scale(chi.on_word(w)):
                 return False
     return True
 
@@ -794,7 +789,8 @@ def prequantum_check(d: BlockFunction, U: HopfSubalgebra) -> CoisoReport:
     equivalent to the eigenproperty d.u = p(d)(u) d for every cached
     basis element u of U (apply evaluation at u to the first leg:
     coproduct terms in ker(p)(x)A die, Delta(d) gives d.u, and d(x)d
-    gives p(d)(u) d)."""
+    gives p(d)(u) d).  d.u is the right action of u as one element
+    (act_factor), as in ``is_eigenfunction``."""
     window = {"degree_bound": U.degree_bound, "order": U.ctx.order,
               "weights": [list(k) for k in d.weight_keys()]}
     # q_evaluate refuses a function on m != 1 factors, zero or not
@@ -805,7 +801,7 @@ def prequantum_check(d: BlockFunction, U: HopfSubalgebra) -> CoisoReport:
         return CoisoReport("false", window,
                            {"element": "d", "reason": "d(1) != 1"})
     for w, u in zip(U.basis_words, U.basis):
-        lhs = q_right_action_word(d, 0, U, w)
+        lhs = act_factor(d, 0, u, "right")
         rhs = d.scale(q_evaluate(d, u))
         if lhs != rhs:
             name = ".".join(U.names[g] for g in w) or "1"

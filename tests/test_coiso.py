@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from qaffine.coiso import (
-    SLACK, CharacterMonoid, HopfSubalgebra, MonomialWindow, _fn_span,
-    _hbar_terms, _h_monomials, _monomial_support,
+    SLACK, Character, CharacterMonoid, HopfSubalgebra, MonomialWindow,
+    _fn_span, _hbar_terms, _h_monomials, _monomial_support,
     borel_subalgebra, classical_shadow, counit_character, ideal_commutator,
     is_eigenfunction, q_evaluate, qfun_vec,
     quantum_section_check, r_membership_hopf, semi_invariant_product_check,
@@ -22,13 +22,14 @@ from qaffine.coiso import (
     weight_character,
 )
 from qaffine.cgx import (
-    BlockFunction, hw_coefficient, matrix_coefficient, pw_one, pw_tensor,
+    BlockFunction, act_factor, hw_coefficient, matrix_coefficient, pw_one,
+    pw_tensor,
 )
 from qaffine.kernel import TruncatedSeries
-from qaffine.linalg import EchelonSpan
+from qaffine.linalg import EchelonSpan, sparse_nullspace
 from qaffine.que import (
     QAffineContext, antipode, coproduct, q_multiply, UqContext, UqElement,
-    quantum_affine_multiply, r_matrix_sl2, tensor_of, uq_gen,
+    quantum_affine_multiply, r_matrix_sl2, tensor_of, uq_gen, uq_one,
 )
 from qaffine.liebialg import standard_r, strongly_coisotropic_lie
 from tracked_span import TrackedSpan
@@ -1030,3 +1031,142 @@ def test_twisted_check_matches_reference_predicate(K, m):
                            names=list(names))
         assert strong_coiso_twisted(U, R, m).to_json() == \
             _strong_coiso_twisted_ref(U, R, m).to_json()
+
+
+# -- the former right-action routes, kept as the reference: one single-entry -
+# -- function per unknown acted on, scaled and subtracted, and words acted ---
+# -- on letter by letter -------------------------------------------------------
+
+
+def _right_action_word_ref(f, j, U, word):
+    """c_{xi,v} . (g_1 ... g_k) as k actions of single generators."""
+    for gi in word:
+        f = act_factor(f, j, U.generators[gi], "right")
+    return f
+
+
+def _window_basis_ref(qctx, m, weight_bound):
+    out = []
+    for ns in itertools.product(range(weight_bound + 1), repeat=m):
+        key = tuple((n,) for n in ns)
+        ranges = []
+        for n in ns:
+            ranges.append(range(n + 1))
+            ranges.append(range(n + 1))
+        for idx in itertools.product(*ranges):
+            out.append(BlockFunction(qctx, m, {key: {idx: 1}}))
+    return out
+
+
+def _semi_invariants_ref(qctx, U, chis, weight_bound):
+    """The kernel of b -> b.g - chi_j(g) b over the single-entry window
+    basis, each residual a function read back through qfun_vec."""
+    m = len(chis)
+    basis = _window_basis_ref(qctx, m, weight_bound)
+    cols = []
+    for b in basis:
+        col = {}
+        for j in range(m):
+            for gi, g in enumerate(U.generators):
+                res = (act_factor(b, j, g, "right")
+                       - b.scale(chis[j].values[gi]))
+                col.update(((j, gi) + key, c)
+                           for key, c in qfun_vec(res).items())
+        cols.append(col)
+    entries = [(key, idx) for b in basis for key, blk in b.blocks.items()
+               for idx in blk]
+    out = []
+    for kv in sparse_nullspace(cols, qctx.uq.one_series()):
+        blocks = {}
+        for bi, c in kv.items():
+            key, idx = entries[bi]
+            blocks.setdefault(key, {})[idx] = c
+        out.append(BlockFunction(qctx, m, blocks))
+    return out
+
+
+def _function_state(fs):
+    """Each function's blocks and entries, in their order."""
+    return [[(key, list(blk.items())) for key, blk in f.blocks.items()]
+            for f in fs]
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_semi_invariants_match_per_basis_function_solve(K):
+    """Columns read off the slot-action lines give the generators of the
+    former per-basis-function solve, in order and entry for entry, on
+    <H, E>, <H, F>, <H> and <E, F> (hbar^v pivots at K = 3), at weight
+    bounds 1-3, m = 1 and 2, for the counit, weight and hbar-valued
+    characters."""
+    uq = UqContext(K)
+    qctx = QAffineContext(uq)
+    for names in ("HE", "HF", "H", "EF"):
+        U = HopfSubalgebra(uq, [uq_gen(uq, c) for c in names], 2,
+                           names=list(names))
+        eps, z1, z2 = (weight_character(U, n) for n in range(3))
+        h = Character(U, [TruncatedSeries.hbar(K)] * len(names))
+        for chis in ((eps,), (z1,), (z2,), (h,), (eps, z1), (z1, z1),
+                     (z2, h)):
+            for wb in (1, 2, 3):
+                got = semi_invariants(qctx, U, chis, wb)
+                want = _semi_invariants_ref(qctx, U, chis, wb)
+                assert _function_state(got) == _function_state(want), \
+                    (names, chis, wb)
+
+
+def test_basis_elements_act_as_their_words(ctx, qctx):
+    """Acting with a basis element u of U at once equals acting with its
+    word letter by letter, (c.y1).y2 = c.(y1 y2), on both factors of a
+    function on two factors, for every basis word of <H, E> and <E, F>."""
+    rng = random.Random(7)
+    K = ctx.order
+    f = BlockFunction(qctx, 2, {
+        ((a,), (b,)): {idx: _random_series(rng, K)
+                       for idx in itertools.product(
+                           range(a + 1), range(a + 1),
+                           range(b + 1), range(b + 1))}
+        for a in range(3) for b in range(2)})
+    for names in ("HE", "EF"):
+        U = HopfSubalgebra(ctx, [uq_gen(ctx, c) for c in names], 3,
+                           names=list(names))
+        assert len(U.basis_words) > 4
+        for w, u in zip(U.basis_words, U.basis):
+            for j in range(2):
+                assert act_factor(f, j, u, "right") == \
+                    _right_action_word_ref(f, j, U, w), (names, w, j)
+
+
+def test_weight_character_reads_the_pbw_terms(ctx, qctx):
+    """The Borel built without names (labelled g0, g1) gets the weight
+    characters of the named one: H acts by -n, E and F by 0, and the
+    highest-weight coefficient of V(1) is a z1-eigenfunction for both."""
+    H, E, F_ = (uq_gen(ctx, c) for c in "HEF")
+    named = borel_subalgebra(ctx, 3)
+    for U in (named, HopfSubalgebra(ctx, [H, E], 3)):
+        for n in range(4):
+            assert weight_character(U, n).values == \
+                weight_character(named, n).values
+        d = hw_coefficient(qctx, (1,), {0: 1})
+        assert is_eigenfunction(d, (weight_character(U, 1),))
+    Ufh = HopfSubalgebra(ctx, [F_, H], 2)
+    assert weight_character(Ufh, 2).values == [0, -2]
+    # a generator that is a sum of PBW terms: chi(2H + E - 3) = -2n - 3
+    Umix = HopfSubalgebra(ctx, [H.scale(2) + E - uq_one(ctx).scale(3)], 1)
+    assert weight_character(Umix, 2).values == [-7]
+
+
+def test_semi_invariants_refuse_characters_of_other_generators(ctx, qctx):
+    """A character's values are read by generator index, so one of a
+    subalgebra with other generators is refused; one of another
+    subalgebra with the same generators is read as U's."""
+    U = borel_subalgebra(ctx, 2)
+    other = HopfSubalgebra(ctx, [uq_gen(ctx, "H"), uq_gen(ctx, "F")], 2)
+    with pytest.raises(ValueError):
+        semi_invariants(qctx, U, (weight_character(other, 1),), 1)
+    with pytest.raises(ValueError):
+        semi_invariants(qctx, U, (counit_character(U),
+                                  counit_character(other)), 1)
+    same = HopfSubalgebra(ctx, list(U.generators), 3)
+    assert _function_state(
+        semi_invariants(qctx, U, (weight_character(same, 1),), 1)) == \
+        _function_state(semi_invariants(qctx, U, (weight_character(U, 1),), 1))
