@@ -90,6 +90,7 @@ class UqContext:
         self._zero = TruncatedSeries.zero(order)
         self._one = TruncatedSeries.one(order)
         self._q_half_powers: Dict[int, TruncatedSeries] = {}
+        self._r_skeleton: List[TruncatedSeries] = []  # c_n of R's skeletons
         self.q = self.q_half_power(2)  # q = e^{hbar/2}
         self.q_inv = self.q.inv()
         # [E,F] = kappa(H) = sum_n kappa[n] H^n over odd n, in closed form:
@@ -402,7 +403,13 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
     negates each term of x once.  Numerators may run past the window; a
     product cuts them (mul_num) and the sum reads the first L.  At v =
     K - 1 the window is one integer.  No term is zero, so a new key is
-    always kept."""
+    always kept.
+
+    A pair visits only the legs where y's monomial is not the unit, listed
+    once per term of y as (position, monomial): starting from x's key,
+    a unit leg of x takes y's monomial and a one-monomial product is
+    written in place, and the legs with several products expand, in leg
+    order; a y term whose key is all units keeps x's key."""
     ctx = x.ctx
     K = ctx.order
     if acc is None:
@@ -410,15 +417,16 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
     held = set(acc)
     # s1 s2 vanishes iff val(s1) + val(s2) >= K, so a term of valuation
     # v1 meets only the terms of y below K - v1, in their own order, each
-    # with its window (v, L) and its coefficient cut to it (an integer in
-    # every window when it has one nonzero numerator); built for the
-    # valuations that x has
-    vals = [(k2, (v2 := s2.valuation()), s2.num, s2.den, any(s2.num[v2 + 1:]))
+    # with its window (v, L), its coefficient cut to it (an integer in
+    # every window when it has one nonzero numerator) and its non-unit
+    # legs; built for the valuations that x has
+    vals = [(v2 := s2.valuation(), s2.num, s2.den, any(s2.num[v2 + 1:]),
+             [(i, m2) for i, m2 in enumerate(k2) if m2 != UNIT])
             for k2, s2 in y.data.items()]
     below: List[Optional[List]] = [None] * K
     # mono_mul per window length L, cut to it: (m3, c, den) entries, or the
-    # one monomial m3 when the product is m3 itself there (then a leg only
-    # extends the key); the tables live on ctx and are only read here,
+    # one monomial m3 when the product is m3 itself there (then the leg
+    # is written in place); the tables live on ctx and are only read here,
     # never changed once built
     tables_at = ctx._mul_tables
     get = acc.get
@@ -430,26 +438,22 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
         pairs = below[v1]
         if pairs is None:
             pairs = below[v1] = [
-                (k2, v1 + v2, K - v1 - v2,
-                 _cut(n2[v2:K - v1]) if tail else n2[v2], d2)
-                for k2, v2, n2, d2, tail in vals if v1 + v2 < K]
-        for k2, v, L, c2, d2 in pairs:
+                (v1 + v2, K - v1 - v2,
+                 _cut(n2[v2:K - v1]) if tail else n2[v2], d2, legs2)
+                for v2, n2, d2, tail, legs2 in vals if v1 + v2 < K]
+        for v, L, c2, d2, legs2 in pairs:
             if type(c2) is int:
                 n, f = n1, c2
             else:
                 n, f = mul_num(n1, c2, L), 1
-            tables = tables_at[L]
-            # keys grow one expanding leg at a time; a unit leg or a
-            # one-monomial product only extends the run of fixed monomials
-            # in front of the next one
             terms = [((), n, f, d1 * d2)]
-            run: Tuple[Mono, ...] = ()
-            for m1, m2 in zip(k1, k2):
+            tables = tables_at[L]
+            monos = list(k1) if legs2 else k1
+            last = 0
+            for i, m2 in legs2:
+                m1 = monos[i]
                 if m1 == UNIT:
-                    run += (m2,)
-                    continue
-                if m2 == UNIT:
-                    run += (m1,)
+                    monos[i] = m2
                     continue
                 tbl = tables.get((m1, m2))
                 if tbl is None:
@@ -460,8 +464,9 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
                         tbl = tbl[0][0]
                     tables[m1, m2] = tbl
                 if type(tbl) is tuple:
-                    run += (tbl,)
+                    monos[i] = tbl
                     continue
+                run = tuple(monos[last:i])
                 nxt = []
                 for pre, pn, pf, pd in terms:
                     pre += run
@@ -471,12 +476,14 @@ def _product_sums(x: UqTensor, y: UqTensor, acc: Optional[Dict] = None,
                         elif any(tn := mul_num(pn, c, L)):
                             nxt.append((pre + (m3,), tn, pf, pd * cd))
                 terms = nxt
-                run = ()
+                last = i + 1
+            # x's key itself when y's term is all units
+            rest = tuple(monos[last:])
             # kernel.sum_terms inlined, on the owned running sums: each
             # term's window is added, times its factor, from slot v on (a
             # window of one integer in one step)
             for pre, pn, f, pd in terms:
-                key = pre + run
+                key = pre + rest
                 cur = get(key)
                 if cur is None:
                     cur = acc[key] = [[0] * K, pd]
@@ -565,13 +572,13 @@ def tensor_inv(t: UqTensor) -> UqTensor:
     n = -(t - tensor_one(ctx, t.legs))  # t^-1 = sum_k n^k
     if any(s.num[0] for s in n.data.values()):
         raise ValueError("tensor is not unipotent: constant term differs from 1")
-    out = tensor_one(ctx, t.legs)
-    power = tensor_one(ctx, t.legs)
-    for _ in range(1, ctx.order):
+    out = tensor_one(ctx, t.legs) + n
+    power = n
+    for _ in range(2, ctx.order):
         power = power * n
-        out = out + power
         if power.is_zero():
             break
+        out = out + power
     return out
 
 
@@ -630,10 +637,11 @@ def _block_delta_terms(t: UqTensor, m: int, first: int):
     """The terms (key, numerators, den) of _block_delta(t, m, first): per
     term of t, the product of the coproducts of its m block legs, the
     first leg outermost, with the shuffle of the 2m new legs into
-    (a1..am, b1..bm) order written straight into the key.  The
-    coproducts' coefficients enter as kernel multipliers, and a partial
-    product of valuation v meets only the coproduct terms below hbar^(K-v),
-    so no product that vanishes mod hbar^K is formed."""
+    (a1..am, b1..bm) order written straight into the key.  A unit leg
+    passes through as 1 (x) 1, with no product; the other coproducts'
+    coefficients enter as kernel multipliers, and a partial product of
+    valuation v meets only the coproduct terms below hbar^(K-v), so no
+    product that vanishes mod hbar^K is formed."""
     ctx = t.ctx
     K = ctx.order
     last = first + m
@@ -642,6 +650,10 @@ def _block_delta_terms(t: UqTensor, m: int, first: int):
     for k, s in t.data.items():
         partial = [((), (), s.num, s.den, s.valuation())]
         for mono in k[first:last]:
+            if mono == UNIT:
+                partial = [(xs + (UNIT,), ys + (UNIT,), n, d, v)
+                           for xs, ys, n, d, v in partial]
+                continue
             tbl = deltas.get(mono)
             if tbl is None:
                 tbl = deltas[mono] = [pair + multiplier(c) + (c.valuation(),)
@@ -678,15 +690,17 @@ def q_integer(ctx: UqContext, n: int) -> TruncatedSeries:
 def _r_skeleton_coefficients(ctx: UqContext) -> List[TruncatedSeries]:
     """c_0..c_{K-1} with c_n = q^{-n/2} (q - q^-1)^n / [n]_q!, the
     coefficient of the E/F skeleton F^n (x) E^n of R (see r_matrix_sl2);
-    c_n has hbar-valuation n, so c_n vanishes mod hbar^K from n = K on."""
-    x = ctx.q - ctx.q_inv  # valuation 1
-    xn = qfact = ctx.one_series()
-    out = []
-    for n in range(ctx.order):
-        if n:
-            xn = xn * x
-            qfact = qfact * q_integer(ctx, n)
-        out.append(xn * qfact.inv() * ctx.q_half_power(-n))
+    c_n has hbar-valuation n, so c_n vanishes mod hbar^K from n = K on.
+    Memoized on ctx."""
+    out = ctx._r_skeleton
+    if not out:
+        x = ctx.q - ctx.q_inv  # valuation 1
+        xn = qfact = ctx.one_series()
+        for n in range(ctx.order):
+            if n:
+                xn = xn * x
+                qfact = qfact * q_integer(ctx, n)
+            out.append(xn * qfact.inv() * ctx.q_half_power(-n))
     return out
 
 
@@ -781,8 +795,11 @@ def block_embed(t: UqTensor, m: int, blocks: int, positions: Sequence[int]) -> U
 
 
 def _ordered_product(ctx: UqContext, factors: Sequence[UqTensor], legs: int) -> UqTensor:
-    out = tensor_one(ctx, legs)
-    for f in factors:
+    """factors[0] * factors[1] * ..., from the left; 1 when there are none."""
+    if not factors:
+        return tensor_one(ctx, legs)
+    out = factors[0]
+    for f in factors[1:]:
         out = out * f
     return out
 
@@ -1021,9 +1038,10 @@ class QAffineContext:
                 for d, mono, a in ((n1, (n, 0, 0), n), (n2, (0, 0, n), 0)))
             tbl = [[None] * (n2 + 1) for _ in range(n1 + 1)]
             for j1, k1, c1, w1 in ents1:
+                cc1 = cn * c1
                 for j2, k2, c2, w2 in ents2:
-                    h = cn * uq.q_half_power((w1 - n) * (w2 - n) - n1 * n2)
-                    tbl[j1][j2] = (k1, k2) + multiplier(h * c1 * c2)
+                    h = uq.q_half_power((w1 - n) * (w2 - n) - n1 * n2)
+                    tbl[j1][j2] = (k1, k2) + multiplier(cc1 * h * c2)
             out.append(tbl)
         return out
 

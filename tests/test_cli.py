@@ -402,14 +402,23 @@ PINNED_COMPUTE_OUTPUT = [
      "1cf157d9e946906b3a0e3cda1797920b60168a3ece095054d6c3d39fac641d92"),
     (["qmultiply", "3:3,1:0,2:1", "3:1,2:2,1:1"],
      "4e4c206003678580d1d44747dd4d6ad9de1dedfc70348775294242202096224e"),
+    # Twi^m(R) through 4- and 6-leg products, at the orders where the
+    # products' windows run from hbar^0 to hbar^(K-1) over several legs
+    (["twi", "2", "--hbar-order", "5"],
+     "d3e02c940f6f03079f3c1d73c732144cbf2f2fa6ddd7b1e76a97380d905015ea"),
+    (["twi", "3", "--hbar-order", "4"],
+     "7bc080dbc21a71f57ff0a6071344eed5be30378d2869e238b6f6baa08d274988"),
+    (["twi", "3", "--hbar-order", "5"],
+     "2a50130cdec6cba260cb63bc575973835db8f4477cc55c30d3f00573c8e26240"),
 ]
 
 
 def test_compute_output_is_pinned(capsys):
     """Bracket (product m=1, mixed m=2, 3), qmultiply (m=1..3 at hbar
     orders 2..4), coiso-check (F and HE at degree bound 2, HF and EF at
-    hbar order 2), and the sl3 cobrackets and mixed tensors print exactly
-    the pinned bytes."""
+    hbar order 2), the sl3 cobrackets and mixed tensors, and Twi^m(R)
+    (m=2 at hbar order 5, m=3 at orders 4 and 5) print exactly the pinned
+    bytes."""
     assert main(["compute", "bracket", "sl2", "product", "2:1", "3:2"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "bracket": {"blocks": {"5": [[3, 0, "-3/2"]]}, "m": 1}}

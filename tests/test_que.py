@@ -8,16 +8,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from qaffine import que
-from qaffine.kernel import TruncatedSeries, multiplier, q_power
+from qaffine.kernel import (
+    TruncatedSeries, mul_num, multiplier, q_power, reduce_sums,
+)
 from qaffine.linalg import mat_inv, solve
 from qaffine.que import (
-    QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
+    UNIT, QAffineContext, QIrrep, TwistedHopf, UqContext, UqElement, UqTensor,
     _apply_rtilde, _block_delta, almost_cocommutativity_residuals, antipode,
     block_embed, coproduct, coproduct_op, counit, counit_leg, delta_leg,
     hexagon_residuals, hopf_power_delta, intertwining_residual, mono_mul,
@@ -1066,25 +1069,211 @@ def test_residual_keeps_a_held_key_through_a_zero_sum(K):
         assert same_tensor(got, _naive_difference(a, b, c, a))
         assert list(got.data)[0] == (H,)
         assert (a * b).data.keys() >= {(H,), (H2,)}
+    # the same on leg 4 of 9 legs, beside legs that only x or only y
+    # holds (E on leg 2, F on leg 7) and a one-monomial product (F F on
+    # leg 8), against the all-legs loop: both products keep one key set
+    E, Fm = (0, 0, 1), (1, 0, 0)
+
+    def legs9(monos):
+        return UqTensor(uq, 9, {tuple(monos.get(j, U) for j in range(9)): 1})
+
+    ea, fb = legs9({2: E, 8: Fm}), legs9({7: Fm, 8: Fm})
+    for a, b, c in cases:
+        a, b, c = (UqElement(uq, t).embed(9, (4,)) for t in (a, b, c))
+        a, b, c = a * ea, b * fb, c * fb
+        got = intertwining_residual(a, b, c)
+        assert same_tensor(got, _ref_residual(a, b, c, a))
+        assert same_tensor(got, _naive_difference(a, b, c, a))
+        assert list(got.data)[0] == (U, U, E, U, H, U, U, Fm, (2, 0, 0))
+
+
+# -- the former all-legs loop of _product_sums, kept as the reference ----
+
+
+def _ref_product_sums(x, y, acc=None, sign=1):
+    """_product_sums as it was before it visited only y's non-unit legs:
+    every pair of terms walks all the legs of both keys, a unit leg or a
+    one-monomial product extending the run of fixed monomials in front of
+    the next expanding leg.  Same windows, tables, running sums and key
+    rules (see que._product_sums)."""
+    ctx = x.ctx
+    K = ctx.order
+    if acc is None:
+        acc = {}
+    held = set(acc)
+    vals = [(k2, (v2 := s2.valuation()), s2.num, s2.den, any(s2.num[v2 + 1:]))
+            for k2, s2 in y.data.items()]
+    below = [None] * K
+    tables_at = ctx._mul_tables
+    get = acc.get
+    for k1, s1 in x.data.items():
+        v1 = s1.valuation()
+        n1, d1 = s1.num[v1:], s1.den
+        if sign != 1:
+            n1 = [-a for a in n1]
+        pairs = below[v1]
+        if pairs is None:
+            pairs = below[v1] = [
+                (k2, v1 + v2, K - v1 - v2,
+                 que._cut(n2[v2:K - v1]) if tail else n2[v2], d2)
+                for k2, v2, n2, d2, tail in vals if v1 + v2 < K]
+        for k2, v, L, c2, d2 in pairs:
+            if type(c2) is int:
+                n, f = n1, c2
+            else:
+                n, f = mul_num(n1, c2, L), 1
+            tables = tables_at[L]
+            terms = [((), n, f, d1 * d2)]
+            run = ()
+            for m1, m2 in zip(k1, k2):
+                if m1 == UNIT:
+                    run += (m2,)
+                    continue
+                if m2 == UNIT:
+                    run += (m1,)
+                    continue
+                tbl = tables.get((m1, m2))
+                if tbl is None:
+                    tbl = [(m3, c, s.den) for m3, s in
+                           mono_mul(ctx, m1, m2).items()
+                           if (c := que._cut(s.num[:L]))]
+                    if len(tbl) == 1 and tbl[0][1:] == (1, 1):
+                        tbl = tbl[0][0]
+                    tables[m1, m2] = tbl
+                if type(tbl) is tuple:
+                    run += (tbl,)
+                    continue
+                nxt = []
+                for pre, pn, pf, pd in terms:
+                    pre += run
+                    for m3, c, cd in tbl:
+                        if type(c) is int:
+                            nxt.append((pre + (m3,), pn, pf * c, pd * cd))
+                        elif any(tn := mul_num(pn, c, L)):
+                            nxt.append((pre + (m3,), tn, pf, pd * cd))
+                terms = nxt
+                run = ()
+            for pre, pn, f, pd in terms:
+                key = pre + run
+                cur = get(key)
+                if cur is None:
+                    cur = acc[key] = [[0] * K, pd]
+                a, ad = cur
+                if ad != pd:
+                    g = gcd(ad, pd)
+                    sa = pd // g
+                    f *= ad // g
+                    if sa != 1:
+                        a = cur[0] = [u * sa for u in a]
+                        cur[1] = ad * sa
+                if L == 1:
+                    a[v] += pn[0] * f
+                else:
+                    for i, w in zip(range(v, K), pn):
+                        a[i] += w * f
+                if not (a[v] or any(a) or key in held):
+                    del acc[key]
+    if held:
+        for key in [k for k in held if not any(acc[k][0])]:
+            del acc[key]
+    return acc
+
+
+def _ref_mul(x, y):
+    """x*y through the all-legs loop."""
+    return que._tensor(x.ctx, x.legs,
+                       reduce_sums(x.ctx.order, _ref_product_sums(x, y)))
+
+
+def _ref_residual(a, b, c, d):
+    """a b - c d through the all-legs loop, in one accumulator."""
+    acc = _ref_product_sums(a, b)
+    return que._tensor(a.ctx, a.legs, reduce_sums(
+        a.ctx.order, _ref_product_sums(c, d, acc, -1)))
+
+
+def _sparse_tensor(ctx, rng, legs):
+    """Up to six terms on keys whose legs are mostly units (each leg is a
+    monomial with exponents up to 2 with probability 1/3), at random
+    valuations, now and then with only a leading coefficient."""
+    K = ctx.order
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    data = {}
+    for _ in range(rng.randint(1, 6)):
+        key = tuple(rng.choice(monos) if rng.random() < 1 / 3 else UNIT
+                    for _ in range(legs))
+        v = rng.randint(0, K - 1)
+        lead = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        tail = ([F(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(K - v - 1)] if rng.random() < 0.5 else [])
+        data[key] = TruncatedSeries(K, [0] * v + [lead] + tail)
+    return UqTensor(ctx, legs, data)
+
+
+def test_leg_sparse_products_match_the_all_legs_loop():
+    """Products and one-pass residuals of random 6-12-leg tensors with
+    mostly unit legs, at K = 1..6, equal those of the all-legs loop, key
+    order included; some y terms are all units, and some legs of x are
+    units where y's are not."""
+    rng = random.Random(71)
+    for K in range(1, 7):
+        uq = UqContext(K)
+        for _ in range(12):
+            legs = rng.randint(6, 12)
+            a, b, c = (_sparse_tensor(uq, rng, legs) for _ in range(3))
+            b = b + tensor_one(uq, legs).scale(F(rng.randint(1, 3)))
+            assert same_tensor(a * b, _ref_mul(a, b))
+            assert same_tensor(b * a, _ref_mul(b, a))
+            assert same_tensor(intertwining_residual(a, b, c),
+                               _ref_residual(a, b, c, a))
+            if K <= 3:
+                assert same_tensor(a * b, naive_tensor_mul(a, b))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_twist_axiom_shapes_at_m3_match_the_all_legs_loop(K, monkeypatch):
+    """The 9-leg products of the m = 3 twist axiom, and Twi^3(R), R^(3)
+    and J^-1 built with the all-legs loop in place of _product_sums, equal
+    the leg-sparse ones, key order included."""
+    uq = UqContext(K)
+    R = r_matrix_sl2(uq)
+    J = twi_m(R, 3)
+    for first, blocks in ((0, (0, 1)), (3, (1, 2))):
+        x, y = _block_delta(J, 3, first), block_embed(J, 3, 3, blocks)
+        assert same_tensor(x * y, _ref_mul(x, y))
+    fast = [J, r_matrix_m(R, 3), tensor_inv(J),
+            *twist_condition_residuals(J, 3)]
+    monkeypatch.setattr(que, "_product_sums", _ref_product_sums)
+    R = r_matrix_sl2(UqContext(K))
+    J = twi_m(R, 3)
+    ref = [J, r_matrix_m(R, 3), tensor_inv(J),
+           *twist_condition_residuals(J, 3)]
+    for got, want in zip(fast, ref):
+        assert same_tensor(got, want)
+    assert all(t.is_zero() for t in ref[3:])
 
 
 @pytest.mark.parametrize("K", [3, 4, 5])
 def test_one_pass_block_delta_matches_leg_by_leg_passes(K):
     """_block_delta, one pass over products of the legs' coproducts,
     against the leg-by-leg passes and the regrouping of _naive_block_delta,
-    for blocks of m = 1..3 legs at either end of Twi^m(R) and of random
-    tensors.  The values agree everywhere, and so does the key order but
-    for Twi^3(R) at K = 5: there keys cancel and re-enter the running sums
-    at other points of the passes than of the one pass, and so come out in
+    for blocks of m = 1..3 legs at either end of Twi^m(R), of Twi^3(R) and
+    of random tensors.  Twi^3(R) has no factor on legs 0 and 5, so each of
+    its end blocks passes a unit leg through.  The values agree
+    everywhere, and so does the key order but for the 3-leg blocks of
+    Twi^3(R) at K = 5: there keys cancel and re-enter the running sums at
+    other points of the passes than of the one pass, and so come out in
     another order."""
     uq = UqContext(K)
     R = r_matrix_sl2(uq)
     rng = random.Random(K)
+    J3 = twi_m(R, 3)
+    assert all(k[0] == k[5] == UNIT for k in J3.data)
     for m in (1, 2, 3):
-        tensors = [twi_m(R, m)]
+        tensors = [J3] if m == 3 else [twi_m(R, m), J3]
         tensors += [_random_tensor(uq, rng, 2 * m) for _ in range(2)]
         for i, t in enumerate(tensors):
-            for first in (0, m):
+            for first in (0, t.legs - m):
                 got = _block_delta(t, m, first)
                 want = _naive_block_delta(t, m, first)
                 assert got == want
